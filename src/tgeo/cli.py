@@ -69,13 +69,11 @@ class UsageError(ValueError):
 _VERIFY_SUITES = ("totally-geodesic", "predicates", "codazzi", "jacobi",
                   "obstruction")
 
-_DEFAULTS = dict(field="hopf", dim=3, radius=1.0, samples=100, planes=10000,
-                 fiber_steps=64, tol_analytic=1e-6, tol_fd=1e-4, seed=0,
-                 out=None, format="json", mode=None, theta=None)
-
-_INT_KEYS = {"dim", "samples", "planes", "fiber_steps", "seed"}
-_FLOAT_KEYS = {"radius", "tol", "tol_fd", "tol_analytic", "theta"}
-_STR_KEYS = {"field", "format", "mode", "out"}
+# Every settable key with its value parser; defaults live in RunConfig. The
+# config-file key ``tol`` is an alias of ``tol_fd``.
+_CONFIG_KEYS = {"field": str, "dim": int, "radius": float, "samples": int,
+                "planes": int, "fiber_steps": int, "tol_fd": float, "seed": int,
+                "out": str, "format": str, "mode": str, "theta": float}
 
 
 @dataclass
@@ -88,7 +86,6 @@ class RunConfig:
     samples: int = 100
     planes: int = 10000
     fiber_steps: int = 64
-    tol_analytic: float = 1e-6
     tol_fd: float = 1e-4
     seed: int = 0
     out: str | None = None
@@ -111,7 +108,7 @@ class RunConfig:
             raise UsageError("planes must be >= 1")
         if self.fiber_steps < 8:
             raise UsageError("fiber-steps must be >= 8")
-        if not (self.tol_analytic > 0 and self.tol_fd > 0):
+        if not self.tol_fd > 0:
             raise UsageError("tolerances must be positive")
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown format {self.format!r}")
@@ -137,6 +134,13 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
             return p
 
 
+def _sample_points(xi: UnitVectorField, config: RunConfig):
+    """(rng, point) for each sample index, one seeded stream per index."""
+    for idx in range(config.samples):
+        rng = np.random.default_rng((config.seed, idx))
+        yield rng, _sample_point(xi, rng)
+
+
 # -- verify suites ---------------------------------------------------------
 
 
@@ -145,9 +149,7 @@ def _run_totally_geodesic(config: RunConfig) -> list:
     max_lemma = 0.0
     max_direct = 0.0
     max_asym = 0.0
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        p = _sample_point(xi, rng)
+    for _, p in _sample_points(xi, config):
         sd = singular_decomposition(xi, p)
         om_l = second_form_lemma(xi, p, sd)
         om_d = second_form_direct(xi, p, sd)
@@ -214,9 +216,7 @@ def _run_predicates(config: RunConfig) -> list:
         expected_fail = {"sasakian"}
 
     worst: dict = {}
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        p = _sample_point(xi, rng)
+    for _, p in _sample_points(xi, config):
         vals = {
             "geodesic": is_geodesic(xi, p).residual,
             "killing": is_killing(xi, p).residual,
@@ -256,9 +256,7 @@ def _run_codazzi(config: RunConfig) -> list:
     xi = build_field(config)
     sphere = xi.sphere
     residual = 0.0
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        p = _sample_point(xi, rng)
+    for rng, p in _sample_points(xi, config):
         frame = sphere.random_orthonormal_frame(p, rng)
         X, Y = frame[0], frame[1]
         lhs = half_curvature(xi, X, Y).vec - half_curvature(xi, Y, X).vec
@@ -274,9 +272,7 @@ def _run_codazzi(config: RunConfig) -> list:
 def _run_jacobi(config: RunConfig) -> list:
     xi = build_field(config)
     residual = 0.0
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        p = _sample_point(xi, rng)
+    for _, p in _sample_points(xi, config):
         residual = max(residual, jacobi_relation_residual(xi, p))
     tol = xi.default_tolerance
     verdict = "pass" if residual <= tol else "fail"
@@ -292,9 +288,7 @@ def _run_obstruction(config: RunConfig) -> list:
     consistency = 0.0
     closed_form = 0.0
     magnitude = 0.0
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        p = _sample_point(xi, rng)
+    for _, p in _sample_points(xi, config):
         sd = singular_decomposition(xi, p)
         obs = geodesic_field_obstruction(xi, p, sd)
         om = second_form_lemma(xi, p, sd)
@@ -346,8 +340,7 @@ def cmd_verify(config: RunConfig) -> int:
     t0 = time.perf_counter()
     reports = _SUITE_RUNNERS[config.suite](config)
     for rep in reports:
-        if rep.wall_time_s == 0.0:
-            rep.wall_time_s = time.perf_counter() - t0
+        rep.wall_time_s = time.perf_counter() - t0
     _emit(reports, config)
     return 0 if all(r.ok for r in reports) else 1
 
@@ -364,17 +357,15 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     if mode != "bundle" and abs(config.radius - 1.0) > 1e-12:
         raise UsageError("submanifold curvature scans need unit radius")
     xi = build_field(config)
-    sphere = xi.sphere
 
-    t0 = time.perf_counter()
     rows = []
     reports = []
-    if mode in ("submanifold", "both"):
-        reports.append(_scan_submanifold(xi, config, rows))
-    if mode in ("bundle", "both"):
-        reports.append(_scan_bundle(xi, config, rows))
-    for rep in reports:
-        rep.wall_time_s = time.perf_counter() - t0
+    for kind, scan in (("submanifold", _scan_submanifold),
+                       ("bundle", _scan_bundle)):
+        if mode in (kind, "both"):
+            t0 = time.perf_counter()
+            reports.append(scan(xi, config, rows))
+            reports[-1].wall_time_s = time.perf_counter() - t0
 
     if config.format == "csv":
         _write_text(_plane_rows_csv(rows, reports), config)
@@ -610,14 +601,12 @@ def _parse_config_file(path: str) -> dict:
         val = val.strip()
         if key == "tol":
             key = "tol_fd"
-        if key in _INT_KEYS:
-            out[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(val)
-        elif key in _STR_KEYS:
-            out[key] = val
-        else:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
+        try:
+            out[key] = _CONFIG_KEYS[key](val)
+        except ValueError:
+            raise UsageError(f"config line {lineno}: bad value for {key}: {val!r}")
     return out
 
 
@@ -627,7 +616,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--fiber-steps", dest="fiber_steps", type=int)
-    p.add_argument("--tol", type=float, help="finite-difference tolerance")
+    p.add_argument("--tol", dest="tol_fd", type=float, metavar="TOL",
+                   help="finite-difference tolerance")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"))
@@ -662,7 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {}
     env_seed = os.environ.get("TGEO_SEED")
     if env_seed is not None:
         try:
@@ -671,13 +661,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"TGEO_SEED must be an integer, got {env_seed!r}")
     if getattr(args, "config", None):
         merged.update(_parse_config_file(args.config))
-    for key in ("field", "dim", "radius", "samples", "planes", "fiber_steps",
-                "seed", "out", "format", "mode", "theta"):
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if getattr(args, "tol", None) is not None:
-        merged["tol_fd"] = args.tol
     config = RunConfig(command=args.command,
                        suite=getattr(args, "suite", None), **merged)
     config.validate()

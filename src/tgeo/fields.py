@@ -14,7 +14,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .manifold import (
-    BasePointMismatchError,
     DegenerateInputError,
     Frame,
     SphereSpec,
@@ -51,12 +50,16 @@ class DecompositionFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class UnitVectorField:
-    """A unit tangent vector field given by closed-form evaluation.
+    """A tangent vector field given by closed-form evaluation.
 
     ``value_fn`` maps ambient point coordinates to the ambient components of
     the field vector; ``jacobian_fn`` (optional) returns the ambient Jacobian
     matrix of that map, which makes every derived derivative analytic instead
     of finite-difference.
+
+    Unit norm is a contract only for the field passed as ``xi``, and nothing
+    checks it; variation directions eta (``tgeo.variation.VariationField`` is
+    this class) need not be unit.
     """
 
     sphere: SphereSpec
@@ -87,16 +90,14 @@ class UnitVectorField:
             return None
         return np.asarray(self.jacobian_fn(coords), dtype=float)
 
-    def covariant_derivative(self, X: TangentVector, *,
-                             step: float | None = None) -> TangentVector:
-        """nabla_X of the field at X.base."""
-        p = X.base
-        jac = self.jacobian_array(p.coords)
-        if jac is not None:
-            return self.sphere.project_to_tangent(p, jac @ X.vec)
-        vec = self.sphere.fd_derivative_array(self.value_array, p.coords,
-                                              X.vec, step)
-        return TangentVector(p, vec)
+    def covariant_derivative_array(self, p_coords: np.ndarray,
+                                   direction: np.ndarray, *,
+                                   step: float | None = None) -> np.ndarray:
+        if self.jacobian_fn is not None:
+            jac = np.asarray(self.jacobian_fn(p_coords), dtype=float)
+            return self.sphere.project_array(p_coords, jac @ direction)
+        return self.sphere.fd_derivative_array(self.value_array, p_coords,
+                                               direction, step)
 
 
 def complex_structure(ambient_dim: int) -> np.ndarray:
@@ -189,28 +190,6 @@ def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
     return frame_rows @ applied.T
 
 
-@dataclass(frozen=True, eq=False)
-class ShapeOperatorRep:
-    """A_xi as a matrix over an explicit orthonormal frame.
-
-    The conjugate operator is the transpose of ``matrix_in_frame`` over the
-    same frame.
-    """
-
-    base: SpherePoint
-    matrix_in_frame: np.ndarray
-    frame: Frame
-
-
-def shape_operator_rep(xi: UnitVectorField, p: SpherePoint,
-                       frame: Frame | None = None) -> ShapeOperatorRep:
-    if frame is None:
-        frame = xi.sphere.standard_frame(p)
-    mat = shape_matrix(xi, p.coords, frame.matrix)
-    mat.flags.writeable = False
-    return ShapeOperatorRep(p, mat, frame)
-
-
 def conjugate_shape_operator(xi: UnitVectorField, Y: TangentVector) -> TangentVector:
     """A*_xi Y, defined by <A* Y, X> = <Y, A X>; transpose in any orthonormal frame."""
     p = Y.base
@@ -255,6 +234,33 @@ def _complete_left_frame(assigned: list, candidates: np.ndarray,
     return [rows[k] for k in range(len(assigned), total)]
 
 
+def _assemble_frames(p: SpherePoint, rows: np.ndarray, M: np.ndarray,
+                     lambdas: np.ndarray, e_comps: np.ndarray,
+                     f_comps: np.ndarray, xiv: np.ndarray, assembly_tol: float,
+                     label: str, *, pin_e0: bool = False) -> SingularData:
+    """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
+    components, then build the ambient frames with f_0 (and, with
+    ``pin_e0``, e_0) set exactly to the field vector ``xiv``."""
+    resid = max(
+        float(np.max(np.linalg.norm(e_comps @ M.T - lambdas[:, None] * f_comps,
+                                    axis=1))),
+        float(np.max(np.linalg.norm(f_comps @ M - lambdas[:, None] * e_comps,
+                                    axis=1))),
+    )
+    if resid > assembly_tol:
+        raise DecompositionFailure(
+            f"{label} residual {resid:.3e} exceeds {assembly_tol:.1e}")
+
+    e_amb = e_comps @ rows
+    f_amb = f_comps @ rows
+    f_amb[0] = xiv  # exact, not reprojected
+    if pin_e0:
+        e_amb[0] = xiv
+    right = Frame(p, tuple(TangentVector(p, v) for v in e_amb))
+    left = Frame(p, tuple(TangentVector(p, v) for v in f_amb))
+    return SingularData(lambdas, right, left)
+
+
 def singular_decomposition(xi: UnitVectorField, p: SpherePoint, *,
                            assembly_tol: float = ASSEMBLY_TOL) -> SingularData:
     """SVD of A_xi with the zero singular value pinned first and f_0 = xi.
@@ -294,23 +300,8 @@ def singular_decomposition(xi: UnitVectorField, p: SpherePoint, *,
         for slot, vec in zip(pending, fills):
             f_list[slot] = vec
     f_comps = np.array(f_list)
-
-    resid = max(
-        float(np.max(np.linalg.norm(e_comps @ M.T - lambdas[:, None] * f_comps,
-                                    axis=1))),
-        float(np.max(np.linalg.norm(f_comps @ M - lambdas[:, None] * e_comps,
-                                    axis=1))),
-    )
-    if resid > assembly_tol:
-        raise DecompositionFailure(
-            f"singular frame assembly residual {resid:.3e} exceeds {assembly_tol:.1e}")
-
-    e_amb = e_comps @ rows
-    f_amb = f_comps @ rows
-    f_amb[0] = xiv  # exact, not reprojected
-    right = Frame(p, tuple(TangentVector(p, v) for v in e_amb))
-    left = Frame(p, tuple(TangentVector(p, v) for v in f_amb))
-    return SingularData(lambdas, right, left)
+    return _assemble_frames(p, rows, M, lambdas, e_comps, f_comps, xiv,
+                            assembly_tol, "singular frame assembly")
 
 
 def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
@@ -364,7 +355,8 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
                 if len(rest) else rest
 
     m = len(pair_l)
-    xi_comps = rows @ xi.value_array(p.coords)
+    xiv = xi.value_array(p.coords)
+    xi_comps = rows @ xiv
     kernel = [xi_comps]
     if 2 * m + 1 < n1:
         stack = np.vstack([xi_comps] + null_rows + [np.eye(n1)])
@@ -385,25 +377,8 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
     lambdas = np.array([0.0] + pair_l + pair_l + [0.0] * (len(kernel) - 1))
     if e_comps.shape != (n1, n1):
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
-
-    resid = max(
-        float(np.max(np.linalg.norm(e_comps @ M.T - lambdas[:, None] * f_comps,
-                                    axis=1))),
-        float(np.max(np.linalg.norm(f_comps @ M - lambdas[:, None] * e_comps,
-                                    axis=1))),
-    )
-    if resid > assembly_tol:
-        raise DecompositionFailure(
-            f"canonical frame residual {resid:.3e} exceeds {assembly_tol:.1e}")
-
-    xiv = xi.value_array(p.coords)
-    e_amb = e_comps @ rows
-    f_amb = f_comps @ rows
-    e_amb[0] = xiv
-    f_amb[0] = xiv
-    right = Frame(p, tuple(TangentVector(p, v) for v in e_amb))
-    left = Frame(p, tuple(TangentVector(p, v) for v in f_amb))
-    return SingularData(lambdas, right, left)
+    return _assemble_frames(p, rows, M, lambdas, e_comps, f_comps, xiv,
+                            assembly_tol, "canonical frame", pin_e0=True)
 
 
 # -- half curvature tensor -------------------------------------------------

@@ -10,8 +10,8 @@ constant-curvature geometry with no chart bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,23 +134,11 @@ class SphereSpec:
             return vec - (vec @ p_coords) / scale * p_coords
         return vec - np.outer(vec @ p_coords, p_coords) / scale
 
-    # -- metric and curvature ------------------------------------------
-
-    def metric(self, X: "TangentVector", Y: "TangentVector") -> float:
-        _check_same_base(X, Y)
-        return float(X.vec @ Y.vec)
-
-    def curvature(self, X: "TangentVector", Y: "TangentVector",
-                  Z: "TangentVector") -> "TangentVector":
-        """R(X,Y)Z = (1/r^2) (<Y,Z> X - <X,Z> Y)."""
-        _check_same_base(X, Y)
-        _check_same_base(X, Z)
-        k = self.curvature_constant
-        out = k * ((Y.vec @ Z.vec) * X.vec - (X.vec @ Z.vec) * Y.vec)
-        return TangentVector(X.base, out)
+    # -- curvature -------------------------------------------------------
 
     def curvature_array(self, x: np.ndarray, y: np.ndarray,
                         z: np.ndarray) -> np.ndarray:
+        """R(X,Y)Z = (1/r^2) (<Y,Z> X - <X,Z> Y)."""
         k = self.curvature_constant
         return k * ((y @ z) * x - (x @ z) * y)
 
@@ -250,25 +238,12 @@ class SphereSpec:
         rows = gram_schmidt_rows(self.project_array(p.coords, raw))
         return Frame(p, tuple(TangentVector(p, r) for r in rows))
 
-    def gram_schmidt(self, vectors: Sequence["TangentVector"]) -> "Frame":
-        if not vectors:
-            raise DegenerateInputError("gram_schmidt needs at least one vector")
-        p = vectors[0].base
-        for v in vectors[1:]:
-            _check_same_base(vectors[0], v)
-        rows = gram_schmidt_rows(np.array([v.vec for v in vectors]))
-        return Frame(p, tuple(TangentVector(p, r) for r in rows))
-
-    def standard_frame(self, p: "SpherePoint") -> "Frame":
+    def standard_frame_rows(self, p_coords: np.ndarray) -> np.ndarray:
         """Deterministic orthonormal tangent frame from the ambient basis.
 
         Projects the standard basis vectors onto the tangent space and
         orthonormalizes, skipping the one direction that collapses.
         """
-        rows = self.standard_frame_rows(p.coords)
-        return Frame(p, tuple(TangentVector(p, r) for r in rows))
-
-    def standard_frame_rows(self, p_coords: np.ndarray) -> np.ndarray:
         candidates = self.project_array(p_coords, np.eye(self.ambient_dim))
         rows = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)
         if len(rows) != self.dim:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -63,40 +63,10 @@ class QuadratureFailure(RuntimeError):
     """Too many quadrature samples were rejected (NaN/inf integrand)."""
 
 
-@dataclass(frozen=True, eq=False)
-class VariationField:
-    """A tangent field eta used as a variation direction, eta(p) orthogonal
-    to the varied unit field pointwise (checked at use sites).
-
-    Same evaluation protocol as a unit field, but without the unit-norm
-    requirement; an analytic ``jacobian_fn`` makes all derivative evaluations
-    exact instead of finite-difference.
-    """
-
-    sphere: SphereSpec
-    value_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "variation"
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    @property
-    def has_jacobian(self) -> bool:
-        return self.jacobian_fn is not None
-
-    def value_array(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value_fn(coords), dtype=float)
-
-    def value(self, p: SpherePoint) -> TangentVector:
-        return TangentVector(p, self.value_array(p.coords))
-
-    def covariant_derivative_array(self, p_coords: np.ndarray,
-                                   direction: np.ndarray, *,
-                                   step: float | None = None) -> np.ndarray:
-        if self.jacobian_fn is not None:
-            jac = np.asarray(self.jacobian_fn(p_coords), dtype=float)
-            return self.sphere.project_array(p_coords, jac @ direction)
-        return self.sphere.fd_derivative_array(self.value_array, p_coords,
-                                               direction, step)
+# A variation direction eta uses the unit field's evaluation protocol
+# without its unit-norm contract; eta(p) orthogonal to the varied unit field
+# is checked at use sites.
+VariationField = UnitVectorField
 
 
 # -- quadrature ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -56,16 +57,21 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_factor = 9\n")
-    with pytest.raises(UsageError):
-        cli._parse_config_file(str(cfg))
+    for text in ("warp_factor = 9\n", "tol_analytic = 1e-6\n"):
+        cfg.write_text(text)
+        with pytest.raises(UsageError, match="unknown config key"):
+            cli._parse_config_file(str(cfg))
 
 
-def test_config_file_rejects_bad_line(tmp_path):
+def test_config_file_rejects_bad_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("just some words\n")
-    with pytest.raises(UsageError):
-        cli._parse_config_file(str(cfg))
+    for text in ("just some words\n", "dim = three\n"):
+        cfg.write_text(text)
+        with pytest.raises(UsageError):
+            cli._parse_config_file(str(cfg))
+    # a malformed value is a usage error (exit 2), not a failed verification
+    assert main(["verify", "codazzi", "--config", str(cfg)]) == 2
+    assert "dim" in capsys.readouterr().err
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -152,6 +158,16 @@ def test_scan_curvature_json(capsys):
     reps = json.loads(out)
     assert {r["name"] for r in reps} == {"scan-submanifold", "scan-bundle"}
     assert all(r["verdict"] == "pass" for r in reps)
+
+
+def test_scan_curvature_both_times_each_scan(capsys):
+    t0 = time.perf_counter()
+    _, out = run_cli(capsys, ["scan-curvature", "--dim", "3", "--planes", "300",
+                              "--mode", "both"], expect=0)
+    elapsed = time.perf_counter() - t0
+    times = [r["wall_time_s"] for r in json.loads(out)]
+    assert len(times) == 2 and all(t > 0.0 for t in times)
+    assert sum(times) <= elapsed
 
 
 def test_scan_curvature_csv_rows(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tgeo import (
+    DecompositionFailure,
     DegenerateInputError,
     PreconditionError,
     SingularLocusError,
@@ -174,6 +175,19 @@ def test_killing_canonical_lambda_layout(hopf3_r2):
     p = hopf3_r2.sphere.random_point(np.random.default_rng(12))
     kd = killing_canonical_frames(hopf3_r2, p)
     assert np.allclose(kd.lambdas, [0.0, 0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("decompose, prefix", [
+    (singular_decomposition, "singular frame assembly"),
+    (killing_canonical_frames, "canonical frame"),
+])
+def test_frame_assembly_refuses_tolerance_below_residual(decompose, prefix,
+                                                          hopf5, hopf3_r2):
+    for xi in (hopf5, hopf3_r2):
+        for p in seeded_points(xi, 3, seed=13):
+            with pytest.raises(DecompositionFailure,
+                               match=rf"^{prefix} residual \S+ exceeds 0\.0e\+00$"):
+                decompose(xi, p, assembly_tol=0.0)
 
 
 def test_killing_canonical_rejects_non_killing(meridian2):
