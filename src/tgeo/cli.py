@@ -4,7 +4,7 @@ report output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
 configuration error, 3 numerical failure (frame assembly, fiber propagation,
-quadrature rejection, singular locus).
+quadrature rejection, singular locus, degenerate curvature plane).
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import DegenerateInputError, SpherePoint
+from .manifold import (
+    DegenerateInputError,
+    DegeneratePlaneError,
+    SpherePoint,
+    unit_rows,
+)
 from .fields import (
     DecompositionFailure,
     PreconditionError,
@@ -40,14 +45,14 @@ from .fields import (
     singular_decomposition,
 )
 from .sasaki import (
-    bundle_sectional_curvature,
+    bundle_sectional_curvature_array,
     geodesic_field_obstruction,
-    horizontal_lift,
     second_form_direct,
     second_form_lemma,
     submanifold_plane_curvature,
-    tangential_lift,
-    xi_tangential_lift,
+    submanifold_plane_curvature_array,
+    tangential_lift_array,
+    xi_tangential_lift_array,
 )
 from .variation import (
     PropagationFailure,
@@ -374,22 +379,60 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+# Planes per stacked batch: enough to spread numpy's per-call overhead thin,
+# few enough that a batch's arrays stay small (S^15 frames: 0.5 MB).
+_SCAN_CHUNK = 256
+
+
+def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
+                 curvatures) -> tuple:
+    """Run a scan in batches of planes; return its observed (min, max).
+
+    Plane idx draws ``shape`` standard normals from its own stream
+    (seed, stream0 + idx), the numbers the one-plane code drew call by call.
+    ``curvatures(start, draws)`` maps a batch to its curvatures; a row-level
+    failure is re-raised naming the plane and the seed tuple that replays it.
+    """
+    lo, hi = math.inf, -math.inf
+    buf = np.empty((_SCAN_CHUNK,) + shape)
+    for start in range(0, config.planes, _SCAN_CHUNK):
+        draws = buf[:min(_SCAN_CHUNK, config.planes - start)]
+        for j, out in enumerate(draws):
+            rng = np.random.default_rng((config.seed, stream0 + start + j))
+            rng.standard_normal(out=out)
+        try:
+            ks = curvatures(start, draws).tolist()
+        except (DegenerateInputError, DegeneratePlaneError) as exc:
+            if not hasattr(exc, "row"):
+                raise
+            idx = start + exc.row
+            raise type(exc)(f"{exc}: {kind} plane {idx}, seed tuple "
+                            f"({config.seed}, {stream0 + idx})") from None
+        rows.extend((start + j, kind, K) for j, K in enumerate(ks))
+        lo, hi = min(lo, *ks), max(hi, *ks)
+    return lo, hi
+
+
 def _scan_submanifold(xi, config, rows) -> VerificationReport:
     sphere = xi.sphere
-    lo, hi = math.inf, -math.inf
     cross_resid = 0.0
-    for idx in range(config.planes):
-        rng = np.random.default_rng((config.seed, idx))
-        p = sphere.random_point(rng)
-        frame = sphere.random_orthonormal_frame(p, rng)
-        X, Y = frame[0], frame[1]
-        K = submanifold_plane_curvature(xi, X, Y)
-        rows.append((idx, "submanifold", K))
-        lo, hi = min(lo, K), max(hi, K)
-        if idx < 500:  # cross-check the closed form against the bundle route
-            Kq = bundle_sectional_curvature(xi_tangential_lift(xi, X),
-                                            xi_tangential_lift(xi, Y))
-            cross_resid = max(cross_resid, abs(K - Kq))
+    cross_planes = min(config.planes, 500)
+
+    def curvatures(start, draws):
+        nonlocal cross_resid
+        p, frames = sphere.stacked_frames(draws)
+        X, Y = frames[:, 0], frames[:, 1]
+        K = submanifold_plane_curvature_array(xi, p, X, Y)
+        m = cross_planes - start
+        if m > 0:  # cross-check the closed form against the bundle route
+            u, x1, x2 = xi_tangential_lift_array(xi, p[:m], X[:m])
+            _, y1, y2 = xi_tangential_lift_array(xi, p[:m], Y[:m])
+            Kq = bundle_sectional_curvature_array(sphere, p[:m], u, x1, x2, y1, y2)
+            cross_resid = max(cross_resid, *np.abs(K[:m] - Kq).tolist())
+        return K
+
+    lo, hi = _scan_chunks(config, 0, (1 + sphere.dim, sphere.ambient_dim),
+                          "submanifold", rows, curvatures)
 
     # designated sections at a seeded point
     rng = np.random.default_rng((config.seed, config.planes))
@@ -410,7 +453,7 @@ def _scan_submanifold(xi, config, rows) -> VerificationReport:
         f"observed range [{lo:.9f}, {hi:.9f}] over {config.planes} planes",
         f"designated sections: xi-plane {k_xi:.12f}, phi-plane {k_phi:.12f}",
         f"closed form vs bundle curvature route: max gap {cross_resid:.3e} "
-        f"on {min(config.planes, 500)} planes",
+        f"on {cross_planes} planes",
     ]
     return VerificationReport(
         name="scan-submanifold", parameters=_params(config),
@@ -422,20 +465,17 @@ def _scan_submanifold(xi, config, rows) -> VerificationReport:
 
 def _scan_bundle(xi, config, rows) -> VerificationReport:
     sphere = xi.sphere
-    lo, hi = math.inf, -math.inf
-    for idx in range(config.planes):
-        rng = np.random.default_rng((config.seed, 10 ** 9 + idx))
-        p = sphere.random_point(rng)
-        u = sphere.random_tangent(p, rng).unit()
-        hx = sphere.random_tangent(p, rng)
-        vx = sphere.random_tangent(p, rng)
-        hy = sphere.random_tangent(p, rng)
-        vy = sphere.random_tangent(p, rng)
-        Xb = horizontal_lift(hx, u) + tangential_lift(vx, u)
-        Yb = horizontal_lift(hy, u) + tangential_lift(vy, u)
-        K = bundle_sectional_curvature(Xb, Yb)
-        rows.append((idx, "bundle", K))
-        lo, hi = min(lo, K), max(hi, K)
+
+    def curvatures(start, draws):
+        # five tangents per plane: the anchor u, then hx, vx, hy, vy
+        p, t = sphere.stacked_tangents(draws)
+        u = unit_rows(t[:, 0])
+        vx, vy = (tangential_lift_array(v, u) for v in (t[:, 2], t[:, 4]))
+        return bundle_sectional_curvature_array(sphere, p, u, t[:, 1], vx,
+                                                t[:, 3], vy)
+
+    lo, hi = _scan_chunks(config, 10 ** 9, (6, sphere.ambient_dim), "bundle",
+                          rows, curvatures)
     residual = max(max(-lo, 0.0), max(hi - 1.25, 0.0))
     verdict = "pass" if residual <= 1e-6 else "fail"
     notes = [f"observed bundle range [{lo:.9f}, {hi:.9f}] "
@@ -689,8 +729,8 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         return _COMMANDS[config.command](config)
-    except (DecompositionFailure, PropagationFailure, QuadratureFailure,
-            SingularLocusError) as exc:
+    except (DecompositionFailure, DegeneratePlaneError, PropagationFailure,
+            QuadratureFailure, SingularLocusError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (UsageError, PreconditionError, DegenerateInputError) as exc:

@@ -75,6 +75,89 @@ def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float = GS_PIVOT_TOL,
     return np.array(rows)
 
 
+# -- stacked twins of the validating types ---------------------------------
+#
+# Batched kernels take (N, ambient) arrays, one row per sample, instead of
+# one wrapper object per vector. These helpers repeat the wrappers' checks
+# with the same thresholds, row by row, and name the first failing row. The
+# arithmetic matches the one-vector code bit for bit: a 1-d ``x @ y`` and
+# ``np.vecdot`` on rows both call the same BLAS dot, and ``np.linalg.norm``
+# of a 1-d array is ``sqrt`` of that dot.
+
+
+def _reject_rows(bad: np.ndarray, error: type, message) -> None:
+    """Raise ``error`` for the first row flagged in ``bad`` (leading axis).
+
+    ``message`` is a string or a function of the row index. The index is
+    kept on the exception as ``row``, so a caller that knows where its rows
+    came from can name the sample; the message names it when there is more
+    than one row.
+    """
+    if not np.count_nonzero(bad):
+        return
+    row = int(np.flatnonzero(np.reshape(bad, (len(bad), -1)).any(axis=1))[0])
+    text = message(row) if callable(message) else message
+    exc = error(f"{text} (row {row})" if len(bad) > 1 else text)
+    exc.row = row
+    raise exc
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v))
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """TangentVector.unit for each row of ``v``, with its check."""
+    norm = _row_norms(v)
+    _reject_rows(norm < GS_PIVOT_TOL, DegenerateInputError,
+                 "cannot normalize a near-zero tangent vector")
+    return v / norm[..., None]
+
+
+def _check_points_stack(radius: float, coords: np.ndarray) -> None:
+    _reject_rows(np.abs(_row_norms(coords) - radius) > 1e-9 * radius,
+                 DegenerateInputError, "coordinates do not lie on the sphere")
+
+
+def _check_tangent_stack(radius: float, coords: np.ndarray,
+                         vecs: np.ndarray) -> None:
+    """TangentVector's check for ``vecs`` of shape (N, ambient) or
+    (N, k, ambient) at the points ``coords`` (N, ambient)."""
+    at = coords if vecs.ndim == 2 else coords[:, None, :]
+    bound = 1e-9 * radius * np.maximum(1.0, _row_norms(vecs))
+    _reject_rows(np.abs(np.vecdot(vecs, at)) > bound, DegenerateInputError,
+                 "vector is not tangent to the sphere")
+
+
+def _check_frames_stack(frames: np.ndarray) -> None:
+    """Frame's orthonormality check for each (k, ambient) frame of a stack."""
+    gram = np.vecdot(frames[:, :, None, :], frames[:, None, :, :])
+    _reject_rows(np.abs(gram - np.eye(frames.shape[1])) > 1e-8,
+                 DegenerateInputError, "frame is not orthonormal")
+
+
+def _gram_schmidt_stack(mats: np.ndarray) -> np.ndarray:
+    """gram_schmidt_rows for each (k, ambient) matrix of an (N, k, ambient)
+    stack, with the same arithmetic; a pivot below GS_PIVOT_TOL raises.
+
+    Kept apart from ``gram_schmidt_rows``: one shared implementation made
+    the 2-d call 1.1-1.8x slower, and that call is the top self-time kernel
+    of the second-form and variation runs.
+    """
+    out = np.empty_like(mats)
+    for i in range(mats.shape[1]):
+        v = mats[:, i].copy()
+        for _ in range(2):  # second pass for numerical orthogonality
+            for j in range(i):
+                v -= np.vecdot(v, out[:, j])[:, None] * out[:, j]
+        norm = _row_norms(v)
+        _reject_rows(norm < GS_PIVOT_TOL, DegenerateInputError,
+                     lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
+                                 f"{GS_PIVOT_TOL:.1e}")
+        out[:, i] = v / norm[:, None]
+    return out
+
+
 @dataclass(frozen=True)
 class SphereSpec:
     """The round sphere S^{n+1}(r) sitting in R^{n+2}.
@@ -138,9 +221,9 @@ class SphereSpec:
 
     def curvature_array(self, x: np.ndarray, y: np.ndarray,
                         z: np.ndarray) -> np.ndarray:
-        """R(X,Y)Z = (1/r^2) (<Y,Z> X - <X,Z> Y)."""
+        """R(X,Y)Z = (1/r^2) (<Y,Z> X - <X,Z> Y); row by row for 2-d inputs."""
         k = self.curvature_constant
-        return k * ((y @ z) * x - (x @ z) * y)
+        return k * (np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y)
 
     def sectional_curvature(self, X: "TangentVector", Y: "TangentVector") -> float:
         _check_same_base(X, Y)
@@ -237,6 +320,46 @@ class SphereSpec:
         raw = rng.standard_normal((self.dim, self.ambient_dim))
         rows = gram_schmidt_rows(self.project_array(p.coords, raw))
         return Frame(p, tuple(TangentVector(p, r) for r in rows))
+
+    # Stacked samplers: row i of ``draws`` holds the standard normals that
+    # sample i's own generator gives the one-sample calls, in their order.
+    # The arithmetic and the checks are those of the one-sample path.
+
+    def _stacked_points(self, draws: np.ndarray) -> np.ndarray:
+        """random_point for each row of ``draws`` (N, ambient)."""
+        norms = _row_norms(draws)
+        _reject_rows(norms < GS_PIVOT_TOL, DegenerateInputError,
+                     "cannot normalize a near-zero vector")
+        coords = draws * (self.radius / norms)[:, None]
+        _check_points_stack(self.radius, coords)
+        return coords
+
+    def stacked_tangents(self, draws: np.ndarray) -> tuple:
+        """random_point, then random_tangent once per further row, for each
+        (1 + k, ambient) block of ``draws`` (N, 1 + k, ambient).
+
+        Returns the points (N, ambient) and the tangents (N, k, ambient).
+        """
+        p = self._stacked_points(draws[:, 0])
+        at = p[:, None, :]
+        raw = draws[:, 1:]
+        t = raw - (np.vecdot(raw, at) / self.radius ** 2)[:, :, None] * at
+        _check_tangent_stack(self.radius, p, t)
+        return p, t
+
+    def stacked_frames(self, draws: np.ndarray) -> tuple:
+        """random_point, then random_orthonormal_frame, for each
+        (1 + dim, ambient) block of ``draws`` (N, 1 + dim, ambient).
+
+        Returns the points (N, ambient) and the frames (N, dim, ambient).
+        """
+        p = self._stacked_points(draws[:, 0])
+        raw = draws[:, 1:]
+        outer = np.matmul(raw, p[:, :, None]) * p[:, None, :]
+        frames = _gram_schmidt_stack(raw - outer / self.radius ** 2)
+        _check_tangent_stack(self.radius, p, frames)
+        _check_frames_stack(frames)
+        return p, frames
 
     def standard_frame_rows(self, p_coords: np.ndarray) -> np.ndarray:
         """Deterministic orthonormal tangent frame from the ambient basis.

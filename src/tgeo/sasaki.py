@@ -24,6 +24,11 @@ from .manifold import (
     SpherePoint,
     SphereSpec,
     TangentVector,
+    _check_points_stack,
+    _check_same_base,
+    _check_tangent_stack,
+    _reject_rows,
+    _row_norms,
     gram_schmidt_rows,
 )
 from .fields import (
@@ -395,47 +400,71 @@ def bundle_sectional_curvature(Xb: BundleVector, Yb: BundleVector) -> float:
     must lie in the anchor's orthogonal complement (tangency to T1M); stray
     anchor components are projected away with a warning. The two curvature-
     gradient terms of the general formula vanish identically on a constant
-    curvature base and are omitted exactly.
+    curvature base and are omitted exactly. One-plane form of
+    ``bundle_sectional_curvature_array``.
     """
     _check_same_anchor(Xb, Yb)
-    sphere = Xb.base.sphere
-    u = Xb.anchor.vec
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise DegenerateInputError("anchor must be a unit vector (a point of T1M)")
+    rows = [W.vec[None] for W in (Xb.anchor, Xb.horiz, Xb.vert, Yb.horiz, Yb.vert)]
+    K = bundle_sectional_curvature_array(Xb.base.sphere, Xb.base.coords[None],
+                                         *rows, _stacklevel=3)
+    return float(K[0])
+
+
+def bundle_sectional_curvature_array(sphere: SphereSpec, p: np.ndarray,
+                                     u: np.ndarray, x1: np.ndarray,
+                                     x2: np.ndarray, y1: np.ndarray,
+                                     y2: np.ndarray, *,
+                                     _stacklevel: int = 2) -> np.ndarray:
+    """``bundle_sectional_curvature`` row by row on stacked (N, ambient) arrays.
+
+    Row i is the plane spanned by x1[i]^h + x2[i]^v and y1[i]^h + y2[i]^v at
+    the bundle point (p[i], u[i]). Every part must be tangent at p[i] and
+    every u[i] a unit vector; a failing row is named in the error. Each
+    vertical part with a stray anchor component warns once, as in the
+    one-plane function; ``_stacklevel`` lets that function point the warning
+    at its own caller.
+    """
+    r = sphere.radius
+    _check_points_stack(r, p)
+    _check_tangent_stack(r, p, np.stack((u, x1, x2, y1, y2), axis=1))
+    _reject_rows(np.abs(_row_norms(u) - 1.0) > 1e-9, DegenerateInputError,
+                 "anchor must be a unit vector (a point of T1M)")
 
     parts = []
-    for W in (Xb, Yb):
-        h = np.array(W.horiz.vec)
-        v = np.array(W.vert.vec)
-        c = float(v @ u)
-        if abs(c) > 1e-8 * max(1.0, np.linalg.norm(v)):
-            warnings.warn(f"projecting vertical part: anchor component {c:.3e}",
-                          stacklevel=2)
-        parts.append((h, v - c * u))
+    for h, v in ((x1, x2), (y1, y2)):
+        c = np.vecdot(v, u)
+        stray = np.abs(c) > 1e-8 * np.maximum(1.0, _row_norms(v))
+        for row in np.flatnonzero(stray):
+            warnings.warn(f"projecting vertical part: anchor component {c[row]:.3e}",
+                          stacklevel=_stacklevel)
+        parts.append((h, v - c[:, None] * u))
 
+    # A numpy scalar's ** 2 is libm pow, which float_power keeps on arrays;
+    # an array's ** 2 is x * x and differs in the last bit on some inputs.
     (x1, x2), (y1, y2) = parts
-    nx_sq = x1 @ x1 + x2 @ x2
-    ny_sq = y1 @ y1 + y2 @ y2
-    cross = x1 @ y1 + x2 @ y2
-    gram = nx_sq * ny_sq - cross ** 2
-    if gram < 1e-14 * max(nx_sq * ny_sq, 1e-300):
-        raise DegeneratePlaneError("bundle vectors do not span a 2-plane")
-    nx = np.sqrt(nx_sq)
+    nx_sq = np.vecdot(x1, x1) + np.vecdot(x2, x2)
+    ny_sq = np.vecdot(y1, y1) + np.vecdot(y2, y2)
+    cross = np.vecdot(x1, y1) + np.vecdot(x2, y2)
+    gram = nx_sq * ny_sq - np.float_power(cross, 2.0)
+    _reject_rows(gram < 1e-14 * np.maximum(nx_sq * ny_sq, 1e-300),
+                 DegeneratePlaneError, "bundle vectors do not span a 2-plane")
+    nx = np.sqrt(nx_sq)[:, None]
     x1, x2 = x1 / nx, x2 / nx
-    c = x1 @ y1 + x2 @ y2
+    c = (np.vecdot(x1, y1) + np.vecdot(x2, y2))[:, None]
     y1, y2 = y1 - c * x1, y2 - c * x2
-    ny = np.sqrt(y1 @ y1 + y2 @ y2)
+    ny = np.sqrt(np.vecdot(y1, y1) + np.vecdot(y2, y2))[:, None]
     y1, y2 = y1 / ny, y2 / ny
 
     R = sphere.curvature_array
-    t1 = float(R(x1, y1, y1) @ x1)
+    t1 = np.vecdot(R(x1, y1, y1), x1)
     rxyu = R(x1, y1, u)
-    t2 = -0.75 * float(rxyu @ rxyu)
+    t2 = -0.75 * np.vecdot(rxyu, rxyu)
     w = R(u, y2, x1) + R(u, x2, y1)
-    t3 = 0.25 * float(w @ w)
-    t4 = float((x2 @ x2) * (y2 @ y2) - (x2 @ y2) ** 2)
-    t5 = 3.0 * float(R(x1, y1, y2) @ x2)
-    t6 = -float(R(u, x2, x1) @ R(u, y2, y1))
+    t3 = 0.25 * np.vecdot(w, w)
+    t4 = (np.vecdot(x2, x2) * np.vecdot(y2, y2)
+          - np.float_power(np.vecdot(x2, y2), 2.0))
+    t5 = 3.0 * np.vecdot(R(x1, y1, y2), x2)
+    t6 = -np.vecdot(R(u, x2, x1), R(u, y2, y1))
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
@@ -446,18 +475,59 @@ def submanifold_plane_curvature(xi: UnitVectorField, X: TangentVector,
     Valid for the Hopf field on the unit sphere; X, Y must be orthonormal.
     Equals the bundle sectional curvature of the lifted plane (after
     normalizing by the bivector norm), which tests assert at closed-form
-    accuracy.
+    accuracy. One-plane form of ``submanifold_plane_curvature_array``.
     """
+    _check_same_base(X, Y)
+    K = submanifold_plane_curvature_array(xi, X.base.coords[None], X.vec[None],
+                                          Y.vec[None])
+    return float(K[0])
+
+
+def submanifold_plane_curvature_array(xi: UnitVectorField, p: np.ndarray,
+                                      x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``submanifold_plane_curvature`` row by row: row i is the plane of the
+    orthonormal tangent pair x[i], y[i] at p[i]; a failing row is named."""
     _require_unit_hopf(xi, "submanifold_plane_curvature")
-    if (abs(X.norm() - 1.0) > 1e-9 or abs(Y.norm() - 1.0) > 1e-9
-            or abs(X.dot(Y)) > 1e-9):
-        raise DegenerateInputError("X, Y must be orthonormal")
-    xiv = xi.value_array(X.base.coords)
-    a = float(xiv @ X.vec)
-    b = float(xiv @ Y.vec)
-    c = float(shape_apply_array(xi, X.base.coords, X.vec) @ Y.vec)
+    r = xi.sphere.radius
+    _check_points_stack(r, p)
+    _check_tangent_stack(r, p, np.stack((x, y), axis=1))
+    _reject_rows((np.abs(_row_norms(x) - 1.0) > 1e-9)
+                 | (np.abs(_row_norms(y) - 1.0) > 1e-9)
+                 | (np.abs(np.vecdot(x, y)) > 1e-9),
+                 DegenerateInputError, "X, Y must be orthonormal")
+    xiv, ax = _unit_hopf_rows(xi, p, x)
+    a = np.vecdot(xiv, x)
+    b = np.vecdot(xiv, y)
+    c = np.vecdot(ax, y)
     denom = 2.0 - (a * a + b * b)
     return (1.0 - 0.75 * (a * a + b * b) + 1.5 * c * c) / denom
+
+
+def xi_tangential_lift_array(xi: UnitVectorField, p: np.ndarray,
+                             x: np.ndarray):
+    """``xi_tangential_lift`` row by row for the unit Hopf field.
+
+    Returns the (anchor, horizontal, vertical) rows of X^tau = X^h - (A X)^t,
+    the parts ``bundle_sectional_curvature_array`` takes.
+    """
+    _require_unit_hopf(xi, "xi_tangential_lift_array")
+    anchor, ax = _unit_hopf_rows(xi, p, x)
+    return anchor, x, -tangential_lift_array(ax, anchor)
+
+
+def tangential_lift_array(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The vertical part v - <v,u> u of ``tangential_lift``, row by row."""
+    return v - np.vecdot(v, u)[:, None] * u
+
+
+def _unit_hopf_rows(xi: UnitVectorField, p: np.ndarray, x: np.ndarray):
+    """xi(p) and A x row by row for the unit Hopf field, from its constant
+    Jacobian J: J p is ``value_array`` (J p / r at r = 1) and the rest is
+    ``shape_apply_array``, with the same floating-point operations."""
+    J = xi.jacobian_array(p[0])
+    xiv = np.matmul(J, p[:, :, None])[:, :, 0]
+    w = np.matmul(x[:, None, :], J.T)[:, 0, :]
+    return xiv, -(w - (np.vecdot(w, p) / xi.sphere.radius ** 2)[:, None] * p)
 
 
 NormalConnection = namedtuple("NormalConnection", ["nu_form", "raw"])
