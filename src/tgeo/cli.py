@@ -4,7 +4,8 @@ report output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
 configuration error, 3 numerical failure (frame assembly, fiber propagation,
-quadrature rejection, singular locus, degenerate curvature plane).
+quadrature rejection, singular locus, degenerate curvature plane, a failing
+check on a sampled plane).
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class RunConfig:
             raise UsageError("samples must be >= 1")
         if self.planes < 1:
             raise UsageError("planes must be >= 1")
-        if self.fiber_steps < 8:
-            raise UsageError("fiber-steps must be >= 8")
+        if self.fiber_steps < 64:
+            raise UsageError("fiber-steps must be >= 64")
         if not self.tol_fd > 0:
             raise UsageError("tolerances must be positive")
         if self.format not in ("json", "csv"):
@@ -405,9 +406,10 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
         except (DegenerateInputError, DegeneratePlaneError) as exc:
             if not hasattr(exc, "row"):
                 raise
-            idx = start + exc.row
-            raise type(exc)(f"{exc}: {kind} plane {idx}, seed tuple "
-                            f"({config.seed}, {stream0 + idx})") from None
+            exc.row += start
+            exc.args = (f"{exc}: {kind} plane {exc.row}, seed tuple "
+                        f"({config.seed}, {stream0 + exc.row})",)
+            raise
         rows.extend((start + j, kind, K) for j, K in enumerate(ks))
         lo, hi = min(lo, *ks), max(hi, *ks)
     return lo, hi
@@ -511,8 +513,7 @@ def cmd_variation(config: RunConfig) -> int:
         raise UsageError("variation analysis needs unit radius")
     xi = build_field(config)
     mode = config.mode or "auto"
-    report = stability_verdict(xi, config.dim, mode,
-                               samples=config.samples,
+    report = stability_verdict(config.dim, mode, samples=config.samples,
                                fiber_steps=config.fiber_steps,
                                seed=config.seed)
     # magnitude estimate for the second variation of the run's witness family
@@ -731,11 +732,15 @@ def main(argv=None) -> int:
         return _COMMANDS[config.command](config)
     except (DecompositionFailure, DegeneratePlaneError, PropagationFailure,
             QuadratureFailure, SingularLocusError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        failure = exc
     except (UsageError, PreconditionError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a row check (it sets ``row``) failed on sampled data, not on input
+        if not hasattr(exc, "row"):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        failure = exc
+    print(f"numerical failure: {failure}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

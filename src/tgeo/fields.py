@@ -8,8 +8,8 @@ predicates (geodesic, Killing, normal, strongly normal, Sasakian identities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class UnitVectorField:
     value_fn: Callable[[np.ndarray], np.ndarray]
     jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "field"
-    params: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def has_jacobian(self) -> bool:
@@ -124,7 +123,6 @@ def hopf_field(m: int, radius: float = 1.0) -> UnitVectorField:
         value_fn=lambda p, _J=J, _r=radius: (_J @ p) / _r,
         jacobian_fn=lambda p, _jac=jac: _jac,
         name="hopf",
-        params={"m": m, "radius": radius},
     )
 
 
@@ -158,8 +156,7 @@ def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
         return (-(np.outer(p, a) + ap * np.eye(len(a))) / (r2 * s)
                 + (ap / (r2 * s ** 3)) * np.outer(u, u))
 
-    return UnitVectorField(sphere, value, jacobian, name="meridian",
-                           params={"radius": radius})
+    return UnitVectorField(sphere, value, jacobian, name="meridian")
 
 
 # -- shape operator ------------------------------------------------------
@@ -305,7 +302,6 @@ def singular_decomposition(xi: UnitVectorField, p: SpherePoint, *,
 
 
 def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
-                             tol: float | None = None,
                              assembly_tol: float = ASSEMBLY_TOL) -> SingularData:
     """Canonically paired singular frames for a Killing field.
 
@@ -318,10 +314,8 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
     n1 = sphere.dim
     rows = sphere.standard_frame_rows(p.coords)
     M = shape_matrix(xi, p.coords, rows)
-    if tol is None:
-        tol = xi.default_tolerance
     skew_resid = float(np.linalg.norm(M + M.T, 2))
-    if skew_resid > tol:
+    if skew_resid > xi.default_tolerance:
         raise PreconditionError(
             f"field is not Killing here: skewness residual {skew_resid:.3e}")
 
@@ -436,59 +430,50 @@ def _unit_perp_samples(xi, p, rng, count):
     return out
 
 
-def is_geodesic(xi: UnitVectorField, p: SpherePoint, *,
-                tol: float | None = None) -> PredicateResult:
+def is_geodesic(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """Residual |A_xi xi| = |nabla_xi xi|."""
     resid = np.linalg.norm(shape_apply_array(xi, p.coords, xi.value_array(p.coords)))
-    return _result("geodesic", resid, xi.default_tolerance if tol is None else tol)
+    return _result("geodesic", resid, xi.default_tolerance)
 
 
-def is_killing(xi: UnitVectorField, p: SpherePoint, *,
-               tol: float | None = None) -> PredicateResult:
+def is_killing(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """Spectral-norm residual of A + A* in an orthonormal frame."""
     rows = xi.sphere.standard_frame_rows(p.coords)
     M = shape_matrix(xi, p.coords, rows)
     resid = np.linalg.norm(M + M.T, 2)
-    return _result("killing", resid, xi.default_tolerance if tol is None else tol)
+    return _result("killing", resid, xi.default_tolerance)
 
 
-def is_normal(xi: UnitVectorField, p: SpherePoint, *, samples: int = PREDICATE_SAMPLES,
-              seed: int = 0, tol: float = 1e-10) -> PredicateResult:
+def is_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """max |<R(X,Y)Z, xi>| over sampled X,Y,Z orthogonal to xi.
 
     Identically zero on constant-curvature spaces; the closed-form curvature
-    makes the tolerance analytic.
+    makes the tolerance analytic (1e-10).
     """
     sphere = xi.sphere
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xiv = xi.value_array(p.coords)
-    vecs = _unit_perp_samples(xi, p, rng, 3 * samples)
+    vecs = _unit_perp_samples(xi, p, rng, 3 * PREDICATE_SAMPLES)
     resid = 0.0
-    for k in range(samples):
+    for k in range(PREDICATE_SAMPLES):
         x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
         resid = max(resid, abs(float(sphere.curvature_array(x, y, z) @ xiv)))
-    return _result("normal", resid, tol)
+    return _result("normal", resid, 1e-10)
 
 
-def is_strongly_normal(xi: UnitVectorField, p: SpherePoint, *,
-                       samples: int = PREDICATE_SAMPLES, seed: int = 0,
-                       tol: float | None = None) -> PredicateResult:
+def is_strongly_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """max |<(nabla_X A) Y, Z>| over sampled X,Y,Z orthogonal to xi."""
-    sphere = xi.sphere
-    rng = np.random.default_rng(seed)
-    vecs = _unit_perp_samples(xi, p, rng, 3 * samples)
+    rng = np.random.default_rng(0)
+    vecs = _unit_perp_samples(xi, p, rng, 3 * PREDICATE_SAMPLES)
     resid = 0.0
-    for k in range(samples):
+    for k in range(PREDICATE_SAMPLES):
         x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
         r_val = half_curvature(xi, TangentVector(p, x), TangentVector(p, y))
         resid = max(resid, abs(float(r_val.vec @ z)))
-    return _result("strongly_normal", resid,
-                   xi.default_tolerance if tol is None else tol)
+    return _result("strongly_normal", resid, xi.default_tolerance)
 
 
-def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint, *,
-                               samples: int = PREDICATE_SAMPLES,
-                               seed: int = 0) -> float:
+def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """Residual of the Sasakian structure identities with phi = nabla xi.
 
     Two parts, maximized over random unit tangent pairs: the gap between the
@@ -498,10 +483,10 @@ def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint, *,
     the second part scales like |1 - 1/r^2|, so it vanishes only at r = 1.
     """
     sphere = xi.sphere
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xiv = xi.value_array(p.coords)
     resid = 0.0
-    for _ in range(samples):
+    for _ in range(PREDICATE_SAMPLES):
         raw = sphere.project_array(p.coords,
                                    rng.standard_normal((2, sphere.ambient_dim)))
         norms = np.linalg.norm(raw, axis=1)
@@ -519,16 +504,13 @@ def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint, *,
     return resid
 
 
-def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint, *,
-                             killing_tol: float | None = None) -> float:
+def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """max_X || A* A X - R(X, xi) xi || over an orthonormal frame (Killing xi)."""
     sphere = xi.sphere
     rows = sphere.standard_frame_rows(p.coords)
     M = shape_matrix(xi, p.coords, rows)
-    if killing_tol is None:
-        killing_tol = max(xi.default_tolerance, TOL_FD)
     skew = float(np.linalg.norm(M + M.T, 2))
-    if skew > killing_tol:
+    if skew > TOL_FD:
         raise PreconditionError(
             f"Jacobi relation needs a Killing field; skewness {skew:.3e}")
     xic = rows @ xi.value_array(p.coords)

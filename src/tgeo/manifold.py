@@ -236,54 +236,13 @@ class SphereSpec:
         r_xyy = self.curvature_array(X.vec, Y.vec, Y.vec)
         return float(r_xyy @ X.vec) / gram
 
-    # -- geodesics -------------------------------------------------------
-
-    def geodesic_point(self, p: "SpherePoint", v: "TangentVector",
-                       t: float) -> "SpherePoint":
-        """Arc-length geodesic: cos(t/r) p + r sin(t/r) v, |v| = 1 required."""
-        if abs(np.linalg.norm(v.vec) - 1.0) > 1e-9:
-            raise DegenerateInputError("geodesic_point needs a unit direction")
-        s = t / self.radius
-        coords = math.cos(s) * p.coords + self.radius * math.sin(s) * v.vec
-        return SpherePoint(self, coords)
-
-    def geodesic_velocity(self, p: "SpherePoint", v: "TangentVector",
-                          t: float) -> "TangentVector":
-        s = t / self.radius
-        q = self.geodesic_point(p, v, t)
-        vel = -math.sin(s) / self.radius * p.coords + math.cos(s) * v.vec
-        return TangentVector(q, vel)
+    # -- geodesics and covariant derivatives ---------------------------------
 
     def _geodesic_coords(self, p_coords: np.ndarray, unit_dir: np.ndarray,
                          t: float) -> np.ndarray:
+        """Arc-length geodesic cos(t/r) p + r sin(t/r) v for a unit v."""
         s = t / self.radius
         return math.cos(s) * p_coords + self.radius * math.sin(s) * unit_dir
-
-    # -- covariant derivative --------------------------------------------
-
-    def covariant_derivative(self, field_fn: Callable[["SpherePoint"], "TangentVector"],
-                             X: "TangentVector", *,
-                             jacobian: np.ndarray | None = None,
-                             step: float | None = None) -> "TangentVector":
-        """nabla_X W for a tangent field W given as ``field_fn``.
-
-        With an ambient ``jacobian`` matrix at X.base the result is the
-        projected matrix-vector product. Otherwise the ambient derivative is
-        taken by central differences along the great-circle geodesic through
-        X.base in direction X. Linear in X; X = 0 gives the zero vector.
-        """
-        p = X.base
-        if jacobian is not None:
-            return self.project_to_tangent(p, jacobian @ X.vec)
-        speed = np.linalg.norm(X.vec)
-        if speed == 0.0:
-            return self.zero_tangent(p)
-        h = self.fd_step if step is None else step
-        u = TangentVector(p, X.vec / speed)
-        plus = field_fn(self.geodesic_point(p, u, h)).vec
-        minus = field_fn(self.geodesic_point(p, u, -h)).vec
-        deriv = (plus - minus) * (speed / (2.0 * h))
-        return self.project_to_tangent(p, deriv)
 
     def fd_derivative_array(self, fn: Callable[[np.ndarray], np.ndarray],
                             p_coords: np.ndarray, direction: np.ndarray,

@@ -169,10 +169,8 @@ class SubmanifoldFrames:
         return self.singular.base
 
 
-def submanifold_frames(xi: UnitVectorField, p: SpherePoint,
-                       sd: SingularData | None = None) -> SubmanifoldFrames:
-    if sd is None:
-        sd = singular_decomposition(xi, p)
+def submanifold_frames(xi: UnitVectorField, p: SpherePoint) -> SubmanifoldFrames:
+    sd = singular_decomposition(xi, p)
     lam = sd.lambdas
     e = sd.right_frame
     f = sd.left_frame
@@ -191,12 +189,9 @@ def submanifold_frames(xi: UnitVectorField, p: SpherePoint,
     return SubmanifoldFrames(sd, tuple(tangent), tuple(normal))
 
 
-def tangency_decomposition(Xb: BundleVector, xi: UnitVectorField,
-                           frames: SubmanifoldFrames | None = None):
+def tangency_decomposition(Xb: BundleVector, xi: UnitVectorField):
     """Split a T1M tangent vector at (p, xi(p)) into xi(M)-tangent + normal."""
-    p = Xb.base
-    if frames is None:
-        frames = submanifold_frames(xi, p)
+    frames = submanifold_frames(xi, Xb.base)
     u = frames.singular.left_frame[0].vec
     if np.max(np.abs(Xb.anchor.vec - u)) > 1e-6:
         raise BasePointMismatchError("vector is not anchored at (p, xi(p))")
@@ -273,36 +268,6 @@ def second_form_lemma(xi: UnitVectorField, p: SpherePoint,
 
 
 # -- second fundamental form: route 2 (bundle connection table) --------------
-
-
-def bundle_covariant_derivative(sphere: SphereSpec, direction: BundleVector,
-                                H_fn: Callable[[np.ndarray], np.ndarray],
-                                V_fn: Callable[[np.ndarray], np.ndarray], *,
-                                step: float | None = None) -> BundleVector:
-    """Sasaki Levi-Civita derivative of the field H^h + V^t along ``direction``.
-
-    ``H_fn`` and ``V_fn`` map ambient point coordinates to tangent vectors
-    there; the field on T1M is q -> H(q)^h + V(q)^t taken at the bundle point
-    over q. The four component formulas for lifted fields on a constant
-    curvature base are assembled directly; the direction is X1^h + X2^t with
-    X1 = direction.horiz and X2 = direction.vert.
-    """
-    p = direction.base
-    u = direction.anchor.vec
-    x1 = direction.horiz.vec
-    x2 = direction.vert.vec
-    R = sphere.curvature_array
-
-    H0 = np.asarray(H_fn(p.coords), dtype=float)
-    V0 = np.asarray(V_fn(p.coords), dtype=float)
-    dH = sphere.fd_derivative_array(H_fn, p.coords, x1, step)
-    dV = sphere.fd_derivative_array(V_fn, p.coords, x1, step)
-
-    horiz = dH + 0.5 * R(u, V0, x1) + 0.5 * R(u, x2, H0)
-    vert = dV - 0.5 * R(x1, H0, u) - (V0 @ u) * x2
-    vert = vert - (vert @ u) * u
-    return BundleVector(direction.anchor,
-                        TangentVector(p, horiz), TangentVector(p, vert))
 
 
 def second_form_direct(xi: UnitVectorField, p: SpherePoint,

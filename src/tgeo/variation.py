@@ -16,7 +16,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .fields import (
     hopf_field,
 )
 from .sasaki import (
-    SubmanifoldFrames,
-    SecondFormTensor,
     _require_unit_hopf,
     bundle_sectional_curvature,
     sasaki_inner,
@@ -53,6 +51,9 @@ FIBER_CLOSURE_TOL = 1e-6
 
 DEFAULT_FIBER_STEPS = 64
 RK_SUBSTEPS = 8
+
+# Pointwise ceiling for the stability margin and the witness ratio.
+VERDICT_TOL = 1e-3
 
 
 class PropagationFailure(RuntimeError):
@@ -144,8 +145,6 @@ def _check_orthogonal(eta0: np.ndarray, xiv: np.ndarray) -> None:
 
 def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
                               p: SpherePoint, *,
-                              frames: SubmanifoldFrames | None = None,
-                              form: SecondFormTensor | None = None,
                               step: float | None = None) -> DuschekBreakdown:
     """Pointwise second-variation integrand for the normal field eta^nu.
 
@@ -158,10 +157,8 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     normalized tangent directions X_i; norm symbols are read as squared
     norms throughout. A zero normal lift returns 0 flagged degenerate.
     """
-    if frames is None:
-        frames = submanifold_frames(xi, p)
-    if form is None:
-        form = second_form_lemma(xi, p, frames.singular, step=step)
+    frames = submanifold_frames(xi, p)
+    form = second_form_lemma(xi, p, frames.singular, step=step)
     xiv = frames.singular.left_frame[0].vec
     eta0 = eta.value_array(p.coords)
     _check_orthogonal(eta0, xiv)
@@ -318,17 +315,12 @@ class FiberFrame:
             object.__setattr__(self, attr, arr)
 
     @property
-    def pair_count(self) -> int:
-        return self.frames.shape[1] // 2
-
-    @property
     def node_count(self) -> int:
         return len(self.ts)
 
 
 def propagate_fiber_frame(p0: SpherePoint, k_max: int,
-                          steps: int = DEFAULT_FIBER_STEPS, *,
-                          substeps: int = RK_SUBSTEPS) -> FiberFrame:
+                          steps: int = DEFAULT_FIBER_STEPS) -> FiberFrame:
     """Advance ``k_max`` J-pairs of horizontal frame vectors around the fiber.
 
     The fiber is t -> cos(t) p0 + sin(t) J p0. The initial frame extends
@@ -369,7 +361,7 @@ def propagate_fiber_frame(p0: SpherePoint, k_max: int,
         S[2 * j + 1, 2 * j] = 1.0
 
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
-    h = 2.0 * np.pi / (steps * substeps)
+    h = 2.0 * np.pi / (steps * RK_SUBSTEPS)
 
     def gamma(t: float) -> np.ndarray:
         return math.cos(t) * p0c + math.sin(t) * jp0
@@ -381,7 +373,7 @@ def propagate_fiber_frame(p0: SpherePoint, k_max: int,
 
     frames = [Y]
     for i in range(steps):
-        for s in range(substeps):
+        for s in range(RK_SUBSTEPS):
             t0 = ts[i] + s * h
             k1 = rhs(t0, Y)
             k2 = rhs(t0 + 0.5 * h, Y + 0.5 * h * k1)
@@ -449,69 +441,54 @@ def _fiber_residuals(J: np.ndarray, ts: np.ndarray, points: np.ndarray,
 # -- variation fields from frames ----------------------------------------------
 
 
-def horizontal_extension_field(sphere: SphereSpec, vectors, coeff_fns=None,
-                               coeff_grads=None, name: str = "horizontal",
-                               params: Mapping | None = None) -> VariationField:
-    """sum_k f_k(q) F_k(q) with F_k the horizontal projection of a constant
-    ambient vector: F(q) = w - <w,q> q - <w,Jq> Jq. Orthogonal to the Hopf
-    field everywhere on the unit sphere; Jacobian analytic."""
+def horizontal_extension_field(sphere: SphereSpec, vectors) -> VariationField:
+    """sum_k F_k(q) with F_k the horizontal projection of a constant ambient
+    vector: F(q) = w - <w,q> q - <w,Jq> Jq. Orthogonal to the Hopf field
+    everywhere on the unit sphere; Jacobian analytic."""
     J = complex_structure(sphere.ambient_dim)
     W = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if coeff_fns is None:
-        coeff_fns = [lambda q: 1.0] * len(W)
-        coeff_grads = [lambda q, _z=np.zeros(sphere.ambient_dim): _z] * len(W)
     JW = W @ J.T
 
-    def value(q, _W=W, _f=coeff_fns):
+    def value(q, _W=W):
         jq = J @ q
         # rows: w - <w,q> q - <w,Jq> Jq
         h = _W - np.outer(_W @ q, q) - np.outer(_W @ jq, jq)
-        return sum(_f[k](q) * h[k] for k in range(len(_W)))
+        return sum(h[k] for k in range(len(_W)))
 
-    def jacobian(q, _W=W, _JW=JW, _f=coeff_fns, _g=coeff_grads):
+    def jacobian(q, _W=W, _JW=JW):
         jq = J @ q
         out = np.zeros((len(q), len(q)))
         for k in range(len(_W)):
             w = _W[k]
-            hk = w - (w @ q) * q - (w @ jq) * jq
             # D_X F = -<w,X> q - <w,q> X + <Jw,X> Jq - <w,Jq> JX
-            dhk = (-np.outer(q, w) - (w @ q) * np.eye(len(q))
-                   + np.outer(jq, _JW[k]) - (w @ jq) * J)
-            out += np.outer(hk, _g[k](q)) + _f[k](q) * dhk
+            out += (-np.outer(q, w) - (w @ q) * np.eye(len(q))
+                    + np.outer(jq, _JW[k]) - (w @ jq) * J)
         return out
 
-    return VariationField(sphere, value, jacobian, name=name,
-                          params=dict(params or {}))
+    return VariationField(sphere, value, jacobian, name="horizontal")
 
 
-def destabilizing_field(fiber: FiberFrame, k: int) -> VariationField:
-    """The variation eta = cos(t) e_{2k-1} + sin(t) e_{2k} along the fiber,
-    realized by the global horizontal extension of the constant ambient
-    vector e_{2k-1}(0); on the fiber the two agree exactly and eta is
-    parallel along the fiber direction."""
-    if not 1 <= k <= fiber.pair_count:
-        raise DegenerateInputError(f"pair index k must be in 1..{fiber.pair_count}")
-    v = np.array(fiber.frames[0, 2 * (k - 1)])
-    return horizontal_extension_field(fiber.sphere, [v],
-                                      name="destabilizing", params={"k": k})
+def destabilizing_field(fiber: FiberFrame) -> VariationField:
+    """The variation eta = cos(t) e_1 + sin(t) e_2 along the fiber, realized
+    by the global horizontal extension of the constant ambient vector
+    e_1(0); on the fiber the two agree exactly and eta is parallel along the
+    fiber direction."""
+    return horizontal_extension_field(fiber.sphere, [fiber.frames[0, 0]])
 
 
-def destabilizing_integrand(xi: UnitVectorField, *, k: int = 1):
+def destabilizing_integrand(xi: UnitVectorField):
     """Pointwise map q -> reduced integrand of the local destabilizing field
     seeded at q's own fiber (unit field norm at q by construction)."""
     _require_unit_hopf(xi, "destabilizing_integrand")
     sphere = xi.sphere
     N = sphere.ambient_dim
-    if not 1 <= k <= (N - 2) // 2:
-        raise DegenerateInputError(f"pair index k must be in 1..{(N - 2) // 2}")
     J = complex_structure(N)
 
     def fn(q: np.ndarray) -> float:
         taken = np.vstack([q, J @ q])
         rows = gram_schmidt_rows(np.vstack([taken, np.eye(N)]),
                                  pivot_tol=1e-6, drop=True)
-        v = rows[2 * k]
-        eta = horizontal_extension_field(sphere, [v])
+        eta = horizontal_extension_field(sphere, [rows[2]])
         return reduced_integrand(xi, eta, sphere.point(q))
 
     return fn
@@ -520,11 +497,11 @@ def destabilizing_integrand(xi: UnitVectorField, *, k: int = 1):
 # -- verdicts -------------------------------------------------------------------
 
 
-def stability_verdict(xi: UnitVectorField | None = None, dim: int | None = None,
-                      mode: str = "auto", *, field_count: int = 100,
+def stability_verdict(dim: int, mode: str = "auto", *, field_count: int = 100,
                       samples: int = 100, fiber_steps: int = DEFAULT_FIBER_STEPS,
-                      seed: int = 0, tol: float = 1e-3) -> VerificationReport:
-    """Certify the sign of the second volume variation for the Hopf field.
+                      seed: int = 0) -> VerificationReport:
+    """Certify the sign of the second volume variation for the Hopf field
+    on the unit sphere S^dim.
 
     mode "stable-S3" (dim 3): the closed-form integrand stays at or above
     |eta|^2 / 2 pointwise across random frame-built fields, which is the
@@ -533,17 +510,9 @@ def stability_verdict(xi: UnitVectorField | None = None, dim: int | None = None,
     constancy turns the pointwise witness into a negative second variation.
     mode "auto" picks by dimension.
     """
-    if xi is None and dim is None:
-        raise DegenerateInputError("stability_verdict needs a field or a dimension")
-    if dim is None:
-        dim = xi.sphere.dim
     if dim < 3 or dim % 2 == 0:
         raise DegenerateInputError("stability analysis needs odd dimension >= 3")
-    if xi is None:
-        xi = hopf_field((dim - 1) // 2)
-    _require_unit_hopf(xi, "stability_verdict")
-    if xi.sphere.dim != dim:
-        raise PreconditionError(f"field lives on S^{xi.sphere.dim}, not S^{dim}")
+    xi = hopf_field((dim - 1) // 2)
     if mode == "auto":
         mode = "stable-S3" if dim == 3 else "instability"
     if mode not in ("stable-S3", "instability"):
@@ -553,14 +522,14 @@ def stability_verdict(xi: UnitVectorField | None = None, dim: int | None = None,
     if mode == "stable-S3":
         if dim != 3:
             raise DegenerateInputError("stable-S3 mode is defined on S^3")
-        report = _stable_s3_run(xi, field_count, samples, seed, tol)
+        report = _stable_s3_run(xi, field_count, samples, seed)
     else:
-        report = _instability_run(xi, dim, fiber_steps, seed, tol)
+        report = _instability_run(xi, dim, fiber_steps, seed)
     report.wall_time_s = time.perf_counter() - t_start
     return report
 
 
-def _stable_s3_run(xi, field_count, samples, seed, tol) -> VerificationReport:
+def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
     worst_margin = math.inf
     ident_resid = 0.0
     count = 0
@@ -575,7 +544,7 @@ def _stable_s3_run(xi, field_count, samples, seed, tol) -> VerificationReport:
             ident_resid = max(ident_resid, abs(red - form_val))
             count += 1
     max_residual = max(0.0, -worst_margin)
-    verdict = "stable" if max_residual <= tol else "fail"
+    verdict = "stable" if max_residual <= VERDICT_TOL else "fail"
     notes = [
         f"min of integrand - |eta|^2/2 over {count} samples: {worst_margin:.6e}",
         f"max gap between closed form and frame decomposition: {ident_resid:.3e}",
@@ -585,18 +554,18 @@ def _stable_s3_run(xi, field_count, samples, seed, tol) -> VerificationReport:
         name="stability",
         parameters={"dim": 3, "mode": "stable-S3", "field_count": field_count,
                     "samples": samples, "seed": seed},
-        samples=count, max_residual=max_residual, tolerance=tol,
+        samples=count, max_residual=max_residual, tolerance=VERDICT_TOL,
         verdict=verdict, notes=notes)
 
 
-def _instability_run(xi, dim, fiber_steps, seed, tol) -> VerificationReport:
+def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:
     sphere = xi.sphere
     n = dim - 1
     target = (5.0 - 2.0 * n) / 2.0
     rng = np.random.default_rng((seed, 0))
     p0 = sphere.random_point(rng)
-    fiber = propagate_fiber_frame(p0, 1, steps=max(fiber_steps, DEFAULT_FIBER_STEPS))
-    eta = destabilizing_field(fiber, 1)
+    fiber = propagate_fiber_frame(p0, 1, steps=fiber_steps)
+    eta = destabilizing_field(fiber)
     J = complex_structure(sphere.ambient_dim)
 
     max_dev = 0.0
@@ -624,7 +593,7 @@ def _instability_run(xi, dim, fiber_steps, seed, tol) -> VerificationReport:
                 g = float((Dq @ X) @ f_w + nv @ dfw_x)
                 grad_resid = max(grad_resid, abs(g))
 
-    checks_ok = max_dev <= tol and d0_resid <= 1e-4 and grad_resid <= 1e-4
+    checks_ok = max_dev <= VERDICT_TOL and d0_resid <= 1e-4 and grad_resid <= 1e-4
     if not checks_ok:
         verdict = "fail"
     elif target < 0.0:
@@ -644,5 +613,5 @@ def _instability_run(xi, dim, fiber_steps, seed, tol) -> VerificationReport:
         name="stability",
         parameters={"dim": dim, "mode": "instability", "seed": seed,
                     "fiber_steps": int(fiber.node_count - 1)},
-        samples=fiber.node_count, max_residual=max_dev, tolerance=tol,
+        samples=fiber.node_count, max_residual=max_dev, tolerance=VERDICT_TOL,
         verdict=verdict, notes=notes)

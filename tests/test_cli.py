@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
-from tgeo import QuadratureFailure
+from tgeo import QuadratureFailure, SphereSpec
 from tgeo.cli import RunConfig, UsageError, main
 
 
@@ -119,6 +119,25 @@ def test_numerical_failure_exit_three(capsys, monkeypatch):
     run_cli(capsys, ["variation", "--dim", "5"], expect=3)
 
 
+def test_failing_check_on_sampled_plane_exits_three(capsys, monkeypatch):
+    real = SphereSpec.stacked_frames
+
+    def bend_last_batch_row_3(self, draws):
+        p, frames = real(self, draws)
+        if len(draws) < cli._SCAN_CHUNK:
+            frames = frames.copy()
+            frames[3, 1] += 1e-3 * p[3]
+        return p, frames
+
+    monkeypatch.setattr(SphereSpec, "stacked_frames", bend_last_batch_row_3)
+    planes = cli._SCAN_CHUNK + 4
+    assert main(["scan-curvature", "--planes", str(planes)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: vector is not tangent to the sphere" in err
+    k = planes - 1
+    assert f"submanifold plane {k}, seed tuple (0, {k})" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -189,6 +208,17 @@ def test_variation_command_s5(capsys):
     rep = json.loads(out)[0]
     assert rep["verdict"] == "unstable"
     assert any("Monte Carlo" in n for n in rep["notes"])
+
+
+def test_variation_fiber_steps_below_64_rejected(capsys):
+    code = main(["variation", "--dim", "5", "--fiber-steps", "16"])
+    assert code == 2
+    assert "fiber-steps must be >= 64" in capsys.readouterr().err
+    _, out = run_cli(capsys, ["variation", "--dim", "5", "--samples", "8",
+                              "--fiber-steps", "80"], expect=0)
+    rep = json.loads(out)[0]
+    assert rep["parameters"]["fiber_steps"] == 80
+    assert rep["samples"] == 81
 
 
 def test_variation_command_s3(capsys):

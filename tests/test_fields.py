@@ -6,6 +6,7 @@ from tgeo import (
     DegenerateInputError,
     PreconditionError,
     SingularLocusError,
+    UnitVectorField,
     complex_structure,
     conjugate_shape_operator,
     covariant_normality_residual,
@@ -89,6 +90,22 @@ def test_shape_operator_of_hopf_is_minus_J_on_perp(hopf3):
     Xp = X.vec - (X.vec @ xiv) * xiv
     out = shape_apply_array(hopf3, p.coords, Xp)
     assert np.allclose(out, -J @ Xp, atol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_covariant_derivative_fd_branch_matches_jacobian_branch(radius):
+    """The Hopf field given by its values alone takes the finite-difference
+    branch of covariant_derivative_array; it must agree with the Jacobian."""
+    xi = hopf_field(2, radius)
+    values_only = UnitVectorField(xi.sphere, xi.value_fn, name="hopf-values")
+    assert not values_only.has_jacobian
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        p = xi.sphere.random_point(rng)
+        X = xi.sphere.random_tangent(p, rng)
+        fd = values_only.covariant_derivative_array(p.coords, X.vec)
+        exact = xi.covariant_derivative_array(p.coords, X.vec)
+        assert np.linalg.norm(fd - exact) < 1e-8
 
 
 def test_shape_operator_annihilates_hopf_direction(hopf5):

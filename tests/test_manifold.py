@@ -78,29 +78,6 @@ def test_sectional_curvature_degenerate_plane():
         sphere.sectional_curvature(X, 2.0 * X)
 
 
-def test_geodesic_point_stays_on_sphere_and_closes():
-    sphere = SphereSpec(4, 3.0)
-    rng = np.random.default_rng(4)
-    p = sphere.random_point(rng)
-    v = sphere.random_tangent(p, rng).unit()
-    q = sphere.geodesic_point(p, v, 1.7)
-    assert np.isclose(np.linalg.norm(q.coords), 3.0)
-    # full great circle closes after 2 pi r
-    back = sphere.geodesic_point(p, v, 2.0 * np.pi * 3.0)
-    assert np.allclose(back.coords, p.coords, atol=1e-12)
-
-
-def test_geodesic_velocity_is_parallel_speed_preserving():
-    sphere = SphereSpec(5, 1.0)
-    rng = np.random.default_rng(5)
-    p = sphere.random_point(rng)
-    v = sphere.random_tangent(p, rng).unit()
-    w = sphere.geodesic_velocity(p, v, 0.9)
-    assert np.isclose(np.linalg.norm(w.vec), 1.0)
-    q = sphere.geodesic_point(p, v, 0.9)
-    assert abs(float(w.vec @ q.coords)) < 1e-12
-
-
 def test_gram_schmidt_rows_orthonormalizes():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((4, 6))
@@ -159,18 +136,15 @@ def test_covariant_derivative_matches_analytic():
         w = A @ q
         return w - (w @ q) * q
 
-    def field(pt):
-        return sphere.tangent(pt, raw(pt.coords))
-
     rng = np.random.default_rng(9)
     p = sphere.random_point(rng)
     X = sphere.random_tangent(p, rng)
-    fd = sphere.covariant_derivative(field, X)
+    fd = sphere.fd_derivative_array(raw, p.coords, X.vec)
     # exact: project the ambient directional derivative of the extension
     h = 1e-7
     amb = (raw(p.coords + h * X.vec) - raw(p.coords - h * X.vec)) / (2 * h)
     exact = sphere.project_array(p.coords, amb)
-    assert np.linalg.norm(fd.vec - exact) < 1e-6
+    assert np.linalg.norm(fd - exact) < 1e-6
 
 
 def test_tangent_vector_arithmetic_and_base_guard():

@@ -6,7 +6,6 @@ from tgeo import (
     DegenerateInputError,
     DegeneratePlaneError,
     PreconditionError,
-    bundle_covariant_derivative,
     bundle_sectional_curvature,
     geodesic_field_obstruction,
     horizontal_lift,
@@ -202,27 +201,6 @@ def test_obstruction_preconditions(hopf3_r2):
     p = hopf3_r2.sphere.random_point(np.random.default_rng(16))
     with pytest.raises(PreconditionError):
         geodesic_field_obstruction(hopf3_r2, p)  # needs unit radius
-
-
-def test_bundle_covariant_derivative_flat_case(hopf3):
-    """Constant horizontal field along a geodesic of directions: only the
-    curvature correction terms survive, and they are bounded by |R| scales."""
-    sphere = hopf3.sphere
-    rng = np.random.default_rng(17)
-    p = sphere.random_point(rng)
-    u = hopf3.value(p)
-    X1 = sphere.random_tangent(p, rng)
-    d = horizontal_lift(X1, u)
-
-    def H_fn(q):
-        return sphere.project_array(q, np.ones(4))
-
-    def V_fn(q):
-        return np.zeros(4)
-
-    out = bundle_covariant_derivative(sphere, d, H_fn, V_fn)
-    assert out.base is not None
-    assert np.isfinite(out.norm())
 
 
 # -- sectional curvature ----------------------------------------------------------
