@@ -27,6 +27,7 @@ from .manifold import (
     unit_rows,
 )
 from .fields import (
+    TOL_ANALYTIC,
     DecompositionFailure,
     PreconditionError,
     SingularLocusError,
@@ -169,9 +170,17 @@ def _run_totally_geodesic(config: RunConfig) -> list:
         f"max |Omega| connection route:     {max_direct:.6e}",
         f"max |Omega_ij - Omega_ji| (connection route): {max_asym:.3e}",
     ]
+    verdict = "pass" if residual <= config.tol_fd else "fail"
     if config.field == "hopf" and abs(config.radius - 1.0) > 1e-12:
         notes += _nonunit_pattern_notes(xi, config)
-    verdict = "pass" if residual <= config.tol_fd else "fail"
+        if verdict == "pass":
+            # the closed form is nonzero at every radius but 1; a residual
+            # inside the tolerance means the tolerance cannot resolve it
+            verdict = "fail"
+            notes.append(
+                "hopf field off unit radius is not totally geodesic: closed-form "
+                f"peak {_nonunit_peak(xi.sphere.curvature_constant):.3e} is "
+                f"nonzero but below the tolerance {config.tol_fd:.1e}")
     rep = VerificationReport(
         name="totally-geodesic",
         parameters=_params(config), samples=config.samples,
@@ -180,11 +189,17 @@ def _run_totally_geodesic(config: RunConfig) -> list:
     return [rep]
 
 
+def _nonunit_peak(K: float) -> float:
+    """The closed form (1/2) K (1-K) / (1+K) of the Hopf field's pattern peak
+    on a sphere of curvature K."""
+    return 0.5 * K * (1.0 - K) / (1.0 + K)
+
+
 def _nonunit_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     """Which closed form the nonzero second-form pattern matches, at one
     canonically framed sample point."""
     K = xi.sphere.curvature_constant
-    cand_a = 0.5 * K * (1.0 - K) / (1.0 + K)
+    cand_a = _nonunit_peak(K)
     cand_b = K * (1.0 - K) / (2.0 * (1.0 + K) ** 1.5)
     rng = np.random.default_rng((config.seed, 0))
     p = _sample_point(xi, rng)
@@ -280,7 +295,7 @@ def _run_jacobi(config: RunConfig) -> list:
     residual = 0.0
     for _, p in _sample_points(xi, config):
         residual = max(residual, jacobi_relation_residual(xi, p))
-    tol = xi.default_tolerance
+    tol = TOL_ANALYTIC
     verdict = "pass" if residual <= tol else "fail"
     return [VerificationReport(
         name="jacobi", parameters=_params(config), samples=config.samples,
@@ -581,7 +596,7 @@ def cmd_svd(config: RunConfig) -> int:
     else:
         notes.append(f"killing residual {killing.residual:.3e}: "
                      "no canonical pairing")
-    tol = xi.default_tolerance
+    tol = TOL_ANALYTIC
     verdict = "pass" if assembly <= tol else "fail"
     rep = VerificationReport(
         name="svd", parameters=_params(config), samples=1,

@@ -29,9 +29,8 @@ SV_ZERO_TOL = 1e-7
 # Frame assembly must reproduce A e_i = lambda_i f_i this well or we refuse.
 ASSEMBLY_TOL = 1e-6
 
-# Residual tolerances for derived quantities: analytic Jacobian vs central FD.
+# Residual tolerance of the checks built on the analytic Jacobian.
 TOL_ANALYTIC = 1e-6
-TOL_FD = 1e-4
 
 PREDICATE_SAMPLES = 32
 
@@ -53,9 +52,11 @@ class UnitVectorField:
     """A tangent vector field given by closed-form evaluation.
 
     ``value_fn`` maps ambient point coordinates to the ambient components of
-    the field vector; ``jacobian_fn`` (optional) returns the ambient Jacobian
-    matrix of that map, which makes every derived derivative analytic instead
-    of finite-difference.
+    the field vector, and ``jacobian_fn`` returns the ambient Jacobian matrix
+    of that map. Every derivative of the field is taken from the Jacobian;
+    finite differences are taken only of derived quantities (``half_curvature``
+    and the second-form routes) and, as a check of the Jacobian itself, in
+    ``sasakian_identity_residual``.
 
     Unit norm is a contract only for the field passed as ``xi``, and nothing
     checks it; variation directions eta (``tgeo.variation.VariationField`` is
@@ -64,16 +65,8 @@ class UnitVectorField:
 
     sphere: SphereSpec
     value_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian_fn: Callable[[np.ndarray], np.ndarray]
     name: str = "field"
-
-    @property
-    def has_jacobian(self) -> bool:
-        return self.jacobian_fn is not None
-
-    @property
-    def default_tolerance(self) -> float:
-        return TOL_ANALYTIC if self.has_jacobian else TOL_FD
 
     def value_array(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(coords), dtype=float)
@@ -84,19 +77,15 @@ class UnitVectorField:
     def __call__(self, p: SpherePoint) -> TangentVector:
         return self.value(p)
 
-    def jacobian_array(self, coords: np.ndarray) -> np.ndarray | None:
-        if self.jacobian_fn is None:
-            return None
+    def jacobian_array(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.jacobian_fn(coords), dtype=float)
 
     def covariant_derivative_array(self, p_coords: np.ndarray,
-                                   direction: np.ndarray, *,
-                                   step: float | None = None) -> np.ndarray:
-        if self.jacobian_fn is not None:
-            jac = np.asarray(self.jacobian_fn(p_coords), dtype=float)
-            return self.sphere.project_array(p_coords, jac @ direction)
-        return self.sphere.fd_derivative_array(self.value_array, p_coords,
-                                               direction, step)
+                                   direction: np.ndarray) -> np.ndarray:
+        # jacobian_fn, not jacobian_array: the benchmark traces both methods
+        # under one span name, so each evaluation counts once
+        jac = np.asarray(self.jacobian_fn(p_coords), dtype=float)
+        return self.sphere.project_array(p_coords, jac @ direction)
 
 
 def complex_structure(ambient_dim: int) -> np.ndarray:
@@ -163,16 +152,9 @@ def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
 
 
 def shape_apply_array(xi: UnitVectorField, p_coords: np.ndarray,
-                      vecs: np.ndarray, *, step: float | None = None) -> np.ndarray:
+                      vecs: np.ndarray) -> np.ndarray:
     """A_xi applied to tangent vector(s) at p: A v = -nabla_v xi."""
-    jac = xi.jacobian_array(p_coords)
-    if jac is not None:
-        return -xi.sphere.project_array(p_coords, vecs @ jac.T)
-    if vecs.ndim == 1:
-        return -xi.sphere.fd_derivative_array(xi.value_array, p_coords, vecs, step)
-    return -np.array([
-        xi.sphere.fd_derivative_array(xi.value_array, p_coords, v, step)
-        for v in vecs])
+    return -xi.sphere.project_array(p_coords, vecs @ xi.jacobian_array(p_coords).T)
 
 
 def shape_operator(xi: UnitVectorField, X: TangentVector) -> TangentVector:
@@ -314,10 +296,10 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
     n1 = sphere.dim
     rows = sphere.standard_frame_rows(p.coords)
     M = shape_matrix(xi, p.coords, rows)
-    skew_resid = float(np.linalg.norm(M + M.T, 2))
-    if skew_resid > xi.default_tolerance:
+    killing = _killing_result(M)
+    if not killing.passed:
         raise PreconditionError(
-            f"field is not Killing here: skewness residual {skew_resid:.3e}")
+            f"field is not Killing here: skewness residual {killing.residual:.3e}")
 
     U, s, Vt = np.linalg.svd(M)
     pos_idx = [i for i in range(n1) if s[i] > SV_ZERO_TOL]
@@ -395,7 +377,7 @@ def half_curvature(xi: UnitVectorField, X: TangentVector, Y: TangentVector, *,
 
     def a_ytilde(q: np.ndarray) -> np.ndarray:
         yt = sphere.project_array(q, yvec)
-        return shape_apply_array(xi, q, yt, step=step)
+        return shape_apply_array(xi, q, yt)
 
     deriv = sphere.fd_derivative_array(a_ytilde, p.coords, X.vec, step)
     return TangentVector(p, -deriv)
@@ -416,6 +398,12 @@ def _result(name: str, residual: float, tol: float) -> PredicateResult:
     return PredicateResult(name, float(residual), float(tol), bool(residual <= tol))
 
 
+def _killing_result(M: np.ndarray) -> PredicateResult:
+    """The Killing check shared by the predicate and the operations that
+    need a Killing field: spectral norm of A + A* in an orthonormal frame."""
+    return _result("killing", np.linalg.norm(M + M.T, 2), TOL_ANALYTIC)
+
+
 def _unit_perp_samples(xi, p, rng, count):
     """Random unit tangent vectors orthogonal to the field at p."""
     sphere = xi.sphere
@@ -433,15 +421,13 @@ def _unit_perp_samples(xi, p, rng, count):
 def is_geodesic(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """Residual |A_xi xi| = |nabla_xi xi|."""
     resid = np.linalg.norm(shape_apply_array(xi, p.coords, xi.value_array(p.coords)))
-    return _result("geodesic", resid, xi.default_tolerance)
+    return _result("geodesic", resid, TOL_ANALYTIC)
 
 
 def is_killing(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """Spectral-norm residual of A + A* in an orthonormal frame."""
     rows = xi.sphere.standard_frame_rows(p.coords)
-    M = shape_matrix(xi, p.coords, rows)
-    resid = np.linalg.norm(M + M.T, 2)
-    return _result("killing", resid, xi.default_tolerance)
+    return _killing_result(shape_matrix(xi, p.coords, rows))
 
 
 def is_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
@@ -470,17 +456,17 @@ def is_strongly_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
         x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
         r_val = half_curvature(xi, TangentVector(p, x), TangentVector(p, y))
         resid = max(resid, abs(float(r_val.vec @ z)))
-    return _result("strongly_normal", resid, xi.default_tolerance)
+    return _result("strongly_normal", resid, TOL_ANALYTIC)
 
 
 def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """Residual of the Sasakian structure identities with phi = nabla xi.
 
     Two parts, maximized over random unit tangent pairs: the gap between the
-    finite-difference nabla_X xi and the analytic phi X (zero when no
-    Jacobian is supplied), and || r(X,Y)xi - (<xi,Y> X - <X,Y> xi) ||, which
-    is the covariant derivative identity for phi. On a sphere of radius r
-    the second part scales like |1 - 1/r^2|, so it vanishes only at r = 1.
+    finite-difference nabla_X xi and the analytic phi X, and
+    || r(X,Y)xi - (<xi,Y> X - <X,Y> xi) ||, which is the covariant derivative
+    identity for phi. On a sphere of radius r the second part scales like
+    |1 - 1/r^2|, so it vanishes only at r = 1.
     """
     sphere = xi.sphere
     rng = np.random.default_rng(0)
@@ -493,11 +479,9 @@ def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
         if np.min(norms) < 1e-6:
             continue
         x, y = raw[0] / norms[0], raw[1] / norms[1]
-        if xi.has_jacobian:
-            fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
-            analytic = sphere.project_array(
-                p.coords, xi.jacobian_array(p.coords) @ x)
-            resid = max(resid, float(np.linalg.norm(fd - analytic)))
+        fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
+        resid = max(resid, float(np.linalg.norm(
+            fd - xi.covariant_derivative_array(p.coords, x))))
         r_val = half_curvature(xi, TangentVector(p, x), TangentVector(p, y)).vec
         target = (xiv @ y) * x - (x @ y) * xiv
         resid = max(resid, float(np.linalg.norm(r_val - target)))
@@ -509,10 +493,10 @@ def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     sphere = xi.sphere
     rows = sphere.standard_frame_rows(p.coords)
     M = shape_matrix(xi, p.coords, rows)
-    skew = float(np.linalg.norm(M + M.T, 2))
-    if skew > TOL_FD:
+    killing = _killing_result(M)
+    if not killing.passed:
         raise PreconditionError(
-            f"Jacobi relation needs a Killing field; skewness {skew:.3e}")
+            f"Jacobi relation needs a Killing field; skewness {killing.residual:.3e}")
     xic = rows @ xi.value_array(p.coords)
     k = sphere.curvature_constant
     gram = M.T @ M

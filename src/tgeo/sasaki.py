@@ -32,6 +32,7 @@ from .manifold import (
     gram_schmidt_rows,
 )
 from .fields import (
+    TOL_ANALYTIC,
     PreconditionError,
     SingularData,
     UnitVectorField,
@@ -341,7 +342,7 @@ def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
     if abs(sphere.radius - 1.0) > 1e-12:
         raise PreconditionError("obstruction form is derived for unit radius")
     xiv = xi.value_array(p.coords)
-    if np.linalg.norm(shape_apply_array(xi, p.coords, xiv)) > xi.default_tolerance:
+    if np.linalg.norm(shape_apply_array(xi, p.coords, xiv)) > TOL_ANALYTIC:
         raise PreconditionError("obstruction form needs a geodesic field")
     if sd is None:
         sd = singular_decomposition(xi, p)

@@ -174,7 +174,7 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     conn = 0.0
     for i in range(len(lam)):
         X = e[i] / scale[i]
-        d = eta.covariant_derivative_array(p.coords, X, step=step)
+        d = eta.covariant_derivative_array(p.coords, X)
         c = float(xiv @ X)
         tp = d - (d @ xiv) * xiv
         conn += c * c * eta_sq + 4.0 * float(tp @ tp)
@@ -191,8 +191,8 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
                             float(curv), float(nsq), False)
 
 
-def reduced_integrand(xi: UnitVectorField, eta: VariationField, p: SpherePoint,
-                      *, step: float | None = None) -> float:
+def reduced_integrand(xi: UnitVectorField, eta: VariationField,
+                      p: SpherePoint) -> float:
     """Closed-form integrand for the Hopf field on a unit sphere:
 
     4 |nabla_{e0} eta|^2 + 2 sum_a |nabla_{e_a} eta|^2 - (2n-1)/2 |eta|^2,
@@ -210,10 +210,10 @@ def reduced_integrand(xi: UnitVectorField, eta: VariationField, p: SpherePoint,
     candidates = np.vstack([xiv,
                             sphere.project_array(p.coords, np.eye(sphere.ambient_dim))])
     rows = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)
-    d0 = eta.covariant_derivative_array(p.coords, rows[0], step=step)
+    d0 = eta.covariant_derivative_array(p.coords, rows[0])
     total = 4.0 * float(d0 @ d0)
     for row in rows[1:]:
-        d = eta.covariant_derivative_array(p.coords, row, step=step)
+        d = eta.covariant_derivative_array(p.coords, row)
         total += 2.0 * float(d @ d)
     return total - (2.0 * n - 1.0) / 2.0 * float(eta0 @ eta0)
 
@@ -266,8 +266,7 @@ def random_hopf_combination(rng: np.random.Generator) -> VariationField:
                           name="hopf-combination")
 
 
-def s3_stable_form(eta: VariationField, p_coords: np.ndarray, *,
-                   step: float | None = None):
+def s3_stable_form(eta: VariationField, p_coords: np.ndarray):
     """The S^3 integrand in its manifestly nonnegative-plus-half form:
 
     4 |nabla_{e0} eta|^2 + 2 sum_{a,s} (e_a eta^s)^2 + |eta|^2 / 2,
@@ -277,10 +276,10 @@ def s3_stable_form(eta: VariationField, p_coords: np.ndarray, *,
     """
     e0, e1, e2 = hopf_frame_s3(p_coords)
     eta0 = eta.value_array(p_coords)
-    d0 = eta.covariant_derivative_array(p_coords, e0, step=step)
+    d0 = eta.covariant_derivative_array(p_coords, e0)
     total = 4.0 * float(d0 @ d0)
     for ea in (e1, e2):
-        da = eta.covariant_derivative_array(p_coords, ea, step=step)
+        da = eta.covariant_derivative_array(p_coords, ea)
         for esig, lsig in ((e1, _LJ), (e2, _LK)):
             g = float(da @ esig) + float(eta0 @ (lsig @ ea))
             total += 2.0 * g * g
@@ -293,12 +292,13 @@ def s3_stable_form(eta: VariationField, p_coords: np.ndarray, *,
 
 @dataclass(frozen=True, eq=False)
 class FiberFrame:
-    """Frames propagated along one Hopf fiber of the unit sphere.
+    """A J-pair of horizontal frame vectors propagated along one Hopf fiber
+    of the unit sphere.
 
     Node i sits at parameter ``ts[i]``; ``frames[i]`` holds the pair rows
-    (e_1, e_2, e_3, e_4, ...) with each even row the fiber derivative partner
-    of the odd row before it: nabla_{e0} e_{2k-1} = -e_{2k} and
-    nabla_{e0} e_{2k} = e_{2k-1} within the stored residuals.
+    (e_1, e_2), with e_2 the fiber derivative partner of e_1:
+    nabla_{e0} e_1 = -e_2 and nabla_{e0} e_2 = e_1 within the stored
+    residuals.
     """
 
     sphere: SphereSpec
@@ -319,46 +319,39 @@ class FiberFrame:
         return len(self.ts)
 
 
-def propagate_fiber_frame(p0: SpherePoint, k_max: int,
-                          steps: int = DEFAULT_FIBER_STEPS) -> FiberFrame:
-    """Advance ``k_max`` J-pairs of horizontal frame vectors around the fiber.
+def _horizontal_seed(q: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The seed e_1 of the destabilizing pair at q: the first ambient basis
+    vector that survives deterministic Gram-Schmidt against q and J q."""
+    rows = gram_schmidt_rows(np.vstack([q, J @ q, np.eye(len(q))]),
+                             pivot_tol=1e-6, drop=True)
+    return rows[2]
 
-    The fiber is t -> cos(t) p0 + sin(t) J p0. The initial frame extends
-    {p0, J p0} by deterministic Gram-Schmidt over the ambient basis, paired
-    as (v, -J v) so the fiber-derivative relations hold at t = 0; the pair
-    rows are then integrated around the loop with classical RK4 on the
-    first-order system a' = -b - <a, g'> g, b' = a - <b, g'> g. Residuals of
-    the derivative table, orthonormality, and loop closure are recorded;
-    table residuals above FIBER_TABLE_TOL raise PropagationFailure.
+
+def propagate_fiber_frame(p0: SpherePoint,
+                          steps: int = DEFAULT_FIBER_STEPS) -> FiberFrame:
+    """Advance one J-pair of horizontal frame vectors around the fiber.
+
+    The fiber is t -> cos(t) p0 + sin(t) J p0. The pair starts as (v, -J v)
+    with v the horizontal seed at p0, so the fiber-derivative relations hold
+    at t = 0; the pair rows are then integrated around the loop with
+    classical RK4 on the first-order system a' = -b - <a, g'> g,
+    b' = a - <b, g'> g. Residuals of the derivative table, orthonormality,
+    and loop closure are recorded; table residuals above FIBER_TABLE_TOL
+    raise PropagationFailure.
     """
     sphere = p0.sphere
     if abs(sphere.radius - 1.0) > 1e-12:
         raise PreconditionError("fiber propagation is defined on unit spheres")
     if steps < 8:
         raise DegenerateInputError("fiber propagation needs at least 8 steps")
-    N = sphere.ambient_dim
-    J = complex_structure(N)
-    m = (N - 2) // 2
-    if not 1 <= k_max <= m:
-        raise DegenerateInputError(f"k_max must be in 1..{m} for this sphere")
+    J = complex_structure(sphere.ambient_dim)
 
     p0c = p0.coords
     jp0 = J @ p0c
-    taken = np.vstack([p0c, jp0])
-    pair_rows = []
-    for _ in range(k_max):
-        cand = gram_schmidt_rows(np.vstack([taken, np.eye(N)]),
-                                 pivot_tol=1e-6, drop=True)
-        v = cand[len(taken)]
-        w = -J @ v
-        pair_rows.extend([v, w])
-        taken = np.vstack([taken, v, w])
-    Y = np.array(pair_rows)
-
-    S = np.zeros((2 * k_max, 2 * k_max))
-    for j in range(k_max):
-        S[2 * j, 2 * j + 1] = -1.0
-        S[2 * j + 1, 2 * j] = 1.0
+    v = _horizontal_seed(p0c, J)
+    Y = np.array([v, -J @ v])
+    S = np.array([[0.0, -1.0],
+                  [1.0, 0.0]])  # (e_1, e_2)' = (-e_2, e_1) along the fiber
 
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
     h = 2.0 * np.pi / (steps * RK_SUBSTEPS)
@@ -413,26 +406,18 @@ def _fiber_residuals(J: np.ndarray, ts: np.ndarray, points: np.ndarray,
     fiber_resid = 0.0
     for i in range(steps):
         nab = dE[i] - np.outer(dE[i] @ points[i], points[i])
-        for j in range(E.shape[1] // 2):
-            a = E[i, 2 * j]
-            b = E[i, 2 * j + 1]
-            fiber_resid = max(fiber_resid,
-                              float(np.linalg.norm(nab[2 * j] + b)),
-                              float(np.linalg.norm(nab[2 * j + 1] - a)))
+        fiber_resid = max(fiber_resid,
+                          float(np.linalg.norm(nab[0] + E[i, 1])),
+                          float(np.linalg.norm(nab[1] - E[i, 0])))
 
     # horizontal table rows reduce to J-pairing integrity: for the
     # horizontal-projection extension F_w(q) = w - <w,q> q - <w,Jq> Jq the
     # derivative at a frame point is exactly nabla_X F_w = <J w, X> e0, so
-    # the rows hold iff J e_{2k} = e_{2k-1} and J e_{2k-1} = -e_{2k}.
-    horiz_resid = 0.0
+    # the rows hold iff J e_2 = e_1 and J e_1 = -e_2.
     JA = frames @ J.T
-    for j in range(frames.shape[1] // 2):
-        horiz_resid = max(
-            horiz_resid,
-            float(np.max(np.linalg.norm(JA[:, 2 * j] + frames[:, 2 * j + 1],
-                                        axis=1))),
-            float(np.max(np.linalg.norm(JA[:, 2 * j + 1] - frames[:, 2 * j],
-                                        axis=1))))
+    horiz_resid = max(
+        float(np.max(np.linalg.norm(JA[:, 0] + frames[:, 1], axis=1))),
+        float(np.max(np.linalg.norm(JA[:, 1] - frames[:, 0], axis=1))))
 
     return {"closure": closure, "orthonormality": ortho,
             "fiber_rows": fiber_resid, "horizontal_rows": horiz_resid}
@@ -441,29 +426,23 @@ def _fiber_residuals(J: np.ndarray, ts: np.ndarray, points: np.ndarray,
 # -- variation fields from frames ----------------------------------------------
 
 
-def horizontal_extension_field(sphere: SphereSpec, vectors) -> VariationField:
-    """sum_k F_k(q) with F_k the horizontal projection of a constant ambient
-    vector: F(q) = w - <w,q> q - <w,Jq> Jq. Orthogonal to the Hopf field
-    everywhere on the unit sphere; Jacobian analytic."""
+def horizontal_extension_field(sphere: SphereSpec, w) -> VariationField:
+    """The horizontal projection of a constant ambient vector w:
+    F(q) = w - <w,q> q - <w,Jq> Jq. Orthogonal to the Hopf field everywhere
+    on the unit sphere; Jacobian analytic."""
     J = complex_structure(sphere.ambient_dim)
-    W = np.atleast_2d(np.asarray(vectors, dtype=float))
-    JW = W @ J.T
+    w = np.array(w, dtype=float)
+    jw = J @ w
 
-    def value(q, _W=W):
+    def value(q):
         jq = J @ q
-        # rows: w - <w,q> q - <w,Jq> Jq
-        h = _W - np.outer(_W @ q, q) - np.outer(_W @ jq, jq)
-        return sum(h[k] for k in range(len(_W)))
+        return w - (w @ q) * q - (w @ jq) * jq
 
-    def jacobian(q, _W=W, _JW=JW):
+    def jacobian(q):
         jq = J @ q
-        out = np.zeros((len(q), len(q)))
-        for k in range(len(_W)):
-            w = _W[k]
-            # D_X F = -<w,X> q - <w,q> X + <Jw,X> Jq - <w,Jq> JX
-            out += (-np.outer(q, w) - (w @ q) * np.eye(len(q))
-                    + np.outer(jq, _JW[k]) - (w @ jq) * J)
-        return out
+        # D_X F = -<w,X> q - <w,q> X + <Jw,X> Jq - <w,Jq> JX
+        return (-np.outer(q, w) - (w @ q) * np.eye(len(q))
+                + np.outer(jq, jw) - (w @ jq) * J)
 
     return VariationField(sphere, value, jacobian, name="horizontal")
 
@@ -473,7 +452,7 @@ def destabilizing_field(fiber: FiberFrame) -> VariationField:
     by the global horizontal extension of the constant ambient vector
     e_1(0); on the fiber the two agree exactly and eta is parallel along the
     fiber direction."""
-    return horizontal_extension_field(fiber.sphere, [fiber.frames[0, 0]])
+    return horizontal_extension_field(fiber.sphere, fiber.frames[0, 0])
 
 
 def destabilizing_integrand(xi: UnitVectorField):
@@ -481,14 +460,10 @@ def destabilizing_integrand(xi: UnitVectorField):
     seeded at q's own fiber (unit field norm at q by construction)."""
     _require_unit_hopf(xi, "destabilizing_integrand")
     sphere = xi.sphere
-    N = sphere.ambient_dim
-    J = complex_structure(N)
+    J = complex_structure(sphere.ambient_dim)
 
     def fn(q: np.ndarray) -> float:
-        taken = np.vstack([q, J @ q])
-        rows = gram_schmidt_rows(np.vstack([taken, np.eye(N)]),
-                                 pivot_tol=1e-6, drop=True)
-        eta = horizontal_extension_field(sphere, [rows[2]])
+        eta = horizontal_extension_field(sphere, _horizontal_seed(q, J))
         return reduced_integrand(xi, eta, sphere.point(q))
 
     return fn
@@ -564,7 +539,7 @@ def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:
     target = (5.0 - 2.0 * n) / 2.0
     rng = np.random.default_rng((seed, 0))
     p0 = sphere.random_point(rng)
-    fiber = propagate_fiber_frame(p0, 1, steps=fiber_steps)
+    fiber = propagate_fiber_frame(p0, steps=fiber_steps)
     eta = destabilizing_field(fiber)
     J = complex_structure(sphere.ambient_dim)
 
@@ -581,7 +556,7 @@ def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:
         d0_resid = max(d0_resid, float(np.linalg.norm(d0)))
         # coefficient gradients against the horizontal-projection extension
         # of each frame vector, in the fiber direction and all frame rows
-        Dq = np.asarray(eta.jacobian_fn(q), dtype=float)
+        Dq = eta.jacobian_array(q)
         dirs = np.vstack([fiber.e0s[node], fiber.frames[node]])
         for w in fiber.frames[node]:
             jq = J @ q

@@ -185,7 +185,7 @@ def test_criterion_6_destabilizing_ratio():
         xi = hopf_field(m, 1.0)
         sphere = xi.sphere
         p0 = sphere.random_point(np.random.default_rng((6, m)))
-        fiber = propagate_fiber_frame(p0, 1, steps=64)
+        fiber = propagate_fiber_frame(p0, steps=64)
         eta = destabilizing_field(fiber)
         max_dev = 0.0
         d0_resid = 0.0
@@ -216,7 +216,7 @@ def test_criterion_7_integrand_term_identities():
             ("S5", hopf_field(2, 1.0),
              lambda s: horizontal_extension_field(
                  hopf_field(2, 1.0).sphere,
-                 [np.random.default_rng((7, s)).standard_normal(6)]))):
+                 np.random.default_rng((7, s)).standard_normal(6)))):
         sphere = xi.sphere
         n = sphere.dim - 1
         for s in range(5):

@@ -96,6 +96,19 @@ def test_verify_nonunit_radius_fails_with_pattern_report(capsys):
     assert "matches: (1/2) K (1-K) / (1+K)" in notes
 
 
+def test_verify_hopf_far_off_unit_radius_fails_below_tolerance(capsys):
+    """At radius 1e4 the closed-form peak (1/2) K (1-K)/(1+K) is 5e-9, far
+    inside the tolerance, yet the field is still not totally geodesic."""
+    code, out = run_cli(capsys, ["verify", "totally-geodesic", "--radius",
+                                 "1e4", "--samples", "5"])
+    assert code == 1
+    rep = json.loads(out)[0]
+    assert rep["verdict"] == "fail"
+    assert rep["max_residual"] <= rep["tolerance"]
+    assert abs(rep["max_residual"] - 5e-9) < 1e-12
+    assert "closed-form peak 5.000e-09 is nonzero" in rep["notes"][-1]
+
+
 def test_verify_meridian_fails(capsys):
     code, out = run_cli(capsys, ["verify", "totally-geodesic", "--field",
                                  "meridian", "--dim", "2", "--radius", "1",

@@ -6,12 +6,14 @@ from tgeo import (
     DegenerateInputError,
     PreconditionError,
     SingularLocusError,
+    SphereSpec,
     UnitVectorField,
     complex_structure,
     conjugate_shape_operator,
     covariant_normality_residual,
     half_curvature,
     hopf_field,
+    horizontal_extension_field,
     is_geodesic,
     is_killing,
     is_normal,
@@ -19,6 +21,7 @@ from tgeo import (
     jacobi_relation_residual,
     killing_canonical_frames,
     meridian_field,
+    random_hopf_combination,
     sasakian_identity_residual,
     shape_apply_array,
     shape_matrix,
@@ -92,20 +95,32 @@ def test_shape_operator_of_hopf_is_minus_J_on_perp(hopf3):
     assert np.allclose(out, -J @ Xp, atol=1e-12)
 
 
-@pytest.mark.parametrize("radius", [1.0, 2.0])
-def test_covariant_derivative_fd_branch_matches_jacobian_branch(radius):
-    """The Hopf field given by its values alone takes the finite-difference
-    branch of covariant_derivative_array; it must agree with the Jacobian."""
-    xi = hopf_field(2, radius)
-    values_only = UnitVectorField(xi.sphere, xi.value_fn, name="hopf-values")
-    assert not values_only.has_jacobian
+_FIELD_BUILDERS = {
+    "hopf-r1": lambda: hopf_field(2, 1.0),
+    "hopf-r2": lambda: hopf_field(2, 2.0),
+    "meridian": lambda: meridian_field(np.array([1.0, 0.0, 0.0, 0.0]), 1.0),
+    "hopf-combination": lambda: random_hopf_combination(
+        np.random.default_rng(20)),
+    "horizontal": lambda: horizontal_extension_field(
+        SphereSpec(6, 1.0), np.random.default_rng(17).standard_normal(6)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIELD_BUILDERS))
+def test_jacobian_matches_central_difference(name):
+    """Every derivative of a field comes from its Jacobian, so each
+    constructor's Jacobian must match an ambient central difference of its
+    values along unit tangent directions (the Jacobians are specified
+    there)."""
+    xi = _FIELD_BUILDERS[name]()
+    sphere = xi.sphere
+    h = 1e-5 * sphere.radius
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        p = xi.sphere.random_point(rng)
-        X = xi.sphere.random_tangent(p, rng)
-        fd = values_only.covariant_derivative_array(p.coords, X.vec)
-        exact = xi.covariant_derivative_array(p.coords, X.vec)
-        assert np.linalg.norm(fd - exact) < 1e-8
+    for p in seeded_points(xi, 5, seed=22):
+        X = sphere.random_tangent(p, rng).unit().vec
+        fd = (xi.value_array(p.coords + h * X)
+              - xi.value_array(p.coords - h * X)) / (2.0 * h)
+        assert np.linalg.norm(fd - xi.jacobian_array(p.coords) @ X) < 1e-8
 
 
 def test_shape_operator_annihilates_hopf_direction(hopf5):
@@ -276,6 +291,22 @@ def test_jacobi_relation_needs_killing(meridian2):
     p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
     with pytest.raises(PreconditionError):
         jacobi_relation_residual(meridian2, p)
+
+
+def test_near_killing_field_fails_one_killing_threshold(hopf5):
+    """A skewness of order 1e-5 sits between the analytic 1e-6 and the
+    finite-difference 1e-4: every Killing check must refuse it alike."""
+    B = np.random.default_rng(23).standard_normal((6, 6))
+    S = (B + B.T) / np.linalg.norm(B + B.T, 2)
+    bent = UnitVectorField(hopf5.sphere, hopf5.value_fn,
+                           lambda q: complex_structure(6) + 1e-5 * S)
+    p = hopf5.sphere.random_point(np.random.default_rng(24))
+    skew = is_killing(bent, p)
+    assert not skew.passed and 1e-6 < skew.residual < 1e-4
+    with pytest.raises(PreconditionError):
+        jacobi_relation_residual(bent, p)
+    with pytest.raises(PreconditionError):
+        killing_canonical_frames(bent, p)
 
 
 def test_sasakian_residual_unit_vs_nonunit(hopf3, hopf3_r2):

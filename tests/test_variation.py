@@ -103,7 +103,7 @@ def test_duschek_equals_reduced_s5(hopf5):
     worst = 0.0
     for fi in range(3):
         v = np.random.default_rng((3, fi)).standard_normal(6)
-        eta = horizontal_extension_field(hopf5.sphere, [v])
+        eta = horizontal_extension_field(hopf5.sphere, v)
         rng = np.random.default_rng((4, fi))
         for _ in range(4):
             p = hopf5.sphere.random_point(rng)
@@ -153,13 +153,13 @@ def test_s3_stable_family_margin(hopf3):
 
 
 def test_fiber_propagation_matches_exponential():
-    """Propagated pair rows against the exact rotation e^(Jt) v."""
+    """Both propagated pair rows against the exact rotation e^(Jt) v."""
     sphere = SphereSpec(6, 1.0)
     p0 = sphere.random_point(np.random.default_rng(10))
-    fiber = propagate_fiber_frame(p0, 2)
+    fiber = propagate_fiber_frame(p0)
     J = complex_structure(6)
     worst = 0.0
-    for k in (0, 2):  # odd rows of each pair
+    for k in (0, 1):
         v0 = fiber.frames[0, k]
         for i, t in enumerate(fiber.ts[:-1]):
             exact = np.cos(t) * v0 + np.sin(t) * (J @ v0)
@@ -170,7 +170,7 @@ def test_fiber_propagation_matches_exponential():
 def test_fiber_residual_report():
     sphere = SphereSpec(8, 1.0)
     p0 = sphere.random_point(np.random.default_rng(11))
-    fiber = propagate_fiber_frame(p0, 1)
+    fiber = propagate_fiber_frame(p0)
     r = fiber.residuals
     assert r["closure"] < 1e-6
     assert r["orthonormality"] < 1e-8
@@ -182,12 +182,13 @@ def test_fiber_frame_validation():
     sphere = SphereSpec(6, 1.0)
     p0 = sphere.random_point(np.random.default_rng(12))
     with pytest.raises(DegenerateInputError):
-        propagate_fiber_frame(p0, 0)
+        propagate_fiber_frame(p0, steps=7)
+    odd = SphereSpec(3, 1.0).random_point(np.random.default_rng(12))
     with pytest.raises(DegenerateInputError):
-        propagate_fiber_frame(p0, 5)  # only (6-2)/2 = 2 pairs available
+        propagate_fiber_frame(odd)  # S^2 has no complex structure
     big = SphereSpec(6, 2.0).random_point(np.random.default_rng(13))
     with pytest.raises(PreconditionError):
-        propagate_fiber_frame(big, 1)
+        propagate_fiber_frame(big)
 
 
 def test_destabilizing_field_constant_on_fiber():
@@ -195,7 +196,7 @@ def test_destabilizing_field_constant_on_fiber():
     derivative; this is what makes the sign argument pointwise."""
     sphere = SphereSpec(6, 1.0)
     p0 = sphere.random_point(np.random.default_rng(14))
-    fiber = propagate_fiber_frame(p0, 1)
+    fiber = propagate_fiber_frame(p0)
     eta = destabilizing_field(fiber)
     norms = [float(np.linalg.norm(eta.value_array(q))) for q in fiber.points]
     assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-8
@@ -220,18 +221,6 @@ def test_destabilizing_ratio_positive_on_s3():
     fn = destabilizing_integrand(xi)
     q = xi.sphere.random_point(np.random.default_rng(16)).coords
     assert abs(fn(q) - 0.5) < 1e-10
-
-
-def test_horizontal_extension_jacobian_vs_fd():
-    sphere = SphereSpec(6, 1.0)
-    rng = np.random.default_rng(17)
-    v = rng.standard_normal(6)
-    eta = horizontal_extension_field(sphere, [v])
-    p = sphere.random_point(rng)
-    X = sphere.random_tangent(p, rng)
-    fd = sphere.fd_derivative_array(eta.value_array, p.coords, X.vec)
-    analytic = sphere.project_array(p.coords, eta.jacobian_fn(p.coords) @ X.vec)
-    assert np.linalg.norm(fd - analytic) < 1e-8
 
 
 # -- verdicts ---------------------------------------------------------------------
