@@ -26,7 +26,8 @@ from .manifold import (
 # Singular values below this are treated as rank deficiency.
 SV_ZERO_TOL = 1e-7
 
-# Frame assembly must reproduce A e_i = lambda_i f_i this well or we refuse.
+# Frame assembly must reproduce A e_i = lambda_i f_i this well, relative to
+# max(1, lambda_max), or we refuse: the residual grows with the operator norm.
 ASSEMBLY_TOL = 1e-6
 
 # Residual tolerance of the checks built on the analytic Jacobian.
@@ -73,9 +74,6 @@ class UnitVectorField:
 
     def value(self, p: SpherePoint) -> TangentVector:
         return TangentVector(p, self.value_array(p.coords))
-
-    def __call__(self, p: SpherePoint) -> TangentVector:
-        return self.value(p)
 
     def jacobian_array(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.jacobian_fn(coords), dtype=float)
@@ -157,11 +155,6 @@ def shape_apply_array(xi: UnitVectorField, p_coords: np.ndarray,
     return -xi.sphere.project_array(p_coords, vecs @ xi.jacobian_array(p_coords).T)
 
 
-def shape_operator(xi: UnitVectorField, X: TangentVector) -> TangentVector:
-    """A_xi X = -nabla_X xi."""
-    return TangentVector(X.base, shape_apply_array(xi, X.base.coords, X.vec))
-
-
 def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
                  frame_rows: np.ndarray) -> np.ndarray:
     """Matrix M with M[i, j] = <b_i, A b_j> for orthonormal rows b_i."""
@@ -198,10 +191,6 @@ class SingularData:
         arr.flags.writeable = False
         object.__setattr__(self, "lambdas", arr)
 
-    @property
-    def base(self) -> SpherePoint:
-        return self.right_frame.base
-
 
 def _complete_left_frame(assigned: list, candidates: np.ndarray,
                          total: int) -> list:
@@ -218,17 +207,18 @@ def _assemble_frames(p: SpherePoint, rows: np.ndarray, M: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, assembly_tol: float,
                      label: str, *, pin_e0: bool = False) -> SingularData:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
-    components, then build the ambient frames with f_0 (and, with
-    ``pin_e0``, e_0) set exactly to the field vector ``xiv``."""
+    components to ``assembly_tol * max(1, lambda_max)``, then build the
+    ambient frames with f_0 (and, with ``pin_e0``, e_0) set exactly to the
+    field vector ``xiv``."""
+    tol = assembly_tol * max(1.0, float(np.max(lambdas)))
     resid = max(
         float(np.max(np.linalg.norm(e_comps @ M.T - lambdas[:, None] * f_comps,
                                     axis=1))),
         float(np.max(np.linalg.norm(f_comps @ M - lambdas[:, None] * e_comps,
                                     axis=1))),
     )
-    if resid > assembly_tol:
-        raise DecompositionFailure(
-            f"{label} residual {resid:.3e} exceeds {assembly_tol:.1e}")
+    if resid > tol:
+        raise DecompositionFailure(f"{label} residual {resid:.3e} exceeds {tol:.1e}")
 
     e_amb = e_comps @ rows
     f_amb = f_comps @ rows

@@ -18,9 +18,6 @@ import numpy as np
 # Central-difference step is FD_STEP_FACTOR * radius.
 FD_STEP_FACTOR = 1e-5
 
-# Below this Gram determinant a 2-plane is not trusted at double precision.
-DEGENERATE_PLANE_TOL = 1e-14
-
 # Gram-Schmidt pivot threshold: residual norms below this mean rank deficiency.
 GS_PIVOT_TOL = 1e-10
 
@@ -205,11 +202,6 @@ class SphereSpec:
     def zero_tangent(self, p: "SpherePoint") -> "TangentVector":
         return TangentVector(p, np.zeros(self.ambient_dim))
 
-    def project_to_tangent(self, p: "SpherePoint", vec) -> "TangentVector":
-        v = np.asarray(vec, dtype=float)
-        pc = p.coords
-        return TangentVector(p, v - (v @ pc) / self.radius ** 2 * pc)
-
     def project_array(self, p_coords: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """Array form of tangential projection; rows of ``vec`` if 2-d."""
         scale = self.radius ** 2
@@ -224,17 +216,6 @@ class SphereSpec:
         """R(X,Y)Z = (1/r^2) (<Y,Z> X - <X,Z> Y); row by row for 2-d inputs."""
         k = self.curvature_constant
         return k * (np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y)
-
-    def sectional_curvature(self, X: "TangentVector", Y: "TangentVector") -> float:
-        _check_same_base(X, Y)
-        xx = X.vec @ X.vec
-        yy = Y.vec @ Y.vec
-        xy = X.vec @ Y.vec
-        gram = xx * yy - xy * xy
-        if gram < DEGENERATE_PLANE_TOL:
-            raise DegeneratePlaneError(f"Gram determinant {gram:.3e} too small")
-        r_xyy = self.curvature_array(X.vec, Y.vec, Y.vec)
-        return float(r_xyy @ X.vec) / gram
 
     # -- geodesics and covariant derivatives ---------------------------------
 
@@ -271,8 +252,9 @@ class SphereSpec:
         return self.point(vec)
 
     def random_tangent(self, p: "SpherePoint", seed) -> "TangentVector":
-        rng = _rng_of(seed)
-        return self.project_to_tangent(p, rng.standard_normal(self.ambient_dim))
+        v = _rng_of(seed).standard_normal(self.ambient_dim)
+        pc = p.coords
+        return TangentVector(p, v - (v @ pc) / self.radius ** 2 * pc)
 
     def random_orthonormal_frame(self, p: "SpherePoint", seed) -> "Frame":
         rng = _rng_of(seed)
@@ -449,7 +431,5 @@ class Frame:
 
 
 def _check_same_base(a, b) -> None:
-    pa = a.base.coords if hasattr(a, "base") else a.coords
-    pb = b.base.coords if hasattr(b, "base") else b.coords
-    if np.max(np.abs(np.asarray(pa) - np.asarray(pb))) > _BASE_MATCH_TOL:
+    if np.max(np.abs(a.base.coords - b.base.coords)) > _BASE_MATCH_TOL:
         raise BasePointMismatchError("objects are attached at different points")

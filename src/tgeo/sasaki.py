@@ -11,9 +11,7 @@ a round sphere.
 from __future__ import annotations
 
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -113,11 +111,6 @@ def horizontal_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
     return BundleVector(anchor, X, zero)
 
 
-def vertical_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
-    zero = X.base.sphere.zero_tangent(X.base)
-    return BundleVector(anchor, zero, X)
-
-
 def tangential_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
     """X^t = X^v - <X,u> u^v, the vertical direction tangent to T1M."""
     u = anchor.vec
@@ -165,10 +158,6 @@ class SubmanifoldFrames:
     def lambdas(self) -> np.ndarray:
         return self.singular.lambdas
 
-    @property
-    def base(self) -> SpherePoint:
-        return self.singular.base
-
 
 def submanifold_frames(xi: UnitVectorField, p: SpherePoint) -> SubmanifoldFrames:
     sd = singular_decomposition(xi, p)
@@ -190,25 +179,6 @@ def submanifold_frames(xi: UnitVectorField, p: SpherePoint) -> SubmanifoldFrames
     return SubmanifoldFrames(sd, tuple(tangent), tuple(normal))
 
 
-def tangency_decomposition(Xb: BundleVector, xi: UnitVectorField):
-    """Split a T1M tangent vector at (p, xi(p)) into xi(M)-tangent + normal."""
-    frames = submanifold_frames(xi, Xb.base)
-    u = frames.singular.left_frame[0].vec
-    if np.max(np.abs(Xb.anchor.vec - u)) > 1e-6:
-        raise BasePointMismatchError("vector is not anchored at (p, xi(p))")
-    if abs(float(Xb.vert.vec @ u)) > 1e-8 * max(1.0, Xb.vert.norm()):
-        raise PreconditionError("vertical part is not tangent to T1M")
-    tan = None
-    for ei in frames.tangent:
-        piece = sasaki_inner(Xb, ei) * ei
-        tan = piece if tan is None else tan + piece
-    nor = None
-    for ns in frames.normal:
-        piece = sasaki_inner(Xb, ns) * ns
-        nor = piece if nor is None else nor + piece
-    return tan, nor
-
-
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
 
 
@@ -217,7 +187,6 @@ class SecondFormTensor:
     """Components Omega_{sigma|ij}; row s of ``omega`` is sigma = s + 1."""
 
     omega: np.ndarray  # shape (n, n+1, n+1)
-    lambdas: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.omega, dtype=float)
@@ -265,7 +234,7 @@ def second_form_lemma(xi: UnitVectorField, p: SpherePoint,
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
     Lam = scale[:, None, None] * scale[None, :, None] * scale[None, None, :]
     omega_full = 0.5 * Lam * (first + second)
-    return SecondFormTensor(omega_full[1:], lam)
+    return SecondFormTensor(omega_full[1:])
 
 
 # -- second fundamental form: route 2 (bundle connection table) --------------
@@ -327,7 +296,7 @@ def second_form_direct(xi: UnitVectorField, p: SpherePoint,
         # pair against normal frame, undo the |E_j| normalization at p
         omega[:, i, :] = (lam[1:, None] * (e[1:] @ horiz.T) + f[1:] @ vert.T) \
             / scale[1:, None] / scale[None, :]
-    return SecondFormTensor(omega, lam)
+    return SecondFormTensor(omega)
 
 
 def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
@@ -494,38 +463,6 @@ def _unit_hopf_rows(xi: UnitVectorField, p: np.ndarray, x: np.ndarray):
     xiv = np.matmul(J, p[:, :, None])[:, :, 0]
     w = np.matmul(x[:, None, :], J.T)[:, 0, :]
     return xiv, -(w - (np.vecdot(w, p) / xi.sphere.radius ** 2)[:, None] * p)
-
-
-NormalConnection = namedtuple("NormalConnection", ["nu_form", "raw"])
-
-
-def normal_connection(xi: UnitVectorField, X: TangentVector,
-                      Y_fn: Callable[[np.ndarray], np.ndarray], *,
-                      step: float | None = None) -> NormalConnection:
-    """Normal-bundle covariant derivative over X^tau of the field Y^nu.
-
-    Returns the pair (nu_form, raw): the nu-lift expression
-    (nabla_X Y - <xi,X> A Y / 2)^nu and the raw expression
-    -<xi,X> Y^h + 2 (nabla_X Y)^t. The two agree in their normal-frame
-    components; only the nu form is itself a normal vector.
-    """
-    _require_unit_hopf(xi, "normal_connection")
-    sphere = xi.sphere
-    p = X.base
-    u = xi.value_array(p.coords)
-    Y0 = np.asarray(Y_fn(p.coords), dtype=float)
-    if abs(float(Y0 @ u)) > 1e-8 * (np.linalg.norm(Y0) + 1.0):
-        raise PreconditionError("variation direction must be orthogonal to the field")
-    dY = sphere.fd_derivative_array(Y_fn, p.coords, X.vec, step)
-    ay = shape_apply_array(xi, p.coords, Y0)
-    c = float(u @ X.vec)
-    w = TangentVector(p, dY - 0.5 * c * ay)
-    nu_form = xi_normal_lift(xi, w)
-    anchor = TangentVector(p, u)
-    raw = BundleVector(anchor,
-                       TangentVector(p, -c * Y0),
-                       TangentVector(p, 2.0 * (dY - (dY @ u) * u)))
-    return NormalConnection(nu_form, raw)
 
 
 def _require_unit_hopf(xi: UnitVectorField, what: str) -> None:

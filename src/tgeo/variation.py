@@ -46,9 +46,6 @@ from .report import VerificationReport
 # Residual ceiling for the propagated-frame derivative table.
 FIBER_TABLE_TOL = 1e-4
 
-# A full fiber loop must close this well (4th-order integrator budget).
-FIBER_CLOSURE_TOL = 1e-6
-
 DEFAULT_FIBER_STEPS = 64
 RK_SUBSTEPS = 8
 
@@ -144,8 +141,7 @@ def _check_orthogonal(eta0: np.ndarray, xiv: np.ndarray) -> None:
 
 
 def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
-                              p: SpherePoint, *,
-                              step: float | None = None) -> DuschekBreakdown:
+                              p: SpherePoint) -> DuschekBreakdown:
     """Pointwise second-variation integrand for the normal field eta^nu.
 
     value = sum_i ||D-perp_i eta~||^2
@@ -158,7 +154,7 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     norms throughout. A zero normal lift returns 0 flagged degenerate.
     """
     frames = submanifold_frames(xi, p)
-    form = second_form_lemma(xi, p, frames.singular, step=step)
+    form = second_form_lemma(xi, p, frames.singular)
     xiv = frames.singular.left_frame[0].vec
     eta0 = eta.value_array(p.coords)
     _check_orthogonal(eta0, xiv)

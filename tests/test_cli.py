@@ -7,6 +7,7 @@ import pytest
 
 import tgeo.cli as cli
 from tgeo import QuadratureFailure, SphereSpec
+from tgeo.fields import TOL_ANALYTIC
 from tgeo.cli import RunConfig, UsageError, main
 
 
@@ -254,6 +255,28 @@ def test_svd_examples(capsys):
     assert "(0, 1)" in notes and "no canonical pairing" in notes
 
 
+def test_svd_near_pole_at_small_radius_passes(capsys):
+    # lambda is about 90,909 here; the assembly residual 4.8e-6 is 5e-11 of it
+    _, out = run_cli(capsys, ["svd", "--field", "meridian", "--dim", "3",
+                              "--radius", "0.01", "--theta", "0.0011"], expect=0)
+    assert json.loads(out)[0]["verdict"] == "pass"
+
+
+def test_svd_tolerance_scales_with_lambda(capsys):
+    _, out = run_cli(capsys, ["svd", "--field", "meridian", "--dim", "3",
+                              "--theta", "0.0011"], expect=0)
+    rep = json.loads(out)[0]
+    lam_max = 1.0 / np.tan(0.0011)  # cot(theta) / r at unit radius
+    assert rep["tolerance"] == pytest.approx(TOL_ANALYTIC * lam_max, rel=1e-8)
+    assert rep["tolerance"] == pytest.approx(1e-6 * 909.09, rel=1e-5)
+    # a unit spectrum keeps the unscaled tolerance
+    for args in (["--field", "hopf", "--dim", "7"],
+                 ["--field", "meridian", "--dim", "2", "--theta",
+                  str(np.pi / 4)]):
+        _, out = run_cli(capsys, ["svd", *args], expect=0)
+        assert json.loads(out)[0]["tolerance"] == TOL_ANALYTIC
+
+
 def test_svd_theta_pole_rejected(capsys):
     run_cli(capsys, ["svd", "--field", "meridian", "--dim", "2",
                      "--theta", "0.0"], expect=2)
@@ -292,6 +315,21 @@ def test_config_beats_env_and_flag_beats_config(capsys, monkeypatch, tmp_path):
     _, out = run_cli(capsys, ["verify", "codazzi", "--config", str(cfg),
                               "--seed", "2"], expect=0)
     assert json.loads(out)[0]["parameters"]["seed"] == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_negative_seed_is_usage_error(capsys, monkeypatch, tmp_path, source):
+    args = ["verify", "codazzi", "--samples", "3"]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("TGEO_SEED", "-3")
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = -1\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_bad_env_seed(capsys, monkeypatch):

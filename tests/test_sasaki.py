@@ -10,7 +10,6 @@ from tgeo import (
     geodesic_field_obstruction,
     horizontal_lift,
     killing_canonical_frames,
-    normal_connection,
     sasaki_inner,
     second_form_direct,
     second_form_lemma,
@@ -18,9 +17,7 @@ from tgeo import (
     singular_decomposition,
     submanifold_frames,
     submanifold_plane_curvature,
-    tangency_decomposition,
     tangential_lift,
-    vertical_lift,
     xi_normal_lift,
     xi_tangential_lift,
 )
@@ -34,8 +31,8 @@ def test_sasaki_inner_splits_into_parts(hopf3):
     u = hopf3.value(p)
     h1, v1 = sphere.random_tangent(p, rng), sphere.random_tangent(p, rng)
     h2, v2 = sphere.random_tangent(p, rng), sphere.random_tangent(p, rng)
-    X = horizontal_lift(h1, u) + vertical_lift(v1, u)
-    Y = horizontal_lift(h2, u) + vertical_lift(v2, u)
+    X = BundleVector(u, h1, v1)
+    Y = BundleVector(u, h2, v2)
     assert np.isclose(sasaki_inner(X, Y), h1.dot(h2) + v1.dot(v2), atol=1e-14)
 
 
@@ -96,18 +93,6 @@ def test_submanifold_frames_orthonormal_and_dual(hopf5):
     for s, ns in enumerate(norm):
         for t, nt in enumerate(norm):
             assert abs(sasaki_inner(ns, nt) - (s == t)) < 1e-10
-
-
-def test_tangency_decomposition_roundtrip(hopf3):
-    sphere = hopf3.sphere
-    rng = np.random.default_rng(5)
-    p = sphere.random_point(rng)
-    u = hopf3.value(p)
-    Xb = (horizontal_lift(sphere.random_tangent(p, rng), u)
-          + tangential_lift(sphere.random_tangent(p, rng), u))
-    tan, nor = tangency_decomposition(Xb, hopf3)
-    assert (tan + nor - Xb).norm() < 1e-10
-    assert abs(sasaki_inner(tan, nor)) < 1e-10
 
 
 def test_bundle_vector_anchor_guard(hopf3):
@@ -264,23 +249,3 @@ def test_plane_curvature_requires_orthonormal_input(hopf3):
     with pytest.raises(DegenerateInputError):
         submanifold_plane_curvature(hopf3, 2.0 * fr[0], fr[1])
 
-
-def test_normal_connection_components_agree(hopf5):
-    """The nu-form and the raw bundle derivative agree on every normal-frame
-    component (they differ by tangential terms only)."""
-    sphere = hopf5.sphere
-    p = sphere.random_point(np.random.default_rng(23))
-    fr = submanifold_frames(hopf5, p)
-    X = sphere.random_tangent(p, np.random.default_rng(24))
-    w = sphere.random_tangent(p, np.random.default_rng(25))
-    xiv = hopf5.value_array(p.coords)
-    w0 = w.vec - (w.vec @ xiv) * xiv
-
-    def Y_fn(q):
-        v = sphere.project_array(q, w0)
-        xv = hopf5.value_array(q)
-        return v - (v @ xv) * xv
-
-    nc = normal_connection(hopf5, X, Y_fn)
-    for nb in fr.normal:
-        assert abs(sasaki_inner(nc.nu_form, nb) - sasaki_inner(nc.raw, nb)) < 1e-5
