@@ -5,7 +5,7 @@ report output.
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
 configuration error, 3 numerical failure (frame assembly, fiber propagation,
 quadrature rejection, singular locus, degenerate curvature plane, a failing
-check on a sampled plane).
+check on a sampled vector or plane).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .manifold import (
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
+    gram_schmidt_rows,
     unit_rows,
 )
 from .fields import (
@@ -51,7 +52,6 @@ from .sasaki import (
     geodesic_field_obstruction,
     second_form_direct,
     second_form_lemma,
-    submanifold_plane_curvature,
     submanifold_plane_curvature_array,
     tangential_lift_array,
     xi_tangential_lift_array,
@@ -173,7 +173,7 @@ def _run_totally_geodesic(config: RunConfig) -> list:
         f"max |Omega_ij - Omega_ji| (connection route): {max_asym:.3e}",
     ]
     verdict = "pass" if residual <= config.tol_fd else "fail"
-    if config.field == "hopf" and abs(config.radius - 1.0) > 1e-12:
+    if config.field == "hopf" and not xi.sphere.is_unit:
         notes += _nonunit_pattern_notes(xi, config)
         if verdict == "pass":
             # the closed form is nonzero at every radius but 1; a residual
@@ -208,12 +208,11 @@ def _nonunit_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     kd = killing_canonical_frames(xi, p)
     om = second_form_direct(xi, p, kd)
     m = (xi.sphere.dim - 1) // 2
-    n1 = xi.sphere.dim
     mask = np.zeros_like(om.omega, dtype=bool)
     for a in range(1, m + 1):
         mask[a - 1, m + a, 0] = mask[a - 1, 0, m + a] = True
         mask[m + a - 1, a, 0] = mask[m + a - 1, 0, a] = True
-    peak = float(np.max(np.abs(om.omega[mask]))) if n1 > 1 else 0.0
+    peak = float(np.max(np.abs(om.omega[mask])))
     off = float(np.max(np.abs(np.where(mask, 0.0, om.omega))))
     names = {cand_a: "(1/2) K (1-K) / (1+K)",
              cand_b: "K (1-K) / (2 (1+K)^(3/2))"}
@@ -229,13 +228,12 @@ def _nonunit_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
 
 def _run_predicates(config: RunConfig) -> list:
     xi = build_field(config)
-    unit_radius = abs(config.radius - 1.0) <= 1e-12
     expected_fail = set()
     informational = set()
     if config.field == "meridian":
         expected_fail = {"killing", "sasakian"}
         informational = {"strongly-normal"}
-    elif not unit_radius:
+    elif not xi.sphere.is_unit:
         expected_fail = {"sasakian"}
 
     worst: dict = {}
@@ -280,10 +278,10 @@ def _run_codazzi(config: RunConfig) -> list:
     sphere = xi.sphere
     residual = 0.0
     for rng, p in _sample_points(xi, config):
-        frame = sphere.random_orthonormal_frame(p, rng)
-        X, Y = frame[0], frame[1]
-        lhs = half_curvature(xi, X, Y).vec - half_curvature(xi, Y, X).vec
-        rhs = sphere.curvature_array(X.vec, Y.vec, xi.value_array(p.coords))
+        x, y = sphere.random_orthonormal_frame(p, rng).matrix[:2]
+        lhs = (half_curvature(xi, p.coords, x, y)
+               - half_curvature(xi, p.coords, y, x))
+        rhs = sphere.curvature_array(x, y, xi.value_array(p.coords))
         residual = max(residual, float(np.linalg.norm(lhs - rhs)))
     verdict = "pass" if residual <= config.tol_fd else "fail"
     return [VerificationReport(
@@ -377,9 +375,9 @@ def cmd_scan_curvature(config: RunConfig) -> int:
         raise UsageError(f"unknown scan mode {mode!r}")
     if config.field != "hopf":
         raise UsageError("curvature scans are defined for the hopf field")
-    if mode != "bundle" and abs(config.radius - 1.0) > 1e-12:
-        raise UsageError("submanifold curvature scans need unit radius")
     xi = build_field(config)
+    if mode != "bundle" and not xi.sphere.is_unit:
+        raise UsageError("submanifold curvature scans need unit radius")
 
     rows = []
     reports = []
@@ -453,14 +451,16 @@ def _scan_submanifold(xi, config, rows) -> VerificationReport:
     lo, hi = _scan_chunks(config, 0, (1 + sphere.dim, sphere.ambient_dim),
                           "submanifold", rows, curvatures)
 
-    # designated sections at a seeded point
+    # designated sections at a seeded point: the plane of xi and a unit w
+    # orthogonal to it, and the plane of w and phi w
     rng = np.random.default_rng((config.seed, config.planes))
-    p = sphere.random_point(rng)
-    xiv = xi.value(p)
-    W = sphere.complete_frame([xiv])[1]
-    k_xi = submanifold_plane_curvature(xi, xiv, W)
-    phi_w = (-1.0 * sphere.tangent(p, shape_apply_array(xi, p.coords, W.vec))).unit()
-    k_phi = submanifold_plane_curvature(xi, W, phi_w)
+    p = sphere.random_point(rng).coords
+    xiv = xi.value_array(p)
+    candidates = np.vstack([xiv, sphere.project_array(p, np.eye(sphere.ambient_dim))])
+    w = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1]
+    phi_w = unit_rows(-shape_apply_array(xi, p, w)[None])[0]
+    k_xi, k_phi = submanifold_plane_curvature_array(
+        xi, np.stack((p, p)), np.stack((xiv, w)), np.stack((w, phi_w))).tolist()
     rows.append(("xi-section", "submanifold", k_xi))
     rows.append(("phi-section", "submanifold", k_phi))
 
@@ -526,9 +526,9 @@ def _plane_rows_csv(rows, reports) -> str:
 def cmd_variation(config: RunConfig) -> int:
     if config.field != "hopf":
         raise UsageError("variation analysis is defined for the hopf field")
-    if abs(config.radius - 1.0) > 1e-12:
-        raise UsageError("variation analysis needs unit radius")
     xi = build_field(config)
+    if not xi.sphere.is_unit:
+        raise UsageError("variation analysis needs unit radius")
     mode = config.mode or "auto"
     report = stability_verdict(config.dim, mode, samples=config.samples,
                                fiber_steps=config.fiber_steps,
@@ -622,9 +622,6 @@ def _params(config: RunConfig) -> dict:
     elif config.command == "scan-curvature":
         out["planes"] = config.planes
         out["mode"] = config.mode or "submanifold"
-    elif config.command == "variation":
-        out["samples"] = config.samples
-        out["mode"] = config.mode or "auto"
     elif config.command == "svd" and config.theta is not None:
         out["theta"] = config.theta
     return out
@@ -753,7 +750,8 @@ def main(argv=None) -> int:
             QuadratureFailure, SingularLocusError) as exc:
         failure = exc
     except (UsageError, PreconditionError, DegenerateInputError) as exc:
-        # a row check (it sets ``row``) failed on sampled data, not on input
+        # a row check (it sets ``row``; the wrappers' checks are row checks)
+        # failed on sampled data, not on input
         if not hasattr(exc, "row"):
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -19,7 +19,7 @@ from .manifold import (
     SphereSpec,
     SpherePoint,
     TangentVector,
-    _check_same_base,
+    _check_tangent_stack,
     gram_schmidt_rows,
 )
 
@@ -350,27 +350,25 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
 # -- half curvature tensor -------------------------------------------------
 
 
-def half_curvature(xi: UnitVectorField, X: TangentVector, Y: TangentVector, *,
-                   step: float | None = None) -> TangentVector:
+def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
+                   y: np.ndarray, *, step: float | None = None) -> np.ndarray:
     """r(X,Y)xi = nabla_X nabla_Y xi - nabla_{nabla_X Y} xi = -(nabla_X A) Y.
 
-    Y is extended off the base point by tangential projection of its ambient
-    vector; that extension has vanishing covariant derivative at the base
-    point, so the whole tensor reduces to one derivative of A Y-tilde along
-    X. The result is tensorial in both slots, so the extension choice is
-    immaterial (asserted by tests, not assumed).
+    Array kernel: ``x`` and ``y`` are ambient vectors tangent at the point
+    ``p_coords``, checked where they were made, and the result is the
+    ambient vector. Y is extended off the base point by tangential
+    projection of its ambient vector; that extension has vanishing
+    covariant derivative at the base point, so the whole tensor reduces to
+    one derivative of A Y-tilde along X. The result is tensorial in both
+    slots, so the extension choice is immaterial (asserted by tests, not
+    assumed).
     """
-    _check_same_base(X, Y)
     sphere = xi.sphere
-    p = X.base
-    yvec = np.array(Y.vec)
 
     def a_ytilde(q: np.ndarray) -> np.ndarray:
-        yt = sphere.project_array(q, yvec)
-        return shape_apply_array(xi, q, yt)
+        return shape_apply_array(xi, q, sphere.project_array(q, y))
 
-    deriv = sphere.fd_derivative_array(a_ytilde, p.coords, X.vec, step)
-    return TangentVector(p, -deriv)
+    return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
 
 
 # -- predicates --------------------------------------------------------------
@@ -395,7 +393,8 @@ def _killing_result(M: np.ndarray) -> PredicateResult:
 
 
 def _unit_perp_samples(xi, p, rng, count):
-    """Random unit tangent vectors orthogonal to the field at p."""
+    """Random unit tangent vectors orthogonal to the field at p, as the
+    rows of a checked (count, ambient) array."""
     sphere = xi.sphere
     xiv = xi.value_array(p.coords)
     out = []
@@ -405,7 +404,9 @@ def _unit_perp_samples(xi, p, rng, count):
         norm = np.linalg.norm(v)
         if norm > 1e-6:
             out.append(v / norm)
-    return out
+    vecs = np.array(out)
+    _check_tangent_stack(sphere.radius, p.coords[None], vecs[None])
+    return vecs
 
 
 def is_geodesic(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
@@ -444,8 +445,8 @@ def is_strongly_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     resid = 0.0
     for k in range(PREDICATE_SAMPLES):
         x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
-        r_val = half_curvature(xi, TangentVector(p, x), TangentVector(p, y))
-        resid = max(resid, abs(float(r_val.vec @ z)))
+        r_val = half_curvature(xi, p.coords, x, y)
+        resid = max(resid, abs(float(r_val @ z)))
     return _result("strongly_normal", resid, TOL_ANALYTIC)
 
 
@@ -468,11 +469,13 @@ def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
         norms = np.linalg.norm(raw, axis=1)
         if np.min(norms) < 1e-6:
             continue
-        x, y = raw[0] / norms[0], raw[1] / norms[1]
+        units = raw / norms[:, None]
+        _check_tangent_stack(sphere.radius, p.coords[None], units[None])
+        x, y = units
         fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
         resid = max(resid, float(np.linalg.norm(
             fd - xi.covariant_derivative_array(p.coords, x))))
-        r_val = half_curvature(xi, TangentVector(p, x), TangentVector(p, y)).vec
+        r_val = half_curvature(xi, p.coords, x, y)
         target = (xiv @ y) * x - (x @ y) * xiv
         resid = max(resid, float(np.linalg.norm(r_val - target)))
     return resid

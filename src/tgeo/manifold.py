@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -72,14 +72,15 @@ def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float = GS_PIVOT_TOL,
     return np.array(rows)
 
 
-# -- stacked twins of the validating types ---------------------------------
+# -- row checks of the validating types --------------------------------------
 #
 # Batched kernels take (N, ambient) arrays, one row per sample, instead of
-# one wrapper object per vector. These helpers repeat the wrappers' checks
-# with the same thresholds, row by row, and name the first failing row. The
-# arithmetic matches the one-vector code bit for bit: a 1-d ``x @ y`` and
-# ``np.vecdot`` on rows both call the same BLAS dot, and ``np.linalg.norm``
-# of a 1-d array is ``sqrt`` of that dot.
+# one wrapper object per vector. These helpers are the only copy of the
+# wrappers' checks: they run row by row and name the first failing row, and
+# each wrapper calls them on a one-row view of its own data. The arithmetic
+# matches the one-vector code bit for bit: a 1-d ``x @ y`` and ``np.vecdot``
+# on rows both call the same BLAS dot, and ``np.linalg.norm`` of a 1-d array
+# is ``sqrt`` of that dot.
 
 
 def _reject_rows(bad: np.ndarray, error: type, message) -> None:
@@ -182,6 +183,11 @@ class SphereSpec:
         return 1.0 / self.radius ** 2
 
     @property
+    def is_unit(self) -> bool:
+        """Unit radius, the setting of the Hopf-specific closed forms."""
+        return abs(self.radius - 1.0) <= 1e-12
+
+    @property
     def fd_step(self) -> float:
         return FD_STEP_FACTOR * self.radius
 
@@ -194,10 +200,6 @@ class SphereSpec:
         if norm < GS_PIVOT_TOL:
             raise DegenerateInputError("cannot normalize a near-zero vector")
         return SpherePoint(self, arr * (self.radius / norm))
-
-    def tangent(self, p: "SpherePoint", vec) -> "TangentVector":
-        """Wrap an ambient vector already tangent at p (validated)."""
-        return TangentVector(p, np.asarray(vec, dtype=float))
 
     def zero_tangent(self, p: "SpherePoint") -> "TangentVector":
         return TangentVector(p, np.zeros(self.ambient_dim))
@@ -314,17 +316,6 @@ class SphereSpec:
             raise DegenerateInputError("standard frame construction collapsed")
         return rows
 
-    def complete_frame(self, vectors: Sequence["TangentVector"]) -> "Frame":
-        """Extend the given orthonormal tangent vectors to a full frame."""
-        p = vectors[0].base
-        given = np.array([v.vec for v in vectors])
-        candidates = np.vstack([given,
-                                self.project_array(p.coords, np.eye(self.ambient_dim))])
-        rows = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)
-        if len(rows) != self.dim:
-            raise DegenerateInputError("frame completion collapsed")
-        return Frame(p, tuple(TangentVector(p, r) for r in rows))
-
 
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
@@ -337,9 +328,7 @@ class SpherePoint:
             raise DegenerateInputError(
                 f"point has shape {self.coords.shape}, expected "
                 f"({self.sphere.ambient_dim},)")
-        r = self.sphere.radius
-        if abs(np.linalg.norm(self.coords) - r) > 1e-9 * r:
-            raise DegenerateInputError("coordinates do not lie on the sphere")
+        _check_points_stack(self.sphere.radius, self.coords[None])
 
     def __repr__(self):
         return f"SpherePoint({np.array2string(np.asarray(self.coords), precision=6)})"
@@ -356,10 +345,8 @@ class TangentVector:
         object.__setattr__(self, "vec", _as_readonly(self.vec))
         if self.vec.shape != self.base.coords.shape:
             raise DegenerateInputError("tangent vector has wrong dimension")
-        r = self.base.sphere.radius
-        bound = 1e-9 * r * max(1.0, float(np.linalg.norm(self.vec)))
-        if abs(float(self.vec @ self.base.coords)) > bound:
-            raise DegenerateInputError("vector is not tangent to the sphere")
+        _check_tangent_stack(self.base.sphere.radius, self.base.coords[None],
+                             self.vec[None])
 
     @property
     def sphere(self) -> SphereSpec:
@@ -368,15 +355,8 @@ class TangentVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
-    def dot(self, other: "TangentVector") -> float:
-        _check_same_base(self, other)
-        return float(self.vec @ other.vec)
-
     def unit(self) -> "TangentVector":
-        n = self.norm()
-        if n < GS_PIVOT_TOL:
-            raise DegenerateInputError("cannot normalize a near-zero tangent vector")
-        return TangentVector(self.base, self.vec / n)
+        return TangentVector(self.base, unit_rows(self.vec[None])[0])
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         _check_same_base(self, other)
@@ -411,10 +391,7 @@ class Frame:
             raise DegenerateInputError("empty frame")
         if len(self.vectors) > self.base.sphere.dim:
             raise DegenerateInputError("more frame vectors than the tangent dimension")
-        mat = self.matrix
-        gram = mat @ mat.T
-        if np.max(np.abs(gram - np.eye(len(self.vectors)))) > 1e-8:
-            raise DegenerateInputError("frame is not orthonormal")
+        _check_frames_stack(self.matrix[None])
 
     @property
     def matrix(self) -> np.ndarray:

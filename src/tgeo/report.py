@@ -60,13 +60,6 @@ class VerificationReport:
             raise ValueError(f"unsupported report schema {schema!r}")
         return cls(**payload)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
-
 
 def reports_to_json(reports: list) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)

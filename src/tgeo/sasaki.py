@@ -218,9 +218,8 @@ def second_form_lemma(xi: UnitVectorField, p: SpherePoint,
 
     r_vals = np.zeros((n1, n1, sphere.ambient_dim))
     for i in range(n1):
-        Ei = sd.right_frame[i]
         for j in range(n1):
-            r_vals[i, j] = half_curvature(xi, Ei, sd.right_frame[j], step=step).vec
+            r_vals[i, j] = half_curvature(xi, p.coords, e[i], e[j], step=step)
     sym = r_vals + np.transpose(r_vals, (1, 0, 2))
 
     a = e @ xiv                   # a_i = <e_i, xi>
@@ -307,8 +306,7 @@ def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
     alpha in 1..n; the zero array is equivalent to the vanishing of the
     (sigma | alpha, 0) block of the second fundamental form.
     """
-    sphere = xi.sphere
-    if abs(sphere.radius - 1.0) > 1e-12:
+    if not xi.sphere.is_unit:
         raise PreconditionError("obstruction form is derived for unit radius")
     xiv = xi.value_array(p.coords)
     if np.linalg.norm(shape_apply_array(xi, p.coords, xiv)) > TOL_ANALYTIC:
@@ -466,5 +464,5 @@ def _unit_hopf_rows(xi: UnitVectorField, p: np.ndarray, x: np.ndarray):
 
 
 def _require_unit_hopf(xi: UnitVectorField, what: str) -> None:
-    if xi.name != "hopf" or abs(xi.sphere.radius - 1.0) > 1e-12:
+    if xi.name != "hopf" or not xi.sphere.is_unit:
         raise PreconditionError(f"{what} is specific to the Hopf field at unit radius")

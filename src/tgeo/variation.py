@@ -336,7 +336,7 @@ def propagate_fiber_frame(p0: SpherePoint,
     raise PropagationFailure.
     """
     sphere = p0.sphere
-    if abs(sphere.radius - 1.0) > 1e-12:
+    if not sphere.is_unit:
         raise PreconditionError("fiber propagation is defined on unit spheres")
     if steps < 8:
         raise DegenerateInputError("fiber propagation needs at least 8 steps")

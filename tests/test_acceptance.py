@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tgeo import (
+    TangentVector,
     bundle_sectional_curvature,
     destabilizing_field,
     destabilizing_integrand,
@@ -112,8 +113,8 @@ def test_criterion_3_curvature_bounds():
             p = sphere.random_point(rng)
             pair = gram_schmidt_rows(
                 sphere.project_array(p.coords, rng.standard_normal((2, N))))
-            K = submanifold_plane_curvature(xi, sphere.tangent(p, pair[0]),
-                                            sphere.tangent(p, pair[1]))
+            K = submanifold_plane_curvature(xi, TangentVector(p, pair[0]),
+                                            TangentVector(p, pair[1]))
             lo, hi = min(lo, K), max(hi, K)
         results.append((2 * m + 1, lo, hi))
         assert lo >= 0.25 - 1e-6
@@ -123,9 +124,10 @@ def test_criterion_3_curvature_bounds():
     sphere = xi.sphere
     p = sphere.random_point(np.random.default_rng((3, 10_000)))
     xiv = xi.value(p)
-    W = sphere.complete_frame([xiv])[1]
+    candidates = np.vstack([xiv.vec, sphere.project_array(p.coords, np.eye(4))])
+    W = TangentVector(p, gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1])
     k_xi = submanifold_plane_curvature(xi, xiv, W)
-    phi_w = (-1.0 * sphere.tangent(p, shape_apply_array(xi, p.coords, W.vec))).unit()
+    phi_w = TangentVector(p, -shape_apply_array(xi, p.coords, W.vec)).unit()
     k_phi = submanifold_plane_curvature(xi, W, phi_w)
     assert abs(k_xi - 0.25) < 1e-10
     assert abs(k_phi - 1.25) < 1e-10
@@ -263,7 +265,8 @@ def test_criterion_8_structural_identities():
             p = sphere.random_point(rng)
             X = sphere.random_tangent(p, rng)
             Y = sphere.random_tangent(p, rng)
-            lhs = half_curvature(xi, X, Y).vec - half_curvature(xi, Y, X).vec
+            lhs = (half_curvature(xi, p.coords, X.vec, Y.vec)
+                   - half_curvature(xi, p.coords, Y.vec, X.vec))
             rhs = sphere.curvature_array(X.vec, Y.vec, xi.value_array(p.coords))
             codazzi = max(codazzi, float(np.linalg.norm(lhs - rhs)))
             killing = max(killing, is_killing(xi, p).residual)
@@ -308,7 +311,7 @@ def test_criterion_9_svd_property_suite():
             ae = shape_apply_array(xi, p.coords, e)
             worst = max(worst, float(np.max(np.abs(ae - sd.lambdas[:, None] * f))))
             for i in range(len(sd.lambdas)):
-                af = conjugate_shape_operator(xi, sphere.tangent(p, f[i])).vec
+                af = conjugate_shape_operator(xi, TangentVector(p, f[i])).vec
                 worst = max(worst, float(np.linalg.norm(af - sd.lambdas[i] * e[i])))
             assert sd.lambdas[0] == 0.0
             assert np.all(np.diff(sd.lambdas[1:]) <= 1e-14)

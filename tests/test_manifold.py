@@ -5,6 +5,7 @@ from tgeo import (
     BasePointMismatchError,
     DegenerateInputError,
     Frame,
+    SpherePoint,
     SphereSpec,
     TangentVector,
     gram_schmidt_rows,
@@ -42,8 +43,19 @@ def test_tangent_projection_is_tangent():
 def test_tangent_rejects_non_tangent_vector():
     sphere = SphereSpec(3, 1.0)
     p = sphere.point([1.0, 0.0, 0.0])
-    with pytest.raises(DegenerateInputError):
-        sphere.tangent(p, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DegenerateInputError) as info:
+        TangentVector(p, np.array([1.0, 0.0, 0.0]))
+    assert str(info.value) == "vector is not tangent to the sphere"
+    with pytest.raises(DegenerateInputError) as info:
+        TangentVector(p, [0.0, 1e-11, 0.0]).unit()
+    assert str(info.value) == "cannot normalize a near-zero tangent vector"
+
+
+def test_point_rejects_off_sphere_coordinates():
+    sphere = SphereSpec(3, 2.0)
+    with pytest.raises(DegenerateInputError) as info:
+        SpherePoint(sphere, [2.0 + 1e-6, 0.0, 0.0])
+    assert str(info.value) == "coordinates do not lie on the sphere"
 
 
 def test_metric_and_curvature_constant():
@@ -78,12 +90,13 @@ def test_gram_schmidt_rows_drops_dependent_rows():
 def test_frame_validation():
     sphere = SphereSpec(3, 1.0)
     p = sphere.point([0.0, 0.0, 1.0])
-    good = Frame(p, (sphere.tangent(p, [1.0, 0.0, 0.0]),
-                     sphere.tangent(p, [0.0, 1.0, 0.0])))
+    good = Frame(p, (TangentVector(p, [1.0, 0.0, 0.0]),
+                     TangentVector(p, [0.0, 1.0, 0.0])))
     assert len(good) == 2
-    with pytest.raises(DegenerateInputError):
-        Frame(p, (sphere.tangent(p, [1.0, 0.0, 0.0]),
-                  sphere.tangent(p, [1.0, 0.0, 0.0])))
+    with pytest.raises(DegenerateInputError) as info:
+        Frame(p, (TangentVector(p, [1.0, 0.0, 0.0]),
+                  TangentVector(p, [1.0, 0.0, 0.0])))
+    assert str(info.value) == "frame is not orthonormal"
 
 
 def test_standard_frame_spans_tangent_space():
@@ -93,16 +106,6 @@ def test_standard_frame_spans_tangent_space():
     rows = sphere.standard_frame_rows(p.coords)
     assert rows.shape == (5, 6)
     assert np.allclose(rows @ p.coords, 0.0, atol=1e-12)
-
-
-def test_complete_frame_keeps_given_vectors_first():
-    sphere = SphereSpec(4, 1.0)
-    rng = np.random.default_rng(8)
-    p = sphere.random_point(rng)
-    v = sphere.random_tangent(p, rng).unit()
-    frame = sphere.complete_frame([v])
-    assert len(frame) == 3
-    assert np.allclose(frame[0].vec, v.vec)
 
 
 def test_covariant_derivative_matches_analytic():
@@ -132,13 +135,13 @@ def test_tangent_vector_arithmetic_and_base_guard():
     sphere = SphereSpec(3, 1.0)
     p = sphere.point([1.0, 0.0, 0.0])
     q = sphere.point([0.0, 1.0, 0.0])
-    a = sphere.tangent(p, [0.0, 1.0, 0.0])
-    b = sphere.tangent(p, [0.0, 0.0, 2.0])
-    c = sphere.tangent(q, [1.0, 0.0, 0.0])
+    a = TangentVector(p, [0.0, 1.0, 0.0])
+    b = TangentVector(p, [0.0, 0.0, 2.0])
+    c = TangentVector(q, [1.0, 0.0, 0.0])
     assert np.allclose((a + b).vec, [0.0, 1.0, 2.0])
     assert np.isclose((2.0 * a).norm(), 2.0)
     with pytest.raises(BasePointMismatchError):
-        a.dot(c)
+        a + c
 
 
 def test_random_frame_is_orthonormal():

@@ -15,8 +15,8 @@ def make_report(**kw):
 
 def test_roundtrip_json():
     rep = make_report()
-    text = rep.to_json()
-    back = VerificationReport.from_json(text)
+    text = reports_to_json([rep])
+    [back] = reports_from_json(text)
     assert back.name == rep.name
     assert back.parameters == rep.parameters
     assert back.max_residual == rep.max_residual
@@ -24,8 +24,8 @@ def test_roundtrip_json():
 
 
 def test_json_is_sorted_and_schema_tagged():
-    text = make_report().to_json()
-    data = json.loads(text)
+    text = reports_to_json([make_report()])
+    [data] = json.loads(text)
     assert data["schema"] == "tgeo-report/1"
     keys = list(data.keys())
     assert keys == sorted(keys)
@@ -53,10 +53,10 @@ def test_verdict_validation():
 
 
 def test_schema_mismatch_rejected():
-    data = json.loads(make_report().to_json())
-    data["schema"] = "something-else/9"
+    data = json.loads(reports_to_json([make_report()]))
+    data[0]["schema"] = "something-else/9"
     with pytest.raises(ValueError):
-        VerificationReport.from_json(json.dumps(data))
+        reports_from_json(json.dumps(data))
 
 
 def test_csv_layout():

@@ -5,12 +5,17 @@ from tgeo import (
     BundleVector,
     DegenerateInputError,
     DegeneratePlaneError,
+    Frame,
     PreconditionError,
+    TangentVector,
     bundle_sectional_curvature,
     geodesic_field_obstruction,
+    gram_schmidt_rows,
     horizontal_lift,
+    is_strongly_normal,
     killing_canonical_frames,
     sasaki_inner,
+    sasakian_identity_residual,
     second_form_direct,
     second_form_lemma,
     shape_apply_array,
@@ -33,7 +38,8 @@ def test_sasaki_inner_splits_into_parts(hopf3):
     h2, v2 = sphere.random_tangent(p, rng), sphere.random_tangent(p, rng)
     X = BundleVector(u, h1, v1)
     Y = BundleVector(u, h2, v2)
-    assert np.isclose(sasaki_inner(X, Y), h1.dot(h2) + v1.dot(v2), atol=1e-14)
+    assert np.isclose(sasaki_inner(X, Y), h1.vec @ h2.vec + v1.vec @ v2.vec,
+                      atol=1e-14)
 
 
 def test_tangential_lift_removes_anchor_component(hopf3):
@@ -74,7 +80,7 @@ def test_normal_lift_sees_only_perp_part(hopf3):
     p = sphere.random_point(rng)
     xiv = hopf3.value(p)
     W = sphere.random_tangent(p, rng)
-    Wperp = W - xiv * W.dot(xiv)
+    Wperp = W - xiv * float(W.vec @ xiv.vec)
     a = xi_normal_lift(hopf3, W)
     b = xi_normal_lift(hopf3, Wperp)
     assert np.allclose(a.horiz.vec, b.horiz.vec, atol=1e-13)
@@ -151,6 +157,30 @@ def test_second_form_nonunit_pattern(hopf3_r2):
     assert abs(om[0, 2, 0] + om[1, 1, 0]) < 1e-6  # opposite signs across rows
 
 
+def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
+    """On unit S^7 one singular decomposition builds its two frames (2 Frames,
+    2 n1 TangentVectors); the second-form routes given those frames and the
+    sampled predicates build no TangentVector or Frame."""
+    counts = {TangentVector: 0, Frame: 0}
+    for cls in counts:
+        def counted(self, _cls=cls, _check=cls.__post_init__):
+            counts[_cls] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    n1 = hopf7.sphere.dim
+    for p in seeded_points(hopf7, 2, seed=30):
+        before = dict(counts)
+        sd = singular_decomposition(hopf7, p)
+        assert counts[Frame] - before[Frame] == 2
+        assert counts[TangentVector] - before[TangentVector] == 2 * n1
+        before = dict(counts)
+        second_form_lemma(hopf7, p, sd)
+        second_form_direct(hopf7, p, sd)
+        is_strongly_normal(hopf7, p)
+        sasakian_identity_residual(hopf7, p)
+        assert counts == before
+
+
 def test_meridian_second_form_is_large(meridian2):
     theta = np.pi / 3.0
     p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
@@ -196,10 +226,11 @@ def test_designated_sections(hopf3):
     sphere = hopf3.sphere
     p = sphere.random_point(np.random.default_rng(18))
     xiv = hopf3.value(p)
-    W = sphere.complete_frame([xiv])[1]
+    candidates = np.vstack([xiv.vec, sphere.project_array(p.coords, np.eye(4))])
+    W = TangentVector(p, gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1])
     k_xi = submanifold_plane_curvature(hopf3, xiv, W)
     assert abs(k_xi - 0.25) < 1e-10
-    phi_w = (-1.0 * sphere.tangent(p, shape_apply_array(hopf3, p.coords, W.vec))).unit()
+    phi_w = TangentVector(p, -shape_apply_array(hopf3, p.coords, W.vec)).unit()
     k_phi = submanifold_plane_curvature(hopf3, W, phi_w)
     assert abs(k_phi - 1.25) < 1e-10
 

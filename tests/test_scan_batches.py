@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
-from tgeo import DegenerateInputError, DegeneratePlaneError, hopf_field
+from tgeo import DegenerateInputError, DegeneratePlaneError, TangentVector, hopf_field
 from tgeo.sasaki import (
     BundleVector,
     bundle_sectional_curvature,
@@ -306,7 +306,7 @@ def test_one_plane_warning_points_at_the_caller():
     p = sphere.random_point(rng)
     X, Y = sphere.random_orthonormal_frame(p, rng)[:2]
     u = sphere.random_tangent(p, rng).unit()
-    stray = sphere.tangent(p, Y.vec + 1e-3 * u.vec)
+    stray = TangentVector(p, Y.vec + 1e-3 * u.vec)
     Xb = BundleVector(u, X, sphere.zero_tangent(p))
     Yb = BundleVector(u, sphere.zero_tangent(p), stray)
     with warnings.catch_warnings(record=True) as caught:
