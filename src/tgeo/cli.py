@@ -56,16 +56,7 @@ from .sasaki import (
     tangential_lift_array,
     xi_tangential_lift_array,
 )
-from .variation import (
-    PropagationFailure,
-    Quadrature,
-    QuadratureFailure,
-    destabilizing_integrand,
-    integrate_over_sphere,
-    random_hopf_combination,
-    reduced_integrand,
-    stability_verdict,
-)
+from .variation import PropagationFailure, QuadratureFailure, stability_verdict
 from .report import VerificationReport, reports_to_csv, reports_to_json
 
 
@@ -526,24 +517,10 @@ def _plane_rows_csv(rows, reports) -> str:
 def cmd_variation(config: RunConfig) -> int:
     if config.field != "hopf":
         raise UsageError("variation analysis is defined for the hopf field")
-    xi = build_field(config)
-    if not xi.sphere.is_unit:
+    if not build_field(config).sphere.is_unit:
         raise UsageError("variation analysis needs unit radius")
-    mode = config.mode or "auto"
-    report = stability_verdict(config.dim, mode, samples=config.samples,
-                               fiber_steps=config.fiber_steps,
-                               seed=config.seed)
-    # magnitude estimate for the second variation of the run's witness family
-    sphere = xi.sphere
-    if report.parameters["mode"] == "instability":
-        fn = destabilizing_integrand(xi)
-    else:
-        eta0 = random_hopf_combination(np.random.default_rng((config.seed, 0)))
-        fn = lambda q: reduced_integrand(xi, eta0, sphere.point(q))
-    quad = integrate_over_sphere(fn, sphere, Quadrature(config.samples, config.seed))
-    report.notes.append(
-        f"Monte Carlo second-variation magnitude: {quad.value:.6f} "
-        f"+/- {quad.std_error:.3e} over volume {quad.volume:.6f}")
+    report = stability_verdict(config.dim, samples=config.samples,
+                               fiber_steps=config.fiber_steps, seed=config.seed)
     _emit([report], config)
     return 0 if report.ok else 1
 
@@ -562,6 +539,9 @@ def cmd_svd(config: RunConfig) -> int:
         coords[0] = math.cos(theta)
         coords[1] = math.sin(theta)
         p = sphere.point(coords * sphere.radius)
+    elif config.theta is not None:
+        raise UsageError("theta is read for the meridian field only; the hopf "
+                         "field's sample point is drawn from the seed")
     else:
         p = _sample_point(xi, np.random.default_rng((config.seed, 0)))
 
@@ -697,13 +677,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--mode", choices=("submanifold", "bundle", "both"))
     _add_common(scan)
 
-    var = sub.add_parser("variation", help="second-variation stability run")
-    var.add_argument("--mode", choices=("auto", "stable-S3", "instability"))
-    _add_common(var)
+    _add_common(sub.add_parser("variation",
+                               help="second-variation stability run"))
 
     svd = sub.add_parser("svd", help="singular frames at one point")
     svd.add_argument("--theta", type=float,
-                     help="polar angle of the sample point (meridian field)")
+                     help="polar angle of the sample point (meridian field only)")
     _add_common(svd)
     return parser
 

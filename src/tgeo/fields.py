@@ -204,13 +204,13 @@ def _complete_left_frame(assigned: list, candidates: np.ndarray,
 
 def _assemble_frames(p: SpherePoint, rows: np.ndarray, M: np.ndarray,
                      lambdas: np.ndarray, e_comps: np.ndarray,
-                     f_comps: np.ndarray, xiv: np.ndarray, assembly_tol: float,
-                     label: str, *, pin_e0: bool = False) -> SingularData:
+                     f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
+                     pin_e0: bool = False) -> SingularData:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
-    components to ``assembly_tol * max(1, lambda_max)``, then build the
+    components to ``ASSEMBLY_TOL * max(1, lambda_max)``, then build the
     ambient frames with f_0 (and, with ``pin_e0``, e_0) set exactly to the
     field vector ``xiv``."""
-    tol = assembly_tol * max(1.0, float(np.max(lambdas)))
+    tol = ASSEMBLY_TOL * max(1.0, float(np.max(lambdas)))
     resid = max(
         float(np.max(np.linalg.norm(e_comps @ M.T - lambdas[:, None] * f_comps,
                                     axis=1))),
@@ -230,8 +230,7 @@ def _assemble_frames(p: SpherePoint, rows: np.ndarray, M: np.ndarray,
     return SingularData(lambdas, right, left)
 
 
-def singular_decomposition(xi: UnitVectorField, p: SpherePoint, *,
-                           assembly_tol: float = ASSEMBLY_TOL) -> SingularData:
+def singular_decomposition(xi: UnitVectorField, p: SpherePoint) -> SingularData:
     """SVD of A_xi with the zero singular value pinned first and f_0 = xi.
 
     Right/left frames satisfy A e_i = lambda_i f_i with lambda_1 >= ... >=
@@ -270,11 +269,10 @@ def singular_decomposition(xi: UnitVectorField, p: SpherePoint, *,
             f_list[slot] = vec
     f_comps = np.array(f_list)
     return _assemble_frames(p, rows, M, lambdas, e_comps, f_comps, xiv,
-                            assembly_tol, "singular frame assembly")
+                            "singular frame assembly")
 
 
-def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
-                             assembly_tol: float = ASSEMBLY_TOL) -> SingularData:
+def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularData:
     """Canonically paired singular frames for a Killing field.
 
     Arranges e = (xi, v_1..v_m, w_1..w_m, kernel...) with w_a = A v_a /
@@ -344,7 +342,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint, *,
     if e_comps.shape != (n1, n1):
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
     return _assemble_frames(p, rows, M, lambdas, e_comps, f_comps, xiv,
-                            assembly_tol, "canonical frame", pin_e0=True)
+                            "canonical frame", pin_e0=True)
 
 
 # -- half curvature tensor -------------------------------------------------

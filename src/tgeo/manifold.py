@@ -42,12 +42,6 @@ def _as_readonly(values) -> np.ndarray:
     return arr
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float = GS_PIVOT_TOL,
                       drop: bool = False) -> np.ndarray:
     """Orthonormalize the rows of ``mat`` in order (modified Gram-Schmidt).
@@ -248,18 +242,17 @@ class SphereSpec:
 
     # -- sampling and frames ----------------------------------------------
 
-    def random_point(self, seed) -> "SpherePoint":
-        rng = _rng_of(seed)
-        vec = rng.standard_normal(self.ambient_dim)
-        return self.point(vec)
+    def random_point(self, rng: np.random.Generator) -> "SpherePoint":
+        return self.point(rng.standard_normal(self.ambient_dim))
 
-    def random_tangent(self, p: "SpherePoint", seed) -> "TangentVector":
-        v = _rng_of(seed).standard_normal(self.ambient_dim)
+    def random_tangent(self, p: "SpherePoint",
+                       rng: np.random.Generator) -> "TangentVector":
+        v = rng.standard_normal(self.ambient_dim)
         pc = p.coords
         return TangentVector(p, v - (v @ pc) / self.radius ** 2 * pc)
 
-    def random_orthonormal_frame(self, p: "SpherePoint", seed) -> "Frame":
-        rng = _rng_of(seed)
+    def random_orthonormal_frame(self, p: "SpherePoint",
+                                 rng: np.random.Generator) -> "Frame":
         raw = rng.standard_normal((self.dim, self.ambient_dim))
         rows = gram_schmidt_rows(self.project_array(p.coords, raw))
         return Frame(p, tuple(TangentVector(p, r) for r in rows))

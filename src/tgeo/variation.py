@@ -70,19 +70,6 @@ VariationField = UnitVectorField
 # -- quadrature ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Uniform Monte Carlo sampling plan; each sample index derives its own
-    RNG stream, so estimates are independent of evaluation order."""
-
-    samples: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise DegenerateInputError("quadrature needs at least one sample")
-
-
 QuadratureResult = namedtuple(
     "QuadratureResult", ["value", "std_error", "samples", "rejected", "volume"])
 
@@ -94,16 +81,20 @@ def sphere_volume(sphere: SphereSpec) -> float:
 
 
 def integrate_over_sphere(fn: Callable[[np.ndarray], float], sphere: SphereSpec,
-                          quadrature: Quadrature) -> QuadratureResult:
-    """Unbiased estimate vol * mean(fn) with standard error.
+                          samples: int, seed: int) -> QuadratureResult:
+    """Unbiased estimate vol * mean(fn) with standard error, from ``samples``
+    uniform points.
 
-    Non-finite integrand values are rejected and counted; more than 1%
-    rejections aborts the estimate.
+    Sample idx draws from its own RNG stream (seed, idx), so the estimate
+    does not depend on evaluation order. Non-finite integrand values are
+    rejected and counted; more than 1% rejections aborts the estimate.
     """
+    if samples < 1:
+        raise DegenerateInputError("quadrature needs at least one sample")
     vals = []
     rejected = 0
-    for idx in range(quadrature.samples):
-        rng = np.random.default_rng((quadrature.seed, idx))
+    for idx in range(samples):
+        rng = np.random.default_rng((seed, idx))
         vec = rng.standard_normal(sphere.ambient_dim)
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
@@ -115,15 +106,14 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], float], sphere: SphereSpec,
             vals.append(val)
         else:
             rejected += 1
-    if rejected > 0.01 * quadrature.samples:
-        raise QuadratureFailure(
-            f"{rejected} of {quadrature.samples} samples rejected")
+    if rejected > 0.01 * samples:
+        raise QuadratureFailure(f"{rejected} of {samples} samples rejected")
     vol = sphere_volume(sphere)
     arr = np.array(vals)
     value = vol * float(np.mean(arr))
     std_error = vol * float(np.std(arr, ddof=1)) / math.sqrt(len(arr)) \
         if len(arr) > 1 else 0.0
-    return QuadratureResult(value, std_error, quadrature.samples, rejected, vol)
+    return QuadratureResult(value, std_error, samples, rejected, vol)
 
 
 # -- integrands ----------------------------------------------------------------
@@ -468,34 +458,41 @@ def destabilizing_integrand(xi: UnitVectorField):
 # -- verdicts -------------------------------------------------------------------
 
 
-def stability_verdict(dim: int, mode: str = "auto", *, field_count: int = 100,
-                      samples: int = 100, fiber_steps: int = DEFAULT_FIBER_STEPS,
+def stability_verdict(dim: int, *, field_count: int = 100, samples: int = 100,
+                      fiber_steps: int = DEFAULT_FIBER_STEPS,
                       seed: int = 0) -> VerificationReport:
     """Certify the sign of the second volume variation for the Hopf field
     on the unit sphere S^dim.
 
-    mode "stable-S3" (dim 3): the closed-form integrand stays at or above
-    |eta|^2 / 2 pointwise across random frame-built fields, which is the
-    stability bound. mode "instability" (dim >= 5): the destabilizing fiber
-    field has integrand ratio (5-2n)/2 < 0 at every fiber sample, and sign
-    constancy turns the pointwise witness into a negative second variation.
-    mode "auto" picks by dimension.
+    The dimension picks the witness, since only these pairings certify a
+    sign. On S^3 (stable): the closed-form integrand stays at or above
+    |eta|^2 / 2 pointwise across ``field_count`` random frame-built fields
+    at ``samples`` points each, which is the stability bound. On S^5 and up
+    (unstable): the destabilizing fiber field has integrand ratio
+    (5-2n)/2 < 0 at every fiber sample, and sign constancy turns the
+    pointwise witness into a negative second variation.
+
+    The last note is a Monte Carlo magnitude of the witness's second
+    variation over ``samples`` points: field 0 of the S^3 family, or the
+    destabilizing integrand. ``wall_time_s`` covers the whole run.
     """
     if dim < 3 or dim % 2 == 0:
         raise DegenerateInputError("stability analysis needs odd dimension >= 3")
     xi = hopf_field((dim - 1) // 2)
-    if mode == "auto":
-        mode = "stable-S3" if dim == 3 else "instability"
-    if mode not in ("stable-S3", "instability"):
-        raise DegenerateInputError(f"unknown stability mode {mode!r}")
+    sphere = xi.sphere
 
     t_start = time.perf_counter()
-    if mode == "stable-S3":
-        if dim != 3:
-            raise DegenerateInputError("stable-S3 mode is defined on S^3")
+    if dim == 3:
         report = _stable_s3_run(xi, field_count, samples, seed)
+        eta0 = random_hopf_combination(np.random.default_rng((seed, 0)))
+        fn = lambda q: reduced_integrand(xi, eta0, sphere.point(q))
     else:
         report = _instability_run(xi, dim, fiber_steps, seed)
+        fn = destabilizing_integrand(xi)
+    quad = integrate_over_sphere(fn, sphere, samples, seed)
+    report.notes.append(
+        f"Monte Carlo second-variation magnitude: {quad.value:.6f} "
+        f"+/- {quad.std_error:.3e} over volume {quad.volume:.6f}")
     report.wall_time_s = time.perf_counter() - t_start
     return report
 
@@ -565,12 +562,7 @@ def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:
                 grad_resid = max(grad_resid, abs(g))
 
     checks_ok = max_dev <= VERDICT_TOL and d0_resid <= 1e-4 and grad_resid <= 1e-4
-    if not checks_ok:
-        verdict = "fail"
-    elif target < 0.0:
-        verdict = "unstable"
-    else:
-        verdict = "pass"  # the witness integrand is positive; no instability
+    verdict = "unstable" if checks_ok else "fail"  # target < 0 for dim >= 5
     notes = [
         f"witness integrand ratio target {target:+.3f}; "
         f"max deviation {max_dev:.3e} over {fiber.node_count} fiber samples",

@@ -199,7 +199,7 @@ def test_criterion_6_destabilizing_ratio():
             max_dev = max(max_dev, abs(red / float(nv @ nv) - target))
             d0 = eta.covariant_derivative_array(q, fiber.e0s[node])
             d0_resid = max(d0_resid, float(np.linalg.norm(d0)))
-        rep = stability_verdict(2 * m + 1, "instability", seed=6)
+        rep = stability_verdict(2 * m + 1, seed=6)
         lines.append(f"S^{2*m+1}: ratio dev {max_dev:.2e}, "
                      f"fiber derivative {d0_resid:.2e}, verdict {rep.verdict}")
         assert max_dev < 1e-3

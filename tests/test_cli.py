@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
+import tgeo.variation as variation
 from tgeo import QuadratureFailure, SphereSpec
 from tgeo.fields import TOL_ANALYTIC
 from tgeo.cli import RunConfig, UsageError, main
@@ -124,6 +125,8 @@ def test_usage_errors_exit_two(capsys):
     run_cli(capsys, ["variation", "--field", "meridian", "--dim", "2"], expect=2)
     run_cli(capsys, ["verify", "jacobi", "--field", "meridian", "--dim", "2",
                      "--samples", "3"], expect=2)
+    run_cli(capsys, ["svd", "--field", "hopf", "--theta", "0.5"], expect=2)
+    run_cli(capsys, ["variation", "--mode", "auto", "--samples", "1"], expect=2)
 
 
 def test_numerical_failure_exit_three(capsys, monkeypatch):
@@ -233,6 +236,19 @@ def test_variation_fiber_steps_below_64_rejected(capsys):
     rep = json.loads(out)[0]
     assert rep["parameters"]["fiber_steps"] == 80
     assert rep["samples"] == 81
+
+
+def test_variation_report_times_its_quadrature(capsys, monkeypatch):
+    real = variation.integrate_over_sphere
+
+    def slow(*args):
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(variation, "integrate_over_sphere", slow)
+    _, out = run_cli(capsys, ["variation", "--dim", "5", "--samples", "8"],
+                     expect=0)
+    assert json.loads(out)[0]["wall_time_s"] >= 0.2
 
 
 def test_variation_command_s3(capsys):

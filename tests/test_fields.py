@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tgeo.fields as fields
 from tgeo import (
     DecompositionFailure,
     DegenerateInputError,
@@ -214,12 +215,14 @@ def test_killing_canonical_lambda_layout(hopf3_r2):
     (killing_canonical_frames, "canonical frame"),
 ])
 def test_frame_assembly_refuses_tolerance_below_residual(decompose, prefix,
-                                                          hopf5, hopf3_r2):
+                                                          hopf5, hopf3_r2,
+                                                          monkeypatch):
+    monkeypatch.setattr(fields, "ASSEMBLY_TOL", 0.0)
     for xi in (hopf5, hopf3_r2):
         for p in seeded_points(xi, 3, seed=13):
             with pytest.raises(DecompositionFailure,
                                match=rf"^{prefix} residual \S+ exceeds 0\.0e\+00$"):
-                decompose(xi, p, assembly_tol=0.0)
+                decompose(xi, p)
 
 
 def test_killing_canonical_rejects_non_killing(meridian2):

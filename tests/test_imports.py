@@ -1,6 +1,7 @@
 """Every name a tgeo module imports must be used in that module, and every
 module-level constant or private function must be read by some module, so a
-deletion cannot leave a stale import, constant or helper behind."""
+deletion cannot leave a stale import, constant or helper behind. The
+library's defaulted options are counted, so a new one is a visible change."""
 
 import ast
 import re
@@ -13,6 +14,10 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # Module-level constants by naming convention, private ones included.
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+# The library's defaulted parameters and dataclass fields, as ROADMAP.md
+# states the figure under quality of design.
+LIBRARY_OPTIONS = 20
 
 
 def unused_imports(source: str) -> list:
@@ -59,6 +64,40 @@ def unread_definitions(sources: dict) -> list:
                   for module, name, line in defined if name not in read)
 
 
+def defaulted_options(source: str) -> list:
+    """Defaulted parameters of top-level functions and of the methods of
+    top-level classes, and dataclass fields with a default, as
+    ``owner.name(param)`` and ``Class.field``. Nested functions, lambdas,
+    and ``_private`` functions and parameters are skipped."""
+    out = []
+
+    def params(fn, owner):
+        if fn.name.startswith("_"):
+            return
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        named = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        out.extend(f"{owner}{fn.name}({a.arg})" for a in named
+                   if not a.arg.startswith("_"))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            params(node, "")
+        elif isinstance(node, ast.ClassDef):
+            dataclass = any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass" for d in node.decorator_list)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    params(item, f"{node.name}.")
+                elif (dataclass and isinstance(item, ast.AnnAssign)
+                      and item.value is not None
+                      and not item.target.id.startswith("_")):
+                    out.append(f"{node.name}.{item.target.id}")
+    return out
+
+
 def test_detects_stray_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == \
         ["os (line 1)"]
@@ -76,6 +115,38 @@ def test_detects_unread_constant_and_private_function():
     }
     assert unread_definitions(sources) == ["a.STEP_TOL (line 1)",
                                            "a._dead (line 7)"]
+
+
+def test_counts_defaulted_options():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2, d, _e=3):\n"
+        "    def inner(x=1):\n"
+        "        return lambda y=2: y\n"
+        "def _private(a=1):\n"
+        "    pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    n: int\n"
+        "    radius: float = 1.0\n"
+        "    _cache: dict = None\n"
+        "    def scaled(self, k=2.0):\n"
+        "        pass\n"
+        "    def _helper(self, k=2.0):\n"
+        "        pass\n"
+        "class Plain:\n"
+        "    limit: int = 3\n")
+    assert defaulted_options(source) == ["f(b)", "f(c)", "Spec.radius",
+                                         "Spec.scaled(k)"]
+
+
+def test_library_option_count():
+    found = [f"{p.stem}.{name}" for p in MODULES if p.name != "cli.py"
+             for name in defaulted_options(p.read_text(encoding="utf-8"))]
+    assert len(found) == LIBRARY_OPTIONS, (
+        f"{len(found)} defaulted options, expected {LIBRARY_OPTIONS}: {found}. "
+        "If the count changed on purpose, update LIBRARY_OPTIONS and the "
+        "figure under quality of design in ROADMAP.md.")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from tgeo import (
     DegenerateInputError,
     PreconditionError,
     PropagationFailure,
-    Quadrature,
     QuadratureFailure,
     SphereSpec,
     VariationField,
@@ -24,6 +25,7 @@ from tgeo import (
     sphere_volume,
     stability_verdict,
 )
+from tgeo.cli import main
 from tgeo.variation import _LJ, _LK
 
 
@@ -35,7 +37,7 @@ def test_sphere_volume_closed_values():
 
 def test_integrate_constant_function():
     sphere = SphereSpec(4, 1.0)
-    res = integrate_over_sphere(lambda q: 3.0, sphere, Quadrature(500, seed=1))
+    res = integrate_over_sphere(lambda q: 3.0, sphere, 500, 1)
     assert np.isclose(res.value, 3.0 * 2.0 * np.pi ** 2)
     assert res.std_error < 1e-12
     assert res.rejected == 0
@@ -44,27 +46,27 @@ def test_integrate_constant_function():
 def test_integrate_coordinate_square():
     """int x_0^2 over S^3 = vol / 4 by symmetry; Monte Carlo within 4 sigma."""
     sphere = SphereSpec(4, 1.0)
-    res = integrate_over_sphere(lambda q: q[0] ** 2, sphere, Quadrature(4000, seed=2))
+    res = integrate_over_sphere(lambda q: q[0] ** 2, sphere, 4000, 2)
     target = 2.0 * np.pi ** 2 / 4.0
     assert abs(res.value - target) < 4.0 * res.std_error + 1e-12
 
 
 def test_integrate_is_deterministic():
     sphere = SphereSpec(4, 1.0)
-    a = integrate_over_sphere(lambda q: q[1] ** 4, sphere, Quadrature(256, seed=7))
-    b = integrate_over_sphere(lambda q: q[1] ** 4, sphere, Quadrature(256, seed=7))
+    a = integrate_over_sphere(lambda q: q[1] ** 4, sphere, 256, 7)
+    b = integrate_over_sphere(lambda q: q[1] ** 4, sphere, 256, 7)
     assert a.value == b.value and a.std_error == b.std_error
 
 
 def test_integrate_rejects_nan_budget():
     sphere = SphereSpec(4, 1.0)
     with pytest.raises(QuadratureFailure):
-        integrate_over_sphere(lambda q: np.nan, sphere, Quadrature(100, seed=0))
+        integrate_over_sphere(lambda q: np.nan, sphere, 100, 0)
 
 
 def test_quadrature_validates_samples():
     with pytest.raises(DegenerateInputError):
-        Quadrature(0)
+        integrate_over_sphere(lambda q: 1.0, SphereSpec(4, 1.0), 0, 0)
 
 
 # -- integrands -----------------------------------------------------------------
@@ -232,15 +234,19 @@ def test_stability_verdict_s3():
     assert rep.ok
 
 
-def test_stability_verdict_s5_s7():
+def test_stability_verdict_s5_s7(capsys):
     for dim in (5, 7):
         rep = stability_verdict(dim=dim)
         assert rep.verdict == "unstable"
         assert rep.max_residual < 1e-3
+    # the library run carries the CLI report's Monte Carlo magnitude
+    rep = stability_verdict(dim=5, samples=8)
+    assert main(["variation", "--dim", "5", "--samples", "8"]) == 0
+    cli_rep = json.loads(capsys.readouterr().out)[0]
+    assert rep.notes[-1].startswith("Monte Carlo second-variation magnitude")
+    assert rep.notes[-1] == cli_rep["notes"][-1]
 
 
 def test_stability_verdict_validation():
     with pytest.raises(DegenerateInputError):
         stability_verdict(dim=4)
-    with pytest.raises(DegenerateInputError):
-        stability_verdict(dim=5, mode="stable-S3")
