@@ -20,6 +20,7 @@ from .manifold import (
     SpherePoint,
     TangentVector,
     _check_tangent_stack,
+    _matvec_rows,
     gram_schmidt_rows,
 )
 
@@ -58,6 +59,11 @@ class UnitVectorField:
     finite differences are taken only of derived quantities (``half_curvature``
     and the second-form routes) and, as a check of the Jacobian itself, in
     ``sasakian_identity_residual``.
+
+    The Hopf field and the variation fields of ``tgeo.variation`` also take
+    a stack of points: ``(N, ambient)`` coordinates give ``(N, ambient)``
+    values and ``(N, ambient, ambient)`` Jacobians, each row equal to its
+    one-point call. The meridian field takes one point.
 
     Unit norm is a contract only for the field passed as ``xi``, and nothing
     checks it; variation directions eta (``tgeo.variation.VariationField`` is
@@ -105,10 +111,18 @@ def hopf_field(m: int, radius: float = 1.0) -> UnitVectorField:
     J = complex_structure(sphere.ambient_dim)
     jac = J / radius
     jac.flags.writeable = False
+
+    def jacobian(p):
+        # the constant matrix itself at one point, a read-only view of it
+        # per row of a stack
+        if p.ndim == 1:
+            return jac
+        return np.broadcast_to(jac, p.shape[:-1] + jac.shape)
+
     return UnitVectorField(
         sphere,
-        value_fn=lambda p, _J=J, _r=radius: (_J @ p) / _r,
-        jacobian_fn=lambda p, _jac=jac: _jac,
+        value_fn=lambda p, _J=J, _r=radius: _matvec_rows(_J, p) / _r,
+        jacobian_fn=jacobian,
         name="hopf",
     )
 

@@ -128,13 +128,17 @@ def _check_frames_stack(frames: np.ndarray) -> None:
                  DegenerateInputError, "frame is not orthonormal")
 
 
-def _gram_schmidt_stack(mats: np.ndarray) -> np.ndarray:
+def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
+                        drop: bool) -> np.ndarray:
     """gram_schmidt_rows for each (k, ambient) matrix of an (N, k, ambient)
-    stack, with the same arithmetic; a pivot below GS_PIVOT_TOL raises.
+    stack, with the same arithmetic. A pivot below ``pivot_tol`` raises,
+    or with ``drop`` leaves a zero row in its slot: subtracting a zero row
+    leaves every later row unchanged bit for bit, so the nonzero rows of
+    each matrix are those ``gram_schmidt_rows(..., drop=True)`` returns.
 
     Kept apart from ``gram_schmidt_rows``: one shared implementation made
     the 2-d call 1.1-1.8x slower, and that call is the top self-time kernel
-    of the second-form and variation runs.
+    of the second-form runs.
     """
     out = np.empty_like(mats)
     for i in range(mats.shape[1]):
@@ -143,11 +147,21 @@ def _gram_schmidt_stack(mats: np.ndarray) -> np.ndarray:
             for j in range(i):
                 v -= np.vecdot(v, out[:, j])[:, None] * out[:, j]
         norm = _row_norms(v)
-        _reject_rows(norm < GS_PIVOT_TOL, DegenerateInputError,
-                     lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
-                                 f"{GS_PIVOT_TOL:.1e}")
-        out[:, i] = v / norm[:, None]
+        keep = ~(norm < pivot_tol)
+        if not drop:
+            _reject_rows(~keep, DegenerateInputError,
+                         lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
+                                     f"{pivot_tol:.1e}")
+        out[:, i] = np.where(keep[:, None],
+                             v / np.where(keep, norm, 1.0)[:, None], 0.0)
     return out
+
+
+def _matvec_rows(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mat @ v`` for each row v of ``vecs`` (..., n), with ``mat`` one
+    matrix or one per row: the BLAS matrix-vector product of the one-vector
+    call, row by row (a 2-d product would round differently)."""
+    return np.matmul(mat, vecs[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -261,8 +275,10 @@ class SphereSpec:
     # sample i's own generator gives the one-sample calls, in their order.
     # The arithmetic and the checks are those of the one-sample path.
 
-    def _stacked_points(self, draws: np.ndarray) -> np.ndarray:
-        """random_point for each row of ``draws`` (N, ambient)."""
+    def stacked_points(self, draws: np.ndarray) -> np.ndarray:
+        """``point`` for each row of ``draws`` (N, ambient), so also
+        random_point: the rows normalized onto the sphere with the same
+        arithmetic and checked row by row."""
         norms = _row_norms(draws)
         _reject_rows(norms < GS_PIVOT_TOL, DegenerateInputError,
                      "cannot normalize a near-zero vector")
@@ -276,7 +292,7 @@ class SphereSpec:
 
         Returns the points (N, ambient) and the tangents (N, k, ambient).
         """
-        p = self._stacked_points(draws[:, 0])
+        p = self.stacked_points(draws[:, 0])
         at = p[:, None, :]
         raw = draws[:, 1:]
         t = raw - (np.vecdot(raw, at) / self.radius ** 2)[:, :, None] * at
@@ -289,10 +305,11 @@ class SphereSpec:
 
         Returns the points (N, ambient) and the frames (N, dim, ambient).
         """
-        p = self._stacked_points(draws[:, 0])
+        p = self.stacked_points(draws[:, 0])
         raw = draws[:, 1:]
         outer = np.matmul(raw, p[:, :, None]) * p[:, None, :]
-        frames = _gram_schmidt_stack(raw - outer / self.radius ** 2)
+        frames = _gram_schmidt_stack(raw - outer / self.radius ** 2,
+                                     pivot_tol=GS_PIVOT_TOL, drop=False)
         _check_tangent_stack(self.radius, p, frames)
         _check_frames_stack(frames)
         return p, frames

@@ -454,11 +454,11 @@ def tangential_lift_array(v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _unit_hopf_rows(xi: UnitVectorField, p: np.ndarray, x: np.ndarray):
-    """xi(p) and A x row by row for the unit Hopf field, from its constant
-    Jacobian J: J p is ``value_array`` (J p / r at r = 1) and the rest is
-    ``shape_apply_array``, with the same floating-point operations."""
+    """xi(p) and A x row by row for the unit Hopf field; A x from its
+    constant Jacobian J, with the floating-point operations of
+    ``shape_apply_array``."""
     J = xi.jacobian_array(p[0])
-    xiv = np.matmul(J, p[:, :, None])[:, :, 0]
+    xiv = xi.value_array(p)
     w = np.matmul(x[:, None, :], J.T)[:, 0, :]
     return xiv, -(w - (np.vecdot(w, p) / xi.sphere.radius ** 2)[:, None] * p)
 

@@ -37,7 +37,7 @@ def test_sphere_volume_closed_values():
 
 def test_integrate_constant_function():
     sphere = SphereSpec(4, 1.0)
-    res = integrate_over_sphere(lambda q: 3.0, sphere, 500, 1)
+    res = integrate_over_sphere(lambda q: np.full(len(q), 3.0), sphere, 500, 1)
     assert np.isclose(res.value, 3.0 * 2.0 * np.pi ** 2)
     assert res.std_error < 1e-12
     assert res.rejected == 0
@@ -46,27 +46,29 @@ def test_integrate_constant_function():
 def test_integrate_coordinate_square():
     """int x_0^2 over S^3 = vol / 4 by symmetry; Monte Carlo within 4 sigma."""
     sphere = SphereSpec(4, 1.0)
-    res = integrate_over_sphere(lambda q: q[0] ** 2, sphere, 4000, 2)
+    res = integrate_over_sphere(lambda q: q[:, 0] ** 2, sphere, 4000, 2)
     target = 2.0 * np.pi ** 2 / 4.0
     assert abs(res.value - target) < 4.0 * res.std_error + 1e-12
 
 
 def test_integrate_is_deterministic():
     sphere = SphereSpec(4, 1.0)
-    a = integrate_over_sphere(lambda q: q[1] ** 4, sphere, 256, 7)
-    b = integrate_over_sphere(lambda q: q[1] ** 4, sphere, 256, 7)
+    a = integrate_over_sphere(lambda q: q[:, 1] ** 4, sphere, 256, 7)
+    b = integrate_over_sphere(lambda q: q[:, 1] ** 4, sphere, 256, 7)
     assert a.value == b.value and a.std_error == b.std_error
 
 
 def test_integrate_rejects_nan_budget():
     sphere = SphereSpec(4, 1.0)
     with pytest.raises(QuadratureFailure):
-        integrate_over_sphere(lambda q: np.nan, sphere, 100, 0)
+        integrate_over_sphere(lambda q: np.full(len(q), np.nan), sphere, 100, 0)
 
 
 def test_quadrature_validates_samples():
     with pytest.raises(DegenerateInputError):
-        integrate_over_sphere(lambda q: 1.0, SphereSpec(4, 1.0), 0, 0)
+        integrate_over_sphere(lambda q: np.ones(len(q)), SphereSpec(4, 1.0), 0, 0)
+    with pytest.raises(DegenerateInputError, match="shape"):
+        integrate_over_sphere(lambda q: 1.0, SphereSpec(4, 1.0), 10, 0)
 
 
 # -- integrands -----------------------------------------------------------------
@@ -212,9 +214,8 @@ def test_destabilizing_ratio(m, target):
     xi = hopf_field(m, 1.0)
     fn = destabilizing_integrand(xi)
     rng = np.random.default_rng(15)
-    for _ in range(16):
-        q = xi.sphere.random_point(rng).coords
-        assert abs(fn(q) - target) < 1e-10
+    q = np.array([xi.sphere.random_point(rng).coords for _ in range(16)])
+    assert np.max(np.abs(fn(q) - target)) < 1e-10
 
 
 def test_destabilizing_ratio_positive_on_s3():
@@ -222,7 +223,7 @@ def test_destabilizing_ratio_positive_on_s3():
     xi = hopf_field(1, 1.0)
     fn = destabilizing_integrand(xi)
     q = xi.sphere.random_point(np.random.default_rng(16)).coords
-    assert abs(fn(q) - 0.5) < 1e-10
+    assert abs(fn(q[None])[0] - 0.5) < 1e-10
 
 
 # -- verdicts ---------------------------------------------------------------------

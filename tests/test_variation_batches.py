@@ -1,0 +1,399 @@
+"""Stacked variation kernels against a one-point reference.
+
+The reference functions below are the one-point formulas the variation
+layer used before it took stacks, written with ``@``, ``np.outer`` and
+``np.linalg.norm``, and the one-matrix ``gram_schmidt_rows``. The stacked
+fields and kernels promise the same bits under the interpreter and numpy
+the benchmark digests were recorded with, and a last-bit margin elsewhere.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import tgeo.variation as variation
+from tgeo import (
+    PreconditionError,
+    SpherePoint,
+    SphereSpec,
+    VariationField,
+    complex_structure,
+    destabilizing_field,
+    destabilizing_integrand,
+    gram_schmidt_rows,
+    hopf_field,
+    horizontal_extension_field,
+    integrate_over_sphere,
+    propagate_fiber_frame,
+    random_hopf_combination,
+    reduced_integrand,
+    s3_stable_form,
+    sphere_volume,
+)
+from tgeo.cli import main
+from tgeo.variation import _LI, _LJ, _LK, _fiber_residual_rows, _horizontal_seed
+
+EXACT = sys.version_info[:3] == (3, 11, 7) and np.__version__ == "2.4.6"
+
+
+def assert_identical(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    if EXACT:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+
+# -- one-point reference ---------------------------------------------------------
+
+
+def ref_combination(seed):
+    """Value and Jacobian of ``random_hopf_combination(default_rng(seed))``,
+    from the same coefficient draws."""
+    rng = np.random.default_rng(seed)
+    coeffs = [(float(rng.standard_normal()), rng.standard_normal(3),
+               rng.standard_normal((3, 4)), rng.uniform(0.0, 2.0 * np.pi, 3))
+              for _ in range(2)]
+
+    def cval(q, c):
+        a0, b, W, ph = c
+        return a0 + float(b @ np.sin(W @ q + ph))
+
+    def cgrad(q, c):
+        a0, b, W, ph = c
+        return (b * np.cos(W @ q + ph)) @ W
+
+    def value(q):
+        return cval(q, coeffs[0]) * (_LJ @ q) + cval(q, coeffs[1]) * (_LK @ q)
+
+    def jacobian(q):
+        return (np.outer(_LJ @ q, cgrad(q, coeffs[0])) + cval(q, coeffs[0]) * _LJ
+                + np.outer(_LK @ q, cgrad(q, coeffs[1])) + cval(q, coeffs[1]) * _LK)
+
+    return value, jacobian
+
+
+def ref_horizontal(w):
+    J = complex_structure(len(w))
+    jw = J @ w
+
+    def value(q):
+        jq = J @ q
+        return w - (w @ q) * q - (w @ jq) * jq
+
+    def jacobian(q):
+        jq = J @ q
+        return (-np.outer(q, w) - (w @ q) * np.eye(len(q))
+                + np.outer(jq, jw) - (w @ jq) * J)
+
+    return value, jacobian
+
+
+def ref_derivative(jacobian, p, x):
+    d = jacobian(p) @ x
+    return d - (d @ p) / 1.0 * p
+
+
+def ref_reduced(value, jacobian, p):
+    """The reduced integrand for the unit Hopf field at one point."""
+    J = complex_structure(len(p))
+    n = len(p) - 2
+    xiv = (J @ p) / 1.0
+    eta0 = value(p)
+    assert abs(float(eta0 @ xiv)) <= 1e-8 * (np.linalg.norm(eta0) + 1.0)
+    eye = np.eye(len(p))
+    candidates = np.vstack([xiv, eye - np.outer(eye @ p, p) / 1.0])
+    rows = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)
+    d0 = ref_derivative(jacobian, p, rows[0])
+    total = 4.0 * float(d0 @ d0)
+    for row in rows[1:]:
+        d = ref_derivative(jacobian, p, row)
+        total += 2.0 * float(d @ d)
+    return total - (2.0 * n - 1.0) / 2.0 * float(eta0 @ eta0)
+
+
+def ref_s3_form(value, jacobian, p):
+    e0, e1, e2 = _LI @ p, _LJ @ p, _LK @ p
+    eta0 = value(p)
+    d0 = ref_derivative(jacobian, p, e0)
+    total = 4.0 * float(d0 @ d0)
+    for ea in (e1, e2):
+        da = ref_derivative(jacobian, p, ea)
+        for esig, lsig in ((e1, _LJ), (e2, _LK)):
+            g = float(da @ esig) + float(eta0 @ (lsig @ ea))
+            total += 2.0 * g * g
+    nsq = float(eta0 @ eta0)
+    return total + 0.5 * nsq, nsq
+
+
+def ref_seed(q):
+    """The destabilizing seed from every ambient basis vector as a
+    candidate."""
+    J = complex_structure(len(q))
+    return gram_schmidt_rows(np.vstack([q, J @ q, np.eye(len(q))]),
+                             pivot_tol=1e-6, drop=True)[2]
+
+
+def ref_point(q):
+    """``SphereSpec.point`` on the unit sphere."""
+    return q * (1.0 / np.linalg.norm(q))
+
+
+def unit_points(ambient, count, seed):
+    raw = np.random.default_rng(seed).standard_normal((count, ambient))
+    return np.array([ref_point(q) for q in raw])
+
+
+# -- stacked fields ----------------------------------------------------------------
+
+
+def _stacked_fields():
+    w6 = np.random.default_rng(30).standard_normal(6)
+    return {
+        "hopf-s3": hopf_field(1),
+        "hopf-s7-r2": hopf_field(3, 2.0),
+        "hopf-s15": hopf_field(7),
+        "hopf-combination": random_hopf_combination(np.random.default_rng(31)),
+        "horizontal-s5": horizontal_extension_field(SphereSpec(6, 1.0), w6),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stacked_fields()))
+def test_stacked_field_rows_equal_one_point_calls(name):
+    field = _stacked_fields()[name]
+    pts = field.sphere.radius * unit_points(field.sphere.ambient_dim, 40, 32)
+    values = field.value_array(pts)
+    jacs = field.jacobian_array(pts)
+    assert values.shape == pts.shape
+    assert jacs.shape == pts.shape + pts.shape[-1:]
+    assert_identical(values, [field.value_array(p) for p in pts])
+    assert_identical(jacs, [field.jacobian_array(p) for p in pts])
+
+
+def test_horizontal_extension_takes_one_w_per_row():
+    sphere = SphereSpec(8, 1.0)
+    pts = unit_points(8, 25, 33)
+    ws = np.random.default_rng(34).standard_normal((25, 8))
+    field = horizontal_extension_field(sphere, ws)
+    singles = [horizontal_extension_field(sphere, w) for w in ws]
+    assert_identical(field.value_array(pts),
+                     [f.value_array(p) for f, p in zip(singles, pts)])
+    assert_identical(field.jacobian_array(pts),
+                     [f.jacobian_array(p) for f, p in zip(singles, pts)])
+
+
+@pytest.mark.parametrize("seed", [35, 36])
+def test_fields_match_reference_formulas(seed):
+    pts = unit_points(4, 30, seed)
+    value, jacobian = ref_combination(seed)
+    eta = random_hopf_combination(np.random.default_rng(seed))
+    assert_identical(eta.value_array(pts), [value(p) for p in pts])
+    assert_identical(eta.jacobian_array(pts), [jacobian(p) for p in pts])
+    w = np.random.default_rng(seed).standard_normal(4)
+    value, jacobian = ref_horizontal(w)
+    eta = horizontal_extension_field(SphereSpec(4, 1.0), w)
+    assert_identical(eta.value_array(pts), [value(p) for p in pts])
+    assert_identical(eta.jacobian_array(pts), [jacobian(p) for p in pts])
+
+
+# -- kernels ----------------------------------------------------------------------
+
+
+def _kernel_cases():
+    """(label, unit Hopf field, stacked eta, reference value, reference
+    Jacobian) on S^3, S^5 and S^15."""
+    cases = []
+    for seed in (40, 41):
+        value, jacobian = ref_combination(seed)
+        cases.append((f"S3-combination-{seed}", hopf_field(1),
+                      random_hopf_combination(np.random.default_rng(seed)),
+                      value, jacobian))
+    for m in (1, 2, 7):
+        xi = hopf_field(m)
+        w = np.random.default_rng((42, m)).standard_normal(xi.sphere.ambient_dim)
+        value, jacobian = ref_horizontal(w)
+        cases.append((f"S{2 * m + 1}-horizontal", xi,
+                      horizontal_extension_field(xi.sphere, w), value, jacobian))
+    return cases
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_reduced_integrand_matches_reference(case):
+    _, xi, eta, value, jacobian = case
+    pts = unit_points(xi.sphere.ambient_dim, 50, 43)
+    want = [ref_reduced(value, jacobian, p) for p in pts]
+    assert_identical(reduced_integrand(xi, eta, pts), want)
+    # the one-point call is the N = 1 case of the same kernel
+    one = [reduced_integrand(xi, eta, SpherePoint(xi.sphere, p)) for p in pts[:5]]
+    assert all(isinstance(v, float) for v in one)
+    assert_identical(one, want[:5])
+
+
+def test_reduced_integrand_with_collapsing_basis_candidates():
+    """At q = e_k one projected basis vector vanishes outright and another
+    collapses later; their zero rows add nothing."""
+    xi = hopf_field(2)
+    w = np.random.default_rng(44).standard_normal(6)
+    value, jacobian = ref_horizontal(w)
+    eta = horizontal_extension_field(xi.sphere, w)
+    pts = np.vstack([np.eye(6), ref_point(np.array([1.0, 1.0, 0, 0, 0, 0])),
+                     unit_points(6, 5, 45)])
+    assert_identical(reduced_integrand(xi, eta, pts),
+                     [ref_reduced(value, jacobian, p) for p in pts])
+
+
+@pytest.mark.parametrize("seed", [46, 47])
+def test_s3_stable_form_matches_reference(seed):
+    pts = unit_points(4, 60, seed)
+    value, jacobian = ref_combination(seed)
+    eta = random_hopf_combination(np.random.default_rng(seed))
+    form, nsq = s3_stable_form(eta, pts)
+    want = np.array([ref_s3_form(value, jacobian, p) for p in pts])
+    assert_identical(form, want[:, 0])
+    assert_identical(nsq, want[:, 1])
+    one = s3_stable_form(eta, pts[0])
+    assert isinstance(one[0], float) and isinstance(one[1], float)
+    assert_identical(one, want[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_destabilizing_integrand_matches_reference(m):
+    """Seeds come from the raw quadrature point q, the integrand is taken
+    at q renormalized onto the sphere."""
+    xi = hopf_field(m)
+    qs = unit_points(xi.sphere.ambient_dim, 40, (48, m))
+    want = []
+    for q in qs:
+        value, jacobian = ref_horizontal(ref_seed(q))
+        want.append(ref_reduced(value, jacobian, ref_point(q)))
+    assert_identical(destabilizing_integrand(xi)(qs), want)
+
+
+@pytest.mark.parametrize("m", [2, 7])
+def test_fiber_residual_rows_match_reference(m):
+    """The three per-node residuals of the instability run."""
+    xi = hopf_field(m)
+    sphere = xi.sphere
+    target = (5.0 - 2.0 * (2 * m)) / 2.0
+    fiber = propagate_fiber_frame(sphere.random_point(np.random.default_rng(49)))
+    eta = destabilizing_field(fiber)
+    value, jacobian = ref_horizontal(fiber.frames[0, 0])
+    J = complex_structure(sphere.ambient_dim)
+    want = []
+    for node in range(fiber.node_count):
+        q = fiber.points[node]
+        nv = value(q)
+        red = ref_reduced(value, jacobian, ref_point(q))
+        d0 = ref_derivative(jacobian, q, fiber.e0s[node])
+        Dq = jacobian(q)
+        grad = 0.0
+        dirs = np.vstack([fiber.e0s[node], fiber.frames[node]])
+        for w in fiber.frames[node]:
+            jq = J @ q
+            jw = J @ w
+            f_w = w - (w @ q) * q - (w @ jq) * jq
+            for X in dirs:
+                dfw_x = (-(w @ X) * q - (w @ q) * X
+                         + (jw @ X) * jq - (w @ jq) * (J @ X))
+                grad = max(grad, abs(float((Dq @ X) @ f_w + nv @ dfw_x)))
+        want.append((abs(red / float(nv @ nv) - target),
+                     float(np.linalg.norm(d0)), grad))
+    want = np.array(want)
+    dev, d0_norm, grad = _fiber_residual_rows(xi, eta, fiber, target)
+    assert_identical(dev, want[:, 0])
+    assert_identical(d0_norm, want[:, 1])
+    assert_identical(grad, want[:, 2])
+
+
+def test_integrate_stack_equals_per_sample_calls():
+    """The stacked estimate is the mean of one-point integrand calls at the
+    per-index samples, NaN samples (here about 0.3%) rejected and counted."""
+    xi = hopf_field(1)
+    sphere = xi.sphere
+    eta = random_hopf_combination(np.random.default_rng(3))
+
+    def stacked(q):
+        vals = reduced_integrand(xi, eta, sphere.stacked_points(q))
+        return np.where(q[:, 0] > 0.97, np.nan, vals)
+
+    res = integrate_over_sphere(stacked, sphere, 1000, 5)
+    vals = []
+    for idx in range(1000):
+        vec = np.random.default_rng((5, idx)).standard_normal(4)
+        q = vec * (1.0 / np.linalg.norm(vec))
+        if q[0] <= 0.97:
+            vals.append(reduced_integrand(xi, eta, sphere.point(q)))
+    vol = sphere_volume(sphere)
+    assert res.rejected == 1000 - len(vals) > 0
+    assert_identical([res.value, res.std_error],
+                     [vol * float(np.mean(vals)),
+                      vol * float(np.std(vals, ddof=1)) / np.sqrt(len(vals))])
+
+
+# -- the horizontal seed ----------------------------------------------------------
+
+
+def test_horizontal_seed_reads_three_candidates():
+    """Orthonormalizing q, J q, e_0, e_1, e_2 gives the seed of the
+    full-candidate Gram-Schmidt: 1,000 seeded points spread over S^3 to
+    S^15, and on each sphere q = e_0 (e_0 and e_1 = J e_0 both collapse)
+    and q = e_2."""
+    for m in range(1, 8):
+        ambient = 2 * m + 2
+        qs = [ref_point(np.random.default_rng(seed).standard_normal(ambient))
+              for seed in range(m - 1, 1000, 7)]
+        qs = np.vstack(qs + [np.eye(ambient)[0], np.eye(ambient)[2]])
+        got = _horizontal_seed(qs, complex_structure(ambient))
+        assert_identical(got, [ref_seed(q) for q in qs])
+        assert np.array_equal(got[-2], np.eye(ambient)[2])
+
+
+# -- naming the failing sample -----------------------------------------------------
+
+
+def _tilted_field(sphere):
+    """Horizontal, except where q_0 > 0.5: there it leans along the Hopf
+    field."""
+    J = complex_structure(sphere.ambient_dim)
+    base = horizontal_extension_field(sphere, np.eye(sphere.ambient_dim)[1])
+
+    def value(q):
+        lean = (q[..., 0] > 0.5)[..., None] * np.matmul(J, q[..., None])[..., 0]
+        return base.value_fn(q) + lean
+
+    return VariationField(sphere, value, base.jacobian_fn, name="tilted")
+
+
+def test_non_orthogonal_variation_names_row_and_sample():
+    xi = hopf_field(2)
+    eta = _tilted_field(xi.sphere)
+    pts = unit_points(6, 20, 50)
+    first = int(np.flatnonzero(pts[:, 0] > 0.5)[0])
+    assert first > 0
+    with pytest.raises(PreconditionError, match=f"orthogonal.*\\(row {first}\\)") as err:
+        reduced_integrand(xi, eta, pts)
+    assert err.value.row == first
+
+    seed = 4
+    draws = np.array([np.random.default_rng((seed, i)).standard_normal(6)
+                      for i in range(64)])
+    idx = int(np.flatnonzero(draws[:, 0] / np.linalg.norm(draws, axis=1) > 0.5)[0])
+    assert idx > 0
+    fn = lambda q: reduced_integrand(xi, eta, xi.sphere.stacked_points(q))
+    with pytest.raises(PreconditionError,
+                       match=f"quadrature sample {idx}, seed tuple \\({seed}, {idx}\\)") as err:
+        integrate_over_sphere(fn, xi.sphere, 64, seed)
+    assert err.value.row == idx
+
+
+def test_cli_names_the_failing_quadrature_sample(monkeypatch, capsys):
+    eta = _tilted_field(hopf_field(2).sphere)
+    monkeypatch.setattr(
+        variation, "destabilizing_integrand",
+        lambda xi: lambda q: reduced_integrand(xi, eta, xi.sphere.stacked_points(q)))
+    assert main(["variation", "--dim", "5", "--samples", "64"]) == 3
+    err = capsys.readouterr().err
+    assert "orthogonal" in err and "seed tuple (0, " in err
+
