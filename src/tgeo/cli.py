@@ -50,6 +50,9 @@ from .fields import (
 from .sasaki import (
     bundle_sectional_curvature_array,
     geodesic_field_obstruction,
+    hopf_pattern_peak,
+    hopf_pattern_split,
+    meridian_obstruction,
     second_form_direct,
     second_form_lemma,
     submanifold_plane_curvature_array,
@@ -63,9 +66,6 @@ from .report import VerificationReport, reports_to_csv, reports_to_json
 class UsageError(ValueError):
     """Bad flags, bad config file, or an invalid parameter combination."""
 
-
-_VERIFY_SUITES = ("totally-geodesic", "predicates", "codazzi", "jacobi",
-                  "obstruction")
 
 # Every settable key with its value parser; defaults live in RunConfig. The
 # config-file key ``tol`` is an alias of ``tol_fd``.
@@ -134,77 +134,73 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
             return p
 
 
-def _sample_points(xi: UnitVectorField, config: RunConfig):
-    """(rng, point) for each sample index, one seeded stream per index."""
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        yield rng, _sample_point(xi, rng)
-
-
 # -- verify suites ---------------------------------------------------------
 
 
-def _run_totally_geodesic(config: RunConfig) -> list:
+def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure) -> dict:
+    """Running maximum of each residual that ``measure(rng, p)`` names, over
+    the sample points; sample idx draws from its own stream (seed, idx)."""
+    worst = {}
+    for idx in range(config.samples):
+        rng = np.random.default_rng((config.seed, idx))
+        for name, value in measure(rng, _sample_point(xi, rng)).items():
+            worst[name] = max(worst.get(name, 0.0), value)
+    return worst
+
+
+def _suite_report(config: RunConfig, residual: float, notes: list,
+                  tol: float | None = None,
+                  passed: bool = True) -> VerificationReport:
+    """The suite's report; it passes when the residual is within ``tol`` (the
+    finite-difference tolerance by default) and ``passed`` holds."""
+    tol = config.tol_fd if tol is None else tol
+    return VerificationReport(
+        name=config.suite, parameters=_params(config), samples=config.samples,
+        max_residual=residual, tolerance=tol,
+        verdict="pass" if passed and residual <= tol else "fail", notes=notes)
+
+
+def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
-    max_lemma = 0.0
-    max_direct = 0.0
-    max_asym = 0.0
-    for _, p in _sample_points(xi, config):
+
+    def measure(rng, p):
         sd = singular_decomposition(xi, p)
         om_l = second_form_lemma(xi, p, sd)
         om_d = second_form_direct(xi, p, sd)
-        max_lemma = max(max_lemma, om_l.max_abs())
-        max_direct = max(max_direct, om_d.max_abs())
-        max_asym = max(max_asym, float(np.max(np.abs(
-            om_d.omega - np.transpose(om_d.omega, (0, 2, 1))))))
-    residual = max(max_lemma, max_direct)
+        return {"lemma": float(np.max(np.abs(om_l))),
+                "direct": float(np.max(np.abs(om_d))),
+                "asym": float(np.max(np.abs(
+                    om_d - np.transpose(om_d, (0, 2, 1)))))}
+
+    worst = _sample_maxima(xi, config, measure)
+    residual = max(worst["lemma"], worst["direct"])
     notes = [
-        f"max |Omega| half-curvature route: {max_lemma:.6e}",
-        f"max |Omega| connection route:     {max_direct:.6e}",
-        f"max |Omega_ij - Omega_ji| (connection route): {max_asym:.3e}",
+        f"max |Omega| half-curvature route: {worst['lemma']:.6e}",
+        f"max |Omega| connection route:     {worst['direct']:.6e}",
+        f"max |Omega_ij - Omega_ji| (connection route): {worst['asym']:.3e}",
     ]
-    verdict = "pass" if residual <= config.tol_fd else "fail"
-    if config.field == "hopf" and not xi.sphere.is_unit:
-        notes += _nonunit_pattern_notes(xi, config)
-        if verdict == "pass":
-            # the closed form is nonzero at every radius but 1; a residual
-            # inside the tolerance means the tolerance cannot resolve it
-            verdict = "fail"
+    # the closed form is nonzero at every radius but 1, so the hopf field
+    # fails there even when the tolerance cannot resolve its residual
+    off_unit_hopf = config.field == "hopf" and not xi.sphere.is_unit
+    if off_unit_hopf:
+        notes += _hopf_pattern_notes(xi, config)
+        if residual <= config.tol_fd:
             notes.append(
                 "hopf field off unit radius is not totally geodesic: closed-form "
-                f"peak {_nonunit_peak(xi.sphere.curvature_constant):.3e} is "
+                f"peak {hopf_pattern_peak(xi.sphere.curvature_constant):.3e} is "
                 f"nonzero but below the tolerance {config.tol_fd:.1e}")
-    rep = VerificationReport(
-        name="totally-geodesic",
-        parameters=_params(config), samples=config.samples,
-        max_residual=residual, tolerance=config.tol_fd, verdict=verdict,
-        notes=notes)
-    return [rep]
+    return _suite_report(config, residual, notes, passed=not off_unit_hopf)
 
 
-def _nonunit_peak(K: float) -> float:
-    """The closed form (1/2) K (1-K) / (1+K) of the Hopf field's pattern peak
-    on a sphere of curvature K."""
-    return 0.5 * K * (1.0 - K) / (1.0 + K)
-
-
-def _nonunit_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
+def _hopf_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     """Which closed form the nonzero second-form pattern matches, at one
     canonically framed sample point."""
     K = xi.sphere.curvature_constant
-    cand_a = _nonunit_peak(K)
+    cand_a = hopf_pattern_peak(K)
     cand_b = K * (1.0 - K) / (2.0 * (1.0 + K) ** 1.5)
-    rng = np.random.default_rng((config.seed, 0))
-    p = _sample_point(xi, rng)
+    p = _sample_point(xi, np.random.default_rng((config.seed, 0)))
     kd = killing_canonical_frames(xi, p)
-    om = second_form_direct(xi, p, kd)
-    m = (xi.sphere.dim - 1) // 2
-    mask = np.zeros_like(om.omega, dtype=bool)
-    for a in range(1, m + 1):
-        mask[a - 1, m + a, 0] = mask[a - 1, 0, m + a] = True
-        mask[m + a - 1, a, 0] = mask[m + a - 1, 0, a] = True
-    peak = float(np.max(np.abs(om.omega[mask])))
-    off = float(np.max(np.abs(np.where(mask, 0.0, om.omega))))
+    peak, off = hopf_pattern_split(second_form_direct(xi, p, kd))
     names = {cand_a: "(1/2) K (1-K) / (1+K)",
              cand_b: "K (1-K) / (2 (1+K)^(3/2))"}
     matches = [label for val, label in names.items()
@@ -217,7 +213,7 @@ def _nonunit_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     ]
 
 
-def _run_predicates(config: RunConfig) -> list:
+def _run_predicates(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     expected_fail = set()
     informational = set()
@@ -227,24 +223,19 @@ def _run_predicates(config: RunConfig) -> list:
     elif not xi.sphere.is_unit:
         expected_fail = {"sasakian"}
 
-    worst: dict = {}
-    for _, p in _sample_points(xi, config):
-        vals = {
-            "geodesic": is_geodesic(xi, p).residual,
-            "killing": is_killing(xi, p).residual,
-            "normal": is_normal(xi, p).residual,
-            "strongly-normal": is_strongly_normal(xi, p).residual,
-            "sasakian": sasakian_identity_residual(xi, p),
-        }
-        for k, v in vals.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+    worst = _sample_maxima(xi, config, lambda rng, p: {
+        "geodesic": is_geodesic(xi, p).residual,
+        "killing": is_killing(xi, p).residual,
+        "normal": is_normal(xi, p).residual,
+        "strongly-normal": is_strongly_normal(xi, p).residual,
+        "sasakian": sasakian_identity_residual(xi, p),
+    })
 
     tol = config.tol_fd
     notes = []
     all_matched = True
     strict_max = 0.0
-    for name in ("geodesic", "killing", "normal", "strongly-normal", "sasakian"):
-        resid = worst[name]
+    for name, resid in worst.items():
         failed = resid > tol
         if name in informational:
             notes.append(f"{name}: residual {resid:.3e} (informational)")
@@ -257,86 +248,60 @@ def _run_predicates(config: RunConfig) -> list:
         tag = "expected nonzero" if expected else f"tolerance {tol:.1e}"
         status = "ok" if matched else "UNEXPECTED"
         notes.append(f"{name}: residual {resid:.3e} ({tag}) {status}")
-    verdict = "pass" if (all_matched and strict_max <= tol) else "fail"
-    rep = VerificationReport(
-        name="predicates", parameters=_params(config), samples=config.samples,
-        max_residual=strict_max, tolerance=tol, verdict=verdict, notes=notes)
-    return [rep]
+    return _suite_report(config, strict_max, notes, passed=all_matched)
 
 
-def _run_codazzi(config: RunConfig) -> list:
+def _run_codazzi(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     sphere = xi.sphere
-    residual = 0.0
-    for rng, p in _sample_points(xi, config):
+
+    def measure(rng, p):
         x, y = sphere.random_orthonormal_frame(p, rng).matrix[:2]
         lhs = (half_curvature(xi, p.coords, x, y)
                - half_curvature(xi, p.coords, y, x))
         rhs = sphere.curvature_array(x, y, xi.value_array(p.coords))
-        residual = max(residual, float(np.linalg.norm(lhs - rhs)))
-    verdict = "pass" if residual <= config.tol_fd else "fail"
-    return [VerificationReport(
-        name="codazzi", parameters=_params(config), samples=config.samples,
-        max_residual=residual, tolerance=config.tol_fd, verdict=verdict,
-        notes=["antisymmetrized half curvature against R(X,Y)xi"])]
+        return {"codazzi": float(np.linalg.norm(lhs - rhs))}
+
+    worst = _sample_maxima(xi, config, measure)
+    return _suite_report(config, worst["codazzi"], [
+        "antisymmetrized half curvature against R(X,Y)xi"])
 
 
-def _run_jacobi(config: RunConfig) -> list:
+def _run_jacobi(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
-    residual = 0.0
-    for _, p in _sample_points(xi, config):
-        residual = max(residual, jacobi_relation_residual(xi, p))
-    tol = TOL_ANALYTIC
-    verdict = "pass" if residual <= tol else "fail"
-    return [VerificationReport(
-        name="jacobi", parameters=_params(config), samples=config.samples,
-        max_residual=residual, tolerance=tol, verdict=verdict,
-        notes=["A*A X compared with R(X, xi) xi over a frame"])]
+    worst = _sample_maxima(xi, config, lambda rng, p: {
+        "jacobi": jacobi_relation_residual(xi, p)})
+    return _suite_report(config, worst["jacobi"], [
+        "A*A X compared with R(X, xi) xi over a frame"], tol=TOL_ANALYTIC)
 
 
-def _run_obstruction(config: RunConfig) -> list:
+def _run_obstruction(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
-    sphere = xi.sphere
-    consistency = 0.0
-    closed_form = 0.0
-    magnitude = 0.0
-    for _, p in _sample_points(xi, config):
+    meridian = config.field == "meridian"
+
+    def measure(rng, p):
         sd = singular_decomposition(xi, p)
         obs = geodesic_field_obstruction(xi, p, sd)
         om = second_form_lemma(xi, p, sd)
-        consistency = max(consistency, float(np.max(np.abs(
-            obs - om.omega[:, 1:, 0]))))
-        magnitude = max(magnitude, float(np.max(np.abs(obs))))
-        if config.field == "meridian":
-            closed_form = max(closed_form, _meridian_obstruction_gap(xi, p, sd, obs))
+        out = {"consistency": float(np.max(np.abs(obs - om[:, 1:, 0]))),
+               "magnitude": float(np.max(np.abs(obs)))}
+        if meridian:  # cos(theta) from the field's axis, the first coordinate
+            ct = float(p.coords[0]) / xi.sphere.radius
+            out["closed form"] = float(np.max(np.abs(
+                obs - meridian_obstruction(sd, ct))))
+        return out
+
+    worst = _sample_maxima(xi, config, measure)
     notes = [
-        f"max |obstruction - Omega_(s|a,0)|: {consistency:.3e}",
-        f"max |obstruction| over samples: {magnitude:.6f}",
+        f"max |obstruction - Omega_(s|a,0)|: {worst['consistency']:.3e}",
+        f"max |obstruction| over samples: {worst['magnitude']:.6f}",
     ]
-    residual = consistency
-    if config.field == "meridian":
-        notes.append(f"closed-form (cot^2 + 1) gap: {closed_form:.3e}")
-        residual = max(residual, closed_form)
-    else:
-        residual = max(residual, magnitude)  # hopf at unit radius: must vanish
-    verdict = "pass" if residual <= config.tol_fd else "fail"
-    return [VerificationReport(
-        name="obstruction", parameters=_params(config), samples=config.samples,
-        max_residual=residual, tolerance=config.tol_fd, verdict=verdict,
-        notes=notes)]
-
-
-def _meridian_obstruction_gap(xi, p, sd, obs) -> float:
-    """Closed form -(1/2) Lambda (cot^2(theta) + 1) <e_a, f_s> off the equator."""
-    ct = float(p.coords[0]) / xi.sphere.radius  # cos(theta)
-    st_sq = max(1.0 - ct * ct, 1e-300)
-    factor = ct * ct / st_sq + 1.0
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
-    expected = -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
-    return float(np.max(np.abs(obs - expected)))
+    if meridian:
+        notes.append(f"closed-form (cot^2 + 1) gap: {worst['closed form']:.3e}")
+        residual = max(worst["consistency"], worst["closed form"])
+    else:  # hopf at unit radius: the obstruction must vanish
+        residual = max(worst["consistency"], worst["magnitude"])
+    return _suite_report(config, residual, notes)
 
 
 _SUITE_RUNNERS = {
@@ -350,11 +315,10 @@ _SUITE_RUNNERS = {
 
 def cmd_verify(config: RunConfig) -> int:
     t0 = time.perf_counter()
-    reports = _SUITE_RUNNERS[config.suite](config)
-    for rep in reports:
-        rep.wall_time_s = time.perf_counter() - t0
-    _emit(reports, config)
-    return 0 if all(r.ok for r in reports) else 1
+    report = _SUITE_RUNNERS[config.suite](config)
+    report.wall_time_s = time.perf_counter() - t0
+    _emit([report], config)
+    return 0 if report.ok else 1
 
 
 # -- curvature scan ----------------------------------------------------------
@@ -367,8 +331,8 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     if config.field != "hopf":
         raise UsageError("curvature scans are defined for the hopf field")
     xi = build_field(config)
-    if mode != "bundle" and not xi.sphere.is_unit:
-        raise UsageError("submanifold curvature scans need unit radius")
+    if not xi.sphere.is_unit:
+        raise UsageError("curvature scans need unit radius")
 
     rows = []
     reports = []
@@ -669,7 +633,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=_VERIFY_SUITES)
+    verify.add_argument("suite", choices=_SUITE_RUNNERS)
     _add_common(verify)
 
     scan = sub.add_parser("scan-curvature", help="sample plane curvatures")

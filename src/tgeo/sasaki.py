@@ -182,33 +182,16 @@ def submanifold_frames(xi: UnitVectorField, p: SpherePoint) -> SubmanifoldFrames
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
 
 
-@dataclass(frozen=True, eq=False)
-class SecondFormTensor:
-    """Components Omega_{sigma|ij}; row s of ``omega`` is sigma = s + 1."""
-
-    omega: np.ndarray  # shape (n, n+1, n+1)
-
-    def __post_init__(self):
-        arr = np.array(self.omega, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "omega", arr)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.omega)))
-
-
-def second_form_lemma(xi: UnitVectorField, p: SpherePoint,
-                      sd: SingularData | None = None, *,
-                      step: float | None = None) -> SecondFormTensor:
-    """Second fundamental form of xi(M) from the half curvature tensor.
+def second_form_lemma(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
+                      *, step: float | None = None) -> np.ndarray:
+    """Second fundamental form of xi(M) from the half curvature tensor, as the
+    read-only (n, n+1, n+1) array of Omega_{sigma|ij}; row s is sigma = s + 1.
 
     Omega_{s|ij} = (Lambda_{sij}/2) { <r(e_i,e_j)xi + r(e_j,e_i)xi, f_s>
         + l_s [ l_j <R(e_s,e_i)xi, f_j> + l_i <R(e_s,e_j)xi, f_i> ] }
     with Lambda_{sij} = [(1+l_s^2)(1+l_i^2)(1+l_j^2)]^{-1/2}.
     """
     sphere = xi.sphere
-    if sd is None:
-        sd = singular_decomposition(xi, p)
     lam = sd.lambdas
     e = sd.right_frame.matrix
     f = sd.left_frame.matrix
@@ -232,17 +215,18 @@ def second_form_lemma(xi: UnitVectorField, p: SpherePoint,
                                    + lam[None, :, None] * np.transpose(T, (0, 2, 1)))
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
     Lam = scale[:, None, None] * scale[None, :, None] * scale[None, None, :]
-    omega_full = 0.5 * Lam * (first + second)
-    return SecondFormTensor(omega_full[1:])
+    omega = (0.5 * Lam * (first + second))[1:]
+    omega.flags.writeable = False
+    return omega
 
 
 # -- second fundamental form: route 2 (bundle connection table) --------------
 
 
-def second_form_direct(xi: UnitVectorField, p: SpherePoint,
-                       sd: SingularData | None = None, *,
-                       step: float | None = None) -> SecondFormTensor:
-    """Second fundamental form computed from the bundle connection itself.
+def second_form_direct(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
+                       *, step: float | None = None) -> np.ndarray:
+    """Second fundamental form computed from the bundle connection itself, in
+    the read-only array layout of ``second_form_lemma``.
 
     Independent of the half-curvature route: the tangent frame field
     E_j^h + (nabla_{E_j} xi)^t is extended by projection transport of the
@@ -251,8 +235,6 @@ def second_form_direct(xi: UnitVectorField, p: SpherePoint,
     result is not symmetrized; symmetry in (i, j) is a property to test.
     """
     sphere = xi.sphere
-    if sd is None:
-        sd = singular_decomposition(xi, p)
     lam = sd.lambdas
     e = sd.right_frame.matrix
     f = sd.left_frame.matrix
@@ -295,11 +277,15 @@ def second_form_direct(xi: UnitVectorField, p: SpherePoint,
         # pair against normal frame, undo the |E_j| normalization at p
         omega[:, i, :] = (lam[1:, None] * (e[1:] @ horiz.T) + f[1:] @ vert.T) \
             / scale[1:, None] / scale[None, :]
-    return SecondFormTensor(omega)
+    omega.flags.writeable = False
+    return omega
+
+
+# -- the totally-geodesic obstruction and the closed forms of the oracles ----
 
 
 def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
-                               sd: SingularData | None = None) -> np.ndarray:
+                               sd: SingularData) -> np.ndarray:
     """First-order totally-geodesic obstruction for a geodesic field, r = 1.
 
     Returns M[s, a] = -(1/2) Lambda_{sa0} <A^2 e_a + e_a, f_s> for sigma,
@@ -311,8 +297,6 @@ def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
     xiv = xi.value_array(p.coords)
     if np.linalg.norm(shape_apply_array(xi, p.coords, xiv)) > TOL_ANALYTIC:
         raise PreconditionError("obstruction form needs a geodesic field")
-    if sd is None:
-        sd = singular_decomposition(xi, p)
     lam = sd.lambdas
     e = sd.right_frame.matrix
     f = sd.left_frame.matrix
@@ -321,6 +305,38 @@ def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
     inner = f[1:] @ (a2e + e[1:]).T          # [s, a] = <f_s, A^2 e_a + e_a>
     scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
     return -0.5 * np.outer(scale, scale) * inner
+
+
+def meridian_obstruction(sd: SingularData, cos_theta: float) -> np.ndarray:
+    """``geodesic_field_obstruction`` of the meridian field in closed form:
+    -(1/2) Lambda_{sa0} (cot^2(theta) + 1) <e_a, f_s>, at polar angle theta
+    from the field's axis on the unit sphere, in the frames of ``sd``."""
+    ct = cos_theta
+    factor = ct * ct / max(1.0 - ct * ct, 1e-300) + 1.0
+    lam = sd.lambdas
+    e = sd.right_frame.matrix
+    f = sd.left_frame.matrix
+    scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
+    return -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
+
+
+def hopf_pattern_peak(K: float) -> float:
+    """(1/2) K (1-K) / (1+K): on a sphere of curvature K, the magnitude of the
+    Hopf field's second form in its (s | m+s, 0) slots, in Killing canonical
+    frames; zero only at K = 1."""
+    return 0.5 * K * (1.0 - K) / (1.0 + K)
+
+
+def hopf_pattern_split(omega: np.ndarray) -> tuple:
+    """(max |Omega| in the (s | m+s, 0) slots, max |Omega| off them) of a
+    second form on S^(2m+1) in Killing canonical frames."""
+    m = omega.shape[0] // 2
+    mask = np.zeros(omega.shape, dtype=bool)
+    for a in range(1, m + 1):
+        mask[a - 1, m + a, 0] = mask[a - 1, 0, m + a] = True
+        mask[m + a - 1, a, 0] = mask[m + a - 1, 0, a] = True
+    return (float(np.max(np.abs(omega[mask]))),
+            float(np.max(np.abs(np.where(mask, 0.0, omega)))))
 
 
 # -- curvature of T1M and of xi(M) planes -------------------------------------

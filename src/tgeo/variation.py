@@ -188,7 +188,7 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
         conn += c * c * eta_sq + 4.0 * float(tp @ tp)
 
     weights = np.array([sasaki_inner(ns, eta_tilde) for ns in frames.normal])
-    B = np.einsum("sij,s->ij", form.omega, weights) / math.sqrt(nsq)
+    B = np.einsum("sij,s->ij", form, weights) / math.sqrt(nsq)
     kvals = np.linalg.eigvalsh(0.5 * (B + B.T))
     ksum = float(kvals.sum())
     principal = -(ksum * ksum - float(kvals @ kvals))
@@ -374,8 +374,7 @@ def _horizontal_seed(q: np.ndarray, J: np.ndarray) -> np.ndarray:
     return rows[np.arange(n), first]
 
 
-def propagate_fiber_frame(p0: SpherePoint,
-                          steps: int = DEFAULT_FIBER_STEPS) -> FiberFrame:
+def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     """Advance one J-pair of horizontal frame vectors around the fiber.
 
     The fiber is t -> cos(t) p0 + sin(t) J p0. The pair starts as (v, -J v)

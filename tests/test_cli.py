@@ -196,6 +196,16 @@ def test_scan_curvature_json(capsys):
     assert all(r["verdict"] == "pass" for r in reps)
 
 
+@pytest.mark.parametrize("mode", ["submanifold", "bundle", "both"])
+@pytest.mark.parametrize("radius", ["0.5", "2"])
+def test_scan_curvature_needs_unit_radius(capsys, mode, radius):
+    """The bounds [1/4, 5/4] and [0, 5/4] the scans judge by hold at r = 1
+    only, so no mode runs off unit radius."""
+    assert main(["scan-curvature", "--mode", mode, "--radius", radius,
+                 "--planes", "10"]) == 2
+    assert "curvature scans need unit radius" in capsys.readouterr().err
+
+
 def test_scan_curvature_both_times_each_scan(capsys):
     t0 = time.perf_counter()
     _, out = run_cli(capsys, ["scan-curvature", "--dim", "3", "--planes", "300",

@@ -17,7 +17,7 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # The library's defaulted parameters and dataclass fields, as ROADMAP.md
 # states the figure under quality of design.
-LIBRARY_OPTIONS = 20
+LIBRARY_OPTIONS = 16
 
 
 def unused_imports(source: str) -> list:

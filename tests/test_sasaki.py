@@ -26,6 +26,8 @@ from tgeo import (
     xi_normal_lift,
     xi_tangential_lift,
 )
+from tgeo import hopf_field, meridian_field
+from tgeo.sasaki import hopf_pattern_peak, hopf_pattern_split, meridian_obstruction
 from conftest import seeded_points
 
 
@@ -122,16 +124,16 @@ def test_second_form_vanishes_unit_hopf(fixture_name, request):
     xi = request.getfixturevalue(fixture_name)
     for p in seeded_points(xi, 10, seed=10):
         sd = singular_decomposition(xi, p)
-        assert second_form_lemma(xi, p, sd).max_abs() < 1e-5
-        assert second_form_direct(xi, p, sd).max_abs() < 1e-5
+        assert np.max(np.abs(second_form_lemma(xi, p, sd))) < 1e-5
+        assert np.max(np.abs(second_form_direct(xi, p, sd))) < 1e-5
 
 
 def test_second_form_routes_agree_off_unit_radius(hopf3_r2):
     """The two assemblies are independent; they must match where nonzero."""
     for p in seeded_points(hopf3_r2, 5, seed=11):
         sd = singular_decomposition(hopf3_r2, p)
-        om_l = second_form_lemma(hopf3_r2, p, sd).omega
-        om_d = second_form_direct(hopf3_r2, p, sd).omega
+        om_l = second_form_lemma(hopf3_r2, p, sd)
+        om_d = second_form_direct(hopf3_r2, p, sd)
         assert np.max(np.abs(om_l - om_d)) < 1e-6
         assert np.max(np.abs(om_l)) > 0.07  # genuinely nonzero at r=2
 
@@ -139,7 +141,7 @@ def test_second_form_routes_agree_off_unit_radius(hopf3_r2):
 def test_second_form_direct_is_symmetric(hopf3_r2):
     """Symmetry in (i, j) is not built into the direct route; it is evidence."""
     p = hopf3_r2.sphere.random_point(np.random.default_rng(12))
-    om = second_form_direct(hopf3_r2, p).omega
+    om = second_form_direct(hopf3_r2, p, singular_decomposition(hopf3_r2, p))
     assert np.max(np.abs(om - np.transpose(om, (0, 2, 1)))) < 1e-6
 
 
@@ -148,13 +150,30 @@ def test_second_form_nonunit_pattern(hopf3_r2):
     carry the value (1/2) K (1-K) / (1+K) = 0.075 at K = 1/4."""
     p = hopf3_r2.sphere.random_point(np.random.default_rng(13))
     kd = killing_canonical_frames(hopf3_r2, p)
-    om = second_form_direct(hopf3_r2, p, kd).omega
+    om = second_form_direct(hopf3_r2, p, kd)
     expected = np.zeros_like(om)
     expected[0, 2, 0] = expected[0, 0, 2] = 0.075
     expected[1, 1, 0] = expected[1, 0, 1] = -0.075
     assert np.max(np.abs(np.abs(om) - np.abs(expected))) < 1e-4
     assert abs(om[0, 2, 0] - 0.075) < 1e-4
     assert abs(om[0, 2, 0] + om[1, 1, 0]) < 1e-6  # opposite signs across rows
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("radius", [0.5, 2.0, 3.0])
+def test_hopf_pattern_closed_form(m, radius):
+    """The library's pattern value is (1/2) K (1-K) / (1+K), 0.075 at K = 1/4,
+    and the direct route puts that magnitude in the (s | m+s, 0) slots only."""
+    assert abs(hopf_pattern_peak(0.25) - 0.075) < 1e-15
+    K = 1.0 / radius ** 2
+    inline = 0.5 * K * (1.0 - K) / (1.0 + K)
+    assert abs(hopf_pattern_peak(K) - inline) < 1e-15
+    xi = hopf_field(m, radius)
+    p = xi.sphere.random_point(np.random.default_rng((18, m)))
+    kd = killing_canonical_frames(xi, p)
+    peak, off = hopf_pattern_split(second_form_direct(xi, p, kd))
+    assert abs(peak - abs(inline)) < 1e-4
+    assert off < 1e-6
 
 
 def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
@@ -184,8 +203,8 @@ def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
 def test_meridian_second_form_is_large(meridian2):
     theta = np.pi / 3.0
     p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
-    om = second_form_lemma(meridian2, p)
-    assert om.max_abs() > 0.1
+    om = second_form_lemma(meridian2, p, singular_decomposition(meridian2, p))
+    assert np.max(np.abs(om)) > 0.1
 
 
 def test_obstruction_consistency_and_meridian_closed_form(meridian3):
@@ -195,7 +214,7 @@ def test_obstruction_consistency_and_meridian_closed_form(meridian3):
         sd = singular_decomposition(meridian3, p)
         obs = geodesic_field_obstruction(meridian3, p, sd)
         om = second_form_lemma(meridian3, p, sd)
-        assert np.max(np.abs(obs - om.omega[:, 1:, 0])) < 1e-4
+        assert np.max(np.abs(obs - om[:, 1:, 0])) < 1e-4
         ct = float(p.coords[0])
         factor = ct * ct / (1.0 - ct * ct) + 1.0
         lam = sd.lambdas
@@ -206,16 +225,37 @@ def test_obstruction_consistency_and_meridian_closed_form(meridian3):
         assert np.max(np.abs(obs - expected)) < 1e-4
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_meridian_obstruction_closed_form(dim):
+    """The library's meridian closed form matches geodesic_field_obstruction,
+    and the inline -(1/2) Lambda (cot^2 + 1) <e_a, f_s>, on S^3 and S^5."""
+    axis = np.eye(dim + 1)[0]
+    xi = meridian_field(axis)
+    for p in seeded_points(xi, 8, seed=17):
+        sd = singular_decomposition(xi, p)
+        ct = float(p.coords @ axis)
+        closed = meridian_obstruction(sd, ct)
+        obs = geodesic_field_obstruction(xi, p, sd)
+        assert np.max(np.abs(obs - closed)) < 1e-4
+        factor = ct * ct / (1.0 - ct * ct) + 1.0
+        scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
+        e = sd.right_frame.matrix
+        f = sd.left_frame.matrix
+        inline = -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
+        assert np.max(np.abs(closed - inline)) < 1e-12
+
+
 def test_obstruction_zero_for_unit_hopf(hopf3):
     p = hopf3.sphere.random_point(np.random.default_rng(15))
-    obs = geodesic_field_obstruction(hopf3, p)
+    obs = geodesic_field_obstruction(hopf3, p, singular_decomposition(hopf3, p))
     assert np.max(np.abs(obs)) < 1e-10
 
 
 def test_obstruction_preconditions(hopf3_r2):
     p = hopf3_r2.sphere.random_point(np.random.default_rng(16))
     with pytest.raises(PreconditionError):
-        geodesic_field_obstruction(hopf3_r2, p)  # needs unit radius
+        # needs unit radius
+        geodesic_field_obstruction(hopf3_r2, p, singular_decomposition(hopf3_r2, p))
 
 
 # -- sectional curvature ----------------------------------------------------------

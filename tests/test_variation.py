@@ -160,7 +160,7 @@ def test_fiber_propagation_matches_exponential():
     """Both propagated pair rows against the exact rotation e^(Jt) v."""
     sphere = SphereSpec(6, 1.0)
     p0 = sphere.random_point(np.random.default_rng(10))
-    fiber = propagate_fiber_frame(p0)
+    fiber = propagate_fiber_frame(p0, steps=64)
     J = complex_structure(6)
     worst = 0.0
     for k in (0, 1):
@@ -174,7 +174,7 @@ def test_fiber_propagation_matches_exponential():
 def test_fiber_residual_report():
     sphere = SphereSpec(8, 1.0)
     p0 = sphere.random_point(np.random.default_rng(11))
-    fiber = propagate_fiber_frame(p0)
+    fiber = propagate_fiber_frame(p0, steps=64)
     r = fiber.residuals
     assert r["closure"] < 1e-6
     assert r["orthonormality"] < 1e-8
@@ -189,10 +189,10 @@ def test_fiber_frame_validation():
         propagate_fiber_frame(p0, steps=7)
     odd = SphereSpec(3, 1.0).random_point(np.random.default_rng(12))
     with pytest.raises(DegenerateInputError):
-        propagate_fiber_frame(odd)  # S^2 has no complex structure
+        propagate_fiber_frame(odd, steps=64)  # S^2 has no complex structure
     big = SphereSpec(6, 2.0).random_point(np.random.default_rng(13))
     with pytest.raises(PreconditionError):
-        propagate_fiber_frame(big)
+        propagate_fiber_frame(big, steps=64)
 
 
 def test_destabilizing_field_constant_on_fiber():
@@ -200,7 +200,7 @@ def test_destabilizing_field_constant_on_fiber():
     derivative; this is what makes the sign argument pointwise."""
     sphere = SphereSpec(6, 1.0)
     p0 = sphere.random_point(np.random.default_rng(14))
-    fiber = propagate_fiber_frame(p0)
+    fiber = propagate_fiber_frame(p0, steps=64)
     eta = destabilizing_field(fiber)
     norms = [float(np.linalg.norm(eta.value_array(q))) for q in fiber.points]
     assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-8
