@@ -67,6 +67,10 @@ class UsageError(ValueError):
     """Bad flags, bad config file, or an invalid parameter combination."""
 
 
+_NUMERICAL_FAILURES = (DecompositionFailure, DegeneratePlaneError,
+                       PropagationFailure, QuadratureFailure, SingularLocusError)
+
+
 # Every settable key with its value parser; defaults live in RunConfig. The
 # config-file key ``tol`` is an alias of ``tol_fd``.
 _CONFIG_KEYS = {"field": str, "dim": int, "radius": float, "samples": int,
@@ -139,11 +143,20 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
 
 def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure) -> dict:
     """Running maximum of each residual that ``measure(rng, p)`` names, over
-    the sample points; sample idx draws from its own stream (seed, idx)."""
+    the sample points; sample idx draws from its own stream (seed, idx). A
+    numerical failure is re-raised naming the sample and the seed tuple
+    that replays it."""
     worst = {}
     for idx in range(config.samples):
         rng = np.random.default_rng((config.seed, idx))
-        for name, value in measure(rng, _sample_point(xi, rng)).items():
+        try:
+            values = measure(rng, _sample_point(xi, rng))
+        except (*_NUMERICAL_FAILURES, PreconditionError,
+                DegenerateInputError) as exc:
+            if isinstance(exc, _NUMERICAL_FAILURES) or hasattr(exc, "row"):
+                exc.args = (f"{exc}: sample {idx}, seed tuple ({config.seed}, {idx})",)
+            raise
+        for name, value in values.items():
             worst[name] = max(worst.get(name, 0.0), value)
     return worst
 
@@ -689,8 +702,7 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         return _COMMANDS[config.command](config)
-    except (DecompositionFailure, DegeneratePlaneError, PropagationFailure,
-            QuadratureFailure, SingularLocusError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         failure = exc
     except (UsageError, PreconditionError, DegenerateInputError) as exc:
         # a row check (it sets ``row``; the wrappers' checks are row checks)

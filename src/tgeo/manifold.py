@@ -42,30 +42,6 @@ def _as_readonly(values) -> np.ndarray:
     return arr
 
 
-def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float = GS_PIVOT_TOL,
-                      drop: bool = False) -> np.ndarray:
-    """Orthonormalize the rows of ``mat`` in order (modified Gram-Schmidt).
-
-    With ``drop=True`` near-dependent rows are skipped instead of raising.
-    """
-    rows = []
-    for raw in np.asarray(mat, dtype=float):
-        v = raw.copy()
-        for b in rows:
-            v -= (v @ b) * b
-        # second pass for numerical orthogonality
-        for b in rows:
-            v -= (v @ b) * b
-        norm = np.linalg.norm(v)
-        if norm < pivot_tol:
-            if drop:
-                continue
-            raise DegenerateInputError(
-                f"gram_schmidt pivot {norm:.3e} below {pivot_tol:.1e}")
-        rows.append(v / norm)
-    return np.array(rows)
-
-
 # -- row checks of the validating types --------------------------------------
 #
 # Batched kernels take (N, ambient) arrays, one row per sample, instead of
@@ -128,32 +104,44 @@ def _check_frames_stack(frames: np.ndarray) -> None:
                  DegenerateInputError, "frame is not orthonormal")
 
 
+def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float = GS_PIVOT_TOL,
+                      drop: bool = False) -> np.ndarray:
+    """Orthonormalize the rows of ``mat`` in order (modified Gram-Schmidt).
+
+    With ``drop=True`` near-dependent rows are skipped instead of raising.
+    The one-matrix case of ``_gram_schmidt_stack``.
+    """
+    rows = _gram_schmidt_stack(np.asarray(mat, dtype=float)[None],
+                               pivot_tol=pivot_tol, drop=drop)[0]
+    return rows[np.any(rows != 0.0, axis=1)] if drop else rows
+
+
 def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
                         drop: bool) -> np.ndarray:
-    """gram_schmidt_rows for each (k, ambient) matrix of an (N, k, ambient)
-    stack, with the same arithmetic. A pivot below ``pivot_tol`` raises,
-    or with ``drop`` leaves a zero row in its slot: subtracting a zero row
-    leaves every later row unchanged bit for bit, so the nonzero rows of
-    each matrix are those ``gram_schmidt_rows(..., drop=True)`` returns.
-
-    Kept apart from ``gram_schmidt_rows``: one shared implementation made
-    the 2-d call 1.1-1.8x slower, and that call is the top self-time kernel
-    of the second-form runs.
+    """Modified Gram-Schmidt on the rows of each (k, ambient) matrix of an
+    (N, k, ambient) stack, two passes per row. A pivot below ``pivot_tol``
+    raises, or with ``drop`` leaves a zero row in its slot: subtracting a
+    zero row leaves every later row unchanged bit for bit, so the nonzero
+    rows of each matrix are those left after skipping the dependent rows.
     """
     out = np.empty_like(mats)
+    done = []  # the finished rows out[:, j], j < i
     for i in range(mats.shape[1]):
         v = mats[:, i].copy()
         for _ in range(2):  # second pass for numerical orthogonality
-            for j in range(i):
-                v -= np.vecdot(v, out[:, j])[:, None] * out[:, j]
+            for b in done:
+                v -= np.vecdot(v, b)[:, None] * b
         norm = _row_norms(v)
-        keep = ~(norm < pivot_tol)
-        if not drop:
-            _reject_rows(~keep, DegenerateInputError,
+        lost = norm < pivot_tol
+        if drop:
+            out[:, i] = np.where(lost[:, None], 0.0,
+                                 v / np.where(lost, 1.0, norm)[:, None])
+        else:
+            _reject_rows(lost, DegenerateInputError,
                          lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
                                      f"{pivot_tol:.1e}")
-        out[:, i] = np.where(keep[:, None],
-                             v / np.where(keep, norm, 1.0)[:, None], 0.0)
+            out[:, i] = v / norm[:, None]
+        done.append(out[:, i])
     return out
 
 
@@ -213,11 +201,18 @@ class SphereSpec:
         return TangentVector(p, np.zeros(self.ambient_dim))
 
     def project_array(self, p_coords: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """Array form of tangential projection; rows of ``vec`` if 2-d."""
+        """Tangential projection v - <v,p>/r^2 p at the points ``p_coords``.
+
+        ``vec`` holds one vector per point (as many axes as ``p_coords``,
+        broadcasting), projected as (<v,p>/r^2) p, or a stack of rows per
+        point (one more axis), projected as (<v,p> p)/r^2."""
         scale = self.radius ** 2
         if vec.ndim == 1:
             return vec - (vec @ p_coords) / scale * p_coords
-        return vec - np.outer(vec @ p_coords, p_coords) / scale
+        if vec.ndim == p_coords.ndim:
+            return vec - (np.vecdot(vec, p_coords) / scale)[..., None] * p_coords
+        return vec - np.matmul(vec, p_coords[..., None]) * p_coords[..., None, :] \
+            / scale
 
     # -- curvature -------------------------------------------------------
 
@@ -262,8 +257,7 @@ class SphereSpec:
     def random_tangent(self, p: "SpherePoint",
                        rng: np.random.Generator) -> "TangentVector":
         v = rng.standard_normal(self.ambient_dim)
-        pc = p.coords
-        return TangentVector(p, v - (v @ pc) / self.radius ** 2 * pc)
+        return TangentVector(p, self.project_array(p.coords, v))
 
     def random_orthonormal_frame(self, p: "SpherePoint",
                                  rng: np.random.Generator) -> "Frame":
@@ -293,9 +287,7 @@ class SphereSpec:
         Returns the points (N, ambient) and the tangents (N, k, ambient).
         """
         p = self.stacked_points(draws[:, 0])
-        at = p[:, None, :]
-        raw = draws[:, 1:]
-        t = raw - (np.vecdot(raw, at) / self.radius ** 2)[:, :, None] * at
+        t = self.project_array(p[:, None, :], draws[:, 1:])
         _check_tangent_stack(self.radius, p, t)
         return p, t
 
@@ -306,9 +298,7 @@ class SphereSpec:
         Returns the points (N, ambient) and the frames (N, dim, ambient).
         """
         p = self.stacked_points(draws[:, 0])
-        raw = draws[:, 1:]
-        outer = np.matmul(raw, p[:, :, None]) * p[:, None, :]
-        frames = _gram_schmidt_stack(raw - outer / self.radius ** 2,
+        frames = _gram_schmidt_stack(self.project_array(p, draws[:, 1:]),
                                      pivot_tol=GS_PIVOT_TOL, drop=False)
         _check_tangent_stack(self.radius, p, frames)
         _check_frames_stack(frames)

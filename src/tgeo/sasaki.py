@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import (
+    GS_PIVOT_TOL,
     BasePointMismatchError,
     DegenerateInputError,
     DegeneratePlaneError,
@@ -25,9 +26,9 @@ from .manifold import (
     _check_points_stack,
     _check_same_base,
     _check_tangent_stack,
+    _gram_schmidt_stack,
     _reject_rows,
     _row_norms,
-    gram_schmidt_rows,
 )
 from .fields import (
     TOL_ANALYTIC,
@@ -244,25 +245,25 @@ def second_form_direct(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
     scale = np.sqrt(1.0 + lam ** 2)
     h = sphere.fd_step if step is None else step
 
-    def transported_frame(q: np.ndarray) -> np.ndarray:
-        return gram_schmidt_rows(sphere.project_array(q, e))
-
     V0 = -shape_apply_array(xi, p.coords, e)    # row j: nabla_{e_j} xi
     a = e @ u                                    # <e_j, xi>
+
+    # the displaced points p(+h e_i), p(-h e_i) as rows 2i, 2i+1; at each,
+    # the frame H transported by projection and V = nabla_H xi
+    q = np.array([sphere._geodesic_coords(p.coords, e[i], t)
+                  for i in range(n1) for t in (h, -h)])
+    H = _gram_schmidt_stack(sphere.project_array(q, e[None]),
+                            pivot_tol=GS_PIVOT_TOL, drop=False)
+    jac = np.array([xi.jacobian_array(qk) for qk in q])
+    V = sphere.project_array(q, np.matmul(H, np.swapaxes(jac, 1, 2)))
 
     omega = np.zeros((n1 - 1, n1, n1))
     for i in range(n1):
         x1 = e[i] / scale[i]
         x2 = -lam[i] * f[i] / scale[i]
-        qp = sphere._geodesic_coords(p.coords, e[i], h)
-        qm = sphere._geodesic_coords(p.coords, e[i], -h)
-        Ep = transported_frame(qp)
-        Em = transported_frame(qm)
-        Vp = -shape_apply_array(xi, qp, Ep)
-        Vm = -shape_apply_array(xi, qm, Em)
-        speed = 1.0 / scale[i]
-        dH = sphere.project_array(p.coords, (Ep - Em) * (speed / (2.0 * h)))
-        dV = sphere.project_array(p.coords, (Vp - Vm) * (speed / (2.0 * h)))
+        c = (1.0 / scale[i]) / (2.0 * h)
+        dH = sphere.project_array(p.coords, (H[2 * i] - H[2 * i + 1]) * c)
+        dV = sphere.project_array(p.coords, (V[2 * i] - V[2 * i + 1]) * c)
 
         # horizontal: dH + R(u, V_j(p)) x1 / 2 + R(u, x2) H_j(p) / 2
         horiz = (dH
@@ -476,7 +477,7 @@ def _unit_hopf_rows(xi: UnitVectorField, p: np.ndarray, x: np.ndarray):
     J = xi.jacobian_array(p[0])
     xiv = xi.value_array(p)
     w = np.matmul(x[:, None, :], J.T)[:, 0, :]
-    return xiv, -(w - (np.vecdot(w, p) / xi.sphere.radius ** 2)[:, None] * p)
+    return xiv, -xi.sphere.project_array(p, w)
 
 
 def _require_unit_hopf(xi: UnitVectorField, what: str) -> None:

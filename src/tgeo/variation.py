@@ -148,8 +148,7 @@ def _derivative_rows(eta: VariationField, coords: np.ndarray, jac: np.ndarray,
     """nabla_X eta row by row from eta's Jacobians ``jac`` (N, ambient,
     ambient) at ``coords`` (N, ambient), with the arithmetic of
     ``covariant_derivative_array``."""
-    d = _matvec_rows(jac, directions)
-    return d - (np.vecdot(d, coords) / eta.sphere.radius ** 2)[:, None] * coords
+    return eta.sphere.project_array(coords, _matvec_rows(jac, directions))
 
 
 def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
@@ -224,12 +223,9 @@ def reduced_integrand(xi: UnitVectorField, eta: VariationField,
     eta0 = eta.value_array(coords).reshape(pts.shape)
     _check_orthogonal(eta0, xiv)
     jac = eta.jacobian_array(coords).reshape(pts.shape + pts.shape[-1:])
-    # the basis e_0 = xi, then the ambient basis projected as
-    # ``project_array`` projects it; a collapsing candidate is a zero row,
-    # whose term adds exactly 0
-    eye = np.eye(sphere.ambient_dim)
-    projected = eye - np.matmul(eye, pts[:, :, None]) * pts[:, None, :] \
-        / sphere.radius ** 2
+    # the basis e_0 = xi, then the projected ambient basis; a collapsing
+    # candidate is a zero row, whose term adds exactly 0
+    projected = sphere.project_array(pts, np.eye(sphere.ambient_dim)[None])
     rows = _gram_schmidt_stack(np.concatenate([xiv[:, None], projected], axis=1),
                                pivot_tol=1e-6, drop=True)
     d0 = _derivative_rows(eta, pts, jac, rows[:, 0])

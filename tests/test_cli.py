@@ -7,7 +7,8 @@ import pytest
 
 import tgeo.cli as cli
 import tgeo.variation as variation
-from tgeo import QuadratureFailure, SphereSpec
+from tgeo import (DecompositionFailure, DegenerateInputError, PreconditionError,
+                  QuadratureFailure, SphereSpec, singular_decomposition)
 from tgeo.fields import TOL_ANALYTIC
 from tgeo.cli import RunConfig, UsageError, main
 
@@ -153,6 +154,42 @@ def test_failing_check_on_sampled_plane_exits_three(capsys, monkeypatch):
     assert "numerical failure: vector is not tangent to the sphere" in err
     k = planes - 1
     assert f"submanifold plane {k}, seed tuple (0, {k})" in err
+
+
+def _failing_at_sample_3(monkeypatch, exc):
+    """Make the verify suites' singular decomposition raise ``exc`` at the
+    fourth sample."""
+    calls = []
+
+    def decompose(xi, p):
+        calls.append(p)
+        if len(calls) == 4:
+            raise exc
+        return singular_decomposition(xi, p)
+
+    monkeypatch.setattr(cli, "singular_decomposition", decompose)
+
+
+def test_verify_names_the_failing_sample(capsys, monkeypatch):
+    _failing_at_sample_3(monkeypatch, DecompositionFailure("frames drifted"))
+    assert main(["verify", "totally-geodesic", "--samples", "6",
+                 "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: frames drifted: sample 3, seed tuple (7, 3)" in err
+
+    exc = DegenerateInputError("vector is not tangent to the sphere")
+    exc.row = 0  # a row check on sampled data
+    _failing_at_sample_3(monkeypatch, exc)
+    assert main(["verify", "obstruction", "--samples", "6"]) == 3
+    assert "sphere: sample 3, seed tuple (0, 3)" in capsys.readouterr().err
+
+
+def test_verify_precondition_without_row_still_exits_two(capsys, monkeypatch):
+    _failing_at_sample_3(monkeypatch, PreconditionError("needs a geodesic field"))
+    assert main(["verify", "obstruction", "--samples", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "error: needs a geodesic field" in err
+    assert "sample" not in err
 
 
 def test_help_exits_zero(capsys):

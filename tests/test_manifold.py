@@ -11,6 +11,8 @@ from tgeo import (
     gram_schmidt_rows,
 )
 
+from conftest import assert_identical, ref_gram_schmidt
+
 
 def test_sphere_spec_basics():
     sphere = SphereSpec(4, 2.0)
@@ -85,6 +87,48 @@ def test_gram_schmidt_rows_drops_dependent_rows():
                     [0.0, 1.0, 0.0]])
     rows = gram_schmidt_rows(mat, drop=True)
     assert rows.shape == (2, 3)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 4), (4, 4), (5, 8), (15, 16)])
+def test_gram_schmidt_rows_matches_reference(shape):
+    for seed in range(5):
+        mat = np.random.default_rng((7, seed)).standard_normal(shape)
+        assert_identical(gram_schmidt_rows(mat), ref_gram_schmidt(mat))
+        assert_identical(gram_schmidt_rows(mat, drop=True),
+                         ref_gram_schmidt(mat, drop=True))
+
+
+def test_gram_schmidt_rows_drop_matches_reference():
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((2, 6))
+    one_dropped = np.array([a, 2.0 * a, b])
+    want = ref_gram_schmidt(one_dropped, drop=True)
+    assert want.shape == (2, 6)
+    assert_identical(gram_schmidt_rows(one_dropped, drop=True), want)
+    # the projected ambient basis at a point loses one candidate
+    sphere = SphereSpec(6, 2.0)
+    p = sphere.random_point(rng).coords
+    candidates = np.vstack([p / 2.0, sphere.project_array(p, np.eye(6))])
+    assert_identical(gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True),
+                     ref_gram_schmidt(candidates, pivot_tol=1e-6, drop=True))
+    # every row below the pivot: no rows, with the matrix's row length
+    tiny = 1e-12 * rng.standard_normal((3, 5))
+    assert ref_gram_schmidt(tiny, drop=True).size == 0
+    assert gram_schmidt_rows(tiny, drop=True).shape == (0, 5)
+
+
+def test_gram_schmidt_rows_pivot_failure_matches_reference():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 5))
+    for mat in (np.array([a, b, a + b]), np.array([a, 3.0 * a]),
+                np.zeros((2, 5))):
+        with pytest.raises(DegenerateInputError) as want:
+            ref_gram_schmidt(mat)
+        with pytest.raises(DegenerateInputError) as got:
+            gram_schmidt_rows(mat)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("gram_schmidt pivot ")
 
 
 def test_frame_validation():

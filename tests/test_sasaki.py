@@ -28,7 +28,7 @@ from tgeo import (
 )
 from tgeo import hopf_field, meridian_field
 from tgeo.sasaki import hopf_pattern_peak, hopf_pattern_split, meridian_obstruction
-from conftest import seeded_points
+from conftest import assert_identical, ref_gram_schmidt, seeded_points
 
 
 def test_sasaki_inner_splits_into_parts(hopf3):
@@ -143,6 +143,64 @@ def test_second_form_direct_is_symmetric(hopf3_r2):
     p = hopf3_r2.sphere.random_point(np.random.default_rng(12))
     om = second_form_direct(hopf3_r2, p, singular_decomposition(hopf3_r2, p))
     assert np.max(np.abs(om - np.transpose(om, (0, 2, 1)))) < 1e-6
+
+
+def ref_second_form_direct(xi, p, sd):
+    """``second_form_direct`` one displaced point at a time: each transported
+    frame from the one-matrix Gram-Schmidt and each projection written out."""
+    sphere = xi.sphere
+    r2 = sphere.radius ** 2
+    lam = sd.lambdas
+    e = sd.right_frame.matrix
+    f = sd.left_frame.matrix
+    n1 = len(lam)
+    u = f[0]
+    k = sphere.curvature_constant
+    scale = np.sqrt(1.0 + lam ** 2)
+    h = sphere.fd_step
+
+    def project(q, rows):
+        return rows - np.outer(rows @ q, q) / r2
+
+    V0 = -shape_apply_array(xi, p.coords, e)
+    a = e @ u
+    omega = np.zeros((n1 - 1, n1, n1))
+    for i in range(n1):
+        x1 = e[i] / scale[i]
+        x2 = -lam[i] * f[i] / scale[i]
+        qp = sphere._geodesic_coords(p.coords, e[i], h)
+        qm = sphere._geodesic_coords(p.coords, e[i], -h)
+        Ep = ref_gram_schmidt(project(qp, e))
+        Em = ref_gram_schmidt(project(qm, e))
+        Vp = -shape_apply_array(xi, qp, Ep)
+        Vm = -shape_apply_array(xi, qm, Em)
+        speed = 1.0 / scale[i]
+        dH = project(p.coords, (Ep - Em) * (speed / (2.0 * h)))
+        dV = project(p.coords, (Vp - Vm) * (speed / (2.0 * h)))
+        horiz = (dH
+                 + 0.5 * k * (np.outer(V0 @ x1, u) - (u @ x1) * V0)
+                 + 0.5 * k * (np.outer(e @ x2, u) - np.outer(a, x2)))
+        vert = (dV
+                - 0.5 * k * (np.outer(a, x1) - (x1 @ u) * e)
+                - np.outer(V0 @ u, x2))
+        vert = vert - np.outer(vert @ u, u)
+        omega[:, i, :] = (lam[1:, None] * (e[1:] @ horiz.T) + f[1:] @ vert.T) \
+            / scale[1:, None] / scale[None, :]
+    return omega
+
+
+@pytest.mark.parametrize("xi", [
+    hopf_field(2, 3.0),
+    hopf_field(3, 0.37),
+    meridian_field(np.eye(6)[0], 3.0),
+], ids=["hopf-s5-r3", "hopf-s7-r0.37", "meridian-s5-r3"])
+def test_second_form_direct_matches_per_point_reference(xi):
+    """The displaced points' frames as one stack give the bits of the loop
+    over displaced points."""
+    for p in seeded_points(xi, 6, seed=14):
+        sd = singular_decomposition(xi, p)
+        assert_identical(second_form_direct(xi, p, sd),
+                         ref_second_form_direct(xi, p, sd))
 
 
 def test_second_form_nonunit_pattern(hopf3_r2):

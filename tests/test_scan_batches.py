@@ -8,7 +8,6 @@ elsewhere.
 """
 
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -25,15 +24,7 @@ from tgeo.sasaki import (
     xi_tangential_lift_array,
 )
 
-EXACT = sys.version_info[:3] == (3, 11, 7) and np.__version__ == "2.4.6"
-
-
-def assert_identical(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    if EXACT:
-        assert np.array_equal(got, want)
-    else:
-        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+from conftest import EXACT, assert_identical
 
 
 # -- one-plane reference -------------------------------------------------------

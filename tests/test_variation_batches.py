@@ -2,12 +2,10 @@
 
 The reference functions below are the one-point formulas the variation
 layer used before it took stacks, written with ``@``, ``np.outer`` and
-``np.linalg.norm``, and the one-matrix ``gram_schmidt_rows``. The stacked
+``np.linalg.norm``, and the one-matrix ``ref_gram_schmidt``. The stacked
 fields and kernels promise the same bits under the interpreter and numpy
 the benchmark digests were recorded with, and a last-bit margin elsewhere.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from tgeo import (
     complex_structure,
     destabilizing_field,
     destabilizing_integrand,
-    gram_schmidt_rows,
     hopf_field,
     horizontal_extension_field,
     integrate_over_sphere,
@@ -34,16 +31,7 @@ from tgeo import (
 from tgeo.cli import main
 from tgeo.variation import _LI, _LJ, _LK, _fiber_residual_rows, _horizontal_seed
 
-EXACT = sys.version_info[:3] == (3, 11, 7) and np.__version__ == "2.4.6"
-
-
-def assert_identical(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert got.shape == want.shape
-    if EXACT:
-        assert np.array_equal(got, want)
-    else:
-        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+from conftest import assert_identical, ref_gram_schmidt
 
 
 # -- one-point reference ---------------------------------------------------------
@@ -105,7 +93,7 @@ def ref_reduced(value, jacobian, p):
     assert abs(float(eta0 @ xiv)) <= 1e-8 * (np.linalg.norm(eta0) + 1.0)
     eye = np.eye(len(p))
     candidates = np.vstack([xiv, eye - np.outer(eye @ p, p) / 1.0])
-    rows = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)
+    rows = ref_gram_schmidt(candidates, pivot_tol=1e-6, drop=True)
     d0 = ref_derivative(jacobian, p, rows[0])
     total = 4.0 * float(d0 @ d0)
     for row in rows[1:]:
@@ -132,8 +120,8 @@ def ref_seed(q):
     """The destabilizing seed from every ambient basis vector as a
     candidate."""
     J = complex_structure(len(q))
-    return gram_schmidt_rows(np.vstack([q, J @ q, np.eye(len(q))]),
-                             pivot_tol=1e-6, drop=True)[2]
+    return ref_gram_schmidt(np.vstack([q, J @ q, np.eye(len(q))]),
+                            pivot_tol=1e-6, drop=True)[2]
 
 
 def ref_point(q):
