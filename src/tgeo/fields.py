@@ -366,19 +366,27 @@ def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
                    y: np.ndarray, *, step: float | None = None) -> np.ndarray:
     """r(X,Y)xi = nabla_X nabla_Y xi - nabla_{nabla_X Y} xi = -(nabla_X A) Y.
 
-    Array kernel: ``x`` and ``y`` are ambient vectors tangent at the point
-    ``p_coords``, checked where they were made, and the result is the
-    ambient vector. Y is extended off the base point by tangential
-    projection of its ambient vector; that extension has vanishing
-    covariant derivative at the base point, so the whole tensor reduces to
-    one derivative of A Y-tilde along X. The result is tensorial in both
-    slots, so the extension choice is immaterial (asserted by tests, not
-    assumed).
+    Array kernel: ``x`` is an ambient vector tangent at the point
+    ``p_coords``, and ``y`` one such vector ``(ambient,)`` or a stack of rows
+    ``(k, ambient)``, checked where they were made; the result has the shape
+    of ``y``. Y is extended off the base point by tangential projection of
+    its ambient vector; that extension has vanishing covariant derivative at
+    the base point, so the whole tensor reduces to one derivative of A
+    Y-tilde along X, taken once for all rows of ``y``. The result is
+    tensorial in both slots, so the extension choice is immaterial (asserted
+    by tests, not assumed).
+
+    Each row gives the bits of its one-vector call: the rows are projected
+    one vector per point and A is one matrix-vector product per row (a
+    matrix of rows would round differently).
     """
     sphere = xi.sphere
 
     def a_ytilde(q: np.ndarray) -> np.ndarray:
-        return shape_apply_array(xi, q, sphere.project_array(q, y))
+        # q[None] projects each row of y as one vector at q
+        at = q if y.ndim == 1 else q[None]
+        ay = _matvec_rows(xi.jacobian_array(q), sphere.project_array(at, y))
+        return -sphere.project_array(at, ay)
 
     return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
 

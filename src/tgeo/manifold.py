@@ -237,7 +237,8 @@ class SphereSpec:
 
         ``fn`` maps ambient coordinates of a sphere point to an array; the
         derivative is taken along the geodesic from p in ``direction`` and
-        projected back to the tangent space at p (row-wise for 2-d values).
+        projected back to the tangent space at p. A 2-d value is projected
+        row by row, each row rounded like the 1-d call.
         """
         speed = np.linalg.norm(direction)
         if speed == 0.0:
@@ -247,7 +248,8 @@ class SphereSpec:
         u = direction / speed
         plus = np.asarray(fn(self._geodesic_coords(p_coords, u, h)), dtype=float)
         minus = np.asarray(fn(self._geodesic_coords(p_coords, u, -h)), dtype=float)
-        return self.project_array(p_coords, (plus - minus) * (speed / (2.0 * h)))
+        diff = (plus - minus) * (speed / (2.0 * h))
+        return self.project_array(p_coords if diff.ndim == 1 else p_coords[None], diff)
 
     # -- sampling and frames ----------------------------------------------
 

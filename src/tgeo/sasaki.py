@@ -200,10 +200,9 @@ def second_form_lemma(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
     xiv = f[0]
     k = sphere.curvature_constant
 
-    r_vals = np.zeros((n1, n1, sphere.ambient_dim))
-    for i in range(n1):
-        for j in range(n1):
-            r_vals[i, j] = half_curvature(xi, p.coords, e[i], e[j], step=step)
+    # r_vals[i, j] = r(e_i, e_j) xi: one derivative along each e_i
+    r_vals = np.array([half_curvature(xi, p.coords, e[i], e, step=step)
+                       for i in range(n1)])
     sym = r_vals + np.transpose(r_vals, (1, 0, 2))
 
     a = e @ xiv                   # a_i = <e_i, xi>

@@ -8,9 +8,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "tgeo"
 
 # What both routes may call: tangential projection, the geodesic through a
-# point, and the shape operator read from the field's Jacobian.
-SHARED_PRIMITIVES = {"project_array", "_geodesic_coords", "shape_apply_array",
-                     "jacobian_array"}
+# point, and the field's Jacobian.
+SHARED_PRIMITIVES = {"project_array", "_geodesic_coords", "jacobian_array"}
 
 
 def call_graph(sources) -> dict:

@@ -8,9 +8,11 @@ from tgeo import (
     Frame,
     PreconditionError,
     TangentVector,
+    UnitVectorField,
     bundle_sectional_curvature,
     geodesic_field_obstruction,
     gram_schmidt_rows,
+    half_curvature,
     horizontal_lift,
     is_strongly_normal,
     killing_canonical_frames,
@@ -201,6 +203,112 @@ def test_second_form_direct_matches_per_point_reference(xi):
         sd = singular_decomposition(xi, p)
         assert_identical(second_form_direct(xi, p, sd),
                          ref_second_form_direct(xi, p, sd))
+
+
+def ref_half_curvature(xi, p_coords, x, y, *, step=None):
+    """``half_curvature`` for one vector ``y``, written out with the 1-d
+    projection and the 1-d shape operator."""
+    sphere = xi.sphere
+
+    def a_ytilde(q):
+        return shape_apply_array(xi, q, sphere.project_array(q, y))
+
+    return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
+
+
+def ref_second_form_lemma(xi, p, sd, *, step=None):
+    """``second_form_lemma`` with one half-curvature call per (e_i, e_j)
+    pair, n1^2 finite differences per point."""
+    lam = sd.lambdas
+    e = sd.right_frame.matrix
+    f = sd.left_frame.matrix
+    n1 = len(lam)
+    k = xi.sphere.curvature_constant
+    r_vals = np.zeros((n1, n1, xi.sphere.ambient_dim))
+    for i in range(n1):
+        for j in range(n1):
+            r_vals[i, j] = ref_half_curvature(xi, p.coords, e[i], e[j], step=step)
+    sym = r_vals + np.transpose(r_vals, (1, 0, 2))
+    a = e @ f[0]
+    G = e @ f.T
+    T = k * (a[None, :, None] * G[:, None, :] - a[:, None, None] * G[None, :, :])
+    first = np.einsum("ijc,sc->sij", sym, f)
+    second = lam[:, None, None] * (lam[None, None, :] * T
+                                   + lam[None, :, None] * np.transpose(T, (0, 2, 1)))
+    scale = 1.0 / np.sqrt(1.0 + lam ** 2)
+    Lam = scale[:, None, None] * scale[None, :, None] * scale[None, None, :]
+    return (0.5 * Lam * (first + second))[1:]
+
+
+@pytest.mark.parametrize("xi", [
+    hopf_field(1, 1.0),
+    hopf_field(3, 1.0),
+    hopf_field(7, 1.0),
+    hopf_field(2, 3.0),
+    hopf_field(3, 0.37),
+    meridian_field(np.eye(4)[0], 1.0),
+    meridian_field(np.eye(6)[0], 3.0),
+], ids=["hopf-s3", "hopf-s7", "hopf-s15", "hopf-s5-r3", "hopf-s7-r0.37",
+        "meridian-s3", "meridian-s5-r3"])
+def test_second_form_lemma_matches_per_pair_reference(xi):
+    """One finite difference per frame direction, applied to the whole frame,
+    gives the bits of one finite difference per (e_i, e_j) pair."""
+    count = 3 if xi.sphere.dim > 7 else 6
+    for p in seeded_points(xi, count, seed=15):
+        sd = singular_decomposition(xi, p)
+        assert_identical(second_form_lemma(xi, p, sd),
+                         ref_second_form_lemma(xi, p, sd))
+
+
+@pytest.mark.parametrize("xi", [
+    hopf_field(3, 1.0),
+    hopf_field(2, 3.0),
+    meridian_field(np.eye(4)[0], 1.0),
+    meridian_field(np.eye(6)[0], 3.0),
+], ids=["hopf-s7", "hopf-s5-r3", "meridian-s3", "meridian-s5-r3"])
+@pytest.mark.parametrize("step", [None, 3e-4])
+def test_half_curvature_rows_match_one_vector_calls(xi, step):
+    """Row j of half_curvature(x, Y) is half_curvature(x, Y[j]) bit for bit,
+    and the one-vector call is the written-out 1-d reference."""
+    sphere = xi.sphere
+    for idx, p in enumerate(seeded_points(xi, 4, seed=16)):
+        raw = np.random.default_rng((16, idx)).standard_normal(
+            (1 + sphere.dim, sphere.ambient_dim))
+        x, *ys = sphere.project_array(p.coords, raw)
+        ys = np.array(ys)
+        stacked = half_curvature(xi, p.coords, x, ys, step=step)
+        assert stacked.shape == ys.shape
+        for y, row in zip(ys, stacked):
+            one = half_curvature(xi, p.coords, x, y, step=step)
+            assert one.shape == y.shape
+            assert_identical(row, one)
+            assert_identical(one, ref_half_curvature(xi, p.coords, x, y, step=step))
+
+
+@pytest.mark.parametrize("m", [3, 7], ids=["s7", "s15"])
+def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
+    """One second_form_lemma call makes n1 half-curvature calls and 2 n1
+    Jacobian evaluations (30 on S^15, not the 2 n1^2 = 450 of one finite
+    difference per frame pair)."""
+    xi = hopf_field(m, 1.0)
+    n1 = xi.sphere.dim
+    p = seeded_points(xi, 1, seed=17)[0]
+    sd = singular_decomposition(xi, p)
+    counts = {"half_curvature": 0, "jacobian": 0}
+
+    def counted_jacobian(q, _jac=xi.jacobian_fn):
+        counts["jacobian"] += 1
+        return _jac(q)
+
+    def counted_half_curvature(*args, **kwargs):
+        counts["half_curvature"] += 1
+        return half_curvature(*args, **kwargs)
+
+    monkeypatch.setattr("tgeo.sasaki.half_curvature", counted_half_curvature)
+    counted = UnitVectorField(xi.sphere, xi.value_fn, counted_jacobian, xi.name)
+    omega = second_form_lemma(counted, p, sd)
+    assert counts == {"half_curvature": n1, "jacobian": 2 * n1}
+    assert_identical(omega, second_form_lemma(xi, p, sd))
 
 
 def test_second_form_nonunit_pattern(hopf3_r2):
