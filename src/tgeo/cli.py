@@ -270,8 +270,9 @@ def _run_codazzi(config: RunConfig) -> VerificationReport:
 
     def measure(rng, p):
         x, y = sphere.random_orthonormal_frame(p, rng).matrix[:2]
-        lhs = (half_curvature(xi, p.coords, x, y)
-               - half_curvature(xi, p.coords, y, x))
+        r_xy, r_yx = half_curvature(xi, p.coords, np.array([x, y]),
+                                    np.array([y, x]))
+        lhs = r_xy - r_yx
         rhs = sphere.curvature_array(x, y, xi.value_array(p.coords))
         return {"codazzi": float(np.linalg.norm(lhs - rhs))}
 

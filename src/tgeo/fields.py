@@ -21,6 +21,8 @@ from .manifold import (
     TangentVector,
     _check_tangent_stack,
     _matvec_rows,
+    _reject_rows,
+    _row_norms,
     gram_schmidt_rows,
 )
 
@@ -60,10 +62,10 @@ class UnitVectorField:
     and the second-form routes) and, as a check of the Jacobian itself, in
     ``sasakian_identity_residual``.
 
-    The Hopf field and the variation fields of ``tgeo.variation`` also take
-    a stack of points: ``(N, ambient)`` coordinates give ``(N, ambient)``
-    values and ``(N, ambient, ambient)`` Jacobians, each row equal to its
-    one-point call. The meridian field takes one point.
+    Every built-in field (Hopf, meridian and the variation fields of
+    ``tgeo.variation``) also takes a stack of points: ``(N, ambient)``
+    coordinates give ``(N, ambient)`` values and ``(N, ambient, ambient)``
+    Jacobians, each row equal to its one-point call.
 
     Unit norm is a contract only for the field passed as ``xi``, and nothing
     checks it; variation directions eta (``tgeo.variation.VariationField`` is
@@ -131,31 +133,41 @@ def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
     """Unit tangents to the meridian great circles through +/- r*m_axis.
 
     Geodesic and holonomic but not Killing; undefined within a polar cap of
-    angular radius 1e-4 around either pole.
+    angular radius 1e-4 around either pole. Takes one point or a stack of
+    points; a stack is evaluated row by row with the arithmetic of the
+    one-point call, and a point in a cap raises ``SingularLocusError`` naming
+    the first such row.
     """
     axis = np.asarray(m_axis, dtype=float)
     if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
         raise DegenerateInputError("meridian axis must be a unit ambient vector")
     sphere = SphereSpec(len(axis), radius)
     r2 = radius ** 2
+    eye = np.eye(len(axis))
+
+    def check_caps(s_sq):
+        # polar angle below 1e-4
+        _reject_rows(np.atleast_1d(s_sq < 1e-8), SingularLocusError,
+                     "meridian field evaluated inside a polar cap")
 
     def value(p, a=axis):
-        c = (a @ p) / r2
-        s_sq = 1.0 - c * (a @ p)
-        if s_sq < 1e-8:  # polar angle below 1e-4
-            raise SingularLocusError("meridian field evaluated inside a polar cap")
-        u = a - c * p
-        return u / np.sqrt(s_sq)
+        ap = np.vecdot(p, a)
+        c = ap / r2
+        s_sq = 1.0 - c * ap
+        check_caps(s_sq)
+        u = a - c[..., None] * p
+        return u / np.sqrt(s_sq)[..., None]
 
     def jacobian(p, a=axis):
-        ap = a @ p
+        ap = np.vecdot(p, a)
         s_sq = 1.0 - ap * ap / r2
-        if s_sq < 1e-8:
-            raise SingularLocusError("meridian field evaluated inside a polar cap")
-        s = np.sqrt(s_sq)
-        u = a - (ap / r2) * p
-        return (-(np.outer(p, a) + ap * np.eye(len(a))) / (r2 * s)
-                + (ap / (r2 * s ** 3)) * np.outer(u, u))
+        check_caps(s_sq)
+        u = a - (ap / r2)[..., None] * p
+        ap, s = ap[..., None, None], np.sqrt(s_sq)[..., None, None]
+        # float_power, not ** 3: on an array ** takes a vectorized pow that
+        # rounds differently from the scalar one
+        return (-(p[..., :, None] * a + ap * eye) / (r2 * s)
+                + (ap / (r2 * np.float_power(s, 3))) * (u[..., :, None] * u[..., None, :]))
 
     return UnitVectorField(sphere, value, jacobian, name="meridian")
 
@@ -366,26 +378,34 @@ def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
                    y: np.ndarray, *, step: float | None = None) -> np.ndarray:
     """r(X,Y)xi = nabla_X nabla_Y xi - nabla_{nabla_X Y} xi = -(nabla_X A) Y.
 
-    Array kernel: ``x`` is an ambient vector tangent at the point
-    ``p_coords``, and ``y`` one such vector ``(ambient,)`` or a stack of rows
-    ``(k, ambient)``, checked where they were made; the result has the shape
-    of ``y``. Y is extended off the base point by tangential projection of
-    its ambient vector; that extension has vanishing covariant derivative at
-    the base point, so the whole tensor reduces to one derivative of A
-    Y-tilde along X, taken once for all rows of ``y``. The result is
-    tensorial in both slots, so the extension choice is immaterial (asserted
-    by tests, not assumed).
+    Array kernel on ambient vectors tangent at the point ``p_coords``,
+    checked where they were made. ``x`` is one vector ``(ambient,)`` or rows
+    ``(k, ambient)``. ``y`` has either the shape of ``x``, paired with it row
+    by row (row i is r(x_i, y_i)xi), or one more axis, rows of Y for each X:
+    ``(m, ambient)`` for one ``x``, ``(k, m, ambient)`` for rows of ``x``.
+    The result has the shape of ``y``.
+
+    Y is extended off the base point by tangential projection of its ambient
+    vector; that extension has vanishing covariant derivative at the base
+    point, so the whole tensor reduces to one derivative of A Y-tilde along
+    X: one finite difference for all of ``x`` and ``y``, with two stacked
+    Jacobian evaluations. The result is tensorial in both slots, so the
+    extension choice is immaterial (asserted by tests, not assumed).
 
     Each row gives the bits of its one-vector call: the rows are projected
     one vector per point and A is one matrix-vector product per row (a
     matrix of rows would round differently).
     """
     sphere = xi.sphere
+    grid = y.ndim > x.ndim
 
     def a_ytilde(q: np.ndarray) -> np.ndarray:
-        # q[None] projects each row of y as one vector at q
-        at = q if y.ndim == 1 else q[None]
-        ay = _matvec_rows(xi.jacobian_array(q), sphere.project_array(at, y))
+        # q (the shape of x) carries one axis fewer than a grid y: the
+        # inserted axis projects each row of y as one vector at its point
+        at = q[..., None, :] if grid else q
+        jac = xi.jacobian_array(q)
+        ay = _matvec_rows(jac[..., None, :, :] if grid else jac,
+                          sphere.project_array(at, y))
         return -sphere.project_array(at, ay)
 
     return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
@@ -414,17 +434,25 @@ def _killing_result(M: np.ndarray) -> PredicateResult:
 
 def _unit_perp_samples(xi, p, rng, count):
     """Random unit tangent vectors orthogonal to the field at p, as the
-    rows of a checked (count, ambient) array."""
+    rows of a checked (count, ambient) array.
+
+    Draws the rows still missing at once and keeps those not too close to
+    the field, in order, until ``count`` are kept: the same vectors, from the
+    same draws, as one draw at a time.
+    """
     sphere = xi.sphere
     xiv = xi.value_array(p.coords)
-    out = []
-    while len(out) < count:
-        v = sphere.project_array(p.coords, rng.standard_normal(sphere.ambient_dim))
-        v -= (v @ xiv) * xiv
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            out.append(v / norm)
-    vecs = np.array(out)
+    kept = []
+    missing = count
+    while missing:
+        v = sphere.project_array(p.coords[None],
+                                 rng.standard_normal((missing, sphere.ambient_dim)))
+        v -= np.vecdot(v, xiv)[:, None] * xiv
+        norm = _row_norms(v)
+        ok = norm > 1e-6
+        kept.append(v[ok] / norm[ok, None])
+        missing -= int(np.count_nonzero(ok))
+    vecs = np.concatenate(kept)
     _check_tangent_stack(sphere.radius, p.coords[None], vecs[None])
     return vecs
 
@@ -441,33 +469,31 @@ def is_killing(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     return _killing_result(shape_matrix(xi, p.coords, rows))
 
 
+def _perp_triples(xi, p):
+    """PREDICATE_SAMPLES triples (X, Y, Z) of unit vectors orthogonal to the
+    field at p, as three (PREDICATE_SAMPLES, ambient) arrays."""
+    vecs = _unit_perp_samples(xi, p, np.random.default_rng(0),
+                              3 * PREDICATE_SAMPLES)
+    return vecs[0::3], vecs[1::3], vecs[2::3]
+
+
 def is_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """max |<R(X,Y)Z, xi>| over sampled X,Y,Z orthogonal to xi.
 
     Identically zero on constant-curvature spaces; the closed-form curvature
     makes the tolerance analytic (1e-10).
     """
-    sphere = xi.sphere
-    rng = np.random.default_rng(0)
     xiv = xi.value_array(p.coords)
-    vecs = _unit_perp_samples(xi, p, rng, 3 * PREDICATE_SAMPLES)
-    resid = 0.0
-    for k in range(PREDICATE_SAMPLES):
-        x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
-        resid = max(resid, abs(float(sphere.curvature_array(x, y, z) @ xiv)))
-    return _result("normal", resid, 1e-10)
+    x, y, z = _perp_triples(xi, p)
+    vals = np.vecdot(xi.sphere.curvature_array(x, y, z), xiv)
+    return _result("normal", np.max(np.abs(vals)), 1e-10)
 
 
 def is_strongly_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """max |<(nabla_X A) Y, Z>| over sampled X,Y,Z orthogonal to xi."""
-    rng = np.random.default_rng(0)
-    vecs = _unit_perp_samples(xi, p, rng, 3 * PREDICATE_SAMPLES)
-    resid = 0.0
-    for k in range(PREDICATE_SAMPLES):
-        x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
-        r_val = half_curvature(xi, p.coords, x, y)
-        resid = max(resid, abs(float(r_val @ z)))
-    return _result("strongly_normal", resid, TOL_ANALYTIC)
+    x, y, z = _perp_triples(xi, p)
+    vals = np.vecdot(half_curvature(xi, p.coords, x, y), z)
+    return _result("strongly_normal", np.max(np.abs(vals)), TOL_ANALYTIC)
 
 
 def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
@@ -477,28 +503,28 @@ def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     finite-difference nabla_X xi and the analytic phi X, and
     || r(X,Y)xi - (<xi,Y> X - <X,Y> xi) ||, which is the covariant derivative
     identity for phi. On a sphere of radius r the second part scales like
-    |1 - 1/r^2|, so it vanishes only at r = 1.
+    |1 - 1/r^2|, so it vanishes only at r = 1. A pair with a near-zero draw
+    is skipped.
     """
     sphere = xi.sphere
     rng = np.random.default_rng(0)
     xiv = xi.value_array(p.coords)
-    resid = 0.0
-    for _ in range(PREDICATE_SAMPLES):
-        raw = sphere.project_array(p.coords,
-                                   rng.standard_normal((2, sphere.ambient_dim)))
-        norms = np.linalg.norm(raw, axis=1)
-        if np.min(norms) < 1e-6:
-            continue
-        units = raw / norms[:, None]
-        _check_tangent_stack(sphere.radius, p.coords[None], units[None])
-        x, y = units
-        fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
-        resid = max(resid, float(np.linalg.norm(
-            fd - xi.covariant_derivative_array(p.coords, x))))
-        r_val = half_curvature(xi, p.coords, x, y)
-        target = (xiv @ y) * x - (x @ y) * xiv
-        resid = max(resid, float(np.linalg.norm(r_val - target)))
-    return resid
+    # each (2, ambient) pair projected as a matrix of rows at p
+    raw = sphere.project_array(
+        p.coords, rng.standard_normal((PREDICATE_SAMPLES, 2, sphere.ambient_dim)))
+    norms = np.linalg.norm(raw, axis=-1)
+    keep = np.min(norms, axis=1) >= 1e-6
+    units = raw[keep] / norms[keep][..., None]
+    _check_tangent_stack(sphere.radius, p.coords[None],
+                         units.reshape(1, -1, sphere.ambient_dim))
+    x, y = units[:, 0], units[:, 1]
+    fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
+    analytic = sphere.project_array(p.coords[None],
+                                    _matvec_rows(xi.jacobian_array(p.coords), x))
+    r_vals = half_curvature(xi, p.coords, x, y)
+    target = np.vecdot(y, xiv)[:, None] * x - np.vecdot(x, y)[:, None] * xiv
+    return float(max(np.max(_row_norms(fd - analytic), initial=0.0),
+                     np.max(_row_norms(r_vals - target), initial=0.0)))
 
 
 def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint) -> float:

@@ -237,19 +237,25 @@ class SphereSpec:
 
         ``fn`` maps ambient coordinates of a sphere point to an array; the
         derivative is taken along the geodesic from p in ``direction`` and
-        projected back to the tangent space at p. A 2-d value is projected
-        row by row, each row rounded like the 1-d call.
+        projected back to the tangent space at p, each vector of the value
+        rounded like a 1-d value.
+
+        ``direction`` is one vector or rows ``(k, ambient)``. For rows,
+        ``fn`` is called once on the ``(k, ambient)`` stack of displaced
+        points on each side and must return one value per row; row i of the
+        result is the one-direction call for row i. A zero direction gives
+        zero: both of its displaced points are cos(h/r) p, so their values
+        cancel exactly.
         """
-        speed = np.linalg.norm(direction)
-        if speed == 0.0:
-            probe = np.asarray(fn(p_coords), dtype=float)
-            return np.zeros_like(probe)
+        # the norm written out: _row_norms is the direct route's, not shared
+        speed = np.sqrt(np.vecdot(direction, direction))
         h = self.fd_step if step is None else step
-        u = direction / speed
+        u = direction / np.where(speed == 0.0, 1.0, speed)[..., None]
         plus = np.asarray(fn(self._geodesic_coords(p_coords, u, h)), dtype=float)
         minus = np.asarray(fn(self._geodesic_coords(p_coords, u, -h)), dtype=float)
-        diff = (plus - minus) * (speed / (2.0 * h))
-        return self.project_array(p_coords if diff.ndim == 1 else p_coords[None], diff)
+        rate = (speed / (2.0 * h))[(...,) + (None,) * (plus.ndim - speed.ndim)]
+        diff = (plus - minus) * rate
+        return self.project_array(p_coords[(None,) * (diff.ndim - 1)], diff)
 
     # -- sampling and frames ----------------------------------------------
 

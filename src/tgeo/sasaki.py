@@ -200,9 +200,9 @@ def second_form_lemma(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
     xiv = f[0]
     k = sphere.curvature_constant
 
-    # r_vals[i, j] = r(e_i, e_j) xi: one derivative along each e_i
-    r_vals = np.array([half_curvature(xi, p.coords, e[i], e, step=step)
-                       for i in range(n1)])
+    # r_vals[i, j] = r(e_i, e_j) xi: one derivative along all e_i at once
+    r_vals = half_curvature(xi, p.coords, e, np.broadcast_to(e, (n1,) + e.shape),
+                            step=step)
     sym = r_vals + np.transpose(r_vals, (1, 0, 2))
 
     a = e @ xiv                   # a_i = <e_i, xi>
@@ -253,7 +253,7 @@ def second_form_direct(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
                   for i in range(n1) for t in (h, -h)])
     H = _gram_schmidt_stack(sphere.project_array(q, e[None]),
                             pivot_tol=GS_PIVOT_TOL, drop=False)
-    jac = np.array([xi.jacobian_array(qk) for qk in q])
+    jac = xi.jacobian_array(q)
     V = sphere.project_array(q, np.matmul(H, np.swapaxes(jac, 1, 2)))
 
     omega = np.zeros((n1 - 1, n1, n1))

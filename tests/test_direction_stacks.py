@@ -1,0 +1,255 @@
+"""Stacks of directions at one point against one-direction calls.
+
+One finite difference serves a whole stack of directions. The stacked
+meridian field, ``fd_derivative_array`` and ``half_curvature`` on rows, and
+the sampled predicates built on them give, row by row, the bits of the
+one-vector calls and of the per-direction loops they replace.
+"""
+
+import numpy as np
+import pytest
+
+import tgeo.cli as cli
+from tgeo import (
+    SingularLocusError,
+    SphereSpec,
+    UnitVectorField,
+    half_curvature,
+    hopf_field,
+    is_normal,
+    is_strongly_normal,
+    meridian_field,
+    sasakian_identity_residual,
+    second_form_direct,
+    singular_decomposition,
+)
+from tgeo.fields import PREDICATE_SAMPLES
+from conftest import assert_identical, seeded_points
+
+FIELDS = [
+    hopf_field(1, 1.0),
+    hopf_field(3, 1.0),
+    hopf_field(7, 1.0),
+    hopf_field(2, 3.0),
+    hopf_field(3, 0.37),
+    meridian_field(np.eye(3)[0], 1.0),
+    meridian_field(np.eye(4)[0], 1.0),
+    meridian_field(np.eye(6)[0], 3.0),
+]
+FIELD_IDS = ["hopf-s3", "hopf-s7", "hopf-s15", "hopf-s5-r3", "hopf-s7-r0.37",
+             "meridian-s2", "meridian-s3", "meridian-s5-r3"]
+MERIDIANS = [xi for xi in FIELDS if xi.name == "meridian"]
+MERIDIAN_IDS = [i for i, xi in zip(FIELD_IDS, FIELDS) if xi.name == "meridian"]
+
+
+def tangent_rows(xi, p, count, seed):
+    """``count`` seeded tangent vectors at p, not unit."""
+    sphere = xi.sphere
+    raw = np.random.default_rng(seed).standard_normal((count, sphere.ambient_dim))
+    return sphere.project_array(p.coords[None], raw)
+
+
+# -- the stacked meridian field ------------------------------------------------
+
+
+def ref_meridian(axis, radius, p):
+    """The meridian field's value and Jacobian at one point, with the scalar
+    arithmetic of a one-point formula (``s ** 3`` on a float)."""
+    r2 = radius ** 2
+    ap = axis @ p
+    c = ap / r2
+    value = (axis - c * p) / np.sqrt(1.0 - c * ap)
+    s = np.sqrt(1.0 - ap * ap / r2)
+    u = axis - (ap / r2) * p
+    jac = (-(np.outer(p, axis) + ap * np.eye(len(axis))) / (r2 * s)
+           + (ap / (r2 * s ** 3)) * np.outer(u, u))
+    return value, jac
+
+
+@pytest.mark.parametrize("xi", MERIDIANS, ids=MERIDIAN_IDS)
+def test_meridian_rows_match_one_point_calls(xi):
+    sphere = xi.sphere
+    axis = np.eye(sphere.ambient_dim)[0]
+    pts = np.array([p.coords for p in seeded_points(xi, 24, seed=30)])
+    values = xi.value_array(pts)
+    jacs = xi.jacobian_array(pts)
+    assert values.shape == pts.shape
+    assert jacs.shape == pts.shape + pts.shape[-1:]
+    for q, value, jac in zip(pts, values, jacs):
+        ref_value, ref_jac = ref_meridian(axis, sphere.radius, q)
+        assert_identical(value, xi.value_array(q))
+        assert_identical(jac, xi.jacobian_array(q))
+        assert_identical(value, ref_value)
+        assert_identical(jac, ref_jac)
+
+
+@pytest.mark.parametrize("xi", MERIDIANS, ids=MERIDIAN_IDS)
+def test_meridian_stack_names_the_cap_row(xi):
+    sphere = xi.sphere
+    pts = np.array([p.coords for p in seeded_points(xi, 4, seed=31)])
+    pts[2] = -sphere.radius * np.eye(sphere.ambient_dim)[0]
+    for evaluate in (xi.value_array, xi.jacobian_array):
+        with pytest.raises(SingularLocusError, match=r"polar cap \(row 2\)") as info:
+            evaluate(pts)
+        assert info.value.row == 2
+
+
+# -- fd_derivative_array on rows of directions --------------------------------
+
+
+@pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("step", [None, 3e-4])
+def test_fd_derivative_rows_match_one_direction_calls(xi, step):
+    """Row i of a stacked call is the one-direction call along row i, for a
+    vector-valued and a matrix-valued map; a zero row gives zero."""
+    sphere = xi.sphere
+    for idx, p in enumerate(seeded_points(xi, 3, seed=32)):
+        dirs = tangent_rows(xi, p, 5, (32, idx))
+        dirs[3] = 0.0
+        for fn in (xi.value_array, xi.jacobian_array):
+            stacked = sphere.fd_derivative_array(fn, p.coords, dirs, step)
+            assert stacked.shape == (5,) + np.shape(fn(p.coords))
+            for d, row in zip(dirs, stacked):
+                assert_identical(row, sphere.fd_derivative_array(fn, p.coords, d, step))
+            assert not np.any(stacked[3])
+
+
+# -- paired and grid half_curvature -------------------------------------------
+
+
+@pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
+def test_half_curvature_pairs_and_grids_match_one_vector_calls(xi):
+    """Paired rows: row i is r(x_i, y_i)xi. Grid: [i, j] is r(x_i, y_ij)xi."""
+    for idx, p in enumerate(seeded_points(xi, 3, seed=33)):
+        x = tangent_rows(xi, p, 4, (33, idx, 0))
+        y = tangent_rows(xi, p, 4, (33, idx, 1))
+        grid = tangent_rows(xi, p, 12, (33, idx, 2)).reshape(4, 3, -1)
+        paired = half_curvature(xi, p.coords, x, y)
+        assert paired.shape == y.shape
+        stacked = half_curvature(xi, p.coords, x, grid)
+        assert stacked.shape == grid.shape
+        for i in range(len(x)):
+            assert_identical(paired[i], half_curvature(xi, p.coords, x[i], y[i]))
+            for j in range(grid.shape[1]):
+                assert_identical(stacked[i, j],
+                                 half_curvature(xi, p.coords, x[i], grid[i, j]))
+
+
+# -- the sampled predicates against their per-direction loops ------------------
+
+
+def ref_unit_perp_samples(xi, p, rng, count):
+    """One draw at a time, kept when not too close to the field."""
+    sphere = xi.sphere
+    xiv = xi.value_array(p.coords)
+    out = []
+    while len(out) < count:
+        v = sphere.project_array(p.coords, rng.standard_normal(sphere.ambient_dim))
+        v -= (v @ xiv) * xiv
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            out.append(v / norm)
+    return np.array(out)
+
+
+def ref_is_normal(xi, p):
+    sphere = xi.sphere
+    xiv = xi.value_array(p.coords)
+    vecs = ref_unit_perp_samples(xi, p, np.random.default_rng(0),
+                                 3 * PREDICATE_SAMPLES)
+    resid = 0.0
+    for k in range(PREDICATE_SAMPLES):
+        x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
+        resid = max(resid, abs(float(sphere.curvature_array(x, y, z) @ xiv)))
+    return resid
+
+
+def ref_is_strongly_normal(xi, p):
+    vecs = ref_unit_perp_samples(xi, p, np.random.default_rng(0),
+                                 3 * PREDICATE_SAMPLES)
+    resid = 0.0
+    for k in range(PREDICATE_SAMPLES):
+        x, y, z = vecs[3 * k], vecs[3 * k + 1], vecs[3 * k + 2]
+        r_val = half_curvature(xi, p.coords, x, y)
+        resid = max(resid, abs(float(r_val @ z)))
+    return resid
+
+
+def ref_sasakian_identity_residual(xi, p):
+    sphere = xi.sphere
+    rng = np.random.default_rng(0)
+    xiv = xi.value_array(p.coords)
+    resid = 0.0
+    for _ in range(PREDICATE_SAMPLES):
+        raw = sphere.project_array(p.coords,
+                                   rng.standard_normal((2, sphere.ambient_dim)))
+        norms = np.linalg.norm(raw, axis=1)
+        if np.min(norms) < 1e-6:
+            continue
+        x, y = raw / norms[:, None]
+        fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
+        resid = max(resid, float(np.linalg.norm(
+            fd - xi.covariant_derivative_array(p.coords, x))))
+        r_val = half_curvature(xi, p.coords, x, y)
+        target = (xiv @ y) * x - (x @ y) * xiv
+        resid = max(resid, float(np.linalg.norm(r_val - target)))
+    return resid
+
+
+@pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
+def test_predicates_match_per_direction_loops(xi):
+    for p in seeded_points(xi, 20, seed=34):
+        assert_identical(is_normal(xi, p).residual, ref_is_normal(xi, p))
+        assert_identical(is_strongly_normal(xi, p).residual,
+                         ref_is_strongly_normal(xi, p))
+        assert_identical(sasakian_identity_residual(xi, p),
+                         ref_sasakian_identity_residual(xi, p))
+
+
+# -- one finite difference per point -------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """A meridian S^3 field whose Jacobian evaluations are counted, and the
+    counts, which also take ``fd_derivative_array`` calls."""
+    xi = meridian_field(np.eye(4)[0], 1.0)
+    counts = {"fd": 0, "jacobian": 0}
+
+    def jacobian(q, _jac=xi.jacobian_fn):
+        counts["jacobian"] += 1
+        return _jac(q)
+
+    def fd(self, *args, _fd=SphereSpec.fd_derivative_array, **kwargs):
+        counts["fd"] += 1
+        return _fd(self, *args, **kwargs)
+
+    monkeypatch.setattr(SphereSpec, "fd_derivative_array", fd)
+    return UnitVectorField(xi.sphere, xi.value_fn, jacobian, xi.name), counts
+
+
+def test_predicates_differentiate_once_per_point(counted):
+    xi, counts = counted
+    p = seeded_points(xi, 1, seed=35)[0]
+    is_strongly_normal(xi, p)
+    assert counts == {"fd": 1, "jacobian": 2}
+    counts.update(fd=0, jacobian=0)
+    sasakian_identity_residual(xi, p)
+    assert counts == {"fd": 2, "jacobian": 3}
+
+
+def test_direct_route_evaluates_the_jacobian_once_per_side(counted):
+    """One evaluation at p and one for the stack of displaced points."""
+    xi, counts = counted
+    p = seeded_points(xi, 1, seed=36)[0]
+    sd = singular_decomposition(xi, p)
+    counts.update(fd=0, jacobian=0)
+    second_form_direct(xi, p, sd)
+    assert counts == {"fd": 0, "jacobian": 2}
+
+
+def test_codazzi_suite_differentiates_once_per_sample(counted, capsys):
+    _, counts = counted
+    assert cli.main(["verify", "codazzi", "--dim", "3", "--samples", "4"]) == 0
+    capsys.readouterr()
+    assert counts["fd"] == 4

@@ -287,11 +287,10 @@ def test_half_curvature_rows_match_one_vector_calls(xi, step):
 
 @pytest.mark.parametrize("m", [3, 7], ids=["s7", "s15"])
 def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
-    """One second_form_lemma call makes n1 half-curvature calls and 2 n1
-    Jacobian evaluations (30 on S^15, not the 2 n1^2 = 450 of one finite
-    difference per frame pair)."""
+    """One second_form_lemma call makes one half-curvature call, along the
+    whole frame at once, and 2 Jacobian evaluations (not the 2 n1^2 = 450 of
+    one finite difference per frame pair on S^15)."""
     xi = hopf_field(m, 1.0)
-    n1 = xi.sphere.dim
     p = seeded_points(xi, 1, seed=17)[0]
     sd = singular_decomposition(xi, p)
     counts = {"half_curvature": 0, "jacobian": 0}
@@ -307,7 +306,7 @@ def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
     monkeypatch.setattr("tgeo.sasaki.half_curvature", counted_half_curvature)
     counted = UnitVectorField(xi.sphere, xi.value_fn, counted_jacobian, xi.name)
     omega = second_form_lemma(counted, p, sd)
-    assert counts == {"half_curvature": n1, "jacobian": 2 * n1}
+    assert counts == {"half_curvature": 1, "jacobian": 2}
     assert_identical(omega, second_form_lemma(xi, p, sd))
 
 
