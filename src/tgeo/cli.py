@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .manifold import (
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
+    _reject_rows,
     gram_schmidt_rows,
     unit_rows,
 )
@@ -67,8 +69,10 @@ class UsageError(ValueError):
     """Bad flags, bad config file, or an invalid parameter combination."""
 
 
+# FloatingPointError: a residual or curvature came out NaN or infinite
 _NUMERICAL_FAILURES = (DecompositionFailure, DegeneratePlaneError,
-                       PropagationFailure, QuadratureFailure, SingularLocusError)
+                       FloatingPointError, PropagationFailure,
+                       QuadratureFailure, SingularLocusError)
 
 
 # Every settable key with its value parser; defaults live in RunConfig. The
@@ -141,23 +145,64 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
 # -- verify suites ---------------------------------------------------------
 
 
-def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure) -> dict:
-    """Running maximum of each residual that ``measure(rng, p)`` names, over
-    the sample points; sample idx draws from its own stream (seed, idx). A
-    numerical failure is re-raised naming the sample and the seed tuple
-    that replays it."""
+# Samples per stacked route call: enough to spread numpy's per-call overhead
+# thin, few enough that a chunk's arrays stay small (S^15 direct route's
+# displaced frames: 64 * 32 * 16 * 16 floats, 4 MB).
+_SAMPLE_CHUNK = 64
+
+
+@contextmanager
+def _naming_sample(config: RunConfig, idx: int, stacked: bool = False):
+    """Re-raise a numerical failure naming the sample and the seed tuple that
+    replays it. With ``stacked``, ``idx`` is the first sample of a stacked
+    call and only a row failure names a sample: ``idx`` plus its row."""
+    try:
+        yield
+    except (*_NUMERICAL_FAILURES, PreconditionError,
+            DegenerateInputError) as exc:
+        if stacked:
+            if not hasattr(exc, "row"):
+                raise
+            idx += exc.row
+        if isinstance(exc, _NUMERICAL_FAILURES) or hasattr(exc, "row"):
+            exc.args = (f"{exc}: sample {idx}, seed tuple ({config.seed}, {idx})",)
+        raise
+
+
+def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
+                   measure_chunk=None) -> dict:
+    """Maximum of each residual that ``measure(rng, p)`` names, over the
+    sample points; sample idx draws from its own stream (seed, idx).
+
+    With ``measure_chunk``, ``measure`` returns (residuals, item) instead,
+    and ``measure_chunk(coords, items)`` gives further residuals, one array
+    entry per sample, for each run of up to _SAMPLE_CHUNK samples in one
+    stacked call. A numerical failure is re-raised naming the sample and
+    the seed tuple that replays it; so is a non-finite residual.
+    """
     worst = {}
-    for idx in range(config.samples):
-        rng = np.random.default_rng((config.seed, idx))
-        try:
-            values = measure(rng, _sample_point(xi, rng))
-        except (*_NUMERICAL_FAILURES, PreconditionError,
-                DegenerateInputError) as exc:
-            if isinstance(exc, _NUMERICAL_FAILURES) or hasattr(exc, "row"):
-                exc.args = (f"{exc}: sample {idx}, seed tuple ({config.seed}, {idx})",)
-            raise
-        for name, value in values.items():
-            worst[name] = max(worst.get(name, 0.0), value)
+    for start in range(0, config.samples, _SAMPLE_CHUNK):
+        rows, coords, items = [], [], []
+        for idx in range(start, min(start + _SAMPLE_CHUNK, config.samples)):
+            rng = np.random.default_rng((config.seed, idx))
+            with _naming_sample(config, idx):
+                p = _sample_point(xi, rng)
+                values = measure(rng, p)
+            if measure_chunk is not None:
+                values, item = values
+                coords.append(p.coords)
+                items.append(item)
+            rows.append(values)
+        columns = {name: np.array([v[name] for v in rows]) for name in rows[0]}
+        with _naming_sample(config, start, stacked=True):
+            if measure_chunk is not None:
+                columns.update(measure_chunk(np.array(coords), items))
+            names = list(columns)
+            bad = ~np.isfinite(np.stack(list(columns.values()), axis=1))
+            _reject_rows(bad, FloatingPointError, lambda row: (
+                f"non-finite {names[int(np.argmax(bad[row]))]} residual"))
+        for name, col in columns.items():
+            worst[name] = max(worst.get(name, 0.0), float(np.max(col)))
     return worst
 
 
@@ -176,16 +221,17 @@ def _suite_report(config: RunConfig, residual: float, notes: list,
 def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
 
-    def measure(rng, p):
-        sd = singular_decomposition(xi, p)
-        om_l = second_form_lemma(xi, p, sd)
-        om_d = second_form_direct(xi, p, sd)
-        return {"lemma": float(np.max(np.abs(om_l))),
-                "direct": float(np.max(np.abs(om_d))),
-                "asym": float(np.max(np.abs(
-                    om_d - np.transpose(om_d, (0, 2, 1)))))}
+    def measure_chunk(coords, sds):
+        om_l = second_form_lemma(xi, coords, sds)
+        om_d = second_form_direct(xi, coords, sds)
+        axes = (1, 2, 3)
+        return {"lemma": np.max(np.abs(om_l), axis=axes),
+                "direct": np.max(np.abs(om_d), axis=axes),
+                "asym": np.max(np.abs(om_d - np.swapaxes(om_d, 2, 3)), axis=axes)}
 
-    worst = _sample_maxima(xi, config, measure)
+    worst = _sample_maxima(
+        xi, config, lambda rng, p: ({}, singular_decomposition(xi, p)),
+        measure_chunk)
     residual = max(worst["lemma"], worst["direct"])
     notes = [
         f"max |Omega| half-curvature route: {worst['lemma']:.6e}",
@@ -296,16 +342,20 @@ def _run_obstruction(config: RunConfig) -> VerificationReport:
     def measure(rng, p):
         sd = singular_decomposition(xi, p)
         obs = geodesic_field_obstruction(xi, p, sd)
-        om = second_form_lemma(xi, p, sd)
-        out = {"consistency": float(np.max(np.abs(obs - om[:, 1:, 0]))),
-               "magnitude": float(np.max(np.abs(obs)))}
+        out = {"magnitude": float(np.max(np.abs(obs)))}
         if meridian:  # cos(theta) from the field's axis, the first coordinate
             ct = float(p.coords[0]) / xi.sphere.radius
             out["closed form"] = float(np.max(np.abs(
                 obs - meridian_obstruction(sd, ct))))
-        return out
+        return out, (sd, obs)
 
-    worst = _sample_maxima(xi, config, measure)
+    def measure_chunk(coords, items):
+        sds, obs = zip(*items)
+        om = second_form_lemma(xi, coords, sds)
+        return {"consistency": np.max(np.abs(np.array(obs) - om[:, :, 1:, 0]),
+                                      axis=(1, 2))}
+
+    worst = _sample_maxima(xi, config, measure, measure_chunk)
     notes = [
         f"max |obstruction - Omega_(s|a,0)|: {worst['consistency']:.3e}",
         f"max |obstruction| over samples: {worst['magnitude']:.6f}",
@@ -376,7 +426,8 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
     Plane idx draws ``shape`` standard normals from its own stream
     (seed, stream0 + idx), the numbers the one-plane code drew call by call.
     ``curvatures(start, draws)`` maps a batch to its curvatures; a row-level
-    failure is re-raised naming the plane and the seed tuple that replays it.
+    failure, or a curvature that is not finite, is re-raised naming the
+    plane and the seed tuple that replays it.
     """
     lo, hi = math.inf, -math.inf
     buf = np.empty((_SCAN_CHUNK,) + shape)
@@ -386,14 +437,18 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
             rng = np.random.default_rng((config.seed, stream0 + start + j))
             rng.standard_normal(out=out)
         try:
-            ks = curvatures(start, draws).tolist()
-        except (DegenerateInputError, DegeneratePlaneError) as exc:
+            ks = curvatures(start, draws)
+            _reject_rows(~np.isfinite(ks), FloatingPointError,
+                         "non-finite curvature")
+        except (DegenerateInputError, DegeneratePlaneError,
+                FloatingPointError) as exc:
             if not hasattr(exc, "row"):
                 raise
             exc.row += start
             exc.args = (f"{exc}: {kind} plane {exc.row}, seed tuple "
                         f"({config.seed}, {stream0 + exc.row})",)
             raise
+        ks = ks.tolist()
         rows.extend((start + j, kind, K) for j, K in enumerate(ks))
         lo, hi = min(lo, *ks), max(hi, *ks)
     return lo, hi
@@ -414,6 +469,8 @@ def _scan_submanifold(xi, config, rows) -> VerificationReport:
             u, x1, x2 = xi_tangential_lift_array(xi, p[:m], X[:m])
             _, y1, y2 = xi_tangential_lift_array(xi, p[:m], Y[:m])
             Kq = bundle_sectional_curvature_array(sphere, p[:m], u, x1, x2, y1, y2)
+            _reject_rows(~np.isfinite(Kq), FloatingPointError,
+                         "non-finite bundle-route curvature")
             cross_resid = max(cross_resid, *np.abs(K[:m] - Kq).tolist())
         return K
 

@@ -177,8 +177,13 @@ def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
 
 def shape_apply_array(xi: UnitVectorField, p_coords: np.ndarray,
                       vecs: np.ndarray) -> np.ndarray:
-    """A_xi applied to tangent vector(s) at p: A v = -nabla_v xi."""
-    return -xi.sphere.project_array(p_coords, vecs @ xi.jacobian_array(p_coords).T)
+    """A_xi applied to tangent vector(s) at p: A v = -nabla_v xi.
+
+    ``p_coords`` may be a stack of points ``(N, ambient)``, with ``vecs``
+    ``(N, k, ambient)``: rows of vectors per point."""
+    jac = xi.jacobian_array(p_coords)
+    return -xi.sphere.project_array(p_coords,
+                                    np.matmul(vecs, np.swapaxes(jac, -1, -2)))
 
 
 def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
@@ -383,7 +388,10 @@ def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
     ``(k, ambient)``. ``y`` has either the shape of ``x``, paired with it row
     by row (row i is r(x_i, y_i)xi), or one more axis, rows of Y for each X:
     ``(m, ambient)`` for one ``x``, ``(k, m, ambient)`` for rows of ``x``.
-    The result has the shape of ``y``.
+    The result has the shape of ``y``. ``p_coords`` may also be a stack of
+    points ``(N, ambient)``; ``x`` and ``y`` then carry the same leading
+    axis (the lemma route's grid is ``(N, k, ambient)`` with
+    ``(N, k, m, ambient)``), and row n is the one-point call at point n.
 
     Y is extended off the base point by tangential projection of its ambient
     vector; that extension has vanishing covariant derivative at the base

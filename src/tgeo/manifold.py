@@ -246,16 +246,28 @@ class SphereSpec:
         result is the one-direction call for row i. A zero direction gives
         zero: both of its displaced points are cos(h/r) p, so their values
         cancel exactly.
+
+        ``p_coords`` is one point ``(ambient,)`` or a stack ``(N, ambient)``
+        whose leading axis leads ``direction`` too, ``(N, k, ambient)``:
+        ``fn`` then gets the displaced points with their leading axes, and
+        row n of the result is the one-point call at point n.
         """
+        # p with an axis inserted, after its own leading axes, for each
+        # further axis of an ndim-array: one vector per row at its point
+        def at(ndim):
+            extra = (None,) * (ndim - p_coords.ndim)
+            return p_coords[(...,) + extra + (slice(None),)]
+
         # the norm written out: _row_norms is the direct route's, not shared
         speed = np.sqrt(np.vecdot(direction, direction))
         h = self.fd_step if step is None else step
         u = direction / np.where(speed == 0.0, 1.0, speed)[..., None]
-        plus = np.asarray(fn(self._geodesic_coords(p_coords, u, h)), dtype=float)
-        minus = np.asarray(fn(self._geodesic_coords(p_coords, u, -h)), dtype=float)
+        p_dir = at(u.ndim)
+        plus = np.asarray(fn(self._geodesic_coords(p_dir, u, h)), dtype=float)
+        minus = np.asarray(fn(self._geodesic_coords(p_dir, u, -h)), dtype=float)
         rate = (speed / (2.0 * h))[(...,) + (None,) * (plus.ndim - speed.ndim)]
         diff = (plus - minus) * rate
-        return self.project_array(p_coords[(None,) * (diff.ndim - 1)], diff)
+        return self.project_array(at(diff.ndim), diff)
 
     # -- sampling and frames ----------------------------------------------
 

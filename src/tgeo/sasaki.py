@@ -34,6 +34,7 @@ from .fields import (
     TOL_ANALYTIC,
     PreconditionError,
     SingularData,
+    SingularLocusError,
     UnitVectorField,
     conjugate_shape_operator,
     half_curvature,
@@ -183,102 +184,143 @@ def submanifold_frames(xi: UnitVectorField, p: SpherePoint) -> SubmanifoldFrames
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
 
 
-def second_form_lemma(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
-                      *, step: float | None = None) -> np.ndarray:
+def second_form_lemma(xi: UnitVectorField, p, sd, *,
+                      step: float | None = None) -> np.ndarray:
     """Second fundamental form of xi(M) from the half curvature tensor, as the
     read-only (n, n+1, n+1) array of Omega_{sigma|ij}; row s is sigma = s + 1.
 
     Omega_{s|ij} = (Lambda_{sij}/2) { <r(e_i,e_j)xi + r(e_j,e_i)xi, f_s>
         + l_s [ l_j <R(e_s,e_i)xi, f_j> + l_i <R(e_s,e_j)xi, f_i> ] }
     with Lambda_{sij} = [(1+l_s^2)(1+l_i^2)(1+l_j^2)]^{-1/2}.
+
+    ``p`` is one ``SpherePoint`` with one ``SingularData`` ``sd``, or an
+    (N, ambient) stack of coordinates with a sequence of N of them; a stack
+    gives (N, n, n+1, n+1), row k equal to the one-point call at point k,
+    which is the N = 1 case of the same code. One half-curvature call
+    differentiates along every frame direction of every point. Its
+    displaced points keep their (N, n+1) leading axes, so a row check that
+    fails on them (a meridian polar cap) names its point in ``.row``.
     """
-    sphere = xi.sphere
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    n1 = len(lam)
-    xiv = f[0]
-    k = sphere.curvature_constant
+    one = isinstance(p, SpherePoint)
+    P, sds = (p.coords[None], (sd,)) if one else (p, sd)
+    lam = np.array([s.lambdas for s in sds])
+    E = np.array([s.right_frame.matrix for s in sds])
+    F = np.array([s.left_frame.matrix for s in sds])
+    N, n1 = lam.shape
+    k = xi.sphere.curvature_constant
 
-    # r_vals[i, j] = r(e_i, e_j) xi: one derivative along all e_i at once
-    r_vals = half_curvature(xi, p.coords, e, np.broadcast_to(e, (n1,) + e.shape),
-                            step=step)
-    sym = r_vals + np.transpose(r_vals, (1, 0, 2))
+    # r_vals[:, i, j] = r(e_i, e_j) xi: one derivative along all e_i at once
+    grid = np.broadcast_to(E[:, None], (N, n1) + E.shape[1:])  # every e_j per e_i
+    r_vals = half_curvature(xi, P, E, grid, step=step)
+    sym = r_vals + np.swapaxes(r_vals, 1, 2)
 
-    a = e @ xiv                   # a_i = <e_i, xi>
-    G = e @ f.T                   # G[i, j] = <e_i, f_j>
+    a = np.matmul(E, F[:, 0, :, None])[..., 0]   # a_i = <e_i, xi>
+    G = np.matmul(E, np.swapaxes(F, 1, 2))       # G[i, j] = <e_i, f_j>
     # T[s,i,j] = <R(e_s, e_i) xi, f_j>
-    T = k * (a[None, :, None] * G[:, None, :] - a[:, None, None] * G[None, :, :])
+    T = k * (a[:, None, :, None] * G[:, :, None, :]
+             - a[:, :, None, None] * G[:, None, :, :])
 
-    first = np.einsum("ijc,sc->sij", sym, f)
-    second = lam[:, None, None] * (lam[None, None, :] * T
-                                   + lam[None, :, None] * np.transpose(T, (0, 2, 1)))
+    first = np.einsum("nijc,nsc->nsij", sym, F)
+    second = lam[:, :, None, None] * (lam[:, None, None, :] * T
+                                      + lam[:, None, :, None] * np.swapaxes(T, 2, 3))
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
-    Lam = scale[:, None, None] * scale[None, :, None] * scale[None, None, :]
-    omega = (0.5 * Lam * (first + second))[1:]
+    Lam = (scale[:, :, None, None] * scale[:, None, :, None]
+           * scale[:, None, None, :])
+    omega = (0.5 * Lam * (first + second))[:, 1:]
     omega.flags.writeable = False
-    return omega
+    return omega[0] if one else omega
 
 
 # -- second fundamental form: route 2 (bundle connection table) --------------
 
 
-def second_form_direct(xi: UnitVectorField, p: SpherePoint, sd: SingularData,
-                       *, step: float | None = None) -> np.ndarray:
+def second_form_direct(xi: UnitVectorField, p, sd, *,
+                       step: float | None = None) -> np.ndarray:
     """Second fundamental form computed from the bundle connection itself, in
-    the read-only array layout of ``second_form_lemma``.
+    the read-only array layout of ``second_form_lemma``, one point or a stack.
 
     Independent of the half-curvature route: the tangent frame field
     E_j^h + (nabla_{E_j} xi)^t is extended by projection transport of the
     singular frame, differentiated along each tangent frame direction with
     the four connection formulas, and paired against the normal frame. The
     result is not symmetrized; symmetry in (i, j) is a property to test.
+
+    ``p`` and ``sd`` are one point with its ``SingularData``, giving
+    (n, n+1, n+1), or an (N, ambient) stack of coordinates with a sequence
+    of N, giving (N, n, n+1, n+1), row k equal to the one-point call at
+    point k. The 2 N (n+1) displaced points are one stack, row r belonging
+    to point r // (2 (n+1)); a row check that fails on it (a Gram-Schmidt
+    pivot, a meridian polar cap) has its ``.row`` set to that point.
     """
+    one = isinstance(p, SpherePoint)
+    P, sds = (p.coords[None], (sd,)) if one else (p, sd)
+    lam = np.array([s.lambdas for s in sds])
+    E = np.array([s.right_frame.matrix for s in sds])
+    F = np.array([s.left_frame.matrix for s in sds])
+    N, n1 = lam.shape
     sphere = xi.sphere
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    n1 = len(lam)
-    u = f[0]
+    amb = sphere.ambient_dim
+    U = F[:, 0]
     k = sphere.curvature_constant
     scale = np.sqrt(1.0 + lam ** 2)
     h = sphere.fd_step if step is None else step
 
-    V0 = -shape_apply_array(xi, p.coords, e)    # row j: nabla_{e_j} xi
-    a = e @ u                                    # <e_j, xi>
+    # M @ v for each stacked matrix and vector, written out: _matvec_rows
+    # is the lemma route's
+    def gemv(M, v):
+        return np.matmul(M, v[..., None])[..., 0]
 
-    # the displaced points p(+h e_i), p(-h e_i) as rows 2i, 2i+1; at each,
-    # the frame H transported by projection and V = nabla_H xi
-    q = np.array([sphere._geodesic_coords(p.coords, e[i], t)
-                  for i in range(n1) for t in (h, -h)])
-    H = _gram_schmidt_stack(sphere.project_array(q, e[None]),
-                            pivot_tol=GS_PIVOT_TOL, drop=False)
-    jac = xi.jacobian_array(q)
+    V0 = -shape_apply_array(xi, P, E)            # row j: nabla_{e_j} xi
+    a = gemv(E, U)                               # <e_j, xi>
+    V0u = gemv(V0, U)                            # <V_j(p), xi>
+
+    # per point, the displaced points p(+h e_i), p(-h e_i) as rows 2i, 2i+1;
+    # at each, the frame H transported by projection and V = nabla_H xi
+    q = np.stack([sphere._geodesic_coords(P[:, None], E, t) for t in (h, -h)],
+                 axis=2).reshape(N, 2 * n1, amb)
+    try:
+        H = _gram_schmidt_stack(
+            sphere.project_array(q, E[:, None]).reshape(-1, n1, amb),
+            pivot_tol=GS_PIVOT_TOL, drop=False)
+        q = q.reshape(-1, amb)
+        jac = xi.jacobian_array(q)
+    except (DegenerateInputError, SingularLocusError) as exc:
+        if hasattr(exc, "row"):
+            exc.args = (f"{exc} of the displaced points",)
+            exc.row //= 2 * n1
+        raise
     V = sphere.project_array(q, np.matmul(H, np.swapaxes(jac, 1, 2)))
+    H = H.reshape(N, n1, 2, n1, amb)
+    V = V.reshape(N, n1, 2, n1, amb)
 
-    omega = np.zeros((n1 - 1, n1, n1))
+    omega = np.zeros((N, n1 - 1, n1, n1))
     for i in range(n1):
-        x1 = e[i] / scale[i]
-        x2 = -lam[i] * f[i] / scale[i]
-        c = (1.0 / scale[i]) / (2.0 * h)
-        dH = sphere.project_array(p.coords, (H[2 * i] - H[2 * i + 1]) * c)
-        dV = sphere.project_array(p.coords, (V[2 * i] - V[2 * i + 1]) * c)
+        x1 = E[:, i] / scale[:, i, None]
+        x2 = -lam[:, i, None] * F[:, i] / scale[:, i, None]
+        c = ((1.0 / scale[:, i]) / (2.0 * h))[:, None, None]
+        dH = sphere.project_array(P, (H[:, i, 0] - H[:, i, 1]) * c)
+        dV = sphere.project_array(P, (V[:, i, 0] - V[:, i, 1]) * c)
 
         # horizontal: dH + R(u, V_j(p)) x1 / 2 + R(u, x2) H_j(p) / 2
         horiz = (dH
-                 + 0.5 * k * (np.outer(V0 @ x1, u) - (u @ x1) * V0)
-                 + 0.5 * k * (np.outer(e @ x2, u) - np.outer(a, x2)))
+                 + 0.5 * k * (gemv(V0, x1)[:, :, None] * U[:, None, :]
+                              - np.vecdot(U, x1)[:, None, None] * V0)
+                 + 0.5 * k * (gemv(E, x2)[:, :, None] * U[:, None, :]
+                              - a[:, :, None] * x2[:, None, :]))
         # vertical: dV - R(x1, H_j(p)) u / 2 - <V_j(p), u> x2, then t-project
         vert = (dV
-                - 0.5 * k * (np.outer(a, x1) - (x1 @ u) * e)
-                - np.outer(V0 @ u, x2))
-        vert = vert - np.outer(vert @ u, u)
+                - 0.5 * k * (a[:, :, None] * x1[:, None, :]
+                             - np.vecdot(x1, U)[:, None, None] * E)
+                - V0u[:, :, None] * x2[:, None, :])
+        vert = vert - gemv(vert, U)[:, :, None] * U[:, None, :]
 
         # pair against normal frame, undo the |E_j| normalization at p
-        omega[:, i, :] = (lam[1:, None] * (e[1:] @ horiz.T) + f[1:] @ vert.T) \
-            / scale[1:, None] / scale[None, :]
+        omega[:, :, i, :] = (lam[:, 1:, None]
+                             * np.matmul(E[:, 1:], np.swapaxes(horiz, 1, 2))
+                             + np.matmul(F[:, 1:], np.swapaxes(vert, 1, 2))) \
+            / scale[:, 1:, None] / scale[:, None, :]
     omega.flags.writeable = False
-    return omega
+    return omega[0] if one else omega
 
 
 # -- the totally-geodesic obstruction and the closed forms of the oracles ----

@@ -192,6 +192,84 @@ def test_verify_precondition_without_row_still_exits_two(capsys, monkeypatch):
     assert "sample" not in err
 
 
+@pytest.mark.parametrize("samples,call,row", [(4, 0, 1), (cli._SAMPLE_CHUNK + 3, 1, 1)],
+                         ids=["first-chunk", "second-chunk"])
+def test_verify_non_finite_residual_exits_three(capsys, monkeypatch, samples,
+                                                call, row):
+    """A NaN in one sample's Omega is a numerical failure naming that
+    sample, not a residual that max() drops."""
+    real = cli.second_form_lemma
+    calls = []
+
+    def poisoned(xi, coords, sds):
+        om = real(xi, coords, sds)
+        calls.append(om)
+        if len(calls) == call + 1:
+            om = om.copy()
+            om[row, 0, 1, 0] = np.nan
+        return om
+
+    monkeypatch.setattr(cli, "second_form_lemma", poisoned)
+    assert main(["verify", "totally-geodesic", "--dim", "3", "--samples",
+                 str(samples)]) == 3
+    err = capsys.readouterr().err
+    idx = call * cli._SAMPLE_CHUNK + row
+    assert "non-finite lemma residual" in err
+    assert f"sample {idx}, seed tuple (0, {idx})" in err
+
+
+def test_verify_non_finite_per_sample_residual_exits_three(capsys, monkeypatch):
+    real = cli.jacobi_relation_residual
+    calls = []
+
+    def poisoned(xi, p):
+        calls.append(p)
+        return np.inf if len(calls) == 3 else real(xi, p)
+
+    monkeypatch.setattr(cli, "jacobi_relation_residual", poisoned)
+    assert main(["verify", "jacobi", "--samples", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite jacobi residual" in err
+    assert "sample 2, seed tuple (0, 2)" in err
+
+
+def _poison_row(monkeypatch, name, size, row):
+    """Make ``cli.<name>`` return NaN in ``row`` of its calls on ``size`` rows."""
+    real = getattr(cli, name)
+
+    def poisoned(*args, **kwargs):
+        K = real(*args, **kwargs)
+        if len(K) == size:
+            K = K.copy()
+            K[row] = np.nan
+        return K
+
+    monkeypatch.setattr(cli, name, poisoned)
+
+
+@pytest.mark.parametrize("mode,name,message,plane", [
+    ("submanifold", "submanifold_plane_curvature_array", "non-finite curvature",
+     "submanifold plane {k}, seed tuple (0, {k})"),
+    ("submanifold", "bundle_sectional_curvature_array",
+     "non-finite bundle-route curvature",
+     "submanifold plane {k}, seed tuple (0, {k})"),
+    ("bundle", "bundle_sectional_curvature_array", "non-finite curvature",
+     "bundle plane {k}, seed tuple (0, {s})"),
+], ids=["submanifold", "cross-check", "bundle"])
+def test_scan_non_finite_curvature_exits_three(capsys, monkeypatch, mode, name,
+                                               message, plane):
+    """A NaN curvature, or a NaN on the cross-checking route, is a numerical
+    failure naming the plane, not a value that min()/max() drop."""
+    extra = 8
+    _poison_row(monkeypatch, name, extra, 5)
+    assert main(["scan-curvature", "--mode", mode, "--planes",
+                 str(cli._SCAN_CHUNK + extra)]) == 3
+    err = capsys.readouterr().err
+    k = cli._SCAN_CHUNK + 5
+    assert message in err
+    assert plane.format(k=k, s=10 ** 9 + k) in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -1,0 +1,252 @@
+"""Stacks of sample points through both second-form routes.
+
+Each route takes an (N, ambient) stack of points with their singular data
+and gives, point by point, the bits of the one-point references; the
+totally-geodesic and obstruction suites make one call per route for each
+chunk of samples, and a row failure inside a stacked call names its sample.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+import tgeo.cli as cli
+import tgeo.sasaki as sasaki
+from tgeo import (
+    DegenerateInputError,
+    SingularLocusError,
+    UnitVectorField,
+    half_curvature,
+    hopf_field,
+    meridian_field,
+    second_form_direct,
+    second_form_lemma,
+    singular_decomposition,
+)
+from tgeo.manifold import _reject_rows
+from conftest import (assert_identical, ref_second_form_direct,
+                      ref_second_form_lemma, seeded_points)
+
+CASES = ([hopf_field(m, r) for m in (1, 2, 3, 7) for r in (1.0, 2.0, 0.01, 1e3)]
+         + [meridian_field(np.eye(d + 1)[0], r) for d in (3, 5, 7, 15)
+            for r in (1.0, 0.01, 1e3)])
+CASE_IDS = [f"{xi.name}-s{xi.sphere.dim}-r{xi.sphere.radius:g}" for xi in CASES]
+ROUTES = [second_form_lemma, second_form_direct]
+
+
+def stack(xi, count, seed):
+    points = seeded_points(xi, count, seed=seed)
+    sds = [singular_decomposition(xi, p) for p in points]
+    return points, np.array([p.coords for p in points]), sds
+
+
+@pytest.mark.parametrize("xi", CASES, ids=CASE_IDS)
+def test_stacked_routes_match_per_point_references(xi):
+    points, coords, sds = stack(xi, 2 if xi.sphere.dim > 7 else 4, seed=40)
+    lemma = second_form_lemma(xi, coords, sds)
+    direct = second_form_direct(xi, coords, sds)
+    n1 = xi.sphere.dim
+    assert lemma.shape == direct.shape == (len(points), n1 - 1, n1, n1)
+    assert not lemma.flags.writeable and not direct.flags.writeable
+    for k, (p, sd) in enumerate(zip(points, sds)):
+        assert_identical(lemma[k], ref_second_form_lemma(xi, p, sd))
+        assert_identical(direct[k], ref_second_form_direct(xi, p, sd))
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=["lemma", "direct"])
+@pytest.mark.parametrize("xi", [CASES[0], CASES[9], CASES[-6]],
+                         ids=[CASE_IDS[0], CASE_IDS[9], CASE_IDS[-6]])
+def test_one_point_stack_is_the_one_point_call(xi, route):
+    points, coords, sds = stack(xi, 1, seed=41)
+    stacked = route(xi, coords, sds)
+    one = route(xi, points[0], sds[0])
+    assert stacked.shape == (1,) + one.shape
+    assert_identical(stacked[0], one)
+
+
+# -- a failing row names its point ---------------------------------------------
+
+
+def near_cap_stack(xi, h):
+    """Three seeded points with, as row 2, a point whose displaced point
+    along the meridian, at step ``h``, falls inside the polar cap."""
+    points, _, _ = stack(xi, 3, seed=42)
+    theta = h + 5e-5
+    coords = np.zeros(xi.sphere.ambient_dim)
+    coords[0], coords[1] = np.cos(theta), np.sin(theta)
+    points.insert(2, xi.sphere.point(coords))
+    sds = [singular_decomposition(xi, p) for p in points]
+    return points, np.array([p.coords for p in points]), sds
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=["lemma", "direct"])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_route_names_the_point_of_a_displaced_cap_row(route, dim):
+    xi = meridian_field(np.eye(dim + 1)[0], 1.0)
+    points, coords, sds = near_cap_stack(xi, 0.05)
+    with pytest.raises(SingularLocusError) as info:
+        route(xi, coords, sds, step=0.05)
+    assert info.value.row == 2
+    with pytest.raises(SingularLocusError) as info:
+        route(xi, points[2], sds[2], step=0.05)
+    assert info.value.row == 0
+
+
+def test_direct_route_names_the_point_of_a_pivot_failure(monkeypatch):
+    """Row r of the displaced stack belongs to point r // (2 n1)."""
+    xi = hopf_field(1, 1.0)
+    _, coords, sds = stack(xi, 5, seed=43)
+    n1 = xi.sphere.dim
+    real = sasaki._gram_schmidt_stack
+
+    def failing(mats, **kwargs):
+        out = real(mats, **kwargs)
+        bad = np.zeros(len(mats), dtype=bool)
+        bad[3 * 2 * n1 + 5] = True
+        _reject_rows(bad, DegenerateInputError, "gram_schmidt pivot below tolerance")
+        return out
+
+    monkeypatch.setattr(sasaki, "_gram_schmidt_stack", failing)
+    with pytest.raises(DegenerateInputError) as info:
+        second_form_direct(xi, coords, sds)
+    assert info.value.row == 3
+    assert f"(row {3 * 2 * n1 + 5}) of the displaced points" in str(info.value)
+
+
+def swap_in_sample(monkeypatch, idx, point):
+    """Make the suites' sample ``idx`` the given point; the streams are
+    drawn as usual."""
+    real = cli._sample_point
+    calls = []
+
+    def sample(xi, rng):
+        calls.append(real(xi, rng))
+        return point if len(calls) == idx + 1 else calls[-1]
+
+    monkeypatch.setattr(cli, "_sample_point", sample)
+
+
+@pytest.mark.parametrize("suite,route", [
+    ("totally-geodesic", "second_form_lemma"),
+    ("totally-geodesic", "second_form_direct"),
+    ("obstruction", "second_form_lemma"),
+], ids=["tg-lemma", "tg-direct", "obstruction-lemma"])
+def test_suite_names_the_sample_of_a_failing_row(suite, route, monkeypatch,
+                                                  capsys):
+    """A cap row inside the second chunk's stacked call names its sample."""
+    xi = meridian_field(np.eye(4)[0], 1.0)
+    points, _, _ = near_cap_stack(xi, 0.05)
+    idx = cli._SAMPLE_CHUNK + 2
+    swap_in_sample(monkeypatch, idx, points[2])
+    monkeypatch.setattr(cli, route, functools.partial(getattr(sasaki, route),
+                                                      step=0.05))
+    assert cli.main(["verify", suite, "--field", "meridian", "--samples",
+                     str(cli._SAMPLE_CHUNK + 5), "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "polar cap" in err
+    assert f"sample {idx}, seed tuple (7, {idx})" in err
+
+
+# -- the suites: one call per route per chunk --------------------------------
+
+
+def captured_maxima(monkeypatch, argv):
+    """Run the CLI and return what its sample loop returned."""
+    seen = []
+    real = cli._sample_maxima
+
+    def keep(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_sample_maxima", keep)
+    cli.main(argv)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def ref_sample_loop(xi, seed, samples, measure):
+    """The suites' running maxima one sample at a time."""
+    worst = {}
+    for idx in range(samples):
+        rng = np.random.default_rng((seed, idx))
+        p = cli._sample_point(xi, rng)
+        for name, value in measure(p, singular_decomposition(xi, p)).items():
+            worst[name] = max(worst.get(name, 0.0), value)
+    return worst
+
+
+@pytest.mark.parametrize("field", ["hopf", "meridian"])
+def test_totally_geodesic_maxima_cross_a_chunk(field, monkeypatch, capsys):
+    samples = cli._SAMPLE_CHUNK + 1
+    worst = captured_maxima(monkeypatch, [
+        "verify", "totally-geodesic", "--field", field, "--samples",
+        str(samples), "--seed", "3"])
+    capsys.readouterr()
+    xi = cli.build_field(cli.RunConfig(command="verify", field=field))
+
+    def measure(p, sd):
+        om_l = ref_second_form_lemma(xi, p, sd)
+        om_d = ref_second_form_direct(xi, p, sd)
+        return {"lemma": float(np.max(np.abs(om_l))),
+                "direct": float(np.max(np.abs(om_d))),
+                "asym": float(np.max(np.abs(om_d - np.transpose(om_d, (0, 2, 1)))))}
+
+    assert worst == ref_sample_loop(xi, 3, samples, measure)
+
+
+def test_obstruction_maxima_cross_a_chunk(monkeypatch, capsys):
+    samples = cli._SAMPLE_CHUNK + 1
+    worst = captured_maxima(monkeypatch, [
+        "verify", "obstruction", "--field", "meridian", "--samples",
+        str(samples), "--seed", "3"])
+    capsys.readouterr()
+    xi = cli.build_field(cli.RunConfig(command="verify", field="meridian"))
+
+    def measure(p, sd):
+        obs = sasaki.geodesic_field_obstruction(xi, p, sd)
+        om = ref_second_form_lemma(xi, p, sd)
+        closed = sasaki.meridian_obstruction(sd, float(p.coords[0]))
+        return {"consistency": float(np.max(np.abs(obs - om[:, 1:, 0]))),
+                "magnitude": float(np.max(np.abs(obs))),
+                "closed form": float(np.max(np.abs(obs - closed)))}
+
+    assert worst == ref_sample_loop(xi, 3, samples, measure)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of the route, half-curvature and Jacobian calls the CLI makes."""
+    counts = {"second_form_lemma": 0, "second_form_direct": 0,
+              "half_curvature": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("second_form_lemma", "second_form_direct"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(sasaki, name)))
+    monkeypatch.setattr(sasaki, "half_curvature",
+                        counted("half_curvature", half_curvature))
+    monkeypatch.setattr(UnitVectorField, "jacobian_array",
+                        counted("jacobian", UnitVectorField.jacobian_array))
+    return counts
+
+
+def test_totally_geodesic_makes_one_call_per_route(counts, capsys):
+    assert cli.main(["verify", "totally-geodesic", "--samples", "10"]) == 0
+    capsys.readouterr()
+    # two per route for the whole stack, one per sample for its frames
+    assert counts == {"second_form_lemma": 1, "second_form_direct": 1,
+                      "half_curvature": 1, "jacobian": 2 * 1 + 2 * 1 + 10}
+
+
+def test_obstruction_makes_one_lemma_call(counts, capsys):
+    assert cli.main(["verify", "obstruction", "--samples", "10"]) == 0
+    capsys.readouterr()
+    assert counts["second_form_lemma"] == 1
+    assert counts["second_form_direct"] == 0
+    assert counts["half_curvature"] == 1

@@ -30,7 +30,9 @@ from tgeo import (
 )
 from tgeo import hopf_field, meridian_field
 from tgeo.sasaki import hopf_pattern_peak, hopf_pattern_split, meridian_obstruction
-from conftest import assert_identical, ref_gram_schmidt, seeded_points
+from conftest import (assert_identical, ref_half_curvature,
+                      ref_second_form_direct, ref_second_form_lemma,
+                      seeded_points)
 
 
 def test_sasaki_inner_splits_into_parts(hopf3):
@@ -147,50 +149,6 @@ def test_second_form_direct_is_symmetric(hopf3_r2):
     assert np.max(np.abs(om - np.transpose(om, (0, 2, 1)))) < 1e-6
 
 
-def ref_second_form_direct(xi, p, sd):
-    """``second_form_direct`` one displaced point at a time: each transported
-    frame from the one-matrix Gram-Schmidt and each projection written out."""
-    sphere = xi.sphere
-    r2 = sphere.radius ** 2
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    n1 = len(lam)
-    u = f[0]
-    k = sphere.curvature_constant
-    scale = np.sqrt(1.0 + lam ** 2)
-    h = sphere.fd_step
-
-    def project(q, rows):
-        return rows - np.outer(rows @ q, q) / r2
-
-    V0 = -shape_apply_array(xi, p.coords, e)
-    a = e @ u
-    omega = np.zeros((n1 - 1, n1, n1))
-    for i in range(n1):
-        x1 = e[i] / scale[i]
-        x2 = -lam[i] * f[i] / scale[i]
-        qp = sphere._geodesic_coords(p.coords, e[i], h)
-        qm = sphere._geodesic_coords(p.coords, e[i], -h)
-        Ep = ref_gram_schmidt(project(qp, e))
-        Em = ref_gram_schmidt(project(qm, e))
-        Vp = -shape_apply_array(xi, qp, Ep)
-        Vm = -shape_apply_array(xi, qm, Em)
-        speed = 1.0 / scale[i]
-        dH = project(p.coords, (Ep - Em) * (speed / (2.0 * h)))
-        dV = project(p.coords, (Vp - Vm) * (speed / (2.0 * h)))
-        horiz = (dH
-                 + 0.5 * k * (np.outer(V0 @ x1, u) - (u @ x1) * V0)
-                 + 0.5 * k * (np.outer(e @ x2, u) - np.outer(a, x2)))
-        vert = (dV
-                - 0.5 * k * (np.outer(a, x1) - (x1 @ u) * e)
-                - np.outer(V0 @ u, x2))
-        vert = vert - np.outer(vert @ u, u)
-        omega[:, i, :] = (lam[1:, None] * (e[1:] @ horiz.T) + f[1:] @ vert.T) \
-            / scale[1:, None] / scale[None, :]
-    return omega
-
-
 @pytest.mark.parametrize("xi", [
     hopf_field(2, 3.0),
     hopf_field(3, 0.37),
@@ -203,41 +161,6 @@ def test_second_form_direct_matches_per_point_reference(xi):
         sd = singular_decomposition(xi, p)
         assert_identical(second_form_direct(xi, p, sd),
                          ref_second_form_direct(xi, p, sd))
-
-
-def ref_half_curvature(xi, p_coords, x, y, *, step=None):
-    """``half_curvature`` for one vector ``y``, written out with the 1-d
-    projection and the 1-d shape operator."""
-    sphere = xi.sphere
-
-    def a_ytilde(q):
-        return shape_apply_array(xi, q, sphere.project_array(q, y))
-
-    return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
-
-
-def ref_second_form_lemma(xi, p, sd, *, step=None):
-    """``second_form_lemma`` with one half-curvature call per (e_i, e_j)
-    pair, n1^2 finite differences per point."""
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    n1 = len(lam)
-    k = xi.sphere.curvature_constant
-    r_vals = np.zeros((n1, n1, xi.sphere.ambient_dim))
-    for i in range(n1):
-        for j in range(n1):
-            r_vals[i, j] = ref_half_curvature(xi, p.coords, e[i], e[j], step=step)
-    sym = r_vals + np.transpose(r_vals, (1, 0, 2))
-    a = e @ f[0]
-    G = e @ f.T
-    T = k * (a[None, :, None] * G[:, None, :] - a[:, None, None] * G[None, :, :])
-    first = np.einsum("ijc,sc->sij", sym, f)
-    second = lam[:, None, None] * (lam[None, None, :] * T
-                                   + lam[None, :, None] * np.transpose(T, (0, 2, 1)))
-    scale = 1.0 / np.sqrt(1.0 + lam ** 2)
-    Lam = scale[:, None, None] * scale[None, :, None] * scale[None, None, :]
-    return (0.5 * Lam * (first + second))[1:]
 
 
 @pytest.mark.parametrize("xi", [
