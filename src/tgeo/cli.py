@@ -398,17 +398,18 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     if not xi.sphere.is_unit:
         raise UsageError("curvature scans need unit radius")
 
-    rows = []
-    reports = []
+    rows, reports, ranges = [], [], []
     for kind, scan in (("submanifold", _scan_submanifold),
                        ("bundle", _scan_bundle)):
         if mode in (kind, "both"):
             t0 = time.perf_counter()
-            reports.append(scan(xi, config, rows))
-            reports[-1].wall_time_s = time.perf_counter() - t0
+            report, observed = scan(xi, config, rows)
+            report.wall_time_s = time.perf_counter() - t0
+            reports.append(report)
+            ranges.append(observed)
 
     if config.format == "csv":
-        _write_text(_plane_rows_csv(rows, reports), config)
+        _write_text(_plane_rows_csv(rows, reports, ranges), config)
     else:
         _write_text(reports_to_json(reports), config)
     return 0 if all(r.ok for r in reports) else 1
@@ -454,7 +455,7 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
     return lo, hi
 
 
-def _scan_submanifold(xi, config, rows) -> VerificationReport:
+def _scan_submanifold(xi, config, rows) -> tuple:
     sphere = xi.sphere
     cross_resid = 0.0
     cross_planes = min(config.planes, 500)
@@ -505,10 +506,10 @@ def _scan_submanifold(xi, config, rows) -> VerificationReport:
         samples=config.planes,
         max_residual=max(max(0.25 - lo, 0.0), max(hi - 1.25, 0.0),
                          designated, cross_resid),
-        tolerance=1e-6, verdict=verdict, notes=notes)
+        tolerance=1e-6, verdict=verdict, notes=notes), (lo, hi)
 
 
-def _scan_bundle(xi, config, rows) -> VerificationReport:
+def _scan_bundle(xi, config, rows) -> tuple:
     sphere = xi.sphere
 
     def curvatures(start, draws):
@@ -527,10 +528,12 @@ def _scan_bundle(xi, config, rows) -> VerificationReport:
              f"over {config.planes} planes"]
     return VerificationReport(
         name="scan-bundle", parameters=_params(config), samples=config.planes,
-        max_residual=residual, tolerance=1e-6, verdict=verdict, notes=notes)
+        max_residual=residual, tolerance=1e-6, verdict=verdict,
+        notes=notes), (lo, hi)
 
 
-def _plane_rows_csv(rows, reports) -> str:
+def _plane_rows_csv(rows, reports, ranges) -> str:
+    """Plane rows, then each scan's observed range over its sampled planes."""
     import csv as _csv
     import io as _io
     buf = _io.StringIO()
@@ -538,11 +541,9 @@ def _plane_rows_csv(rows, reports) -> str:
     writer.writerow(["plane_id", "type", "curvature"])
     for pid, kind, K in rows:
         writer.writerow([pid, kind, format(K, ".17g")])
-    for rep in reports:
-        summary_lo = min(K for _, kind, K in rows if kind == rep.name.split("-")[1])
-        summary_hi = max(K for _, kind, K in rows if kind == rep.name.split("-")[1])
-        writer.writerow([f"summary-{rep.name}", "min", format(summary_lo, ".17g")])
-        writer.writerow([f"summary-{rep.name}", "max", format(summary_hi, ".17g")])
+    for rep, (lo, hi) in zip(reports, ranges):
+        writer.writerow([f"summary-{rep.name}", "min", format(lo, ".17g")])
+        writer.writerow([f"summary-{rep.name}", "max", format(hi, ".17g")])
     return buf.getvalue()
 
 

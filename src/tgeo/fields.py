@@ -1,9 +1,9 @@
 """Unit vector fields on round spheres and their differential invariants.
 
 Provides the built-in Hopf and meridian fields, the shape operator A = -grad
-of the field, its conjugate (adjoint), the singular-value decomposition of A
-into paired orthonormal frames, the half curvature tensor, and the structural
-predicates (geodesic, Killing, normal, strongly normal, Sasakian identities).
+of the field, the singular-value decomposition of A into paired orthonormal
+frames, the half curvature tensor, and the structural predicates (geodesic,
+Killing, normal, strongly normal, Sasakian identities).
 """
 
 from __future__ import annotations
@@ -191,15 +191,6 @@ def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
     """Matrix M with M[i, j] = <b_i, A b_j> for orthonormal rows b_i."""
     applied = shape_apply_array(xi, p_coords, frame_rows)  # row j = A b_j
     return frame_rows @ applied.T
-
-
-def conjugate_shape_operator(xi: UnitVectorField, Y: TangentVector) -> TangentVector:
-    """A*_xi Y, defined by <A* Y, X> = <Y, A X>; transpose in any orthonormal frame."""
-    p = Y.base
-    rows = xi.sphere.standard_frame_rows(p.coords)
-    mat = shape_matrix(xi, p.coords, rows)
-    comps = mat.T @ (rows @ Y.vec)
-    return TangentVector(p, comps @ rows)
 
 
 # -- singular decomposition ----------------------------------------------

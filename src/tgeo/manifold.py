@@ -75,7 +75,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
-    """TangentVector.unit for each row of ``v``, with its check."""
+    """Each row of ``v`` scaled to unit length; a near-zero row is refused."""
     norm = _row_norms(v)
     _reject_rows(norm < GS_PIVOT_TOL, DegenerateInputError,
                  "cannot normalize a near-zero tangent vector")
@@ -274,11 +274,6 @@ class SphereSpec:
     def random_point(self, rng: np.random.Generator) -> "SpherePoint":
         return self.point(rng.standard_normal(self.ambient_dim))
 
-    def random_tangent(self, p: "SpherePoint",
-                       rng: np.random.Generator) -> "TangentVector":
-        v = rng.standard_normal(self.ambient_dim)
-        return TangentVector(p, self.project_array(p.coords, v))
-
     def random_orthonormal_frame(self, p: "SpherePoint",
                                  rng: np.random.Generator) -> "Frame":
         raw = rng.standard_normal((self.dim, self.ambient_dim))
@@ -301,8 +296,9 @@ class SphereSpec:
         return coords
 
     def stacked_tangents(self, draws: np.ndarray) -> tuple:
-        """random_point, then random_tangent once per further row, for each
-        (1 + k, ambient) block of ``draws`` (N, 1 + k, ambient).
+        """random_point, then a tangent vector per further row (the row
+        projected onto the tangent space), for each (1 + k, ambient) block
+        of ``draws`` (N, 1 + k, ambient).
 
         Returns the points (N, ambient) and the tangents (N, k, ambient).
         """
@@ -367,32 +363,6 @@ class TangentVector:
             raise DegenerateInputError("tangent vector has wrong dimension")
         _check_tangent_stack(self.base.sphere.radius, self.base.coords[None],
                              self.vec[None])
-
-    @property
-    def sphere(self) -> SphereSpec:
-        return self.base.sphere
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def unit(self) -> "TangentVector":
-        return TangentVector(self.base, unit_rows(self.vec[None])[0])
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        _check_same_base(self, other)
-        return TangentVector(self.base, self.vec + other.vec)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        _check_same_base(self, other)
-        return TangentVector(self.base, self.vec - other.vec)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.vec)
-
-    def __mul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(self.base, self.vec * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"TangentVector({np.array2string(np.asarray(self.vec), precision=6)})"

@@ -36,10 +36,8 @@ from .fields import (
     SingularData,
     SingularLocusError,
     UnitVectorField,
-    conjugate_shape_operator,
     half_curvature,
     shape_apply_array,
-    singular_decomposition,
 )
 
 _ANCHOR_TOL = 1e-9
@@ -64,61 +62,19 @@ class BundleVector:
             if np.max(np.abs(part.base.coords - pc)) > _ANCHOR_TOL:
                 raise BasePointMismatchError("bundle vector parts at different points")
 
-    @property
-    def base(self) -> SpherePoint:
-        return self.anchor.base
-
-    def norm_sq(self) -> float:
-        return float(self.horiz.vec @ self.horiz.vec + self.vert.vec @ self.vert.vec)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def __add__(self, other: "BundleVector") -> "BundleVector":
-        _check_same_anchor(self, other)
-        return BundleVector(self.anchor, self.horiz + other.horiz,
-                            self.vert + other.vert)
-
-    def __sub__(self, other: "BundleVector") -> "BundleVector":
-        _check_same_anchor(self, other)
-        return BundleVector(self.anchor, self.horiz - other.horiz,
-                            self.vert - other.vert)
-
-    def __mul__(self, scalar: float) -> "BundleVector":
-        return BundleVector(self.anchor, self.horiz * scalar, self.vert * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "BundleVector":
-        return self * -1.0
-
-
-def _check_same_anchor(a: BundleVector, b: BundleVector) -> None:
-    if np.max(np.abs(a.anchor.base.coords - b.anchor.base.coords)) > _ANCHOR_TOL \
-            or np.max(np.abs(a.anchor.vec - b.anchor.vec)) > _ANCHOR_TOL:
-        raise BasePointMismatchError("bundle vectors anchored at different points")
-
-
-def sasaki_inner(X: BundleVector, Y: BundleVector) -> float:
-    """<<X, Y>> = <horiz, horiz> + <vert, vert>."""
-    _check_same_anchor(X, Y)
-    return float(X.horiz.vec @ Y.horiz.vec + X.vert.vec @ Y.vert.vec)
-
 
 # -- lifts -------------------------------------------------------------------
 
 
 def horizontal_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
-    zero = X.base.sphere.zero_tangent(X.base)
-    return BundleVector(anchor, X, zero)
+    return BundleVector(anchor, X, X.base.sphere.zero_tangent(X.base))
 
 
 def tangential_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
     """X^t = X^v - <X,u> u^v, the vertical direction tangent to T1M."""
     u = anchor.vec
     vert = TangentVector(X.base, X.vec - (X.vec @ u) * u)
-    zero = X.base.sphere.zero_tangent(X.base)
-    return BundleVector(anchor, zero, vert)
+    return BundleVector(anchor, X.base.sphere.zero_tangent(X.base), vert)
 
 
 def xi_tangential_lift(xi: UnitVectorField, X: TangentVector) -> BundleVector:
@@ -130,55 +86,17 @@ def xi_tangential_lift(xi: UnitVectorField, X: TangentVector) -> BundleVector:
     return BundleVector(anchor, X, TangentVector(p, -ax))
 
 
-def xi_normal_lift(xi: UnitVectorField, Y: TangentVector) -> BundleVector:
-    """Y^nu = (A* Y)^h + Y^t, normal to xi(M); depends only on Y - <Y,xi> xi."""
-    p = Y.base
-    anchor = xi.value(p)
-    astar = conjugate_shape_operator(xi, Y)
-    vert = TangentVector(p, Y.vec - (Y.vec @ anchor.vec) * anchor.vec)
-    return BundleVector(anchor, astar, vert)
-
-
 # -- frames on xi(M) ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SubmanifoldFrames:
-    """Sasaki-orthonormal frames for T(xi(M)) and its normal space.
-
-    ``tangent[i]`` is (e_i^h - l_i f_i^v) / sqrt(1 + l_i^2) for i = 0..n;
-    ``normal[s]`` is (l_s e_s^h + f_s^v) / sqrt(1 + l_s^2) for the singular
-    index sigma = s + 1 (the sigma = 0 slot is not normal to anything: it
-    would be the vertical direction along xi itself, which T1M removes).
-    """
-
-    singular: SingularData
-    tangent: tuple
-    normal: tuple
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self.singular.lambdas
-
-
-def submanifold_frames(xi: UnitVectorField, p: SpherePoint) -> SubmanifoldFrames:
-    sd = singular_decomposition(xi, p)
-    lam = sd.lambdas
-    e = sd.right_frame
-    f = sd.left_frame
-    anchor = f[0]  # equals xi(p) exactly
+def _xi_frame_rows(sd: SingularData) -> tuple:
+    """Sasaki-orthonormal (horizontal, vertical) rows at a point: tangent to
+    xi(M), (e_i^h - l_i f_i^v) / sqrt(1 + l_i^2) for i = 0..n; normal to
+    it, (l_s e_s^h + f_s^v) / sqrt(1 + l_s^2) for s = 1..n."""
+    lam = sd.lambdas[:, None]
+    e, f = sd.right_frame.matrix, sd.left_frame.matrix
     scale = np.sqrt(1.0 + lam ** 2)
-    tangent = []
-    for i in range(len(e)):
-        horiz = TangentVector(p, e[i].vec / scale[i])
-        vert = TangentVector(p, -lam[i] / scale[i] * f[i].vec)
-        tangent.append(BundleVector(anchor, horiz, vert))
-    normal = []
-    for s in range(1, len(e)):
-        horiz = TangentVector(p, lam[s] / scale[s] * e[s].vec)
-        vert = TangentVector(p, f[s].vec / scale[s])
-        normal.append(BundleVector(anchor, horiz, vert))
-    return SubmanifoldFrames(sd, tuple(tangent), tuple(normal))
+    return (e / scale, -lam * f / scale), ((lam * e / scale)[1:], (f / scale)[1:])
 
 
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
@@ -394,10 +312,13 @@ def bundle_sectional_curvature(Xb: BundleVector, Yb: BundleVector) -> float:
     curvature base and are omitted exactly. One-plane form of
     ``bundle_sectional_curvature_array``.
     """
-    _check_same_anchor(Xb, Yb)
+    p = Xb.anchor.base
+    if np.max(np.abs(p.coords - Yb.anchor.base.coords)) > _ANCHOR_TOL \
+            or np.max(np.abs(Xb.anchor.vec - Yb.anchor.vec)) > _ANCHOR_TOL:
+        raise BasePointMismatchError("bundle vectors anchored at different points")
     rows = [W.vec[None] for W in (Xb.anchor, Xb.horiz, Xb.vert, Yb.horiz, Yb.vert)]
-    K = bundle_sectional_curvature_array(Xb.base.sphere, Xb.base.coords[None],
-                                         *rows, _stacklevel=3)
+    K = bundle_sectional_curvature_array(p.sphere, p.coords[None], *rows,
+                                         _stacklevel=3)
     return float(K[0])
 
 
@@ -504,6 +425,15 @@ def xi_tangential_lift_array(xi: UnitVectorField, p: np.ndarray,
     _require_unit_hopf(xi, "xi_tangential_lift_array")
     anchor, ax = _unit_hopf_rows(xi, p, x)
     return anchor, x, -tangential_lift_array(ax, anchor)
+
+
+def xi_normal_lift_array(xi: UnitVectorField, p: np.ndarray, y: np.ndarray):
+    """Y^nu = (A* Y)^h + Y^t, normal to xi(M), for rows ``y`` at one point
+    ``p`` or one row per point of a stack; A* Y = -P(J^T Y) with J the
+    field's Jacobian. Returns (anchor, horizontal, vertical) rows."""
+    anchor = xi.value_array(p)
+    w = np.matmul(y[..., None, :], xi.jacobian_array(p))[..., 0, :]
+    return anchor, -xi.sphere.project_array(p, w), tangential_lift_array(y, anchor)
 
 
 def tangential_lift_array(v: np.ndarray, u: np.ndarray) -> np.ndarray:

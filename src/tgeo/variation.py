@@ -24,7 +24,6 @@ from .manifold import (
     DegenerateInputError,
     SpherePoint,
     SphereSpec,
-    TangentVector,
     _gram_schmidt_stack,
     _matvec_rows,
     _reject_rows,
@@ -35,14 +34,14 @@ from .fields import (
     UnitVectorField,
     complex_structure,
     hopf_field,
+    singular_decomposition,
 )
 from .sasaki import (
     _require_unit_hopf,
-    bundle_sectional_curvature,
-    sasaki_inner,
+    _xi_frame_rows,
+    bundle_sectional_curvature_array,
     second_form_lemma,
-    submanifold_frames,
-    xi_normal_lift,
+    xi_normal_lift_array,
 )
 from .report import VerificationReport
 
@@ -164,38 +163,35 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     normalized tangent directions X_i; norm symbols are read as squared
     norms throughout. A zero normal lift returns 0 flagged degenerate.
     """
-    frames = submanifold_frames(xi, p)
-    form = second_form_lemma(xi, p, frames.singular)
-    xiv = frames.singular.left_frame[0].vec
+    sd = singular_decomposition(xi, p)
+    form = second_form_lemma(xi, p, sd)
     eta0 = eta.value_array(p.coords)
+    xiv, eh, ev = xi_normal_lift_array(xi, p.coords, eta0[None])
     _check_orthogonal(eta0[None], xiv[None])
-    eta_tilde = xi_normal_lift(xi, TangentVector(p, eta0))
-    nsq = eta_tilde.norm_sq()
+    nsq = float(np.vecdot(eh, eh)[0] + np.vecdot(ev, ev)[0])
     if nsq < 1e-18:
-        return DuschekBreakdown(0.0, 0.0, 0.0, 0.0, float(nsq), True)
+        return DuschekBreakdown(0.0, 0.0, 0.0, 0.0, nsq, True)
 
-    lam = frames.lambdas
-    e = frames.singular.right_frame.matrix
-    scale = np.sqrt(1.0 + lam ** 2)
+    (th, tv), (nh, nv) = _xi_frame_rows(sd)
     eta_sq = float(eta0 @ eta0)
     conn = 0.0
-    for i in range(len(lam)):
-        X = e[i] / scale[i]
+    for X in th:
         d = eta.covariant_derivative_array(p.coords, X)
         c = float(xiv @ X)
         tp = d - (d @ xiv) * xiv
         conn += c * c * eta_sq + 4.0 * float(tp @ tp)
 
-    weights = np.array([sasaki_inner(ns, eta_tilde) for ns in frames.normal])
+    weights = np.vecdot(nh, eh) + np.vecdot(nv, ev)  # Sasaki pairings
     B = np.einsum("sij,s->ij", form, weights) / math.sqrt(nsq)
     kvals = np.linalg.eigvalsh(0.5 * (B + B.T))
     ksum = float(kvals.sum())
     principal = -(ksum * ksum - float(kvals @ kvals))
-    curv = sum(bundle_sectional_curvature(ei, eta_tilde)
-               for ei in frames.tangent)
+    at, u, y1, y2 = (np.broadcast_to(v, th.shape) for v in (p.coords, xiv, eh, ev))
+    curv = float(np.sum(bundle_sectional_curvature_array(
+        xi.sphere, at, u, th, tv, y1, y2)))
     value = conn - nsq * (principal + curv)
     return DuschekBreakdown(float(value), float(conn), float(principal),
-                            float(curv), float(nsq), False)
+                            curv, nsq, False)
 
 
 def reduced_integrand(xi: UnitVectorField, eta: VariationField,

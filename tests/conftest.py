@@ -3,7 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from tgeo import DegenerateInputError, hopf_field, meridian_field, shape_apply_array
+from tgeo import (DegenerateInputError, TangentVector, hopf_field, meridian_field,
+                  shape_apply_array)
+from tgeo.manifold import unit_rows
 
 # The interpreter and numpy the benchmark digests were recorded with: the
 # stacked kernels promise the bits of their one-point references there, and
@@ -18,6 +20,15 @@ def assert_identical(got, want):
         assert np.array_equal(got, want)
     else:
         np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+
+def random_tangent(p, rng, *, unit=False):
+    """A tangent vector at the point ``p``: one draw of ambient standard
+    normals from ``rng``, projected onto the tangent space, and with
+    ``unit`` scaled to unit length."""
+    sphere = p.sphere
+    v = sphere.project_array(p.coords, rng.standard_normal(sphere.ambient_dim))
+    return TangentVector(p, unit_rows(v[None])[0] if unit else v)
 
 
 def ref_gram_schmidt(mat, *, pivot_tol=1e-10, drop=False):

@@ -344,6 +344,27 @@ def test_scan_curvature_csv_rows(capsys):
         assert 0.25 - 1e-9 <= K <= 1.25 + 1e-9
 
 
+def test_scan_curvature_csv_summary_is_observed_range(capsys):
+    """The summary rows are the range over the sampled planes that the JSON
+    report states; the designated sections (1/4 and 5/4) are rows of
+    their own, outside it."""
+    argv = ["scan-curvature", "--dim", "3", "--planes", "200", "--mode", "both"]
+    _, out = run_cli(capsys, argv + ["--format", "csv"], expect=0)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    _, out = run_cli(capsys, argv, expect=0)
+    notes = {r["name"]: r["notes"][0] for r in json.loads(out)}
+    for kind in ("submanifold", "bundle"):
+        ks = [float(K) for pid, k, K in rows if k == kind and pid.isdigit()]
+        assert len(ks) == 200
+        summary = {stat: float(K) for pid, stat, K in rows
+                   if pid == f"summary-scan-{kind}"}
+        assert summary == {"min": min(ks), "max": max(ks)}
+        assert f"[{min(ks):.9f}, {max(ks):.9f}]" in notes[f"scan-{kind}"]
+    sections = {pid: float(K) for pid, _, K in rows if pid.endswith("-section")}
+    lo, hi = (float(K) for pid, _, K in rows if pid == "summary-scan-submanifold")
+    assert sections["xi-section"] < lo and hi < sections["phi-section"]
+
+
 def test_variation_command_s5(capsys):
     code, out = run_cli(capsys, ["variation", "--dim", "5", "--samples", "32"])
     assert code == 0

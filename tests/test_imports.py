@@ -1,15 +1,22 @@
 """Every name a tgeo module imports must be used in that module, and every
 module-level constant or private function must be read by some module, so a
 deletion cannot leave a stale import, constant or helper behind. The
-library's defaulted options are counted, so a new one is a visible change."""
+library's defaulted options and public names are counted, so a new one is a
+visible change, and every name the benchmark's tracer wraps must exist."""
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tgeo"
+import tgeo
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tgeo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # Module-level constants by naming convention, private ones included.
@@ -18,6 +25,10 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 # The library's defaulted parameters and dataclass fields, as ROADMAP.md
 # states the figure under quality of design.
 LIBRARY_OPTIONS = 16
+
+# The names ``tgeo`` exports, as ROADMAP.md states the figure under quality
+# of design.
+PUBLIC_NAMES = 58
 
 
 def unused_imports(source: str) -> list:
@@ -147,6 +158,34 @@ def test_library_option_count():
         f"{len(found)} defaulted options, expected {LIBRARY_OPTIONS}: {found}. "
         "If the count changed on purpose, update LIBRARY_OPTIONS and the "
         "figure under quality of design in ROADMAP.md.")
+
+
+def test_public_name_count():
+    assert len(tgeo.__all__) == PUBLIC_NAMES, (
+        f"{len(tgeo.__all__)} names in tgeo.__all__, expected {PUBLIC_NAMES}. "
+        "If the count changed on purpose, update PUBLIC_NAMES and the "
+        "figure under quality of design in ROADMAP.md.")
+    assert all(hasattr(tgeo, name) for name in tgeo.__all__)
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    """Every (module, class, attribute) that perfbench/tracer.py wraps
+    exists, so deleting a traced name fails here and not only in the
+    benchmark. The tracer module is loaded from its file without writing
+    bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module, cls, attr in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not hasattr(owner, attr):
+            missing.append((module, cls, attr))
+    assert missing == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -10,8 +10,9 @@ from tgeo import (
     TangentVector,
     gram_schmidt_rows,
 )
+from tgeo.manifold import _check_same_base, unit_rows
 
-from conftest import assert_identical, ref_gram_schmidt
+from conftest import assert_identical, random_tangent, ref_gram_schmidt
 
 
 def test_sphere_spec_basics():
@@ -38,7 +39,7 @@ def test_tangent_projection_is_tangent():
     sphere = SphereSpec(5, 1.5)
     rng = np.random.default_rng(0)
     p = sphere.random_point(rng)
-    v = sphere.random_tangent(p, rng)
+    v = random_tangent(p, rng)
     assert abs(float(v.vec @ p.coords)) < 1e-12
 
 
@@ -49,7 +50,7 @@ def test_tangent_rejects_non_tangent_vector():
         TangentVector(p, np.array([1.0, 0.0, 0.0]))
     assert str(info.value) == "vector is not tangent to the sphere"
     with pytest.raises(DegenerateInputError) as info:
-        TangentVector(p, [0.0, 1e-11, 0.0]).unit()
+        unit_rows(np.array([[0.0, 1e-11, 0.0]]))
     assert str(info.value) == "cannot normalize a near-zero tangent vector"
 
 
@@ -65,9 +66,9 @@ def test_metric_and_curvature_constant():
     sphere = SphereSpec(4, 2.0)
     rng = np.random.default_rng(1)
     p = sphere.random_point(rng)
-    x = sphere.random_tangent(p, rng).vec
-    y = sphere.random_tangent(p, rng).vec
-    z = sphere.random_tangent(p, rng).vec
+    x = random_tangent(p, rng).vec
+    y = random_tangent(p, rng).vec
+    z = random_tangent(p, rng).vec
     r_val = sphere.curvature_array(x, y, z)
     expected = 0.25 * ((y @ z) * x - (x @ z) * y)
     assert np.allclose(r_val, expected, atol=1e-14)
@@ -166,7 +167,7 @@ def test_covariant_derivative_matches_analytic():
 
     rng = np.random.default_rng(9)
     p = sphere.random_point(rng)
-    X = sphere.random_tangent(p, rng)
+    X = random_tangent(p, rng)
     fd = sphere.fd_derivative_array(raw, p.coords, X.vec)
     # exact: project the ambient directional derivative of the extension
     h = 1e-7
@@ -175,17 +176,16 @@ def test_covariant_derivative_matches_analytic():
     assert np.linalg.norm(fd - exact) < 1e-6
 
 
-def test_tangent_vector_arithmetic_and_base_guard():
+def test_base_point_guard():
     sphere = SphereSpec(3, 1.0)
     p = sphere.point([1.0, 0.0, 0.0])
     q = sphere.point([0.0, 1.0, 0.0])
     a = TangentVector(p, [0.0, 1.0, 0.0])
     b = TangentVector(p, [0.0, 0.0, 2.0])
     c = TangentVector(q, [1.0, 0.0, 0.0])
-    assert np.allclose((a + b).vec, [0.0, 1.0, 2.0])
-    assert np.isclose((2.0 * a).norm(), 2.0)
+    _check_same_base(a, b)
     with pytest.raises(BasePointMismatchError):
-        a + c
+        _check_same_base(a, c)
 
 
 def test_random_frame_is_orthonormal():

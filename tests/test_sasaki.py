@@ -16,36 +16,27 @@ from tgeo import (
     horizontal_lift,
     is_strongly_normal,
     killing_canonical_frames,
-    sasaki_inner,
     sasakian_identity_residual,
     second_form_direct,
     second_form_lemma,
     shape_apply_array,
     singular_decomposition,
-    submanifold_frames,
     submanifold_plane_curvature,
     tangential_lift,
-    xi_normal_lift,
     xi_tangential_lift,
 )
 from tgeo import hopf_field, meridian_field
-from tgeo.sasaki import hopf_pattern_peak, hopf_pattern_split, meridian_obstruction
-from conftest import (assert_identical, ref_half_curvature,
+from tgeo.manifold import unit_rows
+from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
+                         meridian_obstruction, xi_normal_lift_array)
+from conftest import (assert_identical, random_tangent, ref_half_curvature,
                       ref_second_form_direct, ref_second_form_lemma,
                       seeded_points)
 
 
-def test_sasaki_inner_splits_into_parts(hopf3):
-    sphere = hopf3.sphere
-    rng = np.random.default_rng(0)
-    p = sphere.random_point(rng)
-    u = hopf3.value(p)
-    h1, v1 = sphere.random_tangent(p, rng), sphere.random_tangent(p, rng)
-    h2, v2 = sphere.random_tangent(p, rng), sphere.random_tangent(p, rng)
-    X = BundleVector(u, h1, v1)
-    Y = BundleVector(u, h2, v2)
-    assert np.isclose(sasaki_inner(X, Y), h1.vec @ h2.vec + v1.vec @ v2.vec,
-                      atol=1e-14)
+def sasaki_pairing(X: BundleVector, h, v):
+    """<<X, (h, v)>> for a typed bundle vector and the parts of one row."""
+    return float(X.horiz.vec @ h + X.vert.vec @ v)
 
 
 def test_tangential_lift_removes_anchor_component(hopf3):
@@ -53,7 +44,7 @@ def test_tangential_lift_removes_anchor_component(hopf3):
     rng = np.random.default_rng(1)
     p = sphere.random_point(rng)
     u = hopf3.value(p)
-    X = sphere.random_tangent(p, rng)
+    X = random_tangent(p, rng)
     lift = tangential_lift(X, u)
     assert abs(float(lift.vert.vec @ u.vec)) < 1e-13
 
@@ -65,18 +56,19 @@ def test_lift_duality_and_tau_norm(hopf5):
     worst = 0.0
     for _ in range(20):
         p = sphere.random_point(rng)
-        X = sphere.random_tangent(p, rng)
-        Y = sphere.random_tangent(p, rng)
-        worst = max(worst, abs(sasaki_inner(xi_tangential_lift(hopf5, X),
-                                            xi_normal_lift(hopf5, Y))))
+        X = random_tangent(p, rng)
+        Y = random_tangent(p, rng)
+        _, h, v = xi_normal_lift_array(hopf5, p.coords, Y.vec[None])
+        worst = max(worst, abs(sasaki_pairing(xi_tangential_lift(hopf5, X),
+                                              h[0], v[0])))
     assert worst < 1e-10
     p = sphere.random_point(rng)
-    X = sphere.random_tangent(p, rng).unit()
+    X = random_tangent(p, rng, unit=True)
     xiv = hopf5.value_array(p.coords)
     tau = xi_tangential_lift(hopf5, X)
     # unit Killing: |A X|^2 = 1 - <xi, X>^2, so |X^tau|^2 = 2 - <xi, X>^2
     expected = 2.0 - float(X.vec @ xiv) ** 2
-    assert abs(sasaki_inner(tau, tau) - expected) < 1e-10
+    assert abs(sasaki_pairing(tau, tau.horiz.vec, tau.vert.vec) - expected) < 1e-10
 
 
 def test_normal_lift_sees_only_perp_part(hopf3):
@@ -84,27 +76,22 @@ def test_normal_lift_sees_only_perp_part(hopf3):
     sphere = hopf3.sphere
     rng = np.random.default_rng(3)
     p = sphere.random_point(rng)
-    xiv = hopf3.value(p)
-    W = sphere.random_tangent(p, rng)
-    Wperp = W - xiv * float(W.vec @ xiv.vec)
-    a = xi_normal_lift(hopf3, W)
-    b = xi_normal_lift(hopf3, Wperp)
-    assert np.allclose(a.horiz.vec, b.horiz.vec, atol=1e-13)
-    assert np.allclose(a.vert.vec, b.vert.vec, atol=1e-13)
+    xiv = hopf3.value_array(p.coords)
+    W = random_tangent(p, rng).vec
+    Wperp = W - xiv * float(W @ xiv)
+    _, ah, av = xi_normal_lift_array(hopf3, p.coords, W[None])
+    _, bh, bv = xi_normal_lift_array(hopf3, p.coords, Wperp[None])
+    assert np.allclose(ah, bh, atol=1e-13)
+    assert np.allclose(av, bv, atol=1e-13)
 
 
-def test_submanifold_frames_orthonormal_and_dual(hopf5):
+def test_submanifold_frame_rows_orthonormal_and_dual(hopf5):
     p = hopf5.sphere.random_point(np.random.default_rng(4))
-    fr = submanifold_frames(hopf5, p)
-    tang, norm = fr.tangent, fr.normal
-    for i, ti in enumerate(tang):
-        for j, tj in enumerate(tang):
-            assert abs(sasaki_inner(ti, tj) - (i == j)) < 1e-10
-        for ns in norm:
-            assert abs(sasaki_inner(ti, ns)) < 1e-10
-    for s, ns in enumerate(norm):
-        for t, nt in enumerate(norm):
-            assert abs(sasaki_inner(ns, nt) - (s == t)) < 1e-10
+    (th, tv), (nh, nv) = _xi_frame_rows(singular_decomposition(hopf5, p))
+    h, v = np.vstack([th, nh]), np.vstack([tv, nv])
+    gram = h @ h.T + v @ v.T
+    assert np.max(np.abs(gram - np.eye(len(h)))) < 1e-10
+    assert len(th) == hopf5.sphere.dim and len(nh) == hopf5.sphere.dim - 1
 
 
 def test_bundle_vector_anchor_guard(hopf3):
@@ -113,11 +100,13 @@ def test_bundle_vector_anchor_guard(hopf3):
     q = sphere.random_point(np.random.default_rng(7))
     u = hopf3.value(p)
     w = hopf3.value(q)
-    a = horizontal_lift(sphere.random_tangent(p, np.random.default_rng(8)), u)
-    b = horizontal_lift(sphere.random_tangent(q, np.random.default_rng(9)), w)
+    a = horizontal_lift(random_tangent(p, np.random.default_rng(8)), u)
+    b = horizontal_lift(random_tangent(q, np.random.default_rng(9)), w)
     from tgeo import BasePointMismatchError
     with pytest.raises(BasePointMismatchError):
-        _ = a + b
+        bundle_sectional_curvature(a, b)
+    with pytest.raises(BasePointMismatchError):
+        BundleVector(u, b.horiz, a.vert)
 
 
 # -- second fundamental form --------------------------------------------------
@@ -358,7 +347,8 @@ def test_designated_sections(hopf3):
     W = TangentVector(p, gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1])
     k_xi = submanifold_plane_curvature(hopf3, xiv, W)
     assert abs(k_xi - 0.25) < 1e-10
-    phi_w = TangentVector(p, -shape_apply_array(hopf3, p.coords, W.vec)).unit()
+    phi_w = TangentVector(
+        p, unit_rows(-shape_apply_array(hopf3, p.coords, W.vec)[None])[0])
     k_phi = submanifold_plane_curvature(hopf3, W, phi_w)
     assert abs(k_phi - 1.25) < 1e-10
 
@@ -381,12 +371,16 @@ def test_bundle_curvature_handles_non_orthonormal_pairs(hopf3):
     sphere = hopf3.sphere
     rng = np.random.default_rng(20)
     p = sphere.random_point(rng)
-    u = sphere.random_tangent(p, rng).unit()
-    X = horizontal_lift(sphere.random_tangent(p, rng), u)
-    Y = X + tangential_lift(sphere.random_tangent(p, rng), u)
+    u = random_tangent(p, rng, unit=True)
+    h = random_tangent(p, rng)
+    t = tangential_lift(random_tangent(p, rng), u).vert
+    X = horizontal_lift(h, u)
+    Y = BundleVector(u, h, t)  # X + t^v
     K1 = bundle_sectional_curvature(X, Y)
     # scaling either vector leaves the plane, and the curvature, unchanged
-    K2 = bundle_sectional_curvature(2.5 * X, Y + 0.3 * X)
+    scaled = BundleVector(u, TangentVector(p, 2.5 * h.vec), sphere.zero_tangent(p))
+    sheared = BundleVector(u, TangentVector(p, 1.3 * h.vec), t)  # Y + 0.3 X
+    K2 = bundle_sectional_curvature(scaled, sheared)
     assert abs(K1 - K2) < 1e-10
 
 
@@ -394,10 +388,11 @@ def test_bundle_curvature_degenerate_plane(hopf3):
     sphere = hopf3.sphere
     rng = np.random.default_rng(21)
     p = sphere.random_point(rng)
-    u = sphere.random_tangent(p, rng).unit()
-    X = horizontal_lift(sphere.random_tangent(p, rng), u)
+    u = random_tangent(p, rng, unit=True)
+    h = random_tangent(p, rng)
+    X = horizontal_lift(h, u)
     with pytest.raises(DegeneratePlaneError):
-        bundle_sectional_curvature(X, 3.0 * X)
+        bundle_sectional_curvature(X, horizontal_lift(TangentVector(p, 3.0 * h.vec), u))
 
 
 def test_plane_curvature_requires_orthonormal_input(hopf3):
@@ -406,5 +401,5 @@ def test_plane_curvature_requires_orthonormal_input(hopf3):
     p = sphere.random_point(rng)
     fr = sphere.random_orthonormal_frame(p, rng)
     with pytest.raises(DegenerateInputError):
-        submanifold_plane_curvature(hopf3, 2.0 * fr[0], fr[1])
+        submanifold_plane_curvature(hopf3, TangentVector(p, 2.0 * fr[0].vec), fr[1])
 

@@ -24,7 +24,7 @@ from tgeo.sasaki import (
     xi_tangential_lift_array,
 )
 
-from conftest import EXACT, assert_identical
+from conftest import EXACT, assert_identical, random_tangent
 
 
 # -- one-plane reference -------------------------------------------------------
@@ -155,7 +155,7 @@ def test_stacked_samplers_match_typed_sampler():
         rng = np.random.default_rng((2, idx))
         point = sphere.random_point(rng)
         assert_identical(q[idx], point.coords)
-        assert_identical(t[idx], [sphere.random_tangent(point, rng).vec
+        assert_identical(t[idx], [random_tangent(point, rng).vec
                                   for _ in range(5)])
 
 
@@ -188,8 +188,8 @@ def test_scan_matches_reference_across_batches(capsys):
     for idx in range(planes):
         rng = np.random.default_rng((5, 10 ** 9 + idx))
         q = sphere.random_point(rng)
-        u = sphere.random_tangent(q, rng).unit().vec
-        hx, vx, hy, vy = (sphere.random_tangent(q, rng).vec for _ in range(4))
+        u = random_tangent(q, rng, unit=True).vec
+        hx, vx, hy, vy = (random_tangent(q, rng).vec for _ in range(4))
         rows.append(ref_bundle_curvature(1.0, u, hx, vx - (vx @ u) * u,
                                          hy, vy - (vy @ u) * u))
     assert_identical([got["bundle", str(i)] for i in range(planes)], rows)
@@ -282,7 +282,7 @@ def test_one_plane_wrappers_keep_their_messages():
         submanifold_plane_curvature(xi, X, X)
     assert str(info.value) == "X, Y must be orthonormal"
 
-    u = sphere.random_tangent(p, rng).unit()
+    u = random_tangent(p, rng, unit=True)
     zero = sphere.zero_tangent(p)
     Xb = BundleVector(u, X, zero)
     with pytest.raises(DegeneratePlaneError) as info:
@@ -296,7 +296,7 @@ def test_one_plane_warning_points_at_the_caller():
     rng = np.random.default_rng(1)
     p = sphere.random_point(rng)
     X, Y = sphere.random_orthonormal_frame(p, rng)[:2]
-    u = sphere.random_tangent(p, rng).unit()
+    u = random_tangent(p, rng, unit=True)
     stray = TangentVector(p, Y.vec + 1e-3 * u.vec)
     Xb = BundleVector(u, X, sphere.zero_tangent(p))
     Yb = BundleVector(u, sphere.zero_tangent(p), stray)

@@ -22,11 +22,15 @@ from tgeo import (
     random_hopf_combination,
     reduced_integrand,
     s3_stable_form,
+    second_form_lemma,
+    singular_decomposition,
     sphere_volume,
     stability_verdict,
 )
 from tgeo.cli import main
 from tgeo.variation import _LJ, _LK
+
+from conftest import seeded_points
 
 
 def test_sphere_volume_closed_values():
@@ -103,17 +107,53 @@ def test_duschek_equals_reduced_s3(hopf3):
     assert worst < 1e-3
 
 
-def test_duschek_equals_reduced_s5(hopf5):
+def worst_horizontal_gap(xi):
+    """max |general - reduced| over three horizontal-extension fields at
+    four points each."""
     worst = 0.0
     for fi in range(3):
-        v = np.random.default_rng((3, fi)).standard_normal(6)
-        eta = horizontal_extension_field(hopf5.sphere, v)
+        v = np.random.default_rng((3, fi)).standard_normal(xi.sphere.ambient_dim)
+        eta = horizontal_extension_field(xi.sphere, v)
         rng = np.random.default_rng((4, fi))
         for _ in range(4):
-            p = hopf5.sphere.random_point(rng)
-            worst = max(worst, abs(duschek_integrand_general(hopf5, eta, p).value
-                                   - reduced_integrand(hopf5, eta, p)))
-    assert worst < 1e-3
+            p = xi.sphere.random_point(rng)
+            worst = max(worst, abs(duschek_integrand_general(xi, eta, p).value
+                                   - reduced_integrand(xi, eta, p)))
+    return worst
+
+
+def test_duschek_equals_reduced_s5(hopf5):
+    assert worst_horizontal_gap(hopf5) < 1e-3
+
+
+def test_duschek_equals_reduced_s7(hopf7):
+    assert worst_horizontal_gap(hopf7) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["hopf3_r2", "meridian3"])
+def test_principal_term_along_one_normal_direction(name, request):
+    """eta(p) = f_s makes eta~ = (A* f_s)^h + f_s^t = sqrt(1 + l_s^2) nu_s,
+    so the principal term reads row s of the second form alone:
+    -(tr(S)^2 - |S|^2), S its symmetric part. The Hopf field off unit
+    radius and the meridian field are not totally geodesic, so the rows
+    are not zero."""
+    xi = request.getfixturevalue(name)
+    sphere = xi.sphere
+    zero = np.zeros((sphere.ambient_dim, sphere.ambient_dim))
+    worst = peak = 0.0
+    for p in seeded_points(xi, 3, seed=31):
+        sd = singular_decomposition(xi, p)
+        form = second_form_lemma(xi, p, sd)
+        for s in range(1, sphere.dim):
+            w = sd.left_frame.matrix[s]
+            eta = VariationField(sphere, lambda q, w=w: w, lambda q: zero)
+            S = 0.5 * (form[s - 1] + form[s - 1].T)
+            expect = -(np.trace(S) ** 2 - np.sum(S * S))
+            got = duschek_integrand_general(xi, eta, p).principal_term
+            worst = max(worst, abs(got - expect))
+            peak = max(peak, abs(expect))
+    assert peak > 1e-2
+    assert worst < 1e-10
 
 
 def test_duschek_degenerate_zero_field(hopf3):
