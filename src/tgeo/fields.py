@@ -80,9 +80,6 @@ class UnitVectorField:
     def value_array(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(coords), dtype=float)
 
-    def value(self, p: SpherePoint) -> TangentVector:
-        return TangentVector(p, self.value_array(p.coords))
-
     def jacobian_array(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.jacobian_fn(coords), dtype=float)
 
@@ -193,6 +190,12 @@ def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
     return frame_rows @ applied.T
 
 
+def _framed_shape_matrix(xi: UnitVectorField, p_coords: np.ndarray) -> tuple:
+    """The standard frame rows at p and the shape matrix in them."""
+    rows = xi.sphere.standard_frame_rows(p_coords)
+    return rows, shape_matrix(xi, p_coords, rows)
+
+
 # -- singular decomposition ----------------------------------------------
 
 
@@ -214,13 +217,13 @@ class SingularData:
         object.__setattr__(self, "lambdas", arr)
 
 
-def _complete_left_frame(assigned: list, candidates: np.ndarray,
-                         total: int) -> list:
-    """Fill missing left-frame rows from candidate directions."""
+def _complete_frame(assigned: list, candidates: np.ndarray, total: int) -> list:
+    """The ``total - len(assigned)`` orthonormal rows that complete the
+    orthonormal rows ``assigned`` to ``total``, from candidate directions."""
     stack = np.vstack([np.array(assigned), candidates])
     rows = gram_schmidt_rows(stack, pivot_tol=1e-8, drop=True)
     if len(rows) < total:
-        raise DecompositionFailure("left frame completion is rank deficient")
+        raise DecompositionFailure("frame completion is rank deficient")
     return [rows[k] for k in range(len(assigned), total)]
 
 
@@ -261,10 +264,8 @@ def singular_decomposition(xi: UnitVectorField, p: SpherePoint) -> SingularData:
     degenerate singular values; the remaining left slots are completed by
     Gram-Schmidt.
     """
-    sphere = xi.sphere
-    n1 = sphere.dim
-    rows = sphere.standard_frame_rows(p.coords)
-    M = shape_matrix(xi, p.coords, rows)
+    n1 = xi.sphere.dim
+    rows, M = _framed_shape_matrix(xi, p.coords)
     U, s, Vt = np.linalg.svd(M)
 
     # A* xi = 0 always, so 0 is a singular value; pin it to slot 0.
@@ -286,7 +287,7 @@ def singular_decomposition(xi: UnitVectorField, p: SpherePoint) -> SingularData:
             pending.append(i)
     if pending:
         assigned = [f for f in f_list if f is not None]
-        fills = _complete_left_frame(assigned, np.vstack([U.T, np.eye(n1)]), n1)
+        fills = _complete_frame(assigned, np.vstack([U.T, np.eye(n1)]), n1)
         for slot, vec in zip(pending, fills):
             f_list[slot] = vec
     f_comps = np.array(f_list)
@@ -302,14 +303,9 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     f_a = e_{m+a} and f_{m+a} = -e_a. The lambda vector repeats each paired
     value, (0, l_1..l_m, l_1..l_m, 0...), so it is not globally sorted.
     """
-    sphere = xi.sphere
-    n1 = sphere.dim
-    rows = sphere.standard_frame_rows(p.coords)
-    M = shape_matrix(xi, p.coords, rows)
-    killing = _killing_result(M)
-    if not killing.passed:
-        raise PreconditionError(
-            f"field is not Killing here: skewness residual {killing.residual:.3e}")
+    n1 = xi.sphere.dim
+    rows, M = _framed_shape_matrix(xi, p.coords)
+    _require_killing(M, "canonical pairing")
 
     U, s, Vt = np.linalg.svd(M)
     pos_idx = [i for i in range(n1) if s[i] > SV_ZERO_TOL]
@@ -337,26 +333,16 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
             pair_w.append(w)
             rest = basis[1:]
             rest = rest - np.outer(rest @ v, v) - np.outer(rest @ w, w)
-            basis = gram_schmidt_rows(rest, pivot_tol=1e-6, drop=True) \
-                if len(rest) else rest
+            basis = gram_schmidt_rows(rest, pivot_tol=1e-6, drop=True)
 
     m = len(pair_l)
     xiv = xi.value_array(p.coords)
     xi_comps = rows @ xiv
     kernel = [xi_comps]
     if 2 * m + 1 < n1:
-        stack = np.vstack([xi_comps] + null_rows + [np.eye(n1)])
-        filled = gram_schmidt_rows(stack, pivot_tol=1e-8, drop=True)
-        # keep only directions orthogonal to the paired blocks
-        block = np.array(pair_v + pair_w)
-        extra = []
-        for row in filled[1:]:
-            res = row - block.T @ (block @ row)
-            if np.linalg.norm(res) > 0.5:
-                extra.append(res / np.linalg.norm(res))
-            if 1 + len(extra) + 2 * m == n1:
-                break
-        kernel += extra
+        # the kernel rows beside xi, orthogonal to the paired blocks
+        kernel += _complete_frame(kernel + pair_v + pair_w,
+                                  np.vstack(null_rows + [np.eye(n1)]), n1)
 
     e_comps = np.array(kernel[:1] + pair_v + pair_w + kernel[1:])
     f_comps = np.array(kernel[:1] + pair_w + [-v for v in pair_v] + kernel[1:])
@@ -431,6 +417,13 @@ def _killing_result(M: np.ndarray) -> PredicateResult:
     return _result("killing", np.linalg.norm(M + M.T, 2), TOL_ANALYTIC)
 
 
+def _require_killing(M: np.ndarray, what: str) -> None:
+    killing = _killing_result(M)
+    if not killing.passed:
+        raise PreconditionError(
+            f"{what} needs a Killing field: skewness residual {killing.residual:.3e}")
+
+
 def _unit_perp_samples(xi, p, rng, count):
     """Random unit tangent vectors orthogonal to the field at p, as the
     rows of a checked (count, ambient) array.
@@ -464,8 +457,7 @@ def is_geodesic(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
 
 def is_killing(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
     """Spectral-norm residual of A + A* in an orthonormal frame."""
-    rows = xi.sphere.standard_frame_rows(p.coords)
-    return _killing_result(shape_matrix(xi, p.coords, rows))
+    return _killing_result(_framed_shape_matrix(xi, p.coords)[1])
 
 
 def _perp_triples(xi, p):
@@ -528,15 +520,10 @@ def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
 
 def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """max_X || A* A X - R(X, xi) xi || over an orthonormal frame (Killing xi)."""
-    sphere = xi.sphere
-    rows = sphere.standard_frame_rows(p.coords)
-    M = shape_matrix(xi, p.coords, rows)
-    killing = _killing_result(M)
-    if not killing.passed:
-        raise PreconditionError(
-            f"Jacobi relation needs a Killing field; skewness {killing.residual:.3e}")
+    rows, M = _framed_shape_matrix(xi, p.coords)
+    _require_killing(M, "Jacobi relation")
     xic = rows @ xi.value_array(p.coords)
-    k = sphere.curvature_constant
+    k = xi.sphere.curvature_constant
     gram = M.T @ M
     resid = 0.0
     for x in np.eye(len(rows)):
@@ -548,6 +535,5 @@ def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint) -> float:
 
 def covariant_normality_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """|| A A* - A* A || in an orthonormal frame (commutation residual)."""
-    rows = xi.sphere.standard_frame_rows(p.coords)
-    M = shape_matrix(xi, p.coords, rows)
+    M = _framed_shape_matrix(xi, p.coords)[1]
     return float(np.linalg.norm(M @ M.T - M.T @ M, 2))

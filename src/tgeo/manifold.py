@@ -190,12 +190,10 @@ class SphereSpec:
     # -- points and tangent vectors ------------------------------------
 
     def point(self, coords) -> "SpherePoint":
-        """Wrap ambient coordinates as a point, normalizing onto the sphere."""
+        """Wrap ambient coordinates as a point, normalizing onto the sphere:
+        the one-row ``stacked_points``, checked once, by ``SpherePoint``."""
         arr = np.asarray(coords, dtype=float)
-        norm = np.linalg.norm(arr)
-        if norm < GS_PIVOT_TOL:
-            raise DegenerateInputError("cannot normalize a near-zero vector")
-        return SpherePoint(self, arr * (self.radius / norm))
+        return SpherePoint(self, self._normalized_rows(arr[None])[0])
 
     def zero_tangent(self, p: "SpherePoint") -> "TangentVector":
         return TangentVector(p, np.zeros(self.ambient_dim))
@@ -207,8 +205,6 @@ class SphereSpec:
         broadcasting), projected as (<v,p>/r^2) p, or a stack of rows per
         point (one more axis), projected as (<v,p> p)/r^2."""
         scale = self.radius ** 2
-        if vec.ndim == 1:
-            return vec - (vec @ p_coords) / scale * p_coords
         if vec.ndim == p_coords.ndim:
             return vec - (np.vecdot(vec, p_coords) / scale)[..., None] * p_coords
         return vec - np.matmul(vec, p_coords[..., None]) * p_coords[..., None, :] \
@@ -277,8 +273,14 @@ class SphereSpec:
     def random_orthonormal_frame(self, p: "SpherePoint",
                                  rng: np.random.Generator) -> "Frame":
         raw = rng.standard_normal((self.dim, self.ambient_dim))
-        rows = gram_schmidt_rows(self.project_array(p.coords, raw))
+        rows = self._frame_rows(p.coords[None], raw[None])[0]
         return Frame(p, tuple(TangentVector(p, r) for r in rows))
+
+    def _frame_rows(self, p: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Each (dim, ambient) block of ``raw`` projected at its row of ``p``
+        and orthonormalized in order: the frame step, unchecked."""
+        return _gram_schmidt_stack(self.project_array(p, raw),
+                                   pivot_tol=GS_PIVOT_TOL, drop=False)
 
     # Stacked samplers: row i of ``draws`` holds the standard normals that
     # sample i's own generator gives the one-sample calls, in their order.
@@ -286,14 +288,17 @@ class SphereSpec:
 
     def stacked_points(self, draws: np.ndarray) -> np.ndarray:
         """``point`` for each row of ``draws`` (N, ambient), so also
-        random_point: the rows normalized onto the sphere with the same
-        arithmetic and checked row by row."""
+        random_point: the rows normalized onto the sphere and checked row by
+        row."""
+        coords = self._normalized_rows(draws)
+        _check_points_stack(self.radius, coords)
+        return coords
+
+    def _normalized_rows(self, draws: np.ndarray) -> np.ndarray:
         norms = _row_norms(draws)
         _reject_rows(norms < GS_PIVOT_TOL, DegenerateInputError,
                      "cannot normalize a near-zero vector")
-        coords = draws * (self.radius / norms)[:, None]
-        _check_points_stack(self.radius, coords)
-        return coords
+        return draws * (self.radius / norms)[..., None]
 
     def stacked_tangents(self, draws: np.ndarray) -> tuple:
         """random_point, then a tangent vector per further row (the row
@@ -314,8 +319,7 @@ class SphereSpec:
         Returns the points (N, ambient) and the frames (N, dim, ambient).
         """
         p = self.stacked_points(draws[:, 0])
-        frames = _gram_schmidt_stack(self.project_array(p, draws[:, 1:]),
-                                     pivot_tol=GS_PIVOT_TOL, drop=False)
+        frames = self._frame_rows(p, draws[:, 1:])
         _check_tangent_stack(self.radius, p, frames)
         _check_frames_stack(frames)
         return p, frames
@@ -393,10 +397,11 @@ class Frame:
     def __getitem__(self, idx) -> TangentVector:
         return self.vectors[idx]
 
-    def __iter__(self):
-        return iter(self.vectors)
 
-
-def _check_same_base(a, b) -> None:
-    if np.max(np.abs(a.base.coords - b.base.coords)) > _BASE_MATCH_TOL:
-        raise BasePointMismatchError("objects are attached at different points")
+def _check_same_base(a: np.ndarray, b: np.ndarray,
+                     message: str = "objects are attached at different points"
+                     ) -> None:
+    """Refuse two base points (or bundle anchors) whose ambient arrays differ
+    by more than _BASE_MATCH_TOL in some entry."""
+    if np.max(np.abs(a - b)) > _BASE_MATCH_TOL:
+        raise BasePointMismatchError(message)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .manifold import (
     GS_PIVOT_TOL,
-    BasePointMismatchError,
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
@@ -40,9 +39,6 @@ from .fields import (
     shape_apply_array,
 )
 
-_ANCHOR_TOL = 1e-9
-
-
 @dataclass(frozen=True, eq=False)
 class BundleVector:
     """A tangent vector of TM at the bundle point (p, u), split h + v.
@@ -57,10 +53,9 @@ class BundleVector:
     vert: TangentVector
 
     def __post_init__(self):
-        pc = self.anchor.base.coords
         for part in (self.horiz, self.vert):
-            if np.max(np.abs(part.base.coords - pc)) > _ANCHOR_TOL:
-                raise BasePointMismatchError("bundle vector parts at different points")
+            _check_same_base(part.base.coords, self.anchor.base.coords,
+                             "bundle vector parts at different points")
 
 
 # -- lifts -------------------------------------------------------------------
@@ -71,19 +66,19 @@ def horizontal_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
 
 
 def tangential_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
-    """X^t = X^v - <X,u> u^v, the vertical direction tangent to T1M."""
-    u = anchor.vec
-    vert = TangentVector(X.base, X.vec - (X.vec @ u) * u)
-    return BundleVector(anchor, X.base.sphere.zero_tangent(X.base), vert)
+    """X^t = X^v - <X,u> u^v, the vertical direction tangent to T1M: the
+    one-row ``tangential_lift_array``."""
+    vert = tangential_lift_array(X.vec[None], anchor.vec[None])[0]
+    return BundleVector(anchor, X.base.sphere.zero_tangent(X.base),
+                        TangentVector(X.base, vert))
 
 
 def xi_tangential_lift(xi: UnitVectorField, X: TangentVector) -> BundleVector:
-    """X^tau = X^h - (A X)^t, tangent to xi(M) at (p, xi(p))."""
+    """X^tau = X^h - (A X)^t, tangent to xi(M) at (p, xi(p)): the one-row
+    ``xi_tangential_lift_array``."""
     p = X.base
-    anchor = xi.value(p)
-    ax = shape_apply_array(xi, p.coords, X.vec)
-    ax = ax - (ax @ anchor.vec) * anchor.vec
-    return BundleVector(anchor, X, TangentVector(p, -ax))
+    anchor, _, vert = xi_tangential_lift_array(xi, p.coords[None], X.vec[None])
+    return BundleVector(TangentVector(p, anchor[0]), X, TangentVector(p, vert[0]))
 
 
 # -- frames on xi(M) ----------------------------------------------------------
@@ -313,9 +308,9 @@ def bundle_sectional_curvature(Xb: BundleVector, Yb: BundleVector) -> float:
     ``bundle_sectional_curvature_array``.
     """
     p = Xb.anchor.base
-    if np.max(np.abs(p.coords - Yb.anchor.base.coords)) > _ANCHOR_TOL \
-            or np.max(np.abs(Xb.anchor.vec - Yb.anchor.vec)) > _ANCHOR_TOL:
-        raise BasePointMismatchError("bundle vectors anchored at different points")
+    _check_same_base(np.stack((p.coords, Xb.anchor.vec)),
+                     np.stack((Yb.anchor.base.coords, Yb.anchor.vec)),
+                     "bundle vectors anchored at different points")
     rows = [W.vec[None] for W in (Xb.anchor, Xb.horiz, Xb.vert, Yb.horiz, Yb.vert)]
     K = bundle_sectional_curvature_array(p.sphere, p.coords[None], *rows,
                                          _stacklevel=3)
@@ -389,7 +384,7 @@ def submanifold_plane_curvature(xi: UnitVectorField, X: TangentVector,
     normalizing by the bivector norm), which tests assert at closed-form
     accuracy. One-plane form of ``submanifold_plane_curvature_array``.
     """
-    _check_same_base(X, Y)
+    _check_same_base(X.base.coords, Y.base.coords)
     K = submanifold_plane_curvature_array(xi, X.base.coords[None], X.vec[None],
                                           Y.vec[None])
     return float(K[0])
@@ -407,7 +402,8 @@ def submanifold_plane_curvature_array(xi: UnitVectorField, p: np.ndarray,
                  | (np.abs(_row_norms(y) - 1.0) > 1e-9)
                  | (np.abs(np.vecdot(x, y)) > 1e-9),
                  DegenerateInputError, "X, Y must be orthonormal")
-    xiv, ax = _unit_hopf_rows(xi, p, x)
+    xiv = xi.value_array(p)
+    ax = shape_apply_array(xi, p, x[:, None])[:, 0]  # A x[i] at p[i]
     a = np.vecdot(xiv, x)
     b = np.vecdot(xiv, y)
     c = np.vecdot(ax, y)
@@ -417,13 +413,13 @@ def submanifold_plane_curvature_array(xi: UnitVectorField, p: np.ndarray,
 
 def xi_tangential_lift_array(xi: UnitVectorField, p: np.ndarray,
                              x: np.ndarray):
-    """``xi_tangential_lift`` row by row for the unit Hopf field.
+    """``xi_tangential_lift`` row by row: row i lifts x[i] at p[i].
 
     Returns the (anchor, horizontal, vertical) rows of X^tau = X^h - (A X)^t,
     the parts ``bundle_sectional_curvature_array`` takes.
     """
-    _require_unit_hopf(xi, "xi_tangential_lift_array")
-    anchor, ax = _unit_hopf_rows(xi, p, x)
+    anchor = xi.value_array(p)
+    ax = shape_apply_array(xi, p, x[:, None])[:, 0]  # A x[i] at p[i]
     return anchor, x, -tangential_lift_array(ax, anchor)
 
 
@@ -439,16 +435,6 @@ def xi_normal_lift_array(xi: UnitVectorField, p: np.ndarray, y: np.ndarray):
 def tangential_lift_array(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The vertical part v - <v,u> u of ``tangential_lift``, row by row."""
     return v - np.vecdot(v, u)[:, None] * u
-
-
-def _unit_hopf_rows(xi: UnitVectorField, p: np.ndarray, x: np.ndarray):
-    """xi(p) and A x row by row for the unit Hopf field; A x from its
-    constant Jacobian J, with the floating-point operations of
-    ``shape_apply_array``."""
-    J = xi.jacobian_array(p[0])
-    xiv = xi.value_array(p)
-    w = np.matmul(x[:, None, :], J.T)[:, 0, :]
-    return xiv, -xi.sphere.project_array(p, w)
 
 
 def _require_unit_hopf(xi: UnitVectorField, what: str) -> None:

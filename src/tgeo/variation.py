@@ -48,7 +48,6 @@ from .report import VerificationReport
 # Residual ceiling for the propagated-frame derivative table.
 FIBER_TABLE_TOL = 1e-4
 
-DEFAULT_FIBER_STEPS = 64
 RK_SUBSTEPS = 8
 
 # Pointwise ceiling for the stability margin and the witness ratio.
@@ -519,9 +518,8 @@ def destabilizing_integrand(xi: UnitVectorField):
 # -- verdicts -------------------------------------------------------------------
 
 
-def stability_verdict(dim: int, *, field_count: int = 100, samples: int = 100,
-                      fiber_steps: int = DEFAULT_FIBER_STEPS,
-                      seed: int = 0) -> VerificationReport:
+def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
+                      fiber_steps: int, seed: int) -> VerificationReport:
     """Certify the sign of the second volume variation for the Hopf field
     on the unit sphere S^dim.
 

@@ -178,7 +178,8 @@ def test_criterion_4_closed_form_vs_direct_curvature():
 
 def test_criterion_5_s3_stability_pointwise():
     """Integrand >= |eta|^2 / 2 - 1e-3 over 100 fields x 100 points."""
-    rep = stability_verdict(dim=3, field_count=100, samples=100, seed=5)
+    rep = stability_verdict(dim=3, field_count=100, samples=100, fiber_steps=64,
+                            seed=5)
     margin_note = rep.notes[0]
     status = "PASS" if rep.verdict == "stable" else "FAIL"
     print(f"[criterion 5] {margin_note}: {status}")
@@ -207,7 +208,7 @@ def test_criterion_6_destabilizing_ratio():
             max_dev = max(max_dev, abs(red / float(nv @ nv) - target))
             d0 = eta.covariant_derivative_array(q, fiber.e0s[node])
             d0_resid = max(d0_resid, float(np.linalg.norm(d0)))
-        rep = stability_verdict(2 * m + 1, seed=6)
+        rep = stability_verdict(2 * m + 1, samples=100, fiber_steps=64, seed=6)
         lines.append(f"S^{2*m+1}: ratio dev {max_dev:.2e}, "
                      f"fiber derivative {d0_resid:.2e}, verdict {rep.verdict}")
         assert max_dev < 1e-3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
+import tgeo.fields as fields
 import tgeo.variation as variation
 from tgeo import (DecompositionFailure, DegenerateInputError, PreconditionError,
                   QuadratureFailure, SphereSpec, singular_decomposition)
@@ -437,6 +438,39 @@ def test_svd_tolerance_scales_with_lambda(capsys):
                   str(np.pi / 4)]):
         _, out = run_cli(capsys, ["svd", *args], expect=0)
         assert json.loads(out)[0]["tolerance"] == TOL_ANALYTIC
+
+
+@pytest.mark.parametrize("theta", ["1.5707963267948966", "1.5707963"])
+@pytest.mark.parametrize("dim", ["2", "3", "5"])
+def test_svd_meridian_equator_has_no_pairs(capsys, monkeypatch, dim, theta):
+    """At the equator lambda = cot(theta) is below SV_ZERO_TOL, so the field
+    passes the Killing check with no positive pair. Both frames are then
+    completed from xi alone: every left slot of the singular frames, and
+    every kernel row of the canonical frames."""
+    completed = []
+    real = fields._complete_frame
+
+    def spy(assigned, candidates, total):
+        completed.append((len(assigned), total))
+        return real(assigned, candidates, total)
+
+    monkeypatch.setattr(fields, "_complete_frame", spy)
+    _, out = run_cli(capsys, ["svd", "--field", "meridian", "--dim", dim,
+                              "--theta", theta], expect=0)
+    rep = json.loads(out)[0]
+    assert rep["verdict"] == "pass"
+    assert any(n.startswith("killing canonical pairing: 0 pairs")
+               for n in rep["notes"])
+    assert completed == [(1, int(dim))] * 2
+
+
+def test_predicates_hopf_off_unit_radius_expects_sasakian_residual(capsys):
+    _, out = run_cli(capsys, ["verify", "predicates", "--radius", "2",
+                              "--samples", "5"], expect=0)
+    rep = json.loads(out)[0]
+    assert rep["verdict"] == "pass"
+    assert any(re.fullmatch(r"sasakian: residual \S+ \(expected nonzero\) ok", n)
+               for n in rep["notes"])
 
 
 def test_svd_theta_pole_rejected(capsys):

@@ -8,6 +8,7 @@ from tgeo import (
     PreconditionError,
     SingularLocusError,
     SphereSpec,
+    TangentVector,
     UnitVectorField,
     complex_structure,
     covariant_normality_residual,
@@ -47,7 +48,7 @@ def test_hopf_field_is_unit_and_tangent(hopf5):
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = hopf5.sphere.random_point(rng)
-        v = hopf5.value(p)
+        v = TangentVector(p, hopf5.value_array(p.coords))
         assert np.isclose(np.linalg.norm(v.vec), 1.0, atol=1e-13)
         assert abs(float(v.vec @ p.coords)) < 1e-13
 
@@ -66,7 +67,7 @@ def test_meridian_unit_tangent_and_jacobian(meridian3):
     sphere = meridian3.sphere
     worst = 0.0
     for p in seeded_points(meridian3, 15, seed=2):
-        v = meridian3.value(p)
+        v = TangentVector(p, meridian3.value_array(p.coords))
         assert np.isclose(np.linalg.norm(v.vec), 1.0, atol=1e-12)
         X = random_tangent(p, np.random.default_rng(3))
         fd = sphere.fd_derivative_array(meridian3.value_array, p.coords, X.vec)
@@ -80,7 +81,7 @@ def test_meridian_unit_tangent_and_jacobian(meridian3):
 def test_meridian_singular_at_poles(meridian2):
     pole = meridian2.sphere.point([1.0, 0.0, 0.0])
     with pytest.raises(SingularLocusError):
-        meridian2.value(pole)
+        meridian2.value_array(pole.coords)
 
 
 def test_shape_operator_of_hopf_is_minus_J_on_perp(hopf3):

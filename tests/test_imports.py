@@ -24,7 +24,7 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # The library's defaulted parameters and dataclass fields, as ROADMAP.md
 # states the figure under quality of design.
-LIBRARY_OPTIONS = 16
+LIBRARY_OPTIONS = 13
 
 # The names ``tgeo`` exports, as ROADMAP.md states the figure under quality
 # of design.

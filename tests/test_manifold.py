@@ -183,9 +183,9 @@ def test_base_point_guard():
     a = TangentVector(p, [0.0, 1.0, 0.0])
     b = TangentVector(p, [0.0, 0.0, 2.0])
     c = TangentVector(q, [1.0, 0.0, 0.0])
-    _check_same_base(a, b)
+    _check_same_base(a.base.coords, b.base.coords)
     with pytest.raises(BasePointMismatchError):
-        _check_same_base(a, c)
+        _check_same_base(a.base.coords, c.base.coords)
 
 
 def test_random_frame_is_orthonormal():

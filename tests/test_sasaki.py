@@ -43,7 +43,7 @@ def test_tangential_lift_removes_anchor_component(hopf3):
     sphere = hopf3.sphere
     rng = np.random.default_rng(1)
     p = sphere.random_point(rng)
-    u = hopf3.value(p)
+    u = TangentVector(p, hopf3.value_array(p.coords))
     X = random_tangent(p, rng)
     lift = tangential_lift(X, u)
     assert abs(float(lift.vert.vec @ u.vec)) < 1e-13
@@ -98,8 +98,8 @@ def test_bundle_vector_anchor_guard(hopf3):
     sphere = hopf3.sphere
     p = sphere.random_point(np.random.default_rng(6))
     q = sphere.random_point(np.random.default_rng(7))
-    u = hopf3.value(p)
-    w = hopf3.value(q)
+    u = TangentVector(p, hopf3.value_array(p.coords))
+    w = TangentVector(q, hopf3.value_array(q.coords))
     a = horizontal_lift(random_tangent(p, np.random.default_rng(8)), u)
     b = horizontal_lift(random_tangent(q, np.random.default_rng(9)), w)
     from tgeo import BasePointMismatchError
@@ -342,7 +342,7 @@ def test_designated_sections(hopf3):
     """xi-sections give 1/4, phi-sections 5/4, by the closed form."""
     sphere = hopf3.sphere
     p = sphere.random_point(np.random.default_rng(18))
-    xiv = hopf3.value(p)
+    xiv = TangentVector(p, hopf3.value_array(p.coords))
     candidates = np.vstack([xiv.vec, sphere.project_array(p.coords, np.eye(4))])
     W = TangentVector(p, gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1])
     k_xi = submanifold_plane_curvature(hopf3, xiv, W)

@@ -27,7 +27,9 @@ from tgeo import (
     sphere_volume,
     stability_verdict,
 )
+import tgeo.variation as variation
 from tgeo.cli import main
+from tgeo.sasaki import submanifold_plane_curvature_array
 from tgeo.variation import _LJ, _LK
 
 from conftest import seeded_points
@@ -174,6 +176,21 @@ def test_integrand_requires_orthogonal_variation(hopf3):
         reduced_integrand(hopf3, eta, p)
 
 
+@pytest.mark.parametrize("name", ["meridian3", "hopf3_r2"])
+def test_unit_hopf_kernels_refuse_other_fields(name, request):
+    xi = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    p = xi.sphere.random_point(rng)
+    x, y = xi.sphere.random_orthonormal_frame(p, rng).matrix[:2]
+    with pytest.raises(PreconditionError, match="submanifold_plane_curvature"):
+        submanifold_plane_curvature_array(xi, p.coords[None], x[None], y[None])
+    eta = random_hopf_combination(rng)
+    with pytest.raises(PreconditionError, match="reduced_integrand"):
+        reduced_integrand(xi, eta, p)
+    with pytest.raises(PreconditionError, match="destabilizing_integrand"):
+        destabilizing_integrand(xi)
+
+
 def test_hopf_frame_s3_orthonormal():
     q = SphereSpec(4, 1.0).random_point(np.random.default_rng(7)).coords
     e0, e1, e2 = hopf_frame_s3(q)
@@ -235,6 +252,19 @@ def test_fiber_frame_validation():
         propagate_fiber_frame(big, steps=64)
 
 
+def test_fiber_frame_table_failure(monkeypatch, capsys):
+    p0 = SphereSpec(6, 1.0).random_point(np.random.default_rng(12))
+    r = propagate_fiber_frame(p0, steps=64).residuals
+    monkeypatch.setattr(variation, "FIBER_TABLE_TOL", 0.0)
+    with pytest.raises(PropagationFailure) as info:
+        propagate_fiber_frame(p0, steps=64)
+    assert (f"{r['fiber_rows']:.3e}/{r['horizontal_rows']:.3e} exceed 0.0e+00"
+            in str(info.value))
+    assert main(["variation", "--dim", "5", "--samples", "8"]) == 3
+    assert ("numerical failure: fiber frame table residuals"
+            in capsys.readouterr().err)
+
+
 def test_destabilizing_field_constant_on_fiber():
     """eta restricted to its seed fiber has constant norm and no fiber
     derivative; this is what makes the sign argument pointwise."""
@@ -270,18 +300,19 @@ def test_destabilizing_ratio_positive_on_s3():
 
 
 def test_stability_verdict_s3():
-    rep = stability_verdict(dim=3, field_count=5, samples=20)
+    rep = stability_verdict(dim=3, field_count=5, samples=20, fiber_steps=64,
+                            seed=0)
     assert rep.verdict == "stable"
     assert rep.ok
 
 
 def test_stability_verdict_s5_s7(capsys):
     for dim in (5, 7):
-        rep = stability_verdict(dim=dim)
+        rep = stability_verdict(dim=dim, samples=100, fiber_steps=64, seed=0)
         assert rep.verdict == "unstable"
         assert rep.max_residual < 1e-3
     # the library run carries the CLI report's Monte Carlo magnitude
-    rep = stability_verdict(dim=5, samples=8)
+    rep = stability_verdict(dim=5, samples=8, fiber_steps=64, seed=0)
     assert main(["variation", "--dim", "5", "--samples", "8"]) == 0
     cli_rep = json.loads(capsys.readouterr().out)[0]
     assert rep.notes[-1].startswith("Monte Carlo second-variation magnitude")
@@ -290,4 +321,4 @@ def test_stability_verdict_s5_s7(capsys):
 
 def test_stability_verdict_validation():
     with pytest.raises(DegenerateInputError):
-        stability_verdict(dim=4)
+        stability_verdict(dim=4, samples=100, fiber_steps=64, seed=0)
