@@ -145,9 +145,10 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
 # -- verify suites ---------------------------------------------------------
 
 
-# Samples per stacked route call: enough to spread numpy's per-call overhead
-# thin, few enough that a chunk's arrays stay small (S^15 direct route's
-# displaced frames: 64 * 32 * 16 * 16 floats, 4 MB).
+# Samples per stacked frame and route call: enough to spread numpy's
+# per-call overhead thin, few enough that a chunk's arrays stay small (S^15
+# direct route's displaced frames: 64 * 32 * 16 * 16 floats, 4 MB; the
+# frame stack's shape matrices and SVD factors are n1 times smaller).
 _SAMPLE_CHUNK = 64
 
 
@@ -169,34 +170,32 @@ def _naming_sample(config: RunConfig, idx: int, stacked: bool = False):
         raise
 
 
-def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
+def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure=None,
                    measure_chunk=None) -> dict:
     """Maximum of each residual that ``measure(rng, p)`` names, over the
     sample points; sample idx draws from its own stream (seed, idx).
 
-    With ``measure_chunk``, ``measure`` returns (residuals, item) instead,
-    and ``measure_chunk(coords, items)`` gives further residuals, one array
-    entry per sample, for each run of up to _SAMPLE_CHUNK samples in one
-    stacked call. A numerical failure is re-raised naming the sample and
-    the seed tuple that replays it; so is a non-finite residual.
+    ``measure_chunk(coords, points)`` instead measures each run of up to
+    _SAMPLE_CHUNK samples in one stacked call, one array entry per sample.
+    A numerical failure is re-raised naming the sample and the seed tuple
+    that replays it; so is a non-finite residual.
     """
     worst = {}
     for start in range(0, config.samples, _SAMPLE_CHUNK):
-        rows, coords, items = [], [], []
+        rows, points = [], []
         for idx in range(start, min(start + _SAMPLE_CHUNK, config.samples)):
             rng = np.random.default_rng((config.seed, idx))
             with _naming_sample(config, idx):
-                p = _sample_point(xi, rng)
-                values = measure(rng, p)
-            if measure_chunk is not None:
-                values, item = values
-                coords.append(p.coords)
-                items.append(item)
-            rows.append(values)
-        columns = {name: np.array([v[name] for v in rows]) for name in rows[0]}
+                points.append(_sample_point(xi, rng))
+                if measure is not None:
+                    rows.append(measure(rng, points[-1]))
         with _naming_sample(config, start, stacked=True):
             if measure_chunk is not None:
-                columns.update(measure_chunk(np.array(coords), items))
+                columns = measure_chunk(np.array([p.coords for p in points]),
+                                        points)
+            else:
+                columns = {name: np.array([v[name] for v in rows])
+                           for name in rows[0]}
             names = list(columns)
             bad = ~np.isfinite(np.stack(list(columns.values()), axis=1))
             _reject_rows(bad, FloatingPointError, lambda row: (
@@ -221,7 +220,8 @@ def _suite_report(config: RunConfig, residual: float, notes: list,
 def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
 
-    def measure_chunk(coords, sds):
+    def measure_chunk(coords, points):
+        sds = singular_decomposition(xi, points)
         om_l = second_form_lemma(xi, coords, sds)
         om_d = second_form_direct(xi, coords, sds)
         axes = (1, 2, 3)
@@ -229,9 +229,7 @@ def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
                 "direct": np.max(np.abs(om_d), axis=axes),
                 "asym": np.max(np.abs(om_d - np.swapaxes(om_d, 2, 3)), axis=axes)}
 
-    worst = _sample_maxima(
-        xi, config, lambda rng, p: ({}, singular_decomposition(xi, p)),
-        measure_chunk)
+    worst = _sample_maxima(xi, config, measure_chunk=measure_chunk)
     residual = max(worst["lemma"], worst["direct"])
     notes = [
         f"max |Omega| half-curvature route: {worst['lemma']:.6e}",
@@ -339,23 +337,21 @@ def _run_obstruction(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     meridian = config.field == "meridian"
 
-    def measure(rng, p):
-        sd = singular_decomposition(xi, p)
-        obs = geodesic_field_obstruction(xi, p, sd)
-        out = {"magnitude": float(np.max(np.abs(obs)))}
+    def measure_chunk(coords, points):
+        sds = singular_decomposition(xi, points)
+        obs = np.array([geodesic_field_obstruction(xi, p, sd)
+                        for p, sd in zip(points, sds)])
+        out = {"magnitude": np.max(np.abs(obs), axis=(1, 2))}
         if meridian:  # cos(theta) from the field's axis, the first coordinate
-            ct = float(p.coords[0]) / xi.sphere.radius
-            out["closed form"] = float(np.max(np.abs(
-                obs - meridian_obstruction(sd, ct))))
-        return out, (sd, obs)
-
-    def measure_chunk(coords, items):
-        sds, obs = zip(*items)
+            cts = coords[:, 0] / xi.sphere.radius
+            out["closed form"] = np.array([
+                np.max(np.abs(o - meridian_obstruction(sd, float(ct))))
+                for o, sd, ct in zip(obs, sds, cts)])
         om = second_form_lemma(xi, coords, sds)
-        return {"consistency": np.max(np.abs(np.array(obs) - om[:, :, 1:, 0]),
-                                      axis=(1, 2))}
+        out["consistency"] = np.max(np.abs(obs - om[:, :, 1:, 0]), axis=(1, 2))
+        return out
 
-    worst = _sample_maxima(xi, config, measure, measure_chunk)
+    worst = _sample_maxima(xi, config, measure_chunk=measure_chunk)
     notes = [
         f"max |obstruction - Omega_(s|a,0)|: {worst['consistency']:.3e}",
         f"max |obstruction| over samples: {worst['magnitude']:.6f}",

@@ -185,13 +185,17 @@ def shape_apply_array(xi: UnitVectorField, p_coords: np.ndarray,
 
 def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
                  frame_rows: np.ndarray) -> np.ndarray:
-    """Matrix M with M[i, j] = <b_i, A b_j> for orthonormal rows b_i."""
+    """Matrix M with M[i, j] = <b_i, A b_j> for orthonormal rows b_i.
+
+    ``p_coords`` may be a stack of points ``(N, ambient)``, with
+    ``frame_rows`` ``(N, k, ambient)``, giving ``(N, k, k)``."""
     applied = shape_apply_array(xi, p_coords, frame_rows)  # row j = A b_j
-    return frame_rows @ applied.T
+    return np.matmul(frame_rows, np.swapaxes(applied, -1, -2))
 
 
 def _framed_shape_matrix(xi: UnitVectorField, p_coords: np.ndarray) -> tuple:
-    """The standard frame rows at p and the shape matrix in them."""
+    """The standard frame rows at p and the shape matrix in them; for a
+    stack of points, one of each per point."""
     rows = xi.sphere.standard_frame_rows(p_coords)
     return rows, shape_matrix(xi, p_coords, rows)
 
@@ -217,7 +221,7 @@ class SingularData:
         object.__setattr__(self, "lambdas", arr)
 
 
-def _complete_frame(assigned: list, candidates: np.ndarray, total: int) -> list:
+def _complete_frame(assigned, candidates: np.ndarray, total: int) -> list:
     """The ``total - len(assigned)`` orthonormal rows that complete the
     orthonormal rows ``assigned`` to ``total``, from candidate directions."""
     stack = np.vstack([np.array(assigned), candidates])
@@ -227,35 +231,44 @@ def _complete_frame(assigned: list, candidates: np.ndarray, total: int) -> list:
     return [rows[k] for k in range(len(assigned), total)]
 
 
-def _assemble_frames(p: SpherePoint, rows: np.ndarray, M: np.ndarray,
+def _assemble_frames(points: tuple, rows: np.ndarray, M: np.ndarray,
                      lambdas: np.ndarray, e_comps: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
-                     pin_e0: bool = False) -> SingularData:
+                     pin_e0: bool = False) -> tuple:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
-    components to ``ASSEMBLY_TOL * max(1, lambda_max)``, then build the
-    ambient frames with f_0 (and, with ``pin_e0``, e_0) set exactly to the
-    field vector ``xiv``."""
-    tol = ASSEMBLY_TOL * max(1.0, float(np.max(lambdas)))
-    resid = max(
-        float(np.max(np.linalg.norm(e_comps @ M.T - lambdas[:, None] * f_comps,
-                                    axis=1))),
-        float(np.max(np.linalg.norm(f_comps @ M - lambdas[:, None] * e_comps,
-                                    axis=1))),
-    )
-    if resid > tol:
-        raise DecompositionFailure(f"{label} residual {resid:.3e} exceeds {tol:.1e}")
+    components to ``ASSEMBLY_TOL * max(1, lambda_max)`` at each point, then
+    build the ambient frames with f_0 (and, with ``pin_e0``, e_0) set
+    exactly to the field vector ``xiv``.
 
-    e_amb = e_comps @ rows
-    f_amb = f_comps @ rows
-    f_amb[0] = xiv  # exact, not reprojected
+    Every array has a leading axis over ``points``; a point that fails a
+    check raises naming its row. Returns one ``SingularData`` per point."""
+    tol = ASSEMBLY_TOL * np.maximum(1.0, np.max(lambdas, axis=1))
+    resid = np.maximum(
+        np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
+                              - lambdas[..., None] * f_comps, axis=2), axis=1),
+        np.max(np.linalg.norm(np.matmul(f_comps, M)
+                              - lambdas[..., None] * e_comps, axis=2), axis=1))
+    _reject_rows(resid > tol, DecompositionFailure,
+                 lambda k: f"{label} residual {resid[k]:.3e} exceeds {tol[k]:.1e}")
+
+    e_amb = np.matmul(e_comps, rows)
+    f_amb = np.matmul(f_comps, rows)
+    f_amb[:, 0] = xiv  # exact, not reprojected
     if pin_e0:
-        e_amb[0] = xiv
-    right = Frame(p, tuple(TangentVector(p, v) for v in e_amb))
-    left = Frame(p, tuple(TangentVector(p, v) for v in f_amb))
-    return SingularData(lambdas, right, left)
+        e_amb[:, 0] = xiv
+    out = []
+    for k, p in enumerate(points):
+        try:
+            right = Frame(p, tuple(TangentVector(p, v) for v in e_amb[k]))
+            left = Frame(p, tuple(TangentVector(p, v) for v in f_amb[k]))
+        except DegenerateInputError as exc:
+            exc.row = k
+            raise
+        out.append(SingularData(lambdas[k], right, left))
+    return tuple(out)
 
 
-def singular_decomposition(xi: UnitVectorField, p: SpherePoint) -> SingularData:
+def singular_decomposition(xi: UnitVectorField, p):
     """SVD of A_xi with the zero singular value pinned first and f_0 = xi.
 
     Right/left frames satisfy A e_i = lambda_i f_i with lambda_1 >= ... >=
@@ -263,36 +276,45 @@ def singular_decomposition(xi: UnitVectorField, p: SpherePoint) -> SingularData:
     values are taken as A e_i / lambda_i, which keeps the pairing exact under
     degenerate singular values; the remaining left slots are completed by
     Gram-Schmidt.
+
+    ``p`` is one ``SpherePoint``, giving one ``SingularData``, or a sequence
+    of N of them, giving a tuple of N; record k has the bits of the
+    one-point call at point k, which is the N = 1 case of the same code. A
+    point that fails a check (frame assembly, frame completion, a polar
+    cap) raises naming its row in ``.row``.
     """
-    n1 = xi.sphere.dim
-    rows, M = _framed_shape_matrix(xi, p.coords)
+    one = isinstance(p, SpherePoint)
+    points = (p,) if one else tuple(p)
+    P = np.array([q.coords for q in points])
+    N, n1 = len(P), xi.sphere.dim
+    rows, M = _framed_shape_matrix(xi, P)
     U, s, Vt = np.linalg.svd(M)
 
     # A* xi = 0 always, so 0 is a singular value; pin it to slot 0.
-    lambdas = np.concatenate([[0.0], s[:-1]])
-    e_comps = np.vstack([Vt[-1], Vt[:-1]])
+    lambdas = np.concatenate([np.zeros((N, 1)), s[:, :-1]], axis=1)
+    e_comps = np.concatenate([Vt[:, -1:], Vt[:, :-1]], axis=1)
 
-    xiv = xi.value_array(p.coords)
-    xi_comps = rows @ xiv
+    xiv = xi.value_array(P)
+    xi_comps = _matvec_rows(rows, xiv)
     # deterministic sign: align the kernel slot with the field direction
-    if float(e_comps[0] @ xi_comps) < 0.0:
-        e_comps[0] = -e_comps[0]
-    f_list: list = [xi_comps]
-    pending: list[int] = []
-    for i in range(1, n1):
-        if lambdas[i] > SV_ZERO_TOL:
-            f_list.append(M @ e_comps[i] / lambdas[i])
-        else:
-            f_list.append(None)
-            pending.append(i)
-    if pending:
-        assigned = [f for f in f_list if f is not None]
-        fills = _complete_frame(assigned, np.vstack([U.T, np.eye(n1)]), n1)
-        for slot, vec in zip(pending, fills):
-            f_list[slot] = vec
-    f_comps = np.array(f_list)
-    return _assemble_frames(p, rows, M, lambdas, e_comps, f_comps, xiv,
-                            "singular frame assembly")
+    flip = np.vecdot(e_comps[:, 0], xi_comps) < 0.0
+    e_comps[flip, 0] = -e_comps[flip, 0]
+    positive = lambdas > SV_ZERO_TOL
+    f_comps = _matvec_rows(M[:, None], e_comps) \
+        / np.where(positive, lambdas, 1.0)[..., None]
+    f_comps[:, 0] = xi_comps
+    pending = ~positive
+    pending[:, 0] = False
+    for k in np.flatnonzero(pending.any(axis=1)):
+        try:
+            f_comps[k, pending[k]] = _complete_frame(
+                f_comps[k, ~pending[k]], np.vstack([U[k].T, np.eye(n1)]), n1)
+        except DecompositionFailure as exc:
+            exc.row = int(k)
+            raise
+    sds = _assemble_frames(points, rows, M, lambdas, e_comps, f_comps, xiv,
+                           "singular frame assembly")
+    return sds[0] if one else sds
 
 
 def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularData:
@@ -349,8 +371,9 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     lambdas = np.array([0.0] + pair_l + pair_l + [0.0] * (len(kernel) - 1))
     if e_comps.shape != (n1, n1):
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
-    return _assemble_frames(p, rows, M, lambdas, e_comps, f_comps, xiv,
-                            "canonical frame", pin_e0=True)
+    return _assemble_frames((p,), rows[None], M[None], lambdas[None],
+                            e_comps[None], f_comps[None], xiv[None],
+                            "canonical frame", pin_e0=True)[0]
 
 
 # -- half curvature tensor -------------------------------------------------

@@ -329,12 +329,21 @@ class SphereSpec:
 
         Projects the standard basis vectors onto the tangent space and
         orthonormalizes, skipping the one direction that collapses.
+        ``p_coords`` is one point, giving (dim, ambient) rows, or a stack
+        (N, ambient), giving (N, dim, ambient), row k the one-point call at
+        point k; a point that does not drop exactly one direction raises
+        naming its row.
         """
-        candidates = self.project_array(p_coords, np.eye(self.ambient_dim))
-        rows = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)
-        if len(rows) != self.dim:
-            raise DegenerateInputError("standard frame construction collapsed")
-        return rows
+        stack = np.atleast_2d(p_coords)
+        amb = self.ambient_dim
+        candidates = self.project_array(
+            stack, np.broadcast_to(np.eye(amb), (len(stack), amb, amb)))
+        rows = _gram_schmidt_stack(candidates, pivot_tol=1e-6, drop=True)
+        kept = np.any(rows != 0.0, axis=2)
+        _reject_rows(np.count_nonzero(kept, axis=1) != self.dim,
+                     DegenerateInputError, "standard frame construction collapsed")
+        rows = rows[kept].reshape(len(stack), self.dim, amb)
+        return rows if p_coords.ndim > 1 else rows[0]
 
 
 @dataclass(frozen=True, eq=False)

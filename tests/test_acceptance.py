@@ -65,7 +65,7 @@ def test_criterion_1_totally_geodesic_unit_hopf():
         xi = hopf_field(m, 1.0)
         points = [xi.sphere.random_point(np.random.default_rng((0, idx)))
                   for idx in range(200)]
-        sds = [singular_decomposition(xi, p) for p in points]
+        sds = singular_decomposition(xi, points)
         coords = np.array([p.coords for p in points])
         worst = max(worst,
                     np.max(np.abs(second_form_lemma(xi, coords, sds))),
@@ -76,6 +76,17 @@ def test_criterion_1_totally_geodesic_unit_hopf():
           f"{worst:.3e} in {elapsed:.1f}s: {status}")
     assert worst < 1e-4
     assert elapsed < 30.0
+
+
+def test_criterion_1_past_s15(tmp_path):
+    """Hopf on unit S^31 through the CLI: both routes stay below the
+    criterion-1 threshold."""
+    out = tmp_path / "s31.json"
+    assert cli_main(["verify", "totally-geodesic", "--dim", "31",
+                     "--samples", "4", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())[0]
+    assert rep["verdict"] == "pass"
+    assert rep["max_residual"] < 1e-4  # the larger of the two routes
 
 
 def test_criterion_2_nonunit_radius_pattern(tmp_path):

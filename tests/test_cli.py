@@ -9,7 +9,7 @@ import tgeo.cli as cli
 import tgeo.fields as fields
 import tgeo.variation as variation
 from tgeo import (DecompositionFailure, DegenerateInputError, PreconditionError,
-                  QuadratureFailure, SphereSpec, singular_decomposition)
+                  QuadratureFailure, SphereSpec)
 from tgeo.fields import TOL_ANALYTIC
 from tgeo.cli import RunConfig, UsageError, main
 
@@ -157,16 +157,15 @@ def test_failing_check_on_sampled_plane_exits_three(capsys, monkeypatch):
     assert f"submanifold plane {k}, seed tuple (0, {k})" in err
 
 
-def _failing_at_sample_3(monkeypatch, exc):
-    """Make the verify suites' singular decomposition raise ``exc`` at the
-    fourth sample."""
-    calls = []
-
-    def decompose(xi, p):
-        calls.append(p)
-        if len(calls) == 4:
-            raise exc
-        return singular_decomposition(xi, p)
+def _failing_at_sample_3(monkeypatch, exc, row=3):
+    """Make the verify suites' stacked singular decomposition raise ``exc``
+    for the first chunk, at its fourth sample: ``.row`` is set to 3 unless
+    ``row`` is None (a failure that names no sample)."""
+    def decompose(xi, points):
+        assert len(points) == 6  # one call for the whole chunk
+        if row is not None:
+            exc.row = row
+        raise exc
 
     monkeypatch.setattr(cli, "singular_decomposition", decompose)
 
@@ -178,15 +177,15 @@ def test_verify_names_the_failing_sample(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure: frames drifted: sample 3, seed tuple (7, 3)" in err
 
-    exc = DegenerateInputError("vector is not tangent to the sphere")
-    exc.row = 0  # a row check on sampled data
-    _failing_at_sample_3(monkeypatch, exc)
+    _failing_at_sample_3(monkeypatch,
+                         DegenerateInputError("vector is not tangent to the sphere"))
     assert main(["verify", "obstruction", "--samples", "6"]) == 3
     assert "sphere: sample 3, seed tuple (0, 3)" in capsys.readouterr().err
 
 
 def test_verify_precondition_without_row_still_exits_two(capsys, monkeypatch):
-    _failing_at_sample_3(monkeypatch, PreconditionError("needs a geodesic field"))
+    _failing_at_sample_3(monkeypatch, PreconditionError("needs a geodesic field"),
+                         row=None)
     assert main(["verify", "obstruction", "--samples", "6"]) == 2
     err = capsys.readouterr().err
     assert "error: needs a geodesic field" in err

@@ -1,8 +1,10 @@
-"""Stacks of sample points through both second-form routes.
+"""Stacks of sample points through the singular frames and both
+second-form routes.
 
-Each route takes an (N, ambient) stack of points with their singular data
-and gives, point by point, the bits of the one-point references; the
-totally-geodesic and obstruction suites make one call per route for each
+The singular decomposition takes a sequence of points and each route an
+(N, ambient) stack of points with their singular data; each gives, point by
+point, the bits of its one-point call or reference. The totally-geodesic
+and obstruction suites make one frame call and one call per route for each
 chunk of samples, and a row failure inside a stacked call names its sample.
 """
 
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
+import tgeo.fields as fields
 import tgeo.sasaki as sasaki
 from tgeo import (
+    DecompositionFailure,
     DegenerateInputError,
     SingularLocusError,
     UnitVectorField,
@@ -63,6 +67,58 @@ def test_one_point_stack_is_the_one_point_call(xi, route):
     one = route(xi, points[0], sds[0])
     assert stacked.shape == (1,) + one.shape
     assert_identical(stacked[0], one)
+
+
+def assert_same_decomposition(got, want):
+    assert_identical(got.lambdas, want.lambdas)
+    assert_identical(got.right_frame.matrix, want.right_frame.matrix)
+    assert_identical(got.left_frame.matrix, want.left_frame.matrix)
+
+
+@pytest.mark.parametrize("xi", CASES, ids=CASE_IDS)
+def test_stacked_decomposition_matches_per_point_calls(xi):
+    points = seeded_points(xi, 4, seed=44)
+    if xi.name == "meridian":
+        # an equator point in the middle: lambda = 0, every left slot pending
+        coords = np.zeros(xi.sphere.ambient_dim)
+        coords[1] = xi.sphere.radius
+        points.insert(2, xi.sphere.point(coords))
+    sds = singular_decomposition(xi, points)
+    assert isinstance(sds, tuple) and len(sds) == len(points)
+    for p, sd in zip(points, sds):
+        assert_same_decomposition(sd, singular_decomposition(xi, p))
+
+
+def test_one_row_decomposition_is_the_one_point_call():
+    xi = CASES[9]
+    p = seeded_points(xi, 1, seed=45)[0]
+    (sd,) = singular_decomposition(xi, [p])
+    assert_same_decomposition(sd, singular_decomposition(xi, p))
+
+
+def test_stacked_decomposition_names_the_failing_row(monkeypatch):
+    xi = CASES[0]
+    monkeypatch.setattr(fields, "ASSEMBLY_TOL", 0.0)
+    with pytest.raises(DecompositionFailure,
+                       match=r"^singular frame assembly residual \S+ exceeds "
+                             r"0\.0e\+00 \(row 0\)$") as info:
+        singular_decomposition(xi, seeded_points(xi, 3, seed=46))
+    assert info.value.row == 0
+
+
+def test_stacked_completion_names_the_failing_row(monkeypatch):
+    """The pending slots of an equator point, completed inside a stack."""
+    xi = meridian_field(np.eye(4)[0], 1.0)
+    points = seeded_points(xi, 3, seed=47)
+    points.insert(1, xi.sphere.point([0.0, 1.0, 0.0, 0.0]))
+
+    def rank_deficient(assigned, candidates, total):
+        raise DecompositionFailure("frame completion is rank deficient")
+
+    monkeypatch.setattr(fields, "_complete_frame", rank_deficient)
+    with pytest.raises(DecompositionFailure) as info:
+        singular_decomposition(xi, points)
+    assert info.value.row == 1
 
 
 # -- a failing row names its point ---------------------------------------------
@@ -217,9 +273,10 @@ def test_obstruction_maxima_cross_a_chunk(monkeypatch, capsys):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts of the route, half-curvature and Jacobian calls the CLI makes."""
-    counts = {"second_form_lemma": 0, "second_form_direct": 0,
-              "half_curvature": 0, "jacobian": 0}
+    """Counts of the frame, route, half-curvature and Jacobian calls the CLI
+    makes."""
+    counts = {"singular_decomposition": 0, "second_form_lemma": 0,
+              "second_form_direct": 0, "half_curvature": 0, "jacobian": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -229,6 +286,8 @@ def counts(monkeypatch):
 
     for name in ("second_form_lemma", "second_form_direct"):
         monkeypatch.setattr(cli, name, counted(name, getattr(sasaki, name)))
+    monkeypatch.setattr(cli, "singular_decomposition",
+                        counted("singular_decomposition", singular_decomposition))
     monkeypatch.setattr(sasaki, "half_curvature",
                         counted("half_curvature", half_curvature))
     monkeypatch.setattr(UnitVectorField, "jacobian_array",
@@ -239,14 +298,16 @@ def counts(monkeypatch):
 def test_totally_geodesic_makes_one_call_per_route(counts, capsys):
     assert cli.main(["verify", "totally-geodesic", "--samples", "10"]) == 0
     capsys.readouterr()
-    # two per route for the whole stack, one per sample for its frames
-    assert counts == {"second_form_lemma": 1, "second_form_direct": 1,
-                      "half_curvature": 1, "jacobian": 2 * 1 + 2 * 1 + 10}
+    # two per route and one for the frames, for the whole stack
+    assert counts == {"singular_decomposition": 1, "second_form_lemma": 1,
+                      "second_form_direct": 1, "half_curvature": 1,
+                      "jacobian": 2 + 2 + 1}
 
 
 def test_obstruction_makes_one_lemma_call(counts, capsys):
     assert cli.main(["verify", "obstruction", "--samples", "10"]) == 0
     capsys.readouterr()
+    assert counts["singular_decomposition"] == 1
     assert counts["second_form_lemma"] == 1
     assert counts["second_form_direct"] == 0
     assert counts["half_curvature"] == 1
