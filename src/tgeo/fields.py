@@ -420,140 +420,137 @@ def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
 
 
 # -- predicates --------------------------------------------------------------
+#
+# Each predicate takes one ``SpherePoint``, giving a float, or an (N, ambient)
+# stack of coordinates, giving an (N,) array with the bits of the one-point
+# calls. They return residuals; the caller owns the tolerance.
 
 
-@dataclass(frozen=True)
-class PredicateResult:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
+def _point_stack(p) -> tuple:
+    """The (N, ambient) stack of ``p`` and the map back to the caller's form."""
+    if isinstance(p, SpherePoint):
+        return p.coords[None], lambda out: float(out[0])
+    return p, lambda out: out
 
 
-def _result(name: str, residual: float, tol: float) -> PredicateResult:
-    return PredicateResult(name, float(residual), float(tol), bool(residual <= tol))
-
-
-def _killing_result(M: np.ndarray) -> PredicateResult:
-    """The Killing check shared by the predicate and the operations that
-    need a Killing field: spectral norm of A + A* in an orthonormal frame."""
-    return _result("killing", np.linalg.norm(M + M.T, 2), TOL_ANALYTIC)
+def _skewness(M: np.ndarray) -> np.ndarray:
+    """Spectral norm of A + A* for each shape matrix of a stack, or one."""
+    return np.linalg.norm(M + np.swapaxes(M, -1, -2), 2, axis=(-2, -1))
 
 
 def _require_killing(M: np.ndarray, what: str) -> None:
-    killing = _killing_result(M)
-    if not killing.passed:
-        raise PreconditionError(
-            f"{what} needs a Killing field: skewness residual {killing.residual:.3e}")
+    """Refuse, as a whole (no ``.row``), a field not Killing at some point
+    of the stack ``M`` (a NaN too), naming the first such residual."""
+    resid = np.atleast_1d(_skewness(M))
+    bad = ~(resid <= TOL_ANALYTIC)
+    if bad.any():
+        raise PreconditionError(f"{what} needs a Killing field: skewness "
+                                f"residual {resid[np.argmax(bad)]:.3e}")
 
 
-def _unit_perp_samples(xi, p, rng, count):
-    """Random unit tangent vectors orthogonal to the field at p, as the
-    rows of a checked (count, ambient) array.
-
-    Draws the rows still missing at once and keeps those not too close to
-    the field, in order, until ``count`` are kept: the same vectors, from the
-    same draws, as one draw at a time.
-    """
-    sphere = xi.sphere
-    xiv = xi.value_array(p.coords)
-    kept = []
-    missing = count
-    while missing:
-        v = sphere.project_array(p.coords[None],
-                                 rng.standard_normal((missing, sphere.ambient_dim)))
-        v -= np.vecdot(v, xiv)[:, None] * xiv
-        norm = _row_norms(v)
-        ok = norm > 1e-6
-        kept.append(v[ok] / norm[ok, None])
-        missing -= int(np.count_nonzero(ok))
-    vecs = np.concatenate(kept)
-    _check_tangent_stack(sphere.radius, p.coords[None], vecs[None])
-    return vecs
+def is_geodesic(xi: UnitVectorField, p):
+    """Residual |A_xi xi| = |nabla_xi xi|, projected as one vector per point
+    (rounded as the one-point call; shape_apply_array's rows are not)."""
+    P, out = _point_stack(p)
+    jac = xi.jacobian_array(P)
+    nabla = np.matmul(xi.value_array(P)[:, None], np.swapaxes(jac, 1, 2))[:, 0]
+    return out(_row_norms(xi.sphere.project_array(P, nabla)))
 
 
-def is_geodesic(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
-    """Residual |A_xi xi| = |nabla_xi xi|."""
-    resid = np.linalg.norm(shape_apply_array(xi, p.coords, xi.value_array(p.coords)))
-    return _result("geodesic", resid, TOL_ANALYTIC)
-
-
-def is_killing(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
+def is_killing(xi: UnitVectorField, p):
     """Spectral-norm residual of A + A* in an orthonormal frame."""
-    return _killing_result(_framed_shape_matrix(xi, p.coords)[1])
+    P, out = _point_stack(p)
+    return out(_skewness(_framed_shape_matrix(xi, P)[1]))
 
 
-def _perp_triples(xi, p):
-    """PREDICATE_SAMPLES triples (X, Y, Z) of unit vectors orthogonal to the
-    field at p, as three (PREDICATE_SAMPLES, ambient) arrays."""
-    vecs = _unit_perp_samples(xi, p, np.random.default_rng(0),
-                              3 * PREDICATE_SAMPLES)
-    return vecs[0::3], vecs[1::3], vecs[2::3]
+def _perp_triples(xi, P):
+    """PREDICATE_SAMPLES triples (X, Y, Z) of random unit tangent vectors
+    orthogonal to the field at each point of the stack P, as three checked
+    (N, PREDICATE_SAMPLES, ambient) arrays. Every point reads the same
+    ``default_rng(0)`` stream and keeps, in order, the first rows not too
+    close to the field: the same vectors as one draw at a time."""
+    sphere = xi.sphere
+    N, count = len(P), 3 * PREDICATE_SAMPLES
+    xiv = xi.value_array(P)[:, None]
+    rng = np.random.default_rng(0)
+    missing, raw = count, np.empty((0, sphere.ambient_dim))
+    while missing > 0:
+        raw = np.concatenate([raw, rng.standard_normal((missing, sphere.ambient_dim))])
+        v = sphere.project_array(P[:, None], np.broadcast_to(raw, (N,) + raw.shape))
+        v -= np.vecdot(v, xiv)[..., None] * xiv
+        norm = _row_norms(v)
+        missing = count - np.min(np.count_nonzero(norm > 1e-6, axis=1))
+    first = np.argsort(norm <= 1e-6, axis=1, kind="stable")[:, :count]
+    vecs = (np.take_along_axis(v, first[..., None], axis=1)
+            / np.take_along_axis(norm, first, axis=1)[..., None])
+    _check_tangent_stack(sphere.radius, P, vecs)
+    return vecs[:, 0::3], vecs[:, 1::3], vecs[:, 2::3]
 
 
-def is_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
+def is_normal(xi: UnitVectorField, p):
     """max |<R(X,Y)Z, xi>| over sampled X,Y,Z orthogonal to xi.
 
     Identically zero on constant-curvature spaces; the closed-form curvature
     makes the tolerance analytic (1e-10).
     """
-    xiv = xi.value_array(p.coords)
-    x, y, z = _perp_triples(xi, p)
-    vals = np.vecdot(xi.sphere.curvature_array(x, y, z), xiv)
-    return _result("normal", np.max(np.abs(vals)), 1e-10)
+    P, out = _point_stack(p)
+    x, y, z = _perp_triples(xi, P)
+    vals = np.vecdot(xi.sphere.curvature_array(x, y, z), xi.value_array(P)[:, None])
+    return out(np.max(np.abs(vals), axis=1))
 
 
-def is_strongly_normal(xi: UnitVectorField, p: SpherePoint) -> PredicateResult:
-    """max |<(nabla_X A) Y, Z>| over sampled X,Y,Z orthogonal to xi."""
-    x, y, z = _perp_triples(xi, p)
-    vals = np.vecdot(half_curvature(xi, p.coords, x, y), z)
-    return _result("strongly_normal", np.max(np.abs(vals)), TOL_ANALYTIC)
+def is_strongly_normal(xi: UnitVectorField, p):
+    """max |<(nabla_X A) Y, Z>| over sampled X,Y,Z orthogonal to xi; one
+    finite difference for the whole stack."""
+    P, out = _point_stack(p)
+    x, y, z = _perp_triples(xi, P)
+    vals = np.vecdot(half_curvature(xi, P, x, y), z)
+    return out(np.max(np.abs(vals), axis=1))
 
 
-def sasakian_identity_residual(xi: UnitVectorField, p: SpherePoint) -> float:
+def sasakian_identity_residual(xi: UnitVectorField, p):
     """Residual of the Sasakian structure identities with phi = nabla xi.
 
     Two parts, maximized over random unit tangent pairs: the gap between the
     finite-difference nabla_X xi and the analytic phi X, and
     || r(X,Y)xi - (<xi,Y> X - <X,Y> xi) ||, which is the covariant derivative
     identity for phi. On a sphere of radius r the second part scales like
-    |1 - 1/r^2|, so it vanishes only at r = 1. A pair with a near-zero draw
-    is skipped.
+    |1 - 1/r^2|, so it vanishes only at r = 1. Every point reads the same
+    ``default_rng(0)`` pairs; a pair with a near-zero draw at a point is
+    skipped there, as two zero vectors whose residuals are zero.
     """
+    P, out = _point_stack(p)
     sphere = xi.sphere
-    rng = np.random.default_rng(0)
-    xiv = xi.value_array(p.coords)
-    # each (2, ambient) pair projected as a matrix of rows at p
-    raw = sphere.project_array(
-        p.coords, rng.standard_normal((PREDICATE_SAMPLES, 2, sphere.ambient_dim)))
+    N, amb = P.shape
+    raw = np.random.default_rng(0).standard_normal((PREDICATE_SAMPLES, 2, amb))
+    # each (2, ambient) pair projected as a matrix of rows at its point
+    raw = sphere.project_array(P[:, None], np.broadcast_to(raw, (N,) + raw.shape))
     norms = np.linalg.norm(raw, axis=-1)
-    keep = np.min(norms, axis=1) >= 1e-6
-    units = raw[keep] / norms[keep][..., None]
-    _check_tangent_stack(sphere.radius, p.coords[None],
-                         units.reshape(1, -1, sphere.ambient_dim))
-    x, y = units[:, 0], units[:, 1]
-    fd = sphere.fd_derivative_array(xi.value_array, p.coords, x)
-    analytic = sphere.project_array(p.coords[None],
-                                    _matvec_rows(xi.jacobian_array(p.coords), x))
-    r_vals = half_curvature(xi, p.coords, x, y)
-    target = np.vecdot(y, xiv)[:, None] * x - np.vecdot(x, y)[:, None] * xiv
-    return float(max(np.max(_row_norms(fd - analytic), initial=0.0),
-                     np.max(_row_norms(r_vals - target), initial=0.0)))
+    keep = (np.min(norms, axis=-1) >= 1e-6)[..., None]
+    units = np.where(keep[..., None], raw / np.where(keep, norms, 1.0)[..., None], 0.0)
+    _check_tangent_stack(sphere.radius, P, units.reshape(N, -1, amb))
+    x, y = units[:, :, 0], units[:, :, 1]
+    xiv = xi.value_array(P)[:, None]
+    fd = sphere.fd_derivative_array(xi.value_array, P, x)
+    analytic = sphere.project_array(P[:, None],
+                                    _matvec_rows(xi.jacobian_array(P)[:, None], x))
+    r_vals = half_curvature(xi, P, x, y)
+    target = np.vecdot(y, xiv)[..., None] * x - np.vecdot(x, y)[..., None] * xiv
+    return out(np.maximum(np.max(_row_norms(fd - analytic), axis=1),
+                          np.max(_row_norms(r_vals - target), axis=1)))
 
 
-def jacobi_relation_residual(xi: UnitVectorField, p: SpherePoint) -> float:
-    """max_X || A* A X - R(X, xi) xi || over an orthonormal frame (Killing xi)."""
-    rows, M = _framed_shape_matrix(xi, p.coords)
+def jacobi_relation_residual(xi: UnitVectorField, p):
+    """max_X || A* A X - R(X, xi) xi || over an orthonormal frame (Killing
+    xi): A* A e_i is column i of A* A."""
+    P, out = _point_stack(p)
+    rows, M = _framed_shape_matrix(xi, P)
     _require_killing(M, "Jacobi relation")
-    xic = rows @ xi.value_array(p.coords)
-    k = xi.sphere.curvature_constant
-    gram = M.T @ M
-    resid = 0.0
-    for x in np.eye(len(rows)):
-        lhs = gram @ x
-        rhs = k * (x - (x @ xic) * xic)
-        resid = max(resid, float(np.linalg.norm(lhs - rhs)))
-    return resid
+    xic = _matvec_rows(rows, xi.value_array(P))
+    lhs = np.swapaxes(np.matmul(np.swapaxes(M, 1, 2), M), 1, 2)
+    rhs = xi.sphere.curvature_constant * (
+        np.eye(rows.shape[1]) - xic[:, :, None] * xic[:, None, :])
+    return out(np.max(_row_norms(lhs - rhs), axis=1))
 
 
 def covariant_normality_residual(xi: UnitVectorField, p: SpherePoint) -> float:

@@ -270,17 +270,15 @@ class SphereSpec:
     def random_point(self, rng: np.random.Generator) -> "SpherePoint":
         return self.point(rng.standard_normal(self.ambient_dim))
 
-    def random_orthonormal_frame(self, p: "SpherePoint",
-                                 rng: np.random.Generator) -> "Frame":
-        raw = rng.standard_normal((self.dim, self.ambient_dim))
-        rows = self._frame_rows(p.coords[None], raw[None])[0]
-        return Frame(p, tuple(TangentVector(p, r) for r in rows))
-
-    def _frame_rows(self, p: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        """Each (dim, ambient) block of ``raw`` projected at its row of ``p``
-        and orthonormalized in order: the frame step, unchecked."""
-        return _gram_schmidt_stack(self.project_array(p, raw),
-                                   pivot_tol=GS_PIVOT_TOL, drop=False)
+    def frames_at(self, p: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Each (k, ambient) block of ``raw`` (N, k, ambient) projected at its
+        row of ``p`` (N, ambient) and orthonormalized in order (modified
+        Gram-Schmidt): N tangent k-frames, checked row by row."""
+        frames = _gram_schmidt_stack(self.project_array(p, raw),
+                                     pivot_tol=GS_PIVOT_TOL, drop=False)
+        _check_tangent_stack(self.radius, p, frames)
+        _check_frames_stack(frames)
+        return frames
 
     # Stacked samplers: row i of ``draws`` holds the standard normals that
     # sample i's own generator gives the one-sample calls, in their order.
@@ -313,16 +311,13 @@ class SphereSpec:
         return p, t
 
     def stacked_frames(self, draws: np.ndarray) -> tuple:
-        """random_point, then random_orthonormal_frame, for each
-        (1 + dim, ambient) block of ``draws`` (N, 1 + dim, ambient).
+        """random_point, then ``frames_at`` the point from the further rows,
+        for each (1 + dim, ambient) block of ``draws`` (N, 1 + dim, ambient).
 
         Returns the points (N, ambient) and the frames (N, dim, ambient).
         """
         p = self.stacked_points(draws[:, 0])
-        frames = self._frame_rows(p, draws[:, 1:])
-        _check_tangent_stack(self.radius, p, frames)
-        _check_frames_stack(frames)
-        return p, frames
+        return p, self.frames_at(p, draws[:, 1:])
 
     def standard_frame_rows(self, p_coords: np.ndarray) -> np.ndarray:
         """Deterministic orthonormal tangent frame from the ambient basis.

@@ -36,6 +36,7 @@ from .fields import (
     SingularLocusError,
     UnitVectorField,
     half_curvature,
+    is_geodesic,
     shape_apply_array,
 )
 
@@ -92,6 +93,17 @@ def _xi_frame_rows(sd: SingularData) -> tuple:
     e, f = sd.right_frame.matrix, sd.left_frame.matrix
     scale = np.sqrt(1.0 + lam ** 2)
     return (e / scale, -lam * f / scale), ((lam * e / scale)[1:], (f / scale)[1:])
+
+
+def _singular_stack(sd) -> tuple:
+    """(one, lambdas, E, F) of one ``SingularData`` or a sequence of them:
+    whether it was one, and the lambdas and the right and left frame rows
+    with a leading point axis."""
+    one = isinstance(sd, SingularData)
+    sds = (sd,) if one else sd
+    return (one, np.array([s.lambdas for s in sds]),
+            np.array([s.right_frame.matrix for s in sds]),
+            np.array([s.left_frame.matrix for s in sds]))
 
 
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
@@ -239,40 +251,44 @@ def second_form_direct(xi: UnitVectorField, p, sd, *,
 # -- the totally-geodesic obstruction and the closed forms of the oracles ----
 
 
-def geodesic_field_obstruction(xi: UnitVectorField, p: SpherePoint,
-                               sd: SingularData) -> np.ndarray:
+def geodesic_field_obstruction(xi: UnitVectorField, p, sd) -> np.ndarray:
     """First-order totally-geodesic obstruction for a geodesic field, r = 1.
 
     Returns M[s, a] = -(1/2) Lambda_{sa0} <A^2 e_a + e_a, f_s> for sigma,
     alpha in 1..n; the zero array is equivalent to the vanishing of the
     (sigma | alpha, 0) block of the second fundamental form.
+
+    ``p`` and ``sd`` are one point with its ``SingularData`` or, as for the
+    routes, a stack of N with a sequence of N, giving (N, n, n). A field not
+    geodesic at some point is refused as a whole (no ``.row``).
     """
+    one, lam, E, F = _singular_stack(sd)
+    P = p.coords[None] if one else p
     if not xi.sphere.is_unit:
         raise PreconditionError("obstruction form is derived for unit radius")
-    xiv = xi.value_array(p.coords)
-    if np.linalg.norm(shape_apply_array(xi, p.coords, xiv)) > TOL_ANALYTIC:
+    if np.any(is_geodesic(xi, P) > TOL_ANALYTIC):
         raise PreconditionError("obstruction form needs a geodesic field")
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    ae = shape_apply_array(xi, p.coords, e[1:])
-    a2e = shape_apply_array(xi, p.coords, ae)
-    inner = f[1:] @ (a2e + e[1:]).T          # [s, a] = <f_s, A^2 e_a + e_a>
-    scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
-    return -0.5 * np.outer(scale, scale) * inner
+    ae = shape_apply_array(xi, P, E[:, 1:])
+    a2e = shape_apply_array(xi, P, ae)
+    # [s, a] = <f_s, A^2 e_a + e_a>
+    inner = np.matmul(F[:, 1:], np.swapaxes(a2e + E[:, 1:], 1, 2))
+    scale = 1.0 / np.sqrt(1.0 + lam[:, 1:] ** 2)
+    obs = -0.5 * (scale[:, :, None] * scale[:, None, :]) * inner
+    return obs[0] if one else obs
 
 
-def meridian_obstruction(sd: SingularData, cos_theta: float) -> np.ndarray:
+def meridian_obstruction(sd, cos_theta) -> np.ndarray:
     """``geodesic_field_obstruction`` of the meridian field in closed form:
     -(1/2) Lambda_{sa0} (cot^2(theta) + 1) <e_a, f_s>, at polar angle theta
-    from the field's axis on the unit sphere, in the frames of ``sd``."""
-    ct = cos_theta
-    factor = ct * ct / max(1.0 - ct * ct, 1e-300) + 1.0
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
-    scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
-    return -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
+    from the field's axis on the unit sphere, in the frames of ``sd``: one
+    ``SingularData`` with a float, or a sequence of N with an (N,) array."""
+    one, lam, E, F = _singular_stack(sd)
+    ct = np.reshape(cos_theta, (-1, 1, 1))
+    factor = ct * ct / np.maximum(1.0 - ct * ct, 1e-300) + 1.0
+    scale = 1.0 / np.sqrt(1.0 + lam[:, 1:] ** 2)
+    obs = (-0.5 * (scale[:, :, None] * scale[:, None, :]) * factor
+           * np.matmul(F[:, 1:], np.swapaxes(E[:, 1:], 1, 2)))
+    return obs[0] if one else obs
 
 
 def hopf_pattern_peak(K: float) -> float:

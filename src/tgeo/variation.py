@@ -416,48 +416,46 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     e0s = points @ J.T
 
     residuals = _fiber_residuals(J, ts, points, frames)
-    if max(residuals["fiber_rows"], residuals["horizontal_rows"]) > FIBER_TABLE_TOL:
-        raise PropagationFailure(
-            "fiber frame table residuals "
-            f"{residuals['fiber_rows']:.3e}/{residuals['horizontal_rows']:.3e} "
-            f"exceed {FIBER_TABLE_TOL:.1e}")
+    table = (residuals["fiber_rows"], residuals["horizontal_rows"])
+    if not np.max(table) <= FIBER_TABLE_TOL:  # a NaN fails too
+        raise PropagationFailure(f"fiber frame table residuals {table[0]:.3e}/"
+                                 f"{table[1]:.3e} exceed {FIBER_TABLE_TOL:.1e}")
     return FiberFrame(sphere, ts, points, e0s, frames, residuals)
 
 
 def _fiber_residuals(J: np.ndarray, ts: np.ndarray, points: np.ndarray,
                      frames: np.ndarray) -> dict:
+    """Each residual is the np.max of its per-node values, so a NaN stays."""
     steps = len(ts) - 1
     closure = float(np.max(np.linalg.norm(frames[-1] - frames[0], axis=1)))
 
-    ortho = 0.0
+    ortho = []
     for i in range(steps + 1):
         stack = np.vstack([points[i], points[i] @ J.T, frames[i]])
         gram = stack @ stack.T
-        ortho = max(ortho, float(np.max(np.abs(gram - np.eye(len(stack))))))
+        ortho.append(np.max(np.abs(gram - np.eye(len(stack)))))
 
     # fiber-direction table rows by 5-point periodic differentiation
     E = frames[:steps]  # node steps coincides with node 0 up to closure
     dt = 2.0 * np.pi / steps
     dE = (-np.roll(E, -2, axis=0) + 8.0 * np.roll(E, -1, axis=0)
           - 8.0 * np.roll(E, 1, axis=0) + np.roll(E, 2, axis=0)) / (12.0 * dt)
-    fiber_resid = 0.0
+    fiber = []
     for i in range(steps):
         nab = dE[i] - np.outer(dE[i] @ points[i], points[i])
-        fiber_resid = max(fiber_resid,
-                          float(np.linalg.norm(nab[0] + E[i, 1])),
-                          float(np.linalg.norm(nab[1] - E[i, 0])))
+        fiber += [np.linalg.norm(nab[0] + E[i, 1]), np.linalg.norm(nab[1] - E[i, 0])]
 
     # horizontal table rows reduce to J-pairing integrity: for the
     # horizontal-projection extension F_w(q) = w - <w,q> q - <w,Jq> Jq the
     # derivative at a frame point is exactly nabla_X F_w = <J w, X> e0, so
     # the rows hold iff J e_2 = e_1 and J e_1 = -e_2.
     JA = frames @ J.T
-    horiz_resid = max(
-        float(np.max(np.linalg.norm(JA[:, 0] + frames[:, 1], axis=1))),
-        float(np.max(np.linalg.norm(JA[:, 1] - frames[:, 0], axis=1))))
+    horiz = np.concatenate([np.linalg.norm(JA[:, 0] + frames[:, 1], axis=1),
+                            np.linalg.norm(JA[:, 1] - frames[:, 0], axis=1)])
 
-    return {"closure": closure, "orthonormality": ortho,
-            "fiber_rows": fiber_resid, "horizontal_rows": horiz_resid}
+    return {"closure": closure, "orthonormality": float(np.max(ortho)),
+            "fiber_rows": float(np.max(fiber)),
+            "horizontal_rows": float(np.max(horiz))}
 
 
 # -- variation fields from frames ----------------------------------------------
@@ -568,6 +566,11 @@ def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
             rng.standard_normal((samples, xi.sphere.ambient_dim)))
         red = reduced_integrand(xi, eta, pts)
         form_val, nsq = s3_stable_form(eta, pts)
+        bad = ~(np.isfinite(red) & np.isfinite(form_val) & np.isfinite(nsq))
+        if bad.any():  # min and max below would drop it
+            raise FloatingPointError(
+                f"non-finite second-variation integrand: field {fi}, sample "
+                f"{np.argmax(bad)}, seed tuple ({seed}, {fi})")
         worst_margin = min(worst_margin,
                            float(np.min(red - 0.5 * nsq, initial=math.inf)))
         ident_resid = max(ident_resid,

@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from tgeo import (DegenerateInputError, TangentVector, hopf_field, meridian_field,
-                  shape_apply_array)
+from tgeo import (DegenerateInputError, Frame, TangentVector, hopf_field,
+                  meridian_field, shape_apply_array)
 from tgeo.manifold import unit_rows
 
 # The interpreter and numpy the benchmark digests were recorded with: the
@@ -29,6 +29,15 @@ def random_tangent(p, rng, *, unit=False):
     sphere = p.sphere
     v = sphere.project_array(p.coords, rng.standard_normal(sphere.ambient_dim))
     return TangentVector(p, unit_rows(v[None])[0] if unit else v)
+
+
+def random_frame(p, rng):
+    """An orthonormal frame at the point ``p``: one (dim, ambient) draw of
+    standard normals from ``rng`` through ``SphereSpec.frames_at``."""
+    sphere = p.sphere
+    raw = rng.standard_normal((1, sphere.dim, sphere.ambient_dim))
+    rows = sphere.frames_at(p.coords[None], raw)[0]
+    return Frame(p, tuple(TangentVector(p, r) for r in rows))
 
 
 def ref_gram_schmidt(mat, *, pivot_tol=1e-10, drop=False):

@@ -220,11 +220,11 @@ def test_verify_non_finite_residual_exits_three(capsys, monkeypatch, samples,
 
 def test_verify_non_finite_per_sample_residual_exits_three(capsys, monkeypatch):
     real = cli.jacobi_relation_residual
-    calls = []
 
-    def poisoned(xi, p):
-        calls.append(p)
-        return np.inf if len(calls) == 3 else real(xi, p)
+    def poisoned(xi, coords):
+        resid = real(xi, coords).copy()
+        resid[2] = np.inf
+        return resid
 
     monkeypatch.setattr(cli, "jacobi_relation_residual", poisoned)
     assert main(["verify", "jacobi", "--samples", "5"]) == 3
@@ -395,6 +395,27 @@ def test_variation_report_times_its_quadrature(capsys, monkeypatch):
     _, out = run_cli(capsys, ["variation", "--dim", "5", "--samples", "8"],
                      expect=0)
     assert json.loads(out)[0]["wall_time_s"] >= 0.2
+
+
+def test_variation_s3_non_finite_integrand_exits_three(capsys, monkeypatch):
+    """A NaN in one field's integrand fails the run, naming the field, the
+    sample and the seed tuple, where min and max would have dropped it."""
+    real = variation.reduced_integrand
+    calls = []
+
+    def poisoned(*args):
+        red = real(*args)
+        calls.append(red)
+        if len(calls) == 3:
+            red = red.copy()
+            red[4] = np.nan
+        return red
+
+    monkeypatch.setattr(variation, "reduced_integrand", poisoned)
+    assert main(["variation", "--dim", "3", "--samples", "6"]) == 3
+    err = capsys.readouterr().err
+    assert ("numerical failure: non-finite second-variation integrand: field 2, "
+            "sample 4, seed tuple (0, 2)") in err
 
 
 def test_variation_command_s3(capsys):

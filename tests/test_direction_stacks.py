@@ -3,7 +3,9 @@
 One finite difference serves a whole stack of directions. The stacked
 meridian field, ``fd_derivative_array`` and ``half_curvature`` on rows, and
 the sampled predicates built on them give, row by row, the bits of the
-one-vector calls and of the per-direction loops they replace.
+one-vector calls and of the per-direction loops they replace. The
+predicates, the Jacobi relation and the obstruction pair also take a stack
+of points, each row the bits of its one-point reference.
 """
 
 import numpy as np
@@ -14,16 +16,23 @@ from tgeo import (
     SingularLocusError,
     SphereSpec,
     UnitVectorField,
+    geodesic_field_obstruction,
     half_curvature,
     hopf_field,
+    is_geodesic,
+    is_killing,
     is_normal,
     is_strongly_normal,
+    jacobi_relation_residual,
     meridian_field,
     sasakian_identity_residual,
     second_form_direct,
+    shape_apply_array,
+    shape_matrix,
     singular_decomposition,
 )
 from tgeo.fields import PREDICATE_SAMPLES
+from tgeo.sasaki import meridian_obstruction
 from conftest import assert_identical, seeded_points
 
 FIELDS = [
@@ -199,11 +208,109 @@ def ref_sasakian_identity_residual(xi, p):
 @pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
 def test_predicates_match_per_direction_loops(xi):
     for p in seeded_points(xi, 20, seed=34):
-        assert_identical(is_normal(xi, p).residual, ref_is_normal(xi, p))
-        assert_identical(is_strongly_normal(xi, p).residual,
-                         ref_is_strongly_normal(xi, p))
+        assert_identical(is_normal(xi, p), ref_is_normal(xi, p))
+        assert_identical(is_strongly_normal(xi, p), ref_is_strongly_normal(xi, p))
         assert_identical(sasakian_identity_residual(xi, p),
                          ref_sasakian_identity_residual(xi, p))
+
+
+# -- stacks of points against one-point references ----------------------------
+
+
+def ref_is_geodesic(xi, p):
+    return np.linalg.norm(shape_apply_array(xi, p.coords, xi.value_array(p.coords)))
+
+
+def ref_is_killing(xi, p):
+    M = shape_matrix(xi, p.coords, xi.sphere.standard_frame_rows(p.coords))
+    return np.linalg.norm(M + M.T, 2)
+
+
+def ref_jacobi_relation_residual(xi, p):
+    """One frame vector at a time."""
+    rows = xi.sphere.standard_frame_rows(p.coords)
+    M = shape_matrix(xi, p.coords, rows)
+    xic = rows @ xi.value_array(p.coords)
+    k = xi.sphere.curvature_constant
+    gram = M.T @ M
+    resid = 0.0
+    for x in np.eye(len(rows)):
+        rhs = k * (x - (x @ xic) * xic)
+        resid = max(resid, float(np.linalg.norm(gram @ x - rhs)))
+    return resid
+
+
+def ref_obstruction(xi, p, sd):
+    e = sd.right_frame.matrix
+    f = sd.left_frame.matrix
+    ae = shape_apply_array(xi, p.coords, e[1:])
+    a2e = shape_apply_array(xi, p.coords, ae)
+    scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
+    return -0.5 * np.outer(scale, scale) * (f[1:] @ (a2e + e[1:]).T)
+
+
+def ref_meridian_obstruction(sd, ct):
+    e = sd.right_frame.matrix
+    f = sd.left_frame.matrix
+    factor = ct * ct / max(1.0 - ct * ct, 1e-300) + 1.0
+    scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
+    return -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
+
+
+def sample_stack(xi, count):
+    """The CLI's first ``count`` sample points at seed 0. Sample 0's stream
+    (0, 0) is ``default_rng(0)``, the predicates' own stream, so its point is
+    their first draw, which they must reject."""
+    return [cli._sample_point(xi, np.random.default_rng((0, idx)))
+            for idx in range(count)]
+
+
+def test_seed_zero_sample_is_the_predicates_first_draw():
+    xi = FIELDS[0]
+    p = sample_stack(xi, 1)[0]
+    first = np.random.default_rng(0).standard_normal(xi.sphere.ambient_dim)
+    assert np.linalg.norm(xi.sphere.project_array(p.coords, first)) < 1e-6
+
+
+@pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
+def test_point_stacks_match_one_point_calls(xi):
+    """Row k of each stacked predicate is the one-point call at point k and
+    its reference, at seed 0 and away from it."""
+    points = sample_stack(xi, 3) + seeded_points(xi, 3, seed=37)
+    coords = np.array([p.coords for p in points])
+    cases = [(is_geodesic, ref_is_geodesic), (is_killing, ref_is_killing),
+             (is_normal, ref_is_normal),
+             (is_strongly_normal, ref_is_strongly_normal),
+             (sasakian_identity_residual, ref_sasakian_identity_residual)]
+    if xi.name == "hopf":
+        cases.append((jacobi_relation_residual, ref_jacobi_relation_residual))
+    for fn, ref in cases:
+        stacked = fn(xi, coords)
+        assert stacked.shape == (len(points),)
+        for row, p in zip(stacked, points):
+            one = fn(xi, p)
+            assert isinstance(one, float)
+            assert_identical(row, one)
+            assert_identical(row, ref(xi, p))
+
+
+@pytest.mark.parametrize("xi", [xi for xi in FIELDS if xi.sphere.is_unit],
+                         ids=[i for i, xi in zip(FIELD_IDS, FIELDS)
+                              if xi.sphere.is_unit])
+def test_obstruction_stacks_match_one_point_calls(xi):
+    points = sample_stack(xi, 3) + seeded_points(xi, 3, seed=38)
+    coords = np.array([p.coords for p in points])
+    sds = singular_decomposition(xi, points)
+    obs = geodesic_field_obstruction(xi, coords, sds)
+    cts = coords[:, 0] / xi.sphere.radius
+    closed = meridian_obstruction(sds, cts)
+    n = xi.sphere.dim - 1
+    assert obs.shape == closed.shape == (len(points), n, n)
+    for k, (p, sd) in enumerate(zip(points, sds)):
+        assert_identical(obs[k], geodesic_field_obstruction(xi, p, sd))
+        assert_identical(obs[k], ref_obstruction(xi, p, sd))
+        assert_identical(closed[k], meridian_obstruction(sd, float(cts[k])))
+        assert_identical(closed[k], ref_meridian_obstruction(sd, float(cts[k])))
 
 
 # -- one finite difference per point -------------------------------------------
@@ -249,7 +356,10 @@ def test_direct_route_evaluates_the_jacobian_once_per_side(counted):
 
 
 def test_codazzi_suite_differentiates_once_per_sample(counted, capsys):
+    """One finite difference for each chunk of samples."""
     _, counts = counted
-    assert cli.main(["verify", "codazzi", "--dim", "3", "--samples", "4"]) == 0
+    samples = cli._SAMPLE_CHUNK + 1
+    assert cli.main(["verify", "codazzi", "--dim", "3", "--samples",
+                     str(samples)]) == 0
     capsys.readouterr()
-    assert counts["fd"] == 4
+    assert counts["fd"] == 2

@@ -28,6 +28,7 @@ from tgeo import (
     shape_matrix,
     singular_decomposition,
 )
+from tgeo.fields import TOL_ANALYTIC
 from tgeo.sasaki import xi_normal_lift_array
 from conftest import random_tangent, seeded_points
 
@@ -244,20 +245,20 @@ def test_covariant_normality_hopf(hopf7):
 
 def test_hopf_predicate_profile(hopf3):
     p = hopf3.sphere.random_point(np.random.default_rng(14))
-    assert is_geodesic(hopf3, p).passed
-    assert is_killing(hopf3, p).passed
-    assert is_normal(hopf3, p).passed
-    assert is_strongly_normal(hopf3, p).passed
+    assert is_geodesic(hopf3, p) <= TOL_ANALYTIC
+    assert is_killing(hopf3, p) <= TOL_ANALYTIC
+    assert is_normal(hopf3, p) <= 1e-10
+    assert is_strongly_normal(hopf3, p) <= TOL_ANALYTIC
 
 
 def test_meridian_predicate_profile(meridian2):
     theta = np.pi / 3.0
     p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
-    assert is_geodesic(meridian2, p).passed
+    assert is_geodesic(meridian2, p) <= TOL_ANALYTIC
     killing = is_killing(meridian2, p)
-    assert not killing.passed
+    assert not killing <= TOL_ANALYTIC
     # spectral norm of A + A* at polar angle theta: 2 cot(theta) / r
-    assert np.isclose(killing.residual, 2.0 / np.tan(theta), atol=1e-10)
+    assert np.isclose(killing, 2.0 / np.tan(theta), atol=1e-10)
 
 
 def test_half_curvature_vanishes_for_unit_hopf_on_perp(hopf3):
@@ -307,11 +308,35 @@ def test_near_killing_field_fails_one_killing_threshold(hopf5):
                            lambda q: complex_structure(6) + 1e-5 * S)
     p = hopf5.sphere.random_point(np.random.default_rng(24))
     skew = is_killing(bent, p)
-    assert not skew.passed and 1e-6 < skew.residual < 1e-4
+    assert not skew <= TOL_ANALYTIC and 1e-6 < skew < 1e-4
     with pytest.raises(PreconditionError):
         jacobi_relation_residual(bent, p)
     with pytest.raises(PreconditionError):
         killing_canonical_frames(bent, p)
+
+
+def test_jacobi_relation_keeps_a_nan(hopf5):
+    """A field whose value is NaN everywhere has a NaN residual, not the
+    0.0 a running Python max would leave."""
+    nan_valued = UnitVectorField(hopf5.sphere, lambda q: np.full(q.shape, np.nan),
+                                 hopf5.jacobian_fn)
+    p = hopf5.sphere.random_point(np.random.default_rng(17))
+    assert np.isnan(jacobi_relation_residual(nan_valued, p))
+
+
+def test_sasakian_residual_keeps_a_nan_in_its_second_part(hopf3, monkeypatch):
+    """A NaN in one half-curvature row reaches the residual, though the
+    finite-difference part stays finite."""
+    real = fields.half_curvature
+
+    def poisoned(*args, **kwargs):
+        r = real(*args, **kwargs).copy()
+        r[..., 3, :] = np.nan
+        return r
+
+    monkeypatch.setattr(fields, "half_curvature", poisoned)
+    p = hopf3.sphere.random_point(np.random.default_rng(18))
+    assert np.isnan(sasakian_identity_residual(hopf3, p))
 
 
 def test_sasakian_residual_unit_vs_nonunit(hopf3, hopf3_r2):

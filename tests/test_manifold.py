@@ -12,7 +12,8 @@ from tgeo import (
 )
 from tgeo.manifold import _check_same_base, unit_rows
 
-from conftest import assert_identical, random_tangent, ref_gram_schmidt
+from conftest import (assert_identical, random_frame, random_tangent,
+                      ref_gram_schmidt)
 
 
 def test_sphere_spec_basics():
@@ -191,7 +192,7 @@ def test_base_point_guard():
 def test_random_frame_is_orthonormal():
     sphere = SphereSpec(8, 1.0)
     p = sphere.random_point(np.random.default_rng(10))
-    frame = sphere.random_orthonormal_frame(p, np.random.default_rng(11))
+    frame = random_frame(p, np.random.default_rng(11))
     mat = frame.matrix
     assert np.allclose(mat @ mat.T, np.eye(7), atol=1e-10)
     assert np.allclose(mat @ p.coords, 0.0, atol=1e-10)

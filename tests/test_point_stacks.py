@@ -19,6 +19,7 @@ import tgeo.sasaki as sasaki
 from tgeo import (
     DecompositionFailure,
     DegenerateInputError,
+    PreconditionError,
     SingularLocusError,
     UnitVectorField,
     half_curvature,
@@ -29,8 +30,12 @@ from tgeo import (
     singular_decomposition,
 )
 from tgeo.manifold import _reject_rows
-from conftest import (assert_identical, ref_second_form_direct,
+from conftest import (assert_identical, ref_gram_schmidt, ref_second_form_direct,
                       ref_second_form_lemma, seeded_points)
+from test_direction_stacks import (ref_is_geodesic, ref_is_killing,
+                                   ref_is_normal, ref_is_strongly_normal,
+                                   ref_jacobi_relation_residual,
+                                   ref_sasakian_identity_residual)
 
 CASES = ([hopf_field(m, r) for m in (1, 2, 3, 7) for r in (1.0, 2.0, 0.01, 1e3)]
          + [meridian_field(np.eye(d + 1)[0], r) for d in (3, 5, 7, 15)
@@ -223,12 +228,13 @@ def captured_maxima(monkeypatch, argv):
 
 
 def ref_sample_loop(xi, seed, samples, measure):
-    """The suites' running maxima one sample at a time."""
+    """The suites' running maxima one sample at a time: ``measure(p, rng)``
+    gets each sample point and its stream, past the draws of the point."""
     worst = {}
     for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
         p = cli._sample_point(xi, rng)
-        for name, value in measure(p, singular_decomposition(xi, p)).items():
+        for name, value in measure(p, rng).items():
             worst[name] = max(worst.get(name, 0.0), value)
     return worst
 
@@ -242,7 +248,8 @@ def test_totally_geodesic_maxima_cross_a_chunk(field, monkeypatch, capsys):
     capsys.readouterr()
     xi = cli.build_field(cli.RunConfig(command="verify", field=field))
 
-    def measure(p, sd):
+    def measure(p, rng):
+        sd = singular_decomposition(xi, p)
         om_l = ref_second_form_lemma(xi, p, sd)
         om_d = ref_second_form_direct(xi, p, sd)
         return {"lemma": float(np.max(np.abs(om_l))),
@@ -260,7 +267,8 @@ def test_obstruction_maxima_cross_a_chunk(monkeypatch, capsys):
     capsys.readouterr()
     xi = cli.build_field(cli.RunConfig(command="verify", field="meridian"))
 
-    def measure(p, sd):
+    def measure(p, rng):
+        sd = singular_decomposition(xi, p)
         obs = sasaki.geodesic_field_obstruction(xi, p, sd)
         om = ref_second_form_lemma(xi, p, sd)
         closed = sasaki.meridian_obstruction(sd, float(p.coords[0]))
@@ -269,6 +277,85 @@ def test_obstruction_maxima_cross_a_chunk(monkeypatch, capsys):
                 "closed form": float(np.max(np.abs(obs - closed)))}
 
     assert worst == ref_sample_loop(xi, 3, samples, measure)
+
+
+@pytest.mark.parametrize("field", ["hopf", "meridian"])
+def test_predicates_maxima_cross_a_chunk(field, monkeypatch, capsys):
+    samples = cli._SAMPLE_CHUNK + 1
+    worst = captured_maxima(monkeypatch, [
+        "verify", "predicates", "--field", field, "--samples", str(samples),
+        "--seed", "0"])
+    capsys.readouterr()
+    xi = cli.build_field(cli.RunConfig(command="verify", field=field))
+
+    def measure(p, rng):
+        return {"geodesic": ref_is_geodesic(xi, p),
+                "killing": ref_is_killing(xi, p),
+                "normal": ref_is_normal(xi, p),
+                "strongly-normal": ref_is_strongly_normal(xi, p),
+                "sasakian": ref_sasakian_identity_residual(xi, p)}
+
+    assert worst == ref_sample_loop(xi, 0, samples, measure)
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+def test_codazzi_maxima_cross_a_chunk(dim, monkeypatch, capsys):
+    samples = cli._SAMPLE_CHUNK + 1
+    worst = captured_maxima(monkeypatch, [
+        "verify", "codazzi", "--dim", str(dim), "--samples", str(samples),
+        "--seed", "3"])
+    capsys.readouterr()
+    xi = cli.build_field(cli.RunConfig(command="verify", dim=dim))
+    sphere = xi.sphere
+
+    def measure(p, rng):
+        raw = rng.standard_normal((sphere.dim, sphere.ambient_dim))
+        x, y = ref_gram_schmidt(sphere.project_array(p.coords, raw))[:2]
+        r_xy, r_yx = half_curvature(xi, p.coords, np.array([x, y]),
+                                    np.array([y, x]))
+        rhs = sphere.curvature_array(x, y, xi.value_array(p.coords))
+        return {"codazzi": float(np.linalg.norm(r_xy - r_yx - rhs))}
+
+    assert worst == ref_sample_loop(xi, 3, samples, measure)
+
+
+def test_jacobi_maxima_cross_a_chunk(monkeypatch, capsys):
+    samples = cli._SAMPLE_CHUNK + 1
+    worst = captured_maxima(monkeypatch, [
+        "verify", "jacobi", "--dim", "5", "--samples", str(samples),
+        "--seed", "3"])
+    capsys.readouterr()
+    xi = cli.build_field(cli.RunConfig(command="verify", dim=5))
+    assert worst == ref_sample_loop(
+        xi, 3, samples,
+        lambda p, rng: {"jacobi": ref_jacobi_relation_residual(xi, p)})
+
+
+def test_non_killing_point_refuses_the_field():
+    """One non-Killing point in a stack fails the whole field: no ``.row``,
+    so the CLI names no sample, and the message gives that point's
+    residual. A NaN skewness is refused too."""
+    hopf = hopf_field(2, 1.0)
+    S = np.random.default_rng(23).standard_normal((6, 6))
+    S = S + S.T
+    # Hopf's Jacobian, plus a symmetric part where the first coordinate is
+    # positive: points 2 and 3 of the stack
+    bent = UnitVectorField(hopf.sphere, hopf.value_fn, lambda q: (
+        fields.complex_structure(6) + S * (q[..., 0] > 0.0)[..., None, None]))
+    coords = np.array([p.coords for p in seeded_points(hopf, 4, seed=48)])
+    coords[:, 0] = np.array([-1.0, -1.0, 1.0, 1.0]) * np.abs(coords[:, 0])
+    resid = fields.is_killing(bent, coords)
+    assert np.all(resid[:2] <= fields.TOL_ANALYTIC)
+    assert np.all(resid[2:] > fields.TOL_ANALYTIC)
+    with pytest.raises(PreconditionError) as info:
+        fields.jacobi_relation_residual(bent, coords)
+    assert not hasattr(info.value, "row")
+    assert str(info.value) == ("Jacobi relation needs a Killing field: "
+                               f"skewness residual {resid[2]:.3e}")
+    skew = np.array([fields.complex_structure(4), fields.complex_structure(4)])
+    skew[1, 0, 1] = np.inf  # an SVD of infinite entries gives NaN
+    with pytest.raises(PreconditionError, match="skewness residual nan$"):
+        fields._require_killing(skew, "Jacobi relation")
 
 
 @pytest.fixture
@@ -311,3 +398,17 @@ def test_obstruction_makes_one_lemma_call(counts, capsys):
     assert counts["second_form_lemma"] == 1
     assert counts["second_form_direct"] == 0
     assert counts["half_curvature"] == 1
+
+
+@pytest.mark.parametrize("argv,jacobians", [
+    (["predicates", "--field", "meridian", "--samples", "30"], 7),
+    (["obstruction", "--field", "meridian", "--samples", "60"], 6),
+    (["codazzi", "--samples", "30"], 2),
+    (["jacobi", "--samples", "30"], 1),
+], ids=["predicates", "obstruction", "codazzi", "jacobi"])
+def test_suites_evaluate_the_jacobian_per_chunk(argv, jacobians, counts, capsys):
+    """A fixed few Jacobian evaluations per chunk of samples, none per
+    sample."""
+    assert cli.main(["verify", *argv]) == 0
+    capsys.readouterr()
+    assert counts["jacobian"] == jacobians

@@ -29,7 +29,8 @@ from tgeo import hopf_field, meridian_field
 from tgeo.manifold import unit_rows
 from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
                          meridian_obstruction, xi_normal_lift_array)
-from conftest import (assert_identical, random_tangent, ref_half_curvature,
+from conftest import (assert_identical, random_frame, random_tangent,
+                      ref_half_curvature,
                       ref_second_form_direct, ref_second_form_lemma,
                       seeded_points)
 
@@ -358,7 +359,7 @@ def test_plane_curvature_closed_form_vs_bundle_route(hopf5):
     for idx in range(100):
         rng = np.random.default_rng((19, idx))
         p = hopf5.sphere.random_point(rng)
-        fr = hopf5.sphere.random_orthonormal_frame(p, rng)
+        fr = random_frame(p, rng)
         K = submanifold_plane_curvature(hopf5, fr[0], fr[1])
         Kq = bundle_sectional_curvature(xi_tangential_lift(hopf5, fr[0]),
                                         xi_tangential_lift(hopf5, fr[1]))
@@ -399,7 +400,7 @@ def test_plane_curvature_requires_orthonormal_input(hopf3):
     sphere = hopf3.sphere
     rng = np.random.default_rng(22)
     p = sphere.random_point(rng)
-    fr = sphere.random_orthonormal_frame(p, rng)
+    fr = random_frame(p, rng)
     with pytest.raises(DegenerateInputError):
         submanifold_plane_curvature(hopf3, TangentVector(p, 2.0 * fr[0].vec), fr[1])
 

@@ -32,7 +32,7 @@ from tgeo.cli import main
 from tgeo.sasaki import submanifold_plane_curvature_array
 from tgeo.variation import _LJ, _LK
 
-from conftest import seeded_points
+from conftest import random_frame, seeded_points
 
 
 def test_sphere_volume_closed_values():
@@ -181,7 +181,7 @@ def test_unit_hopf_kernels_refuse_other_fields(name, request):
     xi = request.getfixturevalue(name)
     rng = np.random.default_rng(31)
     p = xi.sphere.random_point(rng)
-    x, y = xi.sphere.random_orthonormal_frame(p, rng).matrix[:2]
+    x, y = random_frame(p, rng).matrix[:2]
     with pytest.raises(PreconditionError, match="submanifold_plane_curvature"):
         submanifold_plane_curvature_array(xi, p.coords[None], x[None], y[None])
     eta = random_hopf_combination(rng)
@@ -263,6 +263,31 @@ def test_fiber_frame_table_failure(monkeypatch, capsys):
     assert main(["variation", "--dim", "5", "--samples", "8"]) == 3
     assert ("numerical failure: fiber frame table residuals"
             in capsys.readouterr().err)
+
+
+def test_fiber_frame_nan_row_fails(monkeypatch):
+    """A NaN in one propagated frame row reaches every per-node residual it
+    enters and fails the propagation, where a running Python max kept the
+    finite values."""
+    p0 = SphereSpec(6, 1.0).random_point(np.random.default_rng(12))
+    fiber = propagate_fiber_frame(p0, steps=64)
+    frames = fiber.frames.copy()
+    frames[5, 1] = np.nan
+    J = complex_structure(6)
+    r = variation._fiber_residuals(J, fiber.ts, fiber.points, frames)
+    assert np.isnan(r["orthonormality"]) and np.isnan(r["fiber_rows"])
+    assert np.isnan(r["horizontal_rows"]) and np.isfinite(r["closure"])
+
+    real = variation._fiber_residuals
+
+    def poisoned(J, ts, points, frames):
+        frames = frames.copy()
+        frames[5, 1] = np.nan
+        return real(J, ts, points, frames)
+
+    monkeypatch.setattr(variation, "_fiber_residuals", poisoned)
+    with pytest.raises(PropagationFailure):
+        propagate_fiber_frame(p0, steps=64)
 
 
 def test_destabilizing_field_constant_on_fiber():
