@@ -195,9 +195,13 @@ def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
 
 def _framed_shape_matrix(xi: UnitVectorField, p_coords: np.ndarray) -> tuple:
     """The standard frame rows at p and the shape matrix in them; for a
-    stack of points, one of each per point."""
+    stack of points, one of each per point. A non-finite matrix raises
+    naming its row, before an SVD of it could fail to converge."""
     rows = xi.sphere.standard_frame_rows(p_coords)
-    return rows, shape_matrix(xi, p_coords, rows)
+    M = shape_matrix(xi, p_coords, rows)
+    _reject_rows(~np.isfinite(M.reshape(-1, M.shape[-1] ** 2)), FloatingPointError,
+                 "non-finite shape matrix")
+    return rows, M
 
 
 # -- singular decomposition ----------------------------------------------

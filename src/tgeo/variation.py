@@ -245,6 +245,11 @@ _LK = np.array([[0.0, 0.0, 0.0, -1.0],
                 [1.0, 0.0, 0.0, 0.0]])
 
 
+# Rows per stacked call of the S^3 stable family: whole fields, at least
+# one, so 10,000 samples per field hold one field's rows, not 100 fields'.
+_S3_CHUNK_ROWS = 4096
+
+
 def hopf_frame_s3(p_coords: np.ndarray):
     """The global orthonormal frame (e0, e1, e2) on the unit 3-sphere built
     from the three quaternion left multiplications; e0 is the Hopf field.
@@ -257,12 +262,20 @@ def random_hopf_combination(rng: np.random.Generator) -> VariationField:
     """eta = f1 e1 + f2 e2 on the unit S^3 with random trigonometric-
     polynomial coefficients f_a(q) = a0 + sum_s b_s sin(<w_s, q> + phi_s).
     Takes one point or a stack of points."""
-    coeffs = []
-    for _ in range(2):
-        coeffs.append((float(rng.standard_normal()),
-                       rng.standard_normal(3),
-                       rng.standard_normal((3, 4)),
-                       rng.uniform(0.0, 2.0 * np.pi, 3)))
+    return _hopf_combination(_combination_coefficients(rng))
+
+
+def _combination_coefficients(rng: np.random.Generator) -> tuple:
+    """One field's (a0, b, W, phi) for f1, then for f2, in draw order."""
+    return tuple((float(rng.standard_normal()), rng.standard_normal(3),
+                  rng.standard_normal((3, 4)), rng.uniform(0.0, 2.0 * np.pi, 3))
+                 for _ in range(2))
+
+
+def _hopf_combination(coeffs: tuple) -> VariationField:
+    """The field f1 e1 + f2 e2 of ``coeffs``: one field's coefficients, or
+    coefficient arrays with a leading row axis, row i for row i of the
+    (N, 4) stacks the field is then evaluated on."""
 
     def cval(q, c):
         a0, b, W, ph = c
@@ -372,9 +385,12 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     with v the horizontal seed at p0, so the fiber-derivative relations hold
     at t = 0; the pair rows are then integrated around the loop with
     classical RK4 on the first-order system a' = -b - <a, g'> g,
-    b' = a - <b, g'> g. Residuals of the derivative table, orthonormality,
-    and loop closure are recorded; table residuals above FIBER_TABLE_TOL
-    raise PropagationFailure.
+    b' = a - <b, g'> g. The fiber point g and g' = J g at every time the
+    loop reads (each substep's t0, t0 + h/2 and t0 + h) are computed once,
+    before the loop, with the loop's own time arithmetic and math.cos and
+    math.sin. Residuals of the derivative table, orthonormality, and loop
+    closure are recorded; table residuals above FIBER_TABLE_TOL raise
+    PropagationFailure.
     """
     sphere = p0.sphere
     if not sphere.is_unit:
@@ -393,26 +409,32 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
     h = 2.0 * np.pi / (steps * RK_SUBSTEPS)
 
-    def gamma(t: float) -> np.ndarray:
-        return math.cos(t) * p0c + math.sin(t) * jp0
+    def gamma(t: np.ndarray) -> np.ndarray:
+        # math.cos, not np.cos: numpy's SIMD kernels may round differently
+        cos = np.array([math.cos(x) for x in t.flat]).reshape(t.shape)
+        sin = np.array([math.sin(x) for x in t.flat]).reshape(t.shape)
+        return cos[..., None] * p0c + sin[..., None] * jp0
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        g = gamma(t)
-        gp = J @ g
-        return S @ state - np.outer(state @ gp, g)
+    # the fiber at each substep's t0 = ts[i] + s h, t0 + h/2 and t0 + h;
+    # G @ J.T is exact, J being a signed permutation
+    t0 = ts[:-1, None] + np.arange(RK_SUBSTEPS) * h
+    G = gamma(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=-1))
+    GP = G @ J.T
+
+    def rhs(i: int, s: int, node: int, state: np.ndarray) -> np.ndarray:
+        return S @ state - np.outer(state @ GP[i, s, node], G[i, s, node])
 
     frames = [Y]
     for i in range(steps):
         for s in range(RK_SUBSTEPS):
-            t0 = ts[i] + s * h
-            k1 = rhs(t0, Y)
-            k2 = rhs(t0 + 0.5 * h, Y + 0.5 * h * k1)
-            k3 = rhs(t0 + 0.5 * h, Y + 0.5 * h * k2)
-            k4 = rhs(t0 + h, Y + h * k3)
+            k1 = rhs(i, s, 0, Y)
+            k2 = rhs(i, s, 1, Y + 0.5 * h * k1)
+            k3 = rhs(i, s, 1, Y + 0.5 * h * k2)
+            k4 = rhs(i, s, 2, Y + h * k3)
             Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         frames.append(Y)
     frames = np.array(frames)
-    points = np.array([gamma(t) for t in ts])
+    points = gamma(ts)
     e0s = points @ J.T
 
     residuals = _fiber_residuals(J, ts, points, frames)
@@ -524,7 +546,11 @@ def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
     The dimension picks the witness, since only these pairings certify a
     sign. On S^3 (stable): the closed-form integrand stays at or above
     |eta|^2 / 2 pointwise across ``field_count`` random frame-built fields
-    at ``samples`` points each, which is the stability bound. On S^5 and up
+    at ``samples`` points each, which is the stability bound. Field fi
+    draws its coefficients, then its points, from its own stream (seed, fi);
+    whole fields are then evaluated as one stack of up to _S3_CHUNK_ROWS
+    rows (one field at least), and a non-finite row is a FloatingPointError
+    naming the field, the sample and the seed tuple. On S^5 and up
     (unstable): the destabilizing fiber field has integrand ratio
     (5-2n)/2 < 0 at every fiber sample, and sign constancy turns the
     pointwise witness into a negative second variation.
@@ -557,25 +583,23 @@ def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
 def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
     worst_margin = math.inf
     ident_resid = 0.0
-    count = 0
-    for fi in range(field_count):
-        # one stream per field: its coefficients, then its points
-        rng = np.random.default_rng((seed, fi))
-        eta = random_hopf_combination(rng)
-        pts = xi.sphere.stacked_points(
-            rng.standard_normal((samples, xi.sphere.ambient_dim)))
+    per_chunk = max(1, _S3_CHUNK_ROWS // max(samples, 1))
+    for first in range(0, field_count, per_chunk):
+        eta, pts = _family_stack(
+            xi.sphere, seed, range(first, min(first + per_chunk, field_count)), samples)
         red = reduced_integrand(xi, eta, pts)
         form_val, nsq = s3_stable_form(eta, pts)
         bad = ~(np.isfinite(red) & np.isfinite(form_val) & np.isfinite(nsq))
         if bad.any():  # min and max below would drop it
+            fi, k = divmod(first * samples + int(np.argmax(bad)), samples)
             raise FloatingPointError(
                 f"non-finite second-variation integrand: field {fi}, sample "
-                f"{np.argmax(bad)}, seed tuple ({seed}, {fi})")
+                f"{k}, seed tuple ({seed}, {fi})")
         worst_margin = min(worst_margin,
                            float(np.min(red - 0.5 * nsq, initial=math.inf)))
         ident_resid = max(ident_resid,
                           float(np.max(np.abs(red - form_val), initial=0.0)))
-        count += samples
+    count = field_count * samples
     max_residual = max(0.0, -worst_margin)
     verdict = "stable" if max_residual <= VERDICT_TOL else "fail"
     notes = [
@@ -589,6 +613,23 @@ def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
                     "samples": samples, "seed": seed},
         samples=count, max_residual=max_residual, tolerance=VERDICT_TOL,
         verdict=verdict, notes=notes)
+
+
+def _family_stack(sphere, seed, fields, samples) -> tuple:
+    """The stable family's ``fields`` as one stacked field and its (N, 4)
+    points, field-major: field fi draws from its own stream (seed, fi), its
+    coefficients, then its ``samples`` points, and its coefficients repeat
+    on each of its rows."""
+    coeffs, draws = [], []
+    for fi in fields:
+        rng = np.random.default_rng((seed, fi))
+        coeffs.append(_combination_coefficients(rng))
+        draws.append(rng.standard_normal((samples, sphere.ambient_dim)))
+    eta = _hopf_combination(tuple(
+        tuple(np.repeat(np.array([c[a][j] for c in coeffs]), samples, axis=0)
+              for j in range(4))
+        for a in range(2)))
+    return eta, sphere.stacked_points(np.concatenate(draws))
 
 
 def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:

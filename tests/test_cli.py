@@ -9,7 +9,7 @@ import tgeo.cli as cli
 import tgeo.fields as fields
 import tgeo.variation as variation
 from tgeo import (DecompositionFailure, DegenerateInputError, PreconditionError,
-                  QuadratureFailure, SphereSpec)
+                  QuadratureFailure, SphereSpec, UnitVectorField)
 from tgeo.fields import TOL_ANALYTIC
 from tgeo.cli import RunConfig, UsageError, main
 
@@ -233,6 +233,29 @@ def test_verify_non_finite_per_sample_residual_exits_three(capsys, monkeypatch):
     assert "sample 2, seed tuple (0, 2)" in err
 
 
+def test_verify_non_finite_shape_matrix_exits_three(capsys, monkeypatch):
+    """A NaN in one sample's shape matrix is a numerical failure naming that
+    sample, not an SVD that fails to converge."""
+    real = cli.build_field
+
+    def nan_at_row_2(config):
+        xi = real(config)
+
+        def jacobian(q):
+            jac = np.array(np.broadcast_to(xi.jacobian_fn(q), q.shape + q.shape[-1:]))
+            if q.ndim == 2:
+                jac[2] = np.nan
+            return jac
+
+        return UnitVectorField(xi.sphere, xi.value_fn, jacobian, name=xi.name)
+
+    monkeypatch.setattr(cli, "build_field", nan_at_row_2)
+    assert main(["verify", "jacobi", "--samples", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite shape matrix" in err
+    assert "sample 2, seed tuple (0, 2)" in err
+
+
 def _poison_row(monkeypatch, name, size, row):
     """Make ``cli.<name>`` return NaN in ``row`` of its calls on ``size`` rows."""
     real = getattr(cli, name)
@@ -406,9 +429,10 @@ def test_variation_s3_non_finite_integrand_exits_three(capsys, monkeypatch):
     def poisoned(*args):
         red = real(*args)
         calls.append(red)
-        if len(calls) == 3:
+        if len(calls) == 1:  # all 100 fields' rows, field-major
+            assert len(red) == 100 * 6
             red = red.copy()
-            red[4] = np.nan
+            red[2 * 6 + 4] = np.nan
         return red
 
     monkeypatch.setattr(variation, "reduced_integrand", poisoned)

@@ -7,6 +7,9 @@ fields and kernels promise the same bits under the interpreter and numpy
 the benchmark digests were recorded with, and a last-bit margin elsewhere.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -27,9 +30,11 @@ from tgeo import (
     reduced_integrand,
     s3_stable_form,
     sphere_volume,
+    stability_verdict,
 )
 from tgeo.cli import main
-from tgeo.variation import _LI, _LJ, _LK, _fiber_residual_rows, _horizontal_seed
+from tgeo.variation import (_LI, _LJ, _LK, _family_stack, _fiber_residual_rows,
+                            _fiber_residuals, _horizontal_seed)
 
 from conftest import assert_identical, ref_gram_schmidt
 
@@ -127,6 +132,43 @@ def ref_seed(q):
 def ref_point(q):
     """``SphereSpec.point`` on the unit sphere."""
     return q * (1.0 / np.linalg.norm(q))
+
+
+def ref_fiber(p0, steps):
+    """``propagate_fiber_frame``'s RK4 loop with the fiber point gamma(t)
+    and J gamma(t) rebuilt in each right-hand-side call: frames, points,
+    e0s and residuals."""
+    J = complex_structure(p0.sphere.ambient_dim)
+    p0c = p0.coords
+    jp0 = J @ p0c
+    v = _horizontal_seed(p0c[None], J)[0]
+    Y = np.array([v, -J @ v])
+    S = np.array([[0.0, -1.0],
+                  [1.0, 0.0]])
+    ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+    h = 2.0 * np.pi / (steps * variation.RK_SUBSTEPS)
+
+    def gamma(t):
+        return math.cos(t) * p0c + math.sin(t) * jp0
+
+    def rhs(t, state):
+        g = gamma(t)
+        gp = J @ g
+        return S @ state - np.outer(state @ gp, g)
+
+    frames = [Y]
+    for i in range(steps):
+        for s in range(variation.RK_SUBSTEPS):
+            t0 = ts[i] + s * h
+            k1 = rhs(t0, Y)
+            k2 = rhs(t0 + 0.5 * h, Y + 0.5 * h * k1)
+            k3 = rhs(t0 + 0.5 * h, Y + 0.5 * h * k2)
+            k4 = rhs(t0 + h, Y + h * k3)
+            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        frames.append(Y)
+    frames = np.array(frames)
+    points = np.array([gamma(t) for t in ts])
+    return frames, points, points @ J.T, _fiber_residuals(J, ts, points, frames)
 
 
 def unit_points(ambient, count, seed):
@@ -244,6 +286,72 @@ def test_s3_stable_form_matches_reference(seed):
     one = s3_stable_form(eta, pts[0])
     assert isinstance(one[0], float) and isinstance(one[1], float)
     assert_identical(one, want[0])
+
+
+@pytest.mark.parametrize("seed,first,count", [(0, 0, 4), (9, 5, 3)])
+def test_stable_family_stack_rows_equal_each_field(seed, first, count):
+    """Rows fi*samples + k of the stacked family are field fi's own call at
+    its own point k."""
+    samples = 6
+    xi = hopf_field(1)
+    fields = range(first, first + count)
+    eta, pts = _family_stack(xi.sphere, seed, fields, samples)
+    values, jacs = eta.value_array(pts), eta.jacobian_array(pts)
+    red = reduced_integrand(xi, eta, pts)
+    form, nsq = s3_stable_form(eta, pts)
+    for n, fi in enumerate(fields):
+        rows = slice(n * samples, (n + 1) * samples)
+        rng = np.random.default_rng((seed, fi))
+        random_hopf_combination(rng)
+        p = xi.sphere.stacked_points(rng.standard_normal((samples, 4)))
+        value, jacobian = ref_combination((seed, fi))
+        assert_identical(pts[rows], p)
+        assert_identical(values[rows], [value(q) for q in p])
+        assert_identical(jacs[rows], [jacobian(q) for q in p])
+        assert_identical(red[rows], [ref_reduced(value, jacobian, q) for q in p])
+        want = np.array([ref_s3_form(value, jacobian, q) for q in p])
+        assert_identical(form[rows], want[:, 0])
+        assert_identical(nsq[rows], want[:, 1])
+
+
+@pytest.mark.parametrize("rows,chunks", [(None, 1), (1, 7), (12, 4)],
+                         ids=["default", "one-field", "two-fields"])
+def test_stable_run_is_independent_of_the_chunk(monkeypatch, rows, chunks):
+    """A chunk holds whole fields, at least one: 7 fields of 5 samples in
+    one chunk, one per chunk, or two per chunk and one left over give the
+    same report."""
+    want = dataclasses.asdict(stability_verdict(
+        3, field_count=7, samples=5, fiber_steps=64, seed=2))
+    if rows is not None:
+        monkeypatch.setattr(variation, "_S3_CHUNK_ROWS", rows)
+    sizes = []
+    real = variation.reduced_integrand
+
+    def counted(xi, eta, p):
+        sizes.append(len(p))
+        return real(xi, eta, p)
+
+    monkeypatch.setattr(variation, "reduced_integrand", counted)
+    got = dataclasses.asdict(stability_verdict(
+        3, field_count=7, samples=5, fiber_steps=64, seed=2))
+    # the family's chunks, then the quadrature's 5 points
+    assert sum(sizes[:-1]) == 35 and len(sizes) == chunks + 1
+    for rep in (want, got):
+        rep.pop("wall_time_s")
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [2, 7])
+def test_fiber_frame_matches_reference_loop(m):
+    sphere = hopf_field(m).sphere
+    p0 = sphere.random_point(np.random.default_rng((51, m)))
+    fiber = propagate_fiber_frame(p0, steps=64)
+    frames, points, e0s, residuals = ref_fiber(p0, 64)
+    assert_identical(fiber.frames, frames)
+    assert_identical(fiber.points, points)
+    assert_identical(fiber.e0s, e0s)
+    assert list(fiber.residuals) == list(residuals)
+    assert_identical(list(fiber.residuals.values()), list(residuals.values()))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
