@@ -28,6 +28,7 @@ from .manifold import (
     _reject_rows,
     _row_norms,
     gram_schmidt_rows,
+    stream_normals,
     unit_rows,
 )
 from .fields import (
@@ -414,7 +415,8 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
     """Run a scan in batches of planes; return its observed (min, max).
 
     Plane idx draws ``shape`` standard normals from its own stream
-    (seed, stream0 + idx), the numbers the one-plane code drew call by call.
+    (seed, stream0 + idx), the numbers the one-plane code drew call by call;
+    ``stream_normals`` seeds a whole batch of streams in one call.
     ``curvatures(start, draws)`` maps a batch to its curvatures; a row-level
     failure, or a curvature that is not finite, is re-raised naming the
     plane and the seed tuple that replays it.
@@ -422,10 +424,8 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
     lo, hi = math.inf, -math.inf
     buf = np.empty((_SCAN_CHUNK,) + shape)
     for start in range(0, config.planes, _SCAN_CHUNK):
-        draws = buf[:min(_SCAN_CHUNK, config.planes - start)]
-        for j, out in enumerate(draws):
-            rng = np.random.default_rng((config.seed, stream0 + start + j))
-            rng.standard_normal(out=out)
+        draws = stream_normals(config.seed, stream0 + start,
+                               buf[:min(_SCAN_CHUNK, config.planes - start)])
         try:
             ks = curvatures(start, draws)
             _reject_rows(~np.isfinite(ks), FloatingPointError,

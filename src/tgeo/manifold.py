@@ -125,7 +125,7 @@ def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
     rows of each matrix are those left after skipping the dependent rows.
     """
     out = np.empty_like(mats)
-    done = []  # the finished rows out[:, j], j < i
+    done = []  # the finished rows, contiguous copies of out[:, j], j < i
     for i in range(mats.shape[1]):
         v = mats[:, i].copy()
         for _ in range(2):  # second pass for numerical orthogonality
@@ -134,14 +134,15 @@ def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
         norm = _row_norms(v)
         lost = norm < pivot_tol
         if drop:
-            out[:, i] = np.where(lost[:, None], 0.0,
-                                 v / np.where(lost, 1.0, norm)[:, None])
+            finished = np.where(lost[:, None], 0.0,
+                                v / np.where(lost, 1.0, norm)[:, None])
         else:
             _reject_rows(lost, DegenerateInputError,
                          lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
                                      f"{pivot_tol:.1e}")
-            out[:, i] = v / norm[:, None]
-        done.append(out[:, i])
+            finished = v / norm[:, None]
+        out[:, i] = finished
+        done.append(finished)
     return out
 
 
@@ -150,6 +151,122 @@ def _matvec_rows(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     matrix or one per row: the BLAS matrix-vector product of the one-vector
     call, row by row (a 2-d product would round differently)."""
     return np.matmul(mat, vecs[..., None])[..., 0]
+
+
+# -- per-index random streams -------------------------------------------------
+#
+# Sample idx of a run draws from its own stream np.random.default_rng((seed,
+# idx)): a SeedSequence over the words of seed and idx seeds a PCG64.
+# stream_normals seeds a whole block of such streams at once with the
+# constants of numpy's SeedSequence (bit_generator.pyx) and of PCG64's
+# seeding (pcg64.h). NEP 19 keeps both streams fixed across numpy releases;
+# each call checks its first row against default_rng all the same.
+
+_SEED_POOL = 4
+_SEED_INIT_A = 0x43B0D7E5
+_SEED_MULT_A = 0x931E8875
+_SEED_INIT_B = 0x8B51F9DD
+_SEED_MULT_B = 0x58F38DED
+_SEED_MIX_L = 0xCA01F9DD
+_SEED_MIX_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+# Streams seeded per pass: bounds the Python ints a pass holds, whatever the
+# number of rows.
+_STREAM_BLOCK = 1024
+
+
+def _words(n: int) -> list:
+    """SeedSequence's little-endian 32-bit words of a non-negative int."""
+    out = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of a uint32 column: a hash constant that steps
+    by ``mult`` on every call, the same for every row."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_SEED_MIX_L) * x - np.uint32(_SEED_MIX_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _pcg64_states(entropy: np.ndarray) -> list:
+    """PCG64's (state, inc) after seeding from ``SeedSequence(row)`` for
+    each row of the (N, L) uint32 ``entropy``, as Python ints."""
+    with np.errstate(over="ignore"):
+        hashmix = _hasher(_SEED_INIT_A, _SEED_MULT_A)
+        # a pool word past the entropy hashes 0, as a zero column does
+        width = entropy.shape[1]
+        cols = [entropy[:, i] if i < width else np.zeros_like(entropy[:, 0])
+                for i in range(_SEED_POOL)]
+        pool = [hashmix(c) for c in cols]
+        for src in range(_SEED_POOL):
+            for dst in range(_SEED_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for src in range(_SEED_POOL, width):
+            for dst in range(_SEED_POOL):
+                pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+        # generate_state(4, np.uint64): eight words, two per uint64
+        hashmix = _hasher(_SEED_INIT_B, _SEED_MULT_B)
+        state = np.stack([hashmix(pool[i % _SEED_POOL]) for i in range(8)],
+                         axis=1)
+    seeds = []
+    for w0, w1, w2, w3 in np.ascontiguousarray(state, dtype="<u4") \
+            .view("<u8").tolist():
+        # pcg_setseq_128_srandom_r
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        s = (inc + (w0 << 64 | w1)) & _MASK128
+        seeds.append(((s * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill each row ``out[j]`` (at least one row, any trailing shape) with
+    the standard normals of ``np.random.default_rng((seed, first + j))``,
+    bit for bit; returns ``out``.
+
+    The streams are seeded together and drawn through one reused PCG64. Row
+    0 is also drawn through ``default_rng``; a numpy whose streams differ
+    from the seeding reproduced here is refused with ``RuntimeError``.
+    """
+    gen = np.random.default_rng((seed, first))
+    check = gen.standard_normal(out.shape[1:])
+    bitgen = gen.bit_generator
+    head = _words(seed)
+    j = 0
+    while j < len(out):
+        # rows whose index has as many words as first + j: the entropy of a
+        # SeedSequence longer than its pool depends on its length
+        nwords = len(_words(first + j))
+        stop = min(len(out), j + _STREAM_BLOCK, (1 << 32 * nwords) - first)
+        entropy = np.array([head + _words(first + k) for k in range(j, stop)],
+                           dtype=np.uint32)
+        for k, (state, inc) in enumerate(_pcg64_states(entropy), start=j):
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=out[k])
+        j = stop
+    if not np.array_equal(out[0], check):
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds default_rng((seed, idx)) streams "
+            "differently from stream_normals")
+    return out
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .manifold import (
     _matvec_rows,
     _reject_rows,
     _row_norms,
+    stream_normals,
 )
 from .fields import (
     PreconditionError,
@@ -88,17 +89,16 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
     uniform points.
 
     Sample idx draws from its own RNG stream (seed, idx), so the estimate
-    does not depend on evaluation order. Draws of norm below 1e-12 are
-    rejected; ``fn`` maps the (M, ambient) stack of the accepted points to
-    their (M,) values. Non-finite values are rejected and counted; more than
-    1% rejections aborts the estimate. A row check that fails inside ``fn``
-    is re-raised naming the sample and the seed tuple that replays it.
+    does not depend on evaluation order; one ``stream_normals`` call seeds
+    them all. Draws of norm below 1e-12 are rejected; ``fn`` maps the
+    (M, ambient) stack of the accepted points to their (M,) values.
+    Non-finite values are rejected and counted; more than 1% rejections
+    aborts the estimate. A row check that fails inside ``fn`` is re-raised
+    naming the sample and the seed tuple that replays it.
     """
     if samples < 1:
         raise DegenerateInputError("quadrature needs at least one sample")
-    draws = np.empty((samples, sphere.ambient_dim))
-    for idx, out in enumerate(draws):
-        np.random.default_rng((seed, idx)).standard_normal(out=out)
+    draws = stream_normals(seed, 0, np.empty((samples, sphere.ambient_dim)))
     norms = _row_norms(draws)
     kept = np.flatnonzero(~(norms < 1e-12))
     points = draws[kept] * (sphere.radius / norms[kept])[:, None]

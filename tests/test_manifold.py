@@ -10,7 +10,9 @@ from tgeo import (
     TangentVector,
     gram_schmidt_rows,
 )
-from tgeo.manifold import _check_same_base, unit_rows
+import tgeo.manifold as manifold
+from tgeo.manifold import (GS_PIVOT_TOL, _check_same_base, _gram_schmidt_stack,
+                           stream_normals, unit_rows)
 
 from conftest import (assert_identical, random_frame, random_tangent,
                       ref_gram_schmidt)
@@ -119,6 +121,19 @@ def test_gram_schmidt_rows_drop_matches_reference():
     assert gram_schmidt_rows(tiny, drop=True).shape == (0, 5)
 
 
+def test_gram_schmidt_stack_matches_reference_with_dropped_row():
+    """A (64, 31, 32) stack whose row 5 is a combination of rows 1 and 3: the
+    stack drops it in every matrix and keeps the reference's bits."""
+    mats = np.random.default_rng(12).standard_normal((64, 31, 32))
+    mats[:, 5] = 0.5 * mats[:, 1] - 2.0 * mats[:, 3]
+    got = _gram_schmidt_stack(mats, pivot_tol=GS_PIVOT_TOL, drop=True)
+    assert not np.any(got[:, 5])
+    for mat, rows in zip(mats, got):
+        want = ref_gram_schmidt(mat, drop=True)
+        assert want.shape == (30, 32)
+        assert_identical(np.delete(rows, 5, axis=0), want)
+
+
 def test_gram_schmidt_rows_pivot_failure_matches_reference():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, 5))
@@ -196,3 +211,36 @@ def test_random_frame_is_orthonormal():
     mat = frame.matrix
     assert np.allclose(mat @ mat.T, np.eye(7), atol=1e-10)
     assert np.allclose(mat @ p.coords, 0.0, atol=1e-10)
+
+
+# -- per-index random streams ---------------------------------------------------
+
+
+def ref_stream_normals(seed, first, rows, shape):
+    return np.array([np.random.default_rng((seed, first + j)).standard_normal(shape)
+                     for j in range(rows)])
+
+
+# seeds of one, two and seven words (the last seeds a SeedSequence longer
+# than its pool); index blocks of one word, past 2**30, and across 2**32
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3, 2 ** 200 + 5])
+@pytest.mark.parametrize("first", [0, 10 ** 9, 2 ** 32 - 3])
+@pytest.mark.parametrize("rows, shape", [(1, (4, 4)), (5, (4, 4)),
+                                         (6, (6, 8)), (5, (16, 16))])
+def test_stream_normals_match_default_rng(seed, first, rows, shape):
+    out = np.empty((rows,) + shape)
+    assert stream_normals(seed, first, out) is out
+    assert np.array_equal(out, ref_stream_normals(seed, first, rows, shape))
+
+
+def test_stream_normals_seeds_long_runs_in_blocks(monkeypatch):
+    monkeypatch.setattr(manifold, "_STREAM_BLOCK", 3)
+    out = stream_normals(2 ** 200 + 5, 2 ** 32 - 4, np.empty((8, 3)))
+    assert np.array_equal(out, ref_stream_normals(2 ** 200 + 5, 2 ** 32 - 4, 8,
+                                                  (3,)))
+
+
+def test_stream_normals_refuses_a_seeding_that_differs(monkeypatch):
+    monkeypatch.setattr(manifold, "_SEED_MIX_L", manifold._SEED_MIX_L ^ 1)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds"):
+        stream_normals(3, 0, np.empty((2, 4)))

@@ -198,6 +198,25 @@ def test_scan_matches_reference_across_batches(capsys):
     assert_identical([got["bundle", str(i)] for i in range(planes)], rows)
 
 
+def test_scan_seeds_each_batch_in_one_call(capsys, monkeypatch):
+    """600 planes per scan are three batches: one default_rng call each (the
+    helper's check of the batch's first stream), plus the designated
+    section's point."""
+    real = np.random.default_rng
+    calls = []
+
+    def counted(seed):
+        calls.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    assert cli.main(["scan-curvature", "--mode", "both", "--planes", "600",
+                     "--seed", "6"]) == 0
+    capsys.readouterr()
+    assert calls == [(6, 0), (6, 256), (6, 512), (6, 600),
+                     (6, 10 ** 9), (6, 10 ** 9 + 256), (6, 10 ** 9 + 512)]
+
+
 # -- checks on the array kernels -------------------------------------------------
 
 
