@@ -51,6 +51,10 @@ FIBER_TABLE_TOL = 1e-4
 
 RK_SUBSTEPS = 8
 
+# Fiber steps whose substep table is computed at once: bounds the table's
+# memory, whatever the number of steps.
+_FIBER_BLOCK = 64
+
 # Pointwise ceiling for the stability margin and the witness ratio.
 VERDICT_TOL = 1e-3
 
@@ -385,11 +389,13 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     with v the horizontal seed at p0, so the fiber-derivative relations hold
     at t = 0; the pair rows are then integrated around the loop with
     classical RK4 on the first-order system a' = -b - <a, g'> g,
-    b' = a - <b, g'> g. The fiber point g and g' = J g at every time the
-    loop reads (each substep's t0, t0 + h/2 and t0 + h) are computed once,
-    before the loop, with the loop's own time arithmetic and math.cos and
-    math.sin. Residuals of the derivative table, orthonormality, and loop
-    closure are recorded; table residuals above FIBER_TABLE_TOL raise
+    b' = a - <b, g'> g, whose (-b, a) is the row swap of the pair times a
+    sign. The fiber point g and g' = J g at every time the loop reads (each
+    substep's t0, t0 + h/2 and t0 + h) are tabulated ahead of the loop, for
+    _FIBER_BLOCK steps at a time, with the loop's own time arithmetic and
+    math.cos and math.sin. Residuals of the derivative table,
+    orthonormality, and loop closure are recorded, each from one stacked
+    call over all nodes; table residuals above FIBER_TABLE_TOL raise
     PropagationFailure.
     """
     sphere = p0.sphere
@@ -403,11 +409,12 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     jp0 = J @ p0c
     v = _horizontal_seed(p0c[None], J)[0]
     Y = np.array([v, -J @ v])
-    S = np.array([[0.0, -1.0],
-                  [1.0, 0.0]])  # (e_1, e_2)' = (-e_2, e_1) along the fiber
+    # (e_1, e_2)' = (-e_2, e_1) along the fiber: the row swap times a sign
+    sign = np.array([[-1.0], [1.0]])
 
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
     h = 2.0 * np.pi / (steps * RK_SUBSTEPS)
+    half, sixth = 0.5 * h, h / 6.0
 
     def gamma(t: np.ndarray) -> np.ndarray:
         # math.cos, not np.cos: numpy's SIMD kernels may round differently
@@ -415,24 +422,24 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
         sin = np.array([math.sin(x) for x in t.flat]).reshape(t.shape)
         return cos[..., None] * p0c + sin[..., None] * jp0
 
-    # the fiber at each substep's t0 = ts[i] + s h, t0 + h/2 and t0 + h;
-    # G @ J.T is exact, J being a signed permutation
-    t0 = ts[:-1, None] + np.arange(RK_SUBSTEPS) * h
-    G = gamma(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=-1))
-    GP = G @ J.T
-
-    def rhs(i: int, s: int, node: int, state: np.ndarray) -> np.ndarray:
-        return S @ state - np.outer(state @ GP[i, s, node], G[i, s, node])
-
     frames = [Y]
-    for i in range(steps):
-        for s in range(RK_SUBSTEPS):
-            k1 = rhs(i, s, 0, Y)
-            k2 = rhs(i, s, 1, Y + 0.5 * h * k1)
-            k3 = rhs(i, s, 1, Y + 0.5 * h * k2)
-            k4 = rhs(i, s, 2, Y + h * k3)
-            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        frames.append(Y)
+    for first in range(0, steps, _FIBER_BLOCK):
+        # the fiber at each substep's t0 = ts[i] + s h, t0 + h/2 and t0 + h;
+        # G @ J.T is exact, J being a signed permutation
+        last = min(first + _FIBER_BLOCK, steps)
+        t0 = ts[first:last, None] + np.arange(RK_SUBSTEPS) * h
+        G = gamma(np.stack([t0, t0 + 0.5 * h, t0 + h], axis=-1))
+        for G_i, GP_i in zip(G, G @ J.T):
+            for (g0, g1, g2), (gp0, gp1, gp2) in zip(G_i, GP_i):
+                k1 = sign * Y[::-1] - (Y @ gp0)[:, None] * g0
+                Z = Y + half * k1
+                k2 = sign * Z[::-1] - (Z @ gp1)[:, None] * g1
+                Z = Y + half * k2
+                k3 = sign * Z[::-1] - (Z @ gp1)[:, None] * g1
+                Z = Y + h * k3
+                k4 = sign * Z[::-1] - (Z @ gp2)[:, None] * g2
+                Y = Y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            frames.append(Y)
     frames = np.array(frames)
     points = gamma(ts)
     e0s = points @ J.T
@@ -451,21 +458,21 @@ def _fiber_residuals(J: np.ndarray, ts: np.ndarray, points: np.ndarray,
     steps = len(ts) - 1
     closure = float(np.max(np.linalg.norm(frames[-1] - frames[0], axis=1)))
 
-    ortho = []
-    for i in range(steps + 1):
-        stack = np.vstack([points[i], points[i] @ J.T, frames[i]])
-        gram = stack @ stack.T
-        ortho.append(np.max(np.abs(gram - np.eye(len(stack)))))
+    # one Gram matrix per node, each the BLAS product of its own (4, ambient)
+    # matrix, as a one-node call makes it
+    stack = np.concatenate([points[:, None], (points @ J.T)[:, None], frames],
+                           axis=1)
+    ortho = np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(4))
 
     # fiber-direction table rows by 5-point periodic differentiation
     E = frames[:steps]  # node steps coincides with node 0 up to closure
+    q = points[:steps]
     dt = 2.0 * np.pi / steps
     dE = (-np.roll(E, -2, axis=0) + 8.0 * np.roll(E, -1, axis=0)
           - 8.0 * np.roll(E, 1, axis=0) + np.roll(E, 2, axis=0)) / (12.0 * dt)
-    fiber = []
-    for i in range(steps):
-        nab = dE[i] - np.outer(dE[i] @ points[i], points[i])
-        fiber += [np.linalg.norm(nab[0] + E[i, 1]), np.linalg.norm(nab[1] - E[i, 0])]
+    nab = dE - _matvec_rows(dE, q)[:, :, None] * q[:, None]
+    fiber = np.concatenate([_row_norms(nab[:, 0] + E[:, 1]),
+                            _row_norms(nab[:, 1] - E[:, 0])])
 
     # horizontal table rows reduce to J-pairing integrity: for the
     # horizontal-projection extension F_w(q) = w - <w,q> q - <w,Jq> Jq the

@@ -228,6 +228,42 @@ def test_fiber_propagation_matches_exponential():
     assert worst < 1e-6
 
 
+def _closed_form_pair(v, jv, ts, c, partner):
+    """a(t) = cos(ct) v + sin(ct) J v, b(t) = partner cos(ct) J v + sin(ct) v
+    at each node time: the true pair is c = 1, partner = -1."""
+    cos, sin = np.cos(c * ts)[:, None], np.sin(c * ts)[:, None]
+    return np.stack([cos * v + sin * jv, partner * cos * jv + sin * v], axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_fiber_table_check_on_closed_form_frames(m):
+    """The table check passes the closed-form pair (its fiber rows are the
+    5-point differencing error) and fails a pair turning 1 % too fast or
+    started at J v instead of -J v; the RK4 frames lie within 2e-9 of the
+    closed form."""
+    ambient = 2 * m + 2
+    J = complex_structure(ambient)
+    p0 = SphereSpec(ambient, 1.0).random_point(np.random.default_rng((17, m)))
+    fiber = propagate_fiber_frame(p0, steps=64)
+    v = fiber.frames[0, 0]
+    jv = J @ v
+
+    def table(c, partner):
+        frames = _closed_form_pair(v, jv, fiber.ts, c, partner)
+        return variation._fiber_residuals(J, fiber.ts, fiber.points, frames)
+
+    true = table(1.0, -1.0)
+    assert 3.0e-6 < true["fiber_rows"] < 3.2e-6
+    assert true["horizontal_rows"] == 0.0
+    fast = table(1.01, -1.0)["fiber_rows"]
+    assert fast > variation.FIBER_TABLE_TOL and abs(fast - 0.364) < 1e-3
+    flipped = table(1.0, 1.0)["horizontal_rows"]
+    assert flipped > variation.FIBER_TABLE_TOL and abs(flipped - 2.0) < 1e-12
+    gap = np.linalg.norm(fiber.frames - _closed_form_pair(v, jv, fiber.ts, 1.0, -1.0),
+                         axis=2)
+    assert np.max(gap) < 2e-9
+
+
 def test_fiber_residual_report():
     sphere = SphereSpec(8, 1.0)
     p0 = sphere.random_point(np.random.default_rng(11))
@@ -342,6 +378,16 @@ def test_stability_verdict_s5_s7(capsys):
     cli_rep = json.loads(capsys.readouterr().out)[0]
     assert rep.notes[-1].startswith("Monte Carlo second-variation magnitude")
     assert rep.notes[-1] == cli_rep["notes"][-1]
+
+
+@pytest.mark.parametrize("dim", [5, 7, 9, 15, 31])
+def test_instability_ratio_is_exact_to_rounding(dim):
+    """The witness ratio equals (5 - 2n)/2 at every fiber node to rounding,
+    far inside VERDICT_TOL: a target off by 5e-4 fails here."""
+    for seed in (0, 1, 7):
+        rep = stability_verdict(dim, samples=4, fiber_steps=64, seed=seed)
+        assert rep.verdict == "unstable"
+        assert rep.max_residual <= 1e-12
 
 
 def test_stability_verdict_validation():

@@ -171,6 +171,32 @@ def ref_fiber(p0, steps):
     return frames, points, points @ J.T, _fiber_residuals(J, ts, points, frames)
 
 
+def ref_fiber_residuals(J, ts, points, frames):
+    """``_fiber_residuals`` with the orthonormality Gram matrix and the two
+    5-point fiber rows taken one node at a time."""
+    steps = len(ts) - 1
+    closure = float(np.max(np.linalg.norm(frames[-1] - frames[0], axis=1)))
+    ortho = []
+    for i in range(steps + 1):
+        stack = np.vstack([points[i], points[i] @ J.T, frames[i]])
+        gram = stack @ stack.T
+        ortho.append(np.max(np.abs(gram - np.eye(len(stack)))))
+    E = frames[:steps]
+    dt = 2.0 * np.pi / steps
+    dE = (-np.roll(E, -2, axis=0) + 8.0 * np.roll(E, -1, axis=0)
+          - 8.0 * np.roll(E, 1, axis=0) + np.roll(E, 2, axis=0)) / (12.0 * dt)
+    fiber = []
+    for i in range(steps):
+        nab = dE[i] - np.outer(dE[i] @ points[i], points[i])
+        fiber += [np.linalg.norm(nab[0] + E[i, 1]), np.linalg.norm(nab[1] - E[i, 0])]
+    JA = frames @ J.T
+    horiz = np.concatenate([np.linalg.norm(JA[:, 0] + frames[:, 1], axis=1),
+                            np.linalg.norm(JA[:, 1] - frames[:, 0], axis=1)])
+    return {"closure": closure, "orthonormality": float(np.max(ortho)),
+            "fiber_rows": float(np.max(fiber)),
+            "horizontal_rows": float(np.max(horiz))}
+
+
 def unit_points(ambient, count, seed):
     raw = np.random.default_rng(seed).standard_normal((count, ambient))
     return np.array([ref_point(q) for q in raw])
@@ -341,17 +367,23 @@ def test_stable_run_is_independent_of_the_chunk(monkeypatch, rows, chunks):
     assert got == want
 
 
-@pytest.mark.parametrize("m", [2, 7])
-def test_fiber_frame_matches_reference_loop(m):
+@pytest.mark.parametrize("steps", [64, 130])
+@pytest.mark.parametrize("m", [1, 2, 7, 15])
+def test_fiber_frame_matches_reference_loop(m, steps):
+    """130 steps run the fiber table in three blocks, the last one
+    partial."""
     sphere = hopf_field(m).sphere
     p0 = sphere.random_point(np.random.default_rng((51, m)))
-    fiber = propagate_fiber_frame(p0, steps=64)
-    frames, points, e0s, residuals = ref_fiber(p0, 64)
+    fiber = propagate_fiber_frame(p0, steps=steps)
+    frames, points, e0s, residuals = ref_fiber(p0, steps)
     assert_identical(fiber.frames, frames)
     assert_identical(fiber.points, points)
     assert_identical(fiber.e0s, e0s)
-    assert list(fiber.residuals) == list(residuals)
-    assert_identical(list(fiber.residuals.values()), list(residuals.values()))
+    J = complex_structure(sphere.ambient_dim)
+    want = ref_fiber_residuals(J, fiber.ts, points, frames)
+    for got in (fiber.residuals, residuals):
+        assert list(got) == list(want)
+        assert_identical(list(got.values()), list(want.values()))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
