@@ -11,6 +11,7 @@ check on a sampled vector or plane).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -63,7 +64,8 @@ from .sasaki import (
     tangential_lift_array,
     xi_tangential_lift_array,
 )
-from .variation import PropagationFailure, QuadratureFailure, stability_verdict
+from .variation import (MIN_FIBER_STEPS, PropagationFailure,
+                        QuadratureFailure, stability_verdict)
 from .report import VerificationReport, reports_to_csv, reports_to_json
 
 
@@ -114,8 +116,8 @@ class RunConfig:
             raise UsageError("samples must be >= 1")
         if self.planes < 1:
             raise UsageError("planes must be >= 1")
-        if self.fiber_steps < 64:
-            raise UsageError("fiber-steps must be >= 64")
+        if self.fiber_steps < MIN_FIBER_STEPS:
+            raise UsageError(f"fiber-steps must be >= {MIN_FIBER_STEPS}")
         if not self.tol_fd > 0:
             raise UsageError("tolerances must be positive")
         if self.seed < 0:
@@ -684,7 +686,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags win")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing keeps no state in it, so every
+    ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="tgeo",
         description="Numerical verification for unit vector fields on round "

@@ -506,11 +506,15 @@ class Frame:
             raise DegenerateInputError("empty frame")
         if len(self.vectors) > self.base.sphere.dim:
             raise DegenerateInputError("more frame vectors than the tangent dimension")
-        _check_frames_stack(self.matrix[None])
+        matrix = np.array([v.vec for v in self.vectors])
+        matrix.flags.writeable = False
+        _check_frames_stack(matrix[None])
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([v.vec for v in self.vectors])
+        """The vectors as the rows of one read-only array, the one checked."""
+        return self._matrix
 
     def __len__(self):
         return len(self.vectors)

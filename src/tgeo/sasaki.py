@@ -19,7 +19,6 @@ from .manifold import (
     GS_PIVOT_TOL,
     DegenerateInputError,
     DegeneratePlaneError,
-    SpherePoint,
     SphereSpec,
     TangentVector,
     _check_points_stack,
@@ -126,11 +125,8 @@ def second_form_lemma(xi: UnitVectorField, p, sd, *,
     displaced points keep their (N, n+1) leading axes, so a row check that
     fails on them (a meridian polar cap) names its point in ``.row``.
     """
-    one = isinstance(p, SpherePoint)
-    P, sds = (p.coords[None], (sd,)) if one else (p, sd)
-    lam = np.array([s.lambdas for s in sds])
-    E = np.array([s.right_frame.matrix for s in sds])
-    F = np.array([s.left_frame.matrix for s in sds])
+    one, lam, E, F = _singular_stack(sd)
+    P = p.coords[None] if one else p
     N, n1 = lam.shape
     k = xi.sphere.curvature_constant
 
@@ -177,11 +173,8 @@ def second_form_direct(xi: UnitVectorField, p, sd, *,
     to point r // (2 (n+1)); a row check that fails on it (a Gram-Schmidt
     pivot, a meridian polar cap) has its ``.row`` set to that point.
     """
-    one = isinstance(p, SpherePoint)
-    P, sds = (p.coords[None], (sd,)) if one else (p, sd)
-    lam = np.array([s.lambdas for s in sds])
-    E = np.array([s.right_frame.matrix for s in sds])
-    F = np.array([s.left_frame.matrix for s in sds])
+    one, lam, E, F = _singular_stack(sd)
+    P = p.coords[None] if one else p
     N, n1 = lam.shape
     sphere = xi.sphere
     amb = sphere.ambient_dim

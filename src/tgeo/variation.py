@@ -51,6 +51,11 @@ FIBER_TABLE_TOL = 1e-4
 
 RK_SUBSTEPS = 8
 
+# Fewest fiber steps propagate_fiber_frame takes, and the CLI's floor for
+# --fiber-steps: on S^5 the derivative table's 5-point residual exceeds
+# FIBER_TABLE_TOL at every count from 8 to 26, so a run there could only fail.
+MIN_FIBER_STEPS = 64
+
 # Fiber steps whose substep table is computed at once: bounds the table's
 # memory, whatever the number of steps.
 _FIBER_BLOCK = 64
@@ -401,8 +406,9 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     sphere = p0.sphere
     if not sphere.is_unit:
         raise PreconditionError("fiber propagation is defined on unit spheres")
-    if steps < 8:
-        raise DegenerateInputError("fiber propagation needs at least 8 steps")
+    if steps < MIN_FIBER_STEPS:
+        raise DegenerateInputError(
+            f"fiber propagation needs at least {MIN_FIBER_STEPS} steps")
     J = complex_structure(sphere.ambient_dim)
 
     p0c = p0.coords

@@ -295,7 +295,40 @@ def test_scan_non_finite_curvature_exits_three(capsys, monkeypatch, mode, name,
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    assert main(["--help"]) == 0  # the process's one parser, again
+    assert capsys.readouterr().out.count("usage: tgeo") == 2
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_scan_mode_does_not_carry_over(capsys):
+    run_cli(capsys, ["scan-curvature", "--mode", "bundle", "--planes", "5"],
+            expect=0)
+    _, out = run_cli(capsys, ["scan-curvature", "--planes", "5"], expect=0)
+    rep = json.loads(out)[0]
+    assert rep["name"] == "scan-submanifold"
+    assert rep["parameters"]["mode"] == "submanifold"
+
+
+def test_verify_field_does_not_carry_over(capsys):
+    args = ["verify", "predicates", "--dim", "3", "--samples", "3"]
+    run_cli(capsys, args + ["--field", "meridian"], expect=0)
+    _, out = run_cli(capsys, args, expect=0)
+    assert json.loads(out)[0]["parameters"]["field"] == "hopf"
+
+
+def test_usage_error_then_valid_run(capsys):
+    args = ["verify", "codazzi", "--samples", "3"]
+    _, want = run_cli(capsys, args, expect=0)
+    run_cli(capsys, ["verify", "codazzi", "--samples", "many"], expect=2)
+    _, out = run_cli(capsys, args, expect=0)
+    assert strip_wall_time(out) == strip_wall_time(want)
+    assert json.loads(out)[0]["parameters"]["samples"] == 3
 
 
 # -- suites over the cli ---------------------------------------------------------

@@ -213,6 +213,18 @@ def test_random_frame_is_orthonormal():
     assert np.allclose(mat @ p.coords, 0.0, atol=1e-10)
 
 
+def test_frame_matrix_is_the_checked_read_only_stack():
+    sphere = SphereSpec(8, 1.0)
+    p = sphere.random_point(np.random.default_rng(12))
+    frame = random_frame(p, np.random.default_rng(13))
+    mat = frame.matrix
+    assert not mat.flags.writeable
+    assert frame.matrix is mat
+    assert_identical(mat, np.array([v.vec for v in frame.vectors]))
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+
+
 # -- per-index random streams ---------------------------------------------------
 
 

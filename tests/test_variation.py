@@ -278,8 +278,9 @@ def test_fiber_residual_report():
 def test_fiber_frame_validation():
     sphere = SphereSpec(6, 1.0)
     p0 = sphere.random_point(np.random.default_rng(12))
-    with pytest.raises(DegenerateInputError):
-        propagate_fiber_frame(p0, steps=7)
+    for steps in (7, 63):
+        with pytest.raises(DegenerateInputError):
+            propagate_fiber_frame(p0, steps=steps)
     odd = SphereSpec(3, 1.0).random_point(np.random.default_rng(12))
     with pytest.raises(DegenerateInputError):
         propagate_fiber_frame(odd, steps=64)  # S^2 has no complex structure
