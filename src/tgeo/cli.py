@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .manifold import (
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
+    _naming_rows,
     _reject_rows,
     _row_norms,
     gram_schmidt_rows,
@@ -134,15 +134,17 @@ def build_field(config: RunConfig) -> UnitVectorField:
     return meridian_field(axis, config.radius)
 
 
+def _in_cap(xi: UnitVectorField, coords: np.ndarray):
+    """The points (rows of ``coords``) in a meridian field's polar caps."""
+    return xi.name == "meridian" and ~(
+        np.abs(coords[..., 0]) / xi.sphere.radius < 0.95)
+
+
 def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
     """Seeded point, redrawn away from the polar caps for meridian fields."""
-    sphere = xi.sphere
     while True:
-        p = sphere.random_point(rng)
-        if xi.name != "meridian":
-            return p
-        c = abs(float(p.coords[0])) / sphere.radius
-        if c < 0.95:
+        p = xi.sphere.random_point(rng)
+        if not _in_cap(xi, p.coords):
             return p
 
 
@@ -156,44 +158,34 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
 _SAMPLE_CHUNK = 64
 
 
-@contextmanager
-def _naming_sample(config: RunConfig, idx: int, stacked: bool = False):
-    """Re-raise a numerical failure naming the sample and the seed tuple that
-    replays it. With ``stacked``, ``idx`` is the first sample of a stacked
-    call and only a row failure names a sample: ``idx`` plus its row."""
-    try:
-        yield
-    except (*_NUMERICAL_FAILURES, PreconditionError,
-            DegenerateInputError) as exc:
-        if stacked:
-            if not hasattr(exc, "row"):
-                raise
-            idx += exc.row
-        if isinstance(exc, _NUMERICAL_FAILURES) or hasattr(exc, "row"):
-            exc.args = (f"{exc}: sample {idx}, seed tuple ({config.seed}, {idx})",)
-        raise
-
-
-def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure) -> dict:
-    """Maximum of each residual that ``measure(coords, points, rngs)`` names,
-    over the sample points; sample idx draws its point from its own stream
-    (seed, idx).
-
-    Each run of up to _SAMPLE_CHUNK samples is measured in one stacked call,
-    with the (N, ambient) coordinates, the N points and the N streams, past
-    the draws of their points, giving one array entry per sample. A
-    numerical failure is re-raised naming the sample and the seed tuple that
-    replays it; so is a non-finite residual.
+def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
+                   extra: int = 0) -> dict:
+    """Maximum of each residual that ``measure(coords, points, rows)`` names,
+    over the sample points. Sample idx draws from its own stream (seed, idx)
+    its point, then ``extra`` rows of ambient normals. Each run of up to
+    _SAMPLE_CHUNK samples is drawn in one stream_normals call, a point drawn
+    in a polar cap is replayed on its own generator through _sample_point,
+    and the run is measured in one stacked call, one array entry per sample.
+    A row failure or a non-finite residual is re-raised naming the sample and
+    the seed tuple that replays it.
     """
+    sphere = xi.sphere
     worst = {}
+    buf = np.empty((_SAMPLE_CHUNK, 1 + extra, sphere.ambient_dim))
     for start in range(0, config.samples, _SAMPLE_CHUNK):
-        rngs, points = [], []
-        for idx in range(start, min(start + _SAMPLE_CHUNK, config.samples)):
-            rngs.append(np.random.default_rng((config.seed, idx)))
-            with _naming_sample(config, idx):
-                points.append(_sample_point(xi, rngs[-1]))
-        with _naming_sample(config, start, stacked=True):
-            columns = measure(np.array([p.coords for p in points]), points, rngs)
+        draws = stream_normals(config.seed, start,
+                               buf[:min(_SAMPLE_CHUNK, config.samples - start)])
+        index = range(start, start + len(draws))
+        with _naming_rows("sample", config.seed, index):
+            coords = sphere.stacked_points(draws[:, 0])
+        for k in np.flatnonzero(_in_cap(xi, coords)).tolist():
+            rng = np.random.default_rng((config.seed, start + k))
+            with _naming_rows("sample", config.seed, index[k:]):
+                coords[k] = _sample_point(xi, rng).coords
+            rng.standard_normal(out=draws[k, 1:])
+        points = [SpherePoint(sphere, c) for c in coords]
+        with _naming_rows("sample", config.seed, index):
+            columns = measure(coords, points, draws[:, 1:])
             names = list(columns)
             bad = ~np.isfinite(np.stack(list(columns.values()), axis=1))
             _reject_rows(bad, FloatingPointError, lambda row: (
@@ -218,7 +210,7 @@ def _suite_report(config: RunConfig, residual: float, notes: list,
 def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
 
-    def measure(coords, points, rngs):
+    def measure(coords, points, rows):
         sds = singular_decomposition(xi, points)
         om_l = second_form_lemma(xi, coords, sds)
         om_d = second_form_direct(xi, coords, sds)
@@ -278,7 +270,7 @@ def _run_predicates(config: RunConfig) -> VerificationReport:
     elif not xi.sphere.is_unit:
         expected_fail = {"sasakian"}
 
-    worst = _sample_maxima(xi, config, lambda coords, points, rngs: {
+    worst = _sample_maxima(xi, config, lambda coords, points, rows: {
         "geodesic": is_geodesic(xi, coords),
         "killing": is_killing(xi, coords),
         "normal": is_normal(xi, coords),
@@ -310,23 +302,22 @@ def _run_codazzi(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     sphere = xi.sphere
 
-    def measure(coords, points, rngs):
+    def measure(coords, points, rows):
         # the first two vectors of a random frame at each sample point
-        frames = sphere.frames_at(coords, np.array(
-            [rng.standard_normal((sphere.dim, sphere.ambient_dim)) for rng in rngs]))
+        frames = sphere.frames_at(coords, rows)
         r = half_curvature(xi, coords, frames[:, :2], frames[:, 1::-1])
         rhs = sphere.curvature_array(frames[:, 0], frames[:, 1],
                                      xi.value_array(coords))
         return {"codazzi": _row_norms(r[:, 0] - r[:, 1] - rhs)}
 
-    worst = _sample_maxima(xi, config, measure)
+    worst = _sample_maxima(xi, config, measure, extra=sphere.dim)
     return _suite_report(config, worst["codazzi"], [
         "antisymmetrized half curvature against R(X,Y)xi"])
 
 
 def _run_jacobi(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
-    worst = _sample_maxima(xi, config, lambda coords, points, rngs: {
+    worst = _sample_maxima(xi, config, lambda coords, points, rows: {
         "jacobi": jacobi_relation_residual(xi, coords)})
     return _suite_report(config, worst["jacobi"], [
         "A*A X compared with R(X, xi) xi over a frame"], tol=TOL_ANALYTIC)
@@ -336,7 +327,7 @@ def _run_obstruction(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     meridian = config.field == "meridian"
 
-    def measure(coords, points, rngs):
+    def measure(coords, points, rows):
         sds = singular_decomposition(xi, points)
         obs = geodesic_field_obstruction(xi, coords, sds)
         out = {"magnitude": np.max(np.abs(obs), axis=(1, 2))}
@@ -400,10 +391,8 @@ def cmd_scan_curvature(config: RunConfig) -> int:
             reports.append(report)
             ranges.append(observed)
 
-    if config.format == "csv":
-        _write_text(_plane_rows_csv(rows, reports, ranges), config)
-    else:
-        _write_text(reports_to_json(reports), config)
+    _write_text(_plane_rows_csv(rows, reports, ranges) if config.format == "csv"
+                else reports_to_json(reports), config)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -428,18 +417,11 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
     for start in range(0, config.planes, _SCAN_CHUNK):
         draws = stream_normals(config.seed, stream0 + start,
                                buf[:min(_SCAN_CHUNK, config.planes - start)])
-        try:
+        with _naming_rows(f"{kind} plane", config.seed,
+                          range(start, start + len(draws)), stream0):
             ks = curvatures(start, draws)
             _reject_rows(~np.isfinite(ks), FloatingPointError,
                          "non-finite curvature")
-        except (DegenerateInputError, DegeneratePlaneError,
-                FloatingPointError) as exc:
-            if not hasattr(exc, "row"):
-                raise
-            exc.row += start
-            exc.args = (f"{exc}: {kind} plane {exc.row}, seed tuple "
-                        f"({config.seed}, {stream0 + exc.row})",)
-            raise
         ks = ks.tolist()
         rows.extend((start + j, kind, K) for j, K in enumerate(ks))
         lo, hi = min(lo, *ks), max(hi, *ks)

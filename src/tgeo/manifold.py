@@ -10,6 +10,7 @@ constant-curvature geometry with no chart bookkeeping.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,6 +69,21 @@ def _reject_rows(bad: np.ndarray, error: type, message) -> None:
     exc = error(f"{text} (row {row})" if len(bad) > 1 else text)
     exc.row = row
     raise exc
+
+
+@contextmanager
+def _naming_rows(label: str, seed: int, index, stream0: int = 0):
+    """Re-raise a row failure (an error with ``row``) of a stacked call whose
+    row k is ``label`` index[k], from the stream (seed, stream0 + index[k]),
+    with that index as its row and, in place of the row, in its message."""
+    try:
+        yield
+    except Exception as exc:
+        if hasattr(exc, "row"):
+            row, exc.row = exc.row, int(index[exc.row])
+            exc.args = (f"{str(exc).removesuffix(f' (row {row})')}: {label} "
+                        f"{exc.row}, seed tuple ({seed}, {stream0 + exc.row})",)
+        raise
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -187,16 +203,17 @@ def _words(n: int) -> list:
     return out
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of a uint32 column: a hash constant that steps
-    by ``mult`` on every call, the same for every row."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
+def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant over ``count`` hash calls, const * mult**t
+    as uint32: call t xors in entry t and multiplies by entry t + 1."""
+    return np.cumprod(np.array([const] + [mult] * count, np.uint32),
+                     dtype=np.uint32)
+
+
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each column of ``value``, with consecutive ``consts``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,32 +224,31 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pcg64_states(entropy: np.ndarray) -> list:
     """PCG64's (state, inc) after seeding from ``SeedSequence(row)`` for
     each row of the (N, L) uint32 ``entropy``, as Python ints."""
+    n, width = len(entropy), entropy.shape[1]
+    const = _hash_consts(_SEED_INIT_A, _SEED_MULT_A, _SEED_POOL * max(_SEED_POOL, width))
     with np.errstate(over="ignore"):
-        hashmix = _hasher(_SEED_INIT_A, _SEED_MULT_A)
         # a pool word past the entropy hashes 0, as a zero column does
-        width = entropy.shape[1]
-        cols = [entropy[:, i] if i < width else np.zeros_like(entropy[:, 0])
-                for i in range(_SEED_POOL)]
-        pool = [hashmix(c) for c in cols]
+        pool = np.zeros((n, _SEED_POOL), np.uint32)
+        pool[:, :width] = entropy[:, :_SEED_POOL]
+        pool = _hash(pool, const[:_SEED_POOL + 1])
+        # a source word is hashed once for each other word it mixes into
         for src in range(_SEED_POOL):
-            for dst in range(_SEED_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+            t = _SEED_POOL + (_SEED_POOL - 1) * src
+            dst = np.arange(_SEED_POOL) != src
+            pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None],
+                                                    const[t:t + _SEED_POOL]))
         for src in range(_SEED_POOL, width):
-            for dst in range(_SEED_POOL):
-                pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+            t = _SEED_POOL * src
+            pool = _mix(pool, _hash(entropy[:, src, None],
+                                    const[t:t + _SEED_POOL + 1]))
         # generate_state(4, np.uint64): eight words, two per uint64
-        hashmix = _hasher(_SEED_INIT_B, _SEED_MULT_B)
-        state = np.stack([hashmix(pool[i % _SEED_POOL]) for i in range(8)],
-                         axis=1)
-    seeds = []
-    for w0, w1, w2, w3 in np.ascontiguousarray(state, dtype="<u4") \
-            .view("<u8").tolist():
-        # pcg_setseq_128_srandom_r
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        s = (inc + (w0 << 64 | w1)) & _MASK128
-        seeds.append(((s * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
+        state = _hash(pool[:, np.arange(8) % _SEED_POOL],
+                      _hash_consts(_SEED_INIT_B, _SEED_MULT_B, 8))
+    # pcg_setseq_128_srandom_r, initstate (w0, w1) and initseq (w2, w3)
+    words = np.ascontiguousarray(state, dtype="<u4").view("<u8").tolist()
+    return [(((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc)
+            for w0, w1, w2, w3 in words
+            for inc in [(w2 << 65 | w3 << 1 | 1) & _MASK128]]
 
 
 def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
@@ -247,19 +263,21 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     gen = np.random.default_rng((seed, first))
     check = gen.standard_normal(out.shape[1:])
     bitgen = gen.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+             "uinteger": 0}
     head = _words(seed)
     j = 0
     while j < len(out):
-        # rows whose index has as many words as first + j: the entropy of a
-        # SeedSequence longer than its pool depends on its length
-        nwords = len(_words(first + j))
-        stop = min(len(out), j + _STREAM_BLOCK, (1 << 32 * nwords) - first)
-        entropy = np.array([head + _words(first + k) for k in range(j, stop)],
-                           dtype=np.uint32)
-        for k, (state, inc) in enumerate(_pcg64_states(entropy), start=j):
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+        # a pass ends before the index's low word wraps, so its other words,
+        # and the length of its entropy, are those of every row
+        words = _words(first + j)
+        stop = min(len(out), j + _STREAM_BLOCK, j + (1 << 32) - words[0])
+        entropy = np.tile(np.array(head + words, np.uint32), (stop - j, 1))
+        entropy[:, len(head)] += np.arange(stop - j, dtype=np.uint32)
+        for k, (pcg["state"], pcg["inc"]) in enumerate(_pcg64_states(entropy),
+                                                      start=j):
+            bitgen.state = state
             gen.standard_normal(out=out[k])
         j = stop
     if not np.array_equal(out[0], check):

@@ -26,6 +26,7 @@ from .manifold import (
     SphereSpec,
     _gram_schmidt_stack,
     _matvec_rows,
+    _naming_rows,
     _reject_rows,
     _row_norms,
     stream_normals,
@@ -111,15 +112,8 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
     norms = _row_norms(draws)
     kept = np.flatnonzero(~(norms < 1e-12))
     points = draws[kept] * (sphere.radius / norms[kept])[:, None]
-    try:
+    with _naming_rows("quadrature sample", seed, kept):
         vals = np.asarray(fn(points), dtype=float)
-    except (DegenerateInputError, PreconditionError) as exc:
-        if not hasattr(exc, "row"):
-            raise
-        exc.row = int(kept[exc.row])
-        exc.args = (f"{exc}: quadrature sample {exc.row}, seed tuple "
-                    f"({seed}, {exc.row})",)
-        raise
     if vals.shape != (len(kept),):
         raise DegenerateInputError(
             f"integrand gave shape {vals.shape} for {len(kept)} points")
@@ -460,37 +454,43 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
 
 def _fiber_residuals(J: np.ndarray, ts: np.ndarray, points: np.ndarray,
                      frames: np.ndarray) -> dict:
-    """Each residual is the np.max of its per-node values, so a NaN stays."""
+    """Each residual is the np.max of its per-node values, so a NaN stays.
+    The nodes are taken _FIBER_BLOCK at a time, which bounds the memory."""
     steps = len(ts) - 1
     closure = float(np.max(np.linalg.norm(frames[-1] - frames[0], axis=1)))
-
-    # one Gram matrix per node, each the BLAS product of its own (4, ambient)
-    # matrix, as a one-node call makes it
-    stack = np.concatenate([points[:, None], (points @ J.T)[:, None], frames],
-                           axis=1)
-    ortho = np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(4))
-
-    # fiber-direction table rows by 5-point periodic differentiation
-    E = frames[:steps]  # node steps coincides with node 0 up to closure
-    q = points[:steps]
     dt = 2.0 * np.pi / steps
-    dE = (-np.roll(E, -2, axis=0) + 8.0 * np.roll(E, -1, axis=0)
-          - 8.0 * np.roll(E, 1, axis=0) + np.roll(E, 2, axis=0)) / (12.0 * dt)
-    nab = dE - _matvec_rows(dE, q)[:, :, None] * q[:, None]
-    fiber = np.concatenate([_row_norms(nab[:, 0] + E[:, 1]),
-                            _row_norms(nab[:, 1] - E[:, 0])])
+    peak = np.zeros(3)
+    for first in range(0, steps, _FIBER_BLOCK):
+        last = min(first + _FIBER_BLOCK, steps)
+        # node steps coincides with node 0 up to closure: the periodic table
+        # leaves it out, the pointwise checks take it with the last block
+        end = last + (last == steps)
+        P, F = points[first:end], frames[first:end]
+        # one Gram matrix per node, each the BLAS product of its own (4,
+        # ambient) matrix, as a one-node call makes it
+        stack = np.concatenate([P[:, None], (P @ J.T)[:, None], F], axis=1)
+        ortho = np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(4))
 
-    # horizontal table rows reduce to J-pairing integrity: for the
-    # horizontal-projection extension F_w(q) = w - <w,q> q - <w,Jq> Jq the
-    # derivative at a frame point is exactly nabla_X F_w = <J w, X> e0, so
-    # the rows hold iff J e_2 = e_1 and J e_1 = -e_2.
-    JA = frames @ J.T
-    horiz = np.concatenate([np.linalg.norm(JA[:, 0] + frames[:, 1], axis=1),
-                            np.linalg.norm(JA[:, 1] - frames[:, 0], axis=1)])
+        # fiber-direction table rows by 5-point periodic differentiation,
+        # over the block and two nodes on each side of it
+        E = frames[np.arange(first - 2, last + 2) % steps]
+        dE = (-E[4:] + 8.0 * E[3:-1] - 8.0 * E[1:-3] + E[:-4]) / (12.0 * dt)
+        E, q = E[2:-2], P[:last - first]
+        nab = dE - _matvec_rows(dE, q)[:, :, None] * q[:, None]
+        fiber = np.concatenate([_row_norms(nab[:, 0] + E[:, 1]),
+                                _row_norms(nab[:, 1] - E[:, 0])])
 
-    return {"closure": closure, "orthonormality": float(np.max(ortho)),
-            "fiber_rows": float(np.max(fiber)),
-            "horizontal_rows": float(np.max(horiz))}
+        # horizontal table rows reduce to J-pairing integrity: for the
+        # horizontal-projection extension F_w(q) = w - <w,q> q - <w,Jq> Jq
+        # the derivative at a frame point is exactly nabla_X F_w = <J w, X>
+        # e0, so the rows hold iff J e_2 = e_1 and J e_1 = -e_2.
+        JA = F @ J.T
+        horiz = np.concatenate([np.linalg.norm(JA[:, 0] + F[:, 1], axis=1),
+                                np.linalg.norm(JA[:, 1] - F[:, 0], axis=1)])
+        peak = np.maximum(peak, [np.max(ortho), np.max(fiber), np.max(horiz)])
+    ortho, fiber, horiz = peak.tolist()
+    return {"closure": closure, "orthonormality": ortho, "fiber_rows": fiber,
+            "horizontal_rows": horiz}
 
 
 # -- variation fields from frames ----------------------------------------------

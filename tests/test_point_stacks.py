@@ -175,17 +175,18 @@ def test_direct_route_names_the_point_of_a_pivot_failure(monkeypatch):
     assert f"(row {3 * 2 * n1 + 5}) of the displaced points" in str(info.value)
 
 
-def swap_in_sample(monkeypatch, idx, point):
-    """Make the suites' sample ``idx`` the given point; the streams are
-    drawn as usual."""
-    real = cli._sample_point
-    calls = []
+def swap_in_draw(monkeypatch, idx, coords):
+    """Make the first draw of the suites' sample ``idx``, in its chunk's
+    stacked draw, the given coordinates; the other draws are as usual."""
+    real = cli.stream_normals
 
-    def sample(xi, rng):
-        calls.append(real(xi, rng))
-        return point if len(calls) == idx + 1 else calls[-1]
+    def draw(seed, first, out):
+        real(seed, first, out)
+        if first <= idx < first + len(out):
+            out[idx - first, 0] = coords
+        return out
 
-    monkeypatch.setattr(cli, "_sample_point", sample)
+    monkeypatch.setattr(cli, "stream_normals", draw)
 
 
 @pytest.mark.parametrize("suite,route", [
@@ -195,13 +196,15 @@ def swap_in_sample(monkeypatch, idx, point):
 ], ids=["tg-lemma", "tg-direct", "obstruction-lemma"])
 def test_suite_names_the_sample_of_a_failing_row(suite, route, monkeypatch,
                                                   capsys):
-    """A cap row inside the second chunk's stacked call names its sample."""
+    """A cap row inside the second chunk's stacked call names its sample.
+    The swapped-in point lies outside the sampler's polar caps, at polar
+    angle 0.4, and the route's step reaches the field's cap from it."""
     xi = meridian_field(np.eye(4)[0], 1.0)
-    points, _, _ = near_cap_stack(xi, 0.05)
+    points, _, _ = near_cap_stack(xi, 0.4)
     idx = cli._SAMPLE_CHUNK + 2
-    swap_in_sample(monkeypatch, idx, points[2])
+    swap_in_draw(monkeypatch, idx, points[2].coords)
     monkeypatch.setattr(cli, route, functools.partial(getattr(sasaki, route),
-                                                      step=0.05))
+                                                      step=0.4))
     assert cli.main(["verify", suite, "--field", "meridian", "--samples",
                      str(cli._SAMPLE_CHUNK + 5), "--seed", "7"]) == 3
     err = capsys.readouterr().err

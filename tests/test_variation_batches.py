@@ -9,6 +9,7 @@ the benchmark digests were recorded with, and a last-bit margin elsewhere.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,56 @@ def test_fiber_frame_matches_reference_loop(m, steps):
     for got in (fiber.residuals, residuals):
         assert list(got) == list(want)
         assert_identical(list(got.values()), list(want.values()))
+
+
+def closed_form_fiber(m, steps):
+    """The fiber's J, node times, points and closed-form frame pair on
+    S^(2m+1): no RK4 loop, so any step count is cheap."""
+    J = complex_structure(2 * m + 2)
+    p0 = SphereSpec(2 * m + 2, 1.0).random_point(np.random.default_rng((52, m)))
+    ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+    cos, sin = np.cos(ts)[:, None], np.sin(ts)[:, None]
+    v = _horizontal_seed(p0.coords[None], J)[0]
+    frames = np.stack([cos * v + sin * (J @ v), -cos * (J @ v) + sin * v], axis=1)
+    return J, ts, cos * p0.coords + sin * (J @ p0.coords), frames
+
+
+@pytest.mark.parametrize("node", [0, 1, 2, 62, 63, 64, 65, 127, 128, 197, 198,
+                                  199, 200])
+@pytest.mark.parametrize("m", [1, 7])
+def test_fiber_residuals_across_node_blocks(m, node):
+    """200 steps are four node blocks, the last one partial; a kink at a node
+    near a block edge or the periodic seam sets every residual, and each
+    must be the per-node reference's, so the halo of the 5-point stencil
+    reaches across each edge and around the seam."""
+    J, ts, points, frames = closed_form_fiber(m, 200)
+    frames = frames.copy()
+    frames[node] += 1e-3 * np.random.default_rng((53, node)).standard_normal(
+        frames[node].shape)
+    want = ref_fiber_residuals(J, ts, points, frames)
+    got = _fiber_residuals(J, ts, points, frames)
+    assert list(got) == list(want)
+    assert_identical(list(got.values()), list(want.values()))
+    # the kink sets them; node 200 is node 0 again, outside the periodic table
+    assert got["orthonormality"] > 1e-4
+    assert (got["fiber_rows"] > 1e-2) == (node < 200)
+
+
+def test_fiber_residuals_memory_is_bounded_by_node_blocks():
+    """At 20,000 steps on S^15 the residuals hold one node block at a time:
+    tracemalloc's peak stays below 1 MB above entry (all nodes at once: 34
+    MB), and the residuals are the per-node reference's."""
+    J, ts, points, frames = closed_form_fiber(7, 20000)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        got = _fiber_residuals(J, ts, points, frames)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    want = ref_fiber_residuals(J, ts, points, frames)
+    assert_identical(list(got.values()), list(want.values()))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
