@@ -20,6 +20,8 @@ from .manifold import (
 from .fields import (
     DecompositionFailure,
     PreconditionError,
+    PropagationFailure,
+    QuadratureFailure,
     SingularData,
     SingularLocusError,
     UnitVectorField,
@@ -49,24 +51,6 @@ from .sasaki import (
     submanifold_plane_curvature,
     tangential_lift,
     xi_tangential_lift,
-)
-from .variation import (
-    FiberFrame,
-    PropagationFailure,
-    QuadratureFailure,
-    VariationField,
-    destabilizing_field,
-    destabilizing_integrand,
-    duschek_integrand_general,
-    horizontal_extension_field,
-    hopf_frame_s3,
-    integrate_over_sphere,
-    propagate_fiber_frame,
-    random_hopf_combination,
-    reduced_integrand,
-    s3_stable_form,
-    sphere_volume,
-    stability_verdict,
 )
 from .report import VerificationReport, reports_from_json, reports_to_csv, reports_to_json
 
@@ -131,3 +115,32 @@ __all__ = [
     "tangential_lift",
     "xi_tangential_lift",
 ]
+
+# Public names of tgeo.variation. Only the ``variation`` command runs that
+# layer, so the package loads it on first access to one of these names.
+_VARIATION_NAMES = frozenset((
+    "FiberFrame",
+    "VariationField",
+    "destabilizing_field",
+    "destabilizing_integrand",
+    "duschek_integrand_general",
+    "horizontal_extension_field",
+    "hopf_frame_s3",
+    "integrate_over_sphere",
+    "propagate_fiber_frame",
+    "random_hopf_combination",
+    "reduced_integrand",
+    "s3_stable_form",
+    "sphere_volume",
+    "stability_verdict",
+))
+
+
+def __getattr__(name: str):
+    """A name of ``_VARIATION_NAMES``, read from tgeo.variation on every
+    access and never bound here, so that a name rebound in tgeo.variation
+    (a monkeypatch, a tracing wrapper) is what ``tgeo.<name>`` gives."""
+    if name in _VARIATION_NAMES:
+        from . import variation
+        return getattr(variation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

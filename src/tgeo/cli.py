@@ -33,9 +33,12 @@ from .manifold import (
     unit_rows,
 )
 from .fields import (
+    MIN_FIBER_STEPS,
     TOL_ANALYTIC,
     DecompositionFailure,
     PreconditionError,
+    PropagationFailure,
+    QuadratureFailure,
     SingularLocusError,
     UnitVectorField,
     covariant_normality_residual,
@@ -64,8 +67,6 @@ from .sasaki import (
     tangential_lift_array,
     xi_tangential_lift_array,
 )
-from .variation import (MIN_FIBER_STEPS, PropagationFailure,
-                        QuadratureFailure, stability_verdict)
 from .report import VerificationReport, reports_to_csv, reports_to_json
 
 
@@ -160,9 +161,9 @@ _SAMPLE_CHUNK = 64
 
 def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
                    extra: int = 0) -> dict:
-    """Maximum of each residual that ``measure(coords, points, rows)`` names,
-    over the sample points. Sample idx draws from its own stream (seed, idx)
-    its point, then ``extra`` rows of ambient normals. Each run of up to
+    """Maximum of each residual that ``measure(coords, rows)`` names, over
+    the sample points. Sample idx draws from its own stream (seed, idx) its
+    point, then ``extra`` rows of ambient normals. Each run of up to
     _SAMPLE_CHUNK samples is drawn in one stream_normals call, a point drawn
     in a polar cap is replayed on its own generator through _sample_point,
     and the run is measured in one stacked call, one array entry per sample.
@@ -183,9 +184,8 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
             with _naming_rows("sample", config.seed, index[k:]):
                 coords[k] = _sample_point(xi, rng).coords
             rng.standard_normal(out=draws[k, 1:])
-        points = [SpherePoint(sphere, c) for c in coords]
         with _naming_rows("sample", config.seed, index):
-            columns = measure(coords, points, draws[:, 1:])
+            columns = measure(coords, draws[:, 1:])
             names = list(columns)
             bad = ~np.isfinite(np.stack(list(columns.values()), axis=1))
             _reject_rows(bad, FloatingPointError, lambda row: (
@@ -210,7 +210,8 @@ def _suite_report(config: RunConfig, residual: float, notes: list,
 def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
 
-    def measure(coords, points, rows):
+    def measure(coords, rows):
+        points = [SpherePoint(xi.sphere, c) for c in coords]
         sds = singular_decomposition(xi, points)
         om_l = second_form_lemma(xi, coords, sds)
         om_d = second_form_direct(xi, coords, sds)
@@ -270,7 +271,7 @@ def _run_predicates(config: RunConfig) -> VerificationReport:
     elif not xi.sphere.is_unit:
         expected_fail = {"sasakian"}
 
-    worst = _sample_maxima(xi, config, lambda coords, points, rows: {
+    worst = _sample_maxima(xi, config, lambda coords, rows: {
         "geodesic": is_geodesic(xi, coords),
         "killing": is_killing(xi, coords),
         "normal": is_normal(xi, coords),
@@ -302,7 +303,7 @@ def _run_codazzi(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     sphere = xi.sphere
 
-    def measure(coords, points, rows):
+    def measure(coords, rows):
         # the first two vectors of a random frame at each sample point
         frames = sphere.frames_at(coords, rows)
         r = half_curvature(xi, coords, frames[:, :2], frames[:, 1::-1])
@@ -317,7 +318,7 @@ def _run_codazzi(config: RunConfig) -> VerificationReport:
 
 def _run_jacobi(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
-    worst = _sample_maxima(xi, config, lambda coords, points, rows: {
+    worst = _sample_maxima(xi, config, lambda coords, rows: {
         "jacobi": jacobi_relation_residual(xi, coords)})
     return _suite_report(config, worst["jacobi"], [
         "A*A X compared with R(X, xi) xi over a frame"], tol=TOL_ANALYTIC)
@@ -327,7 +328,8 @@ def _run_obstruction(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
     meridian = config.field == "meridian"
 
-    def measure(coords, points, rows):
+    def measure(coords, rows):
+        points = [SpherePoint(xi.sphere, c) for c in coords]
         sds = singular_decomposition(xi, points)
         obs = geodesic_field_obstruction(xi, coords, sds)
         out = {"magnitude": np.max(np.abs(obs), axis=(1, 2))}
@@ -528,6 +530,8 @@ def cmd_variation(config: RunConfig) -> int:
         raise UsageError("variation analysis is defined for the hopf field")
     if not build_field(config).sphere.is_unit:
         raise UsageError("variation analysis needs unit radius")
+    # the only command that runs the variation layer; others never load it
+    from .variation import stability_verdict
     report = stability_verdict(config.dim, samples=config.samples,
                                fiber_steps=config.fiber_steps, seed=config.seed)
     _emit([report], config)

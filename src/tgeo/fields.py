@@ -51,6 +51,24 @@ class DecompositionFailure(RuntimeError):
     """Assembled singular frames do not reproduce the operator within tolerance."""
 
 
+# The variation layer's failures and its fiber-step floor live here, beside
+# the frames' failure, so that the CLI can catch and validate them without
+# loading tgeo.variation.
+class PropagationFailure(RuntimeError):
+    """Fiber frame propagation drifted beyond the table residual ceiling."""
+
+
+class QuadratureFailure(RuntimeError):
+    """Too many quadrature samples were rejected (NaN/inf integrand)."""
+
+
+# Fewest fiber steps propagate_fiber_frame takes, and the CLI's floor for
+# --fiber-steps: on S^5 the derivative table's 5-point residual exceeds
+# tgeo.variation's FIBER_TABLE_TOL at every count from 8 to 26, so a run
+# there could only fail.
+MIN_FIBER_STEPS = 64
+
+
 @dataclass(frozen=True, eq=False)
 class UnitVectorField:
     """A tangent vector field given by closed-form evaluation.

@@ -7,7 +7,6 @@ byte-identical files apart from the recorded wall time.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field
@@ -85,6 +84,7 @@ def _csv_cell(value) -> str:
 
 def reports_to_csv(reports: list) -> str:
     """UTF-8 text with LF line endings and lossless float cells."""
+    import csv  # loaded only when a CSV report is written
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)

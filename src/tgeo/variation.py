@@ -32,7 +32,10 @@ from .manifold import (
     stream_normals,
 )
 from .fields import (
+    MIN_FIBER_STEPS,
     PreconditionError,
+    PropagationFailure,
+    QuadratureFailure,
     UnitVectorField,
     complex_structure,
     hopf_field,
@@ -52,25 +55,12 @@ FIBER_TABLE_TOL = 1e-4
 
 RK_SUBSTEPS = 8
 
-# Fewest fiber steps propagate_fiber_frame takes, and the CLI's floor for
-# --fiber-steps: on S^5 the derivative table's 5-point residual exceeds
-# FIBER_TABLE_TOL at every count from 8 to 26, so a run there could only fail.
-MIN_FIBER_STEPS = 64
-
 # Fiber steps whose substep table is computed at once: bounds the table's
 # memory, whatever the number of steps.
 _FIBER_BLOCK = 64
 
 # Pointwise ceiling for the stability margin and the witness ratio.
 VERDICT_TOL = 1e-3
-
-
-class PropagationFailure(RuntimeError):
-    """Fiber frame propagation drifted beyond the table residual ceiling."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Too many quadrature samples were rejected (NaN/inf integrand)."""
 
 
 # A variation direction eta uses the unit field's evaluation protocol

@@ -22,6 +22,9 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Module-level constants by naming convention, private ones included.
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
+# Module hooks such as PEP 562's ``__getattr__``: the interpreter calls them.
+DUNDER = re.compile(r"__\w+__")
+
 # The library's defaulted parameters and dataclass fields, as ROADMAP.md
 # states the figure under quality of design.
 LIBRARY_OPTIONS = 13
@@ -52,13 +55,16 @@ def unread_definitions(sources: dict) -> list:
     """UPPER_CASE constants and ``_private`` functions defined at the top
     level of the modules in ``sources`` (module name -> source) whose name no
     module reads, as a bare name or as an attribute. A read of the name
-    anywhere counts for every definition of that name."""
+    anywhere counts for every definition of that name. A ``__dunder__``
+    function is a module hook that the interpreter reads, so it counts as
+    read."""
     defined = []
     read = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not DUNDER.fullmatch(node.name)):
                 defined.append((module, node.name, node.lineno))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
@@ -126,6 +132,9 @@ def test_detects_unread_constant_and_private_function():
     }
     assert unread_definitions(sources) == ["a.STEP_TOL (line 1)",
                                            "a._dead (line 7)"]
+    hook = {"c": "def __getattr__(name):\n    raise AttributeError(name)\n"
+                 "def _dead():\n    return 0\n"}
+    assert unread_definitions(hook) == ["c._dead (line 3)"]
 
 
 def test_counts_defaulted_options():

@@ -56,16 +56,15 @@ def first_draw_caps(xi, seed, samples):
 
 def measured_inputs(monkeypatch, argv):
     """Run the CLI; return its exit code, the sample loop's field and extra
-    row count, the (coordinates, point coordinates, rows) of each measure
-    call, and the number of _sample_point calls."""
+    row count, the (coordinates, rows) of each measure call, and the number
+    of _sample_point calls."""
     loops, calls, replays = [], [], []
     real_loop, real_point = cli._sample_maxima, cli._sample_point
 
     def loop(xi, config, measure, extra=0):
-        def record(coords, points, rows):
-            calls.append((coords.copy(), np.array([p.coords for p in points]),
-                          rows.copy()))
-            return measure(coords, points, rows)
+        def record(coords, rows):
+            calls.append((coords.copy(), rows.copy()))
+            return measure(coords, rows)
         loops.append((xi, extra))
         return real_loop(xi, config, record, extra)
 
@@ -81,9 +80,8 @@ def measured_inputs(monkeypatch, argv):
 
 
 def assert_same_inputs(calls, want):
-    for (coords, point_coords, rows), (want_coords, want_rows) in zip(calls, want):
+    for (coords, rows), (want_coords, want_rows) in zip(calls, want):
         assert_identical(coords, want_coords)
-        assert_identical(point_coords, want_coords)
         assert np.array_equal(rows, want_rows)
 
 
