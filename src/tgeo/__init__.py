@@ -116,31 +116,13 @@ __all__ = [
     "xi_tangential_lift",
 ]
 
-# Public names of tgeo.variation. Only the ``variation`` command runs that
-# layer, so the package loads it on first access to one of these names.
-_VARIATION_NAMES = frozenset((
-    "FiberFrame",
-    "VariationField",
-    "destabilizing_field",
-    "destabilizing_integrand",
-    "duschek_integrand_general",
-    "horizontal_extension_field",
-    "hopf_frame_s3",
-    "integrate_over_sphere",
-    "propagate_fiber_frame",
-    "random_hopf_combination",
-    "reduced_integrand",
-    "s3_stable_form",
-    "sphere_volume",
-    "stability_verdict",
-))
-
 
 def __getattr__(name: str):
-    """A name of ``_VARIATION_NAMES``, read from tgeo.variation on every
-    access and never bound here, so that a name rebound in tgeo.variation
-    (a monkeypatch, a tracing wrapper) is what ``tgeo.<name>`` gives."""
-    if name in _VARIATION_NAMES:
+    """A public name the imports above leave unbound, one of tgeo.variation,
+    which only the ``variation`` command runs: read from it on every access
+    and never bound here, so that a name rebound in tgeo.variation (a
+    monkeypatch, a tracing wrapper) is what ``tgeo.<name>`` gives."""
+    if name in __all__:
         from . import variation
         return getattr(variation, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

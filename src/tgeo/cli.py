@@ -111,16 +111,18 @@ class RunConfig:
             raise UsageError("dim must be >= 2")
         if self.field == "hopf" and (self.dim % 2 == 0 or self.dim < 3):
             raise UsageError("the hopf field needs an odd sphere dimension >= 3")
-        if not self.radius > 0:
-            raise UsageError("radius must be positive")
+        # the radii over which both routes were measured to agree; far
+        # outside, runs overflow or fail a point check on every draw
+        if not 1e-3 <= self.radius <= 1e4:
+            raise UsageError("radius must lie in [0.001, 10000]")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         if self.planes < 1:
             raise UsageError("planes must be >= 1")
         if self.fiber_steps < MIN_FIBER_STEPS:
             raise UsageError(f"fiber-steps must be >= {MIN_FIBER_STEPS}")
-        if not self.tol_fd > 0:
-            raise UsageError("tolerances must be positive")
+        if not 0 < self.tol_fd < math.inf:
+            raise UsageError("tolerances must be positive and finite")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
         if self.format not in ("json", "csv"):
@@ -459,7 +461,7 @@ def _scan_submanifold(xi, config, rows) -> tuple:
     p = sphere.random_point(rng).coords
     xiv = xi.value_array(p)
     candidates = np.vstack([xiv, sphere.project_array(p, np.eye(sphere.ambient_dim))])
-    w = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1]
+    w = gram_schmidt_rows(candidates, pivot_tol=1e-6)[1]
     phi_w = unit_rows(-shape_apply_array(xi, p, w)[None])[0]
     k_xi, k_phi = submanifold_plane_curvature_array(
         xi, np.stack((p, p)), np.stack((xiv, w)), np.stack((w, phi_w))).tolist()

@@ -247,7 +247,7 @@ def _complete_frame(assigned, candidates: np.ndarray, total: int) -> list:
     """The ``total - len(assigned)`` orthonormal rows that complete the
     orthonormal rows ``assigned`` to ``total``, from candidate directions."""
     stack = np.vstack([np.array(assigned), candidates])
-    rows = gram_schmidt_rows(stack, pivot_tol=1e-8, drop=True)
+    rows = gram_schmidt_rows(stack, pivot_tol=1e-8)
     if len(rows) < total:
         raise DecompositionFailure("frame completion is rank deficient")
     return [rows[k] for k in range(len(assigned), total)]
@@ -377,7 +377,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
             pair_w.append(w)
             rest = basis[1:]
             rest = rest - np.outer(rest @ v, v) - np.outer(rest @ w, w)
-            basis = gram_schmidt_rows(rest, pivot_tol=1e-6, drop=True)
+            basis = gram_schmidt_rows(rest, pivot_tol=1e-6)
 
     m = len(pair_l)
     xiv = xi.value_array(p.coords)
@@ -402,7 +402,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
 
 
 def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
-                   y: np.ndarray, *, step: float | None = None) -> np.ndarray:
+                   y: np.ndarray) -> np.ndarray:
     """r(X,Y)xi = nabla_X nabla_Y xi - nabla_{nabla_X Y} xi = -(nabla_X A) Y.
 
     Array kernel on ambient vectors tangent at the point ``p_coords``,
@@ -438,7 +438,7 @@ def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
                           sphere.project_array(at, y))
         return -sphere.project_array(at, ay)
 
-    return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
+    return -sphere.fd_derivative_array(a_ytilde, p_coords, x)
 
 
 # -- predicates --------------------------------------------------------------

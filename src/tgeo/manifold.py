@@ -120,16 +120,14 @@ def _check_frames_stack(frames: np.ndarray) -> None:
                  DegenerateInputError, "frame is not orthonormal")
 
 
-def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float = GS_PIVOT_TOL,
-                      drop: bool = False) -> np.ndarray:
-    """Orthonormalize the rows of ``mat`` in order (modified Gram-Schmidt).
-
-    With ``drop=True`` near-dependent rows are skipped instead of raising.
-    The one-matrix case of ``_gram_schmidt_stack``.
-    """
+def gram_schmidt_rows(mat: np.ndarray, *,
+                      pivot_tol: float = GS_PIVOT_TOL) -> np.ndarray:
+    """Orthonormalize the rows of ``mat`` in order (modified Gram-Schmidt),
+    skipping near-dependent rows: the one-matrix case of
+    ``_gram_schmidt_stack`` with ``drop``."""
     rows = _gram_schmidt_stack(np.asarray(mat, dtype=float)[None],
-                               pivot_tol=pivot_tol, drop=drop)[0]
-    return rows[np.any(rows != 0.0, axis=1)] if drop else rows
+                               pivot_tol=pivot_tol, drop=True)[0]
+    return rows[np.any(rows != 0.0, axis=1)]
 
 
 def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
@@ -362,14 +360,14 @@ class SphereSpec:
         return math.cos(s) * p_coords + self.radius * math.sin(s) * unit_dir
 
     def fd_derivative_array(self, fn: Callable[[np.ndarray], np.ndarray],
-                            p_coords: np.ndarray, direction: np.ndarray,
-                            step: float | None = None) -> np.ndarray:
+                            p_coords: np.ndarray,
+                            direction: np.ndarray) -> np.ndarray:
         """Projected central-difference derivative of an array-valued map.
 
         ``fn`` maps ambient coordinates of a sphere point to an array; the
         derivative is taken along the geodesic from p in ``direction`` and
         projected back to the tangent space at p, each vector of the value
-        rounded like a 1-d value.
+        rounded like a 1-d value. The step is ``fd_step``.
 
         ``direction`` is one vector or rows ``(k, ambient)``. For rows,
         ``fn`` is called once on the ``(k, ambient)`` stack of displaced
@@ -391,7 +389,7 @@ class SphereSpec:
 
         # the norm written out: _row_norms is the direct route's, not shared
         speed = np.sqrt(np.vecdot(direction, direction))
-        h = self.fd_step if step is None else step
+        h = self.fd_step
         u = direction / np.where(speed == 0.0, 1.0, speed)[..., None]
         p_dir = at(u.ndim)
         plus = np.asarray(fn(self._geodesic_coords(p_dir, u, h)), dtype=float)

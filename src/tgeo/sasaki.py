@@ -108,8 +108,7 @@ def _singular_stack(sd) -> tuple:
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
 
 
-def second_form_lemma(xi: UnitVectorField, p, sd, *,
-                      step: float | None = None) -> np.ndarray:
+def second_form_lemma(xi: UnitVectorField, p, sd) -> np.ndarray:
     """Second fundamental form of xi(M) from the half curvature tensor, as the
     read-only (n, n+1, n+1) array of Omega_{sigma|ij}; row s is sigma = s + 1.
 
@@ -132,7 +131,7 @@ def second_form_lemma(xi: UnitVectorField, p, sd, *,
 
     # r_vals[:, i, j] = r(e_i, e_j) xi: one derivative along all e_i at once
     grid = np.broadcast_to(E[:, None], (N, n1) + E.shape[1:])  # every e_j per e_i
-    r_vals = half_curvature(xi, P, E, grid, step=step)
+    r_vals = half_curvature(xi, P, E, grid)
     sym = r_vals + np.swapaxes(r_vals, 1, 2)
 
     a = np.matmul(E, F[:, 0, :, None])[..., 0]   # a_i = <e_i, xi>
@@ -155,8 +154,7 @@ def second_form_lemma(xi: UnitVectorField, p, sd, *,
 # -- second fundamental form: route 2 (bundle connection table) --------------
 
 
-def second_form_direct(xi: UnitVectorField, p, sd, *,
-                       step: float | None = None) -> np.ndarray:
+def second_form_direct(xi: UnitVectorField, p, sd) -> np.ndarray:
     """Second fundamental form computed from the bundle connection itself, in
     the read-only array layout of ``second_form_lemma``, one point or a stack.
 
@@ -181,7 +179,7 @@ def second_form_direct(xi: UnitVectorField, p, sd, *,
     U = F[:, 0]
     k = sphere.curvature_constant
     scale = np.sqrt(1.0 + lam ** 2)
-    h = sphere.fd_step if step is None else step
+    h = sphere.fd_step
 
     # M @ v for each stacked matrix and vector, written out: _matvec_rows
     # is the lemma route's

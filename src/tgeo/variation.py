@@ -90,23 +90,20 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
 
     Sample idx draws from its own RNG stream (seed, idx), so the estimate
     does not depend on evaluation order; one ``stream_normals`` call seeds
-    them all. Draws of norm below 1e-12 are rejected; ``fn`` maps the
-    (M, ambient) stack of the accepted points to their (M,) values.
-    Non-finite values are rejected and counted; more than 1% rejections
-    aborts the estimate. A row check that fails inside ``fn`` is re-raised
-    naming the sample and the seed tuple that replays it.
+    them all. ``fn`` maps the (samples, ambient) stack of the points to
+    their (samples,) values. Non-finite values are rejected and counted;
+    more than 1% rejections aborts the estimate. A row check that fails on
+    a draw or inside ``fn`` is re-raised naming the sample and the seed
+    tuple that replays it.
     """
     if samples < 1:
         raise DegenerateInputError("quadrature needs at least one sample")
     draws = stream_normals(seed, 0, np.empty((samples, sphere.ambient_dim)))
-    norms = _row_norms(draws)
-    kept = np.flatnonzero(~(norms < 1e-12))
-    points = draws[kept] * (sphere.radius / norms[kept])[:, None]
-    with _naming_rows("quadrature sample", seed, kept):
-        vals = np.asarray(fn(points), dtype=float)
-    if vals.shape != (len(kept),):
+    with _naming_rows("quadrature sample", seed, range(samples)):
+        vals = np.asarray(fn(sphere.stacked_points(draws)), dtype=float)
+    if vals.shape != (samples,):
         raise DegenerateInputError(
-            f"integrand gave shape {vals.shape} for {len(kept)} points")
+            f"integrand gave shape {vals.shape} for {samples} points")
     finite = vals[np.isfinite(vals)]
     rejected = samples - len(finite)
     if rejected > 0.01 * samples:
@@ -187,7 +184,7 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
 
 
 def reduced_integrand(xi: UnitVectorField, eta: VariationField,
-                      p: SpherePoint | np.ndarray):
+                      pts: np.ndarray) -> np.ndarray:
     """Closed-form integrand for the Hopf field on a unit sphere:
 
     4 |nabla_{e0} eta|^2 + 2 sum_a |nabla_{e_a} eta|^2 - (2n-1)/2 |eta|^2,
@@ -196,21 +193,17 @@ def reduced_integrand(xi: UnitVectorField, eta: VariationField,
     complement (the sum is a Frobenius norm, hence basis-independent).
     Must agree with the general integrand; tests assert it at 1e-3.
 
-    ``p`` is one SpherePoint, giving a float, or an (N, ambient) stack of
-    sphere points (``SphereSpec.stacked_points``), giving an (N,) array.
-    The fields are evaluated once, on the stack or on the one point's
-    coordinates, and eta's Jacobian serves every direction.
+    ``pts`` is an (N, ambient) stack of sphere points
+    (``SphereSpec.stacked_points``); the result is (N,). The fields are
+    evaluated once on the stack, and eta's Jacobian serves every direction.
     """
     _require_unit_hopf(xi, "reduced_integrand")
     sphere = xi.sphere
     n = sphere.dim - 1
-    one = isinstance(p, SpherePoint)
-    coords = p.coords if one else p
-    pts = coords.reshape(-1, sphere.ambient_dim)
-    xiv = xi.value_array(coords).reshape(pts.shape)
-    eta0 = eta.value_array(coords).reshape(pts.shape)
+    xiv = xi.value_array(pts)
+    eta0 = eta.value_array(pts)
     _check_orthogonal(eta0, xiv)
-    jac = eta.jacobian_array(coords).reshape(pts.shape + pts.shape[-1:])
+    jac = eta.jacobian_array(pts)
     # the basis e_0 = xi, then the projected ambient basis; a collapsing
     # candidate is a zero row, whose term adds exactly 0
     projected = sphere.project_array(pts, np.eye(sphere.ambient_dim)[None])
@@ -221,8 +214,7 @@ def reduced_integrand(xi: UnitVectorField, eta: VariationField,
     for k in range(1, rows.shape[1]):
         d = _derivative_rows(eta, pts, jac, rows[:, k])
         total += 2.0 * np.vecdot(d, d)
-    vals = total - (2.0 * n - 1.0) / 2.0 * np.vecdot(eta0, eta0)
-    return float(vals[0]) if one else vals
+    return total - (2.0 * n - 1.0) / 2.0 * np.vecdot(eta0, eta0)
 
 
 # -- the S^3 stable family ------------------------------------------------------
@@ -293,19 +285,18 @@ def _hopf_combination(coeffs: tuple) -> VariationField:
                           name="hopf-combination")
 
 
-def s3_stable_form(eta: VariationField, p_coords: np.ndarray):
+def s3_stable_form(eta: VariationField, pts: np.ndarray) -> tuple:
     """The S^3 integrand in its manifestly nonnegative-plus-half form:
 
     4 |nabla_{e0} eta|^2 + 2 sum_{a,s} (e_a eta^s)^2 + |eta|^2 / 2,
 
     with coefficients eta^s taken against the global frame (e1, e2).
-    Returns (integrand, |eta|^2): floats for one point ``(4,)``, (N,)
-    arrays for a stack ``(N, 4)``, with eta's Jacobian evaluated once.
+    Returns the (N,) arrays (integrand, |eta|^2) for a stack ``pts`` (N, 4),
+    with eta's Jacobian evaluated once.
     """
-    pts = p_coords.reshape(-1, 4)
     e0, e1, e2 = hopf_frame_s3(pts)
-    eta0 = eta.value_array(p_coords).reshape(pts.shape)
-    jac = eta.jacobian_array(p_coords).reshape(pts.shape + (4,))
+    eta0 = eta.value_array(pts)
+    jac = eta.jacobian_array(pts)
     d0 = _derivative_rows(eta, pts, jac, e0)
     total = 4.0 * np.vecdot(d0, d0)
     for ea in (e1, e2):
@@ -314,10 +305,7 @@ def s3_stable_form(eta: VariationField, p_coords: np.ndarray):
             g = np.vecdot(da, esig) + np.vecdot(eta0, _matvec_rows(lsig, ea))
             total += 2.0 * g * g
     nsq = np.vecdot(eta0, eta0)
-    form = total + 0.5 * nsq
-    if p_coords.ndim == 1:
-        return float(form[0]), float(nsq[0])
-    return form, nsq
+    return total + 0.5 * nsq, nsq
 
 
 # -- fiber frames ---------------------------------------------------------------

@@ -105,18 +105,18 @@ def ref_second_form_direct(xi, p, sd):
     return omega
 
 
-def ref_half_curvature(xi, p_coords, x, y, *, step=None):
+def ref_half_curvature(xi, p_coords, x, y):
     """``half_curvature`` for one vector ``y``, written out with the 1-d
-    projection and the 1-d shape operator."""
+    projection and the 1-d shape operator, at the step ``sphere.fd_step``."""
     sphere = xi.sphere
 
     def a_ytilde(q):
         return shape_apply_array(xi, q, sphere.project_array(q, y))
 
-    return -sphere.fd_derivative_array(a_ytilde, p_coords, x, step)
+    return -sphere.fd_derivative_array(a_ytilde, p_coords, x)
 
 
-def ref_second_form_lemma(xi, p, sd, *, step=None):
+def ref_second_form_lemma(xi, p, sd):
     """``second_form_lemma`` with one half-curvature call per (e_i, e_j)
     pair, n1^2 finite differences per point."""
     lam = sd.lambdas
@@ -127,7 +127,7 @@ def ref_second_form_lemma(xi, p, sd, *, step=None):
     r_vals = np.zeros((n1, n1, xi.sphere.ambient_dim))
     for i in range(n1):
         for j in range(n1):
-            r_vals[i, j] = ref_half_curvature(xi, p.coords, e[i], e[j], step=step)
+            r_vals[i, j] = ref_half_curvature(xi, p.coords, e[i], e[j])
     sym = r_vals + np.transpose(r_vals, (1, 0, 2))
     a = e @ f[0]
     G = e @ f.T

@@ -146,7 +146,7 @@ def test_criterion_3_curvature_bounds():
     p = sphere.random_point(np.random.default_rng((3, 10_000))).coords
     xiv = xi.value_array(p)
     candidates = np.vstack([xiv, sphere.project_array(p, np.eye(4))])
-    w = gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1]
+    w = gram_schmidt_rows(candidates, pivot_tol=1e-6)[1]
     phi_w = unit_rows(-shape_apply_array(xi, p, w)[None])[0]
     k_xi, k_phi = submanifold_plane_curvature_array(
         xi, np.stack((p, p)), np.stack((xiv, w)), np.stack((w, phi_w))).tolist()
@@ -215,7 +215,7 @@ def test_criterion_6_destabilizing_ratio():
         for node in range(fiber.node_count):
             q = fiber.points[node]
             nv = eta.value_array(q)
-            red = reduced_integrand(xi, eta, sphere.point(q))
+            red = reduced_integrand(xi, eta, sphere.stacked_points(q[None]))[0]
             max_dev = max(max_dev, abs(red / float(nv @ nv) - target))
             d0 = eta.covariant_derivative_array(q, fiber.e0s[node])
             d0_resid = max(d0_resid, float(np.linalg.norm(d0)))
@@ -251,7 +251,7 @@ def test_criterion_7_integrand_term_identities():
                 rows = gram_schmidt_rows(
                     np.vstack([xiv, sphere.project_array(p.coords,
                                                          np.eye(sphere.ambient_dim))]),
-                    pivot_tol=1e-6, drop=True)
+                    pivot_tol=1e-6)
                 e0 = eta.value_array(p.coords)
                 d0 = eta.covariant_derivative_array(p.coords, rows[0])
                 conn_expect = 4.0 * float(d0 @ d0) - float(e0 @ e0)

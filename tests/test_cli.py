@@ -605,6 +605,41 @@ def test_negative_seed_is_usage_error(capsys, monkeypatch, tmp_path, source):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("field,key,value", [
+    ("hopf", "radius", "inf"),
+    ("hopf", "radius", "1e200"),
+    ("hopf", "radius", "1e-200"),
+    ("meridian", "radius", "1e300"),
+    ("meridian", "tol", "inf"),
+])
+def test_unrepresentable_radius_or_tolerance_is_usage_error(
+        capsys, tmp_path, source, field, key, value):
+    """Radii and tolerances the numerics cannot resolve are refused before
+    any sampling: without the check these ran into a frame collapse, a point
+    check failing on every draw, an OverflowError, or a negative control
+    that passed."""
+    args = ["verify", "totally-geodesic", "--field", field, "--samples", "2"]
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert {"radius": "radius must lie in [0.001, 10000]",
+            "tol": "tolerances must be positive and finite"}[key] \
+        in capsys.readouterr().err
+
+
+def test_radius_range_keeps_the_studied_radii():
+    for radius in (1e-3, 0.01, 1.0, 1e3, 1e4):
+        RunConfig(command="verify", radius=radius).validate()
+    for radius in (9.99e-4, 1.001e4):
+        with pytest.raises(UsageError, match="radius must lie in"):
+            RunConfig(command="verify", radius=radius).validate()
+
+
 def test_bad_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("TGEO_SEED", "not-a-number")
     run_cli(capsys, ["verify", "codazzi", "--samples", "3"], expect=2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
+import tgeo.manifold as manifold
 from tgeo import (
     SingularLocusError,
     SphereSpec,
@@ -107,19 +108,22 @@ def test_meridian_stack_names_the_cap_row(xi):
 
 
 @pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("step", [None, 3e-4])
-def test_fd_derivative_rows_match_one_direction_calls(xi, step):
+@pytest.mark.parametrize("factor", [None, 3e-4])
+def test_fd_derivative_rows_match_one_direction_calls(xi, factor, monkeypatch):
     """Row i of a stacked call is the one-direction call along row i, for a
-    vector-valued and a matrix-valued map; a zero row gives zero."""
+    vector-valued and a matrix-valued map; a zero row gives zero. At the
+    default step and at a step factor of 3e-4."""
+    if factor is not None:
+        monkeypatch.setattr(manifold, "FD_STEP_FACTOR", factor)
     sphere = xi.sphere
     for idx, p in enumerate(seeded_points(xi, 3, seed=32)):
         dirs = tangent_rows(xi, p, 5, (32, idx))
         dirs[3] = 0.0
         for fn in (xi.value_array, xi.jacobian_array):
-            stacked = sphere.fd_derivative_array(fn, p.coords, dirs, step)
+            stacked = sphere.fd_derivative_array(fn, p.coords, dirs)
             assert stacked.shape == (5,) + np.shape(fn(p.coords))
             for d, row in zip(dirs, stacked):
-                assert_identical(row, sphere.fd_derivative_array(fn, p.coords, d, step))
+                assert_identical(row, sphere.fd_derivative_array(fn, p.coords, d))
             assert not np.any(stacked[3])
 
 

@@ -77,6 +77,11 @@ def test_metric_and_curvature_constant():
     assert np.allclose(r_val, expected, atol=1e-14)
 
 
+def raising_rows(mat):
+    """The raising Gram-Schmidt mode on one matrix."""
+    return _gram_schmidt_stack(mat[None], pivot_tol=GS_PIVOT_TOL, drop=False)[0]
+
+
 def test_gram_schmidt_rows_orthonormalizes():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((4, 6))
@@ -89,17 +94,18 @@ def test_gram_schmidt_rows_drops_dependent_rows():
     mat = np.array([[1.0, 0.0, 0.0],
                     [2.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0]])
-    rows = gram_schmidt_rows(mat, drop=True)
+    rows = gram_schmidt_rows(mat)
     assert rows.shape == (2, 3)
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (3, 4), (4, 4), (5, 8), (15, 16)])
 def test_gram_schmidt_rows_matches_reference(shape):
+    """The dropping one-matrix call and the raising stack mode, on one
+    matrix, against the reference."""
     for seed in range(5):
         mat = np.random.default_rng((7, seed)).standard_normal(shape)
-        assert_identical(gram_schmidt_rows(mat), ref_gram_schmidt(mat))
-        assert_identical(gram_schmidt_rows(mat, drop=True),
-                         ref_gram_schmidt(mat, drop=True))
+        assert_identical(raising_rows(mat), ref_gram_schmidt(mat))
+        assert_identical(gram_schmidt_rows(mat), ref_gram_schmidt(mat, drop=True))
 
 
 def test_gram_schmidt_rows_drop_matches_reference():
@@ -108,17 +114,17 @@ def test_gram_schmidt_rows_drop_matches_reference():
     one_dropped = np.array([a, 2.0 * a, b])
     want = ref_gram_schmidt(one_dropped, drop=True)
     assert want.shape == (2, 6)
-    assert_identical(gram_schmidt_rows(one_dropped, drop=True), want)
+    assert_identical(gram_schmidt_rows(one_dropped), want)
     # the projected ambient basis at a point loses one candidate
     sphere = SphereSpec(6, 2.0)
     p = sphere.random_point(rng).coords
     candidates = np.vstack([p / 2.0, sphere.project_array(p, np.eye(6))])
-    assert_identical(gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True),
+    assert_identical(gram_schmidt_rows(candidates, pivot_tol=1e-6),
                      ref_gram_schmidt(candidates, pivot_tol=1e-6, drop=True))
     # every row below the pivot: no rows, with the matrix's row length
     tiny = 1e-12 * rng.standard_normal((3, 5))
     assert ref_gram_schmidt(tiny, drop=True).size == 0
-    assert gram_schmidt_rows(tiny, drop=True).shape == (0, 5)
+    assert gram_schmidt_rows(tiny).shape == (0, 5)
 
 
 def test_gram_schmidt_stack_matches_reference_with_dropped_row():
@@ -135,6 +141,7 @@ def test_gram_schmidt_stack_matches_reference_with_dropped_row():
 
 
 def test_gram_schmidt_rows_pivot_failure_matches_reference():
+    """The raising mode, which ``frames_at`` and the direct route use."""
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, 5))
     for mat in (np.array([a, b, a + b]), np.array([a, 3.0 * a]),
@@ -142,7 +149,7 @@ def test_gram_schmidt_rows_pivot_failure_matches_reference():
         with pytest.raises(DegenerateInputError) as want:
             ref_gram_schmidt(mat)
         with pytest.raises(DegenerateInputError) as got:
-            gram_schmidt_rows(mat)
+            raising_rows(mat)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("gram_schmidt pivot ")

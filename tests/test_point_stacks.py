@@ -8,13 +8,12 @@ and obstruction suites make one frame call and one call per route for each
 chunk of samples, and a row failure inside a stacked call names its sample.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
 import tgeo.cli as cli
 import tgeo.fields as fields
+import tgeo.manifold as manifold
 import tgeo.sasaki as sasaki
 from tgeo import (
     DecompositionFailure,
@@ -143,14 +142,15 @@ def near_cap_stack(xi, h):
 
 @pytest.mark.parametrize("route", ROUTES, ids=["lemma", "direct"])
 @pytest.mark.parametrize("dim", [3, 5])
-def test_route_names_the_point_of_a_displaced_cap_row(route, dim):
+def test_route_names_the_point_of_a_displaced_cap_row(route, dim, monkeypatch):
     xi = meridian_field(np.eye(dim + 1)[0], 1.0)
     points, coords, sds = near_cap_stack(xi, 0.05)
+    monkeypatch.setattr(manifold, "FD_STEP_FACTOR", 0.05)  # step 0.05 at r = 1
     with pytest.raises(SingularLocusError) as info:
-        route(xi, coords, sds, step=0.05)
+        route(xi, coords, sds)
     assert info.value.row == 2
     with pytest.raises(SingularLocusError) as info:
-        route(xi, points[2], sds[2], step=0.05)
+        route(xi, points[2], sds[2])
     assert info.value.row == 0
 
 
@@ -198,13 +198,20 @@ def test_suite_names_the_sample_of_a_failing_row(suite, route, monkeypatch,
                                                   capsys):
     """A cap row inside the second chunk's stacked call names its sample.
     The swapped-in point lies outside the sampler's polar caps, at polar
-    angle 0.4, and the route's step reaches the field's cap from it."""
+    angle 0.4, and the route's step, 0.4 during its call only, reaches the
+    field's cap from it; so tg-direct fails in the direct route."""
     xi = meridian_field(np.eye(4)[0], 1.0)
     points, _, _ = near_cap_stack(xi, 0.4)
     idx = cli._SAMPLE_CHUNK + 2
     swap_in_draw(monkeypatch, idx, points[2].coords)
-    monkeypatch.setattr(cli, route, functools.partial(getattr(sasaki, route),
-                                                      step=0.4))
+    real = getattr(sasaki, route)
+
+    def at_step(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(manifold, "FD_STEP_FACTOR", 0.4)  # step 0.4 at r = 1
+            return real(*args)
+
+    monkeypatch.setattr(cli, route, at_step)
     assert cli.main(["verify", suite, "--field", "meridian", "--samples",
                      str(cli._SAMPLE_CHUNK + 5), "--seed", "7"]) == 3
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from tgeo import (
     xi_tangential_lift,
 )
 from tgeo import hopf_field, meridian_field
+import tgeo.manifold as manifold
 from tgeo.manifold import unit_rows
 from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
                          meridian_obstruction, xi_normal_lift_array)
@@ -173,29 +176,65 @@ def test_second_form_lemma_matches_per_pair_reference(xi):
                          ref_second_form_lemma(xi, p, sd))
 
 
+def test_fd_kernels_follow_the_step_factor(monkeypatch):
+    """The one step of every finite difference is FD_STEP_FACTOR * r: the
+    displaced points at which fd_derivative_array, half_curvature and both
+    second-form routes evaluate the Jacobian lie at chord 2 r sin(factor/2)
+    from the base point, at the default factor and at a patched one."""
+    base = hopf_field(2, 2.0)
+    sphere = base.sphere
+    p = seeded_points(base, 1, seed=19)[0]
+    sd = singular_decomposition(base, p)
+    x, y = sd.right_frame.matrix[:2]
+    seen = []
+
+    def recording(q):
+        seen.append(np.reshape(q, (-1, sphere.ambient_dim)))
+        return base.jacobian_fn(q)
+
+    xi = dataclasses.replace(base, jacobian_fn=recording)
+    kernels = [lambda: sphere.fd_derivative_array(recording, p.coords, x),
+               lambda: half_curvature(xi, p.coords, x, y),
+               lambda: second_form_lemma(xi, p, sd),
+               lambda: second_form_direct(xi, p, sd)]
+    for factor in (manifold.FD_STEP_FACTOR, 2e-3):
+        monkeypatch.setattr(manifold, "FD_STEP_FACTOR", factor)
+        want = 2.0 * sphere.radius * np.sin(factor / 2.0)
+        for run in kernels:
+            seen.clear()
+            run()
+            chords = np.linalg.norm(np.concatenate(seen) - p.coords, axis=1)
+            displaced = chords > 1e-12
+            assert displaced.any()
+            assert np.allclose(chords[displaced], want, rtol=1e-6, atol=0.0)
+
+
 @pytest.mark.parametrize("xi", [
     hopf_field(3, 1.0),
     hopf_field(2, 3.0),
     meridian_field(np.eye(4)[0], 1.0),
     meridian_field(np.eye(6)[0], 3.0),
 ], ids=["hopf-s7", "hopf-s5-r3", "meridian-s3", "meridian-s5-r3"])
-@pytest.mark.parametrize("step", [None, 3e-4])
-def test_half_curvature_rows_match_one_vector_calls(xi, step):
+@pytest.mark.parametrize("factor", [None, 3e-4])
+def test_half_curvature_rows_match_one_vector_calls(xi, factor, monkeypatch):
     """Row j of half_curvature(x, Y) is half_curvature(x, Y[j]) bit for bit,
-    and the one-vector call is the written-out 1-d reference."""
+    and the one-vector call is the written-out 1-d reference. At the default
+    step and at a step factor of 3e-4."""
+    if factor is not None:
+        monkeypatch.setattr(manifold, "FD_STEP_FACTOR", factor)
     sphere = xi.sphere
     for idx, p in enumerate(seeded_points(xi, 4, seed=16)):
         raw = np.random.default_rng((16, idx)).standard_normal(
             (1 + sphere.dim, sphere.ambient_dim))
         x, *ys = sphere.project_array(p.coords, raw)
         ys = np.array(ys)
-        stacked = half_curvature(xi, p.coords, x, ys, step=step)
+        stacked = half_curvature(xi, p.coords, x, ys)
         assert stacked.shape == ys.shape
         for y, row in zip(ys, stacked):
-            one = half_curvature(xi, p.coords, x, y, step=step)
+            one = half_curvature(xi, p.coords, x, y)
             assert one.shape == y.shape
             assert_identical(row, one)
-            assert_identical(one, ref_half_curvature(xi, p.coords, x, y, step=step))
+            assert_identical(one, ref_half_curvature(xi, p.coords, x, y))
 
 
 @pytest.mark.parametrize("m", [3, 7], ids=["s7", "s15"])
@@ -345,7 +384,7 @@ def test_designated_sections(hopf3):
     p = sphere.random_point(np.random.default_rng(18))
     xiv = TangentVector(p, hopf3.value_array(p.coords))
     candidates = np.vstack([xiv.vec, sphere.project_array(p.coords, np.eye(4))])
-    W = TangentVector(p, gram_schmidt_rows(candidates, pivot_tol=1e-6, drop=True)[1])
+    W = TangentVector(p, gram_schmidt_rows(candidates, pivot_tol=1e-6)[1])
     k_xi = submanifold_plane_curvature(hopf3, xiv, W)
     assert abs(k_xi - 0.25) < 1e-10
     phi_w = TangentVector(

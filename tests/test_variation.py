@@ -80,20 +80,26 @@ def test_quadrature_validates_samples():
 # -- integrands -----------------------------------------------------------------
 
 
+def reduced_at(xi, eta, p):
+    """``reduced_integrand`` at the one point ``p``: its one-row stack."""
+    return float(reduced_integrand(xi, eta, p.coords[None])[0])
+
+
 def test_constant_coefficient_integrand_value(hopf3):
     """Constant f1, f2 on S^3: every route gives 4.5 |eta|^2 exactly."""
     c1, c2 = 0.8, -0.3
     eta = VariationField(SphereSpec(4, 1.0),
-                         lambda q: c1 * (_LJ @ q) + c2 * (_LK @ q),
-                         lambda q: c1 * _LJ + c2 * _LK,
+                         lambda q: q @ (c1 * _LJ + c2 * _LK).T,
+                         lambda q: np.broadcast_to(c1 * _LJ + c2 * _LK,
+                                                   q.shape + (4,)),
                          name="const")
     nsq = c1 * c1 + c2 * c2
     p = hopf3.sphere.random_point(np.random.default_rng(0))
-    red = reduced_integrand(hopf3, eta, p)
+    red = reduced_at(hopf3, eta, p)
     assert abs(red - 4.5 * nsq) < 1e-10
     db = duschek_integrand_general(hopf3, eta, p)
     assert abs(db.value - 4.5 * nsq) < 1e-10
-    form, n2 = s3_stable_form(eta, p.coords)
+    (form,), (n2,) = s3_stable_form(eta, p.coords[None])
     assert abs(form - 4.5 * nsq) < 1e-10 and abs(n2 - nsq) < 1e-12
 
 
@@ -105,7 +111,7 @@ def test_duschek_equals_reduced_s3(hopf3):
         for _ in range(4):
             p = hopf3.sphere.random_point(rng)
             worst = max(worst, abs(duschek_integrand_general(hopf3, eta, p).value
-                                   - reduced_integrand(hopf3, eta, p)))
+                                   - reduced_at(hopf3, eta, p)))
     assert worst < 1e-3
 
 
@@ -120,7 +126,7 @@ def worst_horizontal_gap(xi):
         for _ in range(4):
             p = xi.sphere.random_point(rng)
             worst = max(worst, abs(duschek_integrand_general(xi, eta, p).value
-                                   - reduced_integrand(xi, eta, p)))
+                                   - reduced_at(xi, eta, p)))
     return worst
 
 
@@ -169,11 +175,13 @@ def test_duschek_degenerate_zero_field(hopf3):
 def test_integrand_requires_orthogonal_variation(hopf3):
     # eta with a component along the field direction is rejected
     eta = VariationField(SphereSpec(4, 1.0),
-                         lambda q: complex_structure(4) @ q,
-                         lambda q: complex_structure(4), name="parallel")
+                         lambda q: q @ complex_structure(4).T,
+                         lambda q: np.broadcast_to(complex_structure(4),
+                                                   q.shape + (4,)),
+                         name="parallel")
     p = hopf3.sphere.random_point(np.random.default_rng(6))
     with pytest.raises(PreconditionError):
-        reduced_integrand(hopf3, eta, p)
+        reduced_integrand(hopf3, eta, p.coords[None])
 
 
 @pytest.mark.parametrize("name", ["meridian3", "hopf3_r2"])
@@ -186,7 +194,7 @@ def test_unit_hopf_kernels_refuse_other_fields(name, request):
         submanifold_plane_curvature_array(xi, p.coords[None], x[None], y[None])
     eta = random_hopf_combination(rng)
     with pytest.raises(PreconditionError, match="reduced_integrand"):
-        reduced_integrand(xi, eta, p)
+        reduced_integrand(xi, eta, p.coords[None])
     with pytest.raises(PreconditionError, match="destabilizing_integrand"):
         destabilizing_integrand(xi)
 
@@ -205,7 +213,7 @@ def test_s3_stable_family_margin(hopf3):
         rng = np.random.default_rng((9, fi))
         for _ in range(10):
             p = hopf3.sphere.random_point(rng)
-            red = reduced_integrand(hopf3, eta, p)
+            red = reduced_at(hopf3, eta, p)
             nsq = float(eta.value_array(p.coords) @ eta.value_array(p.coords))
             assert red >= 0.5 * nsq - 1e-3
 

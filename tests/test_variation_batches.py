@@ -16,8 +16,8 @@ import pytest
 
 import tgeo.variation as variation
 from tgeo import (
+    DegenerateInputError,
     PreconditionError,
-    SpherePoint,
     SphereSpec,
     VariationField,
     complex_structure,
@@ -282,8 +282,8 @@ def test_reduced_integrand_matches_reference(case):
     pts = unit_points(xi.sphere.ambient_dim, 50, 43)
     want = [ref_reduced(value, jacobian, p) for p in pts]
     assert_identical(reduced_integrand(xi, eta, pts), want)
-    # the one-point call is the N = 1 case of the same kernel
-    one = [reduced_integrand(xi, eta, SpherePoint(xi.sphere, p)) for p in pts[:5]]
+    # a one-row stack gives its row's bits
+    one = [reduced_integrand(xi, eta, p[None])[0] for p in pts[:5]]
     assert all(isinstance(v, float) for v in one)
     assert_identical(one, want[:5])
 
@@ -310,7 +310,7 @@ def test_s3_stable_form_matches_reference(seed):
     want = np.array([ref_s3_form(value, jacobian, p) for p in pts])
     assert_identical(form, want[:, 0])
     assert_identical(nsq, want[:, 1])
-    one = s3_stable_form(eta, pts[0])
+    one = tuple(v[0] for v in s3_stable_form(eta, pts[:1]))
     assert isinstance(one[0], float) and isinstance(one[1], float)
     assert_identical(one, want[0])
 
@@ -504,7 +504,7 @@ def test_integrate_stack_equals_per_sample_calls():
         vec = np.random.default_rng((5, idx)).standard_normal(4)
         q = vec * (1.0 / np.linalg.norm(vec))
         if q[0] <= 0.97:
-            vals.append(reduced_integrand(xi, eta, sphere.point(q)))
+            vals.append(reduced_integrand(xi, eta, sphere.stacked_points(q[None]))[0])
     vol = sphere_volume(sphere)
     assert res.rejected == 1000 - len(vals) > 0
     assert_identical([res.value, res.std_error],
@@ -566,6 +566,32 @@ def test_non_orthogonal_variation_names_row_and_sample():
                        match=f"quadrature sample {idx}, seed tuple \\({seed}, {idx}\\)") as err:
         integrate_over_sphere(fn, xi.sphere, 64, seed)
     assert err.value.row == idx
+
+
+def zero_draw(monkeypatch, idx):
+    """Make the quadrature's draw ``idx`` the zero vector."""
+    real = variation.stream_normals
+
+    def draw(seed, first, out):
+        real(seed, first, out)
+        out[idx - first] = 0.0
+        return out
+
+    monkeypatch.setattr(variation, "stream_normals", draw)
+
+
+def test_zero_quadrature_draw_names_its_sample(monkeypatch, capsys):
+    """A draw that cannot be normalized onto the sphere is refused, naming
+    its sample; through the CLI it is a numerical failure, exit 3."""
+    xi = hopf_field(2)
+    zero_draw(monkeypatch, 5)
+    with pytest.raises(DegenerateInputError,
+                       match="quadrature sample 5, seed tuple \\(4, 5\\)") as err:
+        integrate_over_sphere(lambda q: q[:, 0], xi.sphere, 64, 4)
+    assert err.value.row == 5
+    assert main(["variation", "--dim", "5", "--samples", "64"]) == 3
+    err = capsys.readouterr().err
+    assert "quadrature sample 5, seed tuple (0, 5)" in err
 
 
 def test_cli_names_the_failing_quadrature_sample(monkeypatch, capsys):
