@@ -213,8 +213,7 @@ def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
 
     def measure(coords, rows):
-        points = [SpherePoint(xi.sphere, c) for c in coords]
-        sds = singular_decomposition(xi, points)
+        sds = singular_decomposition(xi, coords)
         om_l = second_form_lemma(xi, coords, sds)
         om_d = second_form_direct(xi, coords, sds)
         axes = (1, 2, 3)
@@ -250,7 +249,8 @@ def _hopf_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     cand_b = K * (1.0 - K) / (2.0 * (1.0 + K) ** 1.5)
     p = _sample_point(xi, np.random.default_rng((config.seed, 0)))
     kd = killing_canonical_frames(xi, p)
-    peak, off = hopf_pattern_split(second_form_direct(xi, p, kd))
+    omega = second_form_direct(xi, p.coords[None], (kd,))[0]
+    peak, off = hopf_pattern_split(omega)
     names = {cand_a: "(1/2) K (1-K) / (1+K)",
              cand_b: "K (1-K) / (2 (1+K)^(3/2))"}
     matches = [label for val, label in names.items()
@@ -331,8 +331,7 @@ def _run_obstruction(config: RunConfig) -> VerificationReport:
     meridian = config.field == "meridian"
 
     def measure(coords, rows):
-        points = [SpherePoint(xi.sphere, c) for c in coords]
-        sds = singular_decomposition(xi, points)
+        sds = singular_decomposition(xi, coords)
         obs = geodesic_field_obstruction(xi, coords, sds)
         out = {"magnitude": np.max(np.abs(obs), axis=(1, 2))}
         if meridian:  # cos(theta) from the field's axis, the first coordinate
@@ -561,7 +560,7 @@ def cmd_svd(config: RunConfig) -> int:
         p = _sample_point(xi, np.random.default_rng((config.seed, 0)))
 
     t0 = time.perf_counter()
-    sd = singular_decomposition(xi, p)
+    sd = singular_decomposition(xi, p.coords[None])[0]
     e = sd.right_frame.matrix
     f = sd.left_frame.matrix
     applied = shape_apply_array(xi, p.coords, e)
@@ -574,7 +573,7 @@ def cmd_svd(config: RunConfig) -> int:
         f"frame assembly residual: {assembly:.3e}",
         f"covariant normality |A A* - A* A|: {normality:.3e}",
     ]
-    killing = is_killing(xi, p)
+    killing = is_killing(xi, p.coords[None])[0]
     if killing <= TOL_ANALYTIC:
         kd = killing_canonical_frames(xi, p)
         m = int(np.count_nonzero(kd.lambdas > 1e-7)) // 2

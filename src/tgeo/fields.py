@@ -130,10 +130,7 @@ def hopf_field(m: int, radius: float = 1.0) -> UnitVectorField:
     jac.flags.writeable = False
 
     def jacobian(p):
-        # the constant matrix itself at one point, a read-only view of it
-        # per row of a stack
-        if p.ndim == 1:
-            return jac
+        # a read-only view of the constant matrix per row of a stack
         return np.broadcast_to(jac, p.shape[:-1] + jac.shape)
 
     return UnitVectorField(
@@ -211,12 +208,12 @@ def shape_matrix(xi: UnitVectorField, p_coords: np.ndarray,
     return np.matmul(frame_rows, np.swapaxes(applied, -1, -2))
 
 
-def _framed_shape_matrix(xi: UnitVectorField, p_coords: np.ndarray) -> tuple:
-    """The standard frame rows at p and the shape matrix in them; for a
-    stack of points, one of each per point. A non-finite matrix raises
-    naming its row, before an SVD of it could fail to converge."""
-    rows = xi.sphere.standard_frame_rows(p_coords)
-    M = shape_matrix(xi, p_coords, rows)
+def _framed_shape_matrix(xi: UnitVectorField, P: np.ndarray) -> tuple:
+    """The standard frame rows and the shape matrix in them at each point
+    of the (N, ambient) stack ``P``. A non-finite matrix raises naming its
+    row, before an SVD of it could fail to converge."""
+    rows = xi.sphere.standard_frame_rows(P)
+    M = shape_matrix(xi, P, rows)
     _reject_rows(~np.isfinite(M.reshape(-1, M.shape[-1] ** 2)), FloatingPointError,
                  "non-finite shape matrix")
     return rows, M
@@ -253,8 +250,8 @@ def _complete_frame(assigned, candidates: np.ndarray, total: int) -> list:
     return [rows[k] for k in range(len(assigned), total)]
 
 
-def _assemble_frames(points: tuple, rows: np.ndarray, M: np.ndarray,
-                     lambdas: np.ndarray, e_comps: np.ndarray,
+def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
+                     M: np.ndarray, lambdas: np.ndarray, e_comps: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
                      pin_e0: bool = False) -> tuple:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
@@ -262,8 +259,8 @@ def _assemble_frames(points: tuple, rows: np.ndarray, M: np.ndarray,
     build the ambient frames with f_0 (and, with ``pin_e0``, e_0) set
     exactly to the field vector ``xiv``.
 
-    Every array has a leading axis over ``points``; a point that fails a
-    check raises naming its row. Returns one ``SingularData`` per point."""
+    Every array has a leading axis over the points ``P``; a point that fails
+    a check raises naming its row. Returns one ``SingularData`` per point."""
     tol = ASSEMBLY_TOL * np.maximum(1.0, np.max(lambdas, axis=1))
     resid = np.maximum(
         np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
@@ -279,8 +276,9 @@ def _assemble_frames(points: tuple, rows: np.ndarray, M: np.ndarray,
     if pin_e0:
         e_amb[:, 0] = xiv
     out = []
-    for k, p in enumerate(points):
+    for k, coords in enumerate(P):
         try:
+            p = SpherePoint(sphere, coords)
             right = Frame(p, tuple(TangentVector(p, v) for v in e_amb[k]))
             left = Frame(p, tuple(TangentVector(p, v) for v in f_amb[k]))
         except DegenerateInputError as exc:
@@ -290,7 +288,7 @@ def _assemble_frames(points: tuple, rows: np.ndarray, M: np.ndarray,
     return tuple(out)
 
 
-def singular_decomposition(xi: UnitVectorField, p):
+def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> tuple:
     """SVD of A_xi with the zero singular value pinned first and f_0 = xi.
 
     Right/left frames satisfy A e_i = lambda_i f_i with lambda_1 >= ... >=
@@ -299,15 +297,11 @@ def singular_decomposition(xi: UnitVectorField, p):
     degenerate singular values; the remaining left slots are completed by
     Gram-Schmidt.
 
-    ``p`` is one ``SpherePoint``, giving one ``SingularData``, or a sequence
-    of N of them, giving a tuple of N; record k has the bits of the
-    one-point call at point k, which is the N = 1 case of the same code. A
-    point that fails a check (frame assembly, frame completion, a polar
-    cap) raises naming its row in ``.row``.
+    ``P`` is an (N, ambient) stack of point coordinates; the result is a
+    tuple of N ``SingularData``. A point that fails a check (its
+    coordinates, frame assembly, frame completion, a polar cap) raises
+    naming its row in ``.row``.
     """
-    one = isinstance(p, SpherePoint)
-    points = (p,) if one else tuple(p)
-    P = np.array([q.coords for q in points])
     N, n1 = len(P), xi.sphere.dim
     rows, M = _framed_shape_matrix(xi, P)
     U, s, Vt = np.linalg.svd(M)
@@ -334,9 +328,8 @@ def singular_decomposition(xi: UnitVectorField, p):
         except DecompositionFailure as exc:
             exc.row = int(k)
             raise
-    sds = _assemble_frames(points, rows, M, lambdas, e_comps, f_comps, xiv,
-                           "singular frame assembly")
-    return sds[0] if one else sds
+    return _assemble_frames(xi.sphere, P, rows, M, lambdas, e_comps, f_comps,
+                            xiv, "singular frame assembly")
 
 
 def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularData:
@@ -348,8 +341,10 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     value, (0, l_1..l_m, l_1..l_m, 0...), so it is not globally sorted.
     """
     n1 = xi.sphere.dim
-    rows, M = _framed_shape_matrix(xi, p.coords)
-    _require_killing(M, "canonical pairing")
+    P = p.coords[None]
+    rows, M = _framed_shape_matrix(xi, P)
+    _require_killing(xi, M, "canonical pairing")
+    rows, M = rows[0], M[0]
 
     U, s, Vt = np.linalg.svd(M)
     pos_idx = [i for i in range(n1) if s[i] > SV_ZERO_TOL]
@@ -393,7 +388,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     lambdas = np.array([0.0] + pair_l + pair_l + [0.0] * (len(kernel) - 1))
     if e_comps.shape != (n1, n1):
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
-    return _assemble_frames((p,), rows[None], M[None], lambdas[None],
+    return _assemble_frames(xi.sphere, P, rows[None], M[None], lambdas[None],
                             e_comps[None], f_comps[None], xiv[None],
                             "canonical frame", pin_e0=True)[0]
 
@@ -443,46 +438,38 @@ def half_curvature(xi: UnitVectorField, p_coords: np.ndarray, x: np.ndarray,
 
 # -- predicates --------------------------------------------------------------
 #
-# Each predicate takes one ``SpherePoint``, giving a float, or an (N, ambient)
-# stack of coordinates, giving an (N,) array with the bits of the one-point
-# calls. They return residuals; the caller owns the tolerance.
-
-
-def _point_stack(p) -> tuple:
-    """The (N, ambient) stack of ``p`` and the map back to the caller's form."""
-    if isinstance(p, SpherePoint):
-        return p.coords[None], lambda out: float(out[0])
-    return p, lambda out: out
+# Each predicate takes an (N, ambient) stack of point coordinates and returns
+# the (N,) residuals; the caller owns the tolerance.
 
 
 def _skewness(M: np.ndarray) -> np.ndarray:
-    """Spectral norm of A + A* for each shape matrix of a stack, or one."""
-    return np.linalg.norm(M + np.swapaxes(M, -1, -2), 2, axis=(-2, -1))
+    """Spectral norm of A + A* for each shape matrix of a stack."""
+    return np.linalg.norm(M + np.swapaxes(M, 1, 2), 2, axis=(1, 2))
 
 
-def _require_killing(M: np.ndarray, what: str) -> None:
+def _require_killing(xi: UnitVectorField, M: np.ndarray, what: str) -> None:
     """Refuse, as a whole (no ``.row``), a field not Killing at some point
-    of the stack ``M`` (a NaN too), naming the first such residual."""
-    resid = np.atleast_1d(_skewness(M))
-    bad = ~(resid <= TOL_ANALYTIC)
+    of the stack ``M`` (a NaN too), naming the first such residual. A
+    scales as 1/r, so the skewness is judged against ``TOL_ANALYTIC / r``."""
+    resid = _skewness(M)
+    bad = ~(resid <= TOL_ANALYTIC / xi.sphere.radius)
     if bad.any():
         raise PreconditionError(f"{what} needs a Killing field: skewness "
                                 f"residual {resid[np.argmax(bad)]:.3e}")
 
 
-def is_geodesic(xi: UnitVectorField, p):
+def is_geodesic(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """Residual |A_xi xi| = |nabla_xi xi|, projected as one vector per point
-    (rounded as the one-point call; shape_apply_array's rows are not)."""
-    P, out = _point_stack(p)
+    (shape_apply_array projects its rows as a matrix, which rounds
+    differently)."""
     jac = xi.jacobian_array(P)
     nabla = np.matmul(xi.value_array(P)[:, None], np.swapaxes(jac, 1, 2))[:, 0]
-    return out(_row_norms(xi.sphere.project_array(P, nabla)))
+    return _row_norms(xi.sphere.project_array(P, nabla))
 
 
-def is_killing(xi: UnitVectorField, p):
+def is_killing(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """Spectral-norm residual of A + A* in an orthonormal frame."""
-    P, out = _point_stack(p)
-    return out(_skewness(_framed_shape_matrix(xi, P)[1]))
+    return _skewness(_framed_shape_matrix(xi, P)[1])
 
 
 def _perp_triples(xi, P):
@@ -509,28 +496,26 @@ def _perp_triples(xi, P):
     return vecs[:, 0::3], vecs[:, 1::3], vecs[:, 2::3]
 
 
-def is_normal(xi: UnitVectorField, p):
+def is_normal(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """max |<R(X,Y)Z, xi>| over sampled X,Y,Z orthogonal to xi.
 
     Identically zero on constant-curvature spaces; the closed-form curvature
     makes the tolerance analytic (1e-10).
     """
-    P, out = _point_stack(p)
     x, y, z = _perp_triples(xi, P)
     vals = np.vecdot(xi.sphere.curvature_array(x, y, z), xi.value_array(P)[:, None])
-    return out(np.max(np.abs(vals), axis=1))
+    return np.max(np.abs(vals), axis=1)
 
 
-def is_strongly_normal(xi: UnitVectorField, p):
+def is_strongly_normal(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """max |<(nabla_X A) Y, Z>| over sampled X,Y,Z orthogonal to xi; one
     finite difference for the whole stack."""
-    P, out = _point_stack(p)
     x, y, z = _perp_triples(xi, P)
     vals = np.vecdot(half_curvature(xi, P, x, y), z)
-    return out(np.max(np.abs(vals), axis=1))
+    return np.max(np.abs(vals), axis=1)
 
 
-def sasakian_identity_residual(xi: UnitVectorField, p):
+def sasakian_identity_residual(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """Residual of the Sasakian structure identities with phi = nabla xi.
 
     Two parts, maximized over random unit tangent pairs: the gap between the
@@ -541,7 +526,6 @@ def sasakian_identity_residual(xi: UnitVectorField, p):
     ``default_rng(0)`` pairs; a pair with a near-zero draw at a point is
     skipped there, as two zero vectors whose residuals are zero.
     """
-    P, out = _point_stack(p)
     sphere = xi.sphere
     N, amb = P.shape
     raw = np.random.default_rng(0).standard_normal((PREDICATE_SAMPLES, 2, amb))
@@ -558,24 +542,23 @@ def sasakian_identity_residual(xi: UnitVectorField, p):
                                     _matvec_rows(xi.jacobian_array(P)[:, None], x))
     r_vals = half_curvature(xi, P, x, y)
     target = np.vecdot(y, xiv)[..., None] * x - np.vecdot(x, y)[..., None] * xiv
-    return out(np.maximum(np.max(_row_norms(fd - analytic), axis=1),
-                          np.max(_row_norms(r_vals - target), axis=1)))
+    return np.maximum(np.max(_row_norms(fd - analytic), axis=1),
+                      np.max(_row_norms(r_vals - target), axis=1))
 
 
-def jacobi_relation_residual(xi: UnitVectorField, p):
+def jacobi_relation_residual(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """max_X || A* A X - R(X, xi) xi || over an orthonormal frame (Killing
     xi): A* A e_i is column i of A* A."""
-    P, out = _point_stack(p)
     rows, M = _framed_shape_matrix(xi, P)
-    _require_killing(M, "Jacobi relation")
+    _require_killing(xi, M, "Jacobi relation")
     xic = _matvec_rows(rows, xi.value_array(P))
     lhs = np.swapaxes(np.matmul(np.swapaxes(M, 1, 2), M), 1, 2)
     rhs = xi.sphere.curvature_constant * (
         np.eye(rows.shape[1]) - xic[:, :, None] * xic[:, None, :])
-    return out(np.max(_row_norms(lhs - rhs), axis=1))
+    return np.max(_row_norms(lhs - rhs), axis=1)
 
 
 def covariant_normality_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """|| A A* - A* A || in an orthonormal frame (commutation residual)."""
-    M = _framed_shape_matrix(xi, p.coords)[1]
+    M = _framed_shape_matrix(xi, p.coords[None])[1][0]
     return float(np.linalg.norm(M @ M.T - M.T @ M, 2))

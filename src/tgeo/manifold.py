@@ -120,8 +120,7 @@ def _check_frames_stack(frames: np.ndarray) -> None:
                  DegenerateInputError, "frame is not orthonormal")
 
 
-def gram_schmidt_rows(mat: np.ndarray, *,
-                      pivot_tol: float = GS_PIVOT_TOL) -> np.ndarray:
+def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float) -> np.ndarray:
     """Orthonormalize the rows of ``mat`` in order (modified Gram-Schmidt),
     skipping near-dependent rows: the one-matrix case of
     ``_gram_schmidt_stack`` with ``drop``."""
@@ -452,26 +451,23 @@ class SphereSpec:
         p = self.stacked_points(draws[:, 0])
         return p, self.frames_at(p, draws[:, 1:])
 
-    def standard_frame_rows(self, p_coords: np.ndarray) -> np.ndarray:
+    def standard_frame_rows(self, P: np.ndarray) -> np.ndarray:
         """Deterministic orthonormal tangent frame from the ambient basis.
 
         Projects the standard basis vectors onto the tangent space and
         orthonormalizes, skipping the one direction that collapses.
-        ``p_coords`` is one point, giving (dim, ambient) rows, or a stack
-        (N, ambient), giving (N, dim, ambient), row k the one-point call at
-        point k; a point that does not drop exactly one direction raises
-        naming its row.
+        ``P`` is an (N, ambient) stack of points, giving (N, dim, ambient);
+        a point that does not drop exactly one direction raises naming its
+        row.
         """
-        stack = np.atleast_2d(p_coords)
         amb = self.ambient_dim
         candidates = self.project_array(
-            stack, np.broadcast_to(np.eye(amb), (len(stack), amb, amb)))
+            P, np.broadcast_to(np.eye(amb), (len(P), amb, amb)))
         rows = _gram_schmidt_stack(candidates, pivot_tol=1e-6, drop=True)
         kept = np.any(rows != 0.0, axis=2)
         _reject_rows(np.count_nonzero(kept, axis=1) != self.dim,
                      DegenerateInputError, "standard frame construction collapsed")
-        rows = rows[kept].reshape(len(stack), self.dim, amb)
-        return rows if p_coords.ndim > 1 else rows[0]
+        return rows[kept].reshape(len(P), self.dim, amb)
 
 
 @dataclass(frozen=True, eq=False)

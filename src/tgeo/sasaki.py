@@ -94,13 +94,10 @@ def _xi_frame_rows(sd: SingularData) -> tuple:
     return (e / scale, -lam * f / scale), ((lam * e / scale)[1:], (f / scale)[1:])
 
 
-def _singular_stack(sd) -> tuple:
-    """(one, lambdas, E, F) of one ``SingularData`` or a sequence of them:
-    whether it was one, and the lambdas and the right and left frame rows
-    with a leading point axis."""
-    one = isinstance(sd, SingularData)
-    sds = (sd,) if one else sd
-    return (one, np.array([s.lambdas for s in sds]),
+def _singular_stack(sds) -> tuple:
+    """(lambdas, E, F) of a sequence of ``SingularData``: the lambdas and
+    the right and left frame rows with a leading point axis."""
+    return (np.array([s.lambdas for s in sds]),
             np.array([s.right_frame.matrix for s in sds]),
             np.array([s.left_frame.matrix for s in sds]))
 
@@ -108,24 +105,22 @@ def _singular_stack(sd) -> tuple:
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
 
 
-def second_form_lemma(xi: UnitVectorField, p, sd) -> np.ndarray:
+def second_form_lemma(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
     """Second fundamental form of xi(M) from the half curvature tensor, as the
-    read-only (n, n+1, n+1) array of Omega_{sigma|ij}; row s is sigma = s + 1.
+    read-only (N, n, n+1, n+1) array of Omega_{sigma|ij} at each point of
+    the (N, ambient) stack ``P``, with a sequence of N ``SingularData``
+    ``sds``; row [k, s] is sigma = s + 1 at point k.
 
     Omega_{s|ij} = (Lambda_{sij}/2) { <r(e_i,e_j)xi + r(e_j,e_i)xi, f_s>
         + l_s [ l_j <R(e_s,e_i)xi, f_j> + l_i <R(e_s,e_j)xi, f_i> ] }
     with Lambda_{sij} = [(1+l_s^2)(1+l_i^2)(1+l_j^2)]^{-1/2}.
 
-    ``p`` is one ``SpherePoint`` with one ``SingularData`` ``sd``, or an
-    (N, ambient) stack of coordinates with a sequence of N of them; a stack
-    gives (N, n, n+1, n+1), row k equal to the one-point call at point k,
-    which is the N = 1 case of the same code. One half-curvature call
-    differentiates along every frame direction of every point. Its
-    displaced points keep their (N, n+1) leading axes, so a row check that
-    fails on them (a meridian polar cap) names its point in ``.row``.
+    One half-curvature call differentiates along every frame direction of
+    every point. Its displaced points keep their (N, n+1) leading axes, so a
+    row check that fails on them (a meridian polar cap) names its point in
+    ``.row``.
     """
-    one, lam, E, F = _singular_stack(sd)
-    P = p.coords[None] if one else p
+    lam, E, F = _singular_stack(sds)
     N, n1 = lam.shape
     k = xi.sphere.curvature_constant
 
@@ -148,15 +143,15 @@ def second_form_lemma(xi: UnitVectorField, p, sd) -> np.ndarray:
            * scale[:, None, None, :])
     omega = (0.5 * Lam * (first + second))[:, 1:]
     omega.flags.writeable = False
-    return omega[0] if one else omega
+    return omega
 
 
 # -- second fundamental form: route 2 (bundle connection table) --------------
 
 
-def second_form_direct(xi: UnitVectorField, p, sd) -> np.ndarray:
+def second_form_direct(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
     """Second fundamental form computed from the bundle connection itself, in
-    the read-only array layout of ``second_form_lemma``, one point or a stack.
+    the read-only (N, n, n+1, n+1) layout of ``second_form_lemma``.
 
     Independent of the half-curvature route: the tangent frame field
     E_j^h + (nabla_{E_j} xi)^t is extended by projection transport of the
@@ -164,15 +159,11 @@ def second_form_direct(xi: UnitVectorField, p, sd) -> np.ndarray:
     the four connection formulas, and paired against the normal frame. The
     result is not symmetrized; symmetry in (i, j) is a property to test.
 
-    ``p`` and ``sd`` are one point with its ``SingularData``, giving
-    (n, n+1, n+1), or an (N, ambient) stack of coordinates with a sequence
-    of N, giving (N, n, n+1, n+1), row k equal to the one-point call at
-    point k. The 2 N (n+1) displaced points are one stack, row r belonging
-    to point r // (2 (n+1)); a row check that fails on it (a Gram-Schmidt
-    pivot, a meridian polar cap) has its ``.row`` set to that point.
+    The 2 N (n+1) displaced points are one stack, row r belonging to point
+    r // (2 (n+1)); a row check that fails on it (a Gram-Schmidt pivot, a
+    meridian polar cap) has its ``.row`` set to that point.
     """
-    one, lam, E, F = _singular_stack(sd)
-    P = p.coords[None] if one else p
+    lam, E, F = _singular_stack(sds)
     N, n1 = lam.shape
     sphere = xi.sphere
     amb = sphere.ambient_dim
@@ -236,25 +227,24 @@ def second_form_direct(xi: UnitVectorField, p, sd) -> np.ndarray:
                              + np.matmul(F[:, 1:], np.swapaxes(vert, 1, 2))) \
             / scale[:, 1:, None] / scale[:, None, :]
     omega.flags.writeable = False
-    return omega[0] if one else omega
+    return omega
 
 
 # -- the totally-geodesic obstruction and the closed forms of the oracles ----
 
 
-def geodesic_field_obstruction(xi: UnitVectorField, p, sd) -> np.ndarray:
+def geodesic_field_obstruction(xi: UnitVectorField, P: np.ndarray,
+                               sds) -> np.ndarray:
     """First-order totally-geodesic obstruction for a geodesic field, r = 1.
 
-    Returns M[s, a] = -(1/2) Lambda_{sa0} <A^2 e_a + e_a, f_s> for sigma,
-    alpha in 1..n; the zero array is equivalent to the vanishing of the
-    (sigma | alpha, 0) block of the second fundamental form.
-
-    ``p`` and ``sd`` are one point with its ``SingularData`` or, as for the
-    routes, a stack of N with a sequence of N, giving (N, n, n). A field not
-    geodesic at some point is refused as a whole (no ``.row``).
+    Returns M[k, s, a] = -(1/2) Lambda_{sa0} <A^2 e_a + e_a, f_s> for sigma,
+    alpha in 1..n at each point k of the (N, ambient) stack ``P``, in the
+    frames of the N ``SingularData`` ``sds``; the zero array is equivalent
+    to the vanishing of the (sigma | alpha, 0) block of the second
+    fundamental form. A field not geodesic at some point is refused as a
+    whole (no ``.row``).
     """
-    one, lam, E, F = _singular_stack(sd)
-    P = p.coords[None] if one else p
+    lam, E, F = _singular_stack(sds)
     if not xi.sphere.is_unit:
         raise PreconditionError("obstruction form is derived for unit radius")
     if np.any(is_geodesic(xi, P) > TOL_ANALYTIC):
@@ -265,21 +255,21 @@ def geodesic_field_obstruction(xi: UnitVectorField, p, sd) -> np.ndarray:
     inner = np.matmul(F[:, 1:], np.swapaxes(a2e + E[:, 1:], 1, 2))
     scale = 1.0 / np.sqrt(1.0 + lam[:, 1:] ** 2)
     obs = -0.5 * (scale[:, :, None] * scale[:, None, :]) * inner
-    return obs[0] if one else obs
+    return obs
 
 
-def meridian_obstruction(sd, cos_theta) -> np.ndarray:
+def meridian_obstruction(sds, cos_theta: np.ndarray) -> np.ndarray:
     """``geodesic_field_obstruction`` of the meridian field in closed form:
-    -(1/2) Lambda_{sa0} (cot^2(theta) + 1) <e_a, f_s>, at polar angle theta
-    from the field's axis on the unit sphere, in the frames of ``sd``: one
-    ``SingularData`` with a float, or a sequence of N with an (N,) array."""
-    one, lam, E, F = _singular_stack(sd)
-    ct = np.reshape(cos_theta, (-1, 1, 1))
+    -(1/2) Lambda_{sa0} (cot^2(theta) + 1) <e_a, f_s>, at polar angles
+    theta from the field's axis on the unit sphere: the (N,) ``cos_theta``
+    with the frames of the N ``SingularData`` ``sds``, giving (N, n, n)."""
+    lam, E, F = _singular_stack(sds)
+    ct = cos_theta[:, None, None]
     factor = ct * ct / np.maximum(1.0 - ct * ct, 1e-300) + 1.0
     scale = 1.0 / np.sqrt(1.0 + lam[:, 1:] ** 2)
     obs = (-0.5 * (scale[:, :, None] * scale[:, None, :]) * factor
            * np.matmul(F[:, 1:], np.swapaxes(E[:, 1:], 1, 2)))
-    return obs[0] if one else obs
+    return obs
 
 
 def hopf_pattern_peak(K: float) -> float:

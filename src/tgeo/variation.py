@@ -152,8 +152,8 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     normalized tangent directions X_i; norm symbols are read as squared
     norms throughout. A zero normal lift returns 0 flagged degenerate.
     """
-    sd = singular_decomposition(xi, p)
-    form = second_form_lemma(xi, p, sd)
+    sd = singular_decomposition(xi, p.coords[None])[0]
+    form = second_form_lemma(xi, p.coords[None], (sd,))[0]
     eta0 = eta.value_array(p.coords)
     xiv, eh, ev = xi_normal_lift_array(xi, p.coords, eta0[None])
     _check_orthogonal(eta0[None], xiv[None])

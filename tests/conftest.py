@@ -171,6 +171,11 @@ def meridian3():
     return meridian_field(np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
 
 
+def point_stack(points):
+    """The (N, ambient) stack of the coordinates of sphere points."""
+    return np.array([p.coords for p in points])
+
+
 def seeded_points(xi, count, seed=0, pole_cut=0.95):
     """Deterministic sample points, kept away from meridian poles."""
     sphere = xi.sphere

@@ -65,8 +65,8 @@ def test_criterion_1_totally_geodesic_unit_hopf():
         xi = hopf_field(m, 1.0)
         points = [xi.sphere.random_point(np.random.default_rng((0, idx)))
                   for idx in range(200)]
-        sds = singular_decomposition(xi, points)
         coords = np.array([p.coords for p in points])
+        sds = singular_decomposition(xi, coords)
         worst = max(worst,
                     np.max(np.abs(second_form_lemma(xi, coords, sds))),
                     np.max(np.abs(second_form_direct(xi, coords, sds))))
@@ -98,7 +98,7 @@ def test_criterion_2_nonunit_radius_pattern(tmp_path):
     cand_b = K * (1 - K) / (2 * (1 + K) ** 1.5)    # 0.06708...
     p = xi.sphere.random_point(np.random.default_rng((2, 0)))
     kd = killing_canonical_frames(xi, p)
-    om = second_form_direct(xi, p, kd)
+    om = second_form_direct(xi, p.coords[None], (kd,))[0]
     mask = np.zeros_like(om, dtype=bool)
     mask[0, 2, 0] = mask[0, 0, 2] = mask[1, 1, 0] = mask[1, 0, 1] = True
     peak = float(np.max(np.abs(om[mask])))
@@ -289,15 +289,15 @@ def test_criterion_8_structural_identities():
                    - half_curvature(xi, p.coords, Y.vec, X.vec))
             rhs = sphere.curvature_array(X.vec, Y.vec, xi.value_array(p.coords))
             codazzi = max(codazzi, float(np.linalg.norm(lhs - rhs)))
-            killing = max(killing, is_killing(xi, p))
+            killing = max(killing, is_killing(xi, p.coords[None])[0])
             from tgeo import jacobi_relation_residual
-            jacobi = max(jacobi, jacobi_relation_residual(xi, p))
+            jacobi = max(jacobi, jacobi_relation_residual(xi, p.coords[None])[0])
             tau = xi_tangential_lift(xi, X)
             _, nu_h, nu_v = xi_normal_lift_array(xi, p.coords, Y.vec[None])
             duality = max(duality, abs(float(tau.horiz.vec @ nu_h[0]
                                              + tau.vert.vec @ nu_v[0])))
             if idx < 10:  # the Sasakian check is the costly one
-                resid = sasakian_identity_residual(xi, p)
+                resid = sasakian_identity_residual(xi, p.coords[None])[0]
                 if unit:
                     sasakian_unit = max(sasakian_unit, resid)
                 else:
@@ -327,7 +327,7 @@ def test_criterion_9_svd_property_suite():
         for idx in range(20):
             rng = np.random.default_rng((9, idx))
             p = sphere.random_point(rng)
-            sd = singular_decomposition(xi, p)
+            sd = singular_decomposition(xi, p.coords[None])[0]
             e = sd.right_frame.matrix
             f = sd.left_frame.matrix
             ae = shape_apply_array(xi, p.coords, e)
@@ -357,14 +357,12 @@ def test_criterion_9_svd_property_suite():
 def test_criterion_10_meridian_negative_control(meridian3):
     """The meridian field on the unit 3-sphere is not totally geodesic and its
     obstruction matches -(1/2) Lambda (cot^2 + 1) <e_a, f_s>."""
-    peak = 0.0
     worst_gap = 0.0
-    for p in seeded_points(meridian3, 25, seed=10):
-        sd = singular_decomposition(meridian3, p)
-        om = second_form_lemma(meridian3, p, sd)
-        peak = max(peak, np.max(np.abs(om)))
-        obs = geodesic_field_obstruction(meridian3, p, sd)
-        ct = float(p.coords[0])
+    P = np.array([p.coords for p in seeded_points(meridian3, 25, seed=10)])
+    sds = singular_decomposition(meridian3, P)
+    peak = np.max(np.abs(second_form_lemma(meridian3, P, sds)))
+    for p, sd, obs in zip(P, sds, geodesic_field_obstruction(meridian3, P, sds)):
+        ct = float(p[0])
         factor = ct * ct / (1.0 - ct * ct) + 1.0
         scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
         e = sd.right_frame.matrix

@@ -4,8 +4,9 @@ One finite difference serves a whole stack of directions. The stacked
 meridian field, ``fd_derivative_array`` and ``half_curvature`` on rows, and
 the sampled predicates built on them give, row by row, the bits of the
 one-vector calls and of the per-direction loops they replace. The
-predicates, the Jacobi relation and the obstruction pair also take a stack
-of points, each row the bits of its one-point reference.
+predicates, the Jacobi relation and the obstruction pair take a stack of
+points, row k the bits of the one-row stack of point k and of its one-point
+reference.
 """
 
 import numpy as np
@@ -212,9 +213,10 @@ def ref_sasakian_identity_residual(xi, p):
 @pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
 def test_predicates_match_per_direction_loops(xi):
     for p in seeded_points(xi, 20, seed=34):
-        assert_identical(is_normal(xi, p), ref_is_normal(xi, p))
-        assert_identical(is_strongly_normal(xi, p), ref_is_strongly_normal(xi, p))
-        assert_identical(sasakian_identity_residual(xi, p),
+        P = p.coords[None]
+        assert_identical(is_normal(xi, P)[0], ref_is_normal(xi, p))
+        assert_identical(is_strongly_normal(xi, P)[0], ref_is_strongly_normal(xi, p))
+        assert_identical(sasakian_identity_residual(xi, P)[0],
                          ref_sasakian_identity_residual(xi, p))
 
 
@@ -226,13 +228,13 @@ def ref_is_geodesic(xi, p):
 
 
 def ref_is_killing(xi, p):
-    M = shape_matrix(xi, p.coords, xi.sphere.standard_frame_rows(p.coords))
+    M = shape_matrix(xi, p.coords, xi.sphere.standard_frame_rows(p.coords[None])[0])
     return np.linalg.norm(M + M.T, 2)
 
 
 def ref_jacobi_relation_residual(xi, p):
     """One frame vector at a time."""
-    rows = xi.sphere.standard_frame_rows(p.coords)
+    rows = xi.sphere.standard_frame_rows(p.coords[None])[0]
     M = shape_matrix(xi, p.coords, rows)
     xic = rows @ xi.value_array(p.coords)
     k = xi.sphere.curvature_constant
@@ -278,8 +280,8 @@ def test_seed_zero_sample_is_the_predicates_first_draw():
 
 @pytest.mark.parametrize("xi", FIELDS, ids=FIELD_IDS)
 def test_point_stacks_match_one_point_calls(xi):
-    """Row k of each stacked predicate is the one-point call at point k and
-    its reference, at seed 0 and away from it."""
+    """Row k of each stacked predicate is the one-row stack of point k and
+    its one-point reference, at seed 0 and away from it."""
     points = sample_stack(xi, 3) + seeded_points(xi, 3, seed=37)
     coords = np.array([p.coords for p in points])
     cases = [(is_geodesic, ref_is_geodesic), (is_killing, ref_is_killing),
@@ -292,9 +294,9 @@ def test_point_stacks_match_one_point_calls(xi):
         stacked = fn(xi, coords)
         assert stacked.shape == (len(points),)
         for row, p in zip(stacked, points):
-            one = fn(xi, p)
-            assert isinstance(one, float)
-            assert_identical(row, one)
+            one = fn(xi, p.coords[None])
+            assert one.shape == (1,)
+            assert_identical(row, one[0])
             assert_identical(row, ref(xi, p))
 
 
@@ -304,16 +306,17 @@ def test_point_stacks_match_one_point_calls(xi):
 def test_obstruction_stacks_match_one_point_calls(xi):
     points = sample_stack(xi, 3) + seeded_points(xi, 3, seed=38)
     coords = np.array([p.coords for p in points])
-    sds = singular_decomposition(xi, points)
+    sds = singular_decomposition(xi, coords)
     obs = geodesic_field_obstruction(xi, coords, sds)
     cts = coords[:, 0] / xi.sphere.radius
     closed = meridian_obstruction(sds, cts)
     n = xi.sphere.dim - 1
     assert obs.shape == closed.shape == (len(points), n, n)
     for k, (p, sd) in enumerate(zip(points, sds)):
-        assert_identical(obs[k], geodesic_field_obstruction(xi, p, sd))
+        assert_identical(obs[k],
+                         geodesic_field_obstruction(xi, p.coords[None], (sd,))[0])
         assert_identical(obs[k], ref_obstruction(xi, p, sd))
-        assert_identical(closed[k], meridian_obstruction(sd, float(cts[k])))
+        assert_identical(closed[k], meridian_obstruction((sd,), cts[k:k + 1])[0])
         assert_identical(closed[k], ref_meridian_obstruction(sd, float(cts[k])))
 
 
@@ -341,21 +344,21 @@ def counted(monkeypatch):
 
 def test_predicates_differentiate_once_per_point(counted):
     xi, counts = counted
-    p = seeded_points(xi, 1, seed=35)[0]
-    is_strongly_normal(xi, p)
+    P = seeded_points(xi, 1, seed=35)[0].coords[None]
+    is_strongly_normal(xi, P)
     assert counts == {"fd": 1, "jacobian": 2}
     counts.update(fd=0, jacobian=0)
-    sasakian_identity_residual(xi, p)
+    sasakian_identity_residual(xi, P)
     assert counts == {"fd": 2, "jacobian": 3}
 
 
 def test_direct_route_evaluates_the_jacobian_once_per_side(counted):
     """One evaluation at p and one for the stack of displaced points."""
     xi, counts = counted
-    p = seeded_points(xi, 1, seed=36)[0]
-    sd = singular_decomposition(xi, p)
+    P = seeded_points(xi, 1, seed=36)[0].coords[None]
+    sds = singular_decomposition(xi, P)
     counts.update(fd=0, jacobian=0)
-    second_form_direct(xi, p, sd)
+    second_form_direct(xi, P, sds)
     assert counts == {"fd": 0, "jacobian": 2}
 
 

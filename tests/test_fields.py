@@ -148,7 +148,7 @@ def test_meridian_principal_curvature(meridian2):
     """Eigenvalue cot(theta)/r on the orthogonal complement of the field."""
     theta = np.pi / 3.0
     p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
-    sd = singular_decomposition(meridian2, p)
+    sd = singular_decomposition(meridian2, p.coords[None])[0]
     assert np.isclose(sd.lambdas[1], 1.0 / np.tan(theta), atol=1e-12)
 
 
@@ -160,7 +160,7 @@ def test_singular_frame_relations(fixture_name, request):
     """A e_i = lambda_i f_i and A* f_i = lambda_i e_i, residuals < 1e-8."""
     xi = request.getfixturevalue(fixture_name)
     for p in seeded_points(xi, 10, seed=8):
-        sd = singular_decomposition(xi, p)
+        sd = singular_decomposition(xi, p.coords[None])[0]
         e = sd.right_frame.matrix
         f = sd.left_frame.matrix
         ae = shape_apply_array(xi, p.coords, e)
@@ -172,7 +172,7 @@ def test_singular_frame_relations(fixture_name, request):
 
 def test_singular_zero_slot_and_ordering(hopf5):
     for p in seeded_points(hopf5, 5, seed=9):
-        sd = singular_decomposition(hopf5, p)
+        sd = singular_decomposition(hopf5, p.coords[None])[0]
         assert sd.lambdas[0] == 0.0
         # f_0 is the field vector itself
         assert np.allclose(sd.left_frame.matrix[0], hopf5.value_array(p.coords))
@@ -183,7 +183,7 @@ def test_singular_zero_slot_and_ordering(hopf5):
 
 def test_singular_frames_are_orthonormal(hopf3_r2):
     p = hopf3_r2.sphere.random_point(np.random.default_rng(10))
-    sd = singular_decomposition(hopf3_r2, p)
+    sd = singular_decomposition(hopf3_r2, p.coords[None])[0]
     for mat in (sd.right_frame.matrix, sd.left_frame.matrix):
         assert np.allclose(mat @ mat.T, np.eye(len(mat)), atol=1e-10)
 
@@ -222,9 +222,10 @@ def test_frame_assembly_refuses_tolerance_below_residual(decompose, prefix,
     monkeypatch.setattr(fields, "ASSEMBLY_TOL", 0.0)
     for xi in (hopf5, hopf3_r2):
         for p in seeded_points(xi, 3, seed=13):
+            at = p.coords[None] if decompose is singular_decomposition else p
             with pytest.raises(DecompositionFailure,
                                match=rf"^{prefix} residual \S+ exceeds 0\.0e\+00$"):
-                decompose(xi, p)
+                decompose(xi, at)
 
 
 def test_killing_canonical_rejects_non_killing(meridian2):
@@ -244,18 +245,18 @@ def test_covariant_normality_hopf(hopf7):
 
 
 def test_hopf_predicate_profile(hopf3):
-    p = hopf3.sphere.random_point(np.random.default_rng(14))
-    assert is_geodesic(hopf3, p) <= TOL_ANALYTIC
-    assert is_killing(hopf3, p) <= TOL_ANALYTIC
-    assert is_normal(hopf3, p) <= 1e-10
-    assert is_strongly_normal(hopf3, p) <= TOL_ANALYTIC
+    P = hopf3.sphere.random_point(np.random.default_rng(14)).coords[None]
+    assert is_geodesic(hopf3, P)[0] <= TOL_ANALYTIC
+    assert is_killing(hopf3, P)[0] <= TOL_ANALYTIC
+    assert is_normal(hopf3, P)[0] <= 1e-10
+    assert is_strongly_normal(hopf3, P)[0] <= TOL_ANALYTIC
 
 
 def test_meridian_predicate_profile(meridian2):
     theta = np.pi / 3.0
-    p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
-    assert is_geodesic(meridian2, p) <= TOL_ANALYTIC
-    killing = is_killing(meridian2, p)
+    P = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0]).coords[None]
+    assert is_geodesic(meridian2, P)[0] <= TOL_ANALYTIC
+    killing = is_killing(meridian2, P)[0]
     assert not killing <= TOL_ANALYTIC
     # spectral norm of A + A* at polar angle theta: 2 cot(theta) / r
     assert np.isclose(killing, 2.0 / np.tan(theta), atol=1e-10)
@@ -288,15 +289,36 @@ def test_codazzi_identity(hopf3_r2):
 
 
 def test_jacobi_relation(hopf5):
-    p = hopf5.sphere.random_point(np.random.default_rng(17))
-    assert jacobi_relation_residual(hopf5, p) < 1e-10
+    P = hopf5.sphere.random_point(np.random.default_rng(17)).coords[None]
+    assert jacobi_relation_residual(hopf5, P)[0] < 1e-10
 
 
 def test_jacobi_relation_needs_killing(meridian2):
     theta = np.pi / 4.0
-    p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
+    P = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0]).coords[None]
     with pytest.raises(PreconditionError):
-        jacobi_relation_residual(meridian2, p)
+        jacobi_relation_residual(meridian2, P)
+
+
+def test_killing_precondition_refuses_a_far_meridian_field():
+    """A + A* of the meridian field is 2 cot(theta) / r: 2e-7 at radius
+    1e7, below an absolute 1e-6, but never skew at any radius."""
+    xi = meridian_field(np.eye(4)[0], 1e7)
+    p = xi.sphere.point([np.cos(np.pi / 4.0), np.sin(np.pi / 4.0), 0.0, 0.0])
+    with pytest.raises(PreconditionError, match="needs a Killing field"):
+        jacobi_relation_residual(xi, p.coords[None])
+    with pytest.raises(PreconditionError, match="needs a Killing field"):
+        killing_canonical_frames(xi, p)
+
+
+def test_killing_precondition_accepts_a_small_hopf_field():
+    """At radius 1e-12 the rounding of A = J / r alone leaves a skewness
+    far above an absolute 1e-6; the Hopf field is Killing all the same."""
+    xi = hopf_field(1, 1e-12)
+    P = xi.sphere.random_point(np.random.default_rng(17)).coords[None]
+    assert is_killing(xi, P)[0] > TOL_ANALYTIC
+    resid = jacobi_relation_residual(xi, P)
+    assert resid.shape == (1,) and np.isfinite(resid[0])
 
 
 def test_near_killing_field_fails_one_killing_threshold(hopf5):
@@ -307,10 +329,10 @@ def test_near_killing_field_fails_one_killing_threshold(hopf5):
     bent = UnitVectorField(hopf5.sphere, hopf5.value_fn,
                            lambda q: complex_structure(6) + 1e-5 * S)
     p = hopf5.sphere.random_point(np.random.default_rng(24))
-    skew = is_killing(bent, p)
+    skew = is_killing(bent, p.coords[None])[0]
     assert not skew <= TOL_ANALYTIC and 1e-6 < skew < 1e-4
     with pytest.raises(PreconditionError):
-        jacobi_relation_residual(bent, p)
+        jacobi_relation_residual(bent, p.coords[None])
     with pytest.raises(PreconditionError):
         killing_canonical_frames(bent, p)
 
@@ -320,8 +342,8 @@ def test_jacobi_relation_keeps_a_nan(hopf5):
     0.0 a running Python max would leave."""
     nan_valued = UnitVectorField(hopf5.sphere, lambda q: np.full(q.shape, np.nan),
                                  hopf5.jacobian_fn)
-    p = hopf5.sphere.random_point(np.random.default_rng(17))
-    assert np.isnan(jacobi_relation_residual(nan_valued, p))
+    P = hopf5.sphere.random_point(np.random.default_rng(17)).coords[None]
+    assert np.isnan(jacobi_relation_residual(nan_valued, P)[0])
 
 
 def test_sasakian_residual_keeps_a_nan_in_its_second_part(hopf3, monkeypatch):
@@ -335,20 +357,20 @@ def test_sasakian_residual_keeps_a_nan_in_its_second_part(hopf3, monkeypatch):
         return r
 
     monkeypatch.setattr(fields, "half_curvature", poisoned)
-    p = hopf3.sphere.random_point(np.random.default_rng(18))
-    assert np.isnan(sasakian_identity_residual(hopf3, p))
+    P = hopf3.sphere.random_point(np.random.default_rng(18)).coords[None]
+    assert np.isnan(sasakian_identity_residual(hopf3, P)[0])
 
 
 def test_sasakian_residual_unit_vs_nonunit(hopf3, hopf3_r2):
     p1 = hopf3.sphere.random_point(np.random.default_rng(18))
-    assert sasakian_identity_residual(hopf3, p1) < 1e-4
+    assert sasakian_identity_residual(hopf3, p1.coords[None])[0] < 1e-4
     p2 = hopf3_r2.sphere.random_point(np.random.default_rng(18))
     # fails off unit radius: the identity forces r = 1
-    assert sasakian_identity_residual(hopf3_r2, p2) > 0.1
+    assert sasakian_identity_residual(hopf3_r2, p2.coords[None])[0] > 0.1
 
 
 def test_shape_matrix_skew_for_killing(hopf5):
     p = hopf5.sphere.random_point(np.random.default_rng(19))
-    rows = hopf5.sphere.standard_frame_rows(p.coords)
-    M = shape_matrix(hopf5, p.coords, rows)
+    rows = hopf5.sphere.standard_frame_rows(p.coords[None])
+    M = shape_matrix(hopf5, p.coords[None], rows)[0]
     assert np.linalg.norm(M + M.T, 2) < 1e-12

@@ -27,7 +27,7 @@ DUNDER = re.compile(r"__\w+__")
 
 # The library's defaulted parameters and dataclass fields, as ROADMAP.md
 # states the figure under quality of design.
-LIBRARY_OPTIONS = 8
+LIBRARY_OPTIONS = 7
 
 # The names ``tgeo`` exports, as ROADMAP.md states the figure under quality
 # of design.

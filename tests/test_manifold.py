@@ -85,7 +85,7 @@ def raising_rows(mat):
 def test_gram_schmidt_rows_orthonormalizes():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((4, 6))
-    rows = gram_schmidt_rows(mat)
+    rows = gram_schmidt_rows(mat, pivot_tol=GS_PIVOT_TOL)
     gram = rows @ rows.T
     assert np.allclose(gram, np.eye(4), atol=1e-12)
 
@@ -94,7 +94,7 @@ def test_gram_schmidt_rows_drops_dependent_rows():
     mat = np.array([[1.0, 0.0, 0.0],
                     [2.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0]])
-    rows = gram_schmidt_rows(mat)
+    rows = gram_schmidt_rows(mat, pivot_tol=GS_PIVOT_TOL)
     assert rows.shape == (2, 3)
 
 
@@ -105,7 +105,8 @@ def test_gram_schmidt_rows_matches_reference(shape):
     for seed in range(5):
         mat = np.random.default_rng((7, seed)).standard_normal(shape)
         assert_identical(raising_rows(mat), ref_gram_schmidt(mat))
-        assert_identical(gram_schmidt_rows(mat), ref_gram_schmidt(mat, drop=True))
+        assert_identical(gram_schmidt_rows(mat, pivot_tol=GS_PIVOT_TOL),
+                         ref_gram_schmidt(mat, drop=True))
 
 
 def test_gram_schmidt_rows_drop_matches_reference():
@@ -114,7 +115,7 @@ def test_gram_schmidt_rows_drop_matches_reference():
     one_dropped = np.array([a, 2.0 * a, b])
     want = ref_gram_schmidt(one_dropped, drop=True)
     assert want.shape == (2, 6)
-    assert_identical(gram_schmidt_rows(one_dropped), want)
+    assert_identical(gram_schmidt_rows(one_dropped, pivot_tol=GS_PIVOT_TOL), want)
     # the projected ambient basis at a point loses one candidate
     sphere = SphereSpec(6, 2.0)
     p = sphere.random_point(rng).coords
@@ -124,7 +125,7 @@ def test_gram_schmidt_rows_drop_matches_reference():
     # every row below the pivot: no rows, with the matrix's row length
     tiny = 1e-12 * rng.standard_normal((3, 5))
     assert ref_gram_schmidt(tiny, drop=True).size == 0
-    assert gram_schmidt_rows(tiny).shape == (0, 5)
+    assert gram_schmidt_rows(tiny, pivot_tol=GS_PIVOT_TOL).shape == (0, 5)
 
 
 def test_gram_schmidt_stack_matches_reference_with_dropped_row():
@@ -171,9 +172,9 @@ def test_standard_frame_spans_tangent_space():
     sphere = SphereSpec(6, 1.0)
     rng = np.random.default_rng(7)
     p = sphere.random_point(rng)
-    rows = sphere.standard_frame_rows(p.coords)
-    assert rows.shape == (5, 6)
-    assert np.allclose(rows @ p.coords, 0.0, atol=1e-12)
+    rows = sphere.standard_frame_rows(p.coords[None])
+    assert rows.shape == (1, 5, 6)
+    assert np.allclose(rows[0] @ p.coords, 0.0, atol=1e-12)
 
 
 def test_covariant_derivative_matches_analytic():

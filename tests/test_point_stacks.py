@@ -1,9 +1,9 @@
 """Stacks of sample points through the singular frames and both
 second-form routes.
 
-The singular decomposition takes a sequence of points and each route an
-(N, ambient) stack of points with their singular data; each gives, point by
-point, the bits of its one-point call or reference. The totally-geodesic
+The singular decomposition takes an (N, ambient) stack of points and each
+route the stack with its singular data; row k of each has the bits of the
+one-row stack of point k and of its one-point reference. The totally-geodesic
 and obstruction suites make one frame call and one call per route for each
 chunk of samples, and a row failure inside a stacked call names its sample.
 """
@@ -29,8 +29,9 @@ from tgeo import (
     singular_decomposition,
 )
 from tgeo.manifold import _reject_rows
-from conftest import (assert_identical, ref_gram_schmidt, ref_second_form_direct,
-                      ref_second_form_lemma, seeded_points)
+from conftest import (assert_identical, point_stack, ref_gram_schmidt,
+                      ref_second_form_direct, ref_second_form_lemma,
+                      seeded_points)
 from test_direction_stacks import (ref_is_geodesic, ref_is_killing,
                                    ref_is_normal, ref_is_strongly_normal,
                                    ref_jacobi_relation_residual,
@@ -43,10 +44,15 @@ CASE_IDS = [f"{xi.name}-s{xi.sphere.dim}-r{xi.sphere.radius:g}" for xi in CASES]
 ROUTES = [second_form_lemma, second_form_direct]
 
 
+def one_row_decompositions(xi, points):
+    """The singular data of each point from its own one-row stack."""
+    return [singular_decomposition(xi, p.coords[None])[0] for p in points]
+
+
 def stack(xi, count, seed):
     points = seeded_points(xi, count, seed=seed)
-    sds = [singular_decomposition(xi, p) for p in points]
-    return points, np.array([p.coords for p in points]), sds
+    return (points, point_stack(points),
+            one_row_decompositions(xi, points))
 
 
 @pytest.mark.parametrize("xi", CASES, ids=CASE_IDS)
@@ -58,19 +64,11 @@ def test_stacked_routes_match_per_point_references(xi):
     assert lemma.shape == direct.shape == (len(points), n1 - 1, n1, n1)
     assert not lemma.flags.writeable and not direct.flags.writeable
     for k, (p, sd) in enumerate(zip(points, sds)):
+        one_row = (coords[k:k + 1], sds[k:k + 1])
+        assert_identical(lemma[k], second_form_lemma(xi, *one_row)[0])
+        assert_identical(direct[k], second_form_direct(xi, *one_row)[0])
         assert_identical(lemma[k], ref_second_form_lemma(xi, p, sd))
         assert_identical(direct[k], ref_second_form_direct(xi, p, sd))
-
-
-@pytest.mark.parametrize("route", ROUTES, ids=["lemma", "direct"])
-@pytest.mark.parametrize("xi", [CASES[0], CASES[9], CASES[-6]],
-                         ids=[CASE_IDS[0], CASE_IDS[9], CASE_IDS[-6]])
-def test_one_point_stack_is_the_one_point_call(xi, route):
-    points, coords, sds = stack(xi, 1, seed=41)
-    stacked = route(xi, coords, sds)
-    one = route(xi, points[0], sds[0])
-    assert stacked.shape == (1,) + one.shape
-    assert_identical(stacked[0], one)
 
 
 def assert_same_decomposition(got, want):
@@ -87,17 +85,10 @@ def test_stacked_decomposition_matches_per_point_calls(xi):
         coords = np.zeros(xi.sphere.ambient_dim)
         coords[1] = xi.sphere.radius
         points.insert(2, xi.sphere.point(coords))
-    sds = singular_decomposition(xi, points)
+    sds = singular_decomposition(xi, point_stack(points))
     assert isinstance(sds, tuple) and len(sds) == len(points)
-    for p, sd in zip(points, sds):
-        assert_same_decomposition(sd, singular_decomposition(xi, p))
-
-
-def test_one_row_decomposition_is_the_one_point_call():
-    xi = CASES[9]
-    p = seeded_points(xi, 1, seed=45)[0]
-    (sd,) = singular_decomposition(xi, [p])
-    assert_same_decomposition(sd, singular_decomposition(xi, p))
+    for sd, want in zip(sds, one_row_decompositions(xi, points)):
+        assert_same_decomposition(sd, want)
 
 
 def test_stacked_decomposition_names_the_failing_row(monkeypatch):
@@ -106,7 +97,7 @@ def test_stacked_decomposition_names_the_failing_row(monkeypatch):
     with pytest.raises(DecompositionFailure,
                        match=r"^singular frame assembly residual \S+ exceeds "
                              r"0\.0e\+00 \(row 0\)$") as info:
-        singular_decomposition(xi, seeded_points(xi, 3, seed=46))
+        singular_decomposition(xi, point_stack(seeded_points(xi, 3, seed=46)))
     assert info.value.row == 0
 
 
@@ -121,7 +112,7 @@ def test_stacked_completion_names_the_failing_row(monkeypatch):
 
     monkeypatch.setattr(fields, "_complete_frame", rank_deficient)
     with pytest.raises(DecompositionFailure) as info:
-        singular_decomposition(xi, points)
+        singular_decomposition(xi, point_stack(points))
     assert info.value.row == 1
 
 
@@ -136,21 +127,21 @@ def near_cap_stack(xi, h):
     coords = np.zeros(xi.sphere.ambient_dim)
     coords[0], coords[1] = np.cos(theta), np.sin(theta)
     points.insert(2, xi.sphere.point(coords))
-    sds = [singular_decomposition(xi, p) for p in points]
-    return points, np.array([p.coords for p in points]), sds
+    return (points, point_stack(points),
+            one_row_decompositions(xi, points))
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=["lemma", "direct"])
 @pytest.mark.parametrize("dim", [3, 5])
 def test_route_names_the_point_of_a_displaced_cap_row(route, dim, monkeypatch):
     xi = meridian_field(np.eye(dim + 1)[0], 1.0)
-    points, coords, sds = near_cap_stack(xi, 0.05)
+    _, coords, sds = near_cap_stack(xi, 0.05)
     monkeypatch.setattr(manifold, "FD_STEP_FACTOR", 0.05)  # step 0.05 at r = 1
     with pytest.raises(SingularLocusError) as info:
         route(xi, coords, sds)
     assert info.value.row == 2
     with pytest.raises(SingularLocusError) as info:
-        route(xi, points[2], sds[2])
+        route(xi, coords[2:3], sds[2:3])
     assert info.value.row == 0
 
 
@@ -259,7 +250,7 @@ def test_totally_geodesic_maxima_cross_a_chunk(field, monkeypatch, capsys):
     xi = cli.build_field(cli.RunConfig(command="verify", field=field))
 
     def measure(p, rng):
-        sd = singular_decomposition(xi, p)
+        sd = singular_decomposition(xi, p.coords[None])[0]
         om_l = ref_second_form_lemma(xi, p, sd)
         om_d = ref_second_form_direct(xi, p, sd)
         return {"lemma": float(np.max(np.abs(om_l))),
@@ -278,10 +269,10 @@ def test_obstruction_maxima_cross_a_chunk(monkeypatch, capsys):
     xi = cli.build_field(cli.RunConfig(command="verify", field="meridian"))
 
     def measure(p, rng):
-        sd = singular_decomposition(xi, p)
-        obs = sasaki.geodesic_field_obstruction(xi, p, sd)
-        om = ref_second_form_lemma(xi, p, sd)
-        closed = sasaki.meridian_obstruction(sd, float(p.coords[0]))
+        sds = singular_decomposition(xi, p.coords[None])
+        obs = sasaki.geodesic_field_obstruction(xi, p.coords[None], sds)[0]
+        om = ref_second_form_lemma(xi, p, sds[0])
+        closed = sasaki.meridian_obstruction(sds, p.coords[:1])[0]
         return {"consistency": float(np.max(np.abs(obs - om[:, 1:, 0]))),
                 "magnitude": float(np.max(np.abs(obs))),
                 "closed form": float(np.max(np.abs(obs - closed)))}
@@ -365,7 +356,7 @@ def test_non_killing_point_refuses_the_field():
     skew = np.array([fields.complex_structure(4), fields.complex_structure(4)])
     skew[1, 0, 1] = np.inf  # an SVD of infinite entries gives NaN
     with pytest.raises(PreconditionError, match="skewness residual nan$"):
-        fields._require_killing(skew, "Jacobi relation")
+        fields._require_killing(hopf_field(1, 1.0), skew, "Jacobi relation")
 
 
 @pytest.fixture

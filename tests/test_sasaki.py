@@ -35,7 +35,7 @@ from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
 from conftest import (assert_identical, random_frame, random_tangent,
                       ref_half_curvature,
                       ref_second_form_direct, ref_second_form_lemma,
-                      seeded_points)
+                      point_stack, seeded_points)
 
 
 def sasaki_pairing(X: BundleVector, h, v):
@@ -91,7 +91,8 @@ def test_normal_lift_sees_only_perp_part(hopf3):
 
 def test_submanifold_frame_rows_orthonormal_and_dual(hopf5):
     p = hopf5.sphere.random_point(np.random.default_rng(4))
-    (th, tv), (nh, nv) = _xi_frame_rows(singular_decomposition(hopf5, p))
+    sd = singular_decomposition(hopf5, p.coords[None])[0]
+    (th, tv), (nh, nv) = _xi_frame_rows(sd)
     h, v = np.vstack([th, nh]), np.vstack([tv, nv])
     gram = h @ h.T + v @ v.T
     assert np.max(np.abs(gram - np.eye(len(h)))) < 1e-10
@@ -119,26 +120,27 @@ def test_bundle_vector_anchor_guard(hopf3):
 @pytest.mark.parametrize("fixture_name", ["hopf3", "hopf5"])
 def test_second_form_vanishes_unit_hopf(fixture_name, request):
     xi = request.getfixturevalue(fixture_name)
-    for p in seeded_points(xi, 10, seed=10):
-        sd = singular_decomposition(xi, p)
-        assert np.max(np.abs(second_form_lemma(xi, p, sd))) < 1e-5
-        assert np.max(np.abs(second_form_direct(xi, p, sd))) < 1e-5
+    P = point_stack(seeded_points(xi, 10, seed=10))
+    sds = singular_decomposition(xi, P)
+    assert np.max(np.abs(second_form_lemma(xi, P, sds))) < 1e-5
+    assert np.max(np.abs(second_form_direct(xi, P, sds))) < 1e-5
 
 
 def test_second_form_routes_agree_off_unit_radius(hopf3_r2):
     """The two assemblies are independent; they must match where nonzero."""
-    for p in seeded_points(hopf3_r2, 5, seed=11):
-        sd = singular_decomposition(hopf3_r2, p)
-        om_l = second_form_lemma(hopf3_r2, p, sd)
-        om_d = second_form_direct(hopf3_r2, p, sd)
-        assert np.max(np.abs(om_l - om_d)) < 1e-6
-        assert np.max(np.abs(om_l)) > 0.07  # genuinely nonzero at r=2
+    P = point_stack(seeded_points(hopf3_r2, 5, seed=11))
+    sds = singular_decomposition(hopf3_r2, P)
+    om_l = second_form_lemma(hopf3_r2, P, sds)
+    om_d = second_form_direct(hopf3_r2, P, sds)
+    assert np.max(np.abs(om_l - om_d)) < 1e-6
+    # genuinely nonzero at r=2, at every point
+    assert np.all(np.max(np.abs(om_l), axis=(1, 2, 3)) > 0.07)
 
 
 def test_second_form_direct_is_symmetric(hopf3_r2):
     """Symmetry in (i, j) is not built into the direct route; it is evidence."""
-    p = hopf3_r2.sphere.random_point(np.random.default_rng(12))
-    om = second_form_direct(hopf3_r2, p, singular_decomposition(hopf3_r2, p))
+    P = hopf3_r2.sphere.random_point(np.random.default_rng(12)).coords[None]
+    om = second_form_direct(hopf3_r2, P, singular_decomposition(hopf3_r2, P))[0]
     assert np.max(np.abs(om - np.transpose(om, (0, 2, 1)))) < 1e-6
 
 
@@ -150,10 +152,11 @@ def test_second_form_direct_is_symmetric(hopf3_r2):
 def test_second_form_direct_matches_per_point_reference(xi):
     """The displaced points' frames as one stack give the bits of the loop
     over displaced points."""
-    for p in seeded_points(xi, 6, seed=14):
-        sd = singular_decomposition(xi, p)
-        assert_identical(second_form_direct(xi, p, sd),
-                         ref_second_form_direct(xi, p, sd))
+    points = seeded_points(xi, 6, seed=14)
+    P = point_stack(points)
+    sds = singular_decomposition(xi, P)
+    for p, sd, omega in zip(points, sds, second_form_direct(xi, P, sds)):
+        assert_identical(omega, ref_second_form_direct(xi, p, sd))
 
 
 @pytest.mark.parametrize("xi", [
@@ -169,11 +172,11 @@ def test_second_form_direct_matches_per_point_reference(xi):
 def test_second_form_lemma_matches_per_pair_reference(xi):
     """One finite difference per frame direction, applied to the whole frame,
     gives the bits of one finite difference per (e_i, e_j) pair."""
-    count = 3 if xi.sphere.dim > 7 else 6
-    for p in seeded_points(xi, count, seed=15):
-        sd = singular_decomposition(xi, p)
-        assert_identical(second_form_lemma(xi, p, sd),
-                         ref_second_form_lemma(xi, p, sd))
+    points = seeded_points(xi, 3 if xi.sphere.dim > 7 else 6, seed=15)
+    P = point_stack(points)
+    sds = singular_decomposition(xi, P)
+    for p, sd, omega in zip(points, sds, second_form_lemma(xi, P, sds)):
+        assert_identical(omega, ref_second_form_lemma(xi, p, sd))
 
 
 def test_fd_kernels_follow_the_step_factor(monkeypatch):
@@ -184,8 +187,8 @@ def test_fd_kernels_follow_the_step_factor(monkeypatch):
     base = hopf_field(2, 2.0)
     sphere = base.sphere
     p = seeded_points(base, 1, seed=19)[0]
-    sd = singular_decomposition(base, p)
-    x, y = sd.right_frame.matrix[:2]
+    sds = singular_decomposition(base, p.coords[None])
+    x, y = sds[0].right_frame.matrix[:2]
     seen = []
 
     def recording(q):
@@ -195,8 +198,8 @@ def test_fd_kernels_follow_the_step_factor(monkeypatch):
     xi = dataclasses.replace(base, jacobian_fn=recording)
     kernels = [lambda: sphere.fd_derivative_array(recording, p.coords, x),
                lambda: half_curvature(xi, p.coords, x, y),
-               lambda: second_form_lemma(xi, p, sd),
-               lambda: second_form_direct(xi, p, sd)]
+               lambda: second_form_lemma(xi, p.coords[None], sds),
+               lambda: second_form_direct(xi, p.coords[None], sds)]
     for factor in (manifold.FD_STEP_FACTOR, 2e-3):
         monkeypatch.setattr(manifold, "FD_STEP_FACTOR", factor)
         want = 2.0 * sphere.radius * np.sin(factor / 2.0)
@@ -243,8 +246,8 @@ def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
     whole frame at once, and 2 Jacobian evaluations (not the 2 n1^2 = 450 of
     one finite difference per frame pair on S^15)."""
     xi = hopf_field(m, 1.0)
-    p = seeded_points(xi, 1, seed=17)[0]
-    sd = singular_decomposition(xi, p)
+    P = seeded_points(xi, 1, seed=17)[0].coords[None]
+    sds = singular_decomposition(xi, P)
     counts = {"half_curvature": 0, "jacobian": 0}
 
     def counted_jacobian(q, _jac=xi.jacobian_fn):
@@ -257,9 +260,9 @@ def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
 
     monkeypatch.setattr("tgeo.sasaki.half_curvature", counted_half_curvature)
     counted = UnitVectorField(xi.sphere, xi.value_fn, counted_jacobian, xi.name)
-    omega = second_form_lemma(counted, p, sd)
+    omega = second_form_lemma(counted, P, sds)
     assert counts == {"half_curvature": 1, "jacobian": 2}
-    assert_identical(omega, second_form_lemma(xi, p, sd))
+    assert_identical(omega, second_form_lemma(xi, P, sds))
 
 
 def test_second_form_nonunit_pattern(hopf3_r2):
@@ -267,7 +270,7 @@ def test_second_form_nonunit_pattern(hopf3_r2):
     carry the value (1/2) K (1-K) / (1+K) = 0.075 at K = 1/4."""
     p = hopf3_r2.sphere.random_point(np.random.default_rng(13))
     kd = killing_canonical_frames(hopf3_r2, p)
-    om = second_form_direct(hopf3_r2, p, kd)
+    om = second_form_direct(hopf3_r2, p.coords[None], (kd,))[0]
     expected = np.zeros_like(om)
     expected[0, 2, 0] = expected[0, 0, 2] = 0.075
     expected[1, 1, 0] = expected[1, 0, 1] = -0.075
@@ -288,7 +291,8 @@ def test_hopf_pattern_closed_form(m, radius):
     xi = hopf_field(m, radius)
     p = xi.sphere.random_point(np.random.default_rng((18, m)))
     kd = killing_canonical_frames(xi, p)
-    peak, off = hopf_pattern_split(second_form_direct(xi, p, kd))
+    omega = second_form_direct(xi, p.coords[None], (kd,))[0]
+    peak, off = hopf_pattern_split(omega)
     assert abs(peak - abs(inline)) < 1e-4
     assert off < 1e-6
 
@@ -305,34 +309,36 @@ def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     n1 = hopf7.sphere.dim
     for p in seeded_points(hopf7, 2, seed=30):
+        P = p.coords[None]
         before = dict(counts)
-        sd = singular_decomposition(hopf7, p)
+        sds = singular_decomposition(hopf7, P)
         assert counts[Frame] - before[Frame] == 2
         assert counts[TangentVector] - before[TangentVector] == 2 * n1
         before = dict(counts)
-        second_form_lemma(hopf7, p, sd)
-        second_form_direct(hopf7, p, sd)
-        is_strongly_normal(hopf7, p)
-        sasakian_identity_residual(hopf7, p)
+        second_form_lemma(hopf7, P, sds)
+        second_form_direct(hopf7, P, sds)
+        is_strongly_normal(hopf7, P)
+        sasakian_identity_residual(hopf7, P)
         assert counts == before
 
 
 def test_meridian_second_form_is_large(meridian2):
     theta = np.pi / 3.0
-    p = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0])
-    om = second_form_lemma(meridian2, p, singular_decomposition(meridian2, p))
+    P = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0]).coords[None]
+    om = second_form_lemma(meridian2, P, singular_decomposition(meridian2, P))
     assert np.max(np.abs(om)) > 0.1
 
 
 def test_obstruction_consistency_and_meridian_closed_form(meridian3):
     """Obstruction M_(s,a) = Omega_(s|a,0); for the meridian field it equals
     -(1/2) Lambda (cot^2 + 1) <e_a, f_s>."""
-    for p in seeded_points(meridian3, 8, seed=14):
-        sd = singular_decomposition(meridian3, p)
-        obs = geodesic_field_obstruction(meridian3, p, sd)
-        om = second_form_lemma(meridian3, p, sd)
-        assert np.max(np.abs(obs - om[:, 1:, 0])) < 1e-4
-        ct = float(p.coords[0])
+    P = point_stack(seeded_points(meridian3, 8, seed=14))
+    sds = singular_decomposition(meridian3, P)
+    stacked = geodesic_field_obstruction(meridian3, P, sds)
+    om = second_form_lemma(meridian3, P, sds)
+    assert np.max(np.abs(stacked - om[:, :, 1:, 0])) < 1e-4
+    for p, sd, obs in zip(P, sds, stacked):
+        ct = float(p[0])
         factor = ct * ct / (1.0 - ct * ct) + 1.0
         lam = sd.lambdas
         scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
@@ -348,12 +354,12 @@ def test_meridian_obstruction_closed_form(dim):
     and the inline -(1/2) Lambda (cot^2 + 1) <e_a, f_s>, on S^3 and S^5."""
     axis = np.eye(dim + 1)[0]
     xi = meridian_field(axis)
-    for p in seeded_points(xi, 8, seed=17):
-        sd = singular_decomposition(xi, p)
-        ct = float(p.coords @ axis)
-        closed = meridian_obstruction(sd, ct)
-        obs = geodesic_field_obstruction(xi, p, sd)
-        assert np.max(np.abs(obs - closed)) < 1e-4
+    P = point_stack(seeded_points(xi, 8, seed=17))
+    sds = singular_decomposition(xi, P)
+    cts = P @ axis
+    stacked = meridian_obstruction(sds, cts)
+    assert np.max(np.abs(geodesic_field_obstruction(xi, P, sds) - stacked)) < 1e-4
+    for ct, sd, closed in zip(cts, sds, stacked):
         factor = ct * ct / (1.0 - ct * ct) + 1.0
         scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
         e = sd.right_frame.matrix
@@ -363,16 +369,16 @@ def test_meridian_obstruction_closed_form(dim):
 
 
 def test_obstruction_zero_for_unit_hopf(hopf3):
-    p = hopf3.sphere.random_point(np.random.default_rng(15))
-    obs = geodesic_field_obstruction(hopf3, p, singular_decomposition(hopf3, p))
+    P = hopf3.sphere.random_point(np.random.default_rng(15)).coords[None]
+    obs = geodesic_field_obstruction(hopf3, P, singular_decomposition(hopf3, P))
     assert np.max(np.abs(obs)) < 1e-10
 
 
 def test_obstruction_preconditions(hopf3_r2):
-    p = hopf3_r2.sphere.random_point(np.random.default_rng(16))
+    P = hopf3_r2.sphere.random_point(np.random.default_rng(16)).coords[None]
     with pytest.raises(PreconditionError):
         # needs unit radius
-        geodesic_field_obstruction(hopf3_r2, p, singular_decomposition(hopf3_r2, p))
+        geodesic_field_obstruction(hopf3_r2, P, singular_decomposition(hopf3_r2, P))
 
 
 # -- sectional curvature ----------------------------------------------------------

@@ -150,8 +150,8 @@ def test_principal_term_along_one_normal_direction(name, request):
     zero = np.zeros((sphere.ambient_dim, sphere.ambient_dim))
     worst = peak = 0.0
     for p in seeded_points(xi, 3, seed=31):
-        sd = singular_decomposition(xi, p)
-        form = second_form_lemma(xi, p, sd)
+        sd = singular_decomposition(xi, p.coords[None])[0]
+        form = second_form_lemma(xi, p.coords[None], (sd,))[0]
         for s in range(1, sphere.dim):
             w = sd.left_frame.matrix[s]
             eta = VariationField(sphere, lambda q, w=w: w, lambda q: zero)
