@@ -41,6 +41,7 @@ from .fields import (
     QuadratureFailure,
     SingularLocusError,
     UnitVectorField,
+    _killing_tol,
     covariant_normality_residual,
     half_curvature,
     hopf_field,
@@ -574,9 +575,9 @@ def cmd_svd(config: RunConfig) -> int:
         f"covariant normality |A A* - A* A|: {normality:.3e}",
     ]
     killing = is_killing(xi, p.coords[None])[0]
-    if killing <= TOL_ANALYTIC:
+    if killing <= _killing_tol(sphere.radius):
         kd = killing_canonical_frames(xi, p)
-        m = int(np.count_nonzero(kd.lambdas > 1e-7)) // 2
+        m = np.count_nonzero(kd.lambdas) // 2  # unpaired slots hold 0.0
         ke = kd.right_frame.matrix
         kf = kd.left_frame.matrix
         ka = shape_apply_array(xi, p.coords, ke)

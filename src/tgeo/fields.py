@@ -19,6 +19,7 @@ from .manifold import (
     SphereSpec,
     SpherePoint,
     TangentVector,
+    _check_points_stack,
     _check_tangent_stack,
     _matvec_rows,
     _reject_rows,
@@ -255,13 +256,14 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
                      pin_e0: bool = False) -> tuple:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
-    components to ``ASSEMBLY_TOL * max(1, lambda_max)`` at each point, then
+    components to ``ASSEMBLY_TOL * max(1, 1/r, lambda_max)`` at each point
+    (1/r for the singular values the canonical frames take as zero), then
     build the ambient frames with f_0 (and, with ``pin_e0``, e_0) set
     exactly to the field vector ``xiv``.
 
     Every array has a leading axis over the points ``P``; a point that fails
     a check raises naming its row. Returns one ``SingularData`` per point."""
-    tol = ASSEMBLY_TOL * np.maximum(1.0, np.max(lambdas, axis=1))
+    tol = ASSEMBLY_TOL * np.maximum(max(1.0, 1 / sphere.radius), lambdas.max(1))
     resid = np.maximum(
         np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
                               - lambdas[..., None] * f_comps, axis=2), axis=1),
@@ -303,6 +305,7 @@ def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> tuple:
     naming its row in ``.row``.
     """
     N, n1 = len(P), xi.sphere.dim
+    _check_points_stack(xi.sphere.radius, P)
     rows, M = _framed_shape_matrix(xi, P)
     U, s, Vt = np.linalg.svd(M)
 
@@ -342,13 +345,14 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     """
     n1 = xi.sphere.dim
     P = p.coords[None]
-    rows, M = _framed_shape_matrix(xi, P)
-    _require_killing(xi, M, "canonical pairing")
-    rows, M = rows[0], M[0]
+    rows_stack, M_stack = _framed_shape_matrix(xi, P)
+    _require_killing(xi.sphere.radius, M_stack, "canonical pairing")
+    rows, M = rows_stack[0], M_stack[0]
 
-    U, s, Vt = np.linalg.svd(M)
-    pos_idx = [i for i in range(n1) if s[i] > SV_ZERO_TOL]
-    null_rows = [Vt[i] for i in range(n1) if s[i] <= SV_ZERO_TOL]
+    _, s, Vt = np.linalg.svd(M)
+    zero = _killing_tol(xi.sphere.radius)  # zero as the Killing check sees it
+    pos_idx = [i for i in range(n1) if s[i] > zero]
+    null_rows = [Vt[i] for i in range(n1) if s[i] <= zero]
 
     # group equal singular values (degenerate blocks must be paired jointly)
     groups: list[list[int]] = []
@@ -374,11 +378,9 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
             rest = rest - np.outer(rest @ v, v) - np.outer(rest @ w, w)
             basis = gram_schmidt_rows(rest, pivot_tol=1e-6)
 
-    m = len(pair_l)
     xiv = xi.value_array(p.coords)
-    xi_comps = rows @ xiv
-    kernel = [xi_comps]
-    if 2 * m + 1 < n1:
+    kernel = [rows @ xiv]
+    if 2 * len(pair_l) + 1 < n1:
         # the kernel rows beside xi, orthogonal to the paired blocks
         kernel += _complete_frame(kernel + pair_v + pair_w,
                                   np.vstack(null_rows + [np.eye(n1)]), n1)
@@ -388,7 +390,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     lambdas = np.array([0.0] + pair_l + pair_l + [0.0] * (len(kernel) - 1))
     if e_comps.shape != (n1, n1):
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
-    return _assemble_frames(xi.sphere, P, rows[None], M[None], lambdas[None],
+    return _assemble_frames(xi.sphere, P, rows_stack, M_stack, lambdas[None],
                             e_comps[None], f_comps[None], xiv[None],
                             "canonical frame", pin_e0=True)[0]
 
@@ -447,12 +449,16 @@ def _skewness(M: np.ndarray) -> np.ndarray:
     return np.linalg.norm(M + np.swapaxes(M, 1, 2), 2, axis=(1, 2))
 
 
-def _require_killing(xi: UnitVectorField, M: np.ndarray, what: str) -> None:
+def _killing_tol(radius: float) -> float:
+    """The Killing bound on the skewness of A + A*: A scales as 1/r."""
+    return TOL_ANALYTIC / radius
+
+
+def _require_killing(radius: float, M: np.ndarray, what: str) -> None:
     """Refuse, as a whole (no ``.row``), a field not Killing at some point
-    of the stack ``M`` (a NaN too), naming the first such residual. A
-    scales as 1/r, so the skewness is judged against ``TOL_ANALYTIC / r``."""
+    of the stack ``M`` (a NaN too), naming the first such residual."""
     resid = _skewness(M)
-    bad = ~(resid <= TOL_ANALYTIC / xi.sphere.radius)
+    bad = ~(resid <= _killing_tol(radius))
     if bad.any():
         raise PreconditionError(f"{what} needs a Killing field: skewness "
                                 f"residual {resid[np.argmax(bad)]:.3e}")
@@ -550,7 +556,7 @@ def jacobi_relation_residual(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
     """max_X || A* A X - R(X, xi) xi || over an orthonormal frame (Killing
     xi): A* A e_i is column i of A* A."""
     rows, M = _framed_shape_matrix(xi, P)
-    _require_killing(xi, M, "Jacobi relation")
+    _require_killing(xi.sphere.radius, M, "Jacobi relation")
     xic = _matvec_rows(rows, xi.value_array(P))
     lhs = np.swapaxes(np.matmul(np.swapaxes(M, 1, 2), M), 1, 2)
     rhs = xi.sphere.curvature_constant * (

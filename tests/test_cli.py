@@ -541,6 +541,31 @@ def test_svd_meridian_equator_has_no_pairs(capsys, monkeypatch, dim, theta):
     assert completed == [(1, int(dim))] * 2
 
 
+def test_svd_far_meridian_near_equator_has_no_canonical_pairing(capsys):
+    """At radius 1e4 and theta 1.57 the skewness 2 cot(theta) / r is about
+    1.6e-7: under an absolute 1e-6 but over the Killing bound 1e-6 / r that
+    the canonical pairing applies, so svd notes that there is no pairing
+    instead of asking for it and being refused."""
+    _, out = run_cli(capsys, ["svd", "--field", "meridian", "--radius", "1e4",
+                              "--theta", "1.57"], expect=0)
+    rep = json.loads(out)[0]
+    assert rep["verdict"] == "pass"
+    assert rep["notes"][-1].endswith(": no canonical pairing")
+
+
+@pytest.mark.parametrize("radius", ["1e-3", "1", "2"])
+def test_svd_meridian_just_off_the_equator_pairs_nothing(capsys, radius):
+    """At theta 1.5707961, lambda = cot(theta) / r is 2.3e-7 / r and the
+    skewness twice that: within the Killing bound 1e-6 / r, though lambda
+    is above SV_ZERO_TOL. The canonical frames take lambda as zero, as the
+    Killing check does, so they pair nothing and pass their frame check."""
+    _, out = run_cli(capsys, ["svd", "--field", "meridian", "--radius", radius,
+                              "--theta", "1.5707961"], expect=0)
+    rep = json.loads(out)[0]
+    assert rep["verdict"] == "pass"
+    assert rep["notes"][-1].startswith("killing canonical pairing: 0 pairs")
+
+
 def test_predicates_hopf_off_unit_radius_expects_sasakian_residual(capsys):
     _, out = run_cli(capsys, ["verify", "predicates", "--radius", "2",
                               "--samples", "5"], expect=0)

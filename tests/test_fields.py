@@ -321,6 +321,16 @@ def test_killing_precondition_accepts_a_small_hopf_field():
     assert resid.shape == (1,) and np.isfinite(resid[0])
 
 
+@pytest.mark.parametrize("radius", [1e-12, 1e-3, 1e4, 1e8])
+def test_killing_canonical_frames_pair_the_hopf_field_at_any_radius(radius):
+    """lambda = 1/r is paired at every radius, and the kernel's rounding is
+    not: the pairing takes as zero what the Killing bound takes as zero."""
+    xi = hopf_field(1, radius)
+    p = xi.sphere.random_point(np.random.default_rng(18))
+    kd = killing_canonical_frames(xi, p)
+    assert np.allclose(kd.lambdas * radius, [0.0, 1.0, 1.0], atol=1e-9)
+
+
 def test_near_killing_field_fails_one_killing_threshold(hopf5):
     """A skewness of order 1e-5 sits between the analytic 1e-6 and the
     finite-difference 1e-4: every Killing check must refuse it alike."""

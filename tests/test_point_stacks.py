@@ -116,6 +116,19 @@ def test_stacked_completion_names_the_failing_row(monkeypatch):
     assert info.value.row == 1
 
 
+def test_stacked_decomposition_checks_its_coordinates_first():
+    """A row off the sphere is refused as a point, naming its row, before
+    the frames or the shape matrix are built from it."""
+    xi = CASES[0]
+    coords = point_stack(seeded_points(xi, 3, seed=49))
+    coords[1] *= 2.0
+    with pytest.raises(DegenerateInputError,
+                       match=r"^coordinates do not lie on the sphere "
+                             r"\(row 1\)$") as info:
+        singular_decomposition(xi, coords)
+    assert info.value.row == 1
+
+
 # -- a failing row names its point ---------------------------------------------
 
 
@@ -356,7 +369,7 @@ def test_non_killing_point_refuses_the_field():
     skew = np.array([fields.complex_structure(4), fields.complex_structure(4)])
     skew[1, 0, 1] = np.inf  # an SVD of infinite entries gives NaN
     with pytest.raises(PreconditionError, match="skewness residual nan$"):
-        fields._require_killing(hopf_field(1, 1.0), skew, "Jacobi relation")
+        fields._require_killing(1.0, skew, "Jacobi relation")
 
 
 @pytest.fixture
