@@ -21,7 +21,6 @@ from .fields import (
     DecompositionFailure,
     PreconditionError,
     PropagationFailure,
-    QuadratureFailure,
     SingularData,
     SingularLocusError,
     UnitVectorField,
@@ -66,7 +65,6 @@ __all__ = [
     "Frame",
     "PreconditionError",
     "PropagationFailure",
-    "QuadratureFailure",
     "SingularData",
     "SingularLocusError",
     "SpherePoint",

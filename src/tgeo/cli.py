@@ -3,9 +3,9 @@ and second-variation runs, with deterministic seeded sampling and JSON/CSV
 report output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
-configuration error, 3 numerical failure (frame assembly, fiber propagation,
-quadrature rejection, singular locus, degenerate curvature plane, a failing
-check on a sampled vector or plane).
+configuration error or an unwritable report, 3 numerical failure (frame
+assembly, fiber propagation, a non-finite integrand, singular locus,
+degenerate curvature plane, a failing check on a sampled vector or plane).
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .manifold import (
+    _STREAM_CHUNK,
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
-    _naming_rows,
-    _reject_rows,
+    _require_rows,
     _row_norms,
     gram_schmidt_rows,
-    stream_normals,
+    stream_chunks,
     unit_rows,
 )
 from .fields import (
@@ -38,7 +38,6 @@ from .fields import (
     DecompositionFailure,
     PreconditionError,
     PropagationFailure,
-    QuadratureFailure,
     SingularLocusError,
     UnitVectorField,
     _killing_tol,
@@ -75,10 +74,9 @@ class UsageError(ValueError):
     """Bad flags, bad config file, or an invalid parameter combination."""
 
 
-# FloatingPointError: a residual or curvature came out NaN or infinite
+# FloatingPointError: a residual, curvature or integrand came out NaN or infinite
 _NUMERICAL_FAILURES = (DecompositionFailure, DegeneratePlaneError,
-                       FloatingPointError, PropagationFailure,
-                       QuadratureFailure, SingularLocusError)
+                       FloatingPointError, PropagationFailure, SingularLocusError)
 
 
 # Every settable key with its value parser; defaults live in RunConfig. The
@@ -166,35 +164,34 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
                    extra: int = 0) -> dict:
     """Maximum of each residual that ``measure(coords, rows)`` names, over
     the sample points. Sample idx draws from its own stream (seed, idx) its
-    point, then ``extra`` rows of ambient normals. Each run of up to
-    _SAMPLE_CHUNK samples is drawn in one stream_normals call, a point drawn
-    in a polar cap is replayed on its own generator through _sample_point,
-    and the run is measured in one stacked call, one array entry per sample.
+    point, then ``extra`` rows of ambient normals. The samples are drawn
+    _SAMPLE_CHUNK at a time through ``stream_chunks``, a point drawn in a
+    polar cap is replayed on its own generator through _sample_point, and
+    each run is measured in one stacked call, one array entry per sample.
     A row failure or a non-finite residual is re-raised naming the sample and
     the seed tuple that replays it.
     """
-    sphere = xi.sphere
     worst = {}
-    buf = np.empty((_SAMPLE_CHUNK, 1 + extra, sphere.ambient_dim))
-    for start in range(0, config.samples, _SAMPLE_CHUNK):
-        draws = stream_normals(config.seed, start,
-                               buf[:min(_SAMPLE_CHUNK, config.samples - start)])
-        index = range(start, start + len(draws))
-        with _naming_rows("sample", config.seed, index):
-            coords = sphere.stacked_points(draws[:, 0])
+
+    def run(start, draws):
+        coords = xi.sphere.stacked_points(draws[:, 0])
         for k in np.flatnonzero(_in_cap(xi, coords)).tolist():
             rng = np.random.default_rng((config.seed, start + k))
-            with _naming_rows("sample", config.seed, index[k:]):
+            try:
                 coords[k] = _sample_point(xi, rng).coords
+            except DegenerateInputError as exc:
+                exc.row = k
+                raise
             rng.standard_normal(out=draws[k, 1:])
-        with _naming_rows("sample", config.seed, index):
-            columns = measure(coords, draws[:, 1:])
-            names = list(columns)
-            bad = ~np.isfinite(np.stack(list(columns.values()), axis=1))
-            _reject_rows(bad, FloatingPointError, lambda row: (
-                f"non-finite {names[int(np.argmax(bad[row]))]} residual"))
+        columns = measure(coords, draws[:, 1:])
+        finite = np.isfinite(np.stack(list(columns.values()), axis=1))
+        _require_rows(finite, FloatingPointError, lambda row: (
+            f"non-finite {list(columns)[int(np.argmin(finite[row]))]} residual"))
         for name, col in columns.items():
             worst[name] = max(worst.get(name, 0.0), float(np.max(col)))
+
+    stream_chunks(config.seed, 0, config.samples, _SAMPLE_CHUNK,
+                  (1 + extra, xi.sphere.ambient_dim), "sample", run)
     return worst
 
 
@@ -400,36 +397,27 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-# Planes per stacked batch: enough to spread numpy's per-call overhead thin,
-# few enough that a batch's arrays stay small (S^15 frames: 0.5 MB).
-_SCAN_CHUNK = 256
-
-
 def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
                  curvatures) -> tuple:
     """Run a scan in batches of planes; return its observed (min, max).
 
     Plane idx draws ``shape`` standard normals from its own stream
-    (seed, stream0 + idx), the numbers the one-plane code drew call by call;
-    ``stream_normals`` seeds a whole batch of streams in one call.
-    ``curvatures(start, draws)`` maps a batch to its curvatures; a row-level
-    failure, or a curvature that is not finite, is re-raised naming the
-    plane and the seed tuple that replays it.
+    (seed, stream0 + idx), the numbers the one-plane code drew call by call,
+    a batch at a time through ``stream_chunks``. ``curvatures(start, draws)``
+    maps a batch to its curvatures; a row-level failure, or a curvature that
+    is not finite, is re-raised naming the plane and the seed tuple that
+    replays it.
     """
-    lo, hi = math.inf, -math.inf
-    buf = np.empty((_SCAN_CHUNK,) + shape)
-    for start in range(0, config.planes, _SCAN_CHUNK):
-        draws = stream_normals(config.seed, stream0 + start,
-                               buf[:min(_SCAN_CHUNK, config.planes - start)])
-        with _naming_rows(f"{kind} plane", config.seed,
-                          range(start, start + len(draws)), stream0):
-            ks = curvatures(start, draws)
-            _reject_rows(~np.isfinite(ks), FloatingPointError,
-                         "non-finite curvature")
-        ks = ks.tolist()
-        rows.extend((start + j, kind, K) for j, K in enumerate(ks))
-        lo, hi = min(lo, *ks), max(hi, *ks)
-    return lo, hi
+    def checked(start, draws):
+        ks = curvatures(start, draws)
+        _require_rows(np.isfinite(ks), FloatingPointError, "non-finite curvature")
+        return ks
+
+    ks = np.concatenate(stream_chunks(config.seed, stream0, config.planes,
+                                      _STREAM_CHUNK, shape, f"{kind} plane",
+                                      checked)).tolist()
+    rows.extend((j, kind, K) for j, K in enumerate(ks))
+    return min(ks), max(ks)
 
 
 def _scan_submanifold(xi, config, rows) -> tuple:
@@ -447,8 +435,8 @@ def _scan_submanifold(xi, config, rows) -> tuple:
             u, x1, x2 = xi_tangential_lift_array(xi, p[:m], X[:m])
             _, y1, y2 = xi_tangential_lift_array(xi, p[:m], Y[:m])
             Kq = bundle_sectional_curvature_array(sphere, p[:m], u, x1, x2, y1, y2)
-            _reject_rows(~np.isfinite(Kq), FloatingPointError,
-                         "non-finite bundle-route curvature")
+            _require_rows(np.isfinite(Kq), FloatingPointError,
+                          "non-finite bundle-route curvature")
             cross_resid = max(cross_resid, *np.abs(K[:m] - Kq).tolist())
         return K
 
@@ -622,7 +610,10 @@ def _params(config: RunConfig) -> dict:
 
 def _write_text(text: str, config: RunConfig) -> None:
     if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+        try:
+            Path(config.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

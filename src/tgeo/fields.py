@@ -22,7 +22,7 @@ from .manifold import (
     _check_points_stack,
     _check_tangent_stack,
     _matvec_rows,
-    _reject_rows,
+    _require_rows,
     _row_norms,
     gram_schmidt_rows,
 )
@@ -52,15 +52,11 @@ class DecompositionFailure(RuntimeError):
     """Assembled singular frames do not reproduce the operator within tolerance."""
 
 
-# The variation layer's failures and its fiber-step floor live here, beside
-# the frames' failure, so that the CLI can catch and validate them without
-# loading tgeo.variation.
+# Fiber propagation's failure and step floor live here, beside the frames'
+# failure, so that the CLI can catch and validate them without loading
+# tgeo.variation, whose quadrature raises FloatingPointError on a NaN value.
 class PropagationFailure(RuntimeError):
     """Fiber frame propagation drifted beyond the table residual ceiling."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Too many quadrature samples were rejected (NaN/inf integrand)."""
 
 
 # Fewest fiber steps propagate_fiber_frame takes, and the CLI's floor for
@@ -152,16 +148,16 @@ def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
     the first such row.
     """
     axis = np.asarray(m_axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
         raise DegenerateInputError("meridian axis must be a unit ambient vector")
     sphere = SphereSpec(len(axis), radius)
     r2 = radius ** 2
     eye = np.eye(len(axis))
 
     def check_caps(s_sq):
-        # polar angle below 1e-4
-        _reject_rows(np.atleast_1d(s_sq < 1e-8), SingularLocusError,
-                     "meridian field evaluated inside a polar cap")
+        # polar angle at least 1e-4; a NaN point is refused too
+        _require_rows(np.atleast_1d(s_sq >= 1e-8), SingularLocusError,
+                      "meridian field evaluated inside a polar cap")
 
     def value(p, a=axis):
         ap = np.vecdot(p, a)
@@ -215,8 +211,8 @@ def _framed_shape_matrix(xi: UnitVectorField, P: np.ndarray) -> tuple:
     row, before an SVD of it could fail to converge."""
     rows = xi.sphere.standard_frame_rows(P)
     M = shape_matrix(xi, P, rows)
-    _reject_rows(~np.isfinite(M.reshape(-1, M.shape[-1] ** 2)), FloatingPointError,
-                 "non-finite shape matrix")
+    _require_rows(np.isfinite(M.reshape(-1, M.shape[-1] ** 2)), FloatingPointError,
+                  "non-finite shape matrix")
     return rows, M
 
 
@@ -269,8 +265,8 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
                               - lambdas[..., None] * f_comps, axis=2), axis=1),
         np.max(np.linalg.norm(np.matmul(f_comps, M)
                               - lambdas[..., None] * e_comps, axis=2), axis=1))
-    _reject_rows(resid > tol, DecompositionFailure,
-                 lambda k: f"{label} residual {resid[k]:.3e} exceeds {tol[k]:.1e}")
+    _require_rows(resid <= tol, DecompositionFailure,
+                  lambda k: f"{label} residual {resid[k]:.3e} exceeds {tol[k]:.1e}")
 
     e_amb = np.matmul(e_comps, rows)
     f_amb = np.matmul(f_comps, rows)

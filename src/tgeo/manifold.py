@@ -10,7 +10,6 @@ constant-curvature geometry with no chart bookkeeping.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,36 +53,22 @@ def _as_readonly(values) -> np.ndarray:
 # is ``sqrt`` of that dot.
 
 
-def _reject_rows(bad: np.ndarray, error: type, message) -> None:
-    """Raise ``error`` for the first row flagged in ``bad`` (leading axis).
+def _require_rows(ok: np.ndarray, error: type, message) -> None:
+    """Raise ``error`` for the first row (leading axis) that ``ok`` does not
+    hold throughout: a check states what each row must meet, so NaN fails.
 
     ``message`` is a string or a function of the row index. The index is
     kept on the exception as ``row``, so a caller that knows where its rows
     came from can name the sample; the message names it when there is more
     than one row.
     """
-    if not np.count_nonzero(bad):
+    if np.count_nonzero(ok) == ok.size:
         return
-    row = int(np.flatnonzero(np.reshape(bad, (len(bad), -1)).any(axis=1))[0])
+    row = int(np.argmin(np.reshape(ok, (len(ok), -1)).all(axis=1)))
     text = message(row) if callable(message) else message
-    exc = error(f"{text} (row {row})" if len(bad) > 1 else text)
+    exc = error(f"{text} (row {row})" if len(ok) > 1 else text)
     exc.row = row
     raise exc
-
-
-@contextmanager
-def _naming_rows(label: str, seed: int, index, stream0: int = 0):
-    """Re-raise a row failure (an error with ``row``) of a stacked call whose
-    row k is ``label`` index[k], from the stream (seed, stream0 + index[k]),
-    with that index as its row and, in place of the row, in its message."""
-    try:
-        yield
-    except Exception as exc:
-        if hasattr(exc, "row"):
-            row, exc.row = exc.row, int(index[exc.row])
-            exc.args = (f"{str(exc).removesuffix(f' (row {row})')}: {label} "
-                        f"{exc.row}, seed tuple ({seed}, {stream0 + exc.row})",)
-        raise
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -93,14 +78,14 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def unit_rows(v: np.ndarray) -> np.ndarray:
     """Each row of ``v`` scaled to unit length; a near-zero row is refused."""
     norm = _row_norms(v)
-    _reject_rows(norm < GS_PIVOT_TOL, DegenerateInputError,
-                 "cannot normalize a near-zero tangent vector")
+    _require_rows(norm >= GS_PIVOT_TOL, DegenerateInputError,
+                  "cannot normalize a near-zero tangent vector")
     return v / norm[..., None]
 
 
 def _check_points_stack(radius: float, coords: np.ndarray) -> None:
-    _reject_rows(np.abs(_row_norms(coords) - radius) > 1e-9 * radius,
-                 DegenerateInputError, "coordinates do not lie on the sphere")
+    _require_rows(np.abs(_row_norms(coords) - radius) <= 1e-9 * radius,
+                  DegenerateInputError, "coordinates do not lie on the sphere")
 
 
 def _check_tangent_stack(radius: float, coords: np.ndarray,
@@ -109,15 +94,15 @@ def _check_tangent_stack(radius: float, coords: np.ndarray,
     (N, k, ambient) at the points ``coords`` (N, ambient)."""
     at = coords if vecs.ndim == 2 else coords[:, None, :]
     bound = 1e-9 * radius * np.maximum(1.0, _row_norms(vecs))
-    _reject_rows(np.abs(np.vecdot(vecs, at)) > bound, DegenerateInputError,
-                 "vector is not tangent to the sphere")
+    _require_rows(np.abs(np.vecdot(vecs, at)) <= bound, DegenerateInputError,
+                  "vector is not tangent to the sphere")
 
 
 def _check_frames_stack(frames: np.ndarray) -> None:
     """Frame's orthonormality check for each (k, ambient) frame of a stack."""
     gram = np.vecdot(frames[:, :, None, :], frames[:, None, :, :])
-    _reject_rows(np.abs(gram - np.eye(frames.shape[1])) > 1e-8,
-                 DegenerateInputError, "frame is not orthonormal")
+    _require_rows(np.abs(gram - np.eye(frames.shape[1])) <= 1e-8,
+                  DegenerateInputError, "frame is not orthonormal")
 
 
 def gram_schmidt_rows(mat: np.ndarray, *, pivot_tol: float) -> np.ndarray:
@@ -150,9 +135,9 @@ def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
             finished = np.where(lost[:, None], 0.0,
                                 v / np.where(lost, 1.0, norm)[:, None])
         else:
-            _reject_rows(lost, DegenerateInputError,
-                         lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
-                                     f"{pivot_tol:.1e}")
+            _require_rows(~lost, DegenerateInputError,
+                          lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
+                                      f"{pivot_tol:.1e}")
             finished = v / norm[:, None]
         out[:, i] = finished
         done.append(finished)
@@ -281,6 +266,36 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
         raise RuntimeError(
             f"numpy {np.__version__} seeds default_rng((seed, idx)) streams "
             "differently from stream_normals")
+    return out
+
+
+# Indices per run of the scans and the quadrature: enough to spread numpy's
+# per-call overhead thin, few enough that a run's S^15 matrices take 0.5 MB.
+_STREAM_CHUNK = 256
+
+
+def stream_chunks(seed: int, stream0: int, count: int, chunk: int,
+                  shape: tuple, label: str, fn: Callable) -> list:
+    """The results of ``fn(start, draws)`` for each run of up to ``chunk`` of
+    the indices 0 .. count - 1, in order. Row j of ``draws`` holds the
+    ``shape`` standard normals of index start + j's stream (seed, stream0 +
+    start + j), from one ``stream_normals`` call into a buffer that the next
+    run reuses. A row failure (an error with ``row``) of ``fn`` is re-raised
+    with that index as its row and, in place of the row, in its message:
+    "``label`` idx, seed tuple (seed, stream0 + idx)".
+    """
+    buf = np.empty((min(chunk, count),) + shape)
+    out = []
+    for start in range(0, count, chunk):
+        draws = stream_normals(seed, stream0 + start, buf[:count - start])
+        try:
+            out.append(fn(start, draws))
+        except Exception as exc:
+            if hasattr(exc, "row"):
+                row, exc.row = exc.row, start + exc.row
+                exc.args = (f"{str(exc).removesuffix(f' (row {row})')}: {label} "
+                            f"{exc.row}, seed tuple ({seed}, {stream0 + exc.row})",)
+            raise
     return out
 
 
@@ -426,8 +441,8 @@ class SphereSpec:
 
     def _normalized_rows(self, draws: np.ndarray) -> np.ndarray:
         norms = _row_norms(draws)
-        _reject_rows(norms < GS_PIVOT_TOL, DegenerateInputError,
-                     "cannot normalize a near-zero vector")
+        _require_rows(norms >= GS_PIVOT_TOL, DegenerateInputError,
+                      "cannot normalize a near-zero vector")
         return draws * (self.radius / norms)[..., None]
 
     def stacked_tangents(self, draws: np.ndarray) -> tuple:
@@ -465,8 +480,8 @@ class SphereSpec:
             P, np.broadcast_to(np.eye(amb), (len(P), amb, amb)))
         rows = _gram_schmidt_stack(candidates, pivot_tol=1e-6, drop=True)
         kept = np.any(rows != 0.0, axis=2)
-        _reject_rows(np.count_nonzero(kept, axis=1) != self.dim,
-                     DegenerateInputError, "standard frame construction collapsed")
+        _require_rows(np.count_nonzero(kept, axis=1) == self.dim,
+                      DegenerateInputError, "standard frame construction collapsed")
         return rows[kept].reshape(len(P), self.dim, amb)
 
 
@@ -540,5 +555,5 @@ def _check_same_base(a: np.ndarray, b: np.ndarray,
                      ) -> None:
     """Refuse two base points (or bundle anchors) whose ambient arrays differ
     by more than _BASE_MATCH_TOL in some entry."""
-    if np.max(np.abs(a - b)) > _BASE_MATCH_TOL:
+    if not np.max(np.abs(a - b)) <= _BASE_MATCH_TOL:
         raise BasePointMismatchError(message)

@@ -25,7 +25,7 @@ from .manifold import (
     _check_same_base,
     _check_tangent_stack,
     _gram_schmidt_stack,
-    _reject_rows,
+    _require_rows,
     _row_norms,
 )
 from .fields import (
@@ -331,8 +331,8 @@ def bundle_sectional_curvature_array(sphere: SphereSpec, p: np.ndarray,
     r = sphere.radius
     _check_points_stack(r, p)
     _check_tangent_stack(r, p, np.stack((u, x1, x2, y1, y2), axis=1))
-    _reject_rows(np.abs(_row_norms(u) - 1.0) > 1e-9, DegenerateInputError,
-                 "anchor must be a unit vector (a point of T1M)")
+    _require_rows(np.abs(_row_norms(u) - 1.0) <= 1e-9, DegenerateInputError,
+                  "anchor must be a unit vector (a point of T1M)")
 
     parts = []
     for h, v in ((x1, x2), (y1, y2)):
@@ -350,8 +350,8 @@ def bundle_sectional_curvature_array(sphere: SphereSpec, p: np.ndarray,
     ny_sq = np.vecdot(y1, y1) + np.vecdot(y2, y2)
     cross = np.vecdot(x1, y1) + np.vecdot(x2, y2)
     gram = nx_sq * ny_sq - np.float_power(cross, 2.0)
-    _reject_rows(gram < 1e-14 * np.maximum(nx_sq * ny_sq, 1e-300),
-                 DegeneratePlaneError, "bundle vectors do not span a 2-plane")
+    _require_rows(gram >= 1e-14 * np.maximum(nx_sq * ny_sq, 1e-300),
+                  DegeneratePlaneError, "bundle vectors do not span a 2-plane")
     nx = np.sqrt(nx_sq)[:, None]
     x1, x2 = x1 / nx, x2 / nx
     c = (np.vecdot(x1, y1) + np.vecdot(x2, y2))[:, None]
@@ -395,10 +395,10 @@ def submanifold_plane_curvature_array(xi: UnitVectorField, p: np.ndarray,
     r = xi.sphere.radius
     _check_points_stack(r, p)
     _check_tangent_stack(r, p, np.stack((x, y), axis=1))
-    _reject_rows((np.abs(_row_norms(x) - 1.0) > 1e-9)
-                 | (np.abs(_row_norms(y) - 1.0) > 1e-9)
-                 | (np.abs(np.vecdot(x, y)) > 1e-9),
-                 DegenerateInputError, "X, Y must be orthonormal")
+    _require_rows((np.abs(_row_norms(x) - 1.0) <= 1e-9)
+                  & (np.abs(_row_norms(y) - 1.0) <= 1e-9)
+                  & (np.abs(np.vecdot(x, y)) <= 1e-9),
+                  DegenerateInputError, "X, Y must be orthonormal")
     xiv = xi.value_array(p)
     ax = shape_apply_array(xi, p, x[:, None])[:, 0]  # A x[i] at p[i]
     a = np.vecdot(xiv, x)

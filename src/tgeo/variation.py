@@ -21,21 +21,20 @@ from typing import Callable
 import numpy as np
 
 from .manifold import (
+    _STREAM_CHUNK,
     DegenerateInputError,
     SpherePoint,
     SphereSpec,
     _gram_schmidt_stack,
     _matvec_rows,
-    _naming_rows,
-    _reject_rows,
+    _require_rows,
     _row_norms,
-    stream_normals,
+    stream_chunks,
 )
 from .fields import (
     MIN_FIBER_STEPS,
     PreconditionError,
     PropagationFailure,
-    QuadratureFailure,
     UnitVectorField,
     complex_structure,
     hopf_field,
@@ -73,7 +72,7 @@ VariationField = UnitVectorField
 
 
 QuadratureResult = namedtuple(
-    "QuadratureResult", ["value", "std_error", "samples", "rejected", "volume"])
+    "QuadratureResult", ["value", "std_error", "samples", "volume"])
 
 
 def sphere_volume(sphere: SphereSpec) -> float:
@@ -89,30 +88,31 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
     uniform points.
 
     Sample idx draws from its own RNG stream (seed, idx), so the estimate
-    does not depend on evaluation order; one ``stream_normals`` call seeds
-    them all. ``fn`` maps the (samples, ambient) stack of the points to
-    their (samples,) values. Non-finite values are rejected and counted;
-    more than 1% rejections aborts the estimate. A row check that fails on
-    a draw or inside ``fn`` is re-raised naming the sample and the seed
-    tuple that replays it.
+    does not depend on evaluation order. ``fn`` maps an (N, ambient) stack
+    of the points to their (N,) values; it is called on _STREAM_CHUNK
+    samples at a time through ``stream_chunks``. A non-finite value is a
+    FloatingPointError, and it and a row check that fails on a draw or
+    inside ``fn`` are re-raised naming the sample and the seed tuple that
+    replays it.
     """
     if samples < 1:
         raise DegenerateInputError("quadrature needs at least one sample")
-    draws = stream_normals(seed, 0, np.empty((samples, sphere.ambient_dim)))
-    with _naming_rows("quadrature sample", seed, range(samples)):
+
+    def values(start, draws):
         vals = np.asarray(fn(sphere.stacked_points(draws)), dtype=float)
-    if vals.shape != (samples,):
-        raise DegenerateInputError(
-            f"integrand gave shape {vals.shape} for {samples} points")
-    finite = vals[np.isfinite(vals)]
-    rejected = samples - len(finite)
-    if rejected > 0.01 * samples:
-        raise QuadratureFailure(f"{rejected} of {samples} samples rejected")
+        if vals.shape != (len(draws),):
+            raise DegenerateInputError(
+                f"integrand gave shape {vals.shape} for {len(draws)} points")
+        _require_rows(np.isfinite(vals), FloatingPointError, "non-finite integrand")
+        return vals
+
+    vals = np.concatenate(stream_chunks(seed, 0, samples, _STREAM_CHUNK,
+                                        (sphere.ambient_dim,), "quadrature sample",
+                                        values))
     vol = sphere_volume(sphere)
-    value = vol * float(np.mean(finite))
-    std_error = vol * float(np.std(finite, ddof=1)) / math.sqrt(len(finite)) \
-        if len(finite) > 1 else 0.0
-    return QuadratureResult(value, std_error, samples, rejected, vol)
+    std_error = vol * float(np.std(vals, ddof=1)) / math.sqrt(samples) \
+        if samples > 1 else 0.0
+    return QuadratureResult(vol * float(np.mean(vals)), std_error, samples, vol)
 
 
 # -- integrands ----------------------------------------------------------------
@@ -126,9 +126,9 @@ DuschekBreakdown = namedtuple(
 
 def _check_orthogonal(eta0: np.ndarray, xiv: np.ndarray) -> None:
     """eta(p) orthogonal to xi(p), row by row for (N, ambient) values."""
-    _reject_rows(np.abs(np.vecdot(eta0, xiv)) > 1e-8 * (_row_norms(eta0) + 1.0),
-                 PreconditionError,
-                 "variation field must be orthogonal to the unit field")
+    _require_rows(np.abs(np.vecdot(eta0, xiv)) <= 1e-8 * (_row_norms(eta0) + 1.0),
+                  PreconditionError,
+                  "variation field must be orthogonal to the unit field")
 
 
 def _derivative_rows(eta: VariationField, coords: np.ndarray, jac: np.ndarray,

@@ -9,8 +9,9 @@ import tgeo.cli as cli
 import tgeo.fields as fields
 import tgeo.variation as variation
 from tgeo import (DecompositionFailure, DegenerateInputError, PreconditionError,
-                  QuadratureFailure, SphereSpec, UnitVectorField)
+                  PropagationFailure, SphereSpec, UnitVectorField)
 from tgeo.fields import TOL_ANALYTIC
+from tgeo.manifold import _STREAM_CHUNK
 from tgeo.cli import RunConfig, UsageError, main
 
 
@@ -133,7 +134,7 @@ def test_usage_errors_exit_two(capsys):
 
 def test_numerical_failure_exit_three(capsys, monkeypatch):
     def boom(config):
-        raise QuadratureFailure("synthetic failure")
+        raise PropagationFailure("synthetic failure")
     monkeypatch.setitem(cli._COMMANDS, "variation", boom)
     run_cli(capsys, ["variation", "--dim", "5"], expect=3)
 
@@ -143,13 +144,13 @@ def test_failing_check_on_sampled_plane_exits_three(capsys, monkeypatch):
 
     def bend_last_batch_row_3(self, draws):
         p, frames = real(self, draws)
-        if len(draws) < cli._SCAN_CHUNK:
+        if len(draws) < _STREAM_CHUNK:
             frames = frames.copy()
             frames[3, 1] += 1e-3 * p[3]
         return p, frames
 
     monkeypatch.setattr(SphereSpec, "stacked_frames", bend_last_batch_row_3)
-    planes = cli._SCAN_CHUNK + 4
+    planes = _STREAM_CHUNK + 4
     assert main(["scan-curvature", "--planes", str(planes)]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: vector is not tangent to the sphere" in err
@@ -286,11 +287,26 @@ def test_scan_non_finite_curvature_exits_three(capsys, monkeypatch, mode, name,
     extra = 8
     _poison_row(monkeypatch, name, extra, 5)
     assert main(["scan-curvature", "--mode", mode, "--planes",
-                 str(cli._SCAN_CHUNK + extra)]) == 3
+                 str(_STREAM_CHUNK + extra)]) == 3
     err = capsys.readouterr().err
-    k = cli._SCAN_CHUNK + 5
+    k = _STREAM_CHUNK + 5
     assert message in err
     assert plane.format(k=k, s=10 ** 9 + k) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "jacobi", "--samples", "2"],
+    ["scan-curvature", "--planes", "4", "--format", "csv"],
+], ids=["verify", "scan"])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    """A report that cannot be written (a missing directory, a directory)
+    exits 2, not 1 with a traceback."""
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write report: ")
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):

@@ -12,7 +12,7 @@ from tgeo import (
 )
 import tgeo.manifold as manifold
 from tgeo.manifold import (GS_PIVOT_TOL, _check_same_base, _gram_schmidt_stack,
-                           stream_normals, unit_rows)
+                           _require_rows, stream_chunks, stream_normals, unit_rows)
 
 from conftest import (assert_identical, random_frame, random_tangent,
                       ref_gram_schmidt)
@@ -264,3 +264,26 @@ def test_stream_normals_refuses_a_seeding_that_differs(monkeypatch):
     monkeypatch.setattr(manifold, "_SEED_MIX_L", manifold._SEED_MIX_L ^ 1)
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds"):
         stream_normals(3, 0, np.empty((2, 4)))
+
+
+def test_stream_chunks_hand_out_runs_and_name_a_failing_index():
+    """Each run gets the draws of its streams (seed, stream0 + idx), and a
+    row failure is renamed by its index and the seed tuple that replays it."""
+    runs = []
+
+    def keep(start, draws):
+        runs.append(draws.copy())
+        return start
+
+    assert stream_chunks(3, 10, 7, 3, (2,), "item", keep) == [0, 3, 6]
+    assert [len(d) for d in runs] == [3, 3, 1]
+    assert np.array_equal(np.concatenate(runs), ref_stream_normals(3, 10, 7, (2,)))
+
+    def failing(start, draws):
+        _require_rows(np.arange(len(draws)) + start != 4, DegenerateInputError,
+                      "bad draw")
+
+    with pytest.raises(DegenerateInputError,
+                       match=r"^bad draw: item 4, seed tuple \(3, 14\)$") as err:
+        stream_chunks(3, 10, 7, 3, (2,), "item", failing)
+    assert err.value.row == 4

@@ -28,7 +28,7 @@ from tgeo import (
     second_form_lemma,
     singular_decomposition,
 )
-from tgeo.manifold import _reject_rows
+from tgeo.manifold import _require_rows
 from conftest import (assert_identical, point_stack, ref_gram_schmidt,
                       ref_second_form_direct, ref_second_form_lemma,
                       seeded_points)
@@ -167,9 +167,9 @@ def test_direct_route_names_the_point_of_a_pivot_failure(monkeypatch):
 
     def failing(mats, **kwargs):
         out = real(mats, **kwargs)
-        bad = np.zeros(len(mats), dtype=bool)
-        bad[3 * 2 * n1 + 5] = True
-        _reject_rows(bad, DegenerateInputError, "gram_schmidt pivot below tolerance")
+        ok = np.ones(len(mats), dtype=bool)
+        ok[3 * 2 * n1 + 5] = False
+        _require_rows(ok, DegenerateInputError, "gram_schmidt pivot below tolerance")
         return out
 
     monkeypatch.setattr(sasaki, "_gram_schmidt_stack", failing)
@@ -182,7 +182,7 @@ def test_direct_route_names_the_point_of_a_pivot_failure(monkeypatch):
 def swap_in_draw(monkeypatch, idx, coords):
     """Make the first draw of the suites' sample ``idx``, in its chunk's
     stacked draw, the given coordinates; the other draws are as usual."""
-    real = cli.stream_normals
+    real = manifold.stream_normals
 
     def draw(seed, first, out):
         real(seed, first, out)
@@ -190,7 +190,7 @@ def swap_in_draw(monkeypatch, idx, coords):
             out[idx - first, 0] = coords
         return out
 
-    monkeypatch.setattr(cli, "stream_normals", draw)
+    monkeypatch.setattr(manifold, "stream_normals", draw)
 
 
 @pytest.mark.parametrize("suite,route", [

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tgeo.manifold as manifold
 import tgeo.variation as variation
 from tgeo import (
     DegenerateInputError,
@@ -488,28 +489,75 @@ def test_fiber_residual_rows_match_reference(m):
 
 
 def test_integrate_stack_equals_per_sample_calls():
-    """The stacked estimate is the mean of one-point integrand calls at the
-    per-index samples, NaN samples (here about 0.3%) rejected and counted."""
+    """The chunked estimate is the mean of one-point integrand calls at the
+    per-index samples; 1,000 samples cross three chunk boundaries."""
     xi = hopf_field(1)
     sphere = xi.sphere
     eta = random_hopf_combination(np.random.default_rng(3))
+    calls = []
 
     def stacked(q):
-        vals = reduced_integrand(xi, eta, sphere.stacked_points(q))
-        return np.where(q[:, 0] > 0.97, np.nan, vals)
+        calls.append(len(q))
+        return reduced_integrand(xi, eta, sphere.stacked_points(q))
 
     res = integrate_over_sphere(stacked, sphere, 1000, 5)
+    assert calls == [256, 256, 256, 232]
     vals = []
     for idx in range(1000):
         vec = np.random.default_rng((5, idx)).standard_normal(4)
         q = vec * (1.0 / np.linalg.norm(vec))
-        if q[0] <= 0.97:
-            vals.append(reduced_integrand(xi, eta, sphere.stacked_points(q[None]))[0])
+        vals.append(reduced_integrand(xi, eta, sphere.stacked_points(q[None]))[0])
     vol = sphere_volume(sphere)
-    assert res.rejected == 1000 - len(vals) > 0
     assert_identical([res.value, res.std_error],
                      [vol * float(np.mean(vals)),
                       vol * float(np.std(vals, ddof=1)) / np.sqrt(len(vals))])
+
+
+def test_nan_integrand_names_its_sample(monkeypatch, capsys):
+    """A NaN value in a later chunk is a FloatingPointError naming its
+    sample, not a value the mean drops; through the CLI it exits 3."""
+    xi = hopf_field(2)
+    idx = 256 + 7
+    seen = []
+
+    def fn(q):
+        vals = np.ones(len(q))
+        if sum(seen) <= idx < sum(seen) + len(q):
+            vals[idx - sum(seen)] = np.nan
+        seen.append(len(q))
+        return vals
+
+    with pytest.raises(FloatingPointError, match="non-finite integrand: "
+                       rf"quadrature sample {idx}, seed tuple \(4, {idx}\)") as err:
+        integrate_over_sphere(fn, xi.sphere, 300, 4)
+    assert err.value.row == idx
+
+    monkeypatch.setattr(variation, "destabilizing_integrand",
+                        lambda xi: lambda q: np.where(q[:, 0] > 0.9, np.nan, 1.0))
+    draws = [np.random.default_rng((0, k)).standard_normal(6) for k in range(300)]
+    first = next(k for k, d in enumerate(draws) if d[0] / np.linalg.norm(d) > 0.9)
+    assert main(["variation", "--dim", "5", "--samples", "300"]) == 3
+    assert (f"numerical failure: non-finite integrand: quadrature sample {first}, "
+            f"seed tuple (0, {first})") in capsys.readouterr().err
+
+
+def test_quadrature_memory_does_not_grow_with_samples():
+    """The quadrature holds one chunk of samples at a time: on S^15 its
+    tracemalloc peak over four chunks is one chunk's (about 3 MB) plus the
+    values kept, 8 bytes a sample; drawn at once, it was about 12 MB."""
+    xi = hopf_field(7)
+    fn = destabilizing_integrand(xi)
+    integrate_over_sphere(fn, xi.sphere, 8, 0)  # first-call allocations
+    peaks = []
+    for samples in (manifold._STREAM_CHUNK, 4 * manifold._STREAM_CHUNK):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            integrate_over_sphere(fn, xi.sphere, samples, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 32_768, peaks
 
 
 # -- the horizontal seed ----------------------------------------------------------
@@ -570,14 +618,15 @@ def test_non_orthogonal_variation_names_row_and_sample():
 
 def zero_draw(monkeypatch, idx):
     """Make the quadrature's draw ``idx`` the zero vector."""
-    real = variation.stream_normals
+    real = manifold.stream_normals
 
     def draw(seed, first, out):
         real(seed, first, out)
-        out[idx - first] = 0.0
+        if first <= idx < first + len(out):
+            out[idx - first] = 0.0
         return out
 
-    monkeypatch.setattr(variation, "stream_normals", draw)
+    monkeypatch.setattr(manifold, "stream_normals", draw)
 
 
 def test_zero_quadrature_draw_names_its_sample(monkeypatch, capsys):
