@@ -79,11 +79,31 @@ _NUMERICAL_FAILURES = (DecompositionFailure, DegeneratePlaneError,
                        FloatingPointError, PropagationFailure, SingularLocusError)
 
 
-# Every settable key with its value parser; defaults live in RunConfig. The
-# config-file key ``tol`` is an alias of ``tol_fd``.
-_CONFIG_KEYS = {"field": str, "dim": int, "radius": float, "samples": int,
-                "planes": int, "fiber_steps": int, "tol_fd": float, "seed": int,
-                "out": str, "format": str, "mode": str, "theta": float}
+# Every option, as the argparse keywords of its flag; a config-file value goes
+# through the same type and choices. Defaults live in RunConfig.
+_OPTIONS = {
+    "field": {"choices": ("hopf", "meridian")},
+    "dim": {"type": int},
+    "radius": {"type": float},
+    "samples": {"type": int},
+    "planes": {"type": int},
+    "mode": {"choices": ("submanifold", "bundle", "both")},
+    "fiber_steps": {"type": int},
+    "tol": {"type": float, "help": "verdict tolerance of every suite but jacobi"},
+    "theta": {"type": float,
+              "help": "polar angle of the sample point (meridian field only)"},
+    "seed": {"type": int},
+    "out": {},
+    "format": {"choices": ("json", "csv")},
+}
+
+# The options each command reads: it takes no other flag or config key.
+_READS = {
+    "verify": ("field", "dim", "radius", "samples", "tol", "seed", "out", "format"),
+    "scan-curvature": ("dim", "planes", "mode", "seed", "out", "format"),
+    "variation": ("dim", "samples", "fiber_steps", "seed", "out", "format"),
+    "svd": ("field", "dim", "radius", "theta", "seed", "out", "format"),
+}
 
 
 @dataclass
@@ -96,16 +116,14 @@ class RunConfig:
     samples: int = 100
     planes: int = 10000
     fiber_steps: int = 64
-    tol_fd: float = 1e-4
+    tol: float = 1e-4
     seed: int = 0
     out: str | None = None
     format: str = "json"
-    mode: str | None = None
+    mode: str = "submanifold"
     theta: float | None = None
 
     def validate(self) -> None:
-        if self.field not in ("hopf", "meridian"):
-            raise UsageError(f"unknown field {self.field!r}")
         if self.dim < 2:
             raise UsageError("dim must be >= 2")
         if self.field == "hopf" and (self.dim % 2 == 0 or self.dim < 3):
@@ -120,12 +138,10 @@ class RunConfig:
             raise UsageError("planes must be >= 1")
         if self.fiber_steps < MIN_FIBER_STEPS:
             raise UsageError(f"fiber-steps must be >= {MIN_FIBER_STEPS}")
-        if not 0 < self.tol_fd < math.inf:
+        if not 0 < self.tol < math.inf:
             raise UsageError("tolerances must be positive and finite")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"unknown format {self.format!r}")
 
 
 def build_field(config: RunConfig) -> UnitVectorField:
@@ -198,9 +214,9 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
 def _suite_report(config: RunConfig, residual: float, notes: list,
                   tol: float | None = None,
                   passed: bool = True) -> VerificationReport:
-    """The suite's report; it passes when the residual is within ``tol`` (the
-    finite-difference tolerance by default) and ``passed`` holds."""
-    tol = config.tol_fd if tol is None else tol
+    """The suite's report; it passes when the residual is within ``tol``
+    (``config.tol`` by default) and ``passed`` holds."""
+    tol = config.tol if tol is None else tol
     return VerificationReport(
         name=config.suite, parameters=_params(config), samples=config.samples,
         max_residual=residual, tolerance=tol,
@@ -231,11 +247,11 @@ def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     off_unit_hopf = config.field == "hopf" and not xi.sphere.is_unit
     if off_unit_hopf:
         notes += _hopf_pattern_notes(xi, config)
-        if residual <= config.tol_fd:
+        if residual <= config.tol:
             notes.append(
                 "hopf field off unit radius is not totally geodesic: closed-form "
                 f"peak {hopf_pattern_peak(xi.sphere.curvature_constant):.3e} is "
-                f"nonzero but below the tolerance {config.tol_fd:.1e}")
+                f"nonzero but below the tolerance {config.tol:.1e}")
     return _suite_report(config, residual, notes, passed=not off_unit_hopf)
 
 
@@ -279,7 +295,7 @@ def _run_predicates(config: RunConfig) -> VerificationReport:
         "sasakian": sasakian_identity_residual(xi, coords),
     })
 
-    tol = config.tol_fd
+    tol = config.tol
     notes = []
     all_matched = True
     strict_max = 0.0
@@ -373,19 +389,11 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_scan_curvature(config: RunConfig) -> int:
-    mode = config.mode or "submanifold"
-    if mode not in ("submanifold", "bundle", "both"):
-        raise UsageError(f"unknown scan mode {mode!r}")
-    if config.field != "hopf":
-        raise UsageError("curvature scans are defined for the hopf field")
     xi = build_field(config)
-    if not xi.sphere.is_unit:
-        raise UsageError("curvature scans need unit radius")
-
     rows, reports, ranges = [], [], []
     for kind, scan in (("submanifold", _scan_submanifold),
                        ("bundle", _scan_bundle)):
-        if mode in (kind, "both"):
+        if config.mode in (kind, "both"):
             t0 = time.perf_counter()
             report, observed = scan(xi, config, rows)
             report.wall_time_s = time.perf_counter() - t0
@@ -516,10 +524,6 @@ def _plane_rows_csv(rows, reports, ranges) -> str:
 
 
 def cmd_variation(config: RunConfig) -> int:
-    if config.field != "hopf":
-        raise UsageError("variation analysis is defined for the hopf field")
-    if not build_field(config).sphere.is_unit:
-        raise UsageError("variation analysis needs unit radius")
     # the only command that runs the variation layer; others never load it
     from .variation import stability_verdict
     report = stability_verdict(config.dim, samples=config.samples,
@@ -602,7 +606,7 @@ def _params(config: RunConfig) -> dict:
         out["samples"] = config.samples
     elif config.command == "scan-curvature":
         out["planes"] = config.planes
-        out["mode"] = config.mode or "submanifold"
+        out["mode"] = config.mode
     elif config.command == "svd" and config.theta is not None:
         out["theta"] = config.theta
     return out
@@ -625,7 +629,7 @@ def _emit(reports: list, config: RunConfig) -> None:
         _write_text(reports_to_json(reports), config)
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -640,29 +644,18 @@ def _parse_config_file(path: str) -> dict:
             raise UsageError(f"config line {lineno} is not key=value: {raw!r}")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key == "tol":
-            key = "tol_fd"
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise UsageError(f"unknown config key {key!r}")
+        if key not in _READS[command]:
+            raise UsageError(f"config key {key!r} is not read by {command}")
+        option = _OPTIONS[key]
         try:
-            out[key] = _CONFIG_KEYS[key](val)
+            out[key] = option.get("type", str)(val)
+            if "choices" in option and out[key] not in option["choices"]:
+                raise ValueError(val)
         except ValueError:
             raise UsageError(f"config line {lineno}: bad value for {key}: {val!r}")
     return out
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field", choices=("hopf", "meridian"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--fiber-steps", dest="fiber_steps", type=int)
-    p.add_argument("--tol", dest="tol_fd", type=float, metavar="TOL",
-                   help="finite-difference tolerance")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--config", help="flat key=value config file; flags win")
 
 
 @functools.cache
@@ -674,23 +667,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical verification for unit vector fields on round "
                     "spheres and the geometry of their tangent-bundle sections.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=_SUITE_RUNNERS)
-    _add_common(verify)
-
-    scan = sub.add_parser("scan-curvature", help="sample plane curvatures")
-    scan.add_argument("--planes", type=int)
-    scan.add_argument("--mode", choices=("submanifold", "bundle", "both"))
-    _add_common(scan)
-
-    _add_common(sub.add_parser("variation",
-                               help="second-variation stability run"))
-
-    svd = sub.add_parser("svd", help="singular frames at one point")
-    svd.add_argument("--theta", type=float,
-                     help="polar angle of the sample point (meridian field only)")
-    _add_common(svd)
+    for command, summary in (("verify", "run a verification suite"),
+                             ("scan-curvature", "sample plane curvatures"),
+                             ("variation", "second-variation stability run"),
+                             ("svd", "singular frames at one point")):
+        p = sub.add_parser(command, help=summary)
+        if command == "verify":
+            p.add_argument("suite", choices=_SUITE_RUNNERS)
+        for name in _READS[command]:
+            p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
+        p.add_argument("--config", help="flat key=value config file; flags win")
     return parser
 
 
@@ -702,14 +688,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             merged["seed"] = int(env_seed)
         except ValueError:
             raise UsageError(f"TGEO_SEED must be an integer, got {env_seed!r}")
-    if getattr(args, "config", None):
-        merged.update(_parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+    if args.config:
+        merged.update(_parse_config_file(args.config, args.command))
+    for key in _READS[args.command]:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
-    config = RunConfig(command=args.command,
-                       suite=getattr(args, "suite", None), **merged)
+    suite = getattr(args, "suite", None)
+    if suite == "jacobi" and "tol" in merged:
+        raise UsageError("verify jacobi does not read tol: it judges against "
+                         f"the fixed analytic tolerance {TOL_ANALYTIC:g}")
+    config = RunConfig(command=args.command, suite=suite, **merged)
     config.validate()
     return config
 

@@ -93,8 +93,9 @@ def _check_tangent_stack(radius: float, coords: np.ndarray,
     """TangentVector's check for ``vecs`` of shape (N, ambient) or
     (N, k, ambient) at the points ``coords`` (N, ambient)."""
     at = coords if vecs.ndim == 2 else coords[:, None, :]
-    bound = 1e-9 * radius * np.maximum(1.0, _row_norms(vecs))
-    _require_rows(np.abs(np.vecdot(vecs, at)) <= bound, DegenerateInputError,
+    # divided, not a bound scaled by |v|: an infinite row gives inf / inf, NaN
+    scaled = np.abs(np.vecdot(vecs, at)) / np.maximum(1.0, _row_norms(vecs))
+    _require_rows(scaled <= 1e-9 * radius, DegenerateInputError,
                   "vector is not tangent to the sphere")
 
 
@@ -121,6 +122,8 @@ def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
     raises, or with ``drop`` leaves a zero row in its slot: subtracting a
     zero row leaves every later row unchanged bit for bit, so the nonzero
     rows of each matrix are those left after skipping the dependent rows.
+    A NaN pivot raises too; with ``drop`` it is kept, and its NaN spreads to
+    the later rows for the callers' finite checks to refuse.
     """
     out = np.empty_like(mats)
     done = []  # the finished rows, contiguous copies of out[:, j], j < i
@@ -130,12 +133,12 @@ def _gram_schmidt_stack(mats: np.ndarray, *, pivot_tol: float,
             for b in done:
                 v -= np.vecdot(v, b)[:, None] * b
         norm = _row_norms(v)
-        lost = norm < pivot_tol
         if drop:
+            lost = norm < pivot_tol
             finished = np.where(lost[:, None], 0.0,
                                 v / np.where(lost, 1.0, norm)[:, None])
         else:
-            _require_rows(~lost, DegenerateInputError,
+            _require_rows(norm >= pivot_tol, DegenerateInputError,
                           lambda row: f"gram_schmidt pivot {norm[row]:.3e} below "
                                       f"{pivot_tol:.1e}")
             finished = v / norm[:, None]

@@ -31,6 +31,9 @@ def strip_wall_time(text):
 
 
 def test_runconfig_validation():
+    """The checks on values; the choices of field, mode and format are
+    checked where a flag or a config value is parsed (see
+    test_config_value_outside_its_choices_exits_two)."""
     good = RunConfig(command="verify", suite="codazzi")
     good.validate()
     with pytest.raises(UsageError):
@@ -42,11 +45,7 @@ def test_runconfig_validation():
     with pytest.raises(UsageError):
         RunConfig(command="verify", samples=0).validate()
     with pytest.raises(UsageError):
-        RunConfig(command="verify", tol_fd=-1.0).validate()
-    with pytest.raises(UsageError):
-        RunConfig(command="verify", format="yaml").validate()
-    with pytest.raises(UsageError):
-        RunConfig(command="verify", field="dipole").validate()
+        RunConfig(command="verify", tol=-1.0).validate()
 
 
 def test_meridian_even_dim_allowed():
@@ -56,16 +55,23 @@ def test_meridian_even_dim_allowed():
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\nfield = hopf\ndim = 5\nsamples=7\ntol = 1e-5\n")
-    parsed = cli._parse_config_file(str(cfg))
-    assert parsed == {"field": "hopf", "dim": 5, "samples": 7, "tol_fd": 1e-5}
+    parsed = cli._parse_config_file(str(cfg), "verify")
+    assert parsed == {"field": "hopf", "dim": 5, "samples": 7, "tol": 1e-5}
+    cfg.write_text("fiber-steps = 80\nsamples = 8\n")
+    assert cli._parse_config_file(str(cfg), "variation") == {"fiber_steps": 80,
+                                                             "samples": 8}
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
+    """A key that no command reads, the retired ``tol_fd`` spelling among
+    them, is unknown to every command."""
     cfg = tmp_path / "bad.cfg"
-    for text in ("warp_factor = 9\n", "tol_analytic = 1e-6\n"):
+    for text in ("warp_factor = 9\n", "tol_analytic = 1e-6\n", "tol_fd = 1e-5\n",
+                 "tol-fd = 1e-5\n", "config = other.cfg\n"):
         cfg.write_text(text)
-        with pytest.raises(UsageError, match="unknown config key"):
-            cli._parse_config_file(str(cfg))
+        for command in cli._READS:
+            with pytest.raises(UsageError, match="unknown config key"):
+                cli._parse_config_file(str(cfg), command)
 
 
 def test_config_file_rejects_bad_line(tmp_path, capsys):
@@ -73,10 +79,95 @@ def test_config_file_rejects_bad_line(tmp_path, capsys):
     for text in ("just some words\n", "dim = three\n"):
         cfg.write_text(text)
         with pytest.raises(UsageError):
-            cli._parse_config_file(str(cfg))
+            cli._parse_config_file(str(cfg), "verify")
     # a malformed value is a usage error (exit 2), not a failed verification
     assert main(["verify", "codazzi", "--config", str(cfg)]) == 2
     assert "dim" in capsys.readouterr().err
+
+
+# -- each command takes the options it reads, and no other ------------------------
+
+
+# Every (command, option) pair that the command does not read, with a small
+# run, so that a command that took the option would finish quickly.
+_UNREAD = [
+    (["verify", "totally-geodesic", "--samples", "2"], "--fiber-steps", "64"),
+    (["scan-curvature", "--planes", "4"], "--field", "hopf"),
+    (["scan-curvature", "--planes", "4"], "--radius", "1"),
+    (["scan-curvature", "--planes", "4"], "--samples", "5"),
+    (["scan-curvature", "--planes", "4"], "--fiber-steps", "64"),
+    (["scan-curvature", "--planes", "4"], "--tol", "1e-4"),
+    (["variation", "--samples", "2"], "--field", "hopf"),
+    (["variation", "--samples", "2"], "--radius", "1"),
+    (["variation", "--samples", "2"], "--tol", "1e-4"),
+    (["svd"], "--samples", "5"),
+    (["svd"], "--fiber-steps", "64"),
+    (["svd"], "--tol", "1e-4"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", _UNREAD,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in _UNREAD])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_option_a_command_does_not_read_exits_two(capsys, tmp_path, argv, flag,
+                                                  value, source):
+    """Given as a flag or as a config key, an option the command does not
+    read is a usage error naming it, not a value silently ignored."""
+    key = flag[2:].replace("-", "_")
+    if source == "flag":
+        args = [*argv, flag, value]
+        want = flag
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args = [*argv, "--config", str(cfg)]
+        want = f"config key {key!r} is not read by {argv[0]}"
+    assert main(args) == 2
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_jacobi_refuses_tol(capsys, tmp_path, source):
+    """The jacobi suite judges against the fixed TOL_ANALYTIC, so a --tol
+    given to it would change nothing."""
+    args = ["verify", "jacobi", "--samples", "2"]
+    if source == "flag":
+        args += ["--tol", "1e-300"]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tol = 1e-300\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert "verify jacobi does not read tol" in capsys.readouterr().err
+    # the other suites read it
+    assert main(["verify", "codazzi", "--samples", "2", "--tol", "1e-300"]) == 1
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["scan-curvature", "--planes", "4"], "mode", "auto"),
+    (["verify", "codazzi", "--samples", "2"], "field", "dipole"),
+    (["svd"], "format", "yaml"),
+], ids=["mode", "field", "format"])
+def test_config_value_outside_its_choices_exits_two(capsys, tmp_path, argv, key,
+                                                    value):
+    """A config value meets the choices its flag's parser enforces."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# {key}\n{key} = {value}\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert f"config line 2: bad value for {key}: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,reads", [
+    ("verify", "field dim radius samples tol"),
+    ("scan-curvature", "dim planes mode"),
+    ("variation", "dim samples fiber-steps"),
+    ("svd", "field dim radius theta"),
+], ids=["verify", "scan-curvature", "variation", "svd"])
+def test_help_lists_exactly_the_flags_a_command_reads(capsys, command, reads):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out))
+    assert listed == {f"--{name}" for name in (*reads.split(), "seed", "out",
+                                                "format", "config", "help")}
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -385,12 +476,18 @@ def test_scan_curvature_json(capsys):
 
 @pytest.mark.parametrize("mode", ["submanifold", "bundle", "both"])
 @pytest.mark.parametrize("radius", ["0.5", "2"])
-def test_scan_curvature_needs_unit_radius(capsys, mode, radius):
+def test_scan_curvature_needs_unit_radius(capsys, tmp_path, mode, radius):
     """The bounds [1/4, 5/4] and [0, 5/4] the scans judge by hold at r = 1
-    only, so no mode runs off unit radius."""
-    assert main(["scan-curvature", "--mode", mode, "--radius", radius,
-                 "--planes", "10"]) == 2
-    assert "curvature scans need unit radius" in capsys.readouterr().err
+    only, so scan-curvature reads no radius: no mode runs off unit radius,
+    whether the radius comes as a flag or from a config file."""
+    argv = ["scan-curvature", "--mode", mode, "--planes", "10"]
+    assert main([*argv, "--radius", radius]) == 2
+    assert "unrecognized arguments: --radius" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"radius = {radius}\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert ("config key 'radius' is not read by scan-curvature"
+            in capsys.readouterr().err)
 
 
 def test_scan_curvature_both_times_each_scan(capsys):

@@ -14,8 +14,9 @@ from tgeo import (BasePointMismatchError, DegenerateInputError,
                   DegeneratePlaneError, PreconditionError, SingularLocusError,
                   SpherePoint, SphereSpec, TangentVector, hopf_field,
                   horizontal_extension_field, meridian_field, reduced_integrand)
-from tgeo.manifold import (_check_frames_stack, _check_points_stack,
-                           _check_same_base, _check_tangent_stack, unit_rows)
+from tgeo.manifold import (GS_PIVOT_TOL, _check_frames_stack, _check_points_stack,
+                           _check_same_base, _check_tangent_stack,
+                           _gram_schmidt_stack, unit_rows)
 from tgeo.sasaki import (bundle_sectional_curvature_array,
                          submanifold_plane_curvature_array)
 
@@ -50,6 +51,31 @@ def test_tangent_check_refuses_nan():
         TangentVector(p, [0.0, NAN, 0.0, 0.0])
     refuses_row_1(DegenerateInputError, "not tangent", _check_tangent_stack, 1.0,
                   np.tile(E[0], (3, 1)), with_row_1(E[1], [0.0, NAN, 0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_tangent_check_refuses_inf():
+    """An infinite vector's dot product with the point is inf, as is its
+    norm; the check divides the one by the other, and inf / inf is NaN."""
+    p = SpherePoint(SphereSpec(4), [0.5] * 4)
+    with pytest.raises(DegenerateInputError, match="not tangent"):
+        TangentVector(p, [np.inf, 0.0, 0.0, 0.0])
+    refuses_row_1(DegenerateInputError, "not tangent", _check_tangent_stack, 1.0,
+                  np.tile(p.coords, (3, 1)),
+                  with_row_1([0.5, -0.5, 0.5, -0.5], [np.inf, 0.0, 0.0, 0.0]))
+
+
+def test_gram_schmidt_refuses_a_nan_pivot():
+    """The raising mode, which ``frames_at`` and the direct route use,
+    refuses a NaN pivot with the pivot message; it does not hand on a NaN
+    row."""
+    raw = np.tile(E[1:4], (3, 1, 1))
+    raw[1, 1, 2] = NAN
+    refuses_row_1(DegenerateInputError, "gram_schmidt pivot nan below",
+                  lambda mats: _gram_schmidt_stack(mats, pivot_tol=GS_PIVOT_TOL,
+                                                   drop=False), raw)
+    refuses_row_1(DegenerateInputError, "gram_schmidt pivot nan below",
+                  SphereSpec(4).frames_at, np.tile(E[0], (3, 1)), raw)
 
 
 def test_frames_check_refuses_nan():
@@ -105,8 +131,9 @@ def test_bundle_anchor_check_refuses_nan(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_bundle_gram_check_refuses_nan():
-    """Two equal parts of 1e200 pass the tangent check (its bound scales
-    with the norm, here inf), and their Gram determinant is inf - inf."""
+    """Two equal parts of 1e200 pass the tangent check (their dot product
+    0 over their norm, here inf, is 0), and their Gram determinant is
+    inf - inf."""
     big = 1e200 * E[1]
     refuses_row_1(DegeneratePlaneError, "do not span a 2-plane",
                   bundle_sectional_curvature_array, *bundle_planes(x1=big, y1=big))
