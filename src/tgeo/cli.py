@@ -390,24 +390,24 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_scan_curvature(config: RunConfig) -> int:
     xi = build_field(config)
-    rows, reports, ranges = [], [], []
+    scans = []
     for kind, scan in (("submanifold", _scan_submanifold),
                        ("bundle", _scan_bundle)):
         if config.mode in (kind, "both"):
             t0 = time.perf_counter()
-            report, observed = scan(xi, config, rows)
+            report, ks, sections = scan(xi, config)
             report.wall_time_s = time.perf_counter() - t0
-            reports.append(report)
-            ranges.append(observed)
+            scans.append((report, kind, ks, sections))
 
-    _write_text(_plane_rows_csv(rows, reports, ranges) if config.format == "csv"
+    reports = [report for report, *_ in scans]
+    _write_text(_plane_rows_csv(scans) if config.format == "csv"
                 else reports_to_json(reports), config)
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
-                 curvatures) -> tuple:
-    """Run a scan in batches of planes; return its observed (min, max).
+def _scan_chunks(config, stream0: int, shape: tuple, kind: str,
+                 curvatures) -> list:
+    """Run a scan in batches of planes; return its curvatures, plane by plane.
 
     Plane idx draws ``shape`` standard normals from its own stream
     (seed, stream0 + idx), the numbers the one-plane code drew call by call,
@@ -421,14 +421,12 @@ def _scan_chunks(config, stream0: int, shape: tuple, kind: str, rows: list,
         _require_rows(np.isfinite(ks), FloatingPointError, "non-finite curvature")
         return ks
 
-    ks = np.concatenate(stream_chunks(config.seed, stream0, config.planes,
-                                      _STREAM_CHUNK, shape, f"{kind} plane",
-                                      checked)).tolist()
-    rows.extend((j, kind, K) for j, K in enumerate(ks))
-    return min(ks), max(ks)
+    return np.concatenate(stream_chunks(config.seed, stream0, config.planes,
+                                        _STREAM_CHUNK, shape, f"{kind} plane",
+                                        checked)).tolist()
 
 
-def _scan_submanifold(xi, config, rows) -> tuple:
+def _scan_submanifold(xi, config) -> tuple:
     sphere = xi.sphere
     cross_resid = 0.0
     cross_planes = min(config.planes, 500)
@@ -448,8 +446,9 @@ def _scan_submanifold(xi, config, rows) -> tuple:
             cross_resid = max(cross_resid, *np.abs(K[:m] - Kq).tolist())
         return K
 
-    lo, hi = _scan_chunks(config, 0, (1 + sphere.dim, sphere.ambient_dim),
-                          "submanifold", rows, curvatures)
+    ks = _scan_chunks(config, 0, (1 + sphere.dim, sphere.ambient_dim),
+                      "submanifold", curvatures)
+    lo, hi = min(ks), max(ks)
 
     # designated sections at a seeded point: the plane of xi and a unit w
     # orthogonal to it, and the plane of w and phi w
@@ -461,8 +460,6 @@ def _scan_submanifold(xi, config, rows) -> tuple:
     phi_w = unit_rows(-shape_apply_array(xi, p, w)[None])[0]
     k_xi, k_phi = submanifold_plane_curvature_array(
         xi, np.stack((p, p)), np.stack((xiv, w)), np.stack((w, phi_w))).tolist()
-    rows.append(("xi-section", "submanifold", k_xi))
-    rows.append(("phi-section", "submanifold", k_phi))
 
     designated = max(abs(k_xi - 0.25), abs(k_phi - 1.25))
     verdict = "pass" if (lo >= 0.25 - 1e-6 and hi <= 1.25 + 1e-6
@@ -474,15 +471,16 @@ def _scan_submanifold(xi, config, rows) -> tuple:
         f"closed form vs bundle curvature route: max gap {cross_resid:.3e} "
         f"on {cross_planes} planes",
     ]
-    return VerificationReport(
+    report = VerificationReport(
         name="scan-submanifold", parameters=_params(config),
         samples=config.planes,
         max_residual=max(max(0.25 - lo, 0.0), max(hi - 1.25, 0.0),
                          designated, cross_resid),
-        tolerance=1e-6, verdict=verdict, notes=notes), (lo, hi)
+        tolerance=1e-6, verdict=verdict, notes=notes)
+    return report, ks, (("xi-section", k_xi), ("phi-section", k_phi))
 
 
-def _scan_bundle(xi, config, rows) -> tuple:
+def _scan_bundle(xi, config) -> tuple:
     sphere = xi.sphere
 
     def curvatures(start, draws):
@@ -493,8 +491,9 @@ def _scan_bundle(xi, config, rows) -> tuple:
         return bundle_sectional_curvature_array(sphere, p, u, t[:, 1], vx,
                                                 t[:, 3], vy)
 
-    lo, hi = _scan_chunks(config, 10 ** 9, (6, sphere.ambient_dim), "bundle",
-                          rows, curvatures)
+    ks = _scan_chunks(config, 10 ** 9, (6, sphere.ambient_dim), "bundle",
+                      curvatures)
+    lo, hi = min(ks), max(ks)
     residual = max(max(-lo, 0.0), max(hi - 1.25, 0.0))
     verdict = "pass" if residual <= 1e-6 else "fail"
     notes = [f"observed bundle range [{lo:.9f}, {hi:.9f}] "
@@ -502,21 +501,24 @@ def _scan_bundle(xi, config, rows) -> tuple:
     return VerificationReport(
         name="scan-bundle", parameters=_params(config), samples=config.planes,
         max_residual=residual, tolerance=1e-6, verdict=verdict,
-        notes=notes), (lo, hi)
+        notes=notes), ks, ()
 
 
-def _plane_rows_csv(rows, reports, ranges) -> str:
-    """Plane rows, then each scan's observed range over its sampled planes."""
+def _plane_rows_csv(scans) -> str:
+    """Each scan's plane rows and designated sections, then each scan's
+    observed range over its sampled planes; ``scans`` holds a
+    (report, kind, curvatures, sections) tuple per scan."""
     import csv as _csv
     import io as _io
     buf = _io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["plane_id", "type", "curvature"])
-    for pid, kind, K in rows:
-        writer.writerow([pid, kind, format(K, ".17g")])
-    for rep, (lo, hi) in zip(reports, ranges):
-        writer.writerow([f"summary-{rep.name}", "min", format(lo, ".17g")])
-        writer.writerow([f"summary-{rep.name}", "max", format(hi, ".17g")])
+    for _, kind, ks, sections in scans:
+        writer.writerows([j, kind, format(K, ".17g")]
+                         for j, K in (*enumerate(ks), *sections))
+    for report, _, ks, _ in scans:
+        writer.writerow([f"summary-{report.name}", "min", format(min(ks), ".17g")])
+        writer.writerow([f"summary-{report.name}", "max", format(max(ks), ".17g")])
     return buf.getvalue()
 
 
@@ -663,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing keeps no state in it, so every
     ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
-        prog="tgeo",
+        prog="tgeo", allow_abbrev=False,
         description="Numerical verification for unit vector fields on round "
                     "spheres and the geometry of their tangent-bundle sections.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -671,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              ("scan-curvature", "sample plane curvatures"),
                              ("variation", "second-variation stability run"),
                              ("svd", "singular frames at one point")):
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         if command == "verify":
             p.add_argument("suite", choices=_SUITE_RUNNERS)
         for name in _READS[command]:

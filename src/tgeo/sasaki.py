@@ -156,7 +156,8 @@ def second_form_direct(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
     Independent of the half-curvature route: the tangent frame field
     E_j^h + (nabla_{E_j} xi)^t is extended by projection transport of the
     singular frame, differentiated along each tangent frame direction with
-    the four connection formulas, and paired against the normal frame. The
+    the four connection formulas, and paired against the normal frame; the
+    formulas run for every direction at once, on an axis of their own. The
     result is not symmetrized; symmetry in (i, j) is a property to test.
 
     The 2 N (n+1) displaced points are one stack, row r belonging to point
@@ -200,32 +201,34 @@ def second_form_direct(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
     H = H.reshape(N, n1, 2, n1, amb)
     V = V.reshape(N, n1, 2, n1, amb)
 
-    omega = np.zeros((N, n1 - 1, n1, n1))
-    for i in range(n1):
-        x1 = E[:, i] / scale[:, i, None]
-        x2 = -lam[:, i, None] * F[:, i] / scale[:, i, None]
-        c = ((1.0 / scale[:, i]) / (2.0 * h))[:, None, None]
-        dH = sphere.project_array(P, (H[:, i, 0] - H[:, i, 1]) * c)
-        dV = sphere.project_array(P, (V[:, i, 0] - V[:, i, 1]) * c)
+    # axis 1 is the direction e_i of the derivative, axis 2 the frame row j
+    x1 = E / scale[:, :, None]
+    x2 = -lam[:, :, None] * F / scale[:, :, None]
+    c = ((1.0 / scale) / (2.0 * h))[:, :, None, None]
+    dH = sphere.project_array(P[:, None], (H[:, :, 0] - H[:, :, 1]) * c)
+    dV = sphere.project_array(P[:, None], (V[:, :, 0] - V[:, :, 1]) * c)
+    del H, V, q, jac
+    Ub = U[:, None, None, :]
 
-        # horizontal: dH + R(u, V_j(p)) x1 / 2 + R(u, x2) H_j(p) / 2
-        horiz = (dH
-                 + 0.5 * k * (gemv(V0, x1)[:, :, None] * U[:, None, :]
-                              - np.vecdot(U, x1)[:, None, None] * V0)
-                 + 0.5 * k * (gemv(E, x2)[:, :, None] * U[:, None, :]
-                              - a[:, :, None] * x2[:, None, :]))
-        # vertical: dV - R(x1, H_j(p)) u / 2 - <V_j(p), u> x2, then t-project
-        vert = (dV
-                - 0.5 * k * (a[:, :, None] * x1[:, None, :]
-                             - np.vecdot(x1, U)[:, None, None] * E)
-                - V0u[:, :, None] * x2[:, None, :])
-        vert = vert - gemv(vert, U)[:, :, None] * U[:, None, :]
+    # horizontal: dH + R(u, V_j(p)) x1 / 2 + R(u, x2) H_j(p) / 2
+    horiz = dH
+    horiz += 0.5 * k * (gemv(V0[:, None], x1)[..., None] * Ub
+                        - np.vecdot(U[:, None], x1)[:, :, None, None] * V0[:, None])
+    horiz += 0.5 * k * (gemv(E[:, None], x2)[..., None] * Ub
+                        - a[:, None, :, None] * x2[:, :, None, :])
+    # vertical: dV - R(x1, H_j(p)) u / 2 - <V_j(p), u> x2, then t-project
+    vert = dV
+    vert -= 0.5 * k * (a[:, None, :, None] * x1[:, :, None, :]
+                       - np.vecdot(x1, U[:, None])[:, :, None, None] * E[:, None])
+    vert -= V0u[:, None, :, None] * x2[:, :, None, :]
+    vert -= gemv(vert, U[:, None])[..., None] * Ub
 
-        # pair against normal frame, undo the |E_j| normalization at p
-        omega[:, :, i, :] = (lam[:, 1:, None]
-                             * np.matmul(E[:, 1:], np.swapaxes(horiz, 1, 2))
-                             + np.matmul(F[:, 1:], np.swapaxes(vert, 1, 2))) \
-            / scale[:, 1:, None] / scale[:, None, :]
+    # pair against normal frame, undo the |E_j| normalization at p
+    omega = np.swapaxes(
+        (lam[:, None, 1:, None]
+         * np.matmul(E[:, None, 1:], np.swapaxes(horiz, 2, 3))
+         + np.matmul(F[:, None, 1:], np.swapaxes(vert, 2, 3)))
+        / scale[:, None, 1:, None] / scale[:, None, None, :], 1, 2)
     omega.flags.writeable = False
     return omega
 

@@ -143,6 +143,23 @@ def test_verify_jacobi_refuses_tol(capsys, tmp_path, source):
     assert main(["verify", "codazzi", "--samples", "2", "--tol", "1e-300"]) == 1
 
 
+@pytest.mark.parametrize("short,full", [
+    (["svd", "--field", "meridian", "--t", "0.5"],
+     ["svd", "--field", "meridian", "--theta", "0.5"]),
+    (["scan-curvature", "--p", "5", "--m", "bundle"],
+     ["scan-curvature", "--planes", "5", "--mode", "bundle"]),
+    (["verify", "codazzi", "--sa", "3"],
+     ["verify", "codazzi", "--samples", "3"]),
+], ids=["svd", "scan-curvature", "verify"])
+def test_abbreviated_flags_exit_two(capsys, short, full):
+    """A flag is spelled in full: a prefix of a declared flag is refused by
+    name, and the full spelling runs."""
+    assert main(short) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and short[-2] in err
+    assert main(full) == 0
+
+
 @pytest.mark.parametrize("argv,key,value", [
     (["scan-curvature", "--planes", "4"], "mode", "auto"),
     (["verify", "codazzi", "--samples", "2"], "field", "dipole"),

@@ -8,6 +8,8 @@ and obstruction suites make one frame call and one call per route for each
 chunk of samples, and a row failure inside a stacked call names its sample.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,9 +39,11 @@ from test_direction_stacks import (ref_is_geodesic, ref_is_killing,
                                    ref_jacobi_relation_residual,
                                    ref_sasakian_identity_residual)
 
-CASES = ([hopf_field(m, r) for m in (1, 2, 3, 7) for r in (1.0, 2.0, 0.01, 1e3)]
+CASES = ([hopf_field(m, r) for m in (1, 2, 3, 7)
+          for r in (1.0, 2.0, 0.01, 1e3, 1e4)]
+         + [hopf_field(15)]
          + [meridian_field(np.eye(d + 1)[0], r) for d in (3, 5, 7, 15)
-            for r in (1.0, 0.01, 1e3)])
+            for r in (1.0, 0.01, 1e3, 1e4)])
 CASE_IDS = [f"{xi.name}-s{xi.sphere.dim}-r{xi.sphere.radius:g}" for xi in CASES]
 ROUTES = [second_form_lemma, second_form_direct]
 
@@ -69,6 +73,37 @@ def test_stacked_routes_match_per_point_references(xi):
         assert_identical(direct[k], second_form_direct(xi, *one_row)[0])
         assert_identical(lemma[k], ref_second_form_lemma(xi, p, sd))
         assert_identical(direct[k], ref_second_form_direct(xi, p, sd))
+
+
+def test_direct_route_full_chunk_matches_one_row_calls():
+    """A full verify chunk of 64 points on S^7 through the one pass over
+    every direction: each point has the bits of its one-row call."""
+    xi = hopf_field(3)
+    _, coords, sds = stack(xi, cli._SAMPLE_CHUNK, seed=48)
+    direct = second_form_direct(xi, coords, sds)
+    for k in range(len(coords)):
+        assert_identical(direct[k],
+                         second_form_direct(xi, coords[k:k + 1], sds[k:k + 1])[0])
+
+
+def test_direct_route_memory_is_bounded_by_its_displaced_frames():
+    """On a 64-point S^15 stack the route's tracemalloc peak stays under 4.5
+    times the bytes of its displaced frames, N 2 n1 n1 amb doubles (4.2 as
+    written). Keeping those frames alive while the connection formulas build
+    new (N, n1, n1, amb) terms, instead of accumulating in place, reaches
+    5.2."""
+    xi = hopf_field(7)
+    _, coords, sds = stack(xi, 64, seed=49)
+    n1, amb = xi.sphere.dim, xi.sphere.ambient_dim
+    frames_bytes = len(coords) * 2 * n1 * n1 * amb * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        second_form_direct(xi, coords, sds)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * frames_bytes
 
 
 def assert_same_decomposition(got, want):
