@@ -26,7 +26,6 @@ from .manifold import (
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
-    _require_rows,
     _row_norms,
     gram_schmidt_rows,
     stream_chunks,
@@ -181,14 +180,11 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
     """Maximum of each residual that ``measure(coords, rows)`` names, over
     the sample points. Sample idx draws from its own stream (seed, idx) its
     point, then ``extra`` rows of ambient normals. The samples are drawn
-    _SAMPLE_CHUNK at a time through ``stream_chunks``, a point drawn in a
-    polar cap is replayed on its own generator through _sample_point, and
-    each run is measured in one stacked call, one array entry per sample.
-    A row failure or a non-finite residual is re-raised naming the sample and
-    the seed tuple that replays it.
+    _SAMPLE_CHUNK at a time through ``stream_chunks``, which names a failing
+    or non-finite sample by its seed tuple; a point drawn in a polar cap is
+    replayed on its own generator through _sample_point, and each run is
+    measured in one stacked call, one array entry per sample.
     """
-    worst = {}
-
     def run(start, draws):
         coords = xi.sphere.stacked_points(draws[:, 0])
         for k in np.flatnonzero(_in_cap(xi, coords)).tolist():
@@ -199,16 +195,11 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
                 exc.row = k
                 raise
             rng.standard_normal(out=draws[k, 1:])
-        columns = measure(coords, draws[:, 1:])
-        finite = np.isfinite(np.stack(list(columns.values()), axis=1))
-        _require_rows(finite, FloatingPointError, lambda row: (
-            f"non-finite {list(columns)[int(np.argmin(finite[row]))]} residual"))
-        for name, col in columns.items():
-            worst[name] = max(worst.get(name, 0.0), float(np.max(col)))
+        return {f"{k} residual": v for k, v in measure(coords, draws[:, 1:]).items()}
 
-    stream_chunks(config.seed, 0, config.samples, _SAMPLE_CHUNK,
-                  (1 + extra, xi.sphere.ambient_dim), "sample", run)
-    return worst
+    columns = stream_chunks(config.seed, 0, config.samples, _SAMPLE_CHUNK,
+                            (1 + extra, xi.sphere.ambient_dim), "sample", run)
+    return {k.removesuffix(" residual"): float(np.max(v)) for k, v in columns.items()}
 
 
 def _suite_report(config: RunConfig, residual: float, notes: list,
@@ -405,49 +396,28 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _scan_chunks(config, stream0: int, shape: tuple, kind: str,
-                 curvatures) -> list:
-    """Run a scan in batches of planes; return its curvatures, plane by plane.
-
-    Plane idx draws ``shape`` standard normals from its own stream
-    (seed, stream0 + idx), the numbers the one-plane code drew call by call,
-    a batch at a time through ``stream_chunks``. ``curvatures(start, draws)``
-    maps a batch to its curvatures; a row-level failure, or a curvature that
-    is not finite, is re-raised naming the plane and the seed tuple that
-    replays it.
-    """
-    def checked(start, draws):
-        ks = curvatures(start, draws)
-        _require_rows(np.isfinite(ks), FloatingPointError, "non-finite curvature")
-        return ks
-
-    return np.concatenate(stream_chunks(config.seed, stream0, config.planes,
-                                        _STREAM_CHUNK, shape, f"{kind} plane",
-                                        checked)).tolist()
-
-
 def _scan_submanifold(xi, config) -> tuple:
     sphere = xi.sphere
-    cross_resid = 0.0
     cross_planes = min(config.planes, 500)
 
     def curvatures(start, draws):
-        nonlocal cross_resid
         p, frames = sphere.stacked_frames(draws)
         X, Y = frames[:, 0], frames[:, 1]
         K = submanifold_plane_curvature_array(xi, p, X, Y)
+        gap = np.zeros(len(K))  # |K - bundle-route K| on the cross-checked planes
         m = cross_planes - start
-        if m > 0:  # cross-check the closed form against the bundle route
+        if m > 0:
             u, x1, x2 = xi_tangential_lift_array(xi, p[:m], X[:m])
             _, y1, y2 = xi_tangential_lift_array(xi, p[:m], Y[:m])
-            Kq = bundle_sectional_curvature_array(sphere, p[:m], u, x1, x2, y1, y2)
-            _require_rows(np.isfinite(Kq), FloatingPointError,
-                          "non-finite bundle-route curvature")
-            cross_resid = max(cross_resid, *np.abs(K[:m] - Kq).tolist())
-        return K
+            gap[:m] = np.abs(K[:m] - bundle_sectional_curvature_array(
+                sphere, p[:m], u, x1, x2, y1, y2))
+        return {"curvature": K, "bundle-route curvature": gap}
 
-    ks = _scan_chunks(config, 0, (1 + sphere.dim, sphere.ambient_dim),
-                      "submanifold", curvatures)
+    columns = stream_chunks(config.seed, 0, config.planes, _STREAM_CHUNK,
+                            (1 + sphere.dim, sphere.ambient_dim),
+                            "submanifold plane", curvatures)
+    ks = columns["curvature"].tolist()
+    cross_resid = float(np.max(columns["bundle-route curvature"]))
     lo, hi = min(ks), max(ks)
 
     # designated sections at a seeded point: the plane of xi and a unit w
@@ -488,11 +458,12 @@ def _scan_bundle(xi, config) -> tuple:
         p, t = sphere.stacked_tangents(draws)
         u = unit_rows(t[:, 0])
         vx, vy = (tangential_lift_array(v, u) for v in (t[:, 2], t[:, 4]))
-        return bundle_sectional_curvature_array(sphere, p, u, t[:, 1], vx,
-                                                t[:, 3], vy)
+        return {"curvature": bundle_sectional_curvature_array(
+            sphere, p, u, t[:, 1], vx, t[:, 3], vy)}
 
-    ks = _scan_chunks(config, 10 ** 9, (6, sphere.ambient_dim), "bundle",
-                      curvatures)
+    ks = stream_chunks(config.seed, 10 ** 9, config.planes, _STREAM_CHUNK,
+                       (6, sphere.ambient_dim), "bundle plane",
+                       curvatures)["curvature"].tolist()
     lo, hi = min(ks), max(ks)
     residual = max(max(-lo, 0.0), max(hi - 1.25, 0.0))
     verdict = "pass" if residual <= 1e-6 else "fail"

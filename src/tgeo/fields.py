@@ -27,9 +27,6 @@ from .manifold import (
     gram_schmidt_rows,
 )
 
-# Singular values below this are treated as rank deficiency.
-SV_ZERO_TOL = 1e-7
-
 # Frame assembly must reproduce A e_i = lambda_i f_i this well, relative to
 # max(1, lambda_max), or we refuse: the residual grows with the operator norm.
 ASSEMBLY_TOL = 1e-6
@@ -290,10 +287,10 @@ def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> tuple:
     """SVD of A_xi with the zero singular value pinned first and f_0 = xi.
 
     Right/left frames satisfy A e_i = lambda_i f_i with lambda_1 >= ... >=
-    lambda_n >= 0 = lambda_0. Left vectors for genuinely positive singular
-    values are taken as A e_i / lambda_i, which keeps the pairing exact under
-    degenerate singular values; the remaining left slots are completed by
-    Gram-Schmidt.
+    lambda_n >= 0 = lambda_0. Left vectors for singular values above the
+    Killing bound ``_killing_tol(r)`` are taken as A e_i / lambda_i, which
+    keeps the pairing exact under degenerate singular values; the remaining
+    left slots are completed by Gram-Schmidt.
 
     ``P`` is an (N, ambient) stack of point coordinates; the result is a
     tuple of N ``SingularData``. A point that fails a check (its
@@ -314,7 +311,7 @@ def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> tuple:
     # deterministic sign: align the kernel slot with the field direction
     flip = np.vecdot(e_comps[:, 0], xi_comps) < 0.0
     e_comps[flip, 0] = -e_comps[flip, 0]
-    positive = lambdas > SV_ZERO_TOL
+    positive = lambdas > _killing_tol(xi.sphere.radius)
     f_comps = _matvec_rows(M[:, None], e_comps) \
         / np.where(positive, lambdas, 1.0)[..., None]
     f_comps[:, 0] = xi_comps

@@ -22,6 +22,7 @@ FD_STEP_FACTOR = 1e-5
 GS_PIVOT_TOL = 1e-10
 
 _BASE_MATCH_TOL = 1e-9
+_FLOAT_MAX = np.finfo(float).max
 
 
 class DegenerateInputError(ValueError):
@@ -93,8 +94,10 @@ def _check_tangent_stack(radius: float, coords: np.ndarray,
     """TangentVector's check for ``vecs`` of shape (N, ambient) or
     (N, k, ambient) at the points ``coords`` (N, ambient)."""
     at = coords if vecs.ndim == 2 else coords[:, None, :]
-    # divided, not a bound scaled by |v|: an infinite row gives inf / inf, NaN
-    scaled = np.abs(np.vecdot(vecs, at)) / np.maximum(1.0, _row_norms(vecs))
+    # divided, not a bound scaled by |v|, which an infinite row would meet;
+    # |v| capped at the largest float, so that row divides to inf, not inf / inf
+    scale = np.minimum(np.maximum(1.0, _row_norms(vecs)), _FLOAT_MAX)
+    scaled = np.abs(np.vecdot(vecs, at)) / scale
     _require_rows(scaled <= 1e-9 * radius, DegenerateInputError,
                   "vector is not tangent to the sphere")
 
@@ -173,10 +176,6 @@ _SEED_MIX_R = 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
-
-# Streams seeded per pass: bounds the Python ints a pass holds, whatever the
-# number of rows.
-_STREAM_BLOCK = 1024
 
 
 def _words(n: int) -> list:
@@ -257,7 +256,7 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
         # a pass ends before the index's low word wraps, so its other words,
         # and the length of its entropy, are those of every row
         words = _words(first + j)
-        stop = min(len(out), j + _STREAM_BLOCK, j + (1 << 32) - words[0])
+        stop = min(len(out), j + (1 << 32) - words[0])
         entropy = np.tile(np.array(head + words, np.uint32), (stop - j, 1))
         entropy[:, len(head)] += np.arange(stop - j, dtype=np.uint32)
         for k, (pcg["state"], pcg["inc"]) in enumerate(_pcg64_states(entropy),
@@ -278,28 +277,40 @@ _STREAM_CHUNK = 256
 
 
 def stream_chunks(seed: int, stream0: int, count: int, chunk: int,
-                  shape: tuple, label: str, fn: Callable) -> list:
-    """The results of ``fn(start, draws)`` for each run of up to ``chunk`` of
-    the indices 0 .. count - 1, in order. Row j of ``draws`` holds the
-    ``shape`` standard normals of index start + j's stream (seed, stream0 +
-    start + j), from one ``stream_normals`` call into a buffer that the next
-    run reuses. A row failure (an error with ``row``) of ``fn`` is re-raised
-    with that index as its row and, in place of the row, in its message:
-    "``label`` idx, seed tuple (seed, stream0 + idx)".
+                  shape: tuple, label: str, fn: Callable) -> dict:
+    """The values that ``fn(start, draws)`` names, one (count,) array per
+    name over the indices 0 .. count - 1, from runs of up to ``chunk``: row j
+    of ``draws`` holds the ``shape`` standard normals of index start + j's
+    stream (seed, stream0 + start + j), drawn by one ``stream_normals`` call
+    into a buffer that the next run reuses. ``fn`` returns one value per row
+    for each name: another shape is a DegenerateInputError, a non-finite
+    value a FloatingPointError "non-finite <name>" (the first failing row,
+    and in it the first failing name). A row failure (an error with ``row``)
+    is re-raised with that index as its row and, in place of the row, in its
+    message: "``label`` idx, seed tuple (seed, stream0 + idx)".
     """
     buf = np.empty((min(chunk, count),) + shape)
-    out = []
+    runs = []
     for start in range(0, count, chunk):
         draws = stream_normals(seed, stream0 + start, buf[:count - start])
         try:
-            out.append(fn(start, draws))
+            # copied: a value may be a view of the buffer the next run reuses
+            values = {k: np.array(v, dtype=float) for k, v in fn(start, draws).items()}
+            for name, col in values.items():
+                if col.shape != (len(draws),):
+                    raise DegenerateInputError(
+                        f"{name} gave shape {col.shape} for {len(draws)} rows")
+            finite = np.isfinite(np.column_stack(list(values.values())))
+            _require_rows(finite, FloatingPointError, lambda row: (
+                f"non-finite {list(values)[int(np.argmin(finite[row]))]}"))
         except Exception as exc:
             if hasattr(exc, "row"):
                 row, exc.row = exc.row, start + exc.row
                 exc.args = (f"{str(exc).removesuffix(f' (row {row})')}: {label} "
                             f"{exc.row}, seed tuple ({seed}, {stream0 + exc.row})",)
             raise
-    return out
+        runs.append(values)
+    return {name: np.concatenate([run[name] for run in runs]) for name in runs[0]}
 
 
 @dataclass(frozen=True)
@@ -446,7 +457,8 @@ class SphereSpec:
         norms = _row_norms(draws)
         _require_rows(norms >= GS_PIVOT_TOL, DegenerateInputError,
                       "cannot normalize a near-zero vector")
-        return draws * (self.radius / norms)[..., None]
+        with np.errstate(invalid="ignore"):  # an inf row gives inf * 0, NaN
+            return draws * (self.radius / norms)[..., None]
 
     def stacked_tangents(self, draws: np.ndarray) -> tuple:
         """random_point, then a tangent vector per further row (the row

@@ -90,25 +90,18 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
     Sample idx draws from its own RNG stream (seed, idx), so the estimate
     does not depend on evaluation order. ``fn`` maps an (N, ambient) stack
     of the points to their (N,) values; it is called on _STREAM_CHUNK
-    samples at a time through ``stream_chunks``. A non-finite value is a
-    FloatingPointError, and it and a row check that fails on a draw or
-    inside ``fn`` are re-raised naming the sample and the seed tuple that
-    replays it.
+    samples at a time through ``stream_chunks``, which refuses values of
+    another shape and names a non-finite value, or a row check that fails on
+    a draw or inside ``fn``, by its sample and the seed tuple that replays it.
     """
     if samples < 1:
         raise DegenerateInputError("quadrature needs at least one sample")
 
     def values(start, draws):
-        vals = np.asarray(fn(sphere.stacked_points(draws)), dtype=float)
-        if vals.shape != (len(draws),):
-            raise DegenerateInputError(
-                f"integrand gave shape {vals.shape} for {len(draws)} points")
-        _require_rows(np.isfinite(vals), FloatingPointError, "non-finite integrand")
-        return vals
+        return {"integrand": fn(sphere.stacked_points(draws))}
 
-    vals = np.concatenate(stream_chunks(seed, 0, samples, _STREAM_CHUNK,
-                                        (sphere.ambient_dim,), "quadrature sample",
-                                        values))
+    vals = stream_chunks(seed, 0, samples, _STREAM_CHUNK, (sphere.ambient_dim,),
+                         "quadrature sample", values)["integrand"]
     vol = sphere_volume(sphere)
     std_error = vol * float(np.std(vals, ddof=1)) / math.sqrt(samples) \
         if samples > 1 else 0.0

@@ -650,8 +650,8 @@ def test_svd_tolerance_scales_with_lambda(capsys):
 @pytest.mark.parametrize("theta", ["1.5707963267948966", "1.5707963"])
 @pytest.mark.parametrize("dim", ["2", "3", "5"])
 def test_svd_meridian_equator_has_no_pairs(capsys, monkeypatch, dim, theta):
-    """At the equator lambda = cot(theta) is below SV_ZERO_TOL, so the field
-    passes the Killing check with no positive pair. Both frames are then
+    """At the equator lambda = cot(theta) is within the Killing bound, so
+    the field passes the Killing check with no positive pair. Both frames are then
     completed from xi alone: every left slot of the singular frames, and
     every kernel row of the canonical frames."""
     completed = []
@@ -683,17 +683,29 @@ def test_svd_far_meridian_near_equator_has_no_canonical_pairing(capsys):
     assert rep["notes"][-1].endswith(": no canonical pairing")
 
 
-@pytest.mark.parametrize("radius", ["1e-3", "1", "2"])
-def test_svd_meridian_just_off_the_equator_pairs_nothing(capsys, radius):
+@pytest.mark.parametrize("radius", ["1e-3", "1", "2", "1e4"])
+def test_svd_meridian_just_off_the_equator_pairs_nothing(capsys, monkeypatch,
+                                                         radius):
     """At theta 1.5707961, lambda = cot(theta) / r is 2.3e-7 / r and the
-    skewness twice that: within the Killing bound 1e-6 / r, though lambda
-    is above SV_ZERO_TOL. The canonical frames take lambda as zero, as the
-    Killing check does, so they pair nothing and pass their frame check."""
+    skewness twice that: within the Killing bound 1e-6 / r. Both frames take
+    lambda as zero, as the Killing check does: the canonical frames pair
+    nothing and pass their frame check, and the singular frames complete
+    their left slots from xi alone, as the canonical frames their kernel
+    rows, at every radius."""
+    completed = []
+    real = fields._complete_frame
+
+    def spy(assigned, candidates, total):
+        completed.append((len(assigned), total))
+        return real(assigned, candidates, total)
+
+    monkeypatch.setattr(fields, "_complete_frame", spy)
     _, out = run_cli(capsys, ["svd", "--field", "meridian", "--radius", radius,
                               "--theta", "1.5707961"], expect=0)
     rep = json.loads(out)[0]
     assert rep["verdict"] == "pass"
     assert rep["notes"][-1].startswith("killing canonical pairing: 0 pairs")
+    assert completed == [(1, 3)] * 2
 
 
 def test_predicates_hopf_off_unit_radius_expects_sasakian_residual(capsys):

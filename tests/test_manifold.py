@@ -253,13 +253,6 @@ def test_stream_normals_match_default_rng(seed, first, rows, shape):
     assert np.array_equal(out, ref_stream_normals(seed, first, rows, shape))
 
 
-def test_stream_normals_seeds_long_runs_in_blocks(monkeypatch):
-    monkeypatch.setattr(manifold, "_STREAM_BLOCK", 3)
-    out = stream_normals(2 ** 200 + 5, 2 ** 32 - 4, np.empty((8, 3)))
-    assert np.array_equal(out, ref_stream_normals(2 ** 200 + 5, 2 ** 32 - 4, 8,
-                                                  (3,)))
-
-
 def test_stream_normals_refuses_a_seeding_that_differs(monkeypatch):
     monkeypatch.setattr(manifold, "_SEED_MIX_L", manifold._SEED_MIX_L ^ 1)
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds"):
@@ -267,23 +260,45 @@ def test_stream_normals_refuses_a_seeding_that_differs(monkeypatch):
 
 
 def test_stream_chunks_hand_out_runs_and_name_a_failing_index():
-    """Each run gets the draws of its streams (seed, stream0 + idx), and a
-    row failure is renamed by its index and the seed tuple that replays it."""
+    """Each run gets the draws of its streams (seed, stream0 + idx), the
+    named values are collected over the runs, and a row failure, a non-finite
+    value among them, is renamed by its index and the seed tuple that
+    replays it; a value of the wrong shape names no row."""
     runs = []
 
     def keep(start, draws):
         runs.append(draws.copy())
-        return start
+        return {"x": draws[:, 0], "start": np.full(len(draws), start)}
 
-    assert stream_chunks(3, 10, 7, 3, (2,), "item", keep) == [0, 3, 6]
+    cols = stream_chunks(3, 10, 7, 3, (2,), "item", keep)
     assert [len(d) for d in runs] == [3, 3, 1]
     assert np.array_equal(np.concatenate(runs), ref_stream_normals(3, 10, 7, (2,)))
+    assert list(cols) == ["x", "start"]
+    assert np.array_equal(cols["x"], np.concatenate(runs)[:, 0])
+    assert np.array_equal(cols["start"], [0, 0, 0, 3, 3, 3, 6])
 
     def failing(start, draws):
         _require_rows(np.arange(len(draws)) + start != 4, DegenerateInputError,
                       "bad draw")
+        return {"x": draws[:, 0]}
 
     with pytest.raises(DegenerateInputError,
                        match=r"^bad draw: item 4, seed tuple \(3, 14\)$") as err:
         stream_chunks(3, 10, 7, 3, (2,), "item", failing)
     assert err.value.row == 4
+
+    for k in range(7):
+        def nan_at_k(start, draws, k=k):
+            x = draws[:, 0].copy()
+            x[np.arange(len(draws)) + start == k] = np.nan
+            return {"y": np.zeros(len(draws)), "x": x}
+
+        with pytest.raises(FloatingPointError, match=rf"^non-finite x: item {k}, "
+                           rf"seed tuple \(3, {10 + k}\)$") as err:
+            stream_chunks(3, 10, 7, 3, (2,), "item", nan_at_k)
+        assert err.value.row == k
+
+    with pytest.raises(DegenerateInputError, match="^x gave shape") as err:
+        stream_chunks(3, 10, 7, 3, (2,), "item",
+                      lambda start, draws: {"x": draws})
+    assert not hasattr(err.value, "row")

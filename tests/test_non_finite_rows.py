@@ -53,10 +53,11 @@ def test_tangent_check_refuses_nan():
                   np.tile(E[0], (3, 1)), with_row_1(E[1], [0.0, NAN, 0.0, 0.0]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_tangent_check_refuses_inf():
     """An infinite vector's dot product with the point is inf, as is its
-    norm; the check divides the one by the other, and inf / inf is NaN."""
+    norm; the check divides the one by the other, and inf / inf is NaN,
+    with no RuntimeWarning."""
     p = SpherePoint(SphereSpec(4), [0.5] * 4)
     with pytest.raises(DegenerateInputError, match="not tangent"):
         TangentVector(p, [np.inf, 0.0, 0.0, 0.0])
@@ -96,10 +97,10 @@ def test_normalizing_refuses_nan():
                   with_row_1(E[0], [NAN, 1.0, 0.0, 0.0]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_stacked_points_refuse_inf():
     """An inf row has an inf norm, so it normalizes to NaN coordinates,
-    which the points check refuses."""
+    with no RuntimeWarning, which the points check refuses."""
     refuses_row_1(DegenerateInputError, "do not lie on the sphere",
                   SphereSpec(4).stacked_points,
                   with_row_1(E[0], [np.inf, 0.0, 0.0, 0.0]))
