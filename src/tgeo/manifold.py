@@ -94,10 +94,15 @@ def _check_tangent_stack(radius: float, coords: np.ndarray,
     """TangentVector's check for ``vecs`` of shape (N, ambient) or
     (N, k, ambient) at the points ``coords`` (N, ambient)."""
     at = coords if vecs.ndim == 2 else coords[:, None, :]
+    norms = _row_norms(vecs)
+    if np.count_nonzero(norms <= _FLOAT_MAX) == norms.size:
+        dots = np.vecdot(vecs, at)
+    else:  # an inf entry against a zero coordinate of the point gives NaN
+        with np.errstate(invalid="ignore"):
+            dots = np.vecdot(vecs, at)
     # divided, not a bound scaled by |v|, which an infinite row would meet;
     # |v| capped at the largest float, so that row divides to inf, not inf / inf
-    scale = np.minimum(np.maximum(1.0, _row_norms(vecs)), _FLOAT_MAX)
-    scaled = np.abs(np.vecdot(vecs, at)) / scale
+    scaled = np.abs(dots) / np.minimum(np.maximum(1.0, norms), _FLOAT_MAX)
     _require_rows(scaled <= 1e-9 * radius, DegenerateInputError,
                   "vector is not tangent to the sphere")
 

@@ -7,6 +7,9 @@ from tgeo import (DegenerateInputError, Frame, TangentVector, hopf_field,
                   meridian_field, shape_apply_array)
 from tgeo.manifold import unit_rows
 
+# the tables' asserts report their operands as the tests' own do
+pytest.register_assert_rewrite("stack_table", "bad_rows", "cli_cases")
+
 # The interpreter and numpy the benchmark digests were recorded with: the
 # stacked kernels promise the bits of their one-point references there, and
 # a last-bit margin elsewhere.
@@ -20,6 +23,63 @@ def assert_identical(got, want):
         assert np.array_equal(got, want)
     else:
         np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+
+def assert_same(got, want):
+    """``assert_identical`` through tuples, lists and dicts (keys in order)."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        got, want = list(got.values()), list(want.values())
+    if isinstance(want, (tuple, list)) and not np.isscalar(want[0]):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert_identical(got, want)
+
+
+# -- tables -------------------------------------------------------------------
+#
+# A table row (a ``Stack`` of stack_table.py, a ``Bad`` of bad_rows.py, a
+# ``Case`` of cli_cases.py or a ``Check``) knows the test it is printed under,
+# "<module>::<name>[<case>]", and checks itself. ``printed_tests`` turns the
+# rows of one module into its test functions, so each case keeps the name it
+# has always been reported under: the rows of one case run together, in
+# table order.
+
+
+class Check:
+    """A table row that is a plain check: ``fn()`` asserts."""
+
+    def __init__(self, test, fn):
+        self.test, self.check = test, fn
+
+
+def printed_tests(module, rows):
+    """The test functions, by name, that print the ``rows`` tagged with
+    ``module``: each is parametrized over its cases, unless its only case
+    has no id."""
+    cases = {}
+    for row in rows:
+        where, _, name = row.test.partition("::")
+        if where == module:
+            name, _, case = name.partition("[")
+            cases.setdefault(name, {}).setdefault(case.rstrip("]"), []).append(row)
+    return {name: _printed(name, by_case) for name, by_case in cases.items()}
+
+
+def _printed(name, by_case):
+    if list(by_case) == [""]:
+        def test():
+            for row in by_case[""]:
+                row.check()
+    else:
+        @pytest.mark.parametrize("case", list(by_case), ids=list(by_case))
+        def test(case):
+            for row in by_case[case]:
+                row.check()
+    test.__name__ = name
+    return test
 
 
 def random_tangent(p, rng, *, unit=False):

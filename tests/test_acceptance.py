@@ -8,12 +8,10 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from tgeo import (
     bundle_sectional_curvature,
     destabilizing_field,
-    destabilizing_integrand,
     duschek_integrand_general,
     geodesic_field_obstruction,
     half_curvature,
@@ -21,7 +19,6 @@ from tgeo import (
     horizontal_extension_field,
     is_killing,
     killing_canonical_frames,
-    meridian_field,
     propagate_fiber_frame,
     random_hopf_combination,
     reduced_integrand,

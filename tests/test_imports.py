@@ -1,6 +1,7 @@
-"""Every name a tgeo module imports must be used in that module, and every
-module-level constant or private function must be read by some module, so a
-deletion cannot leave a stale import, constant or helper behind. The
+"""Every name a tgeo module or a test module imports must be used in that
+module, and every module-level constant or private function must be read by
+some module (in the tests, every helper and fixture), so a deletion cannot
+leave a stale import, constant or helper behind. The
 library's defaulted options and public names are counted, so a new one is a
 visible change, and every name the benchmark's tracer wraps must exist."""
 
@@ -18,6 +19,7 @@ import tgeo
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tgeo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # Module-level constants by naming convention, private ones included.
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
@@ -51,19 +53,23 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-def unread_definitions(sources: dict) -> list:
+def unread_definitions(sources: dict, *, tests=False) -> list:
     """UPPER_CASE constants and ``_private`` functions defined at the top
     level of the modules in ``sources`` (module name -> source) whose name no
     module reads, as a bare name or as an attribute. A read of the name
     anywhere counts for every definition of that name. A ``__dunder__``
     function is a module hook that the interpreter reads, so it counts as
-    read."""
+    read. With ``tests``, every top-level function but a ``test_`` one is a
+    definition, and a parameter name is a read: a fixture is read by the
+    tests that take it."""
     defined = []
     read = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            if (isinstance(node, ast.FunctionDef)
+                    and (node.name.startswith("_")
+                         or tests and not node.name.startswith("test_"))
                     and not DUNDER.fullmatch(node.name)):
                 defined.append((module, node.name, node.lineno))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -77,6 +83,8 @@ def unread_definitions(sources: dict) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif tests and isinstance(node, ast.arg):
+                read.add(node.arg)
     return sorted(f"{module}.{name} (line {line})"
                   for module, name, line in defined if name not in read)
 
@@ -135,6 +143,12 @@ def test_detects_unread_constant_and_private_function():
     hook = {"c": "def __getattr__(name):\n    raise AttributeError(name)\n"
                  "def _dead():\n    return 0\n"}
     assert unread_definitions(hook) == ["c._dead (line 3)"]
+    tests = {"t": "import pytest\n@pytest.fixture\ndef field():\n    return 1\n"
+                  "@pytest.fixture\ndef unused():\n    return 2\n"
+                  "def ref_value(x):\n    return x\n"
+                  "def test_a(field):\n    assert field == 1\n"}
+    assert unread_definitions(tests, tests=True) == ["t.ref_value (line 8)",
+                                                     "t.unused (line 6)"]
 
 
 def test_counts_defaulted_options():
@@ -197,7 +211,7 @@ def test_tracer_targets_resolve(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -206,3 +220,8 @@ def test_no_unread_constants_or_private_functions():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def test_no_unread_test_helpers_or_fixtures():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
+    assert unread_definitions(sources, tests=True) == []

@@ -6,17 +6,21 @@ idx)): its point, redrawn out of a meridian field's polar caps, then, for
 of samples in one ``stream_normals`` call and replays on its own generator
 only a sample whose first draw lands in a cap. ``ref_sample_inputs`` is the
 loop before that: one generator and one point draw per sample. Every stacked
-``measure`` call must get the same bits from both.
+``measure`` call must get the same bits from both. A zero draw is a row of
+the bad-row table.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import tgeo.cli as cli
-from tgeo import DegenerateInputError
 
-from conftest import assert_identical
-from test_point_stacks import swap_in_draw
+import bad_rows
+from conftest import assert_identical, printed_tests
+
+globals().update(printed_tests(__name__, bad_rows.ROWS))
 
 SEEDS = [0, 2 ** 32, 2 ** 200 + 5]
 
@@ -35,7 +39,14 @@ def ref_sample_point(xi, rng):
 
 def ref_sample_inputs(xi, seed, samples, extra):
     """Per chunk, the (coordinates, rows) the per-sample loop measured: each
-    sample's own generator gives its point, then its ``extra`` rows."""
+    sample's own generator gives its point, then its ``extra`` rows. The
+    suites that draw no rows share them."""
+    return _sample_inputs(xi.name, seed, samples, extra)
+
+
+@lru_cache(maxsize=None)
+def _sample_inputs(field, seed, samples, extra):
+    xi = cli.build_field(cli.RunConfig(command="verify", field=field))
     chunks = []
     for start in range(0, samples, cli._SAMPLE_CHUNK):
         coords, rows = [], []
@@ -167,21 +178,3 @@ def test_meridian_predicates_seed_chunks_and_replays(monkeypatch, capsys):
         want += [(seed, idx) for idx in caps if start <= idx < start + 64]
         want += [0, 0, 0]
     assert calls == want
-
-
-@pytest.mark.parametrize("idx,samples", [(2, 70), (66, 70), (64, 65)],
-                         ids=["first-chunk", "second-chunk", "one-row-chunk"])
-@pytest.mark.parametrize("field", ["hopf", "meridian"])
-def test_zero_draw_names_its_sample(field, idx, samples, monkeypatch, capsys):
-    """A zero first draw in a stacked pass fails as the one-sample draw did:
-    exit 3, naming the sample and its seed tuple, with no row of the pass."""
-    swap_in_draw(monkeypatch, idx, 0.0)
-    assert cli.main(["verify", "totally-geodesic", "--field", field,
-                     "--samples", str(samples), "--seed", "7"]) == 3
-    err = capsys.readouterr().err
-    # the one-sample draw's own message, named as the per-sample loop named it
-    with pytest.raises(DegenerateInputError) as info:
-        cli.build_field(cli.RunConfig(command="verify")).sphere.point(np.zeros(4))
-    assert err == (f"numerical failure: {info.value}: sample {idx}, seed tuple "
-                   f"(7, {idx})\n")
-    assert str(info.value) == "cannot normalize a near-zero vector"

@@ -32,10 +32,11 @@ import tgeo.manifold as manifold
 from tgeo.manifold import unit_rows
 from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
                          meridian_obstruction, xi_normal_lift_array)
-from conftest import (assert_identical, random_frame, random_tangent,
-                      ref_half_curvature,
-                      ref_second_form_direct, ref_second_form_lemma,
-                      point_stack, seeded_points)
+import stack_table
+from conftest import (assert_identical, point_stack, printed_tests, random_frame,
+                      random_tangent, seeded_points)
+
+globals().update(printed_tests(__name__, stack_table.ROWS))
 
 
 def sasaki_pairing(X: BundleVector, h, v):
@@ -144,41 +145,6 @@ def test_second_form_direct_is_symmetric(hopf3_r2):
     assert np.max(np.abs(om - np.transpose(om, (0, 2, 1)))) < 1e-6
 
 
-@pytest.mark.parametrize("xi", [
-    hopf_field(2, 3.0),
-    hopf_field(3, 0.37),
-    meridian_field(np.eye(6)[0], 3.0),
-], ids=["hopf-s5-r3", "hopf-s7-r0.37", "meridian-s5-r3"])
-def test_second_form_direct_matches_per_point_reference(xi):
-    """The displaced points' frames as one stack give the bits of the loop
-    over displaced points."""
-    points = seeded_points(xi, 6, seed=14)
-    P = point_stack(points)
-    sds = singular_decomposition(xi, P)
-    for p, sd, omega in zip(points, sds, second_form_direct(xi, P, sds)):
-        assert_identical(omega, ref_second_form_direct(xi, p, sd))
-
-
-@pytest.mark.parametrize("xi", [
-    hopf_field(1, 1.0),
-    hopf_field(3, 1.0),
-    hopf_field(7, 1.0),
-    hopf_field(2, 3.0),
-    hopf_field(3, 0.37),
-    meridian_field(np.eye(4)[0], 1.0),
-    meridian_field(np.eye(6)[0], 3.0),
-], ids=["hopf-s3", "hopf-s7", "hopf-s15", "hopf-s5-r3", "hopf-s7-r0.37",
-        "meridian-s3", "meridian-s5-r3"])
-def test_second_form_lemma_matches_per_pair_reference(xi):
-    """One finite difference per frame direction, applied to the whole frame,
-    gives the bits of one finite difference per (e_i, e_j) pair."""
-    points = seeded_points(xi, 3 if xi.sphere.dim > 7 else 6, seed=15)
-    P = point_stack(points)
-    sds = singular_decomposition(xi, P)
-    for p, sd, omega in zip(points, sds, second_form_lemma(xi, P, sds)):
-        assert_identical(omega, ref_second_form_lemma(xi, p, sd))
-
-
 def test_fd_kernels_follow_the_step_factor(monkeypatch):
     """The one step of every finite difference is FD_STEP_FACTOR * r: the
     displaced points at which fd_derivative_array, half_curvature and both
@@ -210,34 +176,6 @@ def test_fd_kernels_follow_the_step_factor(monkeypatch):
             displaced = chords > 1e-12
             assert displaced.any()
             assert np.allclose(chords[displaced], want, rtol=1e-6, atol=0.0)
-
-
-@pytest.mark.parametrize("xi", [
-    hopf_field(3, 1.0),
-    hopf_field(2, 3.0),
-    meridian_field(np.eye(4)[0], 1.0),
-    meridian_field(np.eye(6)[0], 3.0),
-], ids=["hopf-s7", "hopf-s5-r3", "meridian-s3", "meridian-s5-r3"])
-@pytest.mark.parametrize("factor", [None, 3e-4])
-def test_half_curvature_rows_match_one_vector_calls(xi, factor, monkeypatch):
-    """Row j of half_curvature(x, Y) is half_curvature(x, Y[j]) bit for bit,
-    and the one-vector call is the written-out 1-d reference. At the default
-    step and at a step factor of 3e-4."""
-    if factor is not None:
-        monkeypatch.setattr(manifold, "FD_STEP_FACTOR", factor)
-    sphere = xi.sphere
-    for idx, p in enumerate(seeded_points(xi, 4, seed=16)):
-        raw = np.random.default_rng((16, idx)).standard_normal(
-            (1 + sphere.dim, sphere.ambient_dim))
-        x, *ys = sphere.project_array(p.coords, raw)
-        ys = np.array(ys)
-        stacked = half_curvature(xi, p.coords, x, ys)
-        assert stacked.shape == ys.shape
-        for y, row in zip(ys, stacked):
-            one = half_curvature(xi, p.coords, x, y)
-            assert one.shape == y.shape
-            assert_identical(row, one)
-            assert_identical(one, ref_half_curvature(xi, p.coords, x, y))
 
 
 @pytest.mark.parametrize("m", [3, 7], ids=["s7", "s15"])
