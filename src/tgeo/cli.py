@@ -218,9 +218,9 @@ def _run_totally_geodesic(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
 
     def measure(coords, rows):
-        sds = singular_decomposition(xi, coords)
-        om_l = second_form_lemma(xi, coords, sds)
-        om_d = second_form_direct(xi, coords, sds)
+        sd = singular_decomposition(xi, coords)
+        om_l = second_form_lemma(xi, coords, sd)
+        om_d = second_form_direct(xi, coords, sd)
         axes = (1, 2, 3)
         return {"lemma": np.max(np.abs(om_l), axis=axes),
                 "direct": np.max(np.abs(om_d), axis=axes),
@@ -254,7 +254,7 @@ def _hopf_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     cand_b = K * (1.0 - K) / (2.0 * (1.0 + K) ** 1.5)
     p = _sample_point(xi, np.random.default_rng((config.seed, 0)))
     kd = killing_canonical_frames(xi, p)
-    omega = second_form_direct(xi, p.coords[None], (kd,))[0]
+    omega = second_form_direct(xi, p.coords[None], kd)[0]
     peak, off = hopf_pattern_split(omega)
     names = {cand_a: "(1/2) K (1-K) / (1+K)",
              cand_b: "K (1-K) / (2 (1+K)^(3/2))"}
@@ -336,13 +336,13 @@ def _run_obstruction(config: RunConfig) -> VerificationReport:
     meridian = config.field == "meridian"
 
     def measure(coords, rows):
-        sds = singular_decomposition(xi, coords)
-        obs = geodesic_field_obstruction(xi, coords, sds)
+        sd = singular_decomposition(xi, coords)
+        obs = geodesic_field_obstruction(xi, coords, sd)
         out = {"magnitude": np.max(np.abs(obs), axis=(1, 2))}
         if meridian:  # cos(theta) from the field's axis, the first coordinate
-            closed = meridian_obstruction(sds, coords[:, 0] / xi.sphere.radius)
+            closed = meridian_obstruction(sd, coords[:, 0] / xi.sphere.radius)
             out["closed form"] = np.max(np.abs(obs - closed), axis=(1, 2))
-        om = second_form_lemma(xi, coords, sds)
+        om = second_form_lemma(xi, coords, sd)
         out["consistency"] = np.max(np.abs(obs - om[:, :, 1:, 0]), axis=(1, 2))
         return out
 
@@ -526,14 +526,12 @@ def cmd_svd(config: RunConfig) -> int:
         p = _sample_point(xi, np.random.default_rng((config.seed, 0)))
 
     t0 = time.perf_counter()
-    sd = singular_decomposition(xi, p.coords[None])[0]
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
+    sd = singular_decomposition(xi, p.coords[None])
+    lam, e, f = sd.lambdas[0], sd.right_frame.matrix[0], sd.left_frame.matrix[0]
     applied = shape_apply_array(xi, p.coords, e)
-    assembly = float(np.max(np.linalg.norm(
-        applied - sd.lambdas[:, None] * f, axis=1)))
+    assembly = float(np.max(np.linalg.norm(applied - lam[:, None] * f, axis=1)))
     normality = covariant_normality_residual(xi, p)
-    spectrum = ", ".join(format(v, ".9g") for v in sd.lambdas)
+    spectrum = ", ".join(format(v, ".9g") for v in lam)
     notes = [
         f"lambda spectrum: ({spectrum})",
         f"frame assembly residual: {assembly:.3e}",
@@ -542,14 +540,13 @@ def cmd_svd(config: RunConfig) -> int:
     killing = is_killing(xi, p.coords[None])[0]
     if killing <= _killing_tol(sphere.radius):
         kd = killing_canonical_frames(xi, p)
-        m = np.count_nonzero(kd.lambdas) // 2  # unpaired slots hold 0.0
-        ke = kd.right_frame.matrix
-        kf = kd.left_frame.matrix
+        klam, ke, kf = kd.lambdas[0], kd.right_frame.matrix[0], kd.left_frame.matrix[0]
+        m = np.count_nonzero(klam) // 2  # unpaired slots hold 0.0
         ka = shape_apply_array(xi, p.coords, ke)
         # A e_i = lambda_i f_i with f_a = e_(m+a) and f_(m+a) = -e_a, a = 1..m
         f_ref = np.concatenate([ke[m + 1:2 * m + 1], -ke[1:m + 1]])
         rel = float(np.max(_row_norms(np.concatenate([
-            ka[1:2 * m + 1] - kd.lambdas[1:2 * m + 1, None] * f_ref,
+            ka[1:2 * m + 1] - klam[1:2 * m + 1, None] * f_ref,
             kf[1:2 * m + 1] - f_ref])), initial=0.0))
         notes.append(f"killing canonical pairing: {m} pairs, relation residual "
                      f"{rel:.3e}")
@@ -558,7 +555,7 @@ def cmd_svd(config: RunConfig) -> int:
                      "no canonical pairing")
     # scaled by the largest lambda as the spectrum note prints it, so a unit
     # spectrum that the SVD returns a few ulps above 1 keeps 1e-6
-    tol = TOL_ANALYTIC * max(1.0, float(format(np.max(sd.lambdas), ".9g")))
+    tol = TOL_ANALYTIC * max(1.0, float(format(np.max(lam), ".9g")))
     verdict = "pass" if assembly <= tol else "fail"
     rep = VerificationReport(
         name="svd", parameters=_params(config), samples=1,

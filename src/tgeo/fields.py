@@ -22,6 +22,7 @@ from .manifold import (
     _check_points_stack,
     _check_tangent_stack,
     _matvec_rows,
+    _one_point,
     _require_rows,
     _row_norms,
     gram_schmidt_rows,
@@ -218,10 +219,11 @@ def _framed_shape_matrix(xi: UnitVectorField, P: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SingularData:
-    """Paired singular frames of the shape operator.
+    """Paired singular frames of the shape operator at a stack of N points.
 
-    ``lambdas[0] == 0`` with ``left_frame[0]`` equal to the field vector;
-    A e_i = lambda_i f_i and A* f_i = lambda_i e_i for all i.
+    ``lambdas`` is (N, n1) and each frame matrix (N, n1, ambient); at each
+    point ``lambdas[:, 0] == 0`` with ``left_frame[0]`` equal to the field
+    vector, and A e_i = lambda_i f_i and A* f_i = lambda_i e_i for all i.
     """
 
     lambdas: np.ndarray
@@ -247,7 +249,7 @@ def _complete_frame(assigned, candidates: np.ndarray, total: int) -> list:
 def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
                      M: np.ndarray, lambdas: np.ndarray, e_comps: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
-                     pin_e0: bool = False) -> tuple:
+                     pin_e0: bool = False) -> SingularData:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
     components to ``ASSEMBLY_TOL * max(1, 1/r, lambda_max)`` at each point
     (1/r for the singular values the canonical frames take as zero), then
@@ -255,7 +257,8 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
     exactly to the field vector ``xiv``.
 
     Every array has a leading axis over the points ``P``; a point that fails
-    a check raises naming its row. Returns one ``SingularData`` per point."""
+    a check raises naming its row. Returns one ``SingularData`` for them all,
+    its frames built column by column over the stack."""
     tol = ASSEMBLY_TOL * np.maximum(max(1.0, 1 / sphere.radius), lambdas.max(1))
     resid = np.maximum(
         np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
@@ -270,20 +273,13 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
     f_amb[:, 0] = xiv  # exact, not reprojected
     if pin_e0:
         e_amb[:, 0] = xiv
-    out = []
-    for k, coords in enumerate(P):
-        try:
-            p = SpherePoint(sphere, coords)
-            right = Frame(p, tuple(TangentVector(p, v) for v in e_amb[k]))
-            left = Frame(p, tuple(TangentVector(p, v) for v in f_amb[k]))
-        except DegenerateInputError as exc:
-            exc.row = k
-            raise
-        out.append(SingularData(lambdas[k], right, left))
-    return tuple(out)
+    p = SpherePoint(sphere, P)
+    right, left = (Frame(p, [TangentVector(p, vecs[:, i]) for i in range(vecs.shape[1])])
+                   for vecs in (e_amb, f_amb))
+    return SingularData(lambdas, right, left)
 
 
-def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> tuple:
+def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> SingularData:
     """SVD of A_xi with the zero singular value pinned first and f_0 = xi.
 
     Right/left frames satisfy A e_i = lambda_i f_i with lambda_1 >= ... >=
@@ -292,8 +288,8 @@ def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> tuple:
     keeps the pairing exact under degenerate singular values; the remaining
     left slots are completed by Gram-Schmidt.
 
-    ``P`` is an (N, ambient) stack of point coordinates; the result is a
-    tuple of N ``SingularData``. A point that fails a check (its
+    ``P`` is an (N, ambient) stack of point coordinates; the result is one
+    ``SingularData`` over its N points. A point that fails a check (its
     coordinates, frame assembly, frame completion, a polar cap) raises
     naming its row in ``.row``.
     """
@@ -335,9 +331,10 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     lambda_a, so that A e_a = lambda_a e_{m+a}, A e_{m+a} = -lambda_a e_a,
     f_a = e_{m+a} and f_{m+a} = -e_a. The lambda vector repeats each paired
     value, (0, l_1..l_m, l_1..l_m, 0...), so it is not globally sorted.
+    ``p`` is one point; the result is its one-row ``SingularData``.
     """
     n1 = xi.sphere.dim
-    P = p.coords[None]
+    P = _one_point(p)[None]
     rows_stack, M_stack = _framed_shape_matrix(xi, P)
     _require_killing(xi.sphere.radius, M_stack, "canonical pairing")
     rows, M = rows_stack[0], M_stack[0]
@@ -371,7 +368,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
             rest = rest - np.outer(rest @ v, v) - np.outer(rest @ w, w)
             basis = gram_schmidt_rows(rest, pivot_tol=1e-6)
 
-    xiv = xi.value_array(p.coords)
+    xiv = xi.value_array(P[0])
     kernel = [rows @ xiv]
     if 2 * len(pair_l) + 1 < n1:
         # the kernel rows beside xi, orthogonal to the paired blocks
@@ -385,7 +382,7 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
     return _assemble_frames(xi.sphere, P, rows_stack, M_stack, lambdas[None],
                             e_comps[None], f_comps[None], xiv[None],
-                            "canonical frame", pin_e0=True)[0]
+                            "canonical frame", pin_e0=True)
 
 
 # -- half curvature tensor -------------------------------------------------
@@ -559,5 +556,5 @@ def jacobi_relation_residual(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
 
 def covariant_normality_residual(xi: UnitVectorField, p: SpherePoint) -> float:
     """|| A A* - A* A || in an orthonormal frame (commutation residual)."""
-    M = _framed_shape_matrix(xi, p.coords[None])[1][0]
+    M = _framed_shape_matrix(xi, _one_point(p)[None])[1][0]
     return float(np.linalg.norm(M @ M.T - M.T @ M, 2))

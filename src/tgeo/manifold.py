@@ -507,34 +507,46 @@ class SphereSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
+    """A point, or with a leading axis (N, ambient) a stack of N points."""
+
     sphere: SphereSpec
     coords: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_readonly(self.coords))
-        if self.coords.shape != (self.sphere.ambient_dim,):
+        amb = self.sphere.ambient_dim
+        if self.coords.ndim not in (1, 2) or self.coords.shape[-1] != amb:
             raise DegenerateInputError(
-                f"point has shape {self.coords.shape}, expected "
-                f"({self.sphere.ambient_dim},)")
-        _check_points_stack(self.sphere.radius, self.coords[None])
+                f"point has shape {self.coords.shape}, expected ({amb},) or (N, {amb})")
+        _check_points_stack(self.sphere.radius, self.coords.reshape(-1, amb))
 
     def __repr__(self):
         return f"SpherePoint({np.array2string(np.asarray(self.coords), precision=6)})"
 
 
+def _one_point(p: SpherePoint) -> np.ndarray:
+    """The coordinates of ``p``, which must be one point, not a stack."""
+    if p.coords.ndim != 1:
+        raise DegenerateInputError(f"point has shape {p.coords.shape}, expected "
+                                   f"one point ({p.sphere.ambient_dim},)")
+    return p.coords
+
+
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """An ambient vector attached at a base point, orthogonal to it."""
+    """An ambient vector attached at a base point, orthogonal to it; at a
+    stack of points, one vector per point."""
 
     base: SpherePoint
     vec: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vec", _as_readonly(self.vec))
-        if self.vec.shape != self.base.coords.shape:
+        coords, amb = self.base.coords, self.base.sphere.ambient_dim
+        if self.vec.shape != coords.shape:
             raise DegenerateInputError("tangent vector has wrong dimension")
-        _check_tangent_stack(self.base.sphere.radius, self.base.coords[None],
-                             self.vec[None])
+        _check_tangent_stack(self.base.sphere.radius, coords.reshape(-1, amb),
+                             self.vec.reshape(-1, amb))
 
     def __repr__(self):
         return f"TangentVector({np.array2string(np.asarray(self.vec), precision=6)})"
@@ -542,7 +554,8 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """An ordered orthonormal list of tangent vectors at one point."""
+    """An ordered orthonormal list of tangent vectors at one point; at a
+    stack of points, one frame per point, its matrix (N, k, ambient)."""
 
     base: SpherePoint
     vectors: tuple
@@ -553,9 +566,9 @@ class Frame:
             raise DegenerateInputError("empty frame")
         if len(self.vectors) > self.base.sphere.dim:
             raise DegenerateInputError("more frame vectors than the tangent dimension")
-        matrix = np.array([v.vec for v in self.vectors])
+        matrix = np.stack([v.vec for v in self.vectors], axis=-2)
         matrix.flags.writeable = False
-        _check_frames_stack(matrix[None])
+        _check_frames_stack(matrix.reshape((-1,) + matrix.shape[-2:]))
         object.__setattr__(self, "_matrix", matrix)
 
     @property

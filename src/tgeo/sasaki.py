@@ -85,31 +85,30 @@ def xi_tangential_lift(xi: UnitVectorField, X: TangentVector) -> BundleVector:
 
 
 def _xi_frame_rows(sd: SingularData) -> tuple:
-    """Sasaki-orthonormal (horizontal, vertical) rows at a point: tangent to
-    xi(M), (e_i^h - l_i f_i^v) / sqrt(1 + l_i^2) for i = 0..n; normal to
-    it, (l_s e_s^h + f_s^v) / sqrt(1 + l_s^2) for s = 1..n."""
-    lam = sd.lambdas[:, None]
-    e, f = sd.right_frame.matrix, sd.left_frame.matrix
+    """Sasaki-orthonormal (horizontal, vertical) rows at the point of a
+    one-row ``sd``: tangent to xi(M), (e_i^h - l_i f_i^v) / sqrt(1 + l_i^2)
+    for i = 0..n; normal to it, (l_s e_s^h + f_s^v) / sqrt(1 + l_s^2) for
+    s = 1..n."""
+    lam = sd.lambdas[0, :, None]
+    e, f = sd.right_frame.matrix[0], sd.left_frame.matrix[0]
     scale = np.sqrt(1.0 + lam ** 2)
     return (e / scale, -lam * f / scale), ((lam * e / scale)[1:], (f / scale)[1:])
 
 
-def _singular_stack(sds) -> tuple:
-    """(lambdas, E, F) of a sequence of ``SingularData``: the lambdas and
-    the right and left frame rows with a leading point axis."""
-    return (np.array([s.lambdas for s in sds]),
-            np.array([s.right_frame.matrix for s in sds]),
-            np.array([s.left_frame.matrix for s in sds]))
+def _singular_stack(sd: SingularData) -> tuple:
+    """(lambdas, E, F) of ``sd``: the lambdas and the right and left frame
+    rows, each with its leading point axis."""
+    return sd.lambdas, sd.right_frame.matrix, sd.left_frame.matrix
 
 
 # -- second fundamental form: route 1 (half-curvature formula) ---------------
 
 
-def second_form_lemma(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
+def second_form_lemma(xi: UnitVectorField, P: np.ndarray, sd) -> np.ndarray:
     """Second fundamental form of xi(M) from the half curvature tensor, as the
     read-only (N, n, n+1, n+1) array of Omega_{sigma|ij} at each point of
-    the (N, ambient) stack ``P``, with a sequence of N ``SingularData``
-    ``sds``; row [k, s] is sigma = s + 1 at point k.
+    the (N, ambient) stack ``P``, with its ``SingularData`` ``sd``; row
+    [k, s] is sigma = s + 1 at point k.
 
     Omega_{s|ij} = (Lambda_{sij}/2) { <r(e_i,e_j)xi + r(e_j,e_i)xi, f_s>
         + l_s [ l_j <R(e_s,e_i)xi, f_j> + l_i <R(e_s,e_j)xi, f_i> ] }
@@ -120,7 +119,7 @@ def second_form_lemma(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
     row check that fails on them (a meridian polar cap) names its point in
     ``.row``.
     """
-    lam, E, F = _singular_stack(sds)
+    lam, E, F = _singular_stack(sd)
     N, n1 = lam.shape
     k = xi.sphere.curvature_constant
 
@@ -149,7 +148,7 @@ def second_form_lemma(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
 # -- second fundamental form: route 2 (bundle connection table) --------------
 
 
-def second_form_direct(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
+def second_form_direct(xi: UnitVectorField, P: np.ndarray, sd) -> np.ndarray:
     """Second fundamental form computed from the bundle connection itself, in
     the read-only (N, n, n+1, n+1) layout of ``second_form_lemma``.
 
@@ -164,7 +163,7 @@ def second_form_direct(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
     r // (2 (n+1)); a row check that fails on it (a Gram-Schmidt pivot, a
     meridian polar cap) has its ``.row`` set to that point.
     """
-    lam, E, F = _singular_stack(sds)
+    lam, E, F = _singular_stack(sd)
     N, n1 = lam.shape
     sphere = xi.sphere
     amb = sphere.ambient_dim
@@ -237,17 +236,17 @@ def second_form_direct(xi: UnitVectorField, P: np.ndarray, sds) -> np.ndarray:
 
 
 def geodesic_field_obstruction(xi: UnitVectorField, P: np.ndarray,
-                               sds) -> np.ndarray:
+                               sd) -> np.ndarray:
     """First-order totally-geodesic obstruction for a geodesic field, r = 1.
 
     Returns M[k, s, a] = -(1/2) Lambda_{sa0} <A^2 e_a + e_a, f_s> for sigma,
     alpha in 1..n at each point k of the (N, ambient) stack ``P``, in the
-    frames of the N ``SingularData`` ``sds``; the zero array is equivalent
+    frames of its ``SingularData`` ``sd``; the zero array is equivalent
     to the vanishing of the (sigma | alpha, 0) block of the second
     fundamental form. A field not geodesic at some point is refused as a
     whole (no ``.row``).
     """
-    lam, E, F = _singular_stack(sds)
+    lam, E, F = _singular_stack(sd)
     if not xi.sphere.is_unit:
         raise PreconditionError("obstruction form is derived for unit radius")
     if np.any(is_geodesic(xi, P) > TOL_ANALYTIC):
@@ -261,12 +260,12 @@ def geodesic_field_obstruction(xi: UnitVectorField, P: np.ndarray,
     return obs
 
 
-def meridian_obstruction(sds, cos_theta: np.ndarray) -> np.ndarray:
+def meridian_obstruction(sd, cos_theta: np.ndarray) -> np.ndarray:
     """``geodesic_field_obstruction`` of the meridian field in closed form:
     -(1/2) Lambda_{sa0} (cot^2(theta) + 1) <e_a, f_s>, at polar angles
     theta from the field's axis on the unit sphere: the (N,) ``cos_theta``
-    with the frames of the N ``SingularData`` ``sds``, giving (N, n, n)."""
-    lam, E, F = _singular_stack(sds)
+    with the frames of the N points of ``sd``, giving (N, n, n)."""
+    lam, E, F = _singular_stack(sd)
     ct = cos_theta[:, None, None]
     factor = ct * ct / np.maximum(1.0 - ct * ct, 1e-300) + 1.0
     scale = 1.0 / np.sqrt(1.0 + lam[:, 1:] ** 2)

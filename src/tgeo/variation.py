@@ -27,6 +27,7 @@ from .manifold import (
     SphereSpec,
     _gram_schmidt_stack,
     _matvec_rows,
+    _one_point,
     _require_rows,
     _row_norms,
     stream_chunks,
@@ -145,10 +146,11 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     normalized tangent directions X_i; norm symbols are read as squared
     norms throughout. A zero normal lift returns 0 flagged degenerate.
     """
-    sd = singular_decomposition(xi, p.coords[None])[0]
-    form = second_form_lemma(xi, p.coords[None], (sd,))[0]
-    eta0 = eta.value_array(p.coords)
-    xiv, eh, ev = xi_normal_lift_array(xi, p.coords, eta0[None])
+    pc = _one_point(p)
+    sd = singular_decomposition(xi, pc[None])
+    form = second_form_lemma(xi, pc[None], sd)[0]
+    eta0 = eta.value_array(pc)
+    xiv, eh, ev = xi_normal_lift_array(xi, pc, eta0[None])
     _check_orthogonal(eta0[None], xiv[None])
     nsq = float(np.vecdot(eh, eh)[0] + np.vecdot(ev, ev)[0])
     if nsq < 1e-18:
@@ -158,7 +160,7 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     eta_sq = float(eta0 @ eta0)
     conn = 0.0
     for X in th:
-        d = eta.covariant_derivative_array(p.coords, X)
+        d = eta.covariant_derivative_array(pc, X)
         c = float(xiv @ X)
         tp = d - (d @ xiv) * xiv
         conn += c * c * eta_sq + 4.0 * float(tp @ tp)
@@ -168,7 +170,7 @@ def duschek_integrand_general(xi: UnitVectorField, eta: VariationField,
     kvals = np.linalg.eigvalsh(0.5 * (B + B.T))
     ksum = float(kvals.sum())
     principal = -(ksum * ksum - float(kvals @ kvals))
-    at, u, y1, y2 = (np.broadcast_to(v, th.shape) for v in (p.coords, xiv, eh, ev))
+    at, u, y1, y2 = (np.broadcast_to(v, th.shape) for v in (pc, xiv, eh, ev))
     curv = float(np.sum(bundle_sectional_curvature_array(
         xi.sphere, at, u, th, tv, y1, y2)))
     value = conn - nsq * (principal + curv)
@@ -376,7 +378,7 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
             f"fiber propagation needs at least {MIN_FIBER_STEPS} steps")
     J = complex_structure(sphere.ambient_dim)
 
-    p0c = p0.coords
+    p0c = _one_point(p0)
     jp0 = J @ p0c
     v = _horizontal_seed(p0c[None], J)[0]
     Y = np.array([v, -J @ v])

@@ -27,9 +27,12 @@ from tgeo import (BasePointMismatchError, DecompositionFailure,
                   DegenerateInputError, DegeneratePlaneError, PreconditionError,
                   PropagationFailure, SingularLocusError, SpherePoint, SphereSpec,
                   TangentVector, UnitVectorField, VariationField, complex_structure,
+                  covariant_normality_residual, duschek_integrand_general,
                   hopf_field, horizontal_extension_field, integrate_over_sphere,
-                  meridian_field, reduced_integrand, second_form_direct,
-                  second_form_lemma, singular_decomposition)
+                  killing_canonical_frames, meridian_field, propagate_fiber_frame,
+                  reduced_integrand, second_form_direct, second_form_lemma,
+                  singular_decomposition)
+from tgeo.fields import MIN_FIBER_STEPS
 from tgeo.manifold import (GS_PIVOT_TOL, _check_frames_stack, _check_points_stack,
                            _check_same_base, _check_tangent_stack,
                            _gram_schmidt_stack, _require_rows, unit_rows)
@@ -38,7 +41,8 @@ from tgeo.sasaki import (BundleVector, bundle_sectional_curvature,
                          submanifold_plane_curvature,
                          submanifold_plane_curvature_array)
 
-from conftest import point_stack, random_frame, random_tangent, seeded_points
+from conftest import (point_stack, random_frame, random_tangent, record_row,
+                      seeded_points)
 from stack_table import bundle_planes, frame_planes, unit_points
 
 
@@ -210,11 +214,10 @@ def nan_pivot():
 # -- the frames and the routes name the point of a failing row ----------------------
 
 
-def one_row_stack(xi, points):
-    """The points' coordinates, and the singular data of each from its own
-    one-row stack."""
-    return point_stack(points), [singular_decomposition(xi, p.coords[None])[0]
-                                 for p in points]
+def framed_stack(xi, points):
+    """The points' coordinates and their singular data."""
+    coords = point_stack(points)
+    return coords, singular_decomposition(xi, coords)
 
 
 def cap_point(dim, h):
@@ -231,12 +234,12 @@ def near_cap_stack(dim):
     xi = meridian_field(np.eye(dim + 1)[0], 1.0)
     points = seeded_points(xi, 3, seed=42)
     points.insert(2, xi.sphere.point(cap_point(dim, 0.05)))
-    return (xi, *one_row_stack(xi, points))
+    return (xi, *framed_stack(xi, points))
 
 
 def cap_row_only(dim):
-    xi, coords, sds = near_cap_stack(dim)
-    return xi, coords[2:3], sds[2:3]
+    xi, coords, sd = near_cap_stack(dim)
+    return xi, coords[2:3], record_row(sd, 2)
 
 
 def equator_stack():
@@ -328,10 +331,24 @@ ROWS += [
         lambda: singular_decomposition(hopf3, off_sphere_row_1()), DegenerateInputError,
         r"^coordinates do not lie on the sphere \(row 1\)$", 1),
     Bad(ps + "direct_route_names_the_point_of_a_pivot_failure",
-        lambda: second_form_direct(hopf3, *one_row_stack(hopf3, seeded_points(
+        lambda: second_form_direct(hopf3, *framed_stack(hopf3, seeded_points(
             hopf3, 5, seed=43))),
         DegenerateInputError, r"\(row 23\) of the displaced points", 3, pivot_failure),
 ]
+# a stack of points where one point is meant is refused by its shape, from
+# one check, before any arithmetic could broadcast over it
+for case, call in [
+        ("killing_canonical_frames", lambda p: killing_canonical_frames(hopf3, p)),
+        ("covariant_normality_residual",
+         lambda p: covariant_normality_residual(hopf3, p)),
+        ("propagate_fiber_frame", lambda p: propagate_fiber_frame(p, MIN_FIBER_STEPS)),
+        ("duschek_integrand_general", lambda p: duschek_integrand_general(
+            hopf3, horizontal_extension_field(hopf3.sphere, E[2]), p))]:
+    ROWS.append(Bad(
+        f"{ps}one_point_kernels_refuse_a_stack[{case}]",
+        lambda call=call: call(SpherePoint(hopf3.sphere, point_stack(
+            seeded_points(hopf3, 2, seed=50)))),
+        DegenerateInputError, r"^point has shape \(2, 4\), expected one point \(4,\)$"))
 for dim in (3, 5):
     for name, route in (("lemma", second_form_lemma), ("direct", second_form_direct)):
         step = lambda mp: mp.setattr(manifold, "FD_STEP_FACTOR", 0.05)  # 0.05 at r = 1

@@ -112,6 +112,11 @@ ENTRY_POINT = """
 0 verify obstruction --field meridian --dim 3 --samples 5
 0 verify obstruction --field meridian --dim 3 --samples 70
 0 verify totally-geodesic --dim 31 --samples 4
+# a last chunk of one point: a one-row singular record through both routes
+# and the obstruction
+0 verify totally-geodesic --dim 7 --samples 65
+1 verify totally-geodesic --field meridian --dim 3 --samples 65
+0 verify obstruction --field meridian --dim 3 --samples 65
 # the connection route's widest direction axis, and the Hopf field off unit
 # radius, which always fails
 0 verify totally-geodesic --dim 63 --samples 2

@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from tgeo import (DegenerateInputError, Frame, TangentVector, hopf_field,
-                  meridian_field, shape_apply_array)
+from tgeo import (DegenerateInputError, Frame, SingularData, SpherePoint,
+                  TangentVector, hopf_field, meridian_field, shape_apply_array)
 from tgeo.manifold import unit_rows
 
 # the tables' asserts report their operands as the tests' own do
@@ -100,6 +100,20 @@ def random_frame(p, rng):
     return Frame(p, tuple(TangentVector(p, r) for r in rows))
 
 
+def record_row(sd, k):
+    """Point k of the ``SingularData`` ``sd`` as its own one-row record."""
+    base = sd.right_frame.base
+    p = SpherePoint(base.sphere, base.coords[k:k + 1])
+    right, left = (Frame(p, [TangentVector(p, v.vec[k:k + 1]) for v in frame])
+                   for frame in (sd.right_frame, sd.left_frame))
+    return SingularData(sd.lambdas[k:k + 1], right, left)
+
+
+def frame_rows(sd, k=0):
+    """(lambdas, right frame rows, left frame rows) at point k of ``sd``."""
+    return sd.lambdas[k], sd.right_frame.matrix[k], sd.left_frame.matrix[k]
+
+
 def ref_gram_schmidt(mat, *, pivot_tol=1e-10, drop=False):
     """The reference for ``gram_schmidt_rows``: modified Gram-Schmidt on the
     rows of one matrix, one row at a time with ``@`` and ``np.linalg.norm``."""
@@ -122,13 +136,12 @@ def ref_gram_schmidt(mat, *, pivot_tol=1e-10, drop=False):
 
 
 def ref_second_form_direct(xi, p, sd):
-    """``second_form_direct`` one displaced point at a time: each transported
-    frame from the one-matrix Gram-Schmidt and each projection written out."""
+    """``second_form_direct`` one displaced point at a time, at the point of
+    a one-row ``sd``: each transported frame from the one-matrix
+    Gram-Schmidt and each projection written out."""
     sphere = xi.sphere
     r2 = sphere.radius ** 2
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
+    lam, e, f = frame_rows(sd)
     n1 = len(lam)
     u = f[0]
     k = sphere.curvature_constant
@@ -178,10 +191,9 @@ def ref_half_curvature(xi, p_coords, x, y):
 
 def ref_second_form_lemma(xi, p, sd):
     """``second_form_lemma`` with one half-curvature call per (e_i, e_j)
-    pair, n1^2 finite differences per point."""
-    lam = sd.lambdas
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
+    pair, n1^2 finite differences per point, at the point of a one-row
+    ``sd``."""
+    lam, e, f = frame_rows(sd)
     n1 = len(lam)
     k = xi.sphere.curvature_constant
     r_vals = np.zeros((n1, n1, xi.sphere.ambient_dim))

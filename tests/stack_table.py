@@ -56,9 +56,10 @@ from tgeo.sasaki import (bundle_sectional_curvature_array, meridian_obstruction,
 from tgeo.variation import (_LI, _LJ, _LK, _family_stack, _fiber_residual_rows,
                             _fiber_residuals, _horizontal_seed)
 
-from conftest import (Check, assert_same, point_stack, random_frame,
-                      random_tangent, ref_gram_schmidt, ref_half_curvature,
-                      ref_second_form_direct, ref_second_form_lemma, seeded_points)
+from conftest import (Check, assert_same, frame_rows, point_stack, random_frame,
+                      random_tangent, record_row, ref_gram_schmidt,
+                      ref_half_curvature, ref_second_form_direct,
+                      ref_second_form_lemma, seeded_points)
 
 cache = lru_cache(maxsize=None)
 ROWS = []
@@ -120,14 +121,21 @@ ROUTE_FIELDS = {f"{xi.name}-s{xi.sphere.dim}-r{xi.sphere.radius:g}": xi for xi i
        for r in (1.0, 0.01, 1e3, 1e4)])}
 
 
+def with_singular_data(s):
+    """``s`` with the ``SingularData`` ``sd`` of its points and ``sds``, the
+    one-row record of each point."""
+    s.sd = singular_decomposition(s.xi, s.coords)
+    s.sds = [record_row(s.sd, k) for k in range(len(s.coords))]
+    return s
+
+
 @cache
 def route_stack(key, count, seed):
-    """Seeded points with the singular data of each from its own one-row
-    stack."""
+    """Seeded points with their singular data."""
     xi = ROUTE_FIELDS[key]
     points = seeded_points(xi, count, seed=seed)
-    return ns(n=count, xi=xi, points=points, coords=point_stack(points),
-              sds=[singular_decomposition(xi, p.coords[None])[0] for p in points])
+    return with_singular_data(ns(n=count, xi=xi, points=points,
+                                 coords=point_stack(points)))
 
 
 @cache
@@ -142,9 +150,8 @@ def decomposition_stack(key):
     return ns(n=len(points), xi=xi, coords=point_stack(points))
 
 
-def frames_of(sds):
-    return [(sd.lambdas, sd.right_frame.matrix, sd.left_frame.matrix)
-            for sd in sds]
+def frames_of(sd):
+    return [frame_rows(sd, k) for k in range(len(sd.lambdas))]
 
 
 def read_only(omega):
@@ -153,8 +160,8 @@ def read_only(omega):
 
 
 def route_row(test, build, route, ref=None):
-    return Stack(test, build, lambda s: read_only(route(s.xi, s.coords, s.sds)),
-                 lambda s, k: route(s.xi, s.coords[k:k + 1], s.sds[k:k + 1])[0],
+    return Stack(test, build, lambda s: read_only(route(s.xi, s.coords, s.sd)),
+                 lambda s, k: route(s.xi, s.coords[k:k + 1], s.sds[k])[0],
                  ref and (lambda s, k: ref(s.xi, s.points[k], s.sds[k])))
 
 
@@ -294,19 +301,17 @@ def ref_jacobi_relation_residual(xi, p):
 
 
 def ref_obstruction(xi, p, sd):
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
+    lam, e, f = frame_rows(sd)
     ae = shape_apply_array(xi, p.coords, e[1:])
     a2e = shape_apply_array(xi, p.coords, ae)
-    scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
+    scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
     return -0.5 * np.outer(scale, scale) * (f[1:] @ (a2e + e[1:]).T)
 
 
 def ref_meridian_obstruction(sd, ct):
-    e = sd.right_frame.matrix
-    f = sd.left_frame.matrix
+    lam, e, f = frame_rows(sd)
     factor = ct * ct / max(1.0 - ct * ct, 1e-300) + 1.0
-    scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
+    scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
     return -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
 
 
@@ -326,9 +331,8 @@ def predicate_stack(key, seed):
     points = [cli._sample_point(xi, np.random.default_rng((0, idx)))
               for idx in range(3)] + seeded_points(xi, 3, seed=seed)
     coords = point_stack(points)
-    return ns(n=6, xi=xi, points=points, coords=coords,
-              sds=singular_decomposition(xi, coords),
-              cts=coords[:, 0] / xi.sphere.radius)
+    return with_singular_data(ns(n=6, xi=xi, points=points, coords=coords,
+                                 cts=coords[:, 0] / xi.sphere.radius))
 
 
 @cache
@@ -417,13 +421,13 @@ for key in FIELDS:
     if FIELDS[key].sphere.is_unit:
         test_obs = test.format("obstruction_stacks_match_one_point_calls")
         ROWS += [Stack(test_obs, partial(predicate_stack, key, 38),
-                       lambda s: geodesic_field_obstruction(s.xi, s.coords, s.sds),
+                       lambda s: geodesic_field_obstruction(s.xi, s.coords, s.sd),
                        lambda s, k: geodesic_field_obstruction(
-                           s.xi, s.coords[k:k + 1], s.sds[k:k + 1])[0],
+                           s.xi, s.coords[k:k + 1], s.sds[k])[0],
                        lambda s, k: ref_obstruction(s.xi, s.points[k], s.sds[k])),
                  Stack(test_obs, partial(predicate_stack, key, 38),
-                       lambda s: meridian_obstruction(s.sds, s.cts),
-                       lambda s, k: meridian_obstruction(s.sds[k:k + 1],
+                       lambda s: meridian_obstruction(s.sd, s.cts),
+                       lambda s, k: meridian_obstruction(s.sds[k],
                                                          s.cts[k:k + 1])[0],
                        lambda s, k: ref_meridian_obstruction(s.sds[k],
                                                              float(s.cts[k])))]
@@ -433,8 +437,8 @@ for key in FIELDS:
 def framed_stack(key, count, seed):
     """Seeded points with their stacked singular data."""
     s = field_points(key, count, seed)
-    return ns(n=count, xi=s.xi, points=s.points, coords=s.coords,
-              sds=singular_decomposition(s.xi, s.coords))
+    return with_singular_data(ns(n=count, xi=s.xi, points=s.points,
+                                 coords=s.coords))
 
 
 @cache
@@ -457,14 +461,14 @@ for key in ("hopf-s5-r3", "hopf-s7-r0.37", "meridian-s5-r3"):
     ROWS.append(Stack(test.format("second_form_direct_matches_per_point_reference",
                                   key),
                       partial(framed_stack, key, 6, 14),
-                      lambda s: second_form_direct(s.xi, s.coords, s.sds),
+                      lambda s: second_form_direct(s.xi, s.coords, s.sd),
                       reference=lambda s, k: ref_second_form_direct(s.xi, s.points[k],
                                                                     s.sds[k])))
 for key in ("hopf-s3", "hopf-s7", "hopf-s15", "hopf-s5-r3", "hopf-s7-r0.37",
             "meridian-s3", "meridian-s5-r3"):
     ROWS.append(Stack(test.format("second_form_lemma_matches_per_pair_reference", key),
                       partial(framed_stack, key, 3 if key == "hopf-s15" else 6, 15),
-                      lambda s: second_form_lemma(s.xi, s.coords, s.sds),
+                      lambda s: second_form_lemma(s.xi, s.coords, s.sd),
                       reference=lambda s, k: ref_second_form_lemma(s.xi, s.points[k],
                                                                    s.sds[k])))
     if key in ("hopf-s7", "hopf-s5-r3", "meridian-s3", "meridian-s5-r3"):

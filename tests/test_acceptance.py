@@ -41,7 +41,7 @@ from tgeo.sasaki import (
 )
 from tgeo.cli import main as cli_main
 
-from conftest import random_frame, random_tangent, seeded_points
+from conftest import frame_rows, random_frame, random_tangent, seeded_points
 
 
 def stream_draws(seed, start, count, shape):
@@ -63,10 +63,10 @@ def test_criterion_1_totally_geodesic_unit_hopf():
         points = [xi.sphere.random_point(np.random.default_rng((0, idx)))
                   for idx in range(200)]
         coords = np.array([p.coords for p in points])
-        sds = singular_decomposition(xi, coords)
+        sd = singular_decomposition(xi, coords)
         worst = max(worst,
-                    np.max(np.abs(second_form_lemma(xi, coords, sds))),
-                    np.max(np.abs(second_form_direct(xi, coords, sds))))
+                    np.max(np.abs(second_form_lemma(xi, coords, sd))),
+                    np.max(np.abs(second_form_direct(xi, coords, sd))))
     elapsed = time.perf_counter() - t0
     status = "PASS" if (worst < 1e-4 and elapsed < 30.0) else "FAIL"
     print(f"[criterion 1] max |Omega| both routes over 3x200 points: "
@@ -95,7 +95,7 @@ def test_criterion_2_nonunit_radius_pattern(tmp_path):
     cand_b = K * (1 - K) / (2 * (1 + K) ** 1.5)    # 0.06708...
     p = xi.sphere.random_point(np.random.default_rng((2, 0)))
     kd = killing_canonical_frames(xi, p)
-    om = second_form_direct(xi, p.coords[None], (kd,))[0]
+    om = second_form_direct(xi, p.coords[None], kd)[0]
     mask = np.zeros_like(om, dtype=bool)
     mask[0, 2, 0] = mask[0, 0, 2] = mask[1, 1, 0] = mask[1, 0, 1] = True
     peak = float(np.max(np.abs(om[mask])))
@@ -324,26 +324,23 @@ def test_criterion_9_svd_property_suite():
         for idx in range(20):
             rng = np.random.default_rng((9, idx))
             p = sphere.random_point(rng)
-            sd = singular_decomposition(xi, p.coords[None])[0]
-            e = sd.right_frame.matrix
-            f = sd.left_frame.matrix
+            lam, e, f = frame_rows(singular_decomposition(xi, p.coords[None]))
             ae = shape_apply_array(xi, p.coords, e)
-            worst = max(worst, float(np.max(np.abs(ae - sd.lambdas[:, None] * f))))
+            worst = max(worst, float(np.max(np.abs(ae - lam[:, None] * f))))
             af = xi_normal_lift_array(xi, p.coords, f)[1]  # A* f_i
-            for i in range(len(sd.lambdas)):
-                worst = max(worst, float(np.linalg.norm(af[i] - sd.lambdas[i] * e[i])))
-            assert sd.lambdas[0] == 0.0
-            assert np.all(np.diff(sd.lambdas[1:]) <= 1e-14)
+            for i in range(len(lam)):
+                worst = max(worst, float(np.linalg.norm(af[i] - lam[i] * e[i])))
+            assert lam[0] == 0.0
+            assert np.all(np.diff(lam[1:]) <= 1e-14)
             worst = max(worst, covariant_normality_residual(xi, p))
-            kd = killing_canonical_frames(xi, p)
             mm = (sphere.dim - 1) // 2
-            ke, kf = kd.right_frame.matrix, kd.left_frame.matrix
+            klam, ke, kf = frame_rows(killing_canonical_frames(xi, p))
             ka = shape_apply_array(xi, p.coords, ke)
             for a in range(1, mm + 1):
                 worst = max(
                     worst,
-                    float(np.linalg.norm(ka[a] - kd.lambdas[a] * ke[mm + a])),
-                    float(np.linalg.norm(ka[mm + a] + kd.lambdas[a] * ke[a])),
+                    float(np.linalg.norm(ka[a] - klam[a] * ke[mm + a])),
+                    float(np.linalg.norm(ka[mm + a] + klam[a] * ke[a])),
                     float(np.linalg.norm(kf[a] - ke[mm + a])),
                     float(np.linalg.norm(kf[mm + a] + ke[a])))
     print(f"[criterion 9] SVD suite worst residual: {worst:.3e}: "
@@ -356,14 +353,13 @@ def test_criterion_10_meridian_negative_control(meridian3):
     obstruction matches -(1/2) Lambda (cot^2 + 1) <e_a, f_s>."""
     worst_gap = 0.0
     P = np.array([p.coords for p in seeded_points(meridian3, 25, seed=10)])
-    sds = singular_decomposition(meridian3, P)
-    peak = np.max(np.abs(second_form_lemma(meridian3, P, sds)))
-    for p, sd, obs in zip(P, sds, geodesic_field_obstruction(meridian3, P, sds)):
-        ct = float(p[0])
+    sd = singular_decomposition(meridian3, P)
+    peak = np.max(np.abs(second_form_lemma(meridian3, P, sd)))
+    for k, obs in enumerate(geodesic_field_obstruction(meridian3, P, sd)):
+        ct = float(P[k, 0])
         factor = ct * ct / (1.0 - ct * ct) + 1.0
-        scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
-        e = sd.right_frame.matrix
-        f = sd.left_frame.matrix
+        lam, e, f = frame_rows(sd, k)
+        scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
         expected = -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
         worst_gap = max(worst_gap, float(np.max(np.abs(obs - expected))))
     ok = peak > 1e-2 and worst_gap < 1e-4

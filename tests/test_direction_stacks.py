@@ -68,9 +68,9 @@ def test_direct_route_evaluates_the_jacobian_once_per_side(counted):
     """One evaluation at p and one for the stack of displaced points."""
     xi, counts = counted
     P = seeded_points(xi, 1, seed=36)[0].coords[None]
-    sds = singular_decomposition(xi, P)
+    sd = singular_decomposition(xi, P)
     counts.update(fd=0, jacobian=0)
-    second_form_direct(xi, P, sds)
+    second_form_direct(xi, P, sd)
     assert counts == {"fd": 0, "jacobian": 2}
 
 

@@ -17,6 +17,8 @@ from tgeo.manifold import (GS_PIVOT_TOL, _check_same_base, _gram_schmidt_stack,
 from conftest import (assert_identical, random_frame, random_tangent,
                       ref_gram_schmidt)
 
+E3 = np.eye(3)
+
 
 def test_sphere_spec_basics():
     sphere = SphereSpec(4, 2.0)
@@ -55,6 +57,53 @@ def test_tangent_rejects_non_tangent_vector():
     with pytest.raises(DegenerateInputError) as info:
         unit_rows(np.array([[0.0, 1e-11, 0.0]]))
     assert str(info.value) == "cannot normalize a near-zero tangent vector"
+
+
+@pytest.mark.parametrize("radius, offset, tangent", [(1e3, 1e-11, True),
+                                                     (1e-3, 1e-7, False)])
+def test_tangent_bound_scales_with_the_radius(radius, offset, tangent):
+    """A unit tangent vector plus offset * p / r has <v, p> = offset * r
+    against the bound 1e-9 r: within it at radius 1e3 (an absolute 1e-9
+    would refuse 1e-8), past it at radius 1e-3 (an absolute 1e-9 would accept
+    1e-10). Checked in a stack, with the offset in row 1, and at one point."""
+    sphere = SphereSpec(4, radius)
+    draws = np.random.default_rng(51).standard_normal((3, 2, 4))
+    P = sphere.stacked_points(draws[:, 0])
+    vecs = unit_rows(sphere.project_array(P, draws[:, 1]))
+    vecs[1] += offset * P[1] / radius
+    for p, v in [(SpherePoint(sphere, P), vecs), (SpherePoint(sphere, P[1]), vecs[1])]:
+        if tangent:
+            TangentVector(p, v)
+            continue
+        with pytest.raises(DegenerateInputError, match="not tangent") as info:
+            TangentVector(p, v)
+        assert info.value.row == (1 if v.ndim == 2 else 0)
+
+
+def test_typed_objects_take_a_point_axis():
+    """A SpherePoint, TangentVector or Frame over a stack of points checks
+    every row and names the failing point, as at one point."""
+    sphere = SphereSpec(3, 1.0)
+    P = np.array([E3[2], E3[0], E3[1]])
+    p = SpherePoint(sphere, P)
+    cols = [TangentVector(p, np.roll(P, k, axis=1)) for k in (1, 2)]
+    frame = Frame(p, cols)
+    assert frame.matrix.shape == (3, 2, 3)
+    assert_identical(frame.matrix[1], [cols[0].vec[1], cols[1].vec[1]])
+    # row 1 of each made bad: off the sphere, not tangent, a repeated vector
+    off, normal, twice = P.copy(), cols[0].vec.copy(), cols[1].vec.copy()
+    off[1] *= 1.0 + 1e-6
+    normal[1] += 1e-3 * P[1]
+    twice[1] = cols[0].vec[1]
+    for make, message in [
+            (lambda: SpherePoint(sphere, off), "do not lie on the sphere"),
+            (lambda: TangentVector(p, normal), "not tangent"),
+            (lambda: Frame(p, [cols[0], TangentVector(p, twice)]), "not orthonormal")]:
+        with pytest.raises(DegenerateInputError, match=rf"{message}.* \(row 1\)$") as info:
+            make()
+        assert info.value.row == 1
+    with pytest.raises(DegenerateInputError, match=r"expected \(3,\) or \(N, 3\)"):
+        SpherePoint(sphere, P[None])
 
 
 def test_point_rejects_off_sphere_coordinates():

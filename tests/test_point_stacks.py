@@ -38,13 +38,13 @@ def test_direct_route_memory_is_bounded_by_its_displaced_frames():
     new (N, n1, n1, amb) terms, instead of accumulating in place, reaches
     5.2."""
     s = route_stack("hopf-s15-r1", 64, 49)
-    xi, coords, sds = s.xi, s.coords, s.sds
+    xi, coords, sd = s.xi, s.coords, s.sd
     n1, amb = xi.sphere.dim, xi.sphere.ambient_dim
     frames_bytes = len(coords) * 2 * n1 * n1 * amb * 8
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        second_form_direct(xi, coords, sds)
+        second_form_direct(xi, coords, sd)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -90,17 +90,17 @@ def max_abs(a):
 
 
 def routes(xi, p, rng):
-    sd = singular_decomposition(xi, p.coords[None])[0]
+    sd = singular_decomposition(xi, p.coords[None])
     om_l, om_d = ref_second_form_lemma(xi, p, sd), ref_second_form_direct(xi, p, sd)
     return {"lemma": max_abs(om_l), "direct": max_abs(om_d),
             "asym": max_abs(om_d - np.transpose(om_d, (0, 2, 1)))}
 
 
 def obstruction(xi, p, rng):
-    sds = singular_decomposition(xi, p.coords[None])
-    obs = sasaki.geodesic_field_obstruction(xi, p.coords[None], sds)[0]
-    om = ref_second_form_lemma(xi, p, sds[0])
-    closed = sasaki.meridian_obstruction(sds, p.coords[:1])[0]
+    sd = singular_decomposition(xi, p.coords[None])
+    obs = sasaki.geodesic_field_obstruction(xi, p.coords[None], sd)[0]
+    om = ref_second_form_lemma(xi, p, sd)
+    closed = sasaki.meridian_obstruction(sd, p.coords[:1])[0]
     return {"consistency": max_abs(obs - om[:, 1:, 0]), "magnitude": max_abs(obs),
             "closed form": max_abs(obs - closed)}
 

@@ -9,6 +9,7 @@ from tgeo import (
     DegeneratePlaneError,
     Frame,
     PreconditionError,
+    SpherePoint,
     TangentVector,
     UnitVectorField,
     bundle_sectional_curvature,
@@ -33,8 +34,8 @@ from tgeo.manifold import unit_rows
 from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
                          meridian_obstruction, xi_normal_lift_array)
 import stack_table
-from conftest import (assert_identical, point_stack, printed_tests, random_frame,
-                      random_tangent, seeded_points)
+from conftest import (assert_identical, frame_rows, point_stack, printed_tests,
+                      random_frame, random_tangent, seeded_points)
 
 globals().update(printed_tests(__name__, stack_table.ROWS))
 
@@ -92,7 +93,7 @@ def test_normal_lift_sees_only_perp_part(hopf3):
 
 def test_submanifold_frame_rows_orthonormal_and_dual(hopf5):
     p = hopf5.sphere.random_point(np.random.default_rng(4))
-    sd = singular_decomposition(hopf5, p.coords[None])[0]
+    sd = singular_decomposition(hopf5, p.coords[None])
     (th, tv), (nh, nv) = _xi_frame_rows(sd)
     h, v = np.vstack([th, nh]), np.vstack([tv, nv])
     gram = h @ h.T + v @ v.T
@@ -122,17 +123,17 @@ def test_bundle_vector_anchor_guard(hopf3):
 def test_second_form_vanishes_unit_hopf(fixture_name, request):
     xi = request.getfixturevalue(fixture_name)
     P = point_stack(seeded_points(xi, 10, seed=10))
-    sds = singular_decomposition(xi, P)
-    assert np.max(np.abs(second_form_lemma(xi, P, sds))) < 1e-5
-    assert np.max(np.abs(second_form_direct(xi, P, sds))) < 1e-5
+    sd = singular_decomposition(xi, P)
+    assert np.max(np.abs(second_form_lemma(xi, P, sd))) < 1e-5
+    assert np.max(np.abs(second_form_direct(xi, P, sd))) < 1e-5
 
 
 def test_second_form_routes_agree_off_unit_radius(hopf3_r2):
     """The two assemblies are independent; they must match where nonzero."""
     P = point_stack(seeded_points(hopf3_r2, 5, seed=11))
-    sds = singular_decomposition(hopf3_r2, P)
-    om_l = second_form_lemma(hopf3_r2, P, sds)
-    om_d = second_form_direct(hopf3_r2, P, sds)
+    sd = singular_decomposition(hopf3_r2, P)
+    om_l = second_form_lemma(hopf3_r2, P, sd)
+    om_d = second_form_direct(hopf3_r2, P, sd)
     assert np.max(np.abs(om_l - om_d)) < 1e-6
     # genuinely nonzero at r=2, at every point
     assert np.all(np.max(np.abs(om_l), axis=(1, 2, 3)) > 0.07)
@@ -153,8 +154,8 @@ def test_fd_kernels_follow_the_step_factor(monkeypatch):
     base = hopf_field(2, 2.0)
     sphere = base.sphere
     p = seeded_points(base, 1, seed=19)[0]
-    sds = singular_decomposition(base, p.coords[None])
-    x, y = sds[0].right_frame.matrix[:2]
+    sd = singular_decomposition(base, p.coords[None])
+    x, y = sd.right_frame.matrix[0, :2]
     seen = []
 
     def recording(q):
@@ -164,8 +165,8 @@ def test_fd_kernels_follow_the_step_factor(monkeypatch):
     xi = dataclasses.replace(base, jacobian_fn=recording)
     kernels = [lambda: sphere.fd_derivative_array(recording, p.coords, x),
                lambda: half_curvature(xi, p.coords, x, y),
-               lambda: second_form_lemma(xi, p.coords[None], sds),
-               lambda: second_form_direct(xi, p.coords[None], sds)]
+               lambda: second_form_lemma(xi, p.coords[None], sd),
+               lambda: second_form_direct(xi, p.coords[None], sd)]
     for factor in (manifold.FD_STEP_FACTOR, 2e-3):
         monkeypatch.setattr(manifold, "FD_STEP_FACTOR", factor)
         want = 2.0 * sphere.radius * np.sin(factor / 2.0)
@@ -185,7 +186,7 @@ def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
     one finite difference per frame pair on S^15)."""
     xi = hopf_field(m, 1.0)
     P = seeded_points(xi, 1, seed=17)[0].coords[None]
-    sds = singular_decomposition(xi, P)
+    sd = singular_decomposition(xi, P)
     counts = {"half_curvature": 0, "jacobian": 0}
 
     def counted_jacobian(q, _jac=xi.jacobian_fn):
@@ -198,9 +199,9 @@ def test_lemma_route_differentiates_once_per_frame_direction(m, monkeypatch):
 
     monkeypatch.setattr("tgeo.sasaki.half_curvature", counted_half_curvature)
     counted = UnitVectorField(xi.sphere, xi.value_fn, counted_jacobian, xi.name)
-    omega = second_form_lemma(counted, P, sds)
+    omega = second_form_lemma(counted, P, sd)
     assert counts == {"half_curvature": 1, "jacobian": 2}
-    assert_identical(omega, second_form_lemma(xi, P, sds))
+    assert_identical(omega, second_form_lemma(xi, P, sd))
 
 
 def test_second_form_nonunit_pattern(hopf3_r2):
@@ -208,7 +209,7 @@ def test_second_form_nonunit_pattern(hopf3_r2):
     carry the value (1/2) K (1-K) / (1+K) = 0.075 at K = 1/4."""
     p = hopf3_r2.sphere.random_point(np.random.default_rng(13))
     kd = killing_canonical_frames(hopf3_r2, p)
-    om = second_form_direct(hopf3_r2, p.coords[None], (kd,))[0]
+    om = second_form_direct(hopf3_r2, p.coords[None], kd)[0]
     expected = np.zeros_like(om)
     expected[0, 2, 0] = expected[0, 0, 2] = 0.075
     expected[1, 1, 0] = expected[1, 0, 1] = -0.075
@@ -229,32 +230,34 @@ def test_hopf_pattern_closed_form(m, radius):
     xi = hopf_field(m, radius)
     p = xi.sphere.random_point(np.random.default_rng((18, m)))
     kd = killing_canonical_frames(xi, p)
-    omega = second_form_direct(xi, p.coords[None], (kd,))[0]
+    omega = second_form_direct(xi, p.coords[None], kd)[0]
     peak, off = hopf_pattern_split(omega)
     assert abs(peak - abs(inline)) < 1e-4
     assert off < 1e-6
 
 
 def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
-    """On unit S^7 one singular decomposition builds its two frames (2 Frames,
-    2 n1 TangentVectors); the second-form routes given those frames and the
-    sampled predicates build no TangentVector or Frame."""
-    counts = {TangentVector: 0, Frame: 0}
+    """On unit S^7 one singular decomposition of a stack of 1, 2 or 64
+    points builds its two frames once for the whole stack (1 SpherePoint,
+    2 Frames, 2 n1 TangentVectors, whatever the stack's size); the
+    second-form routes given its record and the sampled predicates build no
+    SpherePoint, TangentVector or Frame."""
+    counts = {SpherePoint: 0, TangentVector: 0, Frame: 0}
     for cls in counts:
         def counted(self, _cls=cls, _check=cls.__post_init__):
             counts[_cls] += 1
             _check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     n1 = hopf7.sphere.dim
-    for p in seeded_points(hopf7, 2, seed=30):
-        P = p.coords[None]
+    for count in (1, 2, 64):
+        P = point_stack(seeded_points(hopf7, count, seed=30))
         before = dict(counts)
-        sds = singular_decomposition(hopf7, P)
-        assert counts[Frame] - before[Frame] == 2
-        assert counts[TangentVector] - before[TangentVector] == 2 * n1
+        sd = singular_decomposition(hopf7, P)
+        assert {cls: counts[cls] - before[cls] for cls in counts} == {
+            SpherePoint: 1, TangentVector: 2 * n1, Frame: 2}
         before = dict(counts)
-        second_form_lemma(hopf7, P, sds)
-        second_form_direct(hopf7, P, sds)
+        second_form_lemma(hopf7, P, sd)
+        second_form_direct(hopf7, P, sd)
         is_strongly_normal(hopf7, P)
         sasakian_identity_residual(hopf7, P)
         assert counts == before
@@ -271,17 +274,15 @@ def test_obstruction_consistency_and_meridian_closed_form(meridian3):
     """Obstruction M_(s,a) = Omega_(s|a,0); for the meridian field it equals
     -(1/2) Lambda (cot^2 + 1) <e_a, f_s>."""
     P = point_stack(seeded_points(meridian3, 8, seed=14))
-    sds = singular_decomposition(meridian3, P)
-    stacked = geodesic_field_obstruction(meridian3, P, sds)
-    om = second_form_lemma(meridian3, P, sds)
+    sd = singular_decomposition(meridian3, P)
+    stacked = geodesic_field_obstruction(meridian3, P, sd)
+    om = second_form_lemma(meridian3, P, sd)
     assert np.max(np.abs(stacked - om[:, :, 1:, 0])) < 1e-4
-    for p, sd, obs in zip(P, sds, stacked):
-        ct = float(p[0])
+    for k, obs in enumerate(stacked):
+        ct = float(P[k, 0])
         factor = ct * ct / (1.0 - ct * ct) + 1.0
-        lam = sd.lambdas
+        lam, e, f = frame_rows(sd, k)
         scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
-        e = sd.right_frame.matrix
-        f = sd.left_frame.matrix
         expected = -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
         assert np.max(np.abs(obs - expected)) < 1e-4
 
@@ -293,15 +294,14 @@ def test_meridian_obstruction_closed_form(dim):
     axis = np.eye(dim + 1)[0]
     xi = meridian_field(axis)
     P = point_stack(seeded_points(xi, 8, seed=17))
-    sds = singular_decomposition(xi, P)
+    sd = singular_decomposition(xi, P)
     cts = P @ axis
-    stacked = meridian_obstruction(sds, cts)
-    assert np.max(np.abs(geodesic_field_obstruction(xi, P, sds) - stacked)) < 1e-4
-    for ct, sd, closed in zip(cts, sds, stacked):
+    stacked = meridian_obstruction(sd, cts)
+    assert np.max(np.abs(geodesic_field_obstruction(xi, P, sd) - stacked)) < 1e-4
+    for k, (ct, closed) in enumerate(zip(cts, stacked)):
         factor = ct * ct / (1.0 - ct * ct) + 1.0
-        scale = 1.0 / np.sqrt(1.0 + sd.lambdas[1:] ** 2)
-        e = sd.right_frame.matrix
-        f = sd.left_frame.matrix
+        lam, e, f = frame_rows(sd, k)
+        scale = 1.0 / np.sqrt(1.0 + lam[1:] ** 2)
         inline = -0.5 * np.outer(scale, scale) * factor * (f[1:] @ e[1:].T)
         assert np.max(np.abs(closed - inline)) < 1e-12
 

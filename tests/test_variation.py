@@ -154,10 +154,10 @@ def test_principal_term_along_one_normal_direction(name, request):
     zero = np.zeros((sphere.ambient_dim, sphere.ambient_dim))
     worst = peak = 0.0
     for p in seeded_points(xi, 3, seed=31):
-        sd = singular_decomposition(xi, p.coords[None])[0]
-        form = second_form_lemma(xi, p.coords[None], (sd,))[0]
+        sd = singular_decomposition(xi, p.coords[None])
+        form = second_form_lemma(xi, p.coords[None], sd)[0]
         for s in range(1, sphere.dim):
-            w = sd.left_frame.matrix[s]
+            w = sd.left_frame.matrix[0, s]
             eta = VariationField(sphere, lambda q, w=w: w, lambda q: zero)
             S = 0.5 * (form[s - 1] + form[s - 1].T)
             expect = -(np.trace(S) ** 2 - np.sum(S * S))
