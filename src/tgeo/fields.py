@@ -18,7 +18,7 @@ from .manifold import (
     Frame,
     SphereSpec,
     SpherePoint,
-    TangentVector,
+    _as_readonly,
     _check_points_stack,
     _check_tangent_stack,
     _matvec_rows,
@@ -231,9 +231,7 @@ class SingularData:
     left_frame: Frame   # f_0 .. f_n
 
     def __post_init__(self):
-        arr = np.array(self.lambdas, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "lambdas", arr)
+        object.__setattr__(self, "lambdas", _as_readonly(self.lambdas))
 
 
 def _complete_frame(assigned, candidates: np.ndarray, total: int) -> list:
@@ -258,7 +256,7 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
 
     Every array has a leading axis over the points ``P``; a point that fails
     a check raises naming its row. Returns one ``SingularData`` for them all,
-    its frames built column by column over the stack."""
+    each frame one ``Frame`` over the stack."""
     tol = ASSEMBLY_TOL * np.maximum(max(1.0, 1 / sphere.radius), lambdas.max(1))
     resid = np.maximum(
         np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
@@ -274,9 +272,7 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
     if pin_e0:
         e_amb[:, 0] = xiv
     p = SpherePoint(sphere, P)
-    right, left = (Frame(p, [TangentVector(p, vecs[:, i]) for i in range(vecs.shape[1])])
-                   for vecs in (e_amb, f_amb))
-    return SingularData(lambdas, right, left)
+    return SingularData(lambdas, Frame(p, e_amb), Frame(p, f_amb))
 
 
 def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> SingularData:

@@ -535,18 +535,21 @@ def _one_point(p: SpherePoint) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TangentVector:
     """An ambient vector attached at a base point, orthogonal to it; at a
-    stack of points, one vector per point."""
+    stack of points, one vector per point. ``vec`` may instead hold rows per
+    point, ``coords.shape[:-1] + (k, ambient)``: each row is checked at its
+    point, and a failing one names its point."""
 
     base: SpherePoint
     vec: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vec", _as_readonly(self.vec))
-        coords, amb = self.base.coords, self.base.sphere.ambient_dim
-        if self.vec.shape != coords.shape:
+        coords, shape = self.base.coords, self.vec.shape
+        if shape != coords.shape and shape[:-2] + shape[-1:] != coords.shape:
             raise DegenerateInputError("tangent vector has wrong dimension")
-        _check_tangent_stack(self.base.sphere.radius, coords.reshape(-1, amb),
-                             self.vec.reshape(-1, amb))
+        points = coords.reshape(-1, coords.shape[-1])
+        _check_tangent_stack(self.base.sphere.radius, points,
+                             self.vec.reshape(points.shape[:1] + shape[coords.ndim - 1:]))
 
     def __repr__(self):
         return f"TangentVector({np.array2string(np.asarray(self.vec), precision=6)})"
@@ -554,33 +557,30 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """An ordered orthonormal list of tangent vectors at one point; at a
-    stack of points, one frame per point, its matrix (N, k, ambient)."""
+    """k orthonormal tangent vectors at a point, the rows of ``matrix`` (k,
+    ambient); at a stack of N points, one frame per point, (N, k, ambient).
+    The rows are checked once, through one ``TangentVector``; ``frame[i]``
+    is row i as a ``TangentVector``."""
 
     base: SpherePoint
-    vectors: tuple
+    matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        if not self.vectors:
-            raise DegenerateInputError("empty frame")
-        if len(self.vectors) > self.base.sphere.dim:
-            raise DegenerateInputError("more frame vectors than the tangent dimension")
-        matrix = np.stack([v.vec for v in self.vectors], axis=-2)
-        matrix.flags.writeable = False
-        _check_frames_stack(matrix.reshape((-1,) + matrix.shape[-2:]))
-        object.__setattr__(self, "_matrix", matrix)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The vectors as the rows of one read-only array, the one checked."""
-        return self._matrix
+        coords, shape = self.base.coords, np.shape(self.matrix)
+        if len(shape) != coords.ndim + 1 or shape[:-2] + shape[-1:] != coords.shape:
+            raise DegenerateInputError(f"frame has shape {shape} at base shape {coords.shape}")
+        if not 1 <= shape[-2] <= self.base.sphere.dim:
+            raise DegenerateInputError(f"frame has {shape[-2]} vectors, expected 1 to "
+                                       f"{self.base.sphere.dim}")
+        matrix = TangentVector(self.base, self.matrix).vec
+        _check_frames_stack(matrix.reshape((-1,) + shape[-2:]))
+        object.__setattr__(self, "matrix", matrix)
 
     def __len__(self):
-        return len(self.vectors)
+        return self.matrix.shape[-2]
 
     def __getitem__(self, idx) -> TangentVector:
-        return self.vectors[idx]
+        return TangentVector(self.base, self.matrix[..., idx, :])
 
 
 def _check_same_base(a: np.ndarray, b: np.ndarray,

@@ -25,6 +25,7 @@ from .manifold import (
     DegenerateInputError,
     SpherePoint,
     SphereSpec,
+    _as_readonly,
     _gram_schmidt_stack,
     _matvec_rows,
     _one_point,
@@ -326,9 +327,7 @@ class FiberFrame:
 
     def __post_init__(self):
         for attr in ("ts", "points", "e0s", "frames"):
-            arr = np.array(getattr(self, attr), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+            object.__setattr__(self, attr, _as_readonly(getattr(self, attr)))
 
     @property
     def node_count(self) -> int:
@@ -367,8 +366,8 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     _FIBER_BLOCK steps at a time, with the loop's own time arithmetic and
     math.cos and math.sin. Residuals of the derivative table,
     orthonormality, and loop closure are recorded, each from one stacked
-    call over all nodes; table residuals above FIBER_TABLE_TOL raise
-    PropagationFailure.
+    call over all nodes; any of them above FIBER_TABLE_TOL (the table's
+    first) raises PropagationFailure naming it.
     """
     sphere = p0.sphere
     if not sphere.is_unit:
@@ -422,6 +421,10 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     if not np.max(table) <= FIBER_TABLE_TOL:  # a NaN fails too
         raise PropagationFailure(f"fiber frame table residuals {table[0]:.3e}/"
                                  f"{table[1]:.3e} exceed {FIBER_TABLE_TOL:.1e}")
+    for name in ("orthonormality", "closure"):
+        if not residuals[name] <= FIBER_TABLE_TOL:
+            raise PropagationFailure(f"fiber frame {name} residual "
+                                     f"{residuals[name]:.3e} exceeds {FIBER_TABLE_TOL:.1e}")
     return FiberFrame(sphere, ts, points, e0s, frames, residuals)
 
 

@@ -24,7 +24,7 @@ import tgeo.manifold as manifold
 import tgeo.sasaki as sasaki
 import tgeo.variation as variation
 from tgeo import (BasePointMismatchError, DecompositionFailure,
-                  DegenerateInputError, DegeneratePlaneError, PreconditionError,
+                  DegenerateInputError, DegeneratePlaneError, Frame, PreconditionError,
                   PropagationFailure, SingularLocusError, SpherePoint, SphereSpec,
                   TangentVector, UnitVectorField, VariationField, complex_structure,
                   covariant_normality_residual, duschek_integrand_general,
@@ -365,6 +365,28 @@ for case, suite, route in [("tg-lemma", "totally-geodesic", "second_form_lemma")
                          "--seed", "7"),
                     3, r"polar cap.*sample 66, seed tuple \(7, 66\)",
                     patch=route_at_cap_step(route)))
+# a frame is its base and one matrix, checked as it is built: a row normal
+# at its own point, a matrix not shaped for its base, one non-orthonormal
+# frame of a stack, no rows, more rows than the dimension
+at_e0 = SpherePoint(SphereSpec(4), E[0])
+e0_stack = SpherePoint(SphereSpec(4), np.tile(E[0], (3, 1)))
+ROWS += [
+    Bad(ps + "frame_refuses[normal-row]", lambda: Frame(at_e0, [E[1], E[0]]),
+        DegenerateInputError, r"^vector is not tangent to the sphere$", 0),
+    Bad(ps + "frame_refuses[normal-row]",
+        lambda: Frame(e0_stack, with_row_1([E[1], E[2]], [E[1], E[0]])),
+        DegenerateInputError, r"^vector is not tangent to the sphere \(row 1\)$", 1),
+    Bad(ps + "frame_refuses[one-point-rows-at-two-points]",
+        lambda: Frame(SpherePoint(SphereSpec(4), E[:2]), [E[2]]),
+        DegenerateInputError, r"^frame has shape \(1, 4\) at base shape \(2, 4\)$"),
+    Bad(ps + "frame_refuses[non-orthonormal-frame-of-a-stack]",
+        lambda: Frame(e0_stack, with_row_1([E[1], E[2]], [E[1], E[1]])),
+        DegenerateInputError, r"^frame is not orthonormal \(row 1\)$", 1),
+    Bad(ps + "frame_refuses[no-rows]", lambda: Frame(at_e0, np.zeros((0, 4))),
+        DegenerateInputError, r"^frame has 0 vectors, expected 1 to 3$"),
+    Bad(ps + "frame_refuses[more-rows-than-dim]", lambda: Frame(at_e0, E),
+        DegenerateInputError, r"^frame has 4 vectors, expected 1 to 3$"),
+]
 
 for key, dim, r in [("meridian-s2", 2, 1.0), ("meridian-s3", 3, 1.0),
                     ("meridian-s5-r3", 5, 3.0)]:

@@ -96,17 +96,15 @@ def random_frame(p, rng):
     standard normals from ``rng`` through ``SphereSpec.frames_at``."""
     sphere = p.sphere
     raw = rng.standard_normal((1, sphere.dim, sphere.ambient_dim))
-    rows = sphere.frames_at(p.coords[None], raw)[0]
-    return Frame(p, tuple(TangentVector(p, r) for r in rows))
+    return Frame(p, sphere.frames_at(p.coords[None], raw)[0])
 
 
 def record_row(sd, k):
     """Point k of the ``SingularData`` ``sd`` as its own one-row record."""
     base = sd.right_frame.base
     p = SpherePoint(base.sphere, base.coords[k:k + 1])
-    right, left = (Frame(p, [TangentVector(p, v.vec[k:k + 1]) for v in frame])
-                   for frame in (sd.right_frame, sd.left_frame))
-    return SingularData(sd.lambdas[k:k + 1], right, left)
+    return SingularData(sd.lambdas[k:k + 1], Frame(p, sd.right_frame.matrix[k:k + 1]),
+                        Frame(p, sd.left_frame.matrix[k:k + 1]))
 
 
 def frame_rows(sd, k=0):

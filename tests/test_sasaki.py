@@ -139,6 +139,25 @@ def test_second_form_routes_agree_off_unit_radius(hopf3_r2):
     assert np.all(np.max(np.abs(om_l), axis=(1, 2, 3)) > 0.07)
 
 
+def test_second_form_routes_sit_at_their_rounding_floor(hopf3_r2):
+    """At 40 seeded points each route's max |Omega| for the unit Hopf field
+    on S^3, S^7 and S^15 stays below 1.5e-10 (3.3-3.6e-11 for the direct
+    route, half that for the lemma route), and at radius 2 on S^3 the routes
+    differ by less than 1e-10 (7.6e-12): a difference quotient off by a
+    relative 1e-9 reads 5.3e-10 and 2.1e-10. Criterion 1's 1e-4 would not
+    see it."""
+    for m in (1, 3, 7):
+        xi = hopf_field(m, 1.0)
+        P = point_stack(seeded_points(xi, 40, seed=0))
+        sd = singular_decomposition(xi, P)
+        assert np.max(np.abs(second_form_lemma(xi, P, sd))) < 1.5e-10
+        assert np.max(np.abs(second_form_direct(xi, P, sd))) < 1.5e-10
+    P = point_stack(seeded_points(hopf3_r2, 40, seed=0))
+    sd = singular_decomposition(hopf3_r2, P)
+    gap = second_form_lemma(hopf3_r2, P, sd) - second_form_direct(hopf3_r2, P, sd)
+    assert np.max(np.abs(gap)) < 1e-10
+
+
 def test_second_form_direct_is_symmetric(hopf3_r2):
     """Symmetry in (i, j) is not built into the direct route; it is evidence."""
     P = hopf3_r2.sphere.random_point(np.random.default_rng(12)).coords[None]
@@ -239,22 +258,21 @@ def test_hopf_pattern_closed_form(m, radius):
 def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
     """On unit S^7 one singular decomposition of a stack of 1, 2 or 64
     points builds its two frames once for the whole stack (1 SpherePoint,
-    2 Frames, 2 n1 TangentVectors, whatever the stack's size); the
-    second-form routes given its record and the sampled predicates build no
-    SpherePoint, TangentVector or Frame."""
+    2 Frames, each checking its rows through one TangentVector, whatever
+    the stack's size); the second-form routes given its record and the
+    sampled predicates build no SpherePoint, TangentVector or Frame."""
     counts = {SpherePoint: 0, TangentVector: 0, Frame: 0}
     for cls in counts:
         def counted(self, _cls=cls, _check=cls.__post_init__):
             counts[_cls] += 1
             _check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    n1 = hopf7.sphere.dim
     for count in (1, 2, 64):
         P = point_stack(seeded_points(hopf7, count, seed=30))
         before = dict(counts)
         sd = singular_decomposition(hopf7, P)
         assert {cls: counts[cls] - before[cls] for cls in counts} == {
-            SpherePoint: 1, TangentVector: 2 * n1, Frame: 2}
+            SpherePoint: 1, TangentVector: 2, Frame: 2}
         before = dict(counts)
         second_form_lemma(hopf7, P, sd)
         second_form_direct(hopf7, P, sd)

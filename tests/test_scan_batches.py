@@ -104,7 +104,8 @@ def test_one_plane_warning_points_at_the_caller():
     sphere = xi.sphere
     rng = np.random.default_rng(1)
     p = sphere.random_point(rng)
-    X, Y = random_frame(p, rng)[:2]
+    fr = random_frame(p, rng)
+    X, Y = fr[0], fr[1]
     u = random_tangent(p, rng, unit=True)
     stray = TangentVector(p, Y.vec + 1e-3 * u.vec)
     Xb = BundleVector(u, X, sphere.zero_tangent(p))

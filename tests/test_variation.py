@@ -28,6 +28,7 @@ from tgeo import (
 )
 import tgeo.variation as variation
 from tgeo.cli import main
+from tgeo.fields import MIN_FIBER_STEPS
 from tgeo.sasaki import submanifold_plane_curvature_array
 from tgeo.variation import _LJ, _LK
 
@@ -312,6 +313,38 @@ def test_fiber_frame_table_failure(monkeypatch, capsys):
     assert main(["variation", "--dim", "5", "--samples", "8"]) == 3
     assert ("numerical failure: fiber frame table residuals"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("ambient", [4, 6, 8, 16])
+def test_fiber_frame_at_e0_is_orthonormal_and_j_paired(ambient):
+    """At p0 = e_0, where e_0 and e_1 span the fiber's plane, the seed is a
+    later basis vector: at every node the propagated pair is orthonormal,
+    orthogonal to the point and to the fiber direction, and J-paired
+    (e_2 = -J e_1)."""
+    J = complex_structure(ambient)
+    p0 = SphereSpec(ambient, 1.0).point(np.eye(ambient)[0])
+    fiber = propagate_fiber_frame(p0, steps=MIN_FIBER_STEPS)
+    F = fiber.frames
+    assert np.max(np.abs(F @ F.transpose(0, 2, 1) - np.eye(2))) < 1e-8
+    assert np.max(np.abs(np.vecdot(F, fiber.points[:, None]))) < 1e-8
+    assert np.max(np.abs(np.vecdot(F, fiber.e0s[:, None]))) < 1e-8
+    assert np.max(np.abs(F[:, 1] + F[:, 0] @ J.T)) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["orthonormality", "closure"])
+def test_fiber_frame_failure_names_its_residual(monkeypatch, name):
+    """A pair whose table rows pass is still refused when it is not
+    orthonormal or does not close, and the message names that residual."""
+    p0 = SphereSpec(6, 1.0).random_point(np.random.default_rng(12))
+    real = variation._fiber_residuals
+
+    def spoiled(*args):
+        return {**real(*args), name: 1.0}
+
+    monkeypatch.setattr(variation, "_fiber_residuals", spoiled)
+    with pytest.raises(PropagationFailure, match=(
+            rf"^fiber frame {name} residual 1\.000e\+00 exceeds 1\.0e-04$")):
+        propagate_fiber_frame(p0, steps=64)
 
 
 def test_fiber_frame_nan_row_fails(monkeypatch):
