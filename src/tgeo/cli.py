@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .manifold import (
-    _STREAM_CHUNK,
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
@@ -33,6 +32,7 @@ from .manifold import (
 )
 from .fields import (
     MIN_FIBER_STEPS,
+    PREDICATE_SAMPLES,
     TOL_ANALYTIC,
     DecompositionFailure,
     PreconditionError,
@@ -168,11 +168,24 @@ def _sample_point(xi: UnitVectorField, rng: np.random.Generator) -> SpherePoint:
 # -- verify suites ---------------------------------------------------------
 
 
-# Samples per stacked frame and route call: enough to spread numpy's
-# per-call overhead thin, few enough that a chunk's arrays stay small (S^15
-# direct route's displaced frames: 64 * 32 * 16 * 16 floats, 4 MB; the
-# frame stack's shape matrices and SVD factors are n1 times smaller).
-_SAMPLE_CHUNK = 64
+def _sample_row_bytes(suite: str, sphere) -> int:
+    """Working-array bytes per sample of a verify suite's stacked calls, in
+    the sphere dimension n1 and the ambient dimension. The routes of
+    totally-geodesic and obstruction hold (n1, n1, ambient) arrays per
+    point, the direct route's displaced frames 2 n1^2 ambient floats about
+    five times over; the predicates hold their 3 PREDICATE_SAMPLES
+    direction rows about five times over; codazzi and jacobi hold a few
+    (n1, ambient) frames. Traced: 2.26 MB a point on S^31
+    (totally-geodesic), 14.8 KB on S^3 (predicates), 39 KB on S^31
+    (jacobi)."""
+    n1, amb = sphere.dim, sphere.ambient_dim
+    if suite in ("totally-geodesic", "obstruction"):
+        floats = 10 * n1 * n1 + 48
+    elif suite == "predicates":
+        floats = 16 * PREDICATE_SAMPLES
+    else:
+        floats = 7 * n1 + 8
+    return 8 * amb * floats
 
 
 def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
@@ -180,10 +193,11 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
     """Maximum of each residual that ``measure(coords, rows)`` names, over
     the sample points. Sample idx draws from its own stream (seed, idx) its
     point, then ``extra`` rows of ambient normals. The samples are drawn
-    _SAMPLE_CHUNK at a time through ``stream_chunks``, which names a failing
-    or non-finite sample by its seed tuple; a point drawn in a polar cap is
-    replayed on its own generator through _sample_point, and each run is
-    measured in one stacked call, one array entry per sample.
+    in runs sized by the suite's _sample_row_bytes through
+    ``stream_chunks``, which names a failing or non-finite sample by its
+    seed tuple; a point drawn in a polar cap is replayed on its own
+    generator through _sample_point, and each run is measured in one
+    stacked call, one array entry per sample.
     """
     def run(start, draws):
         coords = xi.sphere.stacked_points(draws[:, 0])
@@ -197,7 +211,8 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
             rng.standard_normal(out=draws[k, 1:])
         return {f"{k} residual": v for k, v in measure(coords, draws[:, 1:]).items()}
 
-    columns = stream_chunks(config.seed, 0, config.samples, _SAMPLE_CHUNK,
+    columns = stream_chunks(config.seed, 0, config.samples,
+                            _sample_row_bytes(config.suite, xi.sphere),
                             (1 + extra, xi.sphere.ambient_dim), "sample", run)
     return {k.removesuffix(" residual"): float(np.max(v)) for k, v in columns.items()}
 
@@ -396,6 +411,20 @@ def cmd_scan_curvature(config: RunConfig) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _submanifold_row_bytes(sphere) -> int:
+    """Working-array bytes per submanifold plane: its draws, a point and a
+    frame, ambient^2 floats, about five times over. Traced: 0.53 KB a
+    plane on S^3, 9.5 KB on S^15."""
+    return 8 * 5 * sphere.ambient_dim ** 2
+
+
+def _bundle_row_bytes(sphere) -> int:
+    """Working-array bytes per bundle plane: its six draws and the
+    curvature terms, about 36 ambient vectors. Traced: 1.0 KB a plane on
+    S^3, 3.4 KB on S^15."""
+    return 8 * 36 * sphere.ambient_dim
+
+
 def _scan_submanifold(xi, config) -> tuple:
     sphere = xi.sphere
     cross_planes = min(config.planes, 500)
@@ -413,7 +442,8 @@ def _scan_submanifold(xi, config) -> tuple:
                 sphere, p[:m], u, x1, x2, y1, y2))
         return {"curvature": K, "bundle-route curvature": gap}
 
-    columns = stream_chunks(config.seed, 0, config.planes, _STREAM_CHUNK,
+    columns = stream_chunks(config.seed, 0, config.planes,
+                            _submanifold_row_bytes(sphere),
                             (1 + sphere.dim, sphere.ambient_dim),
                             "submanifold plane", curvatures)
     ks = columns["curvature"].tolist()
@@ -461,8 +491,9 @@ def _scan_bundle(xi, config) -> tuple:
         return {"curvature": bundle_sectional_curvature_array(
             sphere, p, u, t[:, 1], vx, t[:, 3], vy)}
 
-    ks = stream_chunks(config.seed, 10 ** 9, config.planes, _STREAM_CHUNK,
-                       (6, sphere.ambient_dim), "bundle plane",
+    ks = stream_chunks(config.seed, 10 ** 9, config.planes,
+                       _bundle_row_bytes(sphere), (6, sphere.ambient_dim),
+                       "bundle plane",
                        curvatures)["curvature"].tolist()
     lo, hi = min(ks), max(ks)
     residual = max(max(-lo, 0.0), max(hi - 1.25, 0.0))

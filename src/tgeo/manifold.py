@@ -276,27 +276,39 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Indices per run of the scans and the quadrature: enough to spread numpy's
-# per-call overhead thin, few enough that a run's S^15 matrices take 0.5 MB.
-_STREAM_CHUNK = 256
+# Working-array bytes of one stacked run. Each caller states what a row of
+# its run holds, as a formula in the dimension checked against tracemalloc,
+# and a run takes as many rows as fit: 6,553 S^7 scan planes, so that
+# per-run seeding and kernel set-up are spread thin, or six S^31 verify
+# points, so that a run's memory stays bounded at any dimension.
+_RUN_BYTES = 16 << 20
 
 
-def stream_chunks(seed: int, stream0: int, count: int, chunk: int,
+def run_rows(row_bytes: int) -> int:
+    """Rows per stacked run when each row's working arrays take
+    ``row_bytes``: as many as _RUN_BYTES holds, at least one."""
+    return max(1, _RUN_BYTES // row_bytes)
+
+
+def stream_chunks(seed: int, stream0: int, count: int, row_bytes: int,
                   shape: tuple, label: str, fn: Callable) -> dict:
     """The values that ``fn(start, draws)`` names, one (count,) array per
-    name over the indices 0 .. count - 1, from runs of up to ``chunk``: row j
-    of ``draws`` holds the ``shape`` standard normals of index start + j's
-    stream (seed, stream0 + start + j), drawn by one ``stream_normals`` call
-    into a buffer that the next run reuses. ``fn`` returns one value per row
-    for each name: another shape is a DegenerateInputError, a non-finite
-    value a FloatingPointError "non-finite <name>" (the first failing row,
-    and in it the first failing name). A row failure (an error with ``row``)
-    is re-raised with that index as its row and, in place of the row, in its
-    message: "``label`` idx, seed tuple (seed, stream0 + idx)".
+    name over the indices 0 .. count - 1, from runs of ``run_rows(row_bytes)``
+    indices at most (``row_bytes``: the working-array bytes ``fn`` needs per
+    row): row j of ``draws`` holds the ``shape`` standard normals of index
+    start + j's stream (seed, stream0 + start + j), drawn by one
+    ``stream_normals`` call into a buffer that the next run reuses. ``fn``
+    returns one value per row for each name: another shape is a
+    DegenerateInputError, a non-finite value a FloatingPointError
+    "non-finite <name>" (the first failing row, and in it the first failing
+    name). A row failure (an error with ``row``) is re-raised with that
+    index as its row and, in place of the row, in its message: "``label``
+    idx, seed tuple (seed, stream0 + idx)". Where a run ends moves no bit.
     """
-    buf = np.empty((min(chunk, count),) + shape)
+    run = run_rows(row_bytes)
+    buf = np.empty((min(run, count),) + shape)
     runs = []
-    for start in range(0, count, chunk):
+    for start in range(0, count, run):
         draws = stream_normals(seed, stream0 + start, buf[:count - start])
         try:
             # copied: a value may be a view of the buffer the next run reuses

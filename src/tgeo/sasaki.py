@@ -61,14 +61,28 @@ class BundleVector:
 # -- lifts -------------------------------------------------------------------
 
 
+def _one_vector(*vectors: TangentVector) -> list:
+    """The ``vec`` of each of ``vectors``, which must each be one vector at
+    one point: the one-plane and one-vector wrappers take no stacks."""
+    for X in vectors:
+        amb = X.base.sphere.ambient_dim
+        if X.vec.shape != (amb,):
+            raise DegenerateInputError(
+                f"tangent vector has shape {X.vec.shape} at base shape "
+                f"{X.base.coords.shape}, expected one vector ({amb},) at one point")
+    return [X.vec for X in vectors]
+
+
 def horizontal_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
+    _one_vector(X, anchor)
     return BundleVector(anchor, X, X.base.sphere.zero_tangent(X.base))
 
 
 def tangential_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
     """X^t = X^v - <X,u> u^v, the vertical direction tangent to T1M: the
     one-row ``tangential_lift_array``."""
-    vert = tangential_lift_array(X.vec[None], anchor.vec[None])[0]
+    x, u = _one_vector(X, anchor)
+    vert = tangential_lift_array(x[None], u[None])[0]
     return BundleVector(anchor, X.base.sphere.zero_tangent(X.base),
                         TangentVector(X.base, vert))
 
@@ -76,8 +90,8 @@ def tangential_lift(X: TangentVector, anchor: TangentVector) -> BundleVector:
 def xi_tangential_lift(xi: UnitVectorField, X: TangentVector) -> BundleVector:
     """X^tau = X^h - (A X)^t, tangent to xi(M) at (p, xi(p)): the one-row
     ``xi_tangential_lift_array``."""
-    p = X.base
-    anchor, _, vert = xi_tangential_lift_array(xi, p.coords[None], X.vec[None])
+    p, (x,) = X.base, _one_vector(X)
+    anchor, _, vert = xi_tangential_lift_array(xi, p.coords[None], x[None])
     return BundleVector(TangentVector(p, anchor[0]), X, TangentVector(p, vert[0]))
 
 
@@ -307,10 +321,11 @@ def bundle_sectional_curvature(Xb: BundleVector, Yb: BundleVector) -> float:
     ``bundle_sectional_curvature_array``.
     """
     p = Xb.anchor.base
-    _check_same_base(np.stack((p.coords, Xb.anchor.vec)),
-                     np.stack((Yb.anchor.base.coords, Yb.anchor.vec)),
+    parts = _one_vector(Xb.anchor, Xb.horiz, Xb.vert, Yb.anchor, Yb.horiz, Yb.vert)
+    _check_same_base(np.stack((p.coords, parts[0])),
+                     np.stack((Yb.anchor.base.coords, parts[3])),
                      "bundle vectors anchored at different points")
-    rows = [W.vec[None] for W in (Xb.anchor, Xb.horiz, Xb.vert, Yb.horiz, Yb.vert)]
+    rows = [v[None] for v in parts[:3] + parts[4:]]
     K = bundle_sectional_curvature_array(p.sphere, p.coords[None], *rows,
                                          _stacklevel=3)
     return float(K[0])
@@ -383,9 +398,9 @@ def submanifold_plane_curvature(xi: UnitVectorField, X: TangentVector,
     normalizing by the bivector norm), which tests assert at closed-form
     accuracy. One-plane form of ``submanifold_plane_curvature_array``.
     """
+    x, y = _one_vector(X, Y)
     _check_same_base(X.base.coords, Y.base.coords)
-    K = submanifold_plane_curvature_array(xi, X.base.coords[None], X.vec[None],
-                                          Y.vec[None])
+    K = submanifold_plane_curvature_array(xi, X.base.coords[None], x[None], y[None])
     return float(K[0])
 
 

@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .manifold import (
-    _STREAM_CHUNK,
     DegenerateInputError,
     SpherePoint,
     SphereSpec,
@@ -31,6 +30,7 @@ from .manifold import (
     _one_point,
     _require_rows,
     _row_norms,
+    run_rows,
     stream_chunks,
 )
 from .fields import (
@@ -83,6 +83,15 @@ def sphere_volume(sphere: SphereSpec) -> float:
         * sphere.radius ** d
 
 
+def _integrand_row_bytes(sphere: SphereSpec) -> int:
+    """Working-array bytes per point of a stacked second-variation
+    integrand: the field's (ambient, ambient) Jacobian, the (ambient + 1,
+    ambient) Gram-Schmidt rows and their copies, eleven ambient^2 floats.
+    Traced: 0.98 KB a point on S^3 (quadrature), 1.22 KB in the S^3 stable
+    family, 11.8 KB on S^15 (destabilizing integrand)."""
+    return 8 * 11 * sphere.ambient_dim ** 2
+
+
 def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
                           sphere: SphereSpec, samples: int,
                           seed: int) -> QuadratureResult:
@@ -91,10 +100,11 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
 
     Sample idx draws from its own RNG stream (seed, idx), so the estimate
     does not depend on evaluation order. ``fn`` maps an (N, ambient) stack
-    of the points to their (N,) values; it is called on _STREAM_CHUNK
-    samples at a time through ``stream_chunks``, which refuses values of
-    another shape and names a non-finite value, or a row check that fails on
-    a draw or inside ``fn``, by its sample and the seed tuple that replays it.
+    of the points to their (N,) values; it is called on runs of samples
+    sized by _integrand_row_bytes through ``stream_chunks``, which refuses
+    values of another shape and names a non-finite value, or a row check
+    that fails on a draw or inside ``fn``, by its sample and the seed tuple
+    that replays it.
     """
     if samples < 1:
         raise DegenerateInputError("quadrature needs at least one sample")
@@ -102,8 +112,9 @@ def integrate_over_sphere(fn: Callable[[np.ndarray], np.ndarray],
     def values(start, draws):
         return {"integrand": fn(sphere.stacked_points(draws))}
 
-    vals = stream_chunks(seed, 0, samples, _STREAM_CHUNK, (sphere.ambient_dim,),
-                         "quadrature sample", values)["integrand"]
+    vals = stream_chunks(seed, 0, samples, _integrand_row_bytes(sphere),
+                         (sphere.ambient_dim,), "quadrature sample",
+                         values)["integrand"]
     vol = sphere_volume(sphere)
     std_error = vol * float(np.std(vals, ddof=1)) / math.sqrt(samples) \
         if samples > 1 else 0.0
@@ -224,11 +235,6 @@ _LK = np.array([[0.0, 0.0, 0.0, -1.0],
                 [0.0, 0.0, -1.0, 0.0],
                 [0.0, 1.0, 0.0, 0.0],
                 [1.0, 0.0, 0.0, 0.0]])
-
-
-# Rows per stacked call of the S^3 stable family: whole fields, at least
-# one, so 10,000 samples per field hold one field's rows, not 100 fields'.
-_S3_CHUNK_ROWS = 4096
 
 
 def hopf_frame_s3(p_coords: np.ndarray):
@@ -537,12 +543,12 @@ def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
     |eta|^2 / 2 pointwise across ``field_count`` random frame-built fields
     at ``samples`` points each, which is the stability bound. Field fi
     draws its coefficients, then its points, from its own stream (seed, fi);
-    whole fields are then evaluated as one stack of up to _S3_CHUNK_ROWS
-    rows (one field at least), and a non-finite row is a FloatingPointError
-    naming the field, the sample and the seed tuple. On S^5 and up
-    (unstable): the destabilizing fiber field has integrand ratio
-    (5-2n)/2 < 0 at every fiber sample, and sign constancy turns the
-    pointwise witness into a negative second variation.
+    whole fields are then evaluated as one stack, as many as a run of
+    _integrand_row_bytes rows holds (one field at least), and a non-finite
+    row is a FloatingPointError naming the field, the sample and the seed
+    tuple. On S^5 and up (unstable): the destabilizing fiber field has
+    integrand ratio (5-2n)/2 < 0 at every fiber sample, and sign constancy
+    turns the pointwise witness into a negative second variation.
 
     The last note is a Monte Carlo magnitude of the witness's second
     variation over ``samples`` points: field 0 of the S^3 family, or the
@@ -572,10 +578,10 @@ def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
 def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
     worst_margin = math.inf
     ident_resid = 0.0
-    per_chunk = max(1, _S3_CHUNK_ROWS // max(samples, 1))
-    for first in range(0, field_count, per_chunk):
+    per_run = run_rows(max(samples, 1) * _integrand_row_bytes(xi.sphere))
+    for first in range(0, field_count, per_run):
         eta, pts = _family_stack(
-            xi.sphere, seed, range(first, min(first + per_chunk, field_count)), samples)
+            xi.sphere, seed, range(first, min(first + per_run, field_count)), samples)
         red = reduced_integrand(xi, eta, pts)
         form_val, nsq = s3_stable_form(eta, pts)
         bad = ~(np.isfinite(red) & np.isfinite(form_val) & np.isfinite(nsq))

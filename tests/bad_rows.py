@@ -37,12 +37,13 @@ from tgeo.manifold import (GS_PIVOT_TOL, _check_frames_stack, _check_points_stac
                            _check_same_base, _check_tangent_stack,
                            _gram_schmidt_stack, _require_rows, unit_rows)
 from tgeo.sasaki import (BundleVector, bundle_sectional_curvature,
-                         bundle_sectional_curvature_array,
+                         bundle_sectional_curvature_array, horizontal_lift,
                          submanifold_plane_curvature,
-                         submanifold_plane_curvature_array)
+                         submanifold_plane_curvature_array, tangential_lift,
+                         xi_tangential_lift)
 
 from conftest import (point_stack, random_frame, random_tangent, record_row,
-                      seeded_points)
+                      run_lengths, seeded_points, set_run)
 from stack_table import bundle_planes, frame_planes, unit_points
 
 
@@ -51,27 +52,32 @@ class Bad:
     with a message that ``match`` searches (``row``, if given, is the
     exception's ``.row``); or, when ``error`` is an exit code, ``call()``
     returns it and ``match`` searches what it wrote to stderr. Warnings are
-    errors unless ``warn`` says otherwise."""
+    errors unless ``warn`` says otherwise. A row that is bad past the first
+    stacked run gives ``runs``, the number of runs that must have been
+    drawn."""
 
     def __init__(self, test, call, error, match, row=None, patch=None,
-                 warn="error"):
+                 warn="error", runs=None):
         self.test, self.call, self.error, self.match = test, call, error, match
-        self.row, self.patch, self.warn = row, patch, warn
+        self.row, self.patch, self.warn, self.runs = row, patch, warn, runs
 
     def check(self):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter(self.warn)
             if self.patch:
                 self.patch(mp)
+            drawn = run_lengths(mp)
             if isinstance(self.error, int):
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(err):
                     assert self.call() == self.error
                 assert re.search(self.match, err.getvalue(), re.S), err.getvalue()
-                return
-            with pytest.raises(self.error, match=self.match) as info:
-                self.call()
+            else:
+                with pytest.raises(self.error, match=self.match) as info:
+                    self.call()
+        if self.runs is not None:
+            assert len(drawn) == self.runs, drawn
         if self.row is not None:
             assert info.value.row == self.row
 
@@ -94,6 +100,23 @@ def at_row(text, row):
 
 def main(*argv):
     return lambda: cli.main(list(argv))
+
+
+def patches(*fns):
+    """One patch that applies each of ``fns`` in order."""
+    return lambda mp: [fn(mp) for fn in fns]
+
+
+def runs_of(rows, row_bytes):
+    """A patch: stacked runs of ``rows`` rows of ``row_bytes`` each."""
+    return lambda mp: set_run(mp, rows, row_bytes)
+
+
+# Runs of 64 verify samples on S^3 and of 256 scan planes: a row past the
+# first run is reached within a few rows of it.
+VERIFY_RUN, SCAN_RUN = 64, 256
+S3 = SphereSpec(4)
+verify_runs = runs_of(VERIFY_RUN, cli._sample_row_bytes("totally-geodesic", S3))
 
 
 # -- row checks refuse NaN and inf ---------------------------------------------------
@@ -279,7 +302,7 @@ def pivot_failure(mp):
 
 def draw_at(idx, value, *part):
     """Make part ``part`` of the stream draws of sample ``idx``, in its
-    chunk's stacked draw, ``value``; the other draws are as usual."""
+    run's stacked draw, ``value``; the other draws are as usual."""
     def patch(mp):
         real = manifold.stream_normals
 
@@ -294,12 +317,13 @@ def draw_at(idx, value, *part):
 
 
 def route_at_cap_step(route):
-    """A cap row inside the second chunk's stacked call: sample 66's first
-    draw is a point outside the sampler's polar caps, at polar angle 0.4, and
-    the route's step, 0.4 during its call only, reaches the field's cap from
-    it; so tg-direct fails in the direct route."""
+    """A cap row inside the second run's stacked call: sample VERIFY_RUN +
+    2's first draw is a point outside the sampler's polar caps, at polar
+    angle 0.4, and the route's step, 0.4 during its call only, reaches the
+    field's cap from it; so tg-direct fails in the direct route."""
     def patch(mp):
-        draw_at(cli._SAMPLE_CHUNK + 2, cap_point(3, 0.4), 0)(mp)
+        verify_runs(mp)
+        draw_at(VERIFY_RUN + 2, cap_point(3, 0.4), 0)(mp)
         real = getattr(sasaki, route)
 
         def at_step(*args):
@@ -361,10 +385,11 @@ for case, suite, route in [("tg-lemma", "totally-geodesic", "second_form_lemma")
                            ("tg-direct", "totally-geodesic", "second_form_direct"),
                            ("obstruction-lemma", "obstruction", "second_form_lemma")]:
     ROWS.append(Bad(f"{ps}suite_names_the_sample_of_a_failing_row[{case}]",
-                    main("verify", suite, "--field", "meridian", "--samples", "69",
-                         "--seed", "7"),
-                    3, r"polar cap.*sample 66, seed tuple \(7, 66\)",
-                    patch=route_at_cap_step(route)))
+                    main("verify", suite, "--field", "meridian", "--samples",
+                         str(VERIFY_RUN + 5), "--seed", "7"),
+                    3, r"polar cap.*sample {0}, seed tuple \(7, {0}\)".format(
+                        VERIFY_RUN + 2),
+                    patch=route_at_cap_step(route), runs=2))
 # a frame is its base and one matrix, checked as it is built: a row normal
 # at its own point, a matrix not shaped for its base, one non-orthonormal
 # frame of a stack, no rows, more rows than the dimension
@@ -473,6 +498,34 @@ ROWS += [
 ]
 
 
+def stacked_vectors():
+    """Two frame rows as one TangentVector at one point, and one vector per
+    point at a stack of two points, with a unit anchor for each."""
+    fr = Frame(at_e0, E[1:])
+    two = SpherePoint(SphereSpec(4), E[:2])
+    return {"rows": (fr[:2], fr[1:3], fr[2]),
+            "stack": (TangentVector(two, E[2:4]), TangentVector(two, E[[3, 2]]),
+                      TangentVector(two, E[[3, 3]]))}
+
+
+# a one-plane or one-vector wrapper takes one vector at one point: rows per
+# point or a stack of points is refused, naming the shape
+for case in ("rows", "stack"):
+    shape = r"^tangent vector has shape \(2, 4\) at base shape \((2, 4|4,)\), expected"
+    for wrapper, call in [
+            ("submanifold", lambda X, Y, u: submanifold_plane_curvature(
+                hopf_field(1), X, Y)),
+            ("xi-lift", lambda X, Y, u: xi_tangential_lift(hopf_field(1), X)),
+            ("lift", lambda X, Y, u: tangential_lift(X, u)),
+            ("horizontal", lambda X, Y, u: horizontal_lift(X, u)),
+            ("bundle", lambda X, Y, u: bundle_sectional_curvature(
+                BundleVector(u, X, u), BundleVector(u, Y, u)))]:
+        ROWS.append(Bad(
+            f"{sb}one_plane_wrappers_refuse_stacked_vectors[{wrapper}-{case}]",
+            lambda call=call, case=case: call(*stacked_vectors()[case]),
+            DegenerateInputError, shape))
+
+
 # -- the quadrature and the variation kernels ----------------------------------------
 
 
@@ -528,11 +581,12 @@ tilted_row = int(np.flatnonzero(tilted_pts[:, 0] > 0.5)[0])
 tilted_sample = first_draw_over(4, 64, 6, 0.5)
 vb = "test_variation_batches::test_"
 ROWS += [
-    # a NaN value in a later chunk names its sample, not a value the mean drops
+    # a NaN value in a later run names its sample, not a value the mean drops
     Bad(vb + "nan_integrand_names_its_sample",
         lambda: integrate_over_sphere(nan_at(263), hopf5.sphere, 300, 4),
         FloatingPointError,
-        r"non-finite integrand: quadrature sample 263, seed tuple \(4, 263\)", 263),
+        r"non-finite integrand: quadrature sample 263, seed tuple \(4, 263\)", 263,
+        runs_of(256, variation._integrand_row_bytes(hopf5.sphere)), runs=2),
     Bad(vb + "nan_integrand_names_its_sample",
         main("variation", "--dim", "5", "--samples", "300"), 3,
         r"numerical failure: non-finite integrand: quadrature sample {0}, seed tuple "
@@ -564,8 +618,10 @@ ROWS += [
 
 
 for field in ("hopf", "meridian"):
-    for case, idx, samples in [("first-chunk", 2, 70), ("second-chunk", 66, 70),
-                               ("one-row-chunk", 64, 65)]:
+    for case, idx, samples, runs in [
+            ("first-chunk", 2, VERIFY_RUN + 6, 1),
+            ("second-chunk", VERIFY_RUN + 2, VERIFY_RUN + 6, 2),
+            ("one-row-chunk", VERIFY_RUN, VERIFY_RUN + 1, 2)]:
         # a zero first draw in a stacked pass fails as the one-sample draw
         # did, with its message, and no row of the pass
         test = f"test_sample_streams::test_zero_draw_names_its_sample[{field}-{case}]"
@@ -573,7 +629,7 @@ for field in ("hopf", "meridian"):
                                 "--samples", str(samples), "--seed", "7"), 3,
                      rf"^numerical failure: cannot normalize a near-zero vector: "
                      rf"sample {idx}, seed tuple \(7, {idx}\)\n$",
-                     patch=draw_at(idx, 0.0, 0)),
+                     patch=patches(verify_runs, draw_at(idx, 0.0, 0)), runs=runs),
                  Bad(test, lambda: SphereSpec(4).point(np.zeros(4)),
                      DegenerateInputError, "^cannot normalize a near-zero vector$")]
 
@@ -583,11 +639,11 @@ for field in ("hopf", "meridian"):
 
 def failing_at_sample_3(make, row=3):
     """Make the verify suites' stacked singular decomposition raise
-    ``make()`` for the first chunk, at its fourth sample: ``.row`` is set to 3
+    ``make()`` for the first run, at its fourth sample: ``.row`` is set to 3
     unless ``row`` is None (a failure that names no sample)."""
     def patch(mp):
         def decompose(xi, points):
-            assert len(points) == 6  # one call for the whole chunk
+            assert len(points) == 6  # one call for the whole run
             exc = make()
             if row is not None:
                 exc.row = row
@@ -617,11 +673,14 @@ def poison(name, row, when, value=np.nan, owner=cli):
 
 
 def bent_last_plane_batch(mp):
+    """Plane 3 of the last, partial run of SCAN_RUN submanifold planes is
+    not tangent."""
+    set_run(mp, SCAN_RUN, cli._submanifold_row_bytes(S3))
     real = SphereSpec.stacked_frames
 
     def bend(self, draws):
         p, frames = real(self, draws)
-        if len(draws) < manifold._STREAM_CHUNK:
+        if len(draws) < SCAN_RUN:
             frames = frames.copy()
             frames[3, 1] += 1e-3 * p[3]
         return p, frames
@@ -647,16 +706,15 @@ def nan_shape_matrix_at_row_2(mp):
 
 
 tc = "test_cli::test_"
-chunk = cli._SAMPLE_CHUNK
 ROWS += [
     Bad(tc + "numerical_failure_exit_three", main("variation", "--dim", "5"), 3,
         "synthetic failure", patch=lambda mp: mp.setitem(cli._COMMANDS, "variation", (
             raising(PropagationFailure("synthetic failure"))))),
     Bad(tc + "failing_check_on_sampled_plane_exits_three",
-        main("scan-curvature", "--planes", str(manifold._STREAM_CHUNK + 4)), 3,
+        main("scan-curvature", "--planes", str(SCAN_RUN + 4)), 3,
         r"numerical failure: vector is not tangent to the sphere.*submanifold plane "
-        r"{0}, seed tuple \(0, {0}\)".format(manifold._STREAM_CHUNK + 3),
-        patch=bent_last_plane_batch),
+        r"{0}, seed tuple \(0, {0}\)".format(SCAN_RUN + 3),
+        patch=bent_last_plane_batch, runs=2),
     Bad(tc + "verify_names_the_failing_sample",
         main("verify", "totally-geodesic", "--samples", "6", "--seed", "7"), 3,
         r"numerical failure: frames drifted: sample 3, seed tuple \(7, 3\)",
@@ -675,10 +733,12 @@ ROWS += [
         r"non-finite lemma residual.*sample 1, seed tuple \(0, 1\)",
         patch=poison("second_form_lemma", (1, 0, 1, 0), lambda out, n: n == 1)),
     Bad(tc + "verify_non_finite_residual_exits_three[second-chunk]",
-        main("verify", "totally-geodesic", "--dim", "3", "--samples", str(chunk + 3)),
-        3, rf"non-finite lemma residual.*sample {chunk + 1}, "
-           rf"seed tuple \(0, {chunk + 1}\)",
-        patch=poison("second_form_lemma", (1, 0, 1, 0), lambda out, n: n == 2)),
+        main("verify", "totally-geodesic", "--dim", "3", "--samples",
+             str(VERIFY_RUN + 3)),
+        3, rf"non-finite lemma residual.*sample {VERIFY_RUN + 1}, "
+           rf"seed tuple \(0, {VERIFY_RUN + 1}\)",
+        patch=patches(verify_runs, poison("second_form_lemma", (1, 0, 1, 0),
+                                          lambda out, n: n == 2)), runs=2),
     Bad(tc + "verify_non_finite_per_sample_residual_exits_three",
         main("verify", "jacobi", "--samples", "5"), 3,
         r"non-finite jacobi residual.*sample 2, seed tuple \(0, 2\)",
@@ -698,8 +758,8 @@ ROWS += [
                      lambda out, n: n == 1 and len(out) == 100 * 6, owner=variation)),
 ]
 # a NaN curvature, or a NaN on the cross-checking route, names the plane, not
-# a value that min() and max() drop
-k = manifold._STREAM_CHUNK + 5
+# a value that min() and max() drop; plane 5 of the last run of 8 planes
+k = SCAN_RUN + 5
 for case, mode, name, message, plane in [
         ("submanifold", "submanifold", "submanifold_plane_curvature_array",
          "non-finite curvature", rf"submanifold plane {k}, seed tuple \(0, {k}\)"),
@@ -708,7 +768,10 @@ for case, mode, name, message, plane in [
          rf"submanifold plane {k}, seed tuple \(0, {k}\)"),
         ("bundle", "bundle", "bundle_sectional_curvature_array", "non-finite curvature",
          rf"bundle plane {k}, seed tuple \(0, {10 ** 9 + k}\)")]:
+    row_bytes = getattr(cli, f"_{mode}_row_bytes")(S3)
     ROWS.append(Bad(f"{tc}scan_non_finite_curvature_exits_three[{case}]",
                     main("scan-curvature", "--mode", mode, "--planes", str(k + 3)), 3,
                     f"{message}.*{plane}",
-                    patch=poison(name, 5, lambda out, n: len(out) == 8)))
+                    patch=patches(runs_of(SCAN_RUN, row_bytes),
+                                  poison(name, 5, lambda out, n: len(out) == 8)),
+                    runs=2))

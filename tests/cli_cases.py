@@ -90,7 +90,7 @@ ENTRY_POINT = """
 0 variation --dim 5 --samples 8 -> unstable
 0 variation --dim 15 --samples 8 --fiber-steps 130 -> unstable
 0 variation --dim 3 --samples 50 -> stable
-# a quadrature of more than one chunk
+# a quadrature in one run at S^15 (test_variation_batches crosses runs)
 0 variation --dim 15 --samples 300 -> unstable
 # a report that cannot be written is a usage error
 2 verify jacobi --samples 2 --out /nonexistent/r.json
@@ -112,13 +112,13 @@ ENTRY_POINT = """
 0 verify obstruction --field meridian --dim 3 --samples 5
 0 verify obstruction --field meridian --dim 3 --samples 70
 0 verify totally-geodesic --dim 31 --samples 4
-# a last chunk of one point: a one-row singular record through both routes
-# and the obstruction
+# 65 points in one run (a last run of one point through both routes and the
+# obstruction: test_point_stacks' maxima tests)
 0 verify totally-geodesic --dim 7 --samples 65
 1 verify totally-geodesic --field meridian --dim 3 --samples 65
 0 verify obstruction --field meridian --dim 3 --samples 65
-# the connection route's widest direction axis, and the Hopf field off unit
-# radius, which always fails
+# the connection route's widest direction axis in two one-point runs, and
+# the Hopf field off unit radius, which always fails
 0 verify totally-geodesic --dim 63 --samples 2
 1 verify totally-geodesic --dim 7 --radius 1e4 --samples 3
 0 verify predicates --field meridian --dim 3 --samples 5
@@ -126,7 +126,7 @@ ENTRY_POINT = """
 0 verify codazzi --dim 3 --samples 5
 0 verify codazzi --dim 7 --samples 70
 0 verify jacobi --dim 5 --samples 70
-# a two-word seed, a chunk boundary, codazzi's frame rows and cap replays
+# a two-word seed, codazzi's frame rows and cap replays
 0 verify codazzi --dim 7 --samples 70 --seed 4294967296
 0 verify predicates --field meridian --dim 3 --samples 130 --seed 4294967296
 2 verify jacobi --field meridian

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import tgeo.manifold as manifold
 from tgeo import (DegenerateInputError, Frame, SingularData, SpherePoint,
                   TangentVector, hopf_field, meridian_field, shape_apply_array)
 from tgeo.manifold import unit_rows
@@ -80,6 +81,36 @@ def _printed(name, by_case):
                 row.check()
     test.__name__ = name
     return test
+
+
+# -- stacked runs ---------------------------------------------------------------
+#
+# A stacked run holds as many rows as the byte budget manifold._RUN_BYTES
+# admits at the caller's bytes per row. A test that crosses from one run
+# into the next sets the budget to a few rows, so that it crosses within
+# them at any dimension (where a run ends moves no bit), and asserts that
+# the crossing happened.
+
+
+def set_run(mp, rows, row_bytes):
+    """Set the budget to ``rows`` rows of ``row_bytes`` each; return the run
+    length the code then uses for such rows."""
+    mp.setattr(manifold, "_RUN_BYTES", rows * row_bytes)
+    return manifold.run_rows(row_bytes)
+
+
+def run_lengths(mp):
+    """The length of each stacked run drawn from here on, one list entry per
+    ``stream_normals`` call, in order."""
+    seen = []
+    real = manifold.stream_normals
+
+    def draw(seed, first, out):
+        seen.append(len(out))
+        return real(seed, first, out)
+
+    mp.setattr(manifold, "stream_normals", draw)
+    return seen
 
 
 def random_tangent(p, rng, *, unit=False):

@@ -176,10 +176,13 @@ for key, xi in ROUTE_FIELDS.items():
                    lambda s, k: frames_of(singular_decomposition(
                        s.xi, s.coords[k:k + 1]))[0])]
 
-# a full verify chunk on S^7 through the one pass over every direction
+# a full verify run on S^7, as many points as the run budget holds there,
+# through the one pass over every direction
+S7_RUN = manifold.run_rows(cli._sample_row_bytes("totally-geodesic",
+                                                  ROUTE_FIELDS["hopf-s7-r1"].sphere))
 ROWS.append(route_row("test_point_stacks::test_direct_route_full_chunk_matches_"
                       "one_row_calls",
-                      partial(route_stack, "hopf-s7-r1", cli._SAMPLE_CHUNK, 48),
+                      partial(route_stack, "hopf-s7-r1", S7_RUN, 48),
                       second_form_direct))
 
 

@@ -19,7 +19,7 @@ from tgeo import (SphereSpec, UnitVectorField, is_strongly_normal, meridian_fiel
                   singular_decomposition)
 import bad_rows
 import stack_table
-from conftest import printed_tests, seeded_points
+from conftest import printed_tests, run_lengths, seeded_points, set_run
 from stack_table import FIELDS
 
 globals().update(printed_tests(__name__, stack_table.ROWS + bad_rows.ROWS))
@@ -74,11 +74,14 @@ def test_direct_route_evaluates_the_jacobian_once_per_side(counted):
     assert counts == {"fd": 0, "jacobian": 2}
 
 
-def test_codazzi_suite_differentiates_once_per_sample(counted, capsys):
-    """One finite difference for each chunk of samples."""
-    _, counts = counted
-    samples = cli._SAMPLE_CHUNK + 1
+def test_codazzi_suite_differentiates_once_per_sample(counted, monkeypatch, capsys):
+    """One finite difference for each run of samples: two runs, the budget
+    set to runs of 64 samples."""
+    xi, counts = counted
+    run = set_run(monkeypatch, 64, cli._sample_row_bytes("codazzi", xi.sphere))
+    runs = run_lengths(monkeypatch)
     assert cli.main(["verify", "codazzi", "--dim", "3", "--samples",
-                     str(samples)]) == 0
+                     str(run + 1)]) == 0
     capsys.readouterr()
+    assert runs == [run, 1]
     assert counts["fd"] == 2

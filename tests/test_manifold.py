@@ -312,12 +312,15 @@ def test_stream_chunks_hand_out_runs_and_name_a_failing_index():
     value among them, is renamed by its index and the seed tuple that
     replays it; a value of the wrong shape names no row."""
     runs = []
+    three = manifold._RUN_BYTES // 3  # row bytes that make runs of three
+    assert manifold.run_rows(three) == 3
+    assert manifold.run_rows(manifold._RUN_BYTES + 1) == 1
 
     def keep(start, draws):
         runs.append(draws.copy())
         return {"x": draws[:, 0], "start": np.full(len(draws), start)}
 
-    cols = stream_chunks(3, 10, 7, 3, (2,), "item", keep)
+    cols = stream_chunks(3, 10, 7, three, (2,), "item", keep)
     assert [len(d) for d in runs] == [3, 3, 1]
     assert np.array_equal(np.concatenate(runs), ref_stream_normals(3, 10, 7, (2,)))
     assert list(cols) == ["x", "start"]
@@ -331,7 +334,7 @@ def test_stream_chunks_hand_out_runs_and_name_a_failing_index():
 
     with pytest.raises(DegenerateInputError,
                        match=r"^bad draw: item 4, seed tuple \(3, 14\)$") as err:
-        stream_chunks(3, 10, 7, 3, (2,), "item", failing)
+        stream_chunks(3, 10, 7, three, (2,), "item", failing)
     assert err.value.row == 4
 
     for k in range(7):
@@ -342,10 +345,10 @@ def test_stream_chunks_hand_out_runs_and_name_a_failing_index():
 
         with pytest.raises(FloatingPointError, match=rf"^non-finite x: item {k}, "
                            rf"seed tuple \(3, {10 + k}\)$") as err:
-            stream_chunks(3, 10, 7, 3, (2,), "item", nan_at_k)
+            stream_chunks(3, 10, 7, three, (2,), "item", nan_at_k)
         assert err.value.row == k
 
     with pytest.raises(DegenerateInputError, match="^x gave shape") as err:
-        stream_chunks(3, 10, 7, 3, (2,), "item",
+        stream_chunks(3, 10, 7, three, (2,), "item",
                       lambda start, draws: {"x": draws})
     assert not hasattr(err.value, "row")

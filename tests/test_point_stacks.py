@@ -5,7 +5,7 @@ The singular decomposition takes an (N, ambient) stack of points and each
 route the stack with its singular data; row k of each has the bits of the
 one-row stack of point k and of its one-point reference (rows of the stack
 table). The totally-geodesic and obstruction suites make one frame call and
-one call per route for each chunk of samples, and a row failure inside a
+one call per route for each run of samples, and a row failure inside a
 stacked call names its sample (rows of the bad-row table).
 """
 
@@ -26,8 +26,8 @@ from tgeo import (PreconditionError, UnitVectorField, half_curvature, hopf_field
                   second_form_direct, singular_decomposition)
 import bad_rows
 import stack_table
-from conftest import (Check, printed_tests, ref_gram_schmidt,
-                      ref_second_form_direct, ref_second_form_lemma, seeded_points)
+from conftest import (Check, printed_tests, ref_gram_schmidt, ref_second_form_direct,
+                      ref_second_form_lemma, run_lengths, seeded_points, set_run)
 from stack_table import route_stack
 
 
@@ -53,11 +53,11 @@ def test_direct_route_memory_is_bounded_by_its_displaced_frames():
 
 # -- the suites' running maxima cross a chunk ----------------------------------
 #
-# Each suite measures chunk + 1 samples in two stacked calls. Its running
-# maxima must be those of the loop that measures one sample at a time: the
-# routes by their one-point references, the predicates and the Jacobi
-# relation by their one-row calls, which the stack table holds to their
-# per-direction references.
+# Each suite measures run + 1 samples in two stacked runs, the budget set to
+# runs of 64 samples. Its running maxima must be those of the loop that
+# measures one sample at a time: the routes by their one-point references,
+# the predicates and the Jacobi relation by their one-row calls, which the
+# stack table holds to their per-direction references.
 
 
 def sample_loop(xi, seed, samples, measure):
@@ -73,16 +73,18 @@ def sample_loop(xi, seed, samples, measure):
 
 
 def maxima_cross_a_chunk(suite, seed, measure, field="hopf", dim=3):
-    samples = cli._SAMPLE_CHUNK + 1
+    xi = cli.build_field(cli.RunConfig(command="verify", field=field, dim=dim))
     seen = []
     real = cli._sample_maxima
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        run = set_run(mp, 64, cli._sample_row_bytes(suite, xi.sphere))
+        runs = run_lengths(mp)
         mp.setattr(cli, "_sample_maxima", lambda *args, **kwargs: seen.append(
             real(*args, **kwargs)) or seen[-1])
         cli.main(["verify", suite, "--field", field, "--dim", str(dim), "--samples",
-                  str(samples), "--seed", str(seed)])
-    xi = cli.build_field(cli.RunConfig(command="verify", field=field, dim=dim))
-    assert seen == [sample_loop(xi, seed, samples, measure)]
+                  str(run + 1), "--seed", str(seed)])
+    assert runs == [run, 1]
+    assert seen == [sample_loop(xi, seed, run + 1, measure)]
 
 
 def max_abs(a):
@@ -218,7 +220,7 @@ def test_obstruction_makes_one_lemma_call(counts, capsys):
     (["jacobi", "--samples", "30"], 1),
 ], ids=["predicates", "obstruction", "codazzi", "jacobi"])
 def test_suites_evaluate_the_jacobian_per_chunk(argv, jacobians, counts, capsys):
-    """A fixed few Jacobian evaluations per chunk of samples, none per
+    """A fixed few Jacobian evaluations per run of samples, none per
     sample."""
     assert cli.main(["verify", *argv]) == 0
     capsys.readouterr()

@@ -2,7 +2,7 @@
 
 Sample idx of a verify run draws from its own stream default_rng((seed,
 idx)): its point, redrawn out of a meridian field's polar caps, then, for
-``verify codazzi``, the rows of its random frame. The loop draws each chunk
+``verify codazzi``, the rows of its random frame. The loop draws each run
 of samples in one ``stream_normals`` call and replays on its own generator
 only a sample whose first draw lands in a cap. ``ref_sample_inputs`` is the
 loop before that: one generator and one point draw per sample. Every stacked
@@ -16,13 +16,21 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
+from tgeo import SphereSpec
 
 import bad_rows
-from conftest import assert_identical, printed_tests
+from conftest import assert_identical, printed_tests, set_run
 
 globals().update(printed_tests(__name__, bad_rows.ROWS))
 
 SEEDS = [0, 2 ** 32, 2 ** 200 + 5]
+
+
+def runs_of_64(monkeypatch, suite):
+    """Runs of 64 samples: the budget set to 64 rows of the suite's S^3 row
+    bytes, so that the sample counts below fall on both sides of a run's
+    end."""
+    return set_run(monkeypatch, 64, cli._sample_row_bytes(suite, SphereSpec(4)))
 
 
 def ref_sample_point(xi, rng):
@@ -37,25 +45,25 @@ def ref_sample_point(xi, rng):
             return p
 
 
-def ref_sample_inputs(xi, seed, samples, extra):
-    """Per chunk, the (coordinates, rows) the per-sample loop measured: each
-    sample's own generator gives its point, then its ``extra`` rows. The
-    suites that draw no rows share them."""
-    return _sample_inputs(xi.name, seed, samples, extra)
+def ref_sample_inputs(xi, seed, samples, extra, run):
+    """Per run of ``run`` samples, the (coordinates, rows) the per-sample
+    loop measured: each sample's own generator gives its point, then its
+    ``extra`` rows. The suites that draw no rows share them."""
+    return _sample_inputs(xi.name, seed, samples, extra, run)
 
 
 @lru_cache(maxsize=None)
-def _sample_inputs(field, seed, samples, extra):
+def _sample_inputs(field, seed, samples, extra, run):
     xi = cli.build_field(cli.RunConfig(command="verify", field=field))
-    chunks = []
-    for start in range(0, samples, cli._SAMPLE_CHUNK):
+    runs = []
+    for start in range(0, samples, run):
         coords, rows = [], []
-        for idx in range(start, min(start + cli._SAMPLE_CHUNK, samples)):
+        for idx in range(start, min(start + run, samples)):
             rng = np.random.default_rng((seed, idx))
             coords.append(ref_sample_point(xi, rng).coords)
             rows.append(rng.standard_normal((extra, xi.sphere.ambient_dim)))
-        chunks.append((np.array(coords), np.array(rows)))
-    return chunks
+        runs.append((np.array(coords), np.array(rows)))
+    return runs
 
 
 def first_draw_caps(xi, seed, samples):
@@ -103,21 +111,21 @@ def assert_same_inputs(calls, want):
                                    "jacobi", "obstruction"])
 def test_stacked_draws_match_per_sample_loop(suite, field, samples, seed,
                                              monkeypatch, capsys):
+    run = runs_of_64(monkeypatch, suite)
     code, (xi, extra), calls, replays = measured_inputs(monkeypatch, [
         "verify", suite, "--field", field, "--samples", str(samples),
         "--seed", str(seed)])
     capsys.readouterr()
     assert extra == (xi.sphere.dim if suite == "codazzi" else 0)
-    want = ref_sample_inputs(xi, seed, samples, extra)
+    want = ref_sample_inputs(xi, seed, samples, extra, run)
     if suite == "jacobi" and field == "meridian":
-        # the first chunk's measure refuses the field: a usage error
+        # the first run's measure refuses the field: a usage error
         assert code == 2 and len(calls) == 1
     else:
         assert code in (0, 1) and len(calls) == len(want)
     assert_same_inputs(calls, want)
     caps = first_draw_caps(xi, seed, samples) if field == "meridian" else []
-    assert replays == len([idx for idx in caps
-                           if idx < cli._SAMPLE_CHUNK * len(calls)])
+    assert replays == len([idx for idx in caps if idx < run * len(calls)])
 
 
 @pytest.mark.parametrize("suite", ["codazzi", "totally-geodesic"])
@@ -128,18 +136,20 @@ def test_cap_draw_is_replayed_on_its_own_stream(suite, monkeypatch, capsys):
     seed, caps = next((s, c) for s in range(2 ** 32, 2 ** 32 + 50)
                       if (c := first_draw_caps(xi, s, 130)))
     samples = caps[0] + 2
+    run = runs_of_64(monkeypatch, suite)
     code, (_, extra), calls, replays = measured_inputs(monkeypatch, [
         "verify", suite, "--field", "meridian", "--samples", str(samples),
         "--seed", str(seed)])
     capsys.readouterr()
     assert code in (0, 1)
     assert replays == len([idx for idx in caps if idx < samples]) >= 1
-    assert_same_inputs(calls, ref_sample_inputs(xi, seed, samples, extra))
+    assert_same_inputs(calls, ref_sample_inputs(xi, seed, samples, extra, run))
 
 
 def test_verify_seeds_each_chunk_in_one_call(monkeypatch, capsys):
-    """130 samples are three chunks: one default_rng call each (the stream
-    helper's check of the chunk's first stream)."""
+    """130 samples are three runs: one default_rng call each (the stream
+    helper's check of the run's first stream)."""
+    run = runs_of_64(monkeypatch, "totally-geodesic")
     real = np.random.default_rng
     calls = []
 
@@ -151,12 +161,15 @@ def test_verify_seeds_each_chunk_in_one_call(monkeypatch, capsys):
     assert cli.main(["verify", "totally-geodesic", "--samples", "130",
                      "--seed", "6"]) == 0
     capsys.readouterr()
-    assert calls == [(6, 0), (6, 64), (6, 128)]
+    assert calls == [(6, start) for start in range(0, 130, run)]
+    assert len(calls) == 3
 
 
 def test_meridian_predicates_seed_chunks_and_replays(monkeypatch, capsys):
-    """Per chunk: its stream check, a generator per cap replay, then the
-    predicates' own three default_rng(0) draws of directions."""
+    """Per run: its stream check, a generator per cap replay, then the
+    predicates' own three default_rng(0) draws of directions; 130 samples
+    are three runs."""
+    run = runs_of_64(monkeypatch, "predicates")
     xi = cli.build_field(cli.RunConfig(command="verify", field="meridian"))
     seed = 2 ** 32
     caps = first_draw_caps(xi, seed, 130)
@@ -173,8 +186,9 @@ def test_meridian_predicates_seed_chunks_and_replays(monkeypatch, capsys):
                      "--samples", "130", "--seed", str(seed)]) == 0
     capsys.readouterr()
     want = []
-    for start in (0, 64, 128):
+    for start in range(0, 130, run):
         want += [(seed, start)]
-        want += [(seed, idx) for idx in caps if start <= idx < start + 64]
+        want += [(seed, idx) for idx in caps if start <= idx < start + run]
         want += [0, 0, 0]
     assert calls == want
+    assert calls.count(0) == 3 * 3

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 import tgeo.cli as cli
+import tgeo.manifold as manifold
 from tgeo import TangentVector, hopf_field
 from tgeo.sasaki import (BundleVector, bundle_sectional_curvature,
                          bundle_sectional_curvature_array)
@@ -20,20 +21,33 @@ from tgeo.sasaki import (BundleVector, bundle_sectional_curvature,
 import bad_rows
 import stack_table
 from conftest import (EXACT, assert_identical, printed_tests, random_frame,
-                      random_tangent)
+                      random_tangent, run_lengths, set_run)
 from stack_table import (bundle_planes, frame_planes, ref_bundle_curvature,
                          ref_lifted_curvature, ref_plane_curvature)
 
 globals().update(printed_tests(__name__, stack_table.ROWS + bad_rows.ROWS))
 
 
-def test_scan_matches_reference_across_batches(capsys):
-    """1300 planes: whole and partial batches, and the 500-plane cut of the
+def scan_runs(mp):
+    """Runs of 256 submanifold planes on S^3 (the budget set to 256 of their
+    rows) and the bundle planes' runs under that budget."""
+    sphere = hopf_field(1).sphere
+    run = set_run(mp, 256, cli._submanifold_row_bytes(sphere))
+    return run, manifold.run_rows(cli._bundle_row_bytes(sphere))
+
+
+def test_scan_matches_reference_across_batches(capsys, monkeypatch):
+    """1300 planes: whole and partial runs, and the 500-plane cut of the
     closed-form cross-check, against the one-plane reference."""
     planes = 1300
+    sub_run, bundle_run = scan_runs(monkeypatch)
+    runs = run_lengths(monkeypatch)
     argv = ["scan-curvature", "--mode", "both", "--dim", "3",
             "--planes", str(planes), "--seed", "5"]
     assert cli.main(argv + ["--format", "csv"]) == 0
+    assert runs == [min(run, planes - start) for run in (sub_run, bundle_run)
+                    for start in range(0, planes, run)]
+    assert sub_run < 500 < planes and bundle_run < planes
     lines = capsys.readouterr().out.splitlines()
     got = {(kind, pid): float(K) for pid, kind, K in
            (line.split(",") for line in lines[1:])}
@@ -64,9 +78,10 @@ def test_scan_matches_reference_across_batches(capsys):
 
 
 def test_scan_seeds_each_batch_in_one_call(capsys, monkeypatch):
-    """600 planes per scan are three batches: one default_rng call each (the
-    helper's check of the batch's first stream), plus the designated
+    """600 planes per scan are several runs: one default_rng call each (the
+    helper's check of the run's first stream), plus the designated
     section's point."""
+    sub_run, bundle_run = scan_runs(monkeypatch)
     real = np.random.default_rng
     calls = []
 
@@ -78,8 +93,9 @@ def test_scan_seeds_each_batch_in_one_call(capsys, monkeypatch):
     assert cli.main(["scan-curvature", "--mode", "both", "--planes", "600",
                      "--seed", "6"]) == 0
     capsys.readouterr()
-    assert calls == [(6, 0), (6, 256), (6, 512), (6, 600),
-                     (6, 10 ** 9), (6, 10 ** 9 + 256), (6, 10 ** 9 + 512)]
+    assert calls == ([(6, start) for start in range(0, 600, sub_run)] + [(6, 600)]
+                     + [(6, 10 ** 9 + start) for start in range(0, 600, bundle_run)])
+    assert sub_run < 600 and bundle_run < 600  # two runs at least, each scan
 
 
 def test_bundle_kernel_warns_once_per_stray_row():

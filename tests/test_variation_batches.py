@@ -22,34 +22,33 @@ from tgeo.variation import _fiber_residuals, _horizontal_seed
 
 import bad_rows
 import stack_table
-from conftest import assert_identical, printed_tests
+from conftest import assert_identical, printed_tests, set_run
 from stack_table import ref_fiber_residuals
 
 globals().update(printed_tests(__name__, stack_table.ROWS + bad_rows.ROWS))
 
 
-@pytest.mark.parametrize("rows,chunks", [(None, 1), (1, 7), (12, 4)],
+@pytest.mark.parametrize("rows,fields", [(None, [7]), (1, [1] * 7), (12, [2, 2, 2, 1])],
                          ids=["default", "one-field", "two-fields"])
-def test_stable_run_is_independent_of_the_chunk(monkeypatch, rows, chunks):
-    """A chunk holds whole fields, at least one: 7 fields of 5 samples in
-    one chunk, one per chunk, or two per chunk and one left over give the
-    same report."""
+def test_stable_run_is_independent_of_the_chunk(monkeypatch, rows, fields):
+    """A run holds whole fields, at least one: 7 fields of 5 samples in one
+    run, one per run (a budget of one row) or two per run (a budget of 12
+    rows) and one left over give the same report."""
     want = dataclasses.asdict(stability_verdict(
         3, field_count=7, samples=5, fiber_steps=64, seed=2))
     if rows is not None:
-        monkeypatch.setattr(variation, "_S3_CHUNK_ROWS", rows)
-    sizes = []
-    real = variation.reduced_integrand
+        set_run(monkeypatch, rows, variation._integrand_row_bytes(SphereSpec(4)))
+    seen = []
+    real = variation._family_stack
 
-    def counted(xi, eta, p):
-        sizes.append(len(p))
-        return real(xi, eta, p)
+    def counted(sphere, seed, run, samples):
+        seen.append(len(run))
+        return real(sphere, seed, run, samples)
 
-    monkeypatch.setattr(variation, "reduced_integrand", counted)
+    monkeypatch.setattr(variation, "_family_stack", counted)
     got = dataclasses.asdict(stability_verdict(
         3, field_count=7, samples=5, fiber_steps=64, seed=2))
-    # the family's chunks, then the quadrature's 5 points
-    assert sum(sizes[:-1]) == 35 and len(sizes) == chunks + 1
+    assert seen == fields
     for rep in (want, got):
         rep.pop("wall_time_s")
     assert got == want
@@ -105,11 +104,12 @@ def test_fiber_residuals_memory_is_bounded_by_node_blocks():
     assert_identical(list(got.values()), list(want.values()))
 
 
-def test_integrate_stack_equals_per_sample_calls():
-    """The chunked estimate is the mean of one-point integrand calls at the
-    per-index samples; 1,000 samples cross three chunk boundaries."""
+def test_integrate_stack_equals_per_sample_calls(monkeypatch):
+    """The estimate from runs is the mean of one-point integrand calls at the
+    per-index samples; 1,000 samples in runs of 256 cross three run ends."""
     xi = hopf_field(1)
     sphere = xi.sphere
+    run = set_run(monkeypatch, 256, variation._integrand_row_bytes(sphere))
     eta = random_hopf_combination(np.random.default_rng(3))
     calls = []
 
@@ -118,7 +118,7 @@ def test_integrate_stack_equals_per_sample_calls():
         return reduced_integrand(xi, eta, sphere.stacked_points(q))
 
     res = integrate_over_sphere(stacked, sphere, 1000, 5)
-    assert calls == [256, 256, 256, 232]
+    assert calls == [run, run, run, 1000 - 3 * run]
     vals = []
     for idx in range(1000):
         vec = np.random.default_rng((5, idx)).standard_normal(4)
@@ -131,14 +131,15 @@ def test_integrate_stack_equals_per_sample_calls():
 
 
 def test_quadrature_memory_does_not_grow_with_samples():
-    """The quadrature holds one chunk of samples at a time: on S^15 its
-    tracemalloc peak over four chunks is one chunk's (about 3 MB) plus the
-    values kept, 8 bytes a sample; drawn at once, it was about 12 MB."""
+    """The quadrature holds one run of samples at a time: on S^15 its
+    tracemalloc peak over four runs is one run's (about 10 MB) plus the
+    values kept, 8 bytes a sample."""
     xi = hopf_field(7)
     fn = destabilizing_integrand(xi)
     integrate_over_sphere(fn, xi.sphere, 8, 0)  # first-call allocations
+    run = manifold.run_rows(variation._integrand_row_bytes(xi.sphere))
     peaks = []
-    for samples in (manifold._STREAM_CHUNK, 4 * manifold._STREAM_CHUNK):
+    for samples in (run, 4 * run):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
