@@ -19,7 +19,6 @@ from .manifold import (
     SphereSpec,
     SpherePoint,
     _as_readonly,
-    _check_points_stack,
     _check_tangent_stack,
     _matvec_rows,
     _one_point,
@@ -244,8 +243,8 @@ def _complete_frame(assigned, candidates: np.ndarray, total: int) -> list:
     return [rows[k] for k in range(len(assigned), total)]
 
 
-def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
-                     M: np.ndarray, lambdas: np.ndarray, e_comps: np.ndarray,
+def _assemble_frames(base: SpherePoint, rows: np.ndarray, M: np.ndarray,
+                     lambdas: np.ndarray, e_comps: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
                      pin_e0: bool = False) -> SingularData:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
@@ -254,10 +253,10 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
     build the ambient frames with f_0 (and, with ``pin_e0``, e_0) set
     exactly to the field vector ``xiv``.
 
-    Every array has a leading axis over the points ``P``; a point that fails
-    a check raises naming its row. Returns one ``SingularData`` for them all,
-    each frame one ``Frame`` over the stack."""
-    tol = ASSEMBLY_TOL * np.maximum(max(1.0, 1 / sphere.radius), lambdas.max(1))
+    Every array has a leading axis over the points of the stack ``base``; a
+    point that fails a check raises naming its row. Returns one
+    ``SingularData`` for them all, each frame one ``Frame`` over ``base``."""
+    tol = ASSEMBLY_TOL * np.maximum(max(1.0, 1 / base.sphere.radius), lambdas.max(1))
     resid = np.maximum(
         np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
                               - lambdas[..., None] * f_comps, axis=2), axis=1),
@@ -271,8 +270,7 @@ def _assemble_frames(sphere: SphereSpec, P: np.ndarray, rows: np.ndarray,
     f_amb[:, 0] = xiv  # exact, not reprojected
     if pin_e0:
         e_amb[:, 0] = xiv
-    p = SpherePoint(sphere, P)
-    return SingularData(lambdas, Frame(p, e_amb), Frame(p, f_amb))
+    return SingularData(lambdas, Frame(base, e_amb), Frame(base, f_amb))
 
 
 def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> SingularData:
@@ -290,7 +288,8 @@ def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> SingularData:
     naming its row in ``.row``.
     """
     N, n1 = len(P), xi.sphere.dim
-    _check_points_stack(xi.sphere.radius, P)
+    base = SpherePoint(xi.sphere, P)
+    P = base.coords
     rows, M = _framed_shape_matrix(xi, P)
     U, s, Vt = np.linalg.svd(M)
 
@@ -316,18 +315,20 @@ def singular_decomposition(xi: UnitVectorField, P: np.ndarray) -> SingularData:
         except DecompositionFailure as exc:
             exc.row = int(k)
             raise
-    return _assemble_frames(xi.sphere, P, rows, M, lambdas, e_comps, f_comps,
-                            xiv, "singular frame assembly")
+    return _assemble_frames(base, rows, M, lambdas, e_comps, f_comps, xiv,
+                            "singular frame assembly")
 
 
 def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularData:
-    """Canonically paired singular frames for a Killing field.
+    """Canonically paired singular frames for a unit Killing field.
 
     Arranges e = (xi, v_1..v_m, w_1..w_m, kernel...) with w_a = A v_a /
-    lambda_a, so that A e_a = lambda_a e_{m+a}, A e_{m+a} = -lambda_a e_a,
-    f_a = e_{m+a} and f_{m+a} = -e_a. The lambda vector repeats each paired
-    value, (0, l_1..l_m, l_1..l_m, 0...), so it is not globally sorted.
-    ``p`` is one point; the result is its one-row ``SingularData``.
+    lambda, so that A e_a = lambda e_{m+a}, A e_{m+a} = -lambda e_a, f_a =
+    e_{m+a} and f_{m+a} = -e_a, with lambda the mean of the nonzero
+    singular values: the lambda vector is (0, lambda..lambda, 0...). A
+    Killing field that is not unit has distinct nonzero values, which one
+    block cannot pair: ``DecompositionFailure``. ``p`` is one point; the
+    result is its one-row ``SingularData``.
     """
     n1 = xi.sphere.dim
     P = _one_point(p)[None]
@@ -335,49 +336,35 @@ def killing_canonical_frames(xi: UnitVectorField, p: SpherePoint) -> SingularDat
     _require_killing(xi.sphere.radius, M_stack, "canonical pairing")
     rows, M = rows_stack[0], M_stack[0]
 
+    # A unit Killing field is x -> Kx/r with K orthogonal and skew, so its
+    # nonzero singular values are all 1/r: one block, paired jointly
     _, s, Vt = np.linalg.svd(M)
-    zero = _killing_tol(xi.sphere.radius)  # zero as the Killing check sees it
-    pos_idx = [i for i in range(n1) if s[i] > zero]
-    null_rows = [Vt[i] for i in range(n1) if s[i] <= zero]
-
-    # group equal singular values (degenerate blocks must be paired jointly)
-    groups: list[list[int]] = []
-    for i in pos_idx:
-        if groups and abs(s[groups[-1][0]] - s[i]) <= 1e-6 * (1.0 + s[i]):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    pair_l: list[float] = []
-    pair_v: list[np.ndarray] = []
-    pair_w: list[np.ndarray] = []
-    for grp in groups:
-        basis = np.array([Vt[i] for i in grp])
-        lam = float(np.mean(s[grp]))
-        while len(basis):
-            v = basis[0]
-            w = M @ v / lam
-            pair_l.append(lam)
-            pair_v.append(v)
-            pair_w.append(w)
-            rest = basis[1:]
-            rest = rest - np.outer(rest @ v, v) - np.outer(rest @ w, w)
-            basis = gram_schmidt_rows(rest, pivot_tol=1e-6)
+    pos = s > _killing_tol(xi.sphere.radius)  # zero as the Killing check sees it
+    lam = float(np.mean(s[pos])) if pos.any() else 0.0
+    pair_v, pair_w, basis = [], [], Vt[pos]
+    while len(basis):
+        v = basis[0]
+        w = M @ v / lam
+        pair_v.append(v)
+        pair_w.append(w)
+        rest = basis[1:]
+        rest = rest - np.outer(rest @ v, v) - np.outer(rest @ w, w)
+        basis = gram_schmidt_rows(rest, pivot_tol=1e-6)
 
     xiv = xi.value_array(P[0])
     kernel = [rows @ xiv]
-    if 2 * len(pair_l) + 1 < n1:
-        # the kernel rows beside xi, orthogonal to the paired blocks
+    if 2 * len(pair_v) + 1 < n1:
+        # the kernel rows beside xi, orthogonal to the paired block
         kernel += _complete_frame(kernel + pair_v + pair_w,
-                                  np.vstack(null_rows + [np.eye(n1)]), n1)
+                                  np.vstack([Vt[~pos], np.eye(n1)]), n1)
 
     e_comps = np.array(kernel[:1] + pair_v + pair_w + kernel[1:])
     f_comps = np.array(kernel[:1] + pair_w + [-v for v in pair_v] + kernel[1:])
-    lambdas = np.array([0.0] + pair_l + pair_l + [0.0] * (len(kernel) - 1))
+    lambdas = np.array([0.0] + [lam] * (2 * len(pair_v)) + [0.0] * (len(kernel) - 1))
     if e_comps.shape != (n1, n1):
         raise DecompositionFailure("canonical pairing produced a wrong frame count")
-    return _assemble_frames(xi.sphere, P, rows_stack, M_stack, lambdas[None],
-                            e_comps[None], f_comps[None], xiv[None],
+    return _assemble_frames(SpherePoint(xi.sphere, P), rows_stack, M_stack,
+                            lambdas[None], e_comps[None], f_comps[None], xiv[None],
                             "canonical frame", pin_e0=True)
 
 

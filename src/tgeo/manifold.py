@@ -22,7 +22,6 @@ FD_STEP_FACTOR = 1e-5
 GS_PIVOT_TOL = 1e-10
 
 _BASE_MATCH_TOL = 1e-9
-_FLOAT_MAX = np.finfo(float).max
 
 
 class DegenerateInputError(ValueError):
@@ -94,15 +93,14 @@ def _check_tangent_stack(radius: float, coords: np.ndarray,
     """TangentVector's check for ``vecs`` of shape (N, ambient) or
     (N, k, ambient) at the points ``coords`` (N, ambient)."""
     at = coords if vecs.ndim == 2 else coords[:, None, :]
-    norms = _row_norms(vecs)
-    if np.count_nonzero(norms <= _FLOAT_MAX) == norms.size:
-        dots = np.vecdot(vecs, at)
-    else:  # an inf entry against a zero coordinate of the point gives NaN
-        with np.errstate(invalid="ignore"):
-            dots = np.vecdot(vecs, at)
-    # divided, not a bound scaled by |v|, which an infinite row would meet;
-    # |v| capped at the largest float, so that row divides to inf, not inf / inf
-    scaled = np.abs(dots) / np.minimum(np.maximum(1.0, norms), _FLOAT_MAX)
+    # |<v, p>| / max(1, |v|) on v scaled by max(1, its largest entry), which
+    # keeps that ratio and |v|^2 finite; an inf entry scales to inf / inf,
+    # NaN, which the check refuses. The largest entries are reduced across a
+    # transposed copy: numpy reduces a short last axis slowly.
+    big = np.max(np.abs(vecs.reshape(-1, vecs.shape[-1]).T, order="C"), axis=0)
+    with np.errstate(invalid="ignore"):
+        u = vecs / np.maximum(1.0, big.reshape(vecs.shape[:-1] + (1,)))
+        scaled = np.abs(np.vecdot(u, at)) / np.maximum(1.0, _row_norms(u))
     _require_rows(scaled <= 1e-9 * radius, DegenerateInputError,
                   "vector is not tangent to the sphere")
 

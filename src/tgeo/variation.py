@@ -556,6 +556,8 @@ def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
     """
     if dim < 3 or dim % 2 == 0:
         raise DegenerateInputError("stability analysis needs odd dimension >= 3")
+    if samples < 1:
+        raise DegenerateInputError("stability analysis needs at least one sample")
     xi = hopf_field((dim - 1) // 2)
     sphere = xi.sphere
 
@@ -578,7 +580,7 @@ def stability_verdict(dim: int, *, field_count: int = 100, samples: int,
 def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
     worst_margin = math.inf
     ident_resid = 0.0
-    per_run = run_rows(max(samples, 1) * _integrand_row_bytes(xi.sphere))
+    per_run = run_rows(samples * _integrand_row_bytes(xi.sphere))
     for first in range(0, field_count, per_run):
         eta, pts = _family_stack(
             xi.sphere, seed, range(first, min(first + per_run, field_count)), samples)
@@ -590,10 +592,8 @@ def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
             raise FloatingPointError(
                 f"non-finite second-variation integrand: field {fi}, sample "
                 f"{k}, seed tuple ({seed}, {fi})")
-        worst_margin = min(worst_margin,
-                           float(np.min(red - 0.5 * nsq, initial=math.inf)))
-        ident_resid = max(ident_resid,
-                          float(np.max(np.abs(red - form_val), initial=0.0)))
+        worst_margin = min(worst_margin, float(np.min(red - 0.5 * nsq)))
+        ident_resid = max(ident_resid, float(np.max(np.abs(red - form_val))))
     count = field_count * samples
     max_residual = max(0.0, -worst_margin)
     verdict = "stable" if max_residual <= VERDICT_TOL else "fail"

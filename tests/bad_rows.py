@@ -172,6 +172,18 @@ ROWS += [
     Bad(nf + "tangent_check_refuses_inf_at_a_zero_coordinate[inf-minus-inf]",
         lambda: TangentVector(at_e1, [INF, -INF, 0.0, 0.0]),
         DegenerateInputError, "not tangent"),
+    # a normal vector whose squared norm overflows: scaled by its largest
+    # entry, it is e_0 (or e_0 + e_1) at e_0, not tangent
+    Bad(nf + "tangent_check_refuses_a_normal_vector_past_overflow[1e200]",
+        lambda: TangentVector(SphereSpec(4).point(E[0]), 1e200 * E[0]),
+        DegenerateInputError, r"^vector is not tangent to the sphere$"),
+    Bad(nf + "tangent_check_refuses_a_normal_vector_past_overflow[1e200]",
+        lambda: _check_tangent_stack(1.0, np.tile(E[0], (3, 1)),
+                                     with_row_1(E[1], 1e200 * E[0])),
+        DegenerateInputError, at_row("not tangent", 1), 1),
+    Bad(nf + "tangent_check_refuses_a_normal_vector_past_overflow[1e160-1e160]",
+        lambda: TangentVector(SphereSpec(4).point(E[0]), [1e160, 1e160, 0.0, 0.0]),
+        DegenerateInputError, r"^vector is not tangent to the sphere$"),
     # the raising mode, which frames_at and the direct route use, refuses a
     # NaN pivot with the pivot message; it does not hand on a NaN row
     Bad(nf + "gram_schmidt_refuses_a_nan_pivot",
@@ -200,8 +212,8 @@ ROWS += [
         lambda: bundle_sectional_curvature_array(*bundle_rows(u1=[0.0, 0.0, NAN, 0.0])),
         DegenerateInputError, at_row("anchor must be a unit vector", 1), 1,
         without_tangent_check),
-    # two equal parts of 1e200 pass the tangent check (their dot product 0
-    # over their norm, here inf, is 0), and their Gram determinant is inf - inf
+    # two equal parts of 1e200 pass the tangent check (scaled by its largest
+    # entry each is e_1, tangent at e_0), and their Gram determinant is inf - inf
     Bad(nf + "bundle_gram_check_refuses_nan",
         lambda: bundle_sectional_curvature_array(*bundle_rows(x1=1e200 * E[1],
                                                               y1=1e200 * E[1])),

@@ -29,7 +29,7 @@ from tgeo import (
     singular_decomposition,
 )
 from tgeo.fields import TOL_ANALYTIC
-from tgeo.sasaki import xi_normal_lift_array
+from tgeo.sasaki import second_form_direct, second_form_lemma, xi_normal_lift_array
 from conftest import frame_rows, random_tangent, seeded_points
 
 
@@ -324,6 +324,47 @@ def test_killing_canonical_frames_pair_the_hopf_field_at_any_radius(radius):
     p = xi.sphere.random_point(np.random.default_rng(18))
     kd = killing_canonical_frames(xi, p)
     assert np.allclose(kd.lambdas[0] * radius, [0.0, 1.0, 1.0], atol=1e-9)
+
+
+def constant_jacobian_field(sphere, K, name):
+    """The field x -> K x / r with constant Jacobian K / r, on points and
+    stacks."""
+    jac = K / sphere.radius
+    return UnitVectorField(
+        sphere, lambda p: np.matmul(p, jac.T),
+        lambda p: np.broadcast_to(jac, np.shape(p)[:-1] + jac.shape), name=name)
+
+
+@pytest.mark.parametrize("ambient", [6, 8, 16])
+def test_killing_canonical_frames_pair_a_rotated_complex_structure(ambient):
+    """K = R J R^T, R a seeded orthogonal matrix, gives a unit Killing field
+    that is not the Hopf field's J: one block, every nonzero lambda 1 to
+    1e-12 (2-4e-16 measured), and both second-form routes read it as
+    totally geodesic (max |Omega| 2-4e-11 measured)."""
+    R = np.linalg.qr(np.random.default_rng(ambient).standard_normal((ambient, ambient)))[0]
+    xi = constant_jacobian_field(SphereSpec(ambient),
+                                 R @ complex_structure(ambient) @ R.T, "rotated")
+    for p in seeded_points(xi, 3, seed=29):
+        kd = killing_canonical_frames(xi, p)
+        assert kd.lambdas[0, 0] == 0.0
+        assert np.max(np.abs(kd.lambdas[0, 1:] - 1.0)) <= 1e-12
+        for route in (second_form_lemma, second_form_direct):
+            assert np.max(np.abs(route(xi, p.coords[None], kd))) <= 1e-9
+
+
+def test_killing_canonical_frames_refuse_a_non_unit_killing_field():
+    """K = diag(J, J, 2J) is skew but not orthogonal: its field is Killing,
+    unit only where the last block vanishes, and its nonzero singular values
+    are 1 and 2 there. One block cannot pair them, and the frames are
+    refused, not paired as (0, 2, 1, 2, 1)."""
+    J = complex_structure(2)
+    K = np.zeros((6, 6))
+    for k, c in enumerate((1.0, 1.0, 2.0)):
+        K[2 * k:2 * k + 2, 2 * k:2 * k + 2] = c * J
+    xi = constant_jacobian_field(SphereSpec(6), K, "non-unit")
+    p = xi.sphere.point([0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises((DecompositionFailure, DegenerateInputError)):
+        killing_canonical_frames(xi, p)
 
 
 def test_near_killing_field_fails_one_killing_threshold(hopf5):

@@ -139,6 +139,24 @@ def test_second_form_routes_agree_off_unit_radius(hopf3_r2):
     assert np.all(np.max(np.abs(om_l), axis=(1, 2, 3)) > 0.07)
 
 
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 2.0, 1e4])
+@pytest.mark.parametrize("m", [1, 3, 7])
+@pytest.mark.parametrize("name", ["hopf", "meridian"])
+def test_second_form_routes_agree_to_a_scaled_bound(name, m, radius):
+    """max |Omega_lemma - Omega_direct| <= 1e-8 max(max |Omega|, 1/r^2) over
+    20 seeded points: the gap scales with Omega, and with the curvature
+    1/r^2 where Omega is rounding. The worst ratio measured is 1.3e-9
+    (meridian, S^3, radius 2); one route scaled by 1 + 1e-6 reads 1e-6."""
+    xi = (hopf_field(m, radius) if name == "hopf"
+          else meridian_field(np.eye(2 * m + 2)[0], radius))
+    P = point_stack(seeded_points(xi, 20, seed=0))
+    sd = singular_decomposition(xi, P)
+    om_l = second_form_lemma(xi, P, sd)
+    om_d = second_form_direct(xi, P, sd)
+    scale = max(np.max(np.abs(om_l)), np.max(np.abs(om_d)), 1.0 / radius ** 2)
+    assert np.max(np.abs(om_l - om_d)) <= 1e-8 * scale
+
+
 def test_second_form_routes_sit_at_their_rounding_floor(hopf3_r2):
     """At 40 seeded points each route's max |Omega| for the unit Hopf field
     on S^3, S^7 and S^15 stays below 1.5e-10 (3.3-3.6e-11 for the direct

@@ -439,3 +439,17 @@ def test_instability_ratio_is_exact_to_rounding(dim):
 def test_stability_verdict_validation():
     with pytest.raises(DegenerateInputError):
         stability_verdict(dim=4, samples=100, fiber_steps=64, seed=0)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_stability_verdict_refuses_no_samples_before_any_work(dim, monkeypatch):
+    """samples < 1 is refused at entry, as an even dim is: neither the S^3
+    family nor the fiber frame is built."""
+    drawn = []
+    for name in ("_family_stack", "propagate_fiber_frame"):
+        monkeypatch.setattr(variation, name,
+                            lambda *args, _n=name, **kw: drawn.append(_n))
+    for samples in (0, -1):
+        with pytest.raises(DegenerateInputError, match="at least one sample"):
+            stability_verdict(dim, samples=samples, fiber_steps=64, seed=0)
+    assert drawn == []
