@@ -430,7 +430,8 @@ def _scan_submanifold(xi, config) -> tuple:
     cross_planes = min(config.planes, 500)
 
     def curvatures(start, draws):
-        p, frames = sphere.stacked_frames(draws)
+        p = sphere.stacked_points(draws[:, 0])
+        frames = sphere.frames_at(p, draws[:, 1:])
         X, Y = frames[:, 0], frames[:, 1]
         K = submanifold_plane_curvature_array(xi, p, X, Y)
         gap = np.zeros(len(K))  # |K - bundle-route K| on the cross-checked planes
@@ -484,8 +485,10 @@ def _scan_bundle(xi, config) -> tuple:
     sphere = xi.sphere
 
     def curvatures(start, draws):
-        # five tangents per plane: the anchor u, then hx, vx, hy, vy
-        p, t = sphere.stacked_tangents(draws)
+        # five tangents per plane: the anchor u, then hx, vx, hy, vy; the
+        # kernel checks the rows it reads
+        p = sphere.stacked_points(draws[:, 0])
+        t = sphere.project_array(p[:, None], draws[:, 1:])
         u = unit_rows(t[:, 0])
         vx, vy = (tangential_lift_array(v, u) for v in (t[:, 2], t[:, 4]))
         return {"curvature": bundle_sectional_curvature_array(

@@ -456,10 +456,6 @@ class SphereSpec:
         _check_frames_stack(frames)
         return frames
 
-    # Stacked samplers: row i of ``draws`` holds the standard normals that
-    # sample i's own generator gives the one-sample calls, in their order.
-    # The arithmetic and the checks are those of the one-sample path.
-
     def stacked_points(self, draws: np.ndarray) -> np.ndarray:
         """``point`` for each row of ``draws`` (N, ambient), so also
         random_point: the rows normalized onto the sphere and checked row by
@@ -474,27 +470,6 @@ class SphereSpec:
                       "cannot normalize a near-zero vector")
         with np.errstate(invalid="ignore"):  # an inf row gives inf * 0, NaN
             return draws * (self.radius / norms)[..., None]
-
-    def stacked_tangents(self, draws: np.ndarray) -> tuple:
-        """random_point, then a tangent vector per further row (the row
-        projected onto the tangent space), for each (1 + k, ambient) block
-        of ``draws`` (N, 1 + k, ambient).
-
-        Returns the points (N, ambient) and the tangents (N, k, ambient).
-        """
-        p = self.stacked_points(draws[:, 0])
-        t = self.project_array(p[:, None, :], draws[:, 1:])
-        _check_tangent_stack(self.radius, p, t)
-        return p, t
-
-    def stacked_frames(self, draws: np.ndarray) -> tuple:
-        """random_point, then ``frames_at`` the point from the further rows,
-        for each (1 + dim, ambient) block of ``draws`` (N, 1 + dim, ambient).
-
-        Returns the points (N, ambient) and the frames (N, dim, ambient).
-        """
-        p = self.stacked_points(draws[:, 0])
-        return p, self.frames_at(p, draws[:, 1:])
 
     def standard_frame_rows(self, P: np.ndarray) -> np.ndarray:
         """Deterministic orthonormal tangent frame from the ambient basis.

@@ -688,16 +688,16 @@ def bent_last_plane_batch(mp):
     """Plane 3 of the last, partial run of SCAN_RUN submanifold planes is
     not tangent."""
     set_run(mp, SCAN_RUN, cli._submanifold_row_bytes(S3))
-    real = SphereSpec.stacked_frames
+    real = SphereSpec.frames_at
 
-    def bend(self, draws):
-        p, frames = real(self, draws)
-        if len(draws) < SCAN_RUN:
+    def bend(self, p, raw):
+        frames = real(self, p, raw)
+        if len(raw) < SCAN_RUN:
             frames = frames.copy()
             frames[3, 1] += 1e-3 * p[3]
-        return p, frames
+        return frames
 
-    mp.setattr(SphereSpec, "stacked_frames", bend)
+    mp.setattr(SphereSpec, "frames_at", bend)
 
 
 def nan_shape_matrix_at_row_2(mp):

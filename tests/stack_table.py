@@ -599,13 +599,21 @@ def bundle_stack(m, radius):
 
 @cache
 def sampler_stack():
-    """Each sample's draws from its own generator, as the stacked samplers
+    """Each sample's draws from its own generator, as the scans' sampler steps
     take them."""
     sphere = hopf_field(3, 2.0).sphere
     draws = np.empty((40, 1 + sphere.dim, sphere.ambient_dim))
     for idx, out in enumerate(draws):
         np.random.default_rng((2, idx)).standard_normal(out=out)
     return ns(n=40, sphere=sphere, draws=draws)
+
+
+def sampled_rows(sphere, draws, rows_at):
+    """The scans' sampler steps on each (1 + k, ambient) block of ``draws``:
+    ``stacked_points`` of the first rows, then ``rows_at(p, further rows)``;
+    one (point, rows) pair per sample."""
+    p = sphere.stacked_points(draws[:, 0])
+    return list(zip(p, rows_at(p, draws[:, 1:])))
 
 
 def typed_samples(sphere, idx, frame):
@@ -638,11 +646,12 @@ for m, radius in [(1, 1.0), (2, 0.01), (3, 300.0), (7, 1.0)]:
             s.sphere.curvature_constant, *(col[k] for col in s.rows[1:]))))
 ROWS += [Stack("test_scan_batches::test_stacked_samplers_match_typed_sampler",
                sampler_stack,
-               lambda s: list(zip(*s.sphere.stacked_frames(s.draws))),
+               lambda s: sampled_rows(s.sphere, s.draws, s.sphere.frames_at),
                reference=lambda s, k: typed_samples(s.sphere, k, True)),
          Stack("test_scan_batches::test_stacked_samplers_match_typed_sampler",
                sampler_stack,
-               lambda s: list(zip(*s.sphere.stacked_tangents(s.draws[:, :6]))),
+               lambda s: sampled_rows(s.sphere, s.draws[:, :6], lambda p, raw: (
+                   s.sphere.project_array(p[:, None], raw))),
                reference=lambda s, k: typed_samples(s.sphere, k, False))]
 
 

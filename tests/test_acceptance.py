@@ -152,7 +152,9 @@ def test_criterion_3_curvature_bounds():
 
     # per plane: random_point, then the unit anchor u and the parts hx, vx,
     # hy, vy of X = hx^h + vx^t and Y = hy^h + vy^t
-    q, t = sphere.stacked_tangents(stream_draws(3, 10 ** 9, 2000, (6, 4)))
+    draws = stream_draws(3, 10 ** 9, 2000, (6, 4))
+    q = sphere.stacked_points(draws[:, 0])
+    t = sphere.project_array(q[:, None], draws[:, 1:])
     u = unit_rows(t[:, 0])
     vx, vy = (tangential_lift_array(v, u) for v in (t[:, 2], t[:, 4]))
     Kb = bundle_sectional_curvature_array(sphere, q, u, t[:, 1], vx, t[:, 3], vy)

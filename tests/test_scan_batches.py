@@ -14,6 +14,7 @@ import numpy as np
 
 import tgeo.cli as cli
 import tgeo.manifold as manifold
+import tgeo.sasaki as sasaki
 from tgeo import TangentVector, hopf_field
 from tgeo.sasaki import (BundleVector, bundle_sectional_curvature,
                          bundle_sectional_curvature_array)
@@ -131,3 +132,20 @@ def test_one_plane_warning_points_at_the_caller():
         bundle_sectional_curvature(Xb, Yb)
     assert [w.filename for w in caught] == [__file__]
     assert str(caught[0].message).startswith("projecting vertical part")
+
+
+def test_bundle_scan_checks_each_run_once(capsys, monkeypatch):
+    """A bundle scan's tangent rows are checked by the kernel that reads
+    them, once per run: the sampler steps add no check of their own."""
+    real = manifold._check_tangent_stack
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (manifold, sasaki):
+        monkeypatch.setattr(module, "_check_tangent_stack", counted)
+    assert cli.main(["scan-curvature", "--mode", "bundle", "--planes", "20"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
