@@ -40,6 +40,7 @@ from .fields import (
     SingularLocusError,
     UnitVectorField,
     _killing_tol,
+    _perp_triples,
     covariant_normality_residual,
     half_curvature,
     hopf_field,
@@ -55,6 +56,7 @@ from .fields import (
     singular_decomposition,
 )
 from .sasaki import (
+    _plane_curvature_rows,
     bundle_sectional_curvature_array,
     geodesic_field_obstruction,
     hopf_pattern_peak,
@@ -218,8 +220,7 @@ def _sample_maxima(xi: UnitVectorField, config: RunConfig, measure,
 
 
 def _suite_report(config: RunConfig, residual: float, notes: list,
-                  tol: float | None = None,
-                  passed: bool = True) -> VerificationReport:
+                  tol: float | None = None, passed: bool = True) -> VerificationReport:
     """The suite's report; it passes when the residual is within ``tol``
     (``config.tol`` by default) and ``passed`` holds."""
     tol = config.tol if tol is None else tol
@@ -285,33 +286,32 @@ def _hopf_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
 
 def _run_predicates(config: RunConfig) -> VerificationReport:
     xi = build_field(config)
-    expected_fail = set()
-    informational = set()
+    expected_fail, informational = set(), set()
     if config.field == "meridian":
         expected_fail = {"killing", "sasakian"}
         informational = {"strongly-normal"}
     elif not xi.sphere.is_unit:
         expected_fail = {"sasakian"}
 
-    worst = _sample_maxima(xi, config, lambda coords, rows: {
-        "geodesic": is_geodesic(xi, coords),
-        "killing": is_killing(xi, coords),
-        "normal": is_normal(xi, coords),
-        "strongly-normal": is_strongly_normal(xi, coords),
-        "sasakian": sasakian_identity_residual(xi, coords),
-    })
+    def measure(coords, rows):
+        out = {"geodesic": is_geodesic(xi, coords), "killing": is_killing(xi, coords)}
+        triples = _perp_triples(xi, coords)  # one draw for both normality checks
+        out["normal"] = is_normal(xi, coords, triples)
+        out["strongly-normal"] = is_strongly_normal(xi, coords, triples)
+        del triples  # freed before the Sasakian pairs take as much again
+        out["sasakian"] = sasakian_identity_residual(xi, coords)
+        return out
+
+    worst = _sample_maxima(xi, config, measure)
 
     tol = config.tol
-    notes = []
-    all_matched = True
-    strict_max = 0.0
+    notes, all_matched, strict_max = [], True, 0.0
     for name, resid in worst.items():
-        failed = resid > tol
         if name in informational:
             notes.append(f"{name}: residual {resid:.3e} (informational)")
             continue
         expected = name in expected_fail
-        matched = failed == expected
+        matched = (resid > tol) == expected
         all_matched = all_matched and matched
         if not expected:
             strict_max = max(strict_max, resid)
@@ -433,7 +433,7 @@ def _scan_submanifold(xi, config) -> tuple:
         p = sphere.stacked_points(draws[:, 0])
         frames = sphere.frames_at(p, draws[:, 1:])
         X, Y = frames[:, 0], frames[:, 1]
-        K = submanifold_plane_curvature_array(xi, p, X, Y)
+        K = _plane_curvature_rows(xi, p, X, Y)  # checked by the two samplers
         gap = np.zeros(len(K))  # |K - bundle-route K| on the cross-checked planes
         m = cross_planes - start
         if m > 0:
@@ -550,8 +550,7 @@ def cmd_svd(config: RunConfig) -> int:
         if not 0.001 < theta < math.pi - 0.001:
             raise UsageError("theta must avoid the poles")
         coords = np.zeros(sphere.ambient_dim)
-        coords[0] = math.cos(theta)
-        coords[1] = math.sin(theta)
+        coords[:2] = math.cos(theta), math.sin(theta)
         p = sphere.point(coords * sphere.radius)
     elif config.theta is not None:
         raise UsageError("theta is read for the meridian field only; the hopf "
@@ -627,10 +626,8 @@ def _write_text(text: str, config: RunConfig) -> None:
 
 
 def _emit(reports: list, config: RunConfig) -> None:
-    if config.format == "csv":
-        _write_text(reports_to_csv(reports), config)
-    else:
-        _write_text(reports_to_json(reports), config)
+    to_text = reports_to_csv if config.format == "csv" else reports_to_json
+    _write_text(to_text(reports), config)
 
 
 def _parse_config_file(path: str, command: str) -> dict:
@@ -720,8 +717,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return 0 if code == 0 else 2
+        return 0 if exc.code in (None, 0) else 2
     try:
         config = _build_config(args)
         return _COMMANDS[config.command](config)

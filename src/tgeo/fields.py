@@ -127,12 +127,8 @@ def hopf_field(m: int, radius: float = 1.0) -> UnitVectorField:
         # a read-only view of the constant matrix per row of a stack
         return np.broadcast_to(jac, p.shape[:-1] + jac.shape)
 
-    return UnitVectorField(
-        sphere,
-        value_fn=lambda p, _J=J, _r=radius: _matvec_rows(_J, p) / _r,
-        jacobian_fn=jacobian,
-        name="hopf",
-    )
+    return UnitVectorField(sphere, lambda p, _J=J, _r=radius: _matvec_rows(_J, p) / _r,
+                           jacobian, name="hopf")
 
 
 def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
@@ -452,11 +448,11 @@ def is_killing(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
 
 
 def _perp_triples(xi, P):
-    """PREDICATE_SAMPLES triples (X, Y, Z) of random unit tangent vectors
-    orthogonal to the field at each point of the stack P, as three checked
-    (N, PREDICATE_SAMPLES, ambient) arrays. Every point reads the same
-    ``default_rng(0)`` stream and keeps, in order, the first rows not too
-    close to the field: the same vectors as one draw at a time."""
+    """The normality predicates' ``triples``: PREDICATE_SAMPLES random unit
+    tangent X, Y, Z orthogonal to the field at each point of the stack P, as
+    three checked (N, PREDICATE_SAMPLES, ambient) arrays. Every point reads
+    the same ``default_rng(0)`` stream and keeps, in order, the first rows
+    not too close to the field: the same vectors as one draw at a time."""
     sphere = xi.sphere
     N, count = len(P), 3 * PREDICATE_SAMPLES
     xiv = xi.value_array(P)[:, None]
@@ -475,21 +471,21 @@ def _perp_triples(xi, P):
     return vecs[:, 0::3], vecs[:, 1::3], vecs[:, 2::3]
 
 
-def is_normal(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
-    """max |<R(X,Y)Z, xi>| over sampled X,Y,Z orthogonal to xi.
+def is_normal(xi: UnitVectorField, P: np.ndarray, triples) -> np.ndarray:
+    """max |<R(X,Y)Z, xi>| over the ``_perp_triples(xi, P)`` X, Y, Z.
 
     Identically zero on constant-curvature spaces; the closed-form curvature
     makes the tolerance analytic (1e-10).
     """
-    x, y, z = _perp_triples(xi, P)
+    x, y, z = triples
     vals = np.vecdot(xi.sphere.curvature_array(x, y, z), xi.value_array(P)[:, None])
     return np.max(np.abs(vals), axis=1)
 
 
-def is_strongly_normal(xi: UnitVectorField, P: np.ndarray) -> np.ndarray:
-    """max |<(nabla_X A) Y, Z>| over sampled X,Y,Z orthogonal to xi; one
-    finite difference for the whole stack."""
-    x, y, z = _perp_triples(xi, P)
+def is_strongly_normal(xi: UnitVectorField, P: np.ndarray, triples) -> np.ndarray:
+    """max |<(nabla_X A) Y, Z>| over the ``_perp_triples(xi, P)`` X, Y, Z;
+    one finite difference for the whole stack."""
+    x, y, z = triples
     vals = np.vecdot(half_curvature(xi, P, x, y), z)
     return np.max(np.abs(vals), axis=1)
 

@@ -274,18 +274,19 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Working-array bytes of one stacked run. Each caller states what a row of
-# its run holds, as a formula in the dimension checked against tracemalloc,
-# and a run takes as many rows as fit: 6,553 S^7 scan planes, so that
-# per-run seeding and kernel set-up are spread thin, or six S^31 verify
-# points, so that a run's memory stays bounded at any dimension.
+# Working-array bytes and rows of one stacked run. Each caller states what a
+# row of its run holds, as a formula in the dimension checked against
+# tracemalloc, and a run takes as many rows as fit, at most _RUN_ROWS: 1,024
+# S^7 scan planes, set-up spread thin at one run's memory however long the
+# scan, or six S^31 verify points, bounded memory at any dimension.
 _RUN_BYTES = 16 << 20
+_RUN_ROWS = 1024
 
 
 def run_rows(row_bytes: int) -> int:
     """Rows per stacked run when each row's working arrays take
-    ``row_bytes``: as many as _RUN_BYTES holds, at least one."""
-    return max(1, _RUN_BYTES // row_bytes)
+    ``row_bytes``: as many as _RUN_BYTES holds, from one to _RUN_ROWS."""
+    return max(1, min(_RUN_ROWS, _RUN_BYTES // row_bytes))
 
 
 def stream_chunks(seed: int, stream0: int, count: int, row_bytes: int,
@@ -569,8 +570,7 @@ class Frame:
 
 
 def _check_same_base(a: np.ndarray, b: np.ndarray,
-                     message: str = "objects are attached at different points"
-                     ) -> None:
+                     message: str = "objects are attached at different points") -> None:
     """Refuse two base points (or bundle anchors) whose ambient arrays differ
     by more than _BASE_MATCH_TOL in some entry."""
     if not np.max(np.abs(a - b)) <= _BASE_MATCH_TOL:

@@ -416,6 +416,12 @@ def submanifold_plane_curvature_array(xi: UnitVectorField, p: np.ndarray,
                   & (np.abs(_row_norms(y) - 1.0) <= 1e-9)
                   & (np.abs(np.vecdot(x, y)) <= 1e-9),
                   DegenerateInputError, "X, Y must be orthonormal")
+    return _plane_curvature_rows(xi, p, x, y)
+
+
+def _plane_curvature_rows(xi, p, x, y) -> np.ndarray:
+    """``submanifold_plane_curvature_array`` without its checks, for rows
+    checked where they were made (``stacked_points``, ``frames_at``)."""
     xiv = xi.value_array(p)
     ax = shape_apply_array(xi, p, x[:, None])[:, 0]  # A x[i] at p[i]
     a = np.vecdot(xiv, x)

@@ -685,19 +685,21 @@ def poison(name, row, when, value=np.nan, owner=cli):
 
 
 def bent_last_plane_batch(mp):
-    """Plane 3 of the last, partial run of SCAN_RUN submanifold planes is
-    not tangent."""
+    """Plane 3 of the last, partial run of SCAN_RUN submanifold planes gets
+    a frame row that is not tangent, which the check of ``frames_at``, the
+    scan's one check of its frames, refuses: its projected draws, (4, 3,
+    ambient) on S^3, are bent before their Gram-Schmidt."""
     set_run(mp, SCAN_RUN, cli._submanifold_row_bytes(S3))
-    real = SphereSpec.frames_at
+    real = SphereSpec.project_array
 
-    def bend(self, p, raw):
-        frames = real(self, p, raw)
-        if len(raw) < SCAN_RUN:
-            frames = frames.copy()
-            frames[3, 1] += 1e-3 * p[3]
-        return frames
+    def bend(self, p, vec):
+        out = real(self, p, vec)
+        if out.shape[:2] == (4, S3.dim):
+            out = out.copy()
+            out[3, 1] += 1e-3 * p[3]
+        return out
 
-    mp.setattr(SphereSpec, "frames_at", bend)
+    mp.setattr(SphereSpec, "project_array", bend)
 
 
 def nan_shape_matrix_at_row_2(mp):
@@ -773,7 +775,7 @@ ROWS += [
 # a value that min() and max() drop; plane 5 of the last run of 8 planes
 k = SCAN_RUN + 5
 for case, mode, name, message, plane in [
-        ("submanifold", "submanifold", "submanifold_plane_curvature_array",
+        ("submanifold", "submanifold", "_plane_curvature_rows",
          "non-finite curvature", rf"submanifold plane {k}, seed tuple \(0, {k}\)"),
         ("cross-check", "submanifold", "bundle_sectional_curvature_array",
          "non-finite bundle-route curvature",

@@ -6,6 +6,7 @@ import pytest
 import tgeo.manifold as manifold
 from tgeo import (DegenerateInputError, Frame, SingularData, SpherePoint,
                   TangentVector, hopf_field, meridian_field, shape_apply_array)
+from tgeo.fields import _perp_triples
 from tgeo.manifold import unit_rows
 
 # the tables' asserts report their operands as the tests' own do
@@ -128,6 +129,13 @@ def random_frame(p, rng):
     sphere = p.sphere
     raw = rng.standard_normal((1, sphere.dim, sphere.ambient_dim))
     return Frame(p, sphere.frames_at(p.coords[None], raw)[0])
+
+
+def on_triples(predicate):
+    """``is_normal`` or ``is_strongly_normal`` as a function of (xi, P): on
+    the direction triples ``_perp_triples`` draws at P, as the predicates
+    suite hands them over."""
+    return lambda xi, P: predicate(xi, P, _perp_triples(xi, P))
 
 
 def record_row(sd, k):

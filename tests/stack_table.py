@@ -56,8 +56,8 @@ from tgeo.sasaki import (bundle_sectional_curvature_array, meridian_obstruction,
 from tgeo.variation import (_LI, _LJ, _LK, _family_stack, _fiber_residual_rows,
                             _fiber_residuals, _horizontal_seed)
 
-from conftest import (Check, assert_same, frame_rows, point_stack, random_frame,
-                      random_tangent, record_row, ref_gram_schmidt,
+from conftest import (Check, assert_same, frame_rows, on_triples, point_stack,
+                      random_frame, random_tangent, record_row, ref_gram_schmidt,
                       ref_half_curvature, ref_second_form_direct,
                       ref_second_form_lemma, seeded_points)
 
@@ -408,8 +408,8 @@ for key in FIELDS:
                    lambda s, k: np.array([
                        half_curvature(s.xi, s.coords[k // 4], s.x[k // 4, k % 4], y)
                        for y in s.grid[k // 4, k % 4]]))]
-    predicates = [(is_normal, ref_is_normal),
-                  (is_strongly_normal, ref_is_strongly_normal),
+    predicates = [(on_triples(is_normal), ref_is_normal),
+                  (on_triples(is_strongly_normal), ref_is_strongly_normal),
                   (sasakian_identity_residual, ref_sasakian_identity_residual)]
     ROWS += [Stack(test.format("predicates_match_per_direction_loops"),
                    partial(field_points, key, 20, 34), stacked(fn),

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import tgeo.cli as cli
+import tgeo.fields as fields
 from tgeo import (SphereSpec, UnitVectorField, is_strongly_normal, meridian_field,
                   sasakian_identity_residual, second_form_direct,
                   singular_decomposition)
 import bad_rows
 import stack_table
-from conftest import printed_tests, run_lengths, seeded_points, set_run
+from conftest import on_triples, printed_tests, run_lengths, seeded_points, set_run
 from stack_table import FIELDS
 
 globals().update(printed_tests(__name__, stack_table.ROWS + bad_rows.ROWS))
@@ -57,11 +58,36 @@ def counted(monkeypatch):
 def test_predicates_differentiate_once_per_point(counted):
     xi, counts = counted
     P = seeded_points(xi, 1, seed=35)[0].coords[None]
-    is_strongly_normal(xi, P)
+    on_triples(is_strongly_normal)(xi, P)
     assert counts == {"fd": 1, "jacobian": 2}
     counts.update(fd=0, jacobian=0)
     sasakian_identity_residual(xi, P)
     assert counts == {"fd": 2, "jacobian": 3}
+
+
+def test_predicates_suite_draws_its_triples_once(monkeypatch, capsys):
+    """One run of the predicates suite draws its direction triples once, for
+    both normality checks: one ``_perp_triples`` call, and one tangent check
+    of its (N, 96, ambient) rows."""
+    real_triples, real_check = fields._perp_triples, fields._check_tangent_stack
+    drawn, checked = [], []
+
+    def triples(xi, P):
+        drawn.append(len(P))
+        return real_triples(xi, P)
+
+    def check(radius, coords, vecs):
+        checked.append(vecs.shape)
+        return real_check(radius, coords, vecs)
+
+    monkeypatch.setattr(fields, "_perp_triples", triples)
+    monkeypatch.setattr(cli, "_perp_triples", triples, raising=False)
+    monkeypatch.setattr(fields, "_check_tangent_stack", check)
+    assert cli.main(["verify", "predicates", "--field", "meridian",
+                     "--samples", "30"]) == 0
+    capsys.readouterr()
+    assert drawn == [30]
+    assert checked.count((30, 3 * fields.PREDICATE_SAMPLES, 4)) == 1
 
 
 def test_direct_route_evaluates_the_jacobian_once_per_side(counted):

@@ -30,7 +30,7 @@ from tgeo import (
 )
 from tgeo.fields import TOL_ANALYTIC
 from tgeo.sasaki import second_form_direct, second_form_lemma, xi_normal_lift_array
-from conftest import frame_rows, random_tangent, seeded_points
+from conftest import frame_rows, on_triples, random_tangent, seeded_points
 
 
 def test_complex_structure_squares_to_minus_identity():
@@ -243,8 +243,8 @@ def test_hopf_predicate_profile(hopf3):
     P = hopf3.sphere.random_point(np.random.default_rng(14)).coords[None]
     assert is_geodesic(hopf3, P)[0] <= TOL_ANALYTIC
     assert is_killing(hopf3, P)[0] <= TOL_ANALYTIC
-    assert is_normal(hopf3, P)[0] <= 1e-10
-    assert is_strongly_normal(hopf3, P)[0] <= TOL_ANALYTIC
+    assert on_triples(is_normal)(hopf3, P)[0] <= 1e-10
+    assert on_triples(is_strongly_normal)(hopf3, P)[0] <= TOL_ANALYTIC
 
 
 def test_meridian_predicate_profile(meridian2):

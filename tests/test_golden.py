@@ -62,7 +62,14 @@ VERIFY = [("verify", "totally-geodesic", "--radius", "1e4"),
           ("verify", "codazzi", "--dim", "5"),
           ("verify", "obstruction", "--dim", "5"),
           ("variation", "--dim", "7")]
-CASES = SCANS + SVD + VERIFY
+# the predicates suite: the Hopf field across dimensions and off unit radius,
+# where the Sasakian residual is expected nonzero, and the meridian field
+PREDICATES = [("verify", "predicates", *args, "--samples", "8")
+              for args in (("--dim", "3"), ("--dim", "5"), ("--dim", "7"),
+                           ("--radius", "2"),
+                           ("--field", "meridian", "--dim", "5"),
+                           ("--field", "meridian", "--dim", "3", "--radius", "1e-3"))]
+CASES = SCANS + SVD + VERIFY + PREDICATES
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 

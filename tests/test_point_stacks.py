@@ -26,8 +26,9 @@ from tgeo import (PreconditionError, UnitVectorField, half_curvature, hopf_field
                   second_form_direct, singular_decomposition)
 import bad_rows
 import stack_table
-from conftest import (Check, printed_tests, ref_gram_schmidt, ref_second_form_direct,
-                      ref_second_form_lemma, run_lengths, seeded_points, set_run)
+from conftest import (Check, on_triples, printed_tests, ref_gram_schmidt,
+                      ref_second_form_direct, ref_second_form_lemma, run_lengths,
+                      seeded_points, set_run)
 from stack_table import route_stack
 
 
@@ -109,8 +110,9 @@ def obstruction(xi, p, rng):
 
 def predicates(xi, p, rng):
     return {name: fn(xi, p.coords[None])[0] for name, fn in [
-        ("geodesic", is_geodesic), ("killing", is_killing), ("normal", is_normal),
-        ("strongly-normal", is_strongly_normal),
+        ("geodesic", is_geodesic), ("killing", is_killing),
+        ("normal", on_triples(is_normal)),
+        ("strongly-normal", on_triples(is_strongly_normal)),
         ("sasakian", sasakian_identity_residual)]}
 
 

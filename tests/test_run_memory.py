@@ -2,10 +2,10 @@
 
 A stacked run (a verify suite's samples, a scan's planes, the quadrature's
 points, the S^3 family's fields) takes as many rows as ``manifold._RUN_BYTES``
-holds at its caller's bytes per row, a formula in the dimension. Each
-formula must bound the bytes a row is traced to take, by no more than three
-times; a whole command then peaks at about one run's worth, however many
-rows it has.
+holds at its caller's bytes per row, a formula in the dimension, and at most
+``manifold._RUN_ROWS``. Each formula must bound the bytes a row is traced
+to take, by no more than three times; a whole command then peaks at about
+one run's worth, however many rows it has.
 """
 
 import contextlib
@@ -96,6 +96,7 @@ def test_row_bytes_bound_the_traced_bytes(monkeypatch, run, rows, row_bytes):
     one run of ``rows``, divided by ``rows``) are at most the formula's, and
     at least a third of it."""
     monkeypatch.setattr(manifold, "_RUN_BYTES", 1 << 40)
+    monkeypatch.setattr(manifold, "_RUN_ROWS", 1 << 40)
     run(rows)  # first-call allocations
     per_row = (traced_peak(lambda: run(2 * rows)) - traced_peak(lambda: run(rows))) / rows
     assert row_bytes / 3 <= per_row <= row_bytes
@@ -123,3 +124,16 @@ def test_bundle_scan_run_stays_in_the_budget(monkeypatch):
     peak = traced_peak(lambda: scan("bundle", 15)(2 * run + 1))
     assert runs == [run, run, 1]
     assert peak <= 1.25 * manifold._RUN_BYTES
+
+
+def test_long_scan_stays_at_one_run_of_rows(monkeypatch):
+    """Cheap rows are capped by count: 10,000 S^3 planes of both scans are
+    ten runs of each, and the command's traced peak stays within 1 MB of
+    that of 800 planes, one run, with the curvature columns kept (10,000
+    planes in one run, about 10 MB, do not)."""
+    runs = run_lengths(monkeypatch)
+    scan("both", 3)(20)  # first-call allocations
+    runs.clear()
+    peaks = [traced_peak(lambda: scan("both", 3)(n)) for n in (800, 10_000)]
+    assert runs == [800, 800] + 2 * ([manifold._RUN_ROWS] * 9 + [784])
+    assert peaks[1] - peaks[0] < 1 << 20, peaks

@@ -167,8 +167,9 @@ def test_verify_seeds_each_chunk_in_one_call(monkeypatch, capsys):
 
 def test_meridian_predicates_seed_chunks_and_replays(monkeypatch, capsys):
     """Per run: its stream check, a generator per cap replay, then the
-    predicates' own three default_rng(0) draws of directions; 130 samples
-    are three runs."""
+    predicates' own two default_rng(0) draws of directions (the triples of
+    both normality checks, then the Sasakian pairs); 130 samples are three
+    runs."""
     run = runs_of_64(monkeypatch, "predicates")
     xi = cli.build_field(cli.RunConfig(command="verify", field="meridian"))
     seed = 2 ** 32
@@ -189,6 +190,6 @@ def test_meridian_predicates_seed_chunks_and_replays(monkeypatch, capsys):
     for start in range(0, 130, run):
         want += [(seed, start)]
         want += [(seed, idx) for idx in caps if start <= idx < start + run]
-        want += [0, 0, 0]
+        want += [0, 0]
     assert calls == want
-    assert calls.count(0) == 3 * 3
+    assert calls.count(0) == 2 * 3

@@ -34,8 +34,8 @@ from tgeo.manifold import unit_rows
 from tgeo.sasaki import (_xi_frame_rows, hopf_pattern_peak, hopf_pattern_split,
                          meridian_obstruction, xi_normal_lift_array)
 import stack_table
-from conftest import (assert_identical, frame_rows, point_stack, printed_tests,
-                      random_frame, random_tangent, seeded_points)
+from conftest import (assert_identical, frame_rows, on_triples, point_stack,
+                      printed_tests, random_frame, random_tangent, seeded_points)
 
 globals().update(printed_tests(__name__, stack_table.ROWS))
 
@@ -294,7 +294,7 @@ def test_kernels_check_each_vector_where_it_is_made(hopf7, monkeypatch):
         before = dict(counts)
         second_form_lemma(hopf7, P, sd)
         second_form_direct(hopf7, P, sd)
-        is_strongly_normal(hopf7, P)
+        on_triples(is_strongly_normal)(hopf7, P)
         sasakian_identity_residual(hopf7, P)
         assert counts == before
 
