@@ -25,6 +25,7 @@ from .manifold import (
     DegenerateInputError,
     DegeneratePlaneError,
     SpherePoint,
+    _check_tangent_stack,
     _row_norms,
     gram_schmidt_rows,
     stream_chunks,
@@ -56,6 +57,7 @@ from .fields import (
     singular_decomposition,
 )
 from .sasaki import (
+    _bundle_curvature_rows,
     _plane_curvature_rows,
     bundle_sectional_curvature_array,
     geodesic_field_obstruction,
@@ -439,8 +441,9 @@ def _scan_submanifold(xi, config) -> tuple:
         if m > 0:
             u, x1, x2 = xi_tangential_lift_array(xi, p[:m], X[:m])
             _, y1, y2 = xi_tangential_lift_array(xi, p[:m], Y[:m])
-            gap[:m] = np.abs(K[:m] - bundle_sectional_curvature_array(
-                sphere, p[:m], u, x1, x2, y1, y2))
+            # the rows the lifts make; x1 = X and y1 = Y were checked by frames_at
+            _check_tangent_stack(sphere.radius, p[:m], np.stack((u, x2, y2), axis=1))
+            gap[:m] = np.abs(K[:m] - _bundle_curvature_rows(sphere, u, x1, x2, y1, y2, 2))
         return {"curvature": K, "bundle-route curvature": gap}
 
     columns = stream_chunks(config.seed, 0, config.planes,

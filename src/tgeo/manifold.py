@@ -9,6 +9,7 @@ constant-curvature geometry with no chart bookkeeping.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -166,8 +167,8 @@ def _matvec_rows(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 # idx)): a SeedSequence over the words of seed and idx seeds a PCG64.
 # stream_normals seeds a whole block of such streams at once with the
 # constants of numpy's SeedSequence (bit_generator.pyx) and of PCG64's
-# seeding (pcg64.h). NEP 19 keeps both streams fixed across numpy releases;
-# each call checks its first row against default_rng all the same.
+# seeding (pcg64.h). NEP 19 keeps both streams fixed across numpy releases,
+# not the layout of a PCG64's state in memory: each call checks both.
 
 _SEED_POOL = 4
 _SEED_INIT_A = 0x43B0D7E5
@@ -176,25 +177,22 @@ _SEED_INIT_B = 0x8B51F9DD
 _SEED_MULT_B = 0x58F38DED
 _SEED_MIX_L = 0xCA01F9DD
 _SEED_MIX_R = 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 1 << 64)
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
+_DIFFERS = "numpy {} seeds default_rng((seed, idx)) streams differently from stream_normals"
+# indices of the hash constants as pool word src mixes into word dst (any at dst = src)
+_MIX_AT = np.array([[4 + 3 * src + dst - (dst >= src) for dst in range(4)] for src in range(4)])
 
 
 def _words(n: int) -> list:
     """SeedSequence's little-endian 32-bit words of a non-negative int."""
-    out = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        out.append(n & _MASK32)
-    return out
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
 def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
     """SeedSequence's hash constant over ``count`` hash calls, const * mult**t
     as uint32: call t xors in entry t and multiplies by entry t + 1."""
-    return np.cumprod(np.array([const] + [mult] * count, np.uint32),
-                     dtype=np.uint32)
+    return np.cumprod(np.array([const] + [mult] * count, np.uint32), dtype=np.uint32)
 
 
 def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -208,34 +206,54 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _pcg64_states(entropy: np.ndarray) -> list:
-    """PCG64's (state, inc) after seeding from ``SeedSequence(row)`` for
-    each row of the (N, L) uint32 ``entropy``, as Python ints."""
+def _mul64(x: np.ndarray, y: int) -> tuple:
+    """The low and high uint64 words of the 128-bit x * y, for uint64 ``x``."""
+    x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
+    mid = x1 * y0 + (x0 * y0 >> 32)  # each partial sum stays below 2**64
+    return x * y, x1 * y1 + (mid >> 32) + (x0 * y1 + (mid & _MASK32) >> 32)
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """PCG64's state seeded from ``SeedSequence(row)`` for each row of the (N,
+    L) uint32 ``entropy``: (N, 4) uint64 words state lo, hi and inc lo, hi."""
     n, width = len(entropy), entropy.shape[1]
     const = _hash_consts(_SEED_INIT_A, _SEED_MULT_A, _SEED_POOL * max(_SEED_POOL, width))
-    with np.errstate(over="ignore"):
-        # a pool word past the entropy hashes 0, as a zero column does
-        pool = np.zeros((n, _SEED_POOL), np.uint32)
-        pool[:, :width] = entropy[:, :_SEED_POOL]
-        pool = _hash(pool, const[:_SEED_POOL + 1])
-        # a source word is hashed once for each other word it mixes into
-        for src in range(_SEED_POOL):
-            t = _SEED_POOL + (_SEED_POOL - 1) * src
-            dst = np.arange(_SEED_POOL) != src
-            pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None],
-                                                    const[t:t + _SEED_POOL]))
-        for src in range(_SEED_POOL, width):
-            t = _SEED_POOL * src
-            pool = _mix(pool, _hash(entropy[:, src, None],
-                                    const[t:t + _SEED_POOL + 1]))
-        # generate_state(4, np.uint64): eight words, two per uint64
-        state = _hash(pool[:, np.arange(8) % _SEED_POOL],
-                      _hash_consts(_SEED_INIT_B, _SEED_MULT_B, 8))
-    # pcg_setseq_128_srandom_r, initstate (w0, w1) and initseq (w2, w3)
-    words = np.ascontiguousarray(state, dtype="<u4").view("<u8").tolist()
-    return [(((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc)
-            for w0, w1, w2, w3 in words
-            for inc in [(w2 << 65 | w3 << 1 | 1) & _MASK128]]
+    # a pool word past the entropy hashes 0, as a zero column does
+    pool = np.zeros((n, _SEED_POOL), np.uint32)
+    pool[:, :width] = entropy[:, :_SEED_POOL]
+    pool = _hash(pool, const[:_SEED_POOL + 1])
+    # a source word is hashed once for each other word it mixes into; its
+    # own column is mixed too, then put back
+    for src, at in enumerate(_MIX_AT):
+        keep = pool[:, src]
+        value = (keep[:, None] ^ const[at]) * const[at + 1]
+        pool = _mix(pool, value ^ (value >> np.uint32(16)))
+        pool[:, src] = keep
+    for src in range(_SEED_POOL, width):
+        t = _SEED_POOL * src
+        pool = _mix(pool, _hash(entropy[:, src, None], const[t:t + _SEED_POOL + 1]))
+    # generate_state(4, np.uint64): eight words, two per uint64
+    state = _hash(np.concatenate((pool, pool), axis=1),
+                  _hash_consts(_SEED_INIT_B, _SEED_MULT_B, 8))
+    # pcg_setseq_128_srandom_r, initstate w0:w1 and initseq w2:w3, high word
+    # first: state = (inc + initstate) MULT + inc mod 2**128, in uint64 words
+    w0, w1, w2, w3 = np.ascontiguousarray(state, dtype="<u4").view("<u8").T
+    inc_lo, inc_hi = w3 << 1 | 1, w2 << 1 | w3 >> 63
+    a_lo = inc_lo + w1  # (a_hi, a_lo) = inc + initstate, carry (a_lo < inc_lo)
+    a_hi = inc_hi + w0 + (a_lo < inc_lo)
+    lo, hi = _mul64(a_lo, _PCG_MULT_LO)
+    s_lo = lo + inc_lo
+    s_hi = hi + a_lo * _PCG_MULT_HI + a_hi * _PCG_MULT_LO + inc_hi + (s_lo < lo)
+    return np.array((s_lo, s_hi, inc_lo, inc_hi)).T
+
+
+def _state_order(fresh: np.ndarray, row0: np.ndarray) -> list:
+    """Columns of ``_pcg64_states`` in the order of ``fresh``, a PCG64's state
+    words in memory seeded as ``row0``: low first, or high (emulated pcg128_t)."""
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if fresh.tolist() == row0[order].tolist():
+            return order
+    raise RuntimeError(_DIFFERS.format(np.__version__))
 
 
 def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
@@ -243,16 +261,16 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     the standard normals of ``np.random.default_rng((seed, first + j))``,
     bit for bit; returns ``out``.
 
-    The streams are seeded together and drawn through one reused PCG64. Row
-    0 is also drawn through ``default_rng``; a numpy whose streams differ
-    from the seeding reproduced here is refused with ``RuntimeError``.
+    The streams are seeded together and drawn through row 0's ``default_rng``,
+    each row writing its state words there. A numpy whose fresh state or row
+    0 draw differs from the seeding reproduced here is refused (RuntimeError).
     """
     gen = np.random.default_rng((seed, first))
+    # PCG64's state struct opens with a pointer to its 128-bit state and inc
+    live = np.frombuffer((ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(
+        gen.bit_generator.ctypes.state_address).value), np.uint64)
+    fresh = live.copy()
     check = gen.standard_normal(out.shape[1:])
-    bitgen = gen.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
-             "uinteger": 0}
     head = _words(seed)
     j = 0
     while j < len(out):
@@ -260,17 +278,18 @@ def stream_normals(seed: int, first: int, out: np.ndarray) -> np.ndarray:
         # and the length of its entropy, are those of every row
         words = _words(first + j)
         stop = min(len(out), j + (1 << 32) - words[0])
-        entropy = np.tile(np.array(head + words, np.uint32), (stop - j, 1))
+        entropy = np.array([head + words], np.uint32).repeat(stop - j, axis=0)
         entropy[:, len(head)] += np.arange(stop - j, dtype=np.uint32)
-        for k, (pcg["state"], pcg["inc"]) in enumerate(_pcg64_states(entropy),
-                                                      start=j):
-            bitgen.state = state
-            gen.standard_normal(out=out[k])
+        table = _pcg64_states(entropy)
+        if not j:
+            order = _state_order(fresh, table[0])
+        # only standard_normal draws here, so has_uint32 stays 0 as fresh
+        for row, dest in zip(table[:, order], out[j:stop]):
+            live[...] = row
+            gen.standard_normal(out=dest)
         j = stop
     if not np.array_equal(out[0], check):
-        raise RuntimeError(
-            f"numpy {np.__version__} seeds default_rng((seed, idx)) streams "
-            "differently from stream_normals")
+        raise RuntimeError(_DIFFERS.format(np.__version__))
     return out
 
 

@@ -345,19 +345,22 @@ def bundle_sectional_curvature_array(sphere: SphereSpec, p: np.ndarray,
     one-plane function; ``_stacklevel`` lets that function point the warning
     at its own caller.
     """
-    r = sphere.radius
-    _check_points_stack(r, p)
-    _check_tangent_stack(r, p, np.stack((u, x1, x2, y1, y2), axis=1))
+    _check_points_stack(sphere.radius, p)
+    _check_tangent_stack(sphere.radius, p, np.stack((u, x1, x2, y1, y2), axis=1))
+    return _bundle_curvature_rows(sphere, u, x1, x2, y1, y2, _stacklevel + 1)
+
+
+def _bundle_curvature_rows(sphere, u, x1, x2, y1, y2, stacklevel) -> np.ndarray:
+    """``bundle_sectional_curvature_array`` past its point and tangent checks."""
     _require_rows(np.abs(_row_norms(u) - 1.0) <= 1e-9, DegenerateInputError,
                   "anchor must be a unit vector (a point of T1M)")
-
     parts = []
     for h, v in ((x1, x2), (y1, y2)):
         c = np.vecdot(v, u)
         stray = np.abs(c) > 1e-8 * np.maximum(1.0, _row_norms(v))
         for row in np.flatnonzero(stray):
             warnings.warn(f"projecting vertical part: anchor component {c[row]:.3e}",
-                          stacklevel=_stacklevel)
+                          stacklevel=stacklevel)
         parts.append((h, v - c[:, None] * u))
 
     # A numpy scalar's ** 2 is libm pow, which float_power keeps on arrays;

@@ -777,7 +777,7 @@ k = SCAN_RUN + 5
 for case, mode, name, message, plane in [
         ("submanifold", "submanifold", "_plane_curvature_rows",
          "non-finite curvature", rf"submanifold plane {k}, seed tuple \(0, {k}\)"),
-        ("cross-check", "submanifold", "bundle_sectional_curvature_array",
+        ("cross-check", "submanifold", "_bundle_curvature_rows",
          "non-finite bundle-route curvature",
          rf"submanifold plane {k}, seed tuple \(0, {k}\)"),
         ("bundle", "bundle", "bundle_sectional_curvature_array", "non-finite curvature",

@@ -306,6 +306,60 @@ def test_stream_normals_refuses_a_seeding_that_differs(monkeypatch):
         stream_normals(3, 0, np.empty((2, 4)))
 
 
+def pcg64_words(entropy):
+    """numpy's own seeding of ``entropy``: the state lo, state hi, inc lo
+    and inc hi words of PCG64(SeedSequence(entropy))."""
+    pcg = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
+    return [w >> shift & (2 ** 64 - 1) for w in (pcg["state"], pcg["inc"])
+            for shift in (0, 64)]
+
+
+# the seeds and index blocks of test_stream_normals_match_default_rng; the
+# block across 2**32 is two tables, as stream_normals seeds it in two passes
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3, 2 ** 200 + 5])
+@pytest.mark.parametrize("first, rows", [(0, 6), (10 ** 9, 6), (2 ** 32 - 3, 3),
+                                         (2 ** 32, 3)])
+def test_pcg64_states_match_numpy_seeding(seed, first, rows):
+    entropy = np.array([manifold._words(seed) + manifold._words(first + j)
+                        for j in range(rows)], np.uint32)
+    table = manifold._pcg64_states(entropy)
+    assert table.dtype == np.uint64 and table.shape == (rows, 4)
+    assert table.tolist() == [pcg64_words(row) for row in entropy]
+
+
+@pytest.mark.parametrize("word", range(4))
+@pytest.mark.parametrize("bit", [0, 63])
+def test_stream_normals_refuse_a_wrong_row_0_before_writing(monkeypatch, word, bit):
+    """A table whose row 0 differs from the fresh generator's state in one
+    bit is refused before any state is written or any row drawn."""
+    real = manifold._pcg64_states
+
+    def flipped(entropy):
+        table = real(entropy)
+        table[0, word] ^= np.uint64(1 << bit)
+        return table
+
+    monkeypatch.setattr(manifold, "_pcg64_states", flipped)
+    out = np.full((3, 2, 4), np.nan)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds"):
+        stream_normals(3, 0, out)
+    assert np.isnan(out).all()
+
+
+def test_state_order_takes_either_word_order_and_refuses_others():
+    """A native __uint128_t lays out each 128-bit word low half first,
+    numpy's emulated pcg128_t high half first; state words in any other
+    order are refused."""
+    row0 = manifold._pcg64_states(np.array([[3, 0]], np.uint32))[0]
+    low_first = row0.copy()
+    high_first = row0[[1, 0, 3, 2]].copy()
+    assert manifold._state_order(low_first, row0) == [0, 1, 2, 3]
+    assert manifold._state_order(high_first, row0) == [1, 0, 3, 2]
+    for fresh in (row0[[0, 1, 3, 2]], row0[[2, 3, 0, 1]], row0[[1, 0, 2, 3]]):
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds"):
+            manifold._state_order(fresh, row0)
+
+
 def test_stream_chunks_hand_out_runs_and_name_a_failing_index():
     """Each run gets the draws of its streams (seed, stream0 + idx), the
     named values are collected over the runs, and a row failure, a non-finite

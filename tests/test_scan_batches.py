@@ -154,8 +154,9 @@ def test_bundle_scan_checks_each_run_once(capsys, monkeypatch):
 def test_submanifold_scan_checks_each_run_once(capsys, monkeypatch):
     """A submanifold scan's frames are checked once per run, by
     ``frames_at``: the curvature kernel reads them unchecked. The
-    cross-check's bundle kernel checks the lifts it reads, and the designated
-    sections, which no sampler made, are checked as their two planes."""
+    cross-check checks only the rows its lifts make, the anchor and the two
+    vertical parts, and the designated sections, which no sampler made, are
+    checked as their two planes."""
     real = manifold._check_tangent_stack
     shapes = []
 
@@ -163,8 +164,8 @@ def test_submanifold_scan_checks_each_run_once(capsys, monkeypatch):
         shapes.append(vecs.shape)
         return real(radius, coords, vecs)
 
-    for module in (manifold, sasaki):
+    for module in (manifold, sasaki, cli):
         monkeypatch.setattr(module, "_check_tangent_stack", counted)
     assert cli.main(["scan-curvature", "--mode", "submanifold", "--planes", "20"]) == 0
     capsys.readouterr()
-    assert shapes == [(20, 3, 4), (20, 5, 4), (2, 2, 4)]
+    assert shapes == [(20, 3, 4), (20, 3, 4), (2, 2, 4)]
