@@ -62,6 +62,10 @@ VERIFY = [("verify", "totally-geodesic", "--radius", "1e4"),
           ("verify", "codazzi", "--dim", "5"),
           ("verify", "obstruction", "--dim", "5"),
           ("variation", "--dim", "7")]
+# the second variation: the S^3 stable family and the fiber witness on S^5
+# and S^15
+VARIATION = [("variation", "--dim", dim, "--samples", samples)
+             for dim, samples in (("3", "2"), ("5", "8"), ("15", "8"))]
 # the predicates suite: the Hopf field across dimensions and off unit radius,
 # where the Sasakian residual is expected nonzero, and the meridian field
 PREDICATES = [("verify", "predicates", *args, "--samples", "8")
@@ -69,7 +73,7 @@ PREDICATES = [("verify", "predicates", *args, "--samples", "8")
                            ("--radius", "2"),
                            ("--field", "meridian", "--dim", "5"),
                            ("--field", "meridian", "--dim", "3", "--radius", "1e-3"))]
-CASES = SCANS + SVD + VERIFY + PREDICATES
+CASES = SCANS + SVD + VERIFY + VARIATION + PREDICATES
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
