@@ -59,7 +59,6 @@ from .fields import (
 from .sasaki import (
     _bundle_curvature_rows,
     _plane_curvature_rows,
-    bundle_sectional_curvature_array,
     geodesic_field_obstruction,
     hopf_pattern_peak,
     hopf_pattern_split,
@@ -88,7 +87,8 @@ _OPTIONS = {
     "field": {"choices": ("hopf", "meridian")},
     "dim": {"type": int},
     "radius": {"type": float},
-    "samples": {"type": int},
+    "samples": {"type": int, "help": "sample points; variation --dim 3 also "
+                                     "checks that many on each of its 100 fields"},
     "planes": {"type": int},
     "mode": {"choices": ("submanifold", "bundle", "both")},
     "fiber_steps": {"type": int},
@@ -150,9 +150,7 @@ class RunConfig:
 def build_field(config: RunConfig) -> UnitVectorField:
     if config.field == "hopf":
         return hopf_field((config.dim - 1) // 2, config.radius)
-    axis = np.zeros(config.dim + 1)
-    axis[0] = 1.0
-    return meridian_field(axis, config.radius)
+    return meridian_field(np.eye(config.dim + 1)[0], config.radius)
 
 
 def _in_cap(xi: UnitVectorField, coords: np.ndarray):
@@ -389,8 +387,7 @@ def cmd_verify(config: RunConfig) -> int:
     t0 = time.perf_counter()
     report = _SUITE_RUNNERS[config.suite](config)
     report.wall_time_s = time.perf_counter() - t0
-    _emit([report], config)
-    return 0 if report.ok else 1
+    return _emit([report], config)
 
 
 # -- curvature scan ----------------------------------------------------------
@@ -489,13 +486,13 @@ def _scan_bundle(xi, config) -> tuple:
 
     def curvatures(start, draws):
         # five tangents per plane: the anchor u, then hx, vx, hy, vy; the
-        # kernel checks the rows it reads
+        # points were checked by stacked_points, the tangents are checked here
         p = sphere.stacked_points(draws[:, 0])
         t = sphere.project_array(p[:, None], draws[:, 1:])
-        u = unit_rows(t[:, 0])
+        u, hx, hy = unit_rows(t[:, 0]), t[:, 1], t[:, 3]
         vx, vy = (tangential_lift_array(v, u) for v in (t[:, 2], t[:, 4]))
-        return {"curvature": bundle_sectional_curvature_array(
-            sphere, p, u, t[:, 1], vx, t[:, 3], vy)}
+        _check_tangent_stack(sphere.radius, p, np.stack((u, hx, vx, hy, vy), axis=1))
+        return {"curvature": _bundle_curvature_rows(sphere, u, hx, vx, hy, vy, 2)}
 
     ks = stream_chunks(config.seed, 10 ** 9, config.planes,
                        _bundle_row_bytes(sphere), (6, sphere.ambient_dim),
@@ -538,8 +535,7 @@ def cmd_variation(config: RunConfig) -> int:
     from .variation import stability_verdict
     report = stability_verdict(config.dim, samples=config.samples,
                                fiber_steps=config.fiber_steps, seed=config.seed)
-    _emit([report], config)
-    return 0 if report.ok else 1
+    return _emit([report], config)
 
 
 # -- svd ----------------------------------------------------------------------
@@ -597,8 +593,7 @@ def cmd_svd(config: RunConfig) -> int:
         name="svd", parameters=_params(config), samples=1,
         max_residual=assembly, tolerance=tol, verdict=verdict, notes=notes,
         wall_time_s=time.perf_counter() - t0)
-    _emit([rep], config)
-    return 0 if rep.ok else 1
+    return _emit([rep], config)
 
 
 # -- plumbing -------------------------------------------------------------------
@@ -628,9 +623,11 @@ def _write_text(text: str, config: RunConfig) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit(reports: list, config: RunConfig) -> None:
+def _emit(reports: list, config: RunConfig) -> int:
+    """Write the reports; the exit code is 0 when every report passed."""
     to_text = reports_to_csv if config.format == "csv" else reports_to_json
     _write_text(to_text(reports), config)
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _parse_config_file(path: str, command: str) -> dict:

@@ -469,14 +469,14 @@ def wrapper_planes():
 
 
 def collapse_row_7(mp):
-    real = cli.bundle_sectional_curvature_array
+    real = cli._bundle_curvature_rows
 
-    def collapse(sphere, p, u, x1, x2, y1, y2):
+    def collapse(sphere, u, x1, x2, y1, y2, stacklevel):
         y1, y2 = y1.copy(), y2.copy()
         y1[7], y2[7] = x1[7], x2[7]
-        return real(sphere, p, u, x1, x2, y1, y2)
+        return real(sphere, u, x1, x2, y1, y2, stacklevel)
 
-    mp.setattr(cli, "bundle_sectional_curvature_array", collapse)
+    mp.setattr(cli, "_bundle_curvature_rows", collapse)
 
 
 sb = "test_scan_batches::test_"
@@ -780,7 +780,7 @@ for case, mode, name, message, plane in [
         ("cross-check", "submanifold", "_bundle_curvature_rows",
          "non-finite bundle-route curvature",
          rf"submanifold plane {k}, seed tuple \(0, {k}\)"),
-        ("bundle", "bundle", "bundle_sectional_curvature_array", "non-finite curvature",
+        ("bundle", "bundle", "_bundle_curvature_rows", "non-finite curvature",
          rf"bundle plane {k}, seed tuple \(0, {10 ** 9 + k}\)")]:
     row_bytes = getattr(cli, f"_{mode}_row_bytes")(S3)
     ROWS.append(Bad(f"{tc}scan_non_finite_curvature_exits_three[{case}]",

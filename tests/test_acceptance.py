@@ -188,8 +188,7 @@ def test_criterion_4_closed_form_vs_direct_curvature():
 
 def test_criterion_5_s3_stability_pointwise():
     """Integrand >= |eta|^2 / 2 - 1e-3 over 100 fields x 100 points."""
-    rep = stability_verdict(dim=3, field_count=100, samples=100, fiber_steps=64,
-                            seed=5)
+    rep = stability_verdict(dim=3, samples=100, fiber_steps=64, seed=5)
     margin_note = rep.notes[0]
     status = "PASS" if rep.verdict == "stable" else "FAIL"
     print(f"[criterion 5] {margin_note}: {status}")

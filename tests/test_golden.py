@@ -13,7 +13,8 @@ Run as a script, ``python tests/test_golden.py`` reruns the corpus and
 prints a field-level diff for each command that moved: JSON path (for CSV,
 row and column), old value, new value and relative change. With
 ``--rewrite`` it also writes the new reports and exit codes, for a change
-that moves a report on purpose.
+that moves a report on purpose, and deletes the report files and exit
+codes of commands no longer in CASES.
 """
 
 import argparse
@@ -195,6 +196,13 @@ def describe(moved):
     return "\n".join(lines)
 
 
+def stale_entries(codes):
+    """The report files under GOLDEN and the keys of ``codes`` (the exit
+    codes) that belong to no command of CASES."""
+    files = set(GOLDEN.iterdir()) - {EXIT_CODES, *map(golden_path, CASES)}
+    return sorted(files), sorted(set(codes) - set(map(case_name, CASES)))
+
+
 def check(argv, code, text):
     assert code == json.loads(EXIT_CODES.read_text())[case_name(argv)]
     want = golden_path(argv).read_text(encoding="utf-8")
@@ -208,6 +216,32 @@ def check(argv, code, text):
 @pytest.mark.parametrize("argv", CASES, ids=case_name)
 def test_report_matches_golden(argv):
     check(argv, *run(argv))
+
+
+def test_corpus_holds_exactly_the_cases():
+    """Each command of CASES has its own name, and no report file or exit
+    code is left behind by a renamed or dropped command."""
+    assert len(set(map(case_name, CASES))) == len(CASES)
+    assert stale_entries(json.loads(EXIT_CODES.read_text())) == ([], [])
+
+
+def test_rewrite_deletes_stale_entries(monkeypatch, tmp_path, capsys):
+    """``--rewrite`` on a corpus of one command deletes, and prints, the
+    report file and exit code of a command no longer in CASES."""
+    this = sys.modules[__name__]
+    monkeypatch.setattr(this, "CASES", [("svd", "--dim", "3", "--radius", "2")])
+    monkeypatch.setattr(this, "GOLDEN", tmp_path)
+    monkeypatch.setattr(this, "EXIT_CODES", tmp_path / "codes.json")
+    (tmp_path / "svd_dropped.json").write_text("[]\n")
+    (tmp_path / "codes.json").write_text('{"svd_dropped": 0}\n')
+    assert main(["--rewrite"]) == 0
+    out = capsys.readouterr().out
+    assert "deleted stale report svd_dropped.json" in out
+    assert "deleted stale exit code svd_dropped" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "codes.json", "svd_dim_3_radius_2.json"]
+    assert json.loads((tmp_path / "codes.json").read_text()) == {
+        "svd_dim_3_radius_2": 0}
 
 
 def test_run_boundary_moves_no_bit(monkeypatch):
@@ -253,11 +287,19 @@ def main(argv=None):
                 print(describe(rows))
         if args.rewrite:
             path.write_text(text, encoding="utf-8")
+    files, keys = stale_entries(old_codes)
+    verb = "deleted stale" if args.rewrite else "stale"
+    for path in files:
+        print(f"{verb} report {path.name}")
+        if args.rewrite:
+            path.unlink()
+    for name in keys:
+        print(f"{verb} exit code {name}")
     if args.rewrite:
         EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     print(f"{moved} of {len(CASES)} reports moved"
           + (", corpus rewritten" if args.rewrite else ""))
-    return 1 if moved and not args.rewrite else 0
+    return 1 if (moved or files or keys) and not args.rewrite else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Every name a tgeo module or a test module imports must be used in that
-module, and every module-level constant or private function must be read by
-some module (in the tests, every helper and fixture), so a deletion cannot
-leave a stale import, constant or helper behind. The
-library's defaulted options and public names are counted, so a new one is a
-visible change, and every name the benchmark's tracer wraps must exist."""
+module, every module-level constant or private function must be read by
+some module (in the tests, every helper and fixture), and every method or
+property of a tgeo class must be read by some module or named by the
+benchmark's tracer, so a deletion cannot leave a stale import, constant,
+helper or method behind. The library's defaulted options and public names
+are counted, so a new one is a visible change, and every name the
+benchmark's tracer wraps must exist."""
 
 import ast
 import importlib
@@ -29,7 +31,7 @@ DUNDER = re.compile(r"__\w+__")
 
 # The library's defaulted parameters and dataclass fields, as ROADMAP.md
 # states the figure under quality of design.
-LIBRARY_OPTIONS = 7
+LIBRARY_OPTIONS = 6
 
 # The names ``tgeo`` exports, as ROADMAP.md states the figure under quality
 # of design. CI's installed-package check reads the figure from here.
@@ -87,6 +89,23 @@ def unread_definitions(sources: dict, *, tests=False) -> list:
                 read.add(node.arg)
     return sorted(f"{module}.{name} (line {line})"
                   for module, name, line in defined if name not in read)
+
+
+def unread_members(sources: dict, tests: dict, tracer: str) -> list:
+    """Methods and properties of the top-level classes of ``sources``
+    (module name -> source) whose name no module of ``sources`` or of
+    ``tests`` reads as an attribute and whose name the source ``tracer``
+    does not hold. A ``__dunder__`` method is the interpreter's to call, so
+    it counts as read."""
+    read = {node.attr for source in [*sources.values(), *tests.values()]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    read |= set(re.findall(r"\w+", tracer))
+    return sorted(f"{module}.{cls.name}.{fn.name} (line {fn.lineno})"
+                  for module, source in sources.items()
+                  for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  and not DUNDER.fullmatch(fn.name) and fn.name not in read)
 
 
 def defaulted_options(source: str) -> list:
@@ -149,6 +168,21 @@ def test_detects_unread_constant_and_private_function():
                   "def test_a(field):\n    assert field == 1\n"}
     assert unread_definitions(tests, tests=True) == ["t.ref_value (line 8)",
                                                      "t.unused (line 6)"]
+
+
+def test_detects_unread_method_or_property():
+    sources = {"a": "class Spec:\n"
+                    "    def used(self):\n        return self._helper()\n"
+                    "    def _helper(self):\n        return 1\n"
+                    "    @property\n    def dead(self):\n        return 0\n"
+                    "    def traced(self):\n        return 2\n"
+                    "    def __repr__(self):\n        return 'Spec'\n"
+                    "def tested(spec):\n    return spec.used()\n"}
+    tracer = 'TARGETS = [("a", "Spec", "traced")]\n'
+    assert unread_members(sources, {}, tracer) == ["a.Spec.dead (line 7)"]
+    tests = {"t": "def test_dead(spec):\n    assert spec.dead == 0\n"}
+    assert unread_members(sources, tests, tracer) == []
+    assert unread_members(sources, tests, "") == ["a.Spec.traced (line 9)"]
 
 
 def test_counts_defaulted_options():
@@ -220,6 +254,14 @@ def test_no_unread_constants_or_private_functions():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def test_no_unread_methods_or_properties():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    tests = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    assert unread_members(sources, tests, tracer) == []
 
 
 def test_no_unread_test_helpers_or_fixtures():

@@ -134,21 +134,38 @@ def test_one_plane_warning_points_at_the_caller():
     assert str(caught[0].message).startswith("projecting vertical part")
 
 
-def test_bundle_scan_checks_each_run_once(capsys, monkeypatch):
-    """A bundle scan's tangent rows are checked by the kernel that reads
-    them, once per run: the sampler steps add no check of their own."""
-    real = manifold._check_tangent_stack
+def count_checks(monkeypatch, name):
+    """The calls of ``manifold.<name>`` in each module that imports it."""
+    real = getattr(manifold, name)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    for module in (manifold, sasaki):
-        monkeypatch.setattr(module, "_check_tangent_stack", counted)
+    for module in (manifold, sasaki, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bundle_scan_checks_each_run_once(capsys, monkeypatch):
+    """A bundle scan checks its five tangent rows once per run, itself,
+    before the unchecked bundle kernel: the sampler steps add no check of
+    their own."""
+    calls = count_checks(monkeypatch, "_check_tangent_stack")
     assert cli.main(["scan-curvature", "--mode", "bundle", "--planes", "20"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert [vecs.shape for _, _, vecs in calls] == [(20, 5, 4)]
+
+
+def test_bundle_scan_checks_its_points_once(capsys, monkeypatch):
+    """A bundle scan's points are checked once per run, by
+    ``stacked_points``, and not again by the kernel."""
+    calls = count_checks(monkeypatch, "_check_points_stack")
+    assert cli.main(["scan-curvature", "--mode", "bundle", "--planes", "20"]) == 0
+    capsys.readouterr()
+    assert [coords.shape for _, coords in calls] == [(20, 4)]
 
 
 def test_submanifold_scan_checks_each_run_once(capsys, monkeypatch):
@@ -157,15 +174,7 @@ def test_submanifold_scan_checks_each_run_once(capsys, monkeypatch):
     cross-check checks only the rows its lifts make, the anchor and the two
     vertical parts, and the designated sections, which no sampler made, are
     checked as their two planes."""
-    real = manifold._check_tangent_stack
-    shapes = []
-
-    def counted(radius, coords, vecs):
-        shapes.append(vecs.shape)
-        return real(radius, coords, vecs)
-
-    for module in (manifold, sasaki, cli):
-        monkeypatch.setattr(module, "_check_tangent_stack", counted)
+    calls = count_checks(monkeypatch, "_check_tangent_stack")
     assert cli.main(["scan-curvature", "--mode", "submanifold", "--planes", "20"]) == 0
     capsys.readouterr()
-    assert shapes == [(20, 3, 4), (20, 3, 4), (2, 2, 4)]
+    assert [vecs.shape for _, _, vecs in calls] == [(20, 3, 4), (20, 3, 4), (2, 2, 4)]

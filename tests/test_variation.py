@@ -27,7 +27,7 @@ from tgeo import (
     stability_verdict,
 )
 import tgeo.variation as variation
-from tgeo.cli import main
+from tgeo.cli import _OPTIONS, main
 from tgeo.fields import MIN_FIBER_STEPS
 from tgeo.sasaki import submanifold_plane_curvature_array
 from tgeo.variation import _LJ, _LK
@@ -406,11 +406,21 @@ def test_destabilizing_ratio_positive_on_s3():
 # -- verdicts ---------------------------------------------------------------------
 
 
-def test_stability_verdict_s3():
-    rep = stability_verdict(dim=3, field_count=5, samples=20, fiber_steps=64,
-                            seed=0)
+def test_stability_verdict_s3(monkeypatch):
+    monkeypatch.setattr(variation, "FAMILY_FIELDS", 5)
+    rep = stability_verdict(dim=3, samples=20, fiber_steps=64, seed=0)
     assert rep.verdict == "stable"
     assert rep.ok
+
+
+def test_family_size_is_a_constant():
+    """The S^3 family holds FAMILY_FIELDS fields; no keyword sets its size."""
+    with pytest.raises(TypeError):
+        stability_verdict(3, field_count=5, samples=2, fiber_steps=64, seed=0)
+    rep = stability_verdict(3, samples=2, fiber_steps=64, seed=0)
+    assert rep.parameters["field_count"] == variation.FAMILY_FIELDS == 100
+    assert rep.samples == 200
+    assert f"each of its {variation.FAMILY_FIELDS} fields" in _OPTIONS["samples"]["help"]
 
 
 def test_stability_verdict_s5_s7(capsys):

@@ -34,8 +34,9 @@ def test_stable_run_is_independent_of_the_chunk(monkeypatch, rows, fields):
     """A run holds whole fields, at least one: 7 fields of 5 samples in one
     run, one per run (a budget of one row) or two per run (a budget of 12
     rows) and one left over give the same report."""
+    monkeypatch.setattr(variation, "FAMILY_FIELDS", 7)
     want = dataclasses.asdict(stability_verdict(
-        3, field_count=7, samples=5, fiber_steps=64, seed=2))
+        3, samples=5, fiber_steps=64, seed=2))
     if rows is not None:
         set_run(monkeypatch, rows, variation._integrand_row_bytes(SphereSpec(4)))
     seen = []
@@ -47,7 +48,7 @@ def test_stable_run_is_independent_of_the_chunk(monkeypatch, rows, fields):
 
     monkeypatch.setattr(variation, "_family_stack", counted)
     got = dataclasses.asdict(stability_verdict(
-        3, field_count=7, samples=5, fiber_steps=64, seed=2))
+        3, samples=5, fiber_steps=64, seed=2))
     assert seen == fields
     for rep in (want, got):
         rep.pop("wall_time_s")
