@@ -24,6 +24,7 @@ import functools
 import importlib.util
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -40,6 +41,9 @@ from conftest import run_lengths, set_run
 
 GOLDEN = ROOT / "tests" / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
+# a config file that sets mode, dim and planes; its case is named by the
+# file's name, not its directory
+SCAN_CONFIG = ROOT / "tests" / "scan_config.cfg"
 
 RTOL = 1e-6
 ATOL = 1e-9
@@ -56,7 +60,12 @@ SVD = ([("svd", "--dim", str(dim), "--radius", radius)
           for radius in ("1e-3", "1e4")
           for theta in ((), ("--theta", "1.5707961"),
                         ("--theta", "1.5707963267948966"))])
+# the meridian field at radius 1e4 passes totally-geodesic: its max |Omega|
+# is about 9.2e-8, under the absolute default tolerance
 VERIFY = [("verify", "totally-geodesic", "--radius", "1e4"),
+          ("verify", "totally-geodesic", "--field", "meridian", "--radius", "1e4",
+           "--samples", "20"),
+          ("verify", "codazzi", "--field", "meridian", "--samples", "20"),
           ("verify", "totally-geodesic", "--dim", "31", "--samples", "16"),
           ("verify", "jacobi"),
           ("verify", "jacobi", "--format", "csv"),
@@ -74,13 +83,14 @@ PREDICATES = [("verify", "predicates", *args, "--samples", "8")
                            ("--radius", "2"),
                            ("--field", "meridian", "--dim", "5"),
                            ("--field", "meridian", "--dim", "3", "--radius", "1e-3"))]
-CASES = SCANS + SVD + VERIFY + VARIATION + PREDICATES
+CASES = (SCANS + [("scan-curvature", "--config", str(SCAN_CONFIG))] + SVD + VERIFY
+         + VARIATION + PREDICATES)
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def case_name(argv):
-    return "_".join(arg.lstrip("-") for arg in argv)
+    return "_".join(os.path.basename(arg).lstrip("-") for arg in argv)
 
 
 def report_format(argv):
