@@ -34,7 +34,7 @@ from .manifold import (
 from .fields import (
     MIN_FIBER_STEPS,
     PREDICATE_SAMPLES,
-    TOL_ANALYTIC,
+    TOLERANCES,
     DecompositionFailure,
     PreconditionError,
     PropagationFailure,
@@ -87,8 +87,7 @@ _OPTIONS = {
     "field": {"choices": ("hopf", "meridian")},
     "dim": {"type": int},
     "radius": {"type": float},
-    "samples": {"type": int, "help": "sample points; variation --dim 3 also "
-                                     "checks that many on each of its 100 fields"},
+    "samples": {"type": int, "help": "sample points"},
     "planes": {"type": int},
     "mode": {"choices": ("submanifold", "bundle", "both")},
     "fiber_steps": {"type": int},
@@ -119,7 +118,7 @@ class RunConfig:
     samples: int = 100
     planes: int = 10000
     fiber_steps: int = 64
-    tol: float = 1e-4
+    tol: float = TOLERANCES.fd
     seed: int = 0
     out: str | None = None
     format: str = "json"
@@ -150,7 +149,7 @@ class RunConfig:
 def build_field(config: RunConfig) -> UnitVectorField:
     if config.field == "hopf":
         return hopf_field((config.dim - 1) // 2, config.radius)
-    return meridian_field(np.eye(config.dim + 1)[0], config.radius)
+    return meridian_field(config.dim, config.radius)
 
 
 def _in_cap(xi: UnitVectorField, coords: np.ndarray):
@@ -275,7 +274,7 @@ def _hopf_pattern_notes(xi: UnitVectorField, config: RunConfig) -> list:
     names = {cand_a: "(1/2) K (1-K) / (1+K)",
              cand_b: "K (1-K) / (2 (1+K)^(3/2))"}
     matches = [label for val, label in names.items()
-               if abs(peak - abs(val)) <= 1e-4]
+               if abs(peak - abs(val)) <= TOLERANCES.fd]
     which = matches[0] if len(matches) == 1 else "ambiguous"
     return [
         f"pattern peak |Omega_(s|m+s,0)| = {peak:.6f}, off-pattern max {off:.2e}",
@@ -343,7 +342,7 @@ def _run_jacobi(config: RunConfig) -> VerificationReport:
     worst = _sample_maxima(xi, config, lambda coords, rows: {
         "jacobi": jacobi_relation_residual(xi, coords)})
     return _suite_report(config, worst["jacobi"], [
-        "A*A X compared with R(X, xi) xi over a frame"], tol=TOL_ANALYTIC)
+        "A*A X compared with R(X, xi) xi over a frame"], tol=TOLERANCES.analytic)
 
 
 def _run_obstruction(config: RunConfig) -> VerificationReport:
@@ -463,9 +462,9 @@ def _scan_submanifold(xi, config) -> tuple:
         xi, np.stack((p, p)), np.stack((xiv, w)), np.stack((w, phi_w))).tolist()
 
     designated = max(abs(k_xi - 0.25), abs(k_phi - 1.25))
-    verdict = "pass" if (lo >= 0.25 - 1e-6 and hi <= 1.25 + 1e-6
-                         and designated <= 1e-10
-                         and cross_resid <= 1e-8) else "fail"
+    verdict = "pass" if (lo >= 0.25 - TOLERANCES.scan and hi <= 1.25 + TOLERANCES.scan
+                         and designated <= TOLERANCES.section
+                         and cross_resid <= TOLERANCES.cross) else "fail"
     notes = [
         f"observed range [{lo:.9f}, {hi:.9f}] over {config.planes} planes",
         f"designated sections: xi-plane {k_xi:.12f}, phi-plane {k_phi:.12f}",
@@ -477,7 +476,7 @@ def _scan_submanifold(xi, config) -> tuple:
         samples=config.planes,
         max_residual=max(max(0.25 - lo, 0.0), max(hi - 1.25, 0.0),
                          designated, cross_resid),
-        tolerance=1e-6, verdict=verdict, notes=notes)
+        tolerance=TOLERANCES.scan, verdict=verdict, notes=notes)
     return report, ks, (("xi-section", k_xi), ("phi-section", k_phi))
 
 
@@ -500,12 +499,12 @@ def _scan_bundle(xi, config) -> tuple:
                        curvatures)["curvature"].tolist()
     lo, hi = min(ks), max(ks)
     residual = max(max(-lo, 0.0), max(hi - 1.25, 0.0))
-    verdict = "pass" if residual <= 1e-6 else "fail"
+    verdict = "pass" if residual <= TOLERANCES.scan else "fail"
     notes = [f"observed bundle range [{lo:.9f}, {hi:.9f}] "
              f"over {config.planes} planes"]
     return VerificationReport(
         name="scan-bundle", parameters=_params(config), samples=config.planes,
-        max_residual=residual, tolerance=1e-6, verdict=verdict,
+        max_residual=residual, tolerance=TOLERANCES.scan, verdict=verdict,
         notes=notes), ks, ()
 
 
@@ -586,8 +585,8 @@ def cmd_svd(config: RunConfig) -> int:
         notes.append(f"killing residual {killing:.3e}: "
                      "no canonical pairing")
     # scaled by the largest lambda as the spectrum note prints it, so a unit
-    # spectrum that the SVD returns a few ulps above 1 keeps 1e-6
-    tol = TOL_ANALYTIC * max(1.0, float(format(np.max(lam), ".9g")))
+    # spectrum that the SVD returns a few ulps above 1 keeps the bare entry
+    tol = TOLERANCES.analytic * max(1.0, float(format(np.max(lam), ".9g")))
     verdict = "pass" if assembly <= tol else "fail"
     rep = VerificationReport(
         name="svd", parameters=_params(config), samples=1,
@@ -670,9 +669,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, summary in (("verify", "run a verification suite"),
                              ("scan-curvature", "sample plane curvatures"),
-                             ("variation", "second-variation stability run"),
+                             ("variation", "second-variation stability run; on S^3, "
+                                           "--samples points on each of 100 fields"),
                              ("svd", "singular frames at one point")):
-        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        p = sub.add_parser(command, help=summary, description=summary, allow_abbrev=False)
         if command == "verify":
             p.add_argument("suite", choices=_SUITE_RUNNERS)
         for name in _READS[command]:
@@ -698,7 +698,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     suite = getattr(args, "suite", None)
     if suite == "jacobi" and "tol" in merged:
         raise UsageError("verify jacobi does not read tol: it judges against "
-                         f"the fixed analytic tolerance {TOL_ANALYTIC:g}")
+                         f"the fixed analytic tolerance {TOLERANCES.analytic:g}")
     config = RunConfig(command=args.command, suite=suite, **merged)
     config.validate()
     return config

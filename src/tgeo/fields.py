@@ -9,6 +9,7 @@ Killing, normal, strongly normal, Sasakian identities).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -27,12 +28,18 @@ from .manifold import (
     gram_schmidt_rows,
 )
 
-# Frame assembly must reproduce A e_i = lambda_i f_i this well, relative to
-# max(1, lambda_max), or we refuse: the residual grows with the operator norm.
-ASSEMBLY_TOL = 1e-6
-
-# Residual tolerance of the checks built on the analytic Jacobian.
-TOL_ANALYTIC = 1e-6
+# Every bound that decides a verdict, is a report's ``tolerance`` or refuses a
+# run's own residual, read at call time. Per entry: what it judges; its scaling.
+TOLERANCES = SimpleNamespace(
+    analytic=1e-6,  # analytic Jacobian; Killing bound / r, svd's x max(1, lambda_max)
+    assembly=1e-6,  # singular frame assembly (exit 3); x max(1, 1/r, lambda_max)
+    fd=1e-4,        # FD residuals (default --tol) and the Hopf pattern match; absolute
+    scan=1e-6,      # the scans' curvature bounds [1/4, 5/4] and [0, 5/4]; absolute
+    section=1e-10,  # the designated sections' curvatures 1/4 and 5/4; absolute
+    cross=1e-8,     # closed-form scan curvature against the bundle route; absolute
+    fiber=1e-4,     # fiber frame residuals (exit 3), the witness ceilings; absolute
+    verdict=1e-3,   # the S^3 stability margin and the witness ratio; absolute
+)
 
 PREDICATE_SAMPLES = 32
 
@@ -58,8 +65,7 @@ class PropagationFailure(RuntimeError):
 
 # Fewest fiber steps propagate_fiber_frame takes, and the CLI's floor for
 # --fiber-steps: on S^5 the derivative table's 5-point residual exceeds
-# tgeo.variation's FIBER_TABLE_TOL at every count from 8 to 26, so a run
-# there could only fail.
+# TOLERANCES.fiber at every count from 8 to 26, so a run there could only fail.
 MIN_FIBER_STEPS = 64
 
 
@@ -131,8 +137,8 @@ def hopf_field(m: int, radius: float = 1.0) -> UnitVectorField:
                            jacobian, name="hopf")
 
 
-def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
-    """Unit tangents to the meridian great circles through +/- r*m_axis.
+def meridian_field(dim: int, radius: float = 1.0) -> UnitVectorField:
+    """Unit tangents to the meridian great circles of S^dim(r) through +/- r e_0.
 
     Geodesic and holonomic but not Killing; undefined within a polar cap of
     angular radius 1e-4 around either pole. Takes one point or a stack of
@@ -140,12 +146,9 @@ def meridian_field(m_axis, radius: float = 1.0) -> UnitVectorField:
     one-point call, and a point in a cap raises ``SingularLocusError`` naming
     the first such row.
     """
-    axis = np.asarray(m_axis, dtype=float)
-    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
-        raise DegenerateInputError("meridian axis must be a unit ambient vector")
-    sphere = SphereSpec(len(axis), radius)
-    r2 = radius ** 2
-    eye = np.eye(len(axis))
+    sphere = SphereSpec(dim + 1, radius)
+    eye = np.eye(dim + 1)
+    axis, r2 = eye[0], radius ** 2
 
     def check_caps(s_sq):
         # polar angle at least 1e-4; a NaN point is refused too
@@ -244,7 +247,7 @@ def _assemble_frames(base: SpherePoint, rows: np.ndarray, M: np.ndarray,
                      f_comps: np.ndarray, xiv: np.ndarray, label: str, *,
                      pin_e0: bool = False) -> SingularData:
     """Check A e_i = lambda_i f_i and A* f_i = lambda_i e_i in frame
-    components to ``ASSEMBLY_TOL * max(1, 1/r, lambda_max)`` at each point
+    components to ``TOLERANCES.assembly * max(1, 1/r, lambda_max)`` at each point
     (1/r for the singular values the canonical frames take as zero), then
     build the ambient frames with f_0 (and, with ``pin_e0``, e_0) set
     exactly to the field vector ``xiv``.
@@ -252,7 +255,7 @@ def _assemble_frames(base: SpherePoint, rows: np.ndarray, M: np.ndarray,
     Every array has a leading axis over the points of the stack ``base``; a
     point that fails a check raises naming its row. Returns one
     ``SingularData`` for them all, each frame one ``Frame`` over ``base``."""
-    tol = ASSEMBLY_TOL * np.maximum(max(1.0, 1 / base.sphere.radius), lambdas.max(1))
+    tol = TOLERANCES.assembly * np.maximum(max(1.0, 1 / base.sphere.radius), lambdas.max(1))
     resid = np.maximum(
         np.max(np.linalg.norm(np.matmul(e_comps, np.swapaxes(M, 1, 2))
                               - lambdas[..., None] * f_comps, axis=2), axis=1),
@@ -420,7 +423,7 @@ def _skewness(M: np.ndarray) -> np.ndarray:
 
 def _killing_tol(radius: float) -> float:
     """The Killing bound on the skewness of A + A*: A scales as 1/r."""
-    return TOL_ANALYTIC / radius
+    return TOLERANCES.analytic / radius
 
 
 def _require_killing(radius: float, M: np.ndarray, what: str) -> None:

@@ -29,7 +29,7 @@ from .manifold import (
     _row_norms,
 )
 from .fields import (
-    TOL_ANALYTIC,
+    TOLERANCES,
     PreconditionError,
     SingularData,
     SingularLocusError,
@@ -263,7 +263,7 @@ def geodesic_field_obstruction(xi: UnitVectorField, P: np.ndarray,
     lam, E, F = _singular_stack(sd)
     if not xi.sphere.is_unit:
         raise PreconditionError("obstruction form is derived for unit radius")
-    if np.any(is_geodesic(xi, P) > TOL_ANALYTIC):
+    if np.any(is_geodesic(xi, P) > TOLERANCES.analytic):
         raise PreconditionError("obstruction form needs a geodesic field")
     ae = shape_apply_array(xi, P, E[:, 1:])
     a2e = shape_apply_array(xi, P, ae)

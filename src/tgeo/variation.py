@@ -35,6 +35,7 @@ from .manifold import (
 )
 from .fields import (
     MIN_FIBER_STEPS,
+    TOLERANCES,
     PreconditionError,
     PropagationFailure,
     UnitVectorField,
@@ -51,17 +52,11 @@ from .sasaki import (
 )
 from .report import VerificationReport
 
-# Residual ceiling for the propagated-frame derivative table.
-FIBER_TABLE_TOL = 1e-4
-
 RK_SUBSTEPS = 8
 
 # Fiber steps whose substep table is computed at once: bounds the table's
 # memory, whatever the number of steps.
 _FIBER_BLOCK = 64
-
-# Pointwise ceiling for the stability margin and the witness ratio.
-VERDICT_TOL = 1e-3
 
 # Random frame-built fields in the S^3 stable family.
 FAMILY_FIELDS = 100
@@ -375,8 +370,8 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     _FIBER_BLOCK steps at a time, with the loop's own time arithmetic and
     math.cos and math.sin. Residuals of the derivative table,
     orthonormality, and loop closure are recorded, each from one stacked
-    call over all nodes; any of them above FIBER_TABLE_TOL (the table's
-    first) raises PropagationFailure naming it.
+    call over all nodes; any of them above ``TOLERANCES.fiber`` (the
+    table's first) raises PropagationFailure naming it.
     """
     sphere = p0.sphere
     if not sphere.is_unit:
@@ -426,14 +421,15 @@ def propagate_fiber_frame(p0: SpherePoint, steps: int) -> FiberFrame:
     e0s = points @ J.T
 
     residuals = _fiber_residuals(J, ts, points, frames)
+    tol = TOLERANCES.fiber
     table = (residuals["fiber_rows"], residuals["horizontal_rows"])
-    if not np.max(table) <= FIBER_TABLE_TOL:  # a NaN fails too
+    if not np.max(table) <= tol:  # a NaN fails too
         raise PropagationFailure(f"fiber frame table residuals {table[0]:.3e}/"
-                                 f"{table[1]:.3e} exceed {FIBER_TABLE_TOL:.1e}")
+                                 f"{table[1]:.3e} exceed {tol:.1e}")
     for name in ("orthonormality", "closure"):
-        if not residuals[name] <= FIBER_TABLE_TOL:
+        if not residuals[name] <= tol:
             raise PropagationFailure(f"fiber frame {name} residual "
-                                     f"{residuals[name]:.3e} exceeds {FIBER_TABLE_TOL:.1e}")
+                                     f"{residuals[name]:.3e} exceeds {tol:.1e}")
     return FiberFrame(sphere, ts, points, e0s, frames, residuals)
 
 
@@ -599,7 +595,7 @@ def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
         ident_resid = max(ident_resid, float(np.max(np.abs(red - form_val))))
     count = field_count * samples
     max_residual = max(0.0, -worst_margin)
-    verdict = "stable" if max_residual <= VERDICT_TOL else "fail"
+    verdict = "stable" if max_residual <= TOLERANCES.verdict else "fail"
     notes = [
         f"min of integrand - |eta|^2/2 over {count} samples: {worst_margin:.6e}",
         f"max gap between closed form and frame decomposition: {ident_resid:.3e}",
@@ -609,7 +605,7 @@ def _stable_s3_run(xi, field_count, samples, seed) -> VerificationReport:
         name="stability",
         parameters={"dim": 3, "mode": "stable-S3", "field_count": field_count,
                     "samples": samples, "seed": seed},
-        samples=count, max_residual=max_residual, tolerance=VERDICT_TOL,
+        samples=count, max_residual=max_residual, tolerance=TOLERANCES.verdict,
         verdict=verdict, notes=notes)
 
 
@@ -643,13 +639,14 @@ def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:
     d0_resid = float(np.max(d0_norm))
     grad_resid = float(np.max(grad))
 
-    checks_ok = max_dev <= VERDICT_TOL and d0_resid <= 1e-4 and grad_resid <= 1e-4
+    tol, ceiling = TOLERANCES.verdict, TOLERANCES.fiber
+    checks_ok = max_dev <= tol and d0_resid <= ceiling and grad_resid <= ceiling
     verdict = "unstable" if checks_ok else "fail"  # target < 0 for dim >= 5
     notes = [
         f"witness integrand ratio target {target:+.3f}; "
         f"max deviation {max_dev:.3e} over {fiber.node_count} fiber samples",
-        f"max |nabla_(fiber) eta| along the fiber: {d0_resid:.3e} (ceiling 1e-04)",
-        f"max coefficient-gradient residual: {grad_resid:.3e} (ceiling 1e-04)",
+        f"max |nabla_(fiber) eta| along the fiber: {d0_resid:.3e} (ceiling {ceiling:.0e})",
+        f"max coefficient-gradient residual: {grad_resid:.3e} (ceiling {ceiling:.0e})",
         "sign certified pointwise: the integrand is constant along fibers",
         f"fiber residuals: closure {fiber.residuals['closure']:.2e}, "
         f"table {fiber.residuals['fiber_rows']:.2e}",
@@ -658,7 +655,7 @@ def _instability_run(xi, dim, fiber_steps, seed) -> VerificationReport:
         name="stability",
         parameters={"dim": dim, "mode": "instability", "seed": seed,
                     "fiber_steps": int(fiber.node_count - 1)},
-        samples=fiber.node_count, max_residual=max_dev, tolerance=VERDICT_TOL,
+        samples=fiber.node_count, max_residual=max_dev, tolerance=tol,
         verdict=verdict, notes=notes)
 
 

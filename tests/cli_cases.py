@@ -209,6 +209,13 @@ CASES += [
     Case(tc + "svd_far_meridian_near_equator_has_no_canonical_pairing",
          ("svd", "--field", "meridian", "--radius", "1e4", "--theta", "1.57"), 0,
          ("pass",), out=r': no canonical pairing"\s*\]'),
+    # --samples is described without one command's figures; the variation
+    # summary says what it counts on S^3 (test_family_size_is_a_constant
+    # ties its figure to FAMILY_FIELDS)
+    Case(tc + "samples_help_per_command[verify]", verify("--help"), 0,
+         out=r"\A(?!.*fields).*--samples SAMPLES\s+sample points\n"),
+    Case(tc + "samples_help_per_command[variation]", ("variation", "--help"), 0,
+         out=r"on\s+S\^3,\s+--samples\s+points\s+on\s+each\s+of\s+\d+\s+fields"),
     Case(tc + "csv_report_format", (*verify("codazzi", "--samples", "3"), "--format",
          "csv"), 0, out="^name,verdict,samples"),
     # a config file beats TGEO_SEED, and a flag beats both
@@ -256,8 +263,8 @@ for argv, flag, value in [
     CASES += [Case(test.format("flag"), (*argv, flag, value), 2, err=flag),
               Case(test.format("config"), argv, 2, config=f"{key} = {value}\n",
                    err=f"config key {key!r} is not read by {argv[0]}")]
-# the jacobi suite judges against the fixed TOL_ANALYTIC, so a --tol would
-# change nothing; the other suites read it
+# the jacobi suite judges against the fixed TOLERANCES.analytic, so a --tol
+# would change nothing; the other suites read it
 for source, args, config in [("flag", ("--tol", "1e-300"), None),
                              ("config", (), "tol = 1e-300\n")]:
     CASES += [Case(f"{tc}verify_jacobi_refuses_tol[{source}]",

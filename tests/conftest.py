@@ -272,12 +272,12 @@ def hopf3_r2():
 @pytest.fixture(scope="session")
 def meridian2():
     # unit 2-sphere, axis along the first coordinate
-    return meridian_field(np.array([1.0, 0.0, 0.0]), 1.0)
+    return meridian_field(2, 1.0)
 
 
 @pytest.fixture(scope="session")
 def meridian3():
-    return meridian_field(np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
+    return meridian_field(3, 1.0)
 
 
 def point_stack(points):

@@ -117,7 +117,7 @@ def value_jacobian(field, pts):
 ROUTE_FIELDS = {f"{xi.name}-s{xi.sphere.dim}-r{xi.sphere.radius:g}": xi for xi in (
     [hopf_field(m, r) for m in (1, 2, 3, 7) for r in (1.0, 2.0, 0.01, 1e3, 1e4)]
     + [hopf_field(15)]
-    + [meridian_field(np.eye(d + 1)[0], r) for d in (3, 5, 7, 15)
+    + [meridian_field(d, r) for d in (3, 5, 7, 15)
        for r in (1.0, 0.01, 1e3, 1e4)])}
 
 
@@ -195,9 +195,9 @@ FIELDS = {
     "hopf-s15": hopf_field(7, 1.0),
     "hopf-s5-r3": hopf_field(2, 3.0),
     "hopf-s7-r0.37": hopf_field(3, 0.37),
-    "meridian-s2": meridian_field(np.eye(3)[0], 1.0),
-    "meridian-s3": meridian_field(np.eye(4)[0], 1.0),
-    "meridian-s5-r3": meridian_field(np.eye(6)[0], 3.0),
+    "meridian-s2": meridian_field(2, 1.0),
+    "meridian-s3": meridian_field(3, 1.0),
+    "meridian-s5-r3": meridian_field(5, 3.0),
 }
 
 

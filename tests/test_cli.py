@@ -14,7 +14,6 @@ import pytest
 import tgeo.cli as cli
 import tgeo.fields as fields
 import tgeo.variation as variation
-from tgeo.fields import TOL_ANALYTIC
 from tgeo.cli import RunConfig, UsageError, main
 
 import bad_rows
@@ -257,14 +256,15 @@ def test_svd_tolerance_scales_with_lambda(capsys):
                               "--theta", "0.0011"], expect=0)
     rep = json.loads(out)[0]
     lam_max = 1.0 / np.tan(0.0011)  # cot(theta) / r at unit radius
-    assert rep["tolerance"] == pytest.approx(TOL_ANALYTIC * lam_max, rel=1e-8)
+    assert rep["tolerance"] == pytest.approx(fields.TOLERANCES.analytic * lam_max,
+                                             rel=1e-8)
     assert rep["tolerance"] == pytest.approx(1e-6 * 909.09, rel=1e-5)
     # a unit spectrum keeps the unscaled tolerance
     for args in (["--field", "hopf", "--dim", "7"],
                  ["--field", "meridian", "--dim", "2", "--theta",
                   str(np.pi / 4)]):
         _, out = run_cli(capsys, ["svd", *args], expect=0)
-        assert json.loads(out)[0]["tolerance"] == TOL_ANALYTIC
+        assert json.loads(out)[0]["tolerance"] == fields.TOLERANCES.analytic
 
 
 @pytest.mark.parametrize("theta", ["1.5707963267948966", "1.5707963"])
@@ -342,3 +342,48 @@ def test_out_flag_writes_file(capsys, tmp_path):
     data = json.loads(dst.read_text())
     assert data[0]["name"] == "svd"
     assert data[0]["schema"] == "tgeo-report/1"
+
+
+# -- the tolerance table ------------------------------------------------------------
+
+# One command per entry of tgeo.fields.TOLERANCES that the entry judges, and
+# the note whose presence it decides, if the exit code and verdicts cannot
+# show it (the Hopf field off unit radius fails whatever the pattern match).
+TABLE_RUNS = {
+    "analytic": ("verify jacobi --samples 2", None),
+    "assembly": ("svd", None),
+    "fd": ("verify totally-geodesic --radius 2 --samples 2",
+           "matches: (1/2) K (1-K) / (1+K)"),
+    "scan": ("scan-curvature --mode bundle --planes 20", None),
+    "section": ("scan-curvature --planes 20", None),
+    "cross": ("scan-curvature --planes 20", None),
+    "fiber": ("variation --dim 5 --samples 2", None),
+    "verdict": ("variation --dim 3 --samples 2", None),
+}
+
+
+def table_outcome(capsys, argv, note):
+    """The verdicts of the reports, or the exit code where none is printed
+    (exit 2 or 3), and whether ``note`` is printed. The exit code of a
+    printed report is left out: ``VerificationReport.ok`` rejudges the
+    residual against the report's tolerance, which would hide a verdict
+    judged by a literal."""
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    return ([r["verdict"] for r in json.loads(out)] if out else code,
+            note is not None and note in out)
+
+
+def test_table_runs_cover_every_entry():
+    assert set(TABLE_RUNS) == set(vars(fields.TOLERANCES))
+
+
+@pytest.mark.parametrize("entry", TABLE_RUNS)
+def test_each_tolerance_entry_decides_its_run(capsys, monkeypatch, entry):
+    """Every judging site reads the table at call time: an entry set to -1
+    changes its command's verdicts, exit code or named note, so a literal
+    left at a judging site fails its entry here."""
+    argv, note = TABLE_RUNS[entry]
+    unpatched = table_outcome(capsys, argv, note)
+    monkeypatch.setattr(fields.TOLERANCES, entry, -1.0)
+    assert table_outcome(capsys, argv, note) != unpatched

@@ -40,7 +40,7 @@ def test_seed_zero_sample_is_the_predicates_first_draw():
 def counted(monkeypatch):
     """A meridian S^3 field whose Jacobian evaluations are counted, and the
     counts, which also take ``fd_derivative_array`` calls."""
-    xi = meridian_field(np.eye(4)[0], 1.0)
+    xi = meridian_field(3, 1.0)
     counts = {"fd": 0, "jacobian": 0}
 
     def jacobian(q, _jac=xi.jacobian_fn):

@@ -28,7 +28,6 @@ from tgeo import (
     shape_matrix,
     singular_decomposition,
 )
-from tgeo.fields import TOL_ANALYTIC
 from tgeo.sasaki import second_form_direct, second_form_lemma, xi_normal_lift_array
 from conftest import frame_rows, on_triples, random_tangent, seeded_points
 
@@ -100,7 +99,7 @@ def test_shape_operator_of_hopf_is_minus_J_on_perp(hopf3):
 _FIELD_BUILDERS = {
     "hopf-r1": lambda: hopf_field(2, 1.0),
     "hopf-r2": lambda: hopf_field(2, 2.0),
-    "meridian": lambda: meridian_field(np.array([1.0, 0.0, 0.0, 0.0]), 1.0),
+    "meridian": lambda: meridian_field(3, 1.0),
     "hopf-combination": lambda: random_hopf_combination(
         np.random.default_rng(20)),
     "horizontal": lambda: horizontal_extension_field(
@@ -214,7 +213,7 @@ def test_killing_canonical_lambda_layout(hopf3_r2):
 def test_frame_assembly_refuses_tolerance_below_residual(decompose, prefix,
                                                           hopf5, hopf3_r2,
                                                           monkeypatch):
-    monkeypatch.setattr(fields, "ASSEMBLY_TOL", 0.0)
+    monkeypatch.setattr(fields.TOLERANCES, "assembly", 0.0)
     for xi in (hopf5, hopf3_r2):
         for p in seeded_points(xi, 3, seed=13):
             at = p.coords[None] if decompose is singular_decomposition else p
@@ -241,18 +240,18 @@ def test_covariant_normality_hopf(hopf7):
 
 def test_hopf_predicate_profile(hopf3):
     P = hopf3.sphere.random_point(np.random.default_rng(14)).coords[None]
-    assert is_geodesic(hopf3, P)[0] <= TOL_ANALYTIC
-    assert is_killing(hopf3, P)[0] <= TOL_ANALYTIC
+    assert is_geodesic(hopf3, P)[0] <= fields.TOLERANCES.analytic
+    assert is_killing(hopf3, P)[0] <= fields.TOLERANCES.analytic
     assert on_triples(is_normal)(hopf3, P)[0] <= 1e-10
-    assert on_triples(is_strongly_normal)(hopf3, P)[0] <= TOL_ANALYTIC
+    assert on_triples(is_strongly_normal)(hopf3, P)[0] <= fields.TOLERANCES.analytic
 
 
 def test_meridian_predicate_profile(meridian2):
     theta = np.pi / 3.0
     P = meridian2.sphere.point([np.cos(theta), np.sin(theta), 0.0]).coords[None]
-    assert is_geodesic(meridian2, P)[0] <= TOL_ANALYTIC
+    assert is_geodesic(meridian2, P)[0] <= fields.TOLERANCES.analytic
     killing = is_killing(meridian2, P)[0]
-    assert not killing <= TOL_ANALYTIC
+    assert not killing <= fields.TOLERANCES.analytic
     # spectral norm of A + A* at polar angle theta: 2 cot(theta) / r
     assert np.isclose(killing, 2.0 / np.tan(theta), atol=1e-10)
 
@@ -298,7 +297,7 @@ def test_jacobi_relation_needs_killing(meridian2):
 def test_killing_precondition_refuses_a_far_meridian_field():
     """A + A* of the meridian field is 2 cot(theta) / r: 2e-7 at radius
     1e7, below an absolute 1e-6, but never skew at any radius."""
-    xi = meridian_field(np.eye(4)[0], 1e7)
+    xi = meridian_field(3, 1e7)
     p = xi.sphere.point([np.cos(np.pi / 4.0), np.sin(np.pi / 4.0), 0.0, 0.0])
     with pytest.raises(PreconditionError, match="needs a Killing field"):
         jacobi_relation_residual(xi, p.coords[None])
@@ -311,7 +310,7 @@ def test_killing_precondition_accepts_a_small_hopf_field():
     far above an absolute 1e-6; the Hopf field is Killing all the same."""
     xi = hopf_field(1, 1e-12)
     P = xi.sphere.random_point(np.random.default_rng(17)).coords[None]
-    assert is_killing(xi, P)[0] > TOL_ANALYTIC
+    assert is_killing(xi, P)[0] > fields.TOLERANCES.analytic
     resid = jacobi_relation_residual(xi, P)
     assert resid.shape == (1,) and np.isfinite(resid[0])
 
@@ -376,7 +375,7 @@ def test_near_killing_field_fails_one_killing_threshold(hopf5):
                            lambda q: complex_structure(6) + 1e-5 * S)
     p = hopf5.sphere.random_point(np.random.default_rng(24))
     skew = is_killing(bent, p.coords[None])[0]
-    assert not skew <= TOL_ANALYTIC and 1e-6 < skew < 1e-4
+    assert not skew <= fields.TOLERANCES.analytic and 1e-6 < skew < 1e-4
     with pytest.raises(PreconditionError):
         jacobi_relation_residual(bent, p.coords[None])
     with pytest.raises(PreconditionError):

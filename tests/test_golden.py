@@ -198,11 +198,16 @@ def field_diff(old_text, new_text, fmt):
 
 
 def describe(moved):
+    """One line per (path, old, new); None is a leaf or exit code that one
+    side does not have (no report holds a JSON null)."""
     lines = []
     for path, old, new in moved:
-        rel = relative_change(old, new)
-        lines.append(f"  {path}: {old!r} -> {new!r} "
-                     f"({'text changed' if rel is None else f'relative {rel:.3e}'})")
+        if old is None or new is None:
+            change = "new" if old is None else "removed"
+        else:
+            rel = relative_change(old, new)
+            change = "text changed" if rel is None else f"relative {rel:.3e}"
+        lines.append(f"  {path}: {old!r} -> {new!r} ({change})")
     return "\n".join(lines)
 
 
@@ -274,6 +279,11 @@ def test_tolerance_reads_numbers_and_keeps_text():
     moved = field_diff('[{"a": [1.0, "x 2.0"]}]', '[{"a": [1.0, "x 3.0"]}]', "json")
     assert moved == [("[0].a[1]", "x 2.0", "x 3.0")]
     assert describe(moved) == "  [0].a[1]: 'x 2.0' -> 'x 3.0' (relative 3.333e-01)"
+    # a leaf or exit code on one side only
+    moved = field_diff('[{"a": 1.0}]', '[{"b": "x"}]', "json")
+    assert describe(sorted(moved) + [("exit code", None, 0)]) == (
+        "  [0].a: 1.0 -> None (removed)\n  [0].b: None -> 'x' (new)\n"
+        "  exit code: None -> 0 (new)")
 
 
 def main(argv=None):

@@ -3,7 +3,8 @@ module, every module-level constant or private function must be read by
 some module (in the tests, every helper and fixture), and every method or
 property of a tgeo class must be read by some module or named by the
 benchmark's tracer, so a deletion cannot leave a stale import, constant,
-helper or method behind. The library's defaulted options and public names
+helper or method behind. Every entry of the tolerance table must be read
+by some module of the library. The library's defaulted options and public names
 are counted, so a new one is a visible change, and every name the
 benchmark's tracer wraps must exist."""
 
@@ -36,6 +37,9 @@ LIBRARY_OPTIONS = 6
 # The names ``tgeo`` exports, as ROADMAP.md states the figure under quality
 # of design. CI's installed-package check reads the figure from here.
 PUBLIC_NAMES = 56
+
+# The table of verdict tolerances in tgeo.fields.
+TABLE = "TOLERANCES"
 
 
 def unused_imports(source: str) -> list:
@@ -106,6 +110,26 @@ def unread_members(sources: dict, tests: dict, tracer: str) -> list:
                   for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
                   and not DUNDER.fullmatch(fn.name) and fn.name not in read)
+
+
+def unread_table_entries(sources: dict) -> list:
+    """The keyword entries of the call bound to TABLE at the top level of a
+    module of ``sources`` (module name -> source) that no module reads as
+    ``TABLE.<entry>`` (or ``<module>.TABLE.<entry>``)."""
+    entries, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and any(getattr(t, "id", None) == TABLE for t in node.targets)):
+                entries += [(module, kw.arg, kw.value.lineno)
+                            for kw in node.value.keywords]
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and TABLE in (getattr(node.value, "id", None),
+                               getattr(node.value, "attr", None))}
+    return sorted(f"{module}.{TABLE}.{name} (line {line})"
+                  for module, name, line in entries if name not in read)
 
 
 def defaulted_options(source: str) -> list:
@@ -185,6 +209,18 @@ def test_detects_unread_method_or_property():
     assert unread_members(sources, tests, "") == ["a.Spec.traced (line 9)"]
 
 
+def test_detects_unread_table_entry():
+    sources = {
+        "a": "from types import SimpleNamespace\n"
+             "TOLERANCES = SimpleNamespace(\n"
+             "    used=1e-6,\n    dead=1e-4,\n    far=1.0,\n)\n",
+        "b": "import a\nfrom a import TOLERANCES\n"
+             "ok = 0.0 <= TOLERANCES.used\nx = a.TOLERANCES.far\n"
+             "y = config.dead\n",
+    }
+    assert unread_table_entries(sources) == ["a.TOLERANCES.dead (line 4)"]
+
+
 def test_counts_defaulted_options():
     source = (
         "from dataclasses import dataclass\n"
@@ -254,6 +290,12 @@ def test_no_unread_constants_or_private_functions():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def test_no_unread_table_entries():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert unread_table_entries(sources) == []
 
 
 def test_no_unread_methods_or_properties():

@@ -160,8 +160,8 @@ def test_non_killing_point_refuses_the_field():
     coords = np.array([p.coords for p in seeded_points(hopf, 4, seed=48)])
     coords[:, 0] = np.array([-1.0, -1.0, 1.0, 1.0]) * np.abs(coords[:, 0])
     resid = fields.is_killing(bent, coords)
-    assert np.all(resid[:2] <= fields.TOL_ANALYTIC)
-    assert np.all(resid[2:] > fields.TOL_ANALYTIC)
+    assert np.all(resid[:2] <= fields.TOLERANCES.analytic)
+    assert np.all(resid[2:] > fields.TOLERANCES.analytic)
     with pytest.raises(PreconditionError) as info:
         fields.jacobi_relation_residual(bent, coords)
     assert not hasattr(info.value, "row")

@@ -148,7 +148,7 @@ def test_second_form_routes_agree_to_a_scaled_bound(name, m, radius):
     1/r^2 where Omega is rounding. The worst ratio measured is 1.3e-9
     (meridian, S^3, radius 2); one route scaled by 1 + 1e-6 reads 1e-6."""
     xi = (hopf_field(m, radius) if name == "hopf"
-          else meridian_field(np.eye(2 * m + 2)[0], radius))
+          else meridian_field(2 * m + 1, radius))
     P = point_stack(seeded_points(xi, 20, seed=0))
     sd = singular_decomposition(xi, P)
     om_l = second_form_lemma(xi, P, sd)
@@ -328,7 +328,7 @@ def test_meridian_obstruction_closed_form(dim):
     """The library's meridian closed form matches geodesic_field_obstruction,
     and the inline -(1/2) Lambda (cot^2 + 1) <e_a, f_s>, on S^3 and S^5."""
     axis = np.eye(dim + 1)[0]
-    xi = meridian_field(axis)
+    xi = meridian_field(dim)
     P = point_stack(seeded_points(xi, 8, seed=17))
     sd = singular_decomposition(xi, P)
     cts = P @ axis

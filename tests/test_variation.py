@@ -27,8 +27,8 @@ from tgeo import (
     stability_verdict,
 )
 import tgeo.variation as variation
-from tgeo.cli import _OPTIONS, main
-from tgeo.fields import MIN_FIBER_STEPS
+from tgeo.cli import main
+from tgeo.fields import MIN_FIBER_STEPS, TOLERANCES
 from tgeo.sasaki import submanifold_plane_curvature_array
 from tgeo.variation import _LJ, _LK
 
@@ -269,9 +269,9 @@ def test_fiber_table_check_on_closed_form_frames(m):
     assert 3.0e-6 < true["fiber_rows"] < 3.2e-6
     assert true["horizontal_rows"] == 0.0
     fast = table(1.01, -1.0)["fiber_rows"]
-    assert fast > variation.FIBER_TABLE_TOL and abs(fast - 0.364) < 1e-3
+    assert fast > TOLERANCES.fiber and abs(fast - 0.364) < 1e-3
     flipped = table(1.0, 1.0)["horizontal_rows"]
-    assert flipped > variation.FIBER_TABLE_TOL and abs(flipped - 2.0) < 1e-12
+    assert flipped > TOLERANCES.fiber and abs(flipped - 2.0) < 1e-12
     gap = np.linalg.norm(fiber.frames - _closed_form_pair(v, jv, fiber.ts, 1.0, -1.0),
                          axis=2)
     assert np.max(gap) < 2e-9
@@ -305,7 +305,7 @@ def test_fiber_frame_validation():
 def test_fiber_frame_table_failure(monkeypatch, capsys):
     p0 = SphereSpec(6, 1.0).random_point(np.random.default_rng(12))
     r = propagate_fiber_frame(p0, steps=64).residuals
-    monkeypatch.setattr(variation, "FIBER_TABLE_TOL", 0.0)
+    monkeypatch.setattr(TOLERANCES, "fiber", 0.0)
     with pytest.raises(PropagationFailure) as info:
         propagate_fiber_frame(p0, steps=64)
     assert (f"{r['fiber_rows']:.3e}/{r['horizontal_rows']:.3e} exceed 0.0e+00"
@@ -413,14 +413,17 @@ def test_stability_verdict_s3(monkeypatch):
     assert rep.ok
 
 
-def test_family_size_is_a_constant():
-    """The S^3 family holds FAMILY_FIELDS fields; no keyword sets its size."""
+def test_family_size_is_a_constant(capsys):
+    """The S^3 family holds FAMILY_FIELDS fields, the figure ``variation
+    --help`` states; no keyword sets its size."""
     with pytest.raises(TypeError):
         stability_verdict(3, field_count=5, samples=2, fiber_steps=64, seed=0)
     rep = stability_verdict(3, samples=2, fiber_steps=64, seed=0)
     assert rep.parameters["field_count"] == variation.FAMILY_FIELDS == 100
     assert rep.samples == 200
-    assert f"each of its {variation.FAMILY_FIELDS} fields" in _OPTIONS["samples"]["help"]
+    assert main(["variation", "--help"]) == 0
+    summary = " ".join(capsys.readouterr().out.split())
+    assert f"on S^3, --samples points on each of {variation.FAMILY_FIELDS} fields" in summary
 
 
 def test_stability_verdict_s5_s7(capsys):
@@ -439,7 +442,7 @@ def test_stability_verdict_s5_s7(capsys):
 @pytest.mark.parametrize("dim", [5, 7, 9, 15, 31])
 def test_instability_ratio_is_exact_to_rounding(dim):
     """The witness ratio equals (5 - 2n)/2 at every fiber node to rounding,
-    far inside VERDICT_TOL: a target off by 5e-4 fails here."""
+    far inside TOLERANCES.verdict: a target off by 5e-4 fails here."""
     for seed in (0, 1, 7):
         rep = stability_verdict(dim, samples=4, fiber_steps=64, seed=seed)
         assert rep.verdict == "unstable"
